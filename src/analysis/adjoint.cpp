@@ -1,397 +1,8 @@
 #include "analysis/adjoint.h"
 
-#include <array>
 #include <utility>
 
 namespace dg::analysis {
-
-namespace {
-
-using N = const SymNode*;
-
-// ---- builtin adjoint rules ----------------------------------------------
-//
-// Each rule mirrors the corresponding backward lambda in nn/autograd.cpp op
-// for op — including the "constant" nodes the real rules materialize (relu
-// masks, the ones/zeros expanders of row_sum/col_sum) and the forward
-// recomputation of tanh/sigmoid/exp/sqrt. The differential tests compare
-// the resulting op multisets against nn::OpObserverGuard captures, so any
-// editorializing here (e.g. simplifying sigmoid's s*(1-s)) is a test
-// failure, not a style choice.
-
-std::vector<N> adj_leaf(const AdjointCtx&) { return {}; }
-
-std::vector<N> adj_add(const AdjointCtx& c) { return {c.gout, c.gout}; }
-
-std::vector<N> adj_sub(const AdjointCtx& c) {
-  return {c.gout, c.t.neg(c.gout)};
-}
-
-std::vector<N> adj_neg(const AdjointCtx& c) { return {c.t.neg(c.gout)}; }
-
-std::vector<N> adj_mul(const AdjointCtx& c) {
-  return {c.t.mul(c.gout, c.parents[1]), c.t.mul(c.gout, c.parents[0])};
-}
-
-std::vector<N> adj_div(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N a = c.parents[0], b = c.parents[1];
-  N da = t.div(c.gout, b);
-  N db = t.neg(t.div(t.mul(c.gout, a), t.mul(b, b)));
-  return {da, db};
-}
-
-std::vector<N> adj_add_scalar(const AdjointCtx& c) { return {c.gout}; }
-
-std::vector<N> adj_mul_scalar(const AdjointCtx& c) {
-  return {c.t.mul_scalar(c.gout)};
-}
-
-std::vector<N> adj_matmul(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N a = c.parents[0], b = c.parents[1];
-  return {t.matmul(c.gout, t.transpose(b)), t.matmul(t.transpose(a), c.gout)};
-}
-
-std::vector<N> adj_transpose(const AdjointCtx& c) {
-  return {c.t.transpose(c.gout)};
-}
-
-std::vector<N> adj_affine(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N x = c.parents[0], w = c.parents[1];
-  return {t.matmul(c.gout, t.transpose(w)), t.matmul(t.transpose(x), c.gout),
-          t.col_sum(c.gout)};
-}
-
-std::vector<N> adj_lstm_gates(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N x = c.parents[0], wx = c.parents[1], h = c.parents[2], wh = c.parents[3];
-  return {t.matmul(c.gout, t.transpose(wx)), t.matmul(t.transpose(x), c.gout),
-          t.matmul(c.gout, t.transpose(wh)), t.matmul(t.transpose(h), c.gout),
-          t.col_sum(c.gout)};
-}
-
-std::vector<N> adj_add_rowvec(const AdjointCtx& c) {
-  return {c.gout, c.t.col_sum(c.gout)};
-}
-
-std::vector<N> adj_mul_colvec(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N x = c.parents[0], v = c.parents[1];
-  return {t.mul_colvec(c.gout, v), t.row_sum(t.mul(c.gout, x))};
-}
-
-std::vector<N> adj_mul_rowvec(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N x = c.parents[0], m = c.parents[1];
-  return {t.mul_rowvec(c.gout, m), t.col_sum(t.mul(c.gout, x))};
-}
-
-std::vector<N> adj_broadcast_scalar(const AdjointCtx& c) {
-  return {c.t.sum(c.gout)};
-}
-
-std::vector<N> adj_row_sum(const AdjointCtx& c) {
-  // ones(n, d) is a constant in the real rule.
-  return {c.t.mul_colvec(c.t.constant(c.parents[0]->shape), c.gout)};
-}
-
-std::vector<N> adj_col_sum(const AdjointCtx& c) {
-  // zeros(n, d) is a constant in the real rule.
-  return {c.t.add_rowvec(c.t.constant(c.parents[0]->shape), c.gout)};
-}
-
-std::vector<N> adj_sum(const AdjointCtx& c) {
-  return {c.t.broadcast_scalar(c.gout, c.parents[0]->shape)};
-}
-
-std::vector<N> adj_mask_mul(const AdjointCtx& c) {
-  // relu/abs: the captured mask/sign matrix enters as a constant.
-  return {c.t.mul(c.gout, c.t.constant(c.parents[0]->shape))};
-}
-
-std::vector<N> adj_tanh(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N y = t.tanh(c.parents[0]);  // recomputed, not captured
-  return {t.mul(c.gout, t.add_scalar(t.neg(t.square(y))))};
-}
-
-std::vector<N> adj_sigmoid(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  N s = t.sigmoid(c.parents[0]);
-  return {t.mul(c.gout, t.mul(s, t.add_scalar(t.neg(s))))};
-}
-
-std::vector<N> adj_exp(const AdjointCtx& c) {
-  return {c.t.mul(c.gout, c.t.exp(c.parents[0]))};
-}
-
-std::vector<N> adj_log(const AdjointCtx& c) {
-  return {c.t.div(c.gout, c.parents[0])};
-}
-
-std::vector<N> adj_sqrt(const AdjointCtx& c) {
-  Tracer& t = c.t;
-  return {t.mul_scalar(t.div(c.gout, t.sqrt(c.parents[0])))};
-}
-
-std::vector<N> adj_square(const AdjointCtx& c) {
-  return {c.t.mul_scalar(c.t.mul(c.gout, c.parents[0]))};
-}
-
-// The layout rules need concrete extents for their slice/pad offsets (the
-// real rules capture them as ints at forward time). A symbolic extent here
-// means the rule cannot be mirrored; returning {} makes the engine report
-// adjoint-arity with the graph path rather than guessing offsets.
-
-std::vector<N> adj_concat_cols(const AdjointCtx& c) {
-  std::vector<N> out;
-  out.reserve(c.parents.size());
-  int off = 0;
-  for (N p : c.parents) {
-    if (!p->shape.cols.concrete()) return {};
-    const int w = static_cast<int>(p->shape.cols.value);
-    out.push_back(c.t.slice_cols(c.gout, off, off + w));
-    off += w;
-  }
-  return out;
-}
-
-std::vector<N> adj_concat_rows(const AdjointCtx& c) {
-  std::vector<N> out;
-  out.reserve(c.parents.size());
-  int off = 0;
-  for (N p : c.parents) {
-    if (!p->shape.rows.concrete()) return {};
-    const int h = static_cast<int>(p->shape.rows.value);
-    out.push_back(c.t.slice_rows(c.gout, off, off + h));
-    off += h;
-  }
-  return out;
-}
-
-std::vector<N> adj_slice_cols(const AdjointCtx& c) {
-  const Dim& total = c.parents[0]->shape.cols;
-  if (!total.concrete()) return {};
-  return {c.t.pad_cols(c.gout, c.node->attrs.i0,
-                       static_cast<int>(total.value) - c.node->attrs.i1)};
-}
-
-std::vector<N> adj_slice_rows(const AdjointCtx& c) {
-  const Dim& total = c.parents[0]->shape.rows;
-  if (!total.concrete()) return {};
-  return {c.t.pad_rows(c.gout, c.node->attrs.i0,
-                       static_cast<int>(total.value) - c.node->attrs.i1)};
-}
-
-std::vector<N> adj_pad_cols(const AdjointCtx& c) {
-  const Dim& cols = c.parents[0]->shape.cols;
-  if (!cols.concrete()) return {};
-  const int c0 = c.node->attrs.i0;
-  return {c.t.slice_cols(c.gout, c0, c0 + static_cast<int>(cols.value))};
-}
-
-std::vector<N> adj_pad_rows(const AdjointCtx& c) {
-  const Dim& rows = c.parents[0]->shape.rows;
-  if (!rows.concrete()) return {};
-  const int r0 = c.node->attrs.i0;
-  return {c.t.slice_rows(c.gout, r0, r0 + static_cast<int>(rows.value))};
-}
-
-}  // namespace
-
-namespace detail {
-
-void install_builtin_adjoints(OpRegistry& r) {
-  const auto set = [&r](const char* name, DetClass det, AdjointRule rule) {
-    const OpInfo* found = r.find(name);
-    OpInfo info = *found;  // builtin registration precedes this call
-    info.det = det;
-    info.adjoint = std::move(rule);
-    r.add(std::move(info));
-  };
-  const DetClass kFree = DetClass::kOrderFree;
-  const DetClass kRed = DetClass::kOrderedReduction;
-
-  // Leaves: no parents, so the adjoint is trivially empty. The "grad" slot
-  // is the engine's read-modify-write accumulation target — the one
-  // kAccumulating site.
-  set("leaf", kFree, adj_leaf);
-  set("constant", kFree, adj_leaf);
-  set("grad", DetClass::kAccumulating, adj_leaf);
-
-  set("add", kFree, adj_add);
-  set("sub", kFree, adj_sub);
-  set("neg", kFree, adj_neg);
-  set("mul", kFree, adj_mul);
-  set("div", kFree, adj_div);
-  set("add_scalar", kFree, adj_add_scalar);
-  set("mul_scalar", kFree, adj_mul_scalar);
-
-  set("relu", kFree, adj_mask_mul);
-  set("abs", kFree, adj_mask_mul);
-  set("tanh", kFree, adj_tanh);
-  set("sigmoid", kFree, adj_sigmoid);
-  set("exp", kFree, adj_exp);
-  set("log", kFree, adj_log);
-  set("sqrt", kFree, adj_sqrt);
-  set("square", kFree, adj_square);
-
-  // The ordered reductions: every op that folds an extent through
-  // floating-point adds. Their kernels fix the summation order by
-  // construction (PR 2); the census surfaces each training-path instance so
-  // a data-parallel all-reduce can pin the same order.
-  set("matmul", kRed, adj_matmul);
-  set("transpose", kFree, adj_transpose);
-  set("affine", kRed, adj_affine);
-  set("lstm_gates", kRed, adj_lstm_gates);
-  set("row_sum", kRed, adj_row_sum);
-  set("col_sum", kRed, adj_col_sum);
-  set("sum", kRed, adj_sum);
-
-  set("add_rowvec", kFree, adj_add_rowvec);
-  set("mul_rowvec", kFree, adj_mul_rowvec);
-  set("mul_colvec", kFree, adj_mul_colvec);
-  set("broadcast_scalar", kFree, adj_broadcast_scalar);
-
-  set("concat_cols", kFree, adj_concat_cols);
-  set("concat_rows", kFree, adj_concat_rows);
-  set("slice_cols", kFree, adj_slice_cols);
-  set("slice_rows", kFree, adj_slice_rows);
-  set("pad_cols", kFree, adj_pad_cols);
-  set("pad_rows", kFree, adj_pad_rows);
-}
-
-}  // namespace detail
-
-// ---- the symbolic backward engine ---------------------------------------
-
-BackwardResult sym_backward(Tracer& t, const SymNode* root,
-                            const BackwardOptions& opts) {
-  BackwardResult res;
-  SymGraph& g = t.graph();
-  if (root == nullptr || root->poisoned) {
-    // The forward walk already reported the root cause.
-    return res;
-  }
-  std::set<std::string> local_dedup;
-  std::set<std::string>& dedup = opts.dedup ? *opts.dedup : local_dedup;
-  const auto emit = [&](std::string key, Diagnostic d) {
-    res.ok = false;
-    if (!dedup.insert(std::move(key)).second) return;
-    g.diagnostics().push_back(std::move(d));
-  };
-
-  if (root->shape != Shape{Dim::of(1), Dim::of(1)}) {
-    emit("backward-nonscalar",
-         {Severity::kError, "backward-nonscalar",
-          "backward requires a scalar (1x1) loss; this root is " +
-              root->shape.str(),
-          root->op, SymGraph::path(root)});
-    return res;
-  }
-  if (!root->requires_grad) return res;  // engine no-op, mirrored
-
-  // Post-order topo over the requires-grad subgraph — same traversal as
-  // nn/autograd.cpp topo_order.
-  std::vector<const SymNode*> order;
-  {
-    struct Frame {
-      const SymNode* node;
-      size_t next_parent;
-    };
-    std::set<const SymNode*> visited;
-    std::vector<Frame> stack{{root, 0}};
-    visited.insert(root);
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.next_parent < f.node->parents.size()) {
-        const SymNode* p = f.node->parents[f.next_parent++];
-        if (p != nullptr && p->requires_grad && visited.insert(p).second) {
-          stack.push_back({p, 0});
-        }
-      } else {
-        order.push_back(f.node);
-        stack.pop_back();
-      }
-    }
-  }
-
-  // Seed: d loss / d loss = 1, materialized as a constant (the engine emits
-  // exactly this node).
-  res.grads[root] = t.constant({Dim::of(1), Dim::of(1)});
-
-  // Without create_graph the real engine runs rules under NoGradGuard.
-  const bool prev_grad = g.grad_enabled();
-  if (!opts.create_graph) g.set_grad_enabled(false);
-
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const SymNode* node = *it;
-    auto git = res.grads.find(node);
-    if (git == res.grads.end() || node->parents.empty()) continue;
-    const SymNode* gout = git->second;
-
-    const OpInfo* info = g.registry().find(node->op);
-    if (info == nullptr) continue;  // unknown-op: diagnosed at forward time
-
-    if (opts.create_graph && info->diff == DiffClass::kFirstOrderOnly) {
-      emit("no-double-backward:" + node->op,
-           {Severity::kError, "no-double-backward",
-            "op is first-order only but this backward pass runs with "
-            "create_graph=true: WGAN-GP's gradient penalty differentiates "
-            "through its gradient",
-            node->op, SymGraph::path(node)});
-      // Keep traversing: the adjoint structure is still worth auditing.
-    }
-
-    if (!info->adjoint) {
-      emit("no-adjoint:" + node->op,
-           {Severity::kError, "no-adjoint",
-            "op declares no adjoint rule; the static backward pass cannot "
-            "model its gradient (see the extension contract in "
-            "analysis/registry.h)",
-            node->op, SymGraph::path(node)});
-      continue;
-    }
-
-    std::vector<const SymNode*> pgrads =
-        info->adjoint(AdjointCtx{t, node, node->parents, gout});
-    if (pgrads.size() != node->parents.size()) {
-      emit("adjoint-arity:" + node->op,
-           {Severity::kError, "adjoint-arity",
-            "adjoint rule returned " + std::to_string(pgrads.size()) +
-                " gradients for " + std::to_string(node->parents.size()) +
-                " parents",
-            node->op, SymGraph::path(node)});
-      continue;
-    }
-
-    for (size_t i = 0; i < pgrads.size(); ++i) {
-      const SymNode* parent = node->parents[i];
-      const SymNode* gp = pgrads[i];
-      // Mirror of the engine: gradients are computed for every parent and
-      // dropped afterwards for the ones that do not require grad.
-      if (gp == nullptr || !parent->requires_grad) continue;
-      if (!gp->poisoned && gp->shape != parent->shape) {
-        emit("adjoint-shape:" + node->op,
-             {Severity::kError, "adjoint-shape",
-              "adjoint produced a " + gp->shape.str() +
-                  " gradient for parent " + std::to_string(i) + " of shape " +
-                  parent->shape.str(),
-              node->op, SymGraph::path(node)});
-        continue;
-      }
-      auto [slot, inserted] = res.grads.try_emplace(parent, gp);
-      if (!inserted) {
-        slot->second = t.add(slot->second, gp);
-        res.accumulations.push_back({parent, slot->second});
-      }
-    }
-  }
-  g.set_grad_enabled(prev_grad);
-  return res;
-}
 
 // ---- determinism-class audit --------------------------------------------
 
@@ -492,14 +103,16 @@ std::vector<Diagnostic> audit_registry(const OpRegistry& r) {
       }
       continue;
     }
-    if (name == "slice_cols" || name == "slice_rows") {
+    if (name == "slice_cols" || name == "slice_rows" ||
+        name == "neg_row_max") {
       // Exempt from the vanishing-extent law: the input extent leaves the
-      // output because an attrs-defined sub-range replaces it — a copy, not
-      // a floating-point fold. Pinned kOrderFree.
+      // output without a floating-point fold — slicing copies an
+      // attrs-defined sub-range, and a row max compares without adding.
+      // Pinned kOrderFree.
       if (*info->det != DetClass::kOrderFree) {
         out.push_back({Severity::kError, "determinism-class",
-                       "slicing copies an attrs-defined range without "
-                       "accumulation; it must be kOrderFree",
+                       "op drops an extent without accumulating over it; it "
+                       "must be kOrderFree",
                        name,
                        {}});
       }
@@ -564,8 +177,8 @@ bool seed_adjoint_defect(OpRegistry& r, std::string_view defect) {
     // row_sum's gradient must expand [n,1] back to [n,d]; returning the
     // output gradient unexpanded is the classic transposed-convention bug.
     OpInfo info = *r.find("row_sum");
-    info.adjoint = [](const AdjointCtx& c) {
-      return std::vector<const SymNode*>{c.gout};
+    info.fault = [](std::vector<nn::Var>& grads, const nn::Var& gout) {
+      grads[0] = gout;
     };
     r.add(std::move(info));
     return true;
@@ -574,20 +187,15 @@ bool seed_adjoint_defect(OpRegistry& r, std::string_view defect) {
     // affine silently loses its bias gradient: nothing crashes, the slot
     // just never receives a contribution and Adam never updates the bias.
     OpInfo info = *r.find("affine");
-    info.adjoint = [](const AdjointCtx& c) {
-      Tracer& t = c.t;
-      const SymNode* x = c.parents[0];
-      const SymNode* w = c.parents[1];
-      return std::vector<const SymNode*>{t.matmul(c.gout, t.transpose(w)),
-                                         t.matmul(t.transpose(x), c.gout),
-                                         nullptr};
+    info.fault = [](std::vector<nn::Var>& grads, const nn::Var&) {
+      grads[2] = nn::Var();
     };
     r.add(std::move(info));
     return true;
   }
   if (defect == "mislabel-det-class") {
     // matmul declared order-free would hide every weight-gradient reduction
-    // from the census a data-parallel all-reduce depends on.
+    // from the census.
     OpInfo info = *r.find("matmul");
     info.det = DetClass::kOrderFree;
     r.add(std::move(info));

@@ -1,70 +1,27 @@
-// Static adjoint pass: a symbolic mirror of the autograd engine's backward
-// traversal (nn/autograd.cpp run_backward), driven by the per-op adjoint
-// rules the registry declares. sym_backward meta-executes one backward pass
-// over a SymGraph — same requires-grad pruning, same gradient-map
-// accumulation (an "add" node per second contribution), same
-// drop-after-compute for parents that do not require grad — so the op
-// multiset it produces is pinned against the real engine by the
-// differential tests (nn::OpObserverGuard).
+// Registry audits for the training-step analysis (analysis/train_step.h).
 //
-// The registry audit side: audit_registry probes every op's shape rule with
-// uniquely-named symbolic extents and checks the declared DetClass against
-// what the shapes prove — an extent that vanishes from the output was
-// folded through floating-point accumulation, so the op must be
-// kOrderedReduction; an op that preserves every non-unit extent must be
-// kOrderFree. This is the gate that keeps the reduction-order census
-// (analysis/train_step.h) honest as new ops land.
+// audit_registry probes every op's shape rule with uniquely-named symbolic
+// extents and checks the declared DetClass against what the shapes prove —
+// an extent that vanishes from the output was folded through floating-point
+// accumulation, so the op must be kOrderedReduction; an op that preserves
+// every non-unit extent must be kOrderFree. This is the gate that keeps the
+// reduction-order census honest as new ops land.
+//
+// The seeded adjoint defects are the auditor's negative controls. Two of
+// them install a GradFault into a registry copy: the trace
+// (analysis/trace.h) applies it to the gradients the engine's real backward
+// rule returns, so the defect reaches the traced engine exactly where a
+// broken rule in nn/autograd.cpp would.
 #pragma once
 
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/diag.h"
 #include "analysis/registry.h"
-#include "analysis/symbolic.h"
 
 namespace dg::analysis {
-
-struct BackwardOptions {
-  /// Mirrors autograd::grad(..., create_graph): when true the adjoint ops
-  /// are built with gradient tracking on (they can be differentiated again)
-  /// and every traversed op must not be kFirstOrderOnly — the precise form
-  /// of the WGAN-GP double-backward audit.
-  bool create_graph = false;
-  /// Deduplication memory shared across multiple backward passes: one
-  /// defect class per op yields one diagnostic for the whole training step,
-  /// not one per occurrence (mirrors SymGraph's poison discipline).
-  std::set<std::string>* dedup = nullptr;
-};
-
-/// One in-graph gradient accumulation: `into` received a second upstream
-/// contribution, merged by the emitted `add_node`. The merge order is the
-/// engine's traversal order — a kAccumulating site the census reports.
-struct AccumulationSite {
-  const SymNode* into = nullptr;
-  const SymNode* add_node = nullptr;
-};
-
-struct BackwardResult {
-  /// Final gradient per reached node (leaves included). A trainable leaf
-  /// absent here receives no gradient — its optimizer slot stays undefined.
-  std::map<const SymNode*, const SymNode*> grads;
-  std::vector<AccumulationSite> accumulations;
-  /// Diagnostics appended to the graph by this pass (also visible via
-  /// SymGraph::diagnostics); false iff any were errors.
-  bool ok = true;
-};
-
-/// Meta-executes one backward pass from `root` (a scalar loss node) through
-/// the requires-grad subgraph, applying each op's registered AdjointRule
-/// and shape-checking every produced gradient against its parent. Emits
-/// diagnostics (codes "no-adjoint", "adjoint-arity", "adjoint-shape",
-/// "no-double-backward") into the tracer's graph.
-BackwardResult sym_backward(Tracer& t, const SymNode* root,
-                            const BackwardOptions& opts = {});
 
 /// Probe-based determinism-class audit over every registered op (see file
 /// comment). Emits code "determinism-class" for a mislabeled op and
@@ -73,9 +30,9 @@ BackwardResult sym_backward(Tracer& t, const SymNode* root,
 std::vector<Diagnostic> audit_registry(const OpRegistry& r);
 
 /// The seeded defect classes the mutation tests cover:
-///   "wrong-adjoint-shape"   row_sum's adjoint returns the [n,1] output
+///   "wrong-adjoint-shape"   row_sum's backward returns the [n,1] output
 ///                           gradient instead of expanding to [n,d]
-///   "dropped-accum-edge"    affine's adjoint loses the bias edge, so every
+///   "dropped-accum-edge"    affine's backward loses the bias edge, so every
 ///                           bias slot silently never trains
 ///   "mislabel-det-class"    matmul declared kOrderFree, hiding its
 ///                           reduction from the census

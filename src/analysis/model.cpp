@@ -1,19 +1,16 @@
 #include "analysis/model.h"
 
-#include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "analysis/symbolic.h"
-#include "analysis/walk.h"
-#include "nn/layers.h"
+#include "analysis/trace.h"
 
 namespace dg::analysis {
 
 namespace {
 
-using N = const SymNode*;
+using Critic = core::DoppelGanger::Critic;
 
 // ---- config / schema validation -----------------------------------------
 
@@ -22,8 +19,10 @@ void check(std::vector<Diagnostic>& out, bool bad, const std::string& field,
   if (bad) out.push_back({sev, "config-invalid", msg, field, {}});
 }
 
-std::vector<Diagnostic> validate(const data::Schema& s,
-                                 const core::DoppelGangerConfig& cfg) {
+}  // namespace
+
+std::vector<Diagnostic> validate_config(const data::Schema& s,
+                                        const core::DoppelGangerConfig& cfg) {
   std::vector<Diagnostic> d;
 
   check(d, s.max_timesteps <= 0, "schema.max_timesteps",
@@ -56,16 +55,20 @@ std::vector<Diagnostic> validate(const data::Schema& s,
         "rejects this");
   check(d, cfg.attr_noise_dim <= 0, "attr_noise_dim", "must be positive");
   check(d, cfg.feat_noise_dim <= 0, "feat_noise_dim", "must be positive");
-  const ModelDims dims = model_dims(s, cfg);
-  check(d, dims.minmax_enabled && cfg.minmax_noise_dim <= 0,
+  bool any_continuous = false;
+  for (const data::FieldSpec& f : s.features) {
+    any_continuous = any_continuous || f.type == data::FieldType::Continuous;
+  }
+  const bool minmax = cfg.use_minmax_generator && any_continuous;
+  check(d, minmax && cfg.minmax_noise_dim <= 0,
         "minmax_noise_dim",
         "must be positive when the min/max generator is enabled");
   check(d, cfg.attr_layers < 0, "attr_layers", "must be non-negative");
   check(d, cfg.attr_layers > 0 && cfg.attr_hidden <= 0, "attr_hidden",
         "must be positive when attr_layers > 0");
-  check(d, dims.minmax_enabled && cfg.minmax_layers < 0, "minmax_layers",
+  check(d, minmax && cfg.minmax_layers < 0, "minmax_layers",
         "must be non-negative");
-  check(d, dims.minmax_enabled && cfg.minmax_layers > 0 &&
+  check(d, minmax && cfg.minmax_layers > 0 &&
                cfg.minmax_hidden <= 0,
         "minmax_hidden", "must be positive when minmax_layers > 0");
   check(d, cfg.lstm_units <= 0, "lstm_units", "must be positive");
@@ -112,159 +115,62 @@ std::vector<Diagnostic> validate(const data::Schema& s,
   return d;
 }
 
-// ---- expected parameter shapes ------------------------------------------
-
-void push_mlp_shapes(std::vector<ParamShape>& out, const std::string& name,
-                     int in, int mlp_out, int hidden, int hidden_layers) {
-  int prev = in;
-  int li = 0;
-  const auto layer = [&](int width) {
-    const std::string base = name + ".l" + std::to_string(li++);
-    out.push_back({base + ".w", prev, width});
-    out.push_back({base + ".b", 1, width});
-    prev = width;
-  };
-  for (int i = 0; i < hidden_layers; ++i) layer(hidden);
-  layer(mlp_out);
+std::unique_ptr<core::DoppelGanger> meta_model(
+    const data::Schema& schema, const core::DoppelGangerConfig& cfg,
+    std::span<const RuntimeParamInfo> runtime) {
+  nn::MetaModeGuard meta;
+  auto model = std::make_unique<core::DoppelGanger>(schema, cfg);
+  const auto named = model->named_parameters();
+  if (runtime.size() == named.size()) {
+    for (size_t i = 0; i < named.size(); ++i) {
+      nn::Var p = named[i].second;
+      p.set_requires_grad(runtime[i].trainable);
+    }
+  }
+  return model;
 }
-
-}  // namespace
 
 std::vector<ParamShape> expected_parameter_shapes(
     const data::Schema& s, const core::DoppelGangerConfig& cfg) {
-  const ModelDims d = model_dims(s, cfg);
   std::vector<ParamShape> out;
-  push_mlp_shapes(out, "attr_gen", cfg.attr_noise_dim, d.attr_w,
-                  cfg.attr_hidden, cfg.attr_layers);
-  if (d.minmax_enabled) {
-    push_mlp_shapes(out, "minmax_gen", d.attr_w + cfg.minmax_noise_dim,
-                    d.mm_w, cfg.minmax_hidden, cfg.minmax_layers);
-  }
-  out.push_back({"lstm.wx", d.attr_w + d.mm_w + cfg.feat_noise_dim,
-                 4 * cfg.lstm_units});
-  out.push_back({"lstm.wh", cfg.lstm_units, 4 * cfg.lstm_units});
-  out.push_back({"lstm.b", 1, 4 * cfg.lstm_units});
-  push_mlp_shapes(out, "head", cfg.lstm_units,
-                  cfg.sample_len * d.record_width, cfg.head_hidden, 1);
-  push_mlp_shapes(out, "disc", d.attr_w + d.mm_w + d.tmax * d.record_width,
-                  1, cfg.disc_hidden, cfg.disc_layers);
-  if (cfg.use_aux_discriminator) {
-    push_mlp_shapes(out, "aux_disc", d.attr_w + d.mm_w, 1, cfg.disc_hidden,
-                    cfg.disc_layers);
+  try {
+    for (const auto& [name, p] : meta_model(s, cfg)->named_parameters()) {
+      out.push_back({name, p.rows(), p.cols()});
+    }
+  } catch (const std::exception&) {
+    out.clear();
   }
   return out;
 }
-
-namespace {
-
-// ---- the walks ----------------------------------------------------------
-
-struct TrainingWalk {
-  N g_loss = nullptr;
-  // Half-open node-id ranges of each critic's forward pass (the
-  // double-backward audit's scope: WGAN-GP differentiates through these).
-  int disc_begin = 0, disc_end = 0;
-  int aux_begin = 0, aux_end = 0;
-};
-
-/// Mirrors DoppelGanger::forward plus the generator-loss assembly of
-/// run_training. The WGAN arithmetic around the critic outputs is reduced
-/// to mean/neg — it adds no op class the audit cares about — while every
-/// parameter and every structural op of the training path appears.
-TrainingWalk training_walk(Tracer& t, const core::DoppelGangerConfig& cfg,
-                           const ModelDims& d, const Layouts& lay,
-                           const GeneratorNets& g, const SymMlp& disc,
-                           const SymMlp& aux_disc) {
-  TrainingWalk w;
-
-  const GenForward f = sym_generator_forward(t, cfg, d, lay, g);
-  const N full_parts[] = {f.attributes, f.minmax, f.features};
-  N fake_full = t.concat_cols(full_parts);
-  w.disc_begin = t.graph().size();
-  N d_out = disc.forward(t, fake_full);
-  w.disc_end = t.graph().size();
-  w.g_loss = t.neg(t.mean(d_out));
-
-  if (cfg.use_aux_discriminator) {
-    const N head_parts[] = {f.attributes, f.minmax};
-    N fake_head = t.concat_cols(head_parts);
-    w.aux_begin = t.graph().size();
-    N a_out = aux_disc.forward(t, fake_head);
-    w.aux_end = t.graph().size();
-    w.g_loss = t.add(w.g_loss, t.mul_scalar(t.neg(t.mean(a_out))));
-  }
-  return w;
-}
-
-/// Mirrors the inference path: sample_context (attribute + min/max
-/// generators, outputs materialized) followed by steps_per_series calls to
-/// generation_step, each consuming the previous step's state as constants —
-/// exactly how DoppelGanger::generate drives the stepwise API.
-N generation_walk(Tracer& t, const core::DoppelGangerConfig& cfg,
-                  const ModelDims& d, const Layouts& lay,
-                  const GeneratorNets& g) {
-  const Dim B = Dim::sym("B");
-
-  // sample_context: each generator's output is materialized (.value()), so
-  // the min/max generator sees the attributes re-entering as a constant.
-  sym_apply_blocks(
-      t, g.attr_gen.forward(t, t.input("attr_noise",
-                                       {B, Dim::of(cfg.attr_noise_dim)})),
-      lay.attr);
-  if (d.minmax_enabled) {
-    const N mm_parts[] = {
-        t.input("attributes", {B, Dim::of(d.attr_w)}),
-        t.input("minmax_noise", {B, Dim::of(cfg.minmax_noise_dim)})};
-    sym_apply_blocks(t, g.minmax_gen.forward(t, t.concat_cols(mm_parts)),
-                     lay.minmax);
-  }
-
-  // ctx.cond is a plain matrix concat (no autograd op).
-  N last_step = nullptr;
-  for (int step = 0; step < d.steps_per_series; ++step) {
-    const N in_parts[] = {
-        t.input("cond", {B, Dim::of(d.attr_w + d.mm_w)}),
-        t.input("feat_noise", {B, Dim::of(cfg.feat_noise_dim)})};
-    N h = t.input("state.h", {B, Dim::of(cfg.lstm_units)});
-    N c = t.input("state.c", {B, Dim::of(cfg.lstm_units)});
-    auto [h2, c2] = g.lstm.step(t, t.concat_cols(in_parts), h, c);
-    (void)h2;
-    (void)c2;
-    N block = sym_apply_blocks(t, g.head.forward(t, h2), lay.step);
-    N mask = t.input("state.mask", {B, Dim::of(1)});
-    std::vector<N> records;
-    records.reserve(static_cast<size_t>(cfg.sample_len));
-    for (int s = 0; s < cfg.sample_len; ++s) {
-      N rec = t.mul_colvec(
-          t.slice_cols(block, s * d.record_width, (s + 1) * d.record_width),
-          mask);
-      mask = t.slice_cols(rec, d.record_width - 2, d.record_width - 1);
-      records.push_back(rec);
-    }
-    last_step = t.concat_cols(records);
-  }
-  return last_step;
-}
-
-}  // namespace
 
 ModelAnalysis analyze_model(const data::Schema& schema,
                             const core::DoppelGangerConfig& cfg,
                             const AnalyzeOptions& opts) {
   ModelAnalysis out;
-  out.diagnostics = validate(schema, cfg);
+  out.diagnostics = validate_config(schema, cfg);
   if (has_errors(out.diagnostics)) {
-    // The walks assume a constructible model; report the config findings
-    // alone rather than meta-executing a graph that cannot exist.
+    // The traces need a constructible model; report the config findings
+    // alone rather than tracing a graph that cannot exist.
     return out;
   }
+  std::unique_ptr<core::DoppelGanger> model;
+  try {
+    model = meta_model(schema, cfg, opts.runtime_params);
+  } catch (const std::exception& e) {
+    out.diagnostics.push_back({Severity::kError, "config-invalid",
+                               std::string("the model cannot be built: ") +
+                                   e.what(),
+                               "config",
+                               {}});
+    return out;
+  }
+  const auto named = model->named_parameters();
+  for (const auto& [name, p] : named) {
+    out.parameters.push_back({name, p.rows(), p.cols()});
+  }
 
-  const ModelDims d = model_dims(schema, cfg);
-  const Layouts lay = block_layouts(schema, cfg, d);
-  out.parameters = expected_parameter_shapes(schema, cfg);
-
-  // Runtime overlay: shape cross-check + frozen-parameter audit.
-  std::unordered_map<std::string, bool> trainable_by_name;
+  // Runtime overlay: shape cross-check + frozen-parameter audit (meta_model
+  // already applied the trainability to the traced leaves).
   if (!opts.runtime_params.empty()) {
     if (opts.runtime_params.size() != out.parameters.size()) {
       out.diagnostics.push_back(
@@ -289,7 +195,6 @@ ModelAnalysis analyze_model(const data::Schema& schema,
                e.name,
                {}});
         }
-        trainable_by_name[e.name] = r.trainable;
         any_trainable = any_trainable || r.trainable;
       }
       if (!any_trainable) {
@@ -302,102 +207,81 @@ ModelAnalysis analyze_model(const data::Schema& schema,
       }
     }
   }
-  const TrainableFn tr = [&trainable_by_name](const std::string& name) {
-    auto it = trainable_by_name.find(name);
-    return it == trainable_by_name.end() || it->second;
-  };
 
-  // Training-path walk: shape soundness + gradient flow + critic audit.
+  // Training-path trace: the generator's loss through both critics (shape
+  // soundness + gradient flow), then each critic's loss, whose gradient
+  // penalty runs the create_graph backward pass the double-backward audit
+  // watches.
   SymGraph train_graph(opts.registry);
-  Tracer t(train_graph);
-  const GeneratorNets g = make_generator(t, cfg, d, tr);
-  SymMlp disc = SymMlp::make(t, "disc",
-                             d.attr_w + d.mm_w + d.tmax * d.record_width, 1,
-                             cfg.disc_hidden, cfg.disc_layers, tr);
-  SymMlp aux_disc;
-  if (cfg.use_aux_discriminator) {
-    aux_disc = SymMlp::make(t, "aux_disc", d.attr_w + d.mm_w, 1,
-                            cfg.disc_hidden, cfg.disc_layers, tr);
-  }
-  const TrainingWalk w = training_walk(t, cfg, d, lay, g, disc, aux_disc);
+  Trace t(train_graph);
+  t.bind_params(named);
+  const SymNode* g_loss = nullptr;
+  t.run([&] {
+    g_loss = t.node(model->generator_loss(kMetaBatch));
+    for (const Critic c : {Critic::kFull, Critic::kAux}) {
+      const std::vector<nn::Var> critic = model->critic_parameters(c);
+      if (critic.empty()) continue;
+      const nn::Matrix batch(kMetaBatch, critic.front().rows());
+      model->critic_loss(c, batch, batch);
+    }
+  });
   out.graph_nodes = train_graph.size();
   for (const Diagnostic& diag : train_graph.diagnostics()) {
     out.diagnostics.push_back(diag);
   }
 
   // Gradient flow: every trainable parameter leaf must be reachable from
-  // the combined loss root (the generator loss flows through both critics,
-  // so a healthy model has no unreachable parameter at all).
-  if (w.g_loss != nullptr) {
+  // the generator loss (it flows through both critics, so a healthy model
+  // has no unreachable parameter at all).
+  if (g_loss != nullptr) {
     std::unordered_set<const SymNode*> reachable;
-    for (const SymNode* p : train_graph.reachable_params(w.g_loss)) {
+    for (const SymNode* p : train_graph.reachable_params(g_loss)) {
       reachable.insert(p);
     }
-    for (int i = 0; i < train_graph.size(); ++i) {
-      const SymNode* n = train_graph.node(i);
-      if (n->op != "leaf" || reachable.count(n) != 0) continue;
-      out.diagnostics.push_back(
-          {n->trainable ? Severity::kError : Severity::kWarning, "dead-param",
-           n->trainable
-               ? "trainable parameter is unreachable from every loss; it "
-                 "would never be updated"
-               : "frozen parameter is also unreachable from every loss",
-           n->label,
-           {}});
-    }
-    // Frozen-but-reachable parameters (runtime overlay): a partially frozen
-    // generator trains around the frozen weights — worth a warning; the
-    // all-frozen case is already an error above.
-    if (!trainable_by_name.empty()) {
-      for (const SymNode* p : reachable) {
-        if (!p->trainable) {
+    for (const SymNode* p : t.params()) {
+      if (reachable.count(p) != 0) {
+        // A partially frozen generator trains around the frozen weights —
+        // worth a warning; the all-frozen case is already an error above.
+        if (!p->trainable && !opts.runtime_params.empty()) {
           out.diagnostics.push_back(
               {Severity::kWarning, "frozen-params",
                "parameter has requires_grad == false and will not train",
                p->label,
                {}});
         }
+        continue;
       }
+      out.diagnostics.push_back(
+          {p->trainable ? Severity::kError : Severity::kWarning, "dead-param",
+           p->trainable
+               ? "trainable parameter is unreachable from every loss; it "
+                 "would never be updated"
+               : "frozen parameter is also unreachable from every loss",
+           p->label,
+           {}});
     }
   }
 
-  // Double-backward audit: with the gradient penalty active, the critic
-  // forward is differentiated twice — every op on that path must support it.
-  if (cfg.loss == core::GanLoss::WassersteinGp && cfg.gp_weight > 0.0f) {
-    const auto audit = [&](int begin, int end, const char* which) {
-      for (int i = begin; i < end; ++i) {
-        const SymNode* n = train_graph.node(i);
-        const OpInfo* info = opts.registry->find(n->op);
-        if (info == nullptr || info->diff != DiffClass::kFirstOrderOnly) {
-          continue;
-        }
-        out.diagnostics.push_back(
-            {Severity::kError, "no-double-backward",
-             std::string("op on the ") + which +
-                 " critic's forward path is first-order only; WGAN-GP's "
-                 "gradient penalty differentiates through this gradient",
-             n->op, SymGraph::path(n)});
-      }
-    };
-    audit(w.disc_begin, w.disc_end, "full");
-    if (cfg.use_aux_discriminator) {
-      audit(w.aux_begin, w.aux_end, "auxiliary");
-    }
-  }
-
-  // Generation-path walk on a fresh graph: its op census is what the
-  // differential test pins against the real executor.
+  // Generation trace on a fresh graph, driven exactly as
+  // DoppelGanger::generate drives the stepwise API: its op census is what
+  // the differential test pins against real execution.
   SymGraph gen_graph(opts.registry);
-  Tracer gt(gen_graph);
-  const GeneratorNets gg = make_generator(gt, cfg, d, tr);
-  const N step_out = generation_walk(gt, cfg, d, lay, gg);
+  Trace gt(gen_graph);
+  gt.bind_params(named);
+  gt.run([&] {
+    nn::Rng rng(cfg.seed);
+    const core::GenContext ctx = model->sample_context(kMetaBatch, rng);
+    core::GenState st = model->initial_gen_state(kMetaBatch);
+    const nn::Matrix noise(kMetaBatch, model->feat_noise_dim());
+    for (int step = 0; step < model->steps_per_series(); ++step) {
+      out.generation_step_cols =
+          model->generation_step(ctx, noise, st).cols();
+    }
+  });
   for (const Diagnostic& diag : gen_graph.diagnostics()) {
     out.diagnostics.push_back(diag);
   }
   out.generation_op_counts = gen_graph.op_counts();
-  if (step_out != nullptr && step_out->shape.cols.concrete()) {
-    out.generation_step_cols = static_cast<int>(step_out->shape.cols.value);
-  }
   return out;
 }
 

@@ -1,22 +1,27 @@
-// Whole-model static analysis: meta-executes the DoppelGANger architecture
-// (attribute MLP, min/max MLP, LSTM + head, both critics) over the symbolic
-// interpreter with a symbolic batch dimension, and audits the result:
+// Whole-model static analysis: builds the DoppelGANger model (schema,
+// config) describes under nn meta mode — shape-only weights, no RNG draw —
+// and traces its real code (analysis/trace.h) with a symbolic batch
+// dimension: the generator's training loss through both critics, each
+// critic's loss with its gradient penalty, and sample_context plus a full
+// series of generation_steps. It audits the result:
 //
 //  * config/schema validation — dimensions, rates and ranges that would
 //    make construction or training throw (or silently misbehave);
-//  * shape soundness — every op in the training unroll and the generation
-//    path checks under the registry's shape rules;
+//  * shape soundness — every traced op checks under the registry's shape
+//    rules, which must agree with the kernels that produced the shapes;
 //  * gradient flow — trainable parameters unreachable from every loss root
 //    are dead (they would never train); an all-frozen model cannot train;
-//  * WGAN-GP differentiability — when the gradient penalty is active, every
-//    op on a critic's forward path must support double backward.
+//  * WGAN-GP differentiability — the gradient penalty's create_graph
+//    backward pass must not traverse a first-order-only op.
 //
-// The same walk also exports the expected parameter shapes in serialization
-// order (the package preflight's ground truth) and the generation-path op
-// census (pinned against the real executor by the differential test).
+// The model's named_parameters() give the expected parameter shapes in
+// serialization order (the package preflight's ground truth), and the
+// generation trace gives the op census the differential test pins against
+// real execution.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,7 +41,8 @@ struct ParamShape {
 };
 
 /// Every parameter the model serializes, in order, derived purely from
-/// schema + config (no model construction).
+/// schema + config (a meta_model, no weights). Empty if the model cannot be
+/// built.
 std::vector<ParamShape> expected_parameter_shapes(
     const data::Schema& schema, const core::DoppelGangerConfig& cfg);
 
@@ -80,5 +86,20 @@ struct ModelAnalysis {
 ModelAnalysis analyze_model(const data::Schema& schema,
                             const core::DoppelGangerConfig& cfg,
                             const AnalyzeOptions& opts = {});
+
+/// The model (schema, cfg) describes, built under nn meta mode: every
+/// weight is shape-only, so construction draws nothing from an RNG and
+/// allocates no parameter storage. Use it only under nn::MetaModeGuard.
+/// `runtime` (save() order; ignored unless its size matches) sets each
+/// parameter's requires_grad. Throws what the DoppelGanger constructor
+/// throws.
+std::unique_ptr<core::DoppelGanger> meta_model(
+    const data::Schema& schema, const core::DoppelGangerConfig& cfg,
+    std::span<const RuntimeParamInfo> runtime = {});
+
+/// Config/schema validation alone (the "config-invalid" findings of
+/// analyze_model): the checks a model must pass before it can be traced.
+std::vector<Diagnostic> validate_config(const data::Schema& schema,
+                                        const core::DoppelGangerConfig& cfg);
 
 }  // namespace dg::analysis

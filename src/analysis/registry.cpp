@@ -64,6 +64,14 @@ ShapeResult from_attrs(std::span<const Shape>, const OpAttrs& attrs) {
   return ShapeResult::ok({attrs.rows, attrs.cols});
 }
 
+/// "x" + s.str() without GCC 12's spurious -Wrestrict on a short literal
+/// prepended to a temporary string.
+std::string named(const char* name, const Shape& s) {
+  std::string out = name;
+  out += s.str();
+  return out;
+}
+
 /// Bounds-checks a [i0, i1) range against a total extent (when concrete).
 std::string check_range(int i0, int i1, const Dim& total, const char* axis) {
   if (i0 < 0 || i1 < i0) {
@@ -79,25 +87,41 @@ std::string check_range(int i0, int i1, const Dim& total, const char* axis) {
 
 OpRegistry make_builtin() {
   OpRegistry r;
-  const auto elementwise_unary = [&r](const char* name, DiffClass diff) {
-    r.add({name, 1, 1, diff, Broadcast::kNone, pass_through});
+  const DetClass kFree = DetClass::kOrderFree;
+  const DetClass kRed = DetClass::kOrderedReduction;
+  const auto op = [&r](const char* name, int min_arity, int max_arity,
+                       Broadcast broadcast, DetClass det, ShapeRule shape,
+                       DiffClass diff = DiffClass::kDoubleBackward,
+                       SimdClass simd = SimdClass::kBitExact, int ulp = 0) {
+    OpInfo info;
+    info.name = name;
+    info.min_arity = min_arity;
+    info.max_arity = max_arity;
+    info.diff = diff;
+    info.broadcast = broadcast;
+    info.shape = std::move(shape);
+    info.simd = simd;
+    info.ulp_bound = ulp;
+    info.det = det;
+    r.add(std::move(info));
   };
-  const auto elementwise_binary = [&r](const char* name) {
-    r.add({name, 2, 2, DiffClass::kDoubleBackward, Broadcast::kNone,
-           same_shape_binary});
+  const auto elementwise_unary = [&](const char* name, DiffClass diff) {
+    op(name, 1, 1, Broadcast::kNone, kFree, pass_through, diff);
   };
-  const auto ulp_bounded_unary = [&r](const char* name, int ulp) {
-    r.add({name, 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-           pass_through, SimdClass::kUlpBounded, ulp});
+  const auto elementwise_binary = [&](const char* name) {
+    op(name, 2, 2, Broadcast::kNone, kFree, same_shape_binary);
+  };
+  const auto ulp_bounded_unary = [&](const char* name, int ulp) {
+    op(name, 1, 1, Broadcast::kNone, kFree, pass_through,
+       DiffClass::kDoubleBackward, SimdClass::kUlpBounded, ulp);
   };
 
-  // ---- graph leaves (no parents; shape comes from the call site) ----
-  r.add({"leaf", 0, 0, DiffClass::kDoubleBackward, Broadcast::kNone,
-         from_attrs});
-  r.add({"constant", 0, 0, DiffClass::kDoubleBackward, Broadcast::kNone,
-         from_attrs});
-  r.add({"grad", 0, 0, DiffClass::kDoubleBackward, Broadcast::kNone,
-         from_attrs});
+  // ---- graph leaves (no parents; shape comes from the call site). The
+  // "grad" slot is the engine's read-modify-write accumulation target — the
+  // one kAccumulating site ----
+  op("leaf", 0, 0, Broadcast::kNone, kFree, from_attrs);
+  op("constant", 0, 0, Broadcast::kNone, kFree, from_attrs);
+  op("grad", 0, 0, Broadcast::kNone, DetClass::kAccumulating, from_attrs);
 
   // ---- elementwise ----
   elementwise_binary("add");
@@ -107,6 +131,7 @@ OpRegistry make_builtin() {
   elementwise_unary("neg", DiffClass::kDoubleBackward);
   elementwise_unary("add_scalar", DiffClass::kDoubleBackward);
   elementwise_unary("mul_scalar", DiffClass::kDoubleBackward);
+  elementwise_unary("recip", DiffClass::kDoubleBackward);
 
   // ---- nonlinearities ----
   // relu/abs backprop through a locally-constant mask captured as data:
@@ -125,177 +150,168 @@ OpRegistry make_builtin() {
   elementwise_unary("sqrt", DiffClass::kDoubleBackward);
   elementwise_unary("square", DiffClass::kDoubleBackward);
 
-  // ---- linear algebra ----
-  r.add({"matmul", 2, 2, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           if (in[0].cols != in[1].rows) {
-             return ShapeResult::fail("inner dims disagree: " + in[0].str() +
-                                      " x " + in[1].str());
-           }
-           return ShapeResult::ok({in[0].rows, in[1].cols});
-         }});
-  r.add({"transpose", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           return ShapeResult::ok({in[0].cols, in[0].rows});
-         }});
-  r.add({"affine", 3, 3, DiffClass::kDoubleBackward, Broadcast::kRowVector,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           const Shape &x = in[0], &w = in[1], &b = in[2];
-           if (x.cols != w.rows) {
-             return ShapeResult::fail("x" + x.str() + " does not feed w" +
-                                      w.str());
-           }
-           if (b.rows != Dim::of(1) || b.cols != w.cols) {
-             return ShapeResult::fail("bias " + b.str() +
-                                      " is not [1, " + w.cols.str() + "]");
-           }
-           return ShapeResult::ok({x.rows, w.cols});
-         }});
-  r.add({"lstm_gates", 5, 5, DiffClass::kDoubleBackward, Broadcast::kRowVector,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           const Shape &x = in[0], &wx = in[1], &h = in[2], &wh = in[3],
-                       &b = in[4];
-           if (x.cols != wx.rows) {
-             return ShapeResult::fail("x" + x.str() + " does not feed wx" +
-                                      wx.str());
-           }
-           if (h.cols != wh.rows) {
-             return ShapeResult::fail("h" + h.str() + " does not feed wh" +
-                                      wh.str());
-           }
-           if (x.rows != h.rows) {
-             return ShapeResult::fail("x" + x.str() + " and h" + h.str() +
-                                      " batch dims disagree");
-           }
-           if (wx.cols != wh.cols || b.rows != Dim::of(1) ||
-               b.cols != wx.cols) {
-             return ShapeResult::fail("gate widths disagree: wx" + wx.str() +
-                                      ", wh" + wh.str() + ", b" + b.str());
-           }
-           if (wh.rows.concrete() && wh.cols.concrete() &&
-               wh.cols.value != 4 * wh.rows.value) {
-             return ShapeResult::fail("wh" + wh.str() +
-                                      " is not [hidden, 4*hidden]");
-           }
-           return ShapeResult::ok({x.rows, wx.cols});
-         }});
+  // ---- linear algebra. The ordered reductions are every op that folds an
+  // extent through floating-point adds; their kernels fix the summation
+  // order by construction ----
+  op("matmul", 2, 2, Broadcast::kNone, kRed,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       if (in[0].cols != in[1].rows) {
+         return ShapeResult::fail("inner dims disagree: " + in[0].str() +
+                                  " x " + in[1].str());
+       }
+       return ShapeResult::ok({in[0].rows, in[1].cols});
+     });
+  op("transpose", 1, 1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       return ShapeResult::ok({in[0].cols, in[0].rows});
+     });
+  op("affine", 3, 3, Broadcast::kRowVector, kRed,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       const Shape &x = in[0], &w = in[1], &b = in[2];
+       if (x.cols != w.rows) {
+         return ShapeResult::fail(named("x", x) + " does not feed w" +
+                                  w.str());
+       }
+       if (b.rows != Dim::of(1) || b.cols != w.cols) {
+         return ShapeResult::fail("bias " + b.str() + " is not [1, " +
+                                  w.cols.str() + "]");
+       }
+       return ShapeResult::ok({x.rows, w.cols});
+     });
+  op("lstm_gates", 5, 5, Broadcast::kRowVector, kRed,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       const Shape &x = in[0], &wx = in[1], &h = in[2], &wh = in[3],
+                   &b = in[4];
+       if (x.cols != wx.rows) {
+         return ShapeResult::fail(named("x", x) + " does not feed wx" +
+                                  wx.str());
+       }
+       if (h.cols != wh.rows) {
+         return ShapeResult::fail(named("h", h) + " does not feed wh" +
+                                  wh.str());
+       }
+       if (x.rows != h.rows) {
+         return ShapeResult::fail(named("x", x) + " and h" + h.str() +
+                                  " batch dims disagree");
+       }
+       if (wx.cols != wh.cols || b.rows != Dim::of(1) || b.cols != wx.cols) {
+         return ShapeResult::fail("gate widths disagree: wx" + wx.str() +
+                                  ", wh" + wh.str() + ", b" + b.str());
+       }
+       if (wh.rows.concrete() && wh.cols.concrete() &&
+           wh.cols.value != 4 * wh.rows.value) {
+         return ShapeResult::fail(named("wh", wh) +
+                                  " is not [hidden, 4*hidden]");
+       }
+       return ShapeResult::ok({x.rows, wx.cols});
+     });
 
   // ---- broadcasts ----
-  r.add({"add_rowvec", 2, 2, DiffClass::kDoubleBackward, Broadcast::kRowVector,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           if (in[1].rows != Dim::of(1) || in[1].cols != in[0].cols) {
-             return ShapeResult::fail("row vector " + in[1].str() +
-                                      " does not broadcast over " +
-                                      in[0].str());
-           }
-           return ShapeResult::ok(in[0]);
-         }});
-  r.add({"mul_rowvec", 2, 2, DiffClass::kDoubleBackward, Broadcast::kRowVector,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           if (in[1].rows != Dim::of(1) || in[1].cols != in[0].cols) {
-             return ShapeResult::fail("row vector " + in[1].str() +
-                                      " does not broadcast over " +
-                                      in[0].str());
-           }
-           return ShapeResult::ok(in[0]);
-         }});
-  r.add({"mul_colvec", 2, 2, DiffClass::kDoubleBackward, Broadcast::kColVector,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           if (in[1].cols != Dim::of(1) || in[1].rows != in[0].rows) {
-             return ShapeResult::fail("column vector " + in[1].str() +
-                                      " does not broadcast over " +
-                                      in[0].str());
-           }
-           return ShapeResult::ok(in[0]);
-         }});
-  r.add({"broadcast_scalar", 1, 1, DiffClass::kDoubleBackward,
-         Broadcast::kScalar,
-         [](std::span<const Shape> in, const OpAttrs& attrs) {
-           if (in[0].rows != Dim::of(1) || in[0].cols != Dim::of(1)) {
-             return ShapeResult::fail("input " + in[0].str() + " is not 1x1");
-           }
-           return ShapeResult::ok({attrs.rows, attrs.cols});
-         }});
+  const auto row_vector = [](std::span<const Shape> in, const OpAttrs&) {
+    if (in[1].rows != Dim::of(1) || in[1].cols != in[0].cols) {
+      return ShapeResult::fail("row vector " + in[1].str() +
+                               " does not broadcast over " + in[0].str());
+    }
+    return ShapeResult::ok(in[0]);
+  };
+  const auto col_vector = [](std::span<const Shape> in, const OpAttrs&) {
+    if (in[1].cols != Dim::of(1) || in[1].rows != in[0].rows) {
+      return ShapeResult::fail("column vector " + in[1].str() +
+                               " does not broadcast over " + in[0].str());
+    }
+    return ShapeResult::ok(in[0]);
+  };
+  op("add_rowvec", 2, 2, Broadcast::kRowVector, kFree, row_vector);
+  op("mul_rowvec", 2, 2, Broadcast::kRowVector, kFree, row_vector);
+  op("add_colvec", 2, 2, Broadcast::kColVector, kFree, col_vector);
+  op("mul_colvec", 2, 2, Broadcast::kColVector, kFree, col_vector);
+  op("broadcast_scalar", 1, 1, Broadcast::kScalar, kFree,
+     [](std::span<const Shape> in, const OpAttrs& attrs) {
+       if (in[0].rows != Dim::of(1) || in[0].cols != Dim::of(1)) {
+         return ShapeResult::fail("input " + in[0].str() + " is not 1x1");
+       }
+       return ShapeResult::ok({attrs.rows, attrs.cols});
+     });
 
   // ---- reductions ----
-  r.add({"row_sum", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           return ShapeResult::ok({in[0].rows, Dim::of(1)});
-         }});
-  r.add({"col_sum", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           return ShapeResult::ok({Dim::of(1), in[0].cols});
-         }});
-  r.add({"sum", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape>, const OpAttrs&) {
-           return ShapeResult::ok({Dim::of(1), Dim::of(1)});
-         }});
+  op("row_sum", 1, 1, Broadcast::kNone, kRed,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       return ShapeResult::ok({in[0].rows, Dim::of(1)});
+     });
+  op("col_sum", 1, 1, Broadcast::kNone, kRed,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       return ShapeResult::ok({Dim::of(1), in[0].cols});
+     });
+  op("sum", 1, 1, Broadcast::kNone, kRed,
+     [](std::span<const Shape>, const OpAttrs&) {
+       return ShapeResult::ok({Dim::of(1), Dim::of(1)});
+     });
+  // The softmax shift: a row max folds no additions, so it is kOrderFree
+  // (audit_registry exempts it from the vanishing-extent law). It has no
+  // backward rule, so it never carries a gradient edge at any order.
+  op("neg_row_max", 1, 1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       return ShapeResult::ok({in[0].rows, Dim::of(1)});
+     });
 
   // ---- shape ops ----
-  r.add({"concat_cols", 1, -1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           Dim cols = Dim::of(0);
-           for (const Shape& s : in) {
-             if (s.rows != in[0].rows) {
-               return ShapeResult::fail("row counts disagree: " +
-                                        in[0].str() + " vs " + s.str());
-             }
-             cols = add_dims(cols, s.cols);
-           }
-           return ShapeResult::ok({in[0].rows, cols});
-         }});
-  r.add({"concat_rows", 1, -1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs&) {
-           Dim rows = Dim::of(0);
-           for (const Shape& s : in) {
-             if (s.cols != in[0].cols) {
-               return ShapeResult::fail("column counts disagree: " +
-                                        in[0].str() + " vs " + s.str());
-             }
-             rows = add_dims(rows, s.rows);
-           }
-           return ShapeResult::ok({rows, in[0].cols});
-         }});
-  r.add({"slice_cols", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs& attrs) {
-           if (std::string err =
-                   check_range(attrs.i0, attrs.i1, in[0].cols, "column");
-               !err.empty()) {
-             return ShapeResult::fail(std::move(err));
-           }
-           return ShapeResult::ok({in[0].rows, Dim::of(attrs.i1 - attrs.i0)});
-         }});
-  r.add({"slice_rows", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs& attrs) {
-           if (std::string err =
-                   check_range(attrs.i0, attrs.i1, in[0].rows, "row");
-               !err.empty()) {
-             return ShapeResult::fail(std::move(err));
-           }
-           return ShapeResult::ok({Dim::of(attrs.i1 - attrs.i0), in[0].cols});
-         }});
-  r.add({"pad_cols", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs& attrs) {
-           if (attrs.i0 < 0 || attrs.i1 < 0) {
-             return ShapeResult::fail("negative padding");
-           }
-           return ShapeResult::ok(
-               {in[0].rows,
-                add_dims(in[0].cols, Dim::of(attrs.i0 + attrs.i1))});
-         }});
-  r.add({"pad_rows", 1, 1, DiffClass::kDoubleBackward, Broadcast::kNone,
-         [](std::span<const Shape> in, const OpAttrs& attrs) {
-           if (attrs.i0 < 0 || attrs.i1 < 0) {
-             return ShapeResult::fail("negative padding");
-           }
-           return ShapeResult::ok(
-               {add_dims(in[0].rows, Dim::of(attrs.i0 + attrs.i1)),
-                in[0].cols});
-         }});
-
-  // Adjoint rules and determinism classes live in analysis/adjoint.cpp —
-  // they need the Tracer surface, which this file sits below.
-  detail::install_builtin_adjoints(r);
+  op("concat_cols", 1, -1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       Dim cols = Dim::of(0);
+       for (const Shape& s : in) {
+         if (s.rows != in[0].rows) {
+           return ShapeResult::fail("row counts disagree: " + in[0].str() +
+                                    " vs " + s.str());
+         }
+         cols = add_dims(cols, s.cols);
+       }
+       return ShapeResult::ok({in[0].rows, cols});
+     });
+  op("concat_rows", 1, -1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs&) {
+       Dim rows = Dim::of(0);
+       for (const Shape& s : in) {
+         if (s.cols != in[0].cols) {
+           return ShapeResult::fail("column counts disagree: " +
+                                    in[0].str() + " vs " + s.str());
+         }
+         rows = add_dims(rows, s.rows);
+       }
+       return ShapeResult::ok({rows, in[0].cols});
+     });
+  op("slice_cols", 1, 1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs& attrs) {
+       if (std::string err =
+               check_range(attrs.i0, attrs.i1, in[0].cols, "column");
+           !err.empty()) {
+         return ShapeResult::fail(std::move(err));
+       }
+       return ShapeResult::ok({in[0].rows, Dim::of(attrs.i1 - attrs.i0)});
+     });
+  op("slice_rows", 1, 1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs& attrs) {
+       if (std::string err = check_range(attrs.i0, attrs.i1, in[0].rows, "row");
+           !err.empty()) {
+         return ShapeResult::fail(std::move(err));
+       }
+       return ShapeResult::ok({Dim::of(attrs.i1 - attrs.i0), in[0].cols});
+     });
+  op("pad_cols", 1, 1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs& attrs) {
+       if (attrs.i0 < 0 || attrs.i1 < 0) {
+         return ShapeResult::fail("negative padding");
+       }
+       return ShapeResult::ok(
+           {in[0].rows, add_dims(in[0].cols, Dim::of(attrs.i0 + attrs.i1))});
+     });
+  op("pad_rows", 1, 1, Broadcast::kNone, kFree,
+     [](std::span<const Shape> in, const OpAttrs& attrs) {
+       if (attrs.i0 < 0 || attrs.i1 < 0) {
+         return ShapeResult::fail("negative padding");
+       }
+       return ShapeResult::ok(
+           {add_dims(in[0].rows, Dim::of(attrs.i0 + attrs.i1)), in[0].cols});
+     });
   return r;
 }
 

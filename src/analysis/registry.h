@@ -1,16 +1,21 @@
 // The op registry: one entry per `make_op` name in nn/autograd.cpp,
-// declaring what the symbolic interpreter needs to know about an op without
-// running it — its shape rule, its arity, its broadcast semantics, and its
-// differentiability class. The class matters because WGAN-GP differentiates
-// *through* gradients: an op whose backward rule is not itself expressed in
-// differentiable ops silently breaks the gradient penalty, and the critic
-// path must be provably free of such ops before training starts.
+// declaring what the analyzer needs to know about an op without
+// running it — its shape rule, its arity, its broadcast semantics, its
+// differentiability class and its determinism class. The differentiability
+// class matters because WGAN-GP differentiates *through* gradients: an op
+// whose backward rule is not itself expressed in differentiable ops silently
+// breaks the gradient penalty, and the critic path must be provably free of
+// such ops before training starts.
+//
+// The registry holds no backward rules: the analyzer traces the engine's
+// own (analysis/trace.h), so every adjoint it audits is the one training
+// runs.
 //
 // Extension contract: a new op added to nn/autograd.cpp must be registered
-// here (OpRegistry::add) with a shape rule before the analyzer accepts it —
-// `known_op_names()` in nn/autograd.h is cross-checked against the registry
-// in tests so an unregistered op is a build-time-adjacent failure, not a
-// silent analysis gap.
+// here (OpRegistry::add) with a shape rule and a determinism class before
+// the analyzer accepts it — `known_op_names()` in nn/autograd.h is
+// cross-checked against the registry in tests so an unregistered op is a
+// build-time-adjacent failure, not a silent analysis gap.
 #pragma once
 
 #include <functional>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "analysis/shape.h"
+#include "nn/autograd.h"
 
 namespace dg::analysis {
 
@@ -59,22 +65,21 @@ enum class SimdClass {
 const char* to_string(SimdClass c);
 
 /// How the op (and its adjoint) behaves under reordered floating-point
-/// accumulation. This is the contract ROADMAP item 4's data-parallel
-/// all-reduce consumes: a bit-identical distributed training step must pin
-/// the reduction order at every site that is not kOrderFree.
+/// accumulation. Any execution that reorders work — a lowered training-step
+/// tape, or a data-parallel all-reduce — must keep the reduction order at
+/// every site that is not kOrderFree to stay bit-identical.
 enum class DetClass {
   /// Pure elementwise / layout op: no accumulation anywhere, output is
   /// invariant to any evaluation order.
   kOrderFree,
   /// Folds an input extent through floating-point adds (matmul, affine,
   /// lstm_gates, row_sum, col_sum, sum): result depends on the summation
-  /// order, which our kernels fix by construction (PR 2 discipline). A
-  /// data-parallel all-reduce must preserve that order per site.
+  /// order, which our kernels fix by construction.
   kOrderedReduction,
   /// Read-modify-write into a gradient slot (the implicit "grad" op):
   /// contributions from multiple graph paths are added in engine traversal
-  /// order. The census reports these separately because bucketed all-reduce
-  /// changes *when* the adds happen, not just their lane order.
+  /// order. The census reports these separately because reordering the
+  /// backward pass changes *when* the adds happen, not just their order.
   kAccumulating,
 };
 
@@ -106,27 +111,11 @@ struct ShapeResult {
 using ShapeRule =
     std::function<ShapeResult(std::span<const Shape>, const OpAttrs&)>;
 
-class Tracer;
-struct SymNode;
-
-/// Everything an adjoint rule sees when the static backward pass reaches a
-/// node: the tracer to emit adjoint ops through, the forward node itself,
-/// its parents, and the incoming output gradient.
-struct AdjointCtx {
-  Tracer& t;
-  const SymNode* node;
-  std::span<const SymNode* const> parents;
-  const SymNode* gout;
-};
-
-/// Symbolic backward rule: returns one gradient node per parent, in parent
-/// order, mirroring the op's entry in nn/autograd.cpp op for op. A nullptr
-/// element means "this rule produces no gradient for that parent" — the
-/// engine computes gradients for *all* parents and drops the unneeded ones
-/// afterwards, so rules must not themselves skip parents the real backward
-/// computes (the differential tests pin this).
-using AdjointRule =
-    std::function<std::vector<const SymNode*>(const AdjointCtx&)>;
+/// Negative-control hook (seed_adjoint_defect in analysis/adjoint.h):
+/// rewrites the per-parent gradients the engine's real backward rule
+/// returned for a traced node of this op, given the node's output gradient.
+using GradFault =
+    std::function<void(std::vector<nn::Var>& grads, const nn::Var& gout)>;
 
 struct OpInfo {
   std::string name;
@@ -144,22 +133,11 @@ struct OpInfo {
   int ulp_bound = 0;
   /// Determinism class (see DetClass). Deliberately optional with no
   /// default: the registry coverage hard-gate fails any op that does not
-  /// *declare* its class, so a new op cannot merge half-registered. These
-  /// two fields sit last so existing positional initializers keep working.
+  /// *declare* its class, so a new op cannot merge half-registered.
   std::optional<DetClass> det;
-  /// Symbolic backward rule; an empty function means "no adjoint declared",
-  /// which the coverage gate rejects for every differentiable op.
-  AdjointRule adjoint;
+  /// Empty for every builtin op; set only by seeded-defect registries.
+  GradFault fault;
 };
-
-class OpRegistry;
-
-namespace detail {
-/// Defined in analysis/adjoint.cpp: stamps every builtin entry with its
-/// adjoint rule and determinism class. OpRegistry::builtin() calls this so
-/// the two declarations can never drift apart from the shape registry.
-void install_builtin_adjoints(OpRegistry& r);
-}  // namespace detail
 
 class OpRegistry {
  public:

@@ -1,9 +1,9 @@
-// Shape-only tensor vocabulary of the symbolic interpreter: a Dim is either
-// a concrete extent or a named symbol (the batch dimension "B" is the only
-// symbol the DoppelGANger walk needs, but nothing here hard-codes that), and
-// a Shape is a [rows, cols] pair — the whole tensor model of the nn layer.
-// No data, no allocation: meta-execution over these proves shape soundness
-// without paying for a single matrix.
+// Shape-only tensor vocabulary of the symbolic graph: a Dim is either a
+// concrete extent or a named symbol (the batch dimension "B" is the only
+// symbol a DoppelGANger trace produces, but nothing here hard-codes that),
+// and a Shape is a [rows, cols] pair — the whole tensor model of the nn
+// layer. No data, no allocation: shape rules over these prove shape
+// soundness without paying for a single matrix.
 #pragma once
 
 #include <string>
@@ -49,7 +49,12 @@ struct Shape {
   bool operator!=(const Shape& o) const { return !(*this == o); }
 
   std::string str() const {
-    return "[" + rows.str() + ", " + cols.str() + "]";
+    std::string out = "[";
+    out += rows.str();
+    out += ", ";
+    out += cols.str();
+    out += ']';
+    return out;
   }
 };
 

@@ -1,25 +1,24 @@
 #include "analysis/symbolic.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 namespace dg::analysis {
 
 SymNode* SymGraph::push(SymNode n) {
   n.id = static_cast<int>(nodes_.size());
-  nodes_.push_back(std::make_unique<SymNode>(std::move(n)));
-  return nodes_.back().get();
+  nodes_.push_back(std::move(n));
+  return &nodes_.back();
 }
 
-const SymNode* SymGraph::param(std::string label, Shape shape,
-                               bool trainable) {
+const SymNode* SymGraph::param(std::string label, Shape shape, bool trainable,
+                               int index) {
   SymNode n;
   n.op = "leaf";
   n.shape = shape;
   n.label = std::move(label);
   n.trainable = trainable;
-  n.requires_grad = trainable;
+  n.param = index;
   n.attrs.rows = shape.rows;
   n.attrs.cols = shape.cols;
   return push(std::move(n));
@@ -42,14 +41,6 @@ const SymNode* SymGraph::apply(std::string_view op,
   n.op = std::string(op);
   n.parents.assign(parents.begin(), parents.end());
   n.attrs = attrs;
-  if (grad_enabled_) {
-    for (const SymNode* p : parents) {
-      if (p->requires_grad) {
-        n.requires_grad = true;
-        break;
-      }
-    }
-  }
 
   // Poison propagation: an already-reported failure upstream silences this
   // node — one root cause, one diagnostic.
@@ -91,11 +82,10 @@ const SymNode* SymGraph::apply(std::string_view op,
     return stored;
   }
 
-  std::vector<Shape> in;
-  in.reserve(parents.size());
-  for (const SymNode* p : parents) in.push_back(p->shape);
+  shapes_.clear();
+  for (const SymNode* p : parents) shapes_.push_back(p->shape);
 
-  ShapeResult res = info->shape(in, attrs);
+  ShapeResult res = info->shape(shapes_, attrs);
   if (!res.shape) {
     n.poisoned = true;
     if (!parents.empty()) n.shape = parents[0]->shape;
@@ -110,14 +100,19 @@ const SymNode* SymGraph::apply(std::string_view op,
 
 std::vector<const SymNode*> SymGraph::ancestry(const SymNode* root) const {
   std::vector<const SymNode*> out;
-  std::unordered_set<const SymNode*> seen;
+  std::vector<char> seen(nodes_.size(), 0);  // by node id
   std::vector<const SymNode*> stack{root};
+  seen[static_cast<size_t>(root->id)] = 1;
   while (!stack.empty()) {
     const SymNode* n = stack.back();
     stack.pop_back();
-    if (!seen.insert(n).second) continue;
     out.push_back(n);
-    for (const SymNode* p : n->parents) stack.push_back(p);
+    for (const SymNode* p : n->parents) {
+      if (seen[static_cast<size_t>(p->id)] == 0) {
+        seen[static_cast<size_t>(p->id)] = 1;
+        stack.push_back(p);
+      }
+    }
   }
   return out;
 }
@@ -148,80 +143,8 @@ std::string SymGraph::path(const SymNode* node, int max_depth) {
 
 std::map<std::string, int> SymGraph::op_counts() const {
   std::map<std::string, int> out;
-  for (const auto& n : nodes_) ++out[n->op];
+  for (const SymNode& n : nodes_) ++out[n.op];
   return out;
-}
-
-// ---- Tracer ----
-
-Tracer::N Tracer::affine(N x, N w, N b) {
-  const SymNode* p[] = {x, w, b};
-  return g_.apply("affine", p);
-}
-
-Tracer::N Tracer::lstm_gates(N x, N wx, N h, N wh, N b) {
-  const SymNode* p[] = {x, wx, h, wh, b};
-  return g_.apply("lstm_gates", p);
-}
-
-Tracer::N Tracer::broadcast_scalar(N a, Shape target) {
-  OpAttrs attrs;
-  attrs.rows = target.rows;
-  attrs.cols = target.cols;
-  const SymNode* p[] = {a};
-  return g_.apply("broadcast_scalar", p, attrs);
-}
-
-Tracer::N Tracer::concat_cols(std::span<const N> parts) {
-  return g_.apply("concat_cols", parts);
-}
-
-Tracer::N Tracer::concat_rows(std::span<const N> parts) {
-  return g_.apply("concat_rows", parts);
-}
-
-Tracer::N Tracer::slice_cols(N a, int c0, int c1) {
-  OpAttrs attrs;
-  attrs.i0 = c0;
-  attrs.i1 = c1;
-  const SymNode* p[] = {a};
-  return g_.apply("slice_cols", p, attrs);
-}
-
-Tracer::N Tracer::slice_rows(N a, int r0, int r1) {
-  OpAttrs attrs;
-  attrs.i0 = r0;
-  attrs.i1 = r1;
-  const SymNode* p[] = {a};
-  return g_.apply("slice_rows", p, attrs);
-}
-
-Tracer::N Tracer::pad_cols(N a, int left, int right) {
-  OpAttrs attrs;
-  attrs.i0 = left;
-  attrs.i1 = right;
-  const SymNode* p[] = {a};
-  return g_.apply("pad_cols", p, attrs);
-}
-
-Tracer::N Tracer::pad_rows(N a, int top, int bottom) {
-  OpAttrs attrs;
-  attrs.i0 = top;
-  attrs.i1 = bottom;
-  const SymNode* p[] = {a};
-  return g_.apply("pad_rows", p, attrs);
-}
-
-Tracer::N Tracer::softmax_rows(N a) {
-  // Mirrors nn::ops::softmax_rows node for node: shifted = a + (-rowmax)
-  // broadcast via ones-column trick, then exp / row_sum broadcast back.
-  N shift = constant({a->shape.rows, Dim::of(1)});
-  N ones_row = constant(a->shape);
-  N shifted = add(a, mul_colvec(ones_row, shift));
-  N e = exp(shifted);
-  N denom = row_sum(e);
-  N ones_col = constant({a->shape.rows, Dim::of(1)});
-  return mul_colvec(e, div(ones_col, denom));
 }
 
 }  // namespace dg::analysis

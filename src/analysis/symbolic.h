@@ -1,9 +1,8 @@
-// Symbolic interpreter: meta-executes an autograd graph with shape-only
-// tensors. SymGraph owns nodes and applies registry shape rules; Tracer
-// mirrors the nn::ops surface (including the compositions — softmax_rows,
-// mean, row_l2_norm — expanded exactly as nn/autograd.cpp builds them) so a
-// model walk in analysis/model.cpp reads like the real forward pass it
-// shadows, op for op.
+// Symbolic graph: the shape-only image of an autograd graph. Nodes carry
+// symbolic shapes (the batch dimension is the symbol "B") derived by the
+// registry's shape rules. analysis/trace.h fills a SymGraph by recording the
+// real nn/core code under meta mode; the analyzer's audits, census and tape
+// lowering all read it.
 //
 // Error containment: a failing node is *poisoned*, not fatal. Its shape
 // keeps the rule's best guess where possible, downstream nodes that consume
@@ -11,8 +10,8 @@
 // point of first failure — so one bad dim yields one finding, not a cascade.
 #pragma once
 
+#include <deque>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,11 +30,8 @@ struct SymNode {
   /// Human label for leaves ("attr_gen.l0.w") and named inputs.
   std::string label;
   bool trainable = false;
-  /// Mirrors nn::Var::requires_grad: true for trainable leaves and for any
-  /// op applied (with grad enabled) to a requires-grad parent. The static
-  /// backward pass (analysis/adjoint.h) only traverses this subgraph, the
-  /// same pruning nn/autograd.cpp's topo_order performs.
-  bool requires_grad = false;
+  /// Model parameters: position in DoppelGanger::named_parameters().
+  int param = -1;
   bool poisoned = false;
   OpAttrs attrs;
 };
@@ -45,11 +41,10 @@ class SymGraph {
   explicit SymGraph(const OpRegistry* registry = &OpRegistry::builtin())
       : registry_(registry) {}
 
-  /// Trainable (or frozen) parameter leaf — op "leaf". A param that is
-  /// requires-grad but frozen mirrors FreezeGuard'd critic leaves: pass
-  /// trainable=false and the node neither requires grad nor joins the
-  /// backward traversal, exactly as requires_grad=false leaves behave.
-  const SymNode* param(std::string label, Shape shape, bool trainable = true);
+  /// Leaf — op "leaf"; `trainable` is its requires_grad, `index` its
+  /// position in named_parameters() when it is a model parameter.
+  const SymNode* param(std::string label, Shape shape, bool trainable = true,
+                       int index = -1);
 
   /// Non-parameter input (noise, data, state) — op "constant".
   const SymNode* input(std::string label, Shape shape);
@@ -77,112 +72,18 @@ class SymGraph {
   std::map<std::string, int> op_counts() const;
 
   int size() const { return static_cast<int>(nodes_.size()); }
-  const SymNode* node(int id) const { return nodes_[id].get(); }
+  const SymNode* node(int id) const {
+    return &nodes_[static_cast<size_t>(id)];
+  }
   const OpRegistry& registry() const { return *registry_; }
-
-  /// Mirror of nn::NoGradGuard: while disabled, applied nodes do not
-  /// acquire requires_grad (the generator's no-grad sampling forward, and
-  /// the outer create_graph=false backward, both run in this mode).
-  bool grad_enabled() const { return grad_enabled_; }
-  void set_grad_enabled(bool on) { grad_enabled_ = on; }
 
  private:
   SymNode* push(SymNode n);
 
   const OpRegistry* registry_;
-  std::vector<std::unique_ptr<SymNode>> nodes_;
+  std::deque<SymNode> nodes_;  ///< stable addresses, indexed by id
   std::vector<Diagnostic> diags_;
-  bool grad_enabled_ = true;
-};
-
-/// RAII mirror of nn::NoGradGuard for symbolic walks.
-class SymNoGradGuard {
- public:
-  explicit SymNoGradGuard(SymGraph& g) : g_(g), prev_(g.grad_enabled()) {
-    g_.set_grad_enabled(false);
-  }
-  ~SymNoGradGuard() { g_.set_grad_enabled(prev_); }
-  SymNoGradGuard(const SymNoGradGuard&) = delete;
-  SymNoGradGuard& operator=(const SymNoGradGuard&) = delete;
-
- private:
-  SymGraph& g_;
-  bool prev_;
-};
-
-/// Shape-level mirror of the nn::ops call surface. Each method expands to
-/// the same SymGraph ops the real function records autograd nodes for.
-class Tracer {
- public:
-  using N = const SymNode*;
-
-  explicit Tracer(SymGraph& g) : g_(g) {}
-
-  N param(std::string label, Shape s, bool trainable = true) {
-    return g_.param(std::move(label), s, trainable);
-  }
-  N input(std::string label, Shape s) { return g_.input(std::move(label), s); }
-  N constant(Shape s) { return g_.input("", s); }
-
-  N add(N a, N b) { return op2("add", a, b); }
-  N sub(N a, N b) { return op2("sub", a, b); }
-  N mul(N a, N b) { return op2("mul", a, b); }
-  N div(N a, N b) { return op2("div", a, b); }
-  N neg(N a) { return op1("neg", a); }
-  N add_scalar(N a) { return op1("add_scalar", a); }
-  N mul_scalar(N a) { return op1("mul_scalar", a); }
-
-  N relu(N a) { return op1("relu", a); }
-  N tanh(N a) { return op1("tanh", a); }
-  N sigmoid(N a) { return op1("sigmoid", a); }
-  N exp(N a) { return op1("exp", a); }
-  N log(N a) { return op1("log", a); }
-  N sqrt(N a) { return op1("sqrt", a); }
-  N square(N a) { return op1("square", a); }
-  N abs(N a) { return op1("abs", a); }
-
-  N matmul(N a, N b) { return op2("matmul", a, b); }
-  N transpose(N a) { return op1("transpose", a); }
-  N affine(N x, N w, N b);
-  N lstm_gates(N x, N wx, N h, N wh, N b);
-
-  N add_rowvec(N a, N b) { return op2("add_rowvec", a, b); }
-  N mul_rowvec(N a, N b) { return op2("mul_rowvec", a, b); }
-  N mul_colvec(N a, N b) { return op2("mul_colvec", a, b); }
-  N broadcast_scalar(N a, Shape target);
-
-  N row_sum(N a) { return op1("row_sum", a); }
-  N col_sum(N a) { return op1("col_sum", a); }
-  N sum(N a) { return op1("sum", a); }
-
-  N concat_cols(std::span<const N> parts);
-  N concat_rows(std::span<const N> parts);
-  N slice_cols(N a, int c0, int c1);
-  N slice_rows(N a, int r0, int r1);
-  N pad_cols(N a, int left, int right);
-  N pad_rows(N a, int top, int bottom);
-
-  // Compositions — expanded exactly as nn/autograd.cpp builds them, so the
-  // differential test's op-multiset comparison holds node for node.
-  N mean(N a) { return mul_scalar(sum(a)); }
-  N softmax_rows(N a);
-  N row_l2_norm(N a) {
-    return sqrt(add_scalar(row_sum(square(a))));
-  }
-
-  SymGraph& graph() { return g_; }
-
- private:
-  N op1(std::string_view op, N a) {
-    const SymNode* p[] = {a};
-    return g_.apply(op, p);
-  }
-  N op2(std::string_view op, N a, N b) {
-    const SymNode* p[] = {a, b};
-    return g_.apply(op, p);
-  }
-
-  SymGraph& g_;
+  std::vector<Shape> shapes_;  ///< apply()'s operand shapes, reused
 };
 
 }  // namespace dg::analysis

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
+#include "analysis/model.h"
 #include "analysis/planner.h"
-#include "nn/layers.h"
+#include "analysis/trace.h"
 
 namespace dg::analysis {
 
@@ -15,129 +16,82 @@ namespace {
 
 using Sev = Severity;
 
-// ---- architecture dimensions (mirrors DoppelGanger's constructor; kept
-// local like analysis/model.cpp does — the analysis layer sits below
-// dg_core in the link graph, and the serve-side differential tests pin any
-// drift bit-exactly against the real executor) ---------------------------
-
-struct TapeDims {
-  int attr_w = 0;
-  int mm_w = 0;
-  int record_width = 0;
-  int lstm_in = 0;
-  bool minmax_enabled = false;
-};
-
-TapeDims tape_dims(const data::Schema& s, const core::DoppelGangerConfig& cfg) {
-  TapeDims d;
-  d.attr_w = s.attribute_dim();
-  int n_cont = 0;
-  for (const data::FieldSpec& f : s.features) {
-    if (f.type == data::FieldType::Continuous) ++n_cont;
-  }
-  d.minmax_enabled = cfg.use_minmax_generator && n_cont > 0;
-  d.mm_w = d.minmax_enabled ? 2 * n_cont : 0;
-  d.record_width = s.feature_record_dim() + 2;
-  d.lstm_in = d.attr_w + d.mm_w + cfg.feat_noise_dim;
-  return d;
-}
-
-struct Block {
-  int width = 0;
-  nn::Activation act = nn::Activation::None;
-};
-
-/// One step's output blocks: sample_len repetitions of the record layout
-/// (core/output_blocks.cpp record_blocks + repeat_blocks).
-std::vector<Block> step_layout(const data::Schema& s,
-                               const core::DoppelGangerConfig& cfg,
-                               const TapeDims& d) {
-  std::vector<Block> record;
-  for (const data::FieldSpec& f : s.features) {
-    if (f.type == data::FieldType::Categorical) {
-      record.push_back({f.width(), nn::Activation::Softmax});
-    } else {
-      record.push_back({1, d.minmax_enabled ? nn::Activation::Tanh
-                                            : nn::Activation::Sigmoid});
-    }
-  }
-  record.push_back({2, nn::Activation::Softmax});  // generation flags
-  std::vector<Block> step;
-  step.reserve(record.size() * static_cast<size_t>(cfg.sample_len));
-  for (int i = 0; i < cfg.sample_len; ++i) {
-    step.insert(step.end(), record.begin(), record.end());
-  }
-  return step;
-}
-
 // ---- lowering -----------------------------------------------------------
 
+/// Builds tape values and instructions from a traced SymGraph: inputs,
+/// then parameters, then one local per instruction — the numbering the
+/// planner and executor expect.
 class Lowering {
  public:
-  explicit Lowering(const OpRegistry& reg) : reg_(reg) {}
+  explicit Lowering(const SymGraph& g)
+      : ids_(static_cast<size_t>(g.size()), -1) {}
 
   Tape tape;
   std::vector<Diagnostic> diags;
 
-  int param(std::string name, int rows, int cols) {
-    const int id = value(TapeValueKind::kParam, std::move(name),
-                         {Dim::of(rows), Dim::of(cols)});
+  void input(const SymNode* n, std::string name) {
+    tape.inputs.push_back(value(n, TapeValueKind::kInput, std::move(name)));
+  }
+
+  void param(const SymNode* n) {
+    const int id = value(n, TapeValueKind::kParam, n->label);
+    tape.values[static_cast<size_t>(id)].param_index = n->param;
     tape.params.push_back(id);
-    return id;
   }
 
-  int input(std::string name, int cols) {
-    const int id = value(TapeValueKind::kInput, std::move(name),
-                         {Dim::sym("B"), Dim::of(cols)});
-    tape.inputs.push_back(id);
-    return id;
-  }
-
-  int emit(std::string op, std::vector<int> args, OpAttrs attrs = {}) {
-    const OpInfo* info = reg_.find(op);
-    std::vector<Shape> in;
-    in.reserve(args.size());
-    for (int a : args) in.push_back(tape.values[static_cast<size_t>(a)].shape);
-    Shape out{Dim::sym("B"), Dim::of(0)};
-    if (info == nullptr) {
-      diags.push_back({Sev::kError, "tape-lower",
-                       "op missing from the tape registry", op, {}});
-    } else {
-      const ShapeResult r = info->shape(in, attrs);
-      if (!r.shape) {
-        diags.push_back({Sev::kError, "tape-lower", r.error, op, {}});
-      } else {
-        out = *r.shape;
+  /// Lowers an op node to an instruction; the bound inputs are skipped.
+  void emit(const SymNode* n) {
+    if (id_of(n) >= 0) return;
+    std::vector<int> args;
+    args.reserve(n->parents.size());
+    for (const SymNode* p : n->parents) {
+      if (id_of(p) < 0) {
+        diags.push_back({Sev::kError, "tape-lower",
+                         "operand has no tape binding (only the step's "
+                         "inputs and weights may enter it)",
+                         n->op, SymGraph::path(n)});
+        return;
       }
+      args.push_back(id_of(p));
     }
     const int instr_id = static_cast<int>(tape.instrs.size());
-    const int dst = value(TapeValueKind::kLocal, "", out);
+    const int dst = value(n, TapeValueKind::kLocal, "");
     tape.values[static_cast<size_t>(dst)].def = instr_id;
-    tape.instrs.push_back(
-        {instr_id, std::move(op), dst, std::move(args), attrs, -1});
-    return dst;
+    tape.instrs.push_back({instr_id, n->op, dst, std::move(args), n->attrs, -1});
   }
 
-  void mark_output(int id, std::string name) {
-    TapeValue& v = tape.values[static_cast<size_t>(id)];
+  void mark_output(const SymNode* n, std::string name) {
+    if (id_of(n) < 0) {
+      diags.push_back({Sev::kError, "tape-lower",
+                       "step output '" + name + "' was not lowered", "tape",
+                       {}});
+      return;
+    }
+    TapeValue& v = tape.values[static_cast<size_t>(id_of(n))];
     v.output = true;
     if (v.name.empty()) v.name = std::move(name);
-    tape.outputs.push_back(id);
+    tape.outputs.push_back(v.id);
   }
 
  private:
-  int value(TapeValueKind kind, std::string name, Shape s) {
+  /// The tape value a graph node was lowered to, -1 if none yet.
+  int id_of(const SymNode* n) const {
+    return ids_[static_cast<size_t>(n->id)];
+  }
+
+  int value(const SymNode* n, TapeValueKind kind, std::string name) {
     const int id = static_cast<int>(tape.values.size());
     TapeValue v;
     v.id = id;
     v.kind = kind;
     v.name = std::move(name);
-    v.shape = s;
+    v.shape = n->shape;
     tape.values.push_back(std::move(v));
+    ids_[static_cast<size_t>(n->id)] = id;
     return id;
   }
 
-  const OpRegistry& reg_;
+  std::vector<int> ids_;  ///< by graph node id
 };
 
 /// Greedy run-based fusion: a fusion group is a maximal contiguous run of
@@ -216,7 +170,8 @@ std::string instr_str(const Tape& t, int i) {
                   std::to_string(ins.dst) + " = " + ins.op + "(";
   for (size_t a = 0; a < ins.args.size(); ++a) {
     if (a > 0) s += ", ";
-    s += "v" + std::to_string(ins.args[a]);
+    s += 'v';
+    s += std::to_string(ins.args[a]);
   }
   s += ")";
   if (ins.group >= 0) s += " [group " + std::to_string(ins.group) + "]";
@@ -238,36 +193,6 @@ bool tape_op_is_elementwise(std::string_view op) {
       "add",  "sub", "mul",     "div",  "neg",    "relu",  "abs",
       "tanh", "sigmoid", "exp", "log",  "sqrt",   "square", "recip"};
   return kElementwise.count(op) != 0;
-}
-
-const OpRegistry& tape_registry() {
-  static const OpRegistry reg = [] {
-    OpRegistry r = OpRegistry::builtin();
-    // Inference-only intrinsics (no backward): the autograd softmax keeps
-    // its row-max shift as runtime data, so the tape needs first-class ops
-    // for the shift, the broadcast add and the reciprocal. Each is defined
-    // to be bit-identical to the composition nn/autograd.cpp executes.
-    r.add({"neg_row_max", 1, 1, DiffClass::kFirstOrderOnly, Broadcast::kNone,
-           [](std::span<const Shape> in, const OpAttrs&) {
-             return ShapeResult::ok({in[0].rows, Dim::of(1)});
-           }});
-    r.add({"add_colvec", 2, 2, DiffClass::kFirstOrderOnly,
-           Broadcast::kColVector,
-           [](std::span<const Shape> in, const OpAttrs&) {
-             if (in[1].cols != Dim::of(1) || in[1].rows != in[0].rows) {
-               return ShapeResult::fail("column vector " + in[1].str() +
-                                        " does not broadcast over " +
-                                        in[0].str());
-             }
-             return ShapeResult::ok(in[0]);
-           }});
-    r.add({"recip", 1, 1, DiffClass::kFirstOrderOnly, Broadcast::kNone,
-           [](std::span<const Shape> in, const OpAttrs&) {
-             return ShapeResult::ok(in[0]);
-           }});
-    return r;
-  }();
-  return reg;
 }
 
 std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
@@ -557,12 +482,15 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
 TapeReport build_generation_tape(const data::Schema& schema,
                                  const core::DoppelGangerConfig& cfg) {
   TapeReport rep;
-  const TapeDims d = tape_dims(schema, cfg);
-  const int H = cfg.lstm_units;
-  const int rw = d.record_width;
-  const int S = cfg.sample_len;
-  if (schema.max_timesteps <= 0 || S <= 0 || S > schema.max_timesteps ||
-      H <= 0 || cfg.head_hidden <= 0 || cfg.feat_noise_dim <= 0 || rw < 2) {
+  std::unique_ptr<core::DoppelGanger> model;
+  if (!has_errors(validate_config(schema, cfg))) {
+    try {
+      model = meta_model(schema, cfg);
+    } catch (const std::exception&) {
+      model.reset();
+    }
+  }
+  if (!model) {
     rep.diagnostics.push_back(
         {Sev::kError, "tape-config",
          "schema + config do not describe a constructible generation step",
@@ -570,103 +498,65 @@ TapeReport build_generation_tape(const data::Schema& schema,
     return rep;
   }
 
-  Lowering lw(tape_registry());
+  // The step's input shapes, from the model itself (shape-only: nothing
+  // here is recorded).
+  core::GenContext ctx;
+  core::GenState state;
+  nn::Matrix noise;
+  {
+    nn::MetaModeGuard shapes_only;
+    nn::Rng rng(cfg.seed);
+    ctx = model->sample_context(kMetaBatch, rng);
+    state = model->initial_gen_state(kMetaBatch);
+    noise = nn::Matrix(kMetaBatch, model->feat_noise_dim());
+  }
 
-  // Inputs, in the order TapeExecutor::step binds them.
-  const int cond = lw.input("cond", d.attr_w + d.mm_w);
-  const int noise = lw.input("noise", cfg.feat_noise_dim);
-  const int h_in = lw.input("state.h", H);
-  const int c_in = lw.input("state.c", H);
-  const int mask_in = lw.input("state.mask", 1);
-
-  // Parameters, in generator_parameters() / save() order for the two
-  // networks the step touches.
-  const int wx = lw.param("lstm.wx", d.lstm_in, 4 * H);
-  const int wh = lw.param("lstm.wh", H, 4 * H);
-  const int b = lw.param("lstm.b", 1, 4 * H);
-  const int h0w = lw.param("head.l0.w", H, cfg.head_hidden);
-  const int h0b = lw.param("head.l0.b", 1, cfg.head_hidden);
-  const int h1w = lw.param("head.l1.w", cfg.head_hidden, S * rw);
-  const int h1b = lw.param("head.l1.b", 1, S * rw);
-
-  // LSTM cell, op for op (nn::LstmCell::step). The slices come first so
-  // the elementwise tail forms one contiguous fusion run.
-  const int x = lw.emit("concat_cols", {cond, noise});
-  const int gates = lw.emit("lstm_gates", {x, wx, h_in, wh, b});
-  const auto slice = [&](int src, int c0, int c1) {
-    OpAttrs at;
-    at.i0 = c0;
-    at.i1 = c1;
-    return lw.emit("slice_cols", {src}, at);
-  };
-  const int s_i = slice(gates, 0, H);
-  const int s_f = slice(gates, H, 2 * H);
-  const int s_g = slice(gates, 2 * H, 3 * H);
-  const int s_o = slice(gates, 3 * H, 4 * H);
-  const int gi = lw.emit("sigmoid", {s_i});
-  const int gf = lw.emit("sigmoid", {s_f});
-  const int gg = lw.emit("tanh", {s_g});
-  const int go = lw.emit("sigmoid", {s_o});
-  const int fc = lw.emit("mul", {gf, c_in});
-  const int ig = lw.emit("mul", {gi, gg});
-  const int c_out = lw.emit("add", {fc, ig});
-  const int tc = lw.emit("tanh", {c_out});
-  const int h_out = lw.emit("mul", {go, tc});
-
-  // Head MLP (always one hidden layer) + per-block activations.
-  const int hid = lw.emit("relu", {lw.emit("affine", {h_out, h0w, h0b})});
-  const int block = lw.emit("affine", {hid, h1w, h1b});
-  std::vector<int> parts;
-  int col = 0;
-  for (const Block& blk : step_layout(schema, cfg, d)) {
-    int part = slice(block, col, col + blk.width);
-    switch (blk.act) {
-      case nn::Activation::None:
-        break;
-      case nn::Activation::Relu:
-        part = lw.emit("relu", {part});
-        break;
-      case nn::Activation::Tanh:
-        part = lw.emit("tanh", {part});
-        break;
-      case nn::Activation::Sigmoid:
-        part = lw.emit("sigmoid", {part});
-        break;
-      case nn::Activation::Softmax: {
-        // Expanded exactly as nn::softmax_rows executes: shift by the
-        // (runtime) negated row max, exponentiate, normalize by the row sum.
-        const int shift = lw.emit("neg_row_max", {part});
-        const int shifted = lw.emit("add_colvec", {part, shift});
-        const int e = lw.emit("exp", {shifted});
-        const int inv = lw.emit("recip", {lw.emit("row_sum", {e})});
-        part = lw.emit("mul_colvec", {e, inv});
-        break;
-      }
+  // Trace one step, wrapping the inputs as generation_step does.
+  SymGraph graph;
+  Trace trace(graph);
+  trace.bind_params(model->named_parameters());
+  std::vector<nn::Var> inputs;
+  core::DoppelGanger::StepVars out;
+  trace.run([&] {
+    nn::NoGradGuard no_grad;
+    for (const nn::Matrix* m :
+         {&ctx.cond, &noise, &state.h, &state.c, &state.mask}) {
+      inputs.push_back(nn::constant(*m));
     }
-    parts.push_back(part);
-    col += blk.width;
-  }
-  const int act_block = lw.emit("concat_cols", std::move(parts));
+    out = model->generation_step_graph(inputs[0], inputs[1], inputs[2],
+                                       inputs[3], inputs[4]);
+  });
+  rep.diagnostics = graph.diagnostics();
+  if (has_errors(rep.diagnostics)) return rep;
 
-  // Continuation masking: record s is scaled by the running mask; the
-  // masked continue flag becomes record s+1's mask (generation_step).
-  int mask = mask_in;
-  std::vector<int> recs;
-  recs.reserve(static_cast<size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    const int rec = lw.emit("mul_colvec", {slice(act_block, s * rw, (s + 1) * rw), mask});
-    mask = slice(rec, rw - 2, rw - 1);
-    recs.push_back(rec);
+  // Inputs in the order TapeExecutor::step binds them, then the weights the
+  // step reads (named_parameters() order), then every traced op in order.
+  Lowering lw(graph);
+  const char* const kInputNames[] = {"cond", "noise", "state.h", "state.c",
+                                     "state.mask"};
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    lw.input(trace.node(inputs[i]), kInputNames[i]);
   }
-  const int records = lw.emit("concat_cols", std::move(recs));
-
-  lw.mark_output(records, "records");
-  lw.mark_output(h_out, "state.h");
-  lw.mark_output(c_out, "state.c");
-  lw.mark_output(mask, "state.mask");
+  std::vector<char> read(static_cast<size_t>(graph.size()), 0);
+  for (int i = 0; i < graph.size(); ++i) {
+    for (const SymNode* p : graph.node(i)->parents) {
+      read[static_cast<size_t>(p->id)] = 1;
+    }
+  }
+  for (const SymNode* p : trace.params()) {
+    if (read[static_cast<size_t>(p->id)] != 0) lw.param(p);
+  }
+  for (int i = 0; i < graph.size(); ++i) {
+    const SymNode* n = graph.node(i);
+    if (n->op != "leaf") lw.emit(n);
+  }
+  lw.mark_output(trace.node(out.records), "records");
+  lw.mark_output(trace.node(out.h), "state.h");
+  lw.mark_output(trace.node(out.c), "state.c");
+  lw.mark_output(trace.node(out.mask), "state.mask");
 
   rep.tape = std::move(lw.tape);
-  rep.diagnostics = std::move(lw.diags);
+  for (Diagnostic& diag : lw.diags) rep.diagnostics.push_back(std::move(diag));
   if (has_errors(rep.diagnostics)) return rep;
 
   fuse_elementwise(rep.tape);

@@ -1,11 +1,11 @@
 // Tape IR: the generation path lowered to a flat, SSA-like instruction
 // list that a dumb interpreter can replay with zero allocations. One tape
 // covers one `generation_step` (the serving hot loop's unit of work): the
-// lowering walks the same op sequence DoppelGanger::generation_step records
-// autograd nodes for — through the op registry's shape rules, so every
-// recorded shape is rule-derived — then fuses adjacent elementwise runs
-// into per-element groups and hands the result to the arena planner
-// (analysis/planner.h).
+// lowering traces DoppelGanger::generation_step_graph of a meta_model
+// (analysis/trace.h) — so the instructions are the ops generation_step
+// really runs, in its order, with registry-derived shapes — then fuses
+// adjacent elementwise runs into per-element groups and hands the result to
+// the arena planner (analysis/planner.h).
 //
 // Trust model: a tape is DATA, not code — it may come from lowering, from a
 // test mutation, or (in principle) from disk. Nothing executes a tape until
@@ -51,6 +51,9 @@ struct TapeValue {
   /// Parameter / input / output name ("lstm.wx", "cond", "records");
   /// empty for anonymous locals.
   std::string name;
+  /// kParam: the traced leaf's position in DoppelGanger::named_parameters(),
+  /// which is what an executor binds the model's weight by.
+  int param_index = -1;
   Shape shape;  ///< rows is Dim::sym("B") for batch-shaped values
   int def = -1;       ///< defining instruction (-1 for params/inputs)
   int last_use = -1;  ///< last reading instruction; kLiveToEnd for outputs
@@ -75,21 +78,11 @@ struct TapeInstr {
 struct Tape {
   std::vector<TapeValue> values;
   std::vector<TapeInstr> instrs;
-  std::vector<int> params;   ///< value ids, expected_parameter_shapes order
+  std::vector<int> params;   ///< value ids, named_parameters() order
   std::vector<int> inputs;   ///< cond, noise, state.h, state.c, state.mask
   std::vector<int> outputs;  ///< records, state.h, state.c, state.mask
   int fusion_groups = 0;     ///< groups with >= 2 instructions
 };
-
-/// Registry the tape is lowered and verified against: the builtin op
-/// surface plus the three softmax intrinsics the executor needs because the
-/// autograd expansion's row-max shift is runtime data, not graph structure:
-///   neg_row_max [B,d] -> [B,1]   (per row: minus the row maximum)
-///   add_colvec ([B,d],[B,1]) -> [B,d]  (== add(a, mul_colvec(ones, v)))
-///   recip      [B,1] -> [B,1]          (== div(ones, v))
-/// Kept separate from OpRegistry::builtin(), which is pinned 1:1 against
-/// nn::known_op_names() — these intrinsics exist only at the tape level.
-const OpRegistry& tape_registry();
 
 /// True for ops a fusion group may contain: one output element per input
 /// element, no cross-element reads (add/mul/.../tanh/sigmoid/recip).
@@ -127,8 +120,9 @@ TapeReport build_generation_tape(const data::Schema& schema,
 
 /// The static verifier (see the header comment for the rule list). Returns
 /// every finding; an empty error set is the executor's license to run.
-std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
-                                    const OpRegistry& registry = tape_registry());
+std::vector<Diagnostic> verify_tape(
+    const Tape& tape, const ArenaPlan& plan,
+    const OpRegistry& registry = OpRegistry::builtin());
 
 /// Compact census for lint output and the .dgpkg preflight.
 struct TapeSummary {

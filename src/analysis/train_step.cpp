@@ -1,111 +1,34 @@
 #include "analysis/train_step.h"
 
+#include <functional>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/adjoint.h"
-#include "analysis/walk.h"
+#include "analysis/symbolic.h"
+#include "analysis/trace.h"
 
 namespace dg::analysis {
 
 namespace {
 
-using N = const SymNode*;
+using Critic = core::DoppelGanger::Critic;
 
-/// One mirrored phase of run_training: its graph (kept alive for the census
-/// and exemplar paths), the slot-writing backward pass, any inner
-/// (create_graph) passes, and the parameter leaves whose optimizer slots the
-/// phase must define.
-struct Phase {
-  const char* label = "";
-  std::unique_ptr<SymGraph> graph;
-  BackwardResult outer;
-  std::vector<BackwardResult> inner;
-  std::vector<N> required_slots;
-  bool has_backward = false;
+/// What the analysis keeps from the traced phases once their graphs are
+/// gone: the reduction-order census, exemplar paths and the gradient slots
+/// each phase left undefined.
+struct StepCensus {
+  std::map<std::string, ReductionSite> reductions;
+  ReductionSite slots{"grad-slot", DetClass::kAccumulating, 0, {}};
+  ReductionSite merges{"grad-accumulate", DetClass::kAccumulating, 0, {}};
+  std::map<std::string, std::string> first_path;  ///< op -> exemplar path
+  bool backward_ok = true;
+  int missing = 0;
+  std::string first_missing;
+  std::string first_missing_path;
+  const char* first_missing_phase = "";
 };
-
-void require_mlp_slots(Phase& ph, const SymMlp& m) {
-  for (const auto& [w, b] : m.layers) {
-    if (w->trainable) ph.required_slots.push_back(w);
-    if (b->trainable) ph.required_slots.push_back(b);
-  }
-}
-
-/// log_sigmoid_mean in core/wgan.cpp, op for op:
-/// mean(log(p + eps)) with p = sigmoid(logits) or 1 - sigmoid(logits).
-N sym_log_sigmoid_mean(Tracer& t, N logits, bool of_one_minus) {
-  N p = t.sigmoid(logits);
-  if (of_one_minus) p = t.add_scalar(t.neg(p));
-  return t.mean(t.log(t.add_scalar(p)));
-}
-
-/// One critic_step: loss assembly (WGAN-GP with the double backward, or the
-/// standard saturating loss), then the slot-writing outer backward.
-Phase critic_phase(const char* label, const std::string& name, int width,
-                   const core::DoppelGangerConfig& cfg, const TrainableFn& tr,
-                   const TrainStepOptions& opts,
-                   std::set<std::string>& dedup) {
-  Phase ph;
-  ph.label = label;
-  ph.graph = std::make_unique<SymGraph>(opts.registry);
-  Tracer t(*ph.graph);
-  const Dim B = Dim::sym("B");
-  const Shape in_shape{B, Dim::of(width)};
-
-  SymMlp critic = SymMlp::make(t, name, width, 1, cfg.disc_hidden,
-                               cfg.disc_layers, tr);
-  require_mlp_slots(ph, critic);
-
-  // The batches enter critic_loss as nn::constant(...) of materialized
-  // matrices.
-  N fake = t.input("fake", in_shape);
-  N real = t.input("real", in_shape);
-
-  N loss = nullptr;
-  if (cfg.loss == core::GanLoss::WassersteinGp) {
-    loss = t.sub(t.mean(critic.forward(t, fake)),
-                 t.mean(critic.forward(t, real)));
-    if (cfg.gp_weight > 0.0f) {
-      // gradient_penalty: xhat is a fresh requires-grad leaf (the eps-mix
-      // happens in Matrix land, unobserved), differentiated with
-      // create_graph=true so the penalty itself stays differentiable.
-      N xhat = t.param(name + ".gp.xhat", in_shape, true);
-      N gp_out = t.sum(critic.forward(t, xhat));
-      BackwardOptions in_opts;
-      in_opts.create_graph = true;
-      in_opts.dedup = &dedup;
-      BackwardResult inner = sym_backward(t, gp_out, in_opts);
-      const auto git = inner.grads.find(xhat);
-      if (git == inner.grads.end()) {
-        if (dedup.insert("gp-input-ignored:" + name).second) {
-          ph.graph->diagnostics().push_back(
-              {Severity::kError, "gp-input-ignored",
-               "the critic's gradient never reaches its input; "
-               "gradient_penalty throws on this at runtime (an adjoint rule "
-               "dropped the input edge)",
-               name, SymGraph::path(gp_out)});
-        }
-      } else {
-        N norms = t.row_l2_norm(git->second);
-        N penalty = t.mean(t.square(t.add_scalar(norms)));
-        loss = t.add(loss, t.mul_scalar(penalty));
-      }
-      ph.inner.push_back(std::move(inner));
-    }
-  } else {
-    loss = t.neg(t.add(sym_log_sigmoid_mean(t, critic.forward(t, real), false),
-                       sym_log_sigmoid_mean(t, critic.forward(t, fake), true)));
-  }
-
-  BackwardOptions out_opts;
-  out_opts.dedup = &dedup;
-  ph.outer = sym_backward(t, loss, out_opts);
-  ph.has_backward = true;
-  return ph;
-}
 
 }  // namespace
 
@@ -113,19 +36,15 @@ TrainingStepAnalysis analyze_training_step(const data::Schema& schema,
                                            const core::DoppelGangerConfig& cfg,
                                            const TrainStepOptions& opts) {
   TrainingStepAnalysis out;
-
-  // Constructibility guard: the walks below assume dimensions a real model
-  // could be built with (analyze_model owns the full config report).
-  const ModelDims d = model_dims(schema, cfg);
-  if (cfg.sample_len <= 0 || schema.max_timesteps <= 0 ||
-      cfg.sample_len > schema.max_timesteps || d.steps_per_series <= 0 ||
-      cfg.attr_noise_dim <= 0 || cfg.feat_noise_dim <= 0 ||
-      cfg.lstm_units <= 0 || cfg.head_hidden <= 0 || cfg.attr_layers < 0 ||
-      cfg.disc_layers < 0 || (cfg.attr_layers > 0 && cfg.attr_hidden <= 0) ||
-      (cfg.disc_layers > 0 && cfg.disc_hidden <= 0) ||
-      (d.minmax_enabled &&
-       (cfg.minmax_noise_dim <= 0 || cfg.minmax_layers < 0 ||
-        (cfg.minmax_layers > 0 && cfg.minmax_hidden <= 0)))) {
+  std::unique_ptr<core::DoppelGanger> model;
+  if (!has_errors(validate_config(schema, cfg))) {
+    try {
+      model = meta_model(schema, cfg, opts.runtime_params);
+    } catch (const std::exception&) {
+      model.reset();
+    }
+  }
+  if (!model) {
     out.diagnostics.push_back(
         {Severity::kError, "config-invalid",
          "training-step analysis requires a constructible model; run "
@@ -134,212 +53,124 @@ TrainingStepAnalysis analyze_training_step(const data::Schema& schema,
          {}});
     return out;
   }
-  const Layouts lay = block_layouts(schema, cfg, d);
+  const auto named = model->named_parameters();
+  std::set<std::string> dedup;  // one finding per defect class, all phases
+  StepCensus census;
 
-  // Trainability overlay (mirrors analyze_model; shape cross-checks stay
-  // there).
-  std::unordered_map<std::string, bool> trainable_by_name;
-  if (!opts.runtime_params.empty()) {
-    const std::vector<ParamShape> expected =
-        expected_parameter_shapes(schema, cfg);
-    if (expected.size() == opts.runtime_params.size()) {
-      for (size_t i = 0; i < expected.size(); ++i) {
-        trainable_by_name[expected[i].name] = opts.runtime_params[i].trainable;
-      }
-    }
-  }
-  const TrainableFn tr = [&trainable_by_name](const std::string& name) {
-    const auto it = trainable_by_name.find(name);
-    return it == trainable_by_name.end() || it->second;
-  };
+  // Traces one phase into its own graph, then folds the graph into the
+  // census. `required` are the parameters whose optimizer the phase feeds:
+  // each trainable one must end the phase with a defined grad slot.
+  const auto phase = [&](const char* label, std::map<std::string, int>& ops,
+                         const std::vector<nn::Var>& required,
+                         const std::function<void()>& fn) {
+    SymGraph g(opts.registry);
+    Trace t(g, &dedup);
+    t.bind_params(named);
+    t.run(fn);
 
-  const int disc_in = d.attr_w + d.mm_w + d.tmax * d.record_width;
-  const int head_in = d.attr_w + d.mm_w;
-  std::set<std::string> dedup;  // one diagnostic per defect class, all phases
-  std::vector<Phase> phases;
-
-  // ---- phase 1: the detached fake forward -------------------------------
-  // run_training samples the critic's fake batch under NoGradGuard; no
-  // backward exists here, but every generator op still executes.
-  {
-    Phase ph;
-    ph.label = "fake-forward";
-    ph.graph = std::make_unique<SymGraph>(opts.registry);
-    Tracer t(*ph.graph);
-    const GeneratorNets g = make_generator(t, cfg, d, tr);
-    {
-      SymNoGradGuard ng(*ph.graph);
-      sym_generator_forward(t, cfg, d, lay, g);
-    }
-    out.fake_forward_ops = ph.graph->op_counts();
-    phases.push_back(std::move(ph));
-  }
-
-  // ---- phases 2 & 3: the critic steps ------------------------------------
-  phases.push_back(
-      critic_phase("full-critic-step", "disc", disc_in, cfg, tr, opts, dedup));
-  out.critic_step_ops = phases.back().graph->op_counts();
-  if (cfg.use_aux_discriminator) {
-    phases.push_back(critic_phase("aux-critic-step", "aux_disc", head_in, cfg,
-                                  tr, opts, dedup));
-    out.aux_critic_step_ops = phases.back().graph->op_counts();
-  }
-
-  // ---- phase 4: the generator step ---------------------------------------
-  // Fresh forward with gradients on; both critics frozen (FreezeGuard), so
-  // their leaves drop out of the backward exactly as requires_grad=false
-  // leaves do.
-  {
-    Phase ph;
-    ph.label = "generator-step";
-    ph.graph = std::make_unique<SymGraph>(opts.registry);
-    Tracer t(*ph.graph);
-    const TrainableFn frozen = [](const std::string&) { return false; };
-    const GeneratorNets g = make_generator(t, cfg, d, tr);
-    SymMlp disc = SymMlp::make(t, "disc", disc_in, 1, cfg.disc_hidden,
-                               cfg.disc_layers, frozen);
-    SymMlp aux_disc;
-    if (cfg.use_aux_discriminator) {
-      aux_disc = SymMlp::make(t, "aux_disc", head_in, 1, cfg.disc_hidden,
-                              cfg.disc_layers, frozen);
-    }
-    require_mlp_slots(ph, g.attr_gen);
-    if (d.minmax_enabled) require_mlp_slots(ph, g.minmax_gen);
-    for (N p : {g.lstm.wx, g.lstm.wh, g.lstm.b}) {
-      if (p->trainable) ph.required_slots.push_back(p);
-    }
-    require_mlp_slots(ph, g.head);
-
-    const GenForward f = sym_generator_forward(t, cfg, d, lay, g);
-    const auto g_term = [&](const SymMlp& critic, N fk) {
-      N logits = critic.forward(t, fk);
-      if (cfg.loss == core::GanLoss::WassersteinGp) {
-        return t.neg(t.mean(logits));
-      }
-      return t.neg(sym_log_sigmoid_mean(t, logits, false));
-    };
-    const N full_parts[] = {f.attributes, f.minmax, f.features};
-    N g_loss = g_term(disc, t.concat_cols(full_parts));
-    if (cfg.use_aux_discriminator) {
-      const N head_parts[] = {f.attributes, f.minmax};
-      g_loss =
-          t.add(g_loss, t.mul_scalar(g_term(aux_disc, t.concat_cols(head_parts))));
-    }
-    BackwardOptions bo;
-    bo.dedup = &dedup;
-    ph.outer = sym_backward(t, g_loss, bo);
-    ph.has_backward = true;
-    out.generator_step_ops = ph.graph->op_counts();
-    phases.push_back(std::move(ph));
-  }
-
-  // ---- collect diagnostics ------------------------------------------------
-  bool adjoints_ok = true;
-  for (const Phase& ph : phases) {
-    for (const Diagnostic& diag : ph.graph->diagnostics()) {
+    ops = g.op_counts();
+    out.graph_nodes += g.size();
+    for (const Diagnostic& diag : g.diagnostics()) {
       out.diagnostics.push_back(diag);
     }
-    out.graph_nodes += ph.graph->size();
-    adjoints_ok = adjoints_ok && ph.outer.ok;
-    for (const BackwardResult& br : ph.inner) {
-      adjoints_ok = adjoints_ok && br.ok;
-    }
-  }
-
-  // Def-before-use on gradient slots. Only meaningful when every backward
-  // pass applied cleanly: a reported adjoint defect already explains any
-  // missing slot downstream of it (one root cause, one diagnostic).
-  if (adjoints_ok) {
-    int missing = 0;
-    N first = nullptr;
-    const char* first_phase = "";
-    for (const Phase& ph : phases) {
-      if (!ph.has_backward) continue;
-      for (N leaf : ph.required_slots) {
-        if (ph.outer.grads.count(leaf) != 0) continue;
-        ++missing;
-        if (first == nullptr) {
-          first = leaf;
-          first_phase = ph.label;
-        }
+    census.backward_ok = census.backward_ok && t.backward_ok();
+    for (int i = 0; i < g.size(); ++i) {
+      const SymNode* n = g.node(i);
+      const auto [first, fresh] = census.first_path.try_emplace(n->op);
+      if (fresh) first->second = SymGraph::path(n);
+      const OpInfo* info = opts.registry->find(n->op);
+      if (info == nullptr || info->det != DetClass::kOrderedReduction) {
+        continue;
+      }
+      ReductionSite& site = census.reductions[n->op];
+      if (site.count++ == 0) {
+        site.op = n->op;
+        site.where = first->second;
       }
     }
-    if (missing > 0) {
-      out.diagnostics.push_back(
-          {Severity::kError, "grad-slot-undefined",
-           std::to_string(missing) +
-               " trainable parameter slot(s) receive no gradient from the "
-               "training step's backward passes; Adam silently skips "
-               "undefined slots, so these parameters would never train "
-               "(first: " +
-               first->label + " in the " + first_phase + ")",
-           first->label, SymGraph::path(first)});
+    if (!t.grad_slots().empty() && census.slots.where.empty()) {
+      const SymNode* lowest = t.grad_slots().front();
+      for (const SymNode* s : t.grad_slots()) {
+        if (s->id < lowest->id) lowest = s;
+      }
+      census.slots.where = SymGraph::path(lowest);
     }
+    census.slots.count += static_cast<int>(t.grad_slots().size());
+    if (!t.accumulations().empty() && census.merges.where.empty()) {
+      census.merges.where = SymGraph::path(t.accumulations().front());
+    }
+    census.merges.count += static_cast<int>(t.accumulations().size());
+
+    for (const nn::Var& p : required) {
+      if (!p.requires_grad() || p.grad().defined()) continue;
+      if (census.missing++ == 0) {
+        const SymNode* leaf = t.node(p);
+        census.first_missing = leaf->label;
+        census.first_missing_path = SymGraph::path(leaf);
+        census.first_missing_phase = label;
+      }
+    }
+  };
+
+  // Phase 1: the detached fake forward. run_training samples the critics'
+  // fake batch under NoGradGuard; no backward exists here, but every
+  // generator op still executes.
+  core::DoppelGanger::FakeBatch fake;
+  phase("fake-forward", out.fake_forward_ops, {},
+        [&] { fake = model->fake_batch(kMetaBatch); });
+
+  // Phases 2 and 3: the critic steps on a real batch shaped like the fake.
+  phase("full-critic-step", out.critic_step_ops,
+        model->critic_parameters(Critic::kFull), [&] {
+          const nn::Matrix real(kMetaBatch, fake.full.cols());
+          model->critic_backward(Critic::kFull, real, fake.full);
+        });
+  if (cfg.use_aux_discriminator) {
+    phase("aux-critic-step", out.aux_critic_step_ops,
+          model->critic_parameters(Critic::kAux), [&] {
+            const nn::Matrix real(kMetaBatch, fake.head.cols());
+            model->critic_backward(Critic::kAux, real, fake.head);
+          });
+  }
+
+  // Phase 4: the generator step, both critics frozen.
+  phase("generator-step", out.generator_step_ops,
+        model->generator_parameters(),
+        [&] { model->generator_backward(kMetaBatch); });
+
+  // Def-before-use on gradient slots. Only meaningful when every backward
+  // pass ran cleanly: a reported adjoint defect already explains any missing
+  // slot downstream of it (one root cause, one diagnostic).
+  if (census.backward_ok && census.missing > 0) {
+    out.diagnostics.push_back(
+        {Severity::kError, "grad-slot-undefined",
+         std::to_string(census.missing) +
+             " trainable parameter slot(s) receive no gradient from the "
+             "training step's backward passes; Adam silently skips "
+             "undefined slots, so these parameters would never train "
+             "(first: " +
+             census.first_missing + " in the " + census.first_missing_phase +
+             ")",
+         census.first_missing, census.first_missing_path});
   }
 
   // Determinism-class audit over the registry, with exemplar paths
   // backfilled from the training graphs where the offending op occurs.
   for (Diagnostic diag : audit_registry(*opts.registry)) {
     if (diag.path.empty()) {
-      for (const Phase& ph : phases) {
-        for (int i = 0; i < ph.graph->size() && diag.path.empty(); ++i) {
-          const SymNode* n = ph.graph->node(i);
-          if (n->op == diag.op) diag.path = SymGraph::path(n);
-        }
-        if (!diag.path.empty()) break;
-      }
+      const auto it = census.first_path.find(diag.op);
+      if (it != census.first_path.end()) diag.path = it->second;
     }
     out.diagnostics.push_back(std::move(diag));
   }
 
-  // ---- the reduction-order census ----------------------------------------
-  std::map<std::string, ReductionSite> reductions;
-  for (const Phase& ph : phases) {
-    for (int i = 0; i < ph.graph->size(); ++i) {
-      const SymNode* n = ph.graph->node(i);
-      const OpInfo* info = opts.registry->find(n->op);
-      if (info == nullptr || !info->det ||
-          *info->det != DetClass::kOrderedReduction) {
-        continue;
-      }
-      ReductionSite& site = reductions[n->op];
-      if (site.count == 0) {
-        site.op = n->op;
-        site.det = DetClass::kOrderedReduction;
-        site.where = SymGraph::path(n);
-      }
-      ++site.count;
-    }
+  for (auto& [op, site] : census.reductions) {
+    out.census.push_back(std::move(site));
   }
-  for (auto& [op, site] : reductions) out.census.push_back(std::move(site));
-
-  ReductionSite slots;
-  slots.op = "grad-slot";
-  slots.det = DetClass::kAccumulating;
-  ReductionSite merges;
-  merges.op = "grad-accumulate";
-  merges.det = DetClass::kAccumulating;
-  for (const Phase& ph : phases) {
-    for (const auto& [node, grad] : ph.outer.grads) {
-      if (node->op != "leaf") continue;
-      ++slots.count;
-      if (slots.where.empty()) slots.where = SymGraph::path(node);
-    }
-    const auto count_merges = [&](const BackwardResult& br) {
-      for (const AccumulationSite& acc : br.accumulations) {
-        ++merges.count;
-        if (merges.where.empty()) {
-          merges.where = SymGraph::path(acc.add_node);
-        }
-      }
-    };
-    count_merges(ph.outer);
-    for (const BackwardResult& br : ph.inner) count_merges(br);
-  }
-  out.grad_slot_writes = slots.count;
-  out.accumulation_adds = merges.count;
-  out.census.push_back(std::move(slots));
-  out.census.push_back(std::move(merges));
+  out.grad_slot_writes = census.slots.count;
+  out.accumulation_adds = census.merges.count;
+  out.census.push_back(std::move(census.slots));
+  out.census.push_back(std::move(census.merges));
   return out;
 }
 

@@ -1,26 +1,29 @@
-// Whole-training-step static analysis: meta-executes one full WGAN-GP
-// iteration symbolically — the detached generator forward that fabricates the
-// critic's fake batch, the full and auxiliary critic steps (loss assembly,
-// gradient-penalty double backward, outer backward), and the generator step
-// (fresh forward, frozen critics, backward) — mirroring run_training in
-// core/doppelganger.cpp phase for phase.
+// Whole-training-step static analysis: traces one full WGAN-GP iteration of
+// a meta_model (analysis/model.h) by running the training phases
+// run_training itself is built from (core/doppelganger.h): the detached
+// generator pass that fabricates the critics' fake batch (fake_batch), the
+// full and auxiliary critic steps (critic_backward: loss, gradient-penalty
+// double backward, outer backward), and the generator step
+// (generator_backward: fresh forward, frozen critics, backward). Every
+// adjoint in the trace is the engine's own backward rule (nn/autograd.cpp).
 //
-// On top of the shape soundness the per-op adjoint rules enforce, the pass
+// On top of the shape soundness the registry's rules enforce, the pass
 // audits three structural properties no spot check sees:
 //
-//  * adjoint soundness — every gradient the symbolic backward produces
-//    checks against its parent's shape, at every node of every phase;
+//  * adjoint soundness — every gradient a backward rule returns checks
+//    against its parent's shape, at every node of every phase;
 //  * def-before-use on gradient slots — every trainable parameter the
 //    optimizer will step must actually receive a gradient (Adam silently
 //    skips undefined slots, so a dropped adjoint edge trains a model that
 //    converges wrong rather than crashing);
 //  * reduction-order census — the exact set of kOrderedReduction and
-//    kAccumulating sites in the step, i.e. the sites a future data-parallel
-//    all-reduce (ROADMAP item 4) must pin to stay bit-identical.
+//    kAccumulating sites in the step, i.e. the sites any reordered execution
+//    of it (a lowered training tape, a data-parallel all-reduce) must pin to
+//    stay bit-identical.
 //
-// The four per-phase op multisets are pinned against the real engine
-// (nn::OpObserverGuard around the corresponding run_training phases) by the
-// differential tests, so the mirror cannot silently drift.
+// The differential tests pin the four per-phase op multisets against the
+// ops a real fit() iteration executes (nn::OpObserverGuard): meta execution
+// must record exactly the ops real execution runs.
 #pragma once
 
 #include <map>
@@ -39,9 +42,9 @@ struct TrainStepOptions {
   /// Registry to interpret ops with; override to seed defects
   /// (seed_adjoint_defect) or register new ops.
   const OpRegistry* registry = &OpRegistry::builtin();
-  /// Live-model overlay (optional); order-matched to
-  /// expected_parameter_shapes, used for the frozen-parameter trainability
-  /// of each leaf (shape cross-checks stay in analyze_model).
+  /// Live-model overlay (optional); order-matched to named_parameters(),
+  /// used for the frozen-parameter trainability of each leaf (shape
+  /// cross-checks stay in analyze_model).
   std::span<const RuntimeParamInfo> runtime_params;
 };
 
@@ -83,11 +86,11 @@ struct TrainingStepAnalysis {
   bool ok() const { return !has_errors(diagnostics); }
 };
 
-/// Runs the full training-step audit. Assumes a constructible model: run
-/// analyze_model first and only proceed when it reports no errors (the fit
-/// preflight and `dgcli lint --train` both do); on a non-constructible
-/// config this emits a single "config-invalid" diagnostic and returns.
-/// Never throws on bad input — findings come back as diagnostics.
+/// Runs the full training-step audit. Needs a constructible model: on a
+/// config that fails validate_config (analysis/model.h) or cannot be built
+/// this emits a single "config-invalid" diagnostic and returns (run
+/// analyze_model for the full config report). Never throws on bad input —
+/// findings come back as diagnostics.
 ///
 /// DP note: with differential privacy enabled the critic runs the
 /// microbatched clipped step (dp_critic_step); the audit still models the

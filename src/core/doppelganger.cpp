@@ -146,6 +146,37 @@ std::vector<nn::Var> DoppelGanger::generator_parameters() const {
   return params;
 }
 
+std::vector<std::pair<std::string, Var>> DoppelGanger::named_parameters()
+    const {
+  std::vector<std::pair<std::string, Var>> out;
+  const auto add_mlp = [&out](const std::string& net, const nn::Mlp& m) {
+    const std::vector<Var> p = m.parameters();  // (w, b) per layer
+    for (size_t i = 0; i < p.size(); ++i) {
+      out.emplace_back(net + ".l" + std::to_string(i / 2) +
+                           (i % 2 == 0 ? ".w" : ".b"),
+                       p[i]);
+    }
+  };
+  add_mlp("attr_gen", attr_gen_);
+  if (minmax_enabled_) add_mlp("minmax_gen", minmax_gen_);
+  const std::vector<Var> lstm = lstm_.parameters();  // wx, wh, b
+  out.emplace_back("lstm.wx", lstm[0]);
+  out.emplace_back("lstm.wh", lstm[1]);
+  out.emplace_back("lstm.b", lstm[2]);
+  add_mlp("head", head_);
+  add_mlp("disc", disc_);
+  if (cfg_.use_aux_discriminator) add_mlp("aux_disc", aux_disc_);
+  return out;
+}
+
+const nn::Mlp& DoppelGanger::critic_net(Critic c) const {
+  return c == Critic::kFull ? disc_ : aux_disc_;
+}
+
+std::vector<Var> DoppelGanger::critic_parameters(Critic c) const {
+  return critic_net(c).parameters();
+}
+
 Var DoppelGanger::noise(int n, int dim) {
   return nn::constant(rng_.normal_matrix(n, dim));
 }
@@ -255,6 +286,27 @@ GenState DoppelGanger::initial_gen_state(int n) const {
   return st;
 }
 
+DoppelGanger::StepVars DoppelGanger::generation_step_graph(
+    const Var& cond, const Var& noise, const Var& h, const Var& c,
+    const Var& mask) const {
+  std::vector<Var> in{cond, noise};
+  const nn::LstmState st = lstm_.step(nn::concat_cols(in), {h, c});
+  Var block = apply_blocks(head_.forward(st.h), step_blocks_);
+  // Continuation-mask each of the S records exactly like the training-time
+  // unroll: record s is scaled by the running mask, and the masked continue
+  // flag becomes the mask for record s+1.
+  Var m = mask;
+  std::vector<Var> records;
+  records.reserve(static_cast<size_t>(cfg_.sample_len));
+  for (int s = 0; s < cfg_.sample_len; ++s) {
+    Var rec = nn::mul_colvec(
+        nn::slice_cols(block, s * record_width_, (s + 1) * record_width_), m);
+    m = nn::slice_cols(rec, record_width_ - 2, record_width_ - 1);
+    records.push_back(std::move(rec));
+  }
+  return {nn::concat_cols(records), st.h, st.c, m};
+}
+
 nn::Matrix DoppelGanger::generation_step(const GenContext& ctx,
                                          const nn::Matrix& noise,
                                          GenState& state) const {
@@ -263,29 +315,14 @@ nn::Matrix DoppelGanger::generation_step(const GenContext& ctx,
     throw std::invalid_argument("generation_step: noise shape mismatch");
   }
   nn::NoGradGuard guard;
-  std::vector<Var> in{nn::constant(ctx.cond), nn::constant(noise)};
-  nn::LstmState st = lstm_.step(
-      nn::concat_cols(in),
-      {nn::constant(state.h), nn::constant(state.c)});
-  Var block = apply_blocks(head_.forward(st.h), step_blocks_);
-  // Continuation-mask each of the S records exactly like the training-time
-  // unroll: record s is scaled by the running mask, and the masked continue
-  // flag becomes the mask for record s+1.
-  Var mask = nn::constant(state.mask);
-  std::vector<Var> records;
-  records.reserve(static_cast<size_t>(cfg_.sample_len));
-  for (int s = 0; s < cfg_.sample_len; ++s) {
-    Var rec = nn::mul_colvec(
-        nn::slice_cols(block, s * record_width_, (s + 1) * record_width_),
-        mask);
-    mask = nn::slice_cols(rec, record_width_ - 2, record_width_ - 1);
-    records.push_back(std::move(rec));
-  }
-  state.h = st.h.value();
-  state.c = st.c.value();
-  state.mask = mask.value();
+  const StepVars out = generation_step_graph(
+      nn::constant(ctx.cond), nn::constant(noise), nn::constant(state.h),
+      nn::constant(state.c), nn::constant(state.mask));
+  state.h = out.h.value();
+  state.c = out.c.value();
+  state.mask = out.mask.value();
   ++state.step;
-  return nn::concat_cols(records).value();
+  return out.records.value();
 }
 
 data::Dataset DoppelGanger::generate(int n) {
@@ -354,29 +391,80 @@ data::Dataset DoppelGanger::generate_conditional(
   return std::move(res.objects);
 }
 
-void DoppelGanger::critic_step(nn::Mlp& critic, nn::Adam& opt,
-                               const Matrix& real, const Matrix& fake,
-                               float& loss_out, float* gp_out,
-                               float* grad_norm_out) {
-  DG_OBS_SPAN("train.critic_step", "train");
-  const CriticFn fn = [&critic](const Var& x) { return critic.forward(x); };
-  Var loss = cfg_.loss == GanLoss::WassersteinGp
-                 ? critic_loss(fn, real, fake, cfg_.gp_weight, rng_, gp_out)
-                 : standard_critic_loss(fn, real, fake);
-  if (gp_out && cfg_.loss != GanLoss::WassersteinGp) *gp_out = 0.0f;
-  loss_out = loss.value().at(0, 0);
-  opt.zero_grad();
-  loss.backward();
-  if (grad_norm_out) *grad_norm_out = grad_global_norm(critic.parameters());
-  opt.step();
+DoppelGanger::FakeBatch DoppelGanger::fake_batch(int n) {
+  nn::NoGradGuard guard;
+  const GenOut f = forward(n);
+  return {hcat(f.attributes.value(), f.minmax.value(), f.features.value()),
+          hcat(f.attributes.value(), f.minmax.value())};
 }
 
-void DoppelGanger::dp_critic_step(nn::Mlp& critic, nn::Adam& opt,
-                                  const Matrix& real, const Matrix& fake,
-                                  float& loss_out, float* gp_out,
-                                  float* grad_norm_out) {
+Var DoppelGanger::critic_loss(Critic c, const Matrix& real, const Matrix& fake,
+                              float* gp_out) {
+  const nn::Mlp& critic = critic_net(c);
+  const CriticFn fn = [&critic](const Var& x) { return critic.forward(x); };
+  if (cfg_.loss == GanLoss::WassersteinGp) {
+    return core::critic_loss(fn, real, fake, cfg_.gp_weight, rng_, gp_out);
+  }
+  if (gp_out) *gp_out = 0.0f;
+  return standard_critic_loss(fn, real, fake);
+}
+
+Var DoppelGanger::critic_backward(Critic c, const Matrix& real,
+                                  const Matrix& fake, float* gp_out) {
+  Var loss = critic_loss(c, real, fake, gp_out);
+  critic_net(c).zero_grad();
+  loss.backward();
+  return loss;
+}
+
+Var DoppelGanger::generator_loss(int n, Var* features) {
+  const GenOut f = forward(n);
+  const auto term = [this](const nn::Mlp& critic, const Var& fake) {
+    const CriticFn fn = [&critic](const Var& x) { return critic.forward(x); };
+    return cfg_.loss == GanLoss::WassersteinGp
+               ? core::generator_loss(fn, fake)
+               : standard_generator_loss(fn, fake);
+  };
+  std::vector<Var> full_parts{f.attributes, f.minmax, f.features};
+  Var loss = term(disc_, nn::concat_cols(full_parts));
+  if (cfg_.use_aux_discriminator) {
+    std::vector<Var> head_parts{f.attributes, f.minmax};
+    loss = nn::add(loss, nn::mul_scalar(
+                             term(aux_disc_, nn::concat_cols(head_parts)),
+                             cfg_.aux_alpha));
+  }
+  if (features) *features = f.features;
+  return loss;
+}
+
+Var DoppelGanger::generator_backward(int n, Var* features) {
+  // The critics are frozen so this backward pass neither builds graph
+  // through their weights nor accumulates garbage into their grad slots
+  // (which the next critic step would otherwise have to zero out).
+  nn::FreezeGuard freeze_disc(disc_);
+  nn::FreezeGuard freeze_aux(aux_disc_);
+  Var loss = generator_loss(n, features);
+  g_opt_.zero_grad();
+  loss.backward();
+  return loss;
+}
+
+void DoppelGanger::critic_step(Critic c, const Matrix& real,
+                               const Matrix& fake, float& loss_out,
+                               float* gp_out, float* grad_norm_out) {
+  DG_OBS_SPAN("train.critic_step", "train");
+  const Var loss = critic_backward(c, real, fake, gp_out);
+  loss_out = loss.value().at(0, 0);
+  if (grad_norm_out) *grad_norm_out = grad_global_norm(critic_parameters(c));
+  (c == Critic::kFull ? d_opt_ : aux_opt_).step();
+}
+
+void DoppelGanger::dp_critic_step(Critic c, const Matrix& real,
+                                  const Matrix& fake, float& loss_out,
+                                  float* gp_out, float* grad_norm_out) {
   DG_OBS_SPAN("train.dp_critic_step", "train");
   const DpOptions& dp = *cfg_.dp;
+  const nn::Mlp& critic = critic_net(c);
   const CriticFn fn = [&critic](const Var& x) { return critic.forward(x); };
   const auto params = critic.parameters();
   std::vector<Matrix> acc;
@@ -391,9 +479,9 @@ void DoppelGanger::dp_critic_step(nn::Mlp& critic, nn::Adam& opt,
     const int end = std::min(n, start + (n + micro - 1) / micro);
     if (end <= start) break;
     float micro_gp = 0.0f;
-    Var loss = critic_loss(fn, nn::slice_rows(Matrix(real), start, end),
-                           nn::slice_rows(Matrix(fake), start, end),
-                           cfg_.gp_weight, rng_, &micro_gp);
+    Var loss = core::critic_loss(fn, nn::slice_rows(Matrix(real), start, end),
+                                 nn::slice_rows(Matrix(fake), start, end),
+                                 cfg_.gp_weight, rng_, &micro_gp);
     total_loss += loss.value().at(0, 0);
     total_gp += micro_gp;
     ++n_micro;
@@ -408,7 +496,8 @@ void DoppelGanger::dp_critic_step(nn::Mlp& critic, nn::Adam& opt,
       for (size_t j = 0; j < acc[i].size(); ++j) av[j] += gv[j];
     }
   }
-  // Gaussian noise calibrated to the clipping norm, then average.
+  // Gaussian noise calibrated to the clipping norm, then average; the
+  // result is written straight into each trainable parameter's grad slot.
   const float sigma = dp.noise_multiplier * dp.clip_norm;
   critic.zero_grad();
   for (size_t i = 0; i < params.size(); ++i) {
@@ -416,16 +505,13 @@ void DoppelGanger::dp_critic_step(nn::Mlp& critic, nn::Adam& opt,
       v = (v + static_cast<float>(rng_.normal(0.0, sigma))) /
           static_cast<float>(n_micro);
     }
-    // Install the noisy averaged gradient by replaying it through backward.
     Var p = params[i];
-    p.clear_grad();
-    Var proxy = nn::sum(nn::mul(p, nn::constant(acc[i])));
-    proxy.backward();
+    if (p.requires_grad()) p.set_grad(std::move(acc[i]));
   }
   // The installed gradient is the released one (clipped + noised), so the
   // reported norm reflects what the optimizer actually consumes.
   if (grad_norm_out) *grad_norm_out = grad_global_norm(params);
-  opt.step();
+  (c == Critic::kFull ? d_opt_ : aux_opt_).step();
   loss_out = n_micro > 0 ? total_loss / static_cast<float>(n_micro) : 0.0f;
   if (gp_out) *gp_out = n_micro > 0 ? total_gp / static_cast<float>(n_micro) : 0.0f;
 }
@@ -439,21 +525,8 @@ TrainStats DoppelGanger::run_training(const data::Dataset& train,
   // here with attribution instead of mid-training.
   {
     std::vector<analysis::RuntimeParamInfo> runtime;
-    std::vector<Var> all = generator_parameters();
-    auto pd = disc_.parameters();
-    all.insert(all.end(), pd.begin(), pd.end());
-    if (cfg_.use_aux_discriminator) {
-      auto pa = aux_disc_.parameters();
-      all.insert(all.end(), pa.begin(), pa.end());
-    }
-    const auto expected =
-        analysis::expected_parameter_shapes(codec_.schema(), cfg_);
-    runtime.reserve(all.size());
-    for (size_t i = 0; i < all.size(); ++i) {
-      runtime.push_back({i < expected.size() ? expected[i].name
-                                             : "param." + std::to_string(i),
-                         all[i].rows(), all[i].cols(),
-                         all[i].requires_grad()});
+    for (const auto& [name, p] : named_parameters()) {
+      runtime.push_back({name, p.rows(), p.cols(), p.requires_grad()});
     }
     analysis::AnalyzeOptions opts;
     opts.runtime_params = runtime;
@@ -500,60 +573,34 @@ TrainStats DoppelGanger::run_training(const data::Dataset& train,
       Matrix real_head = hcat(real_attr, real_mm);
 
       // Fake batch, detached (the critics' step must not touch G).
-      Matrix fake_full, fake_head;
-      {
-        nn::NoGradGuard guard;
-        GenOut f = forward(b);
-        fake_full = hcat(f.attributes.value(), f.minmax.value(), f.features.value());
-        fake_head = hcat(f.attributes.value(), f.minmax.value());
-      }
+      const FakeBatch fake = fake_batch(b);
 
       // Telemetry follows the full critic's last d-step (the aux critic's
       // penalty/norm are secondary; its loss is already reported).
       if (cfg_.dp) {
-        dp_critic_step(disc_, d_opt_, real_full, fake_full, d_loss,
+        dp_critic_step(Critic::kFull, real_full, fake.full, d_loss,
                        &gp_penalty, &d_grad_norm);
         if (cfg_.use_aux_discriminator) {
-          dp_critic_step(aux_disc_, aux_opt_, real_head, fake_head, aux_loss);
+          dp_critic_step(Critic::kAux, real_head, fake.head, aux_loss);
         }
       } else {
-        critic_step(disc_, d_opt_, real_full, fake_full, d_loss,
-                    &gp_penalty, &d_grad_norm);
+        critic_step(Critic::kFull, real_full, fake.full, d_loss, &gp_penalty,
+                    &d_grad_norm);
         if (cfg_.use_aux_discriminator) {
-          critic_step(aux_disc_, aux_opt_, real_head, fake_head, aux_loss);
+          critic_step(Critic::kAux, real_head, fake.head, aux_loss);
         }
       }
     }
 
-    // Generator step: L1 + alpha * L2 (Eq. 2), minimized over G. The
-    // critics are frozen so this backward pass neither builds graph through
-    // their weights nor accumulates garbage into their grad slots (which
-    // the next critic step would otherwise have to zero out).
+    // Generator step: L1 + alpha * L2 (Eq. 2), minimized over G.
     const int b = std::min(cfg_.batch, n);
     DG_OBS_SPAN("train.generator_step", "train");
-    GenOut f = forward(b);
-    nn::FreezeGuard freeze_disc(disc_);
-    nn::FreezeGuard freeze_aux(aux_disc_);
-    const auto g_term = [this](const nn::Mlp& critic, const Var& fake) {
-      const CriticFn fn = [&critic](const Var& x) { return critic.forward(x); };
-      return cfg_.loss == GanLoss::WassersteinGp
-                 ? generator_loss(fn, fake)
-                 : standard_generator_loss(fn, fake);
-    };
-    std::vector<Var> full_parts{f.attributes, f.minmax, f.features};
-    Var g_loss = g_term(disc_, nn::concat_cols(full_parts));
-    if (cfg_.use_aux_discriminator) {
-      std::vector<Var> head_parts{f.attributes, f.minmax};
-      g_loss = nn::add(g_loss, nn::mul_scalar(
-                                   g_term(aux_disc_, nn::concat_cols(head_parts)),
-                                   cfg_.aux_alpha));
-    }
-    g_opt_.zero_grad();
-    g_loss.backward();
+    Var features;
+    const Var g_loss = generator_backward(b, &features);
     const float g_grad_norm = grad_global_norm(generator_parameters());
     g_opt_.step();
 
-    const FeatureSpread spread = feature_spread(f.features.value());
+    const FeatureSpread spread = feature_spread(features.value());
     const float wall_ms =
         std::chrono::duration<float, std::milli>(
             std::chrono::steady_clock::now() - iter_t0)
@@ -635,7 +682,7 @@ void DoppelGanger::retrain_attributes(
                             attr_blocks_)
                    .value();
       }
-      Var closs = critic_loss(fn, real, fake, cfg_.gp_weight, rng_);
+      Var closs = core::critic_loss(fn, real, fake, cfg_.gp_weight, rng_);
       c_opt.zero_grad();
       closs.backward();
       c_opt.step();
@@ -645,7 +692,7 @@ void DoppelGanger::retrain_attributes(
     nn::FreezeGuard freeze_critic(critic);
     Var fake_attr = apply_blocks(
         attr_gen_.forward(noise(b, cfg_.attr_noise_dim)), attr_blocks_);
-    Var gloss = generator_loss(fn, fake_attr);
+    Var gloss = core::generator_loss(fn, fake_attr);
     g_opt.zero_grad();
     gloss.backward();
     g_opt.step();
@@ -653,24 +700,14 @@ void DoppelGanger::retrain_attributes(
 }
 
 void DoppelGanger::save(std::ostream& os) const {
-  std::vector<Var> all = generator_parameters();
-  auto pd = disc_.parameters();
-  all.insert(all.end(), pd.begin(), pd.end());
-  if (cfg_.use_aux_discriminator) {
-    auto pa = aux_disc_.parameters();
-    all.insert(all.end(), pa.begin(), pa.end());
-  }
+  std::vector<Var> all;
+  for (const auto& [name, p] : named_parameters()) all.push_back(p);
   nn::save_parameters(os, all);
 }
 
 void DoppelGanger::load(std::istream& is) {
-  std::vector<Var> all = generator_parameters();
-  auto pd = disc_.parameters();
-  all.insert(all.end(), pd.begin(), pd.end());
-  if (cfg_.use_aux_discriminator) {
-    auto pa = aux_disc_.parameters();
-    all.insert(all.end(), pa.begin(), pa.end());
-  }
+  std::vector<Var> all;
+  for (const auto& [name, p] : named_parameters()) all.push_back(p);
   nn::load_parameters(is, all);
 }
 

@@ -222,6 +222,19 @@ class DoppelGanger {
   nn::Matrix generation_step(const GenContext& ctx, const nn::Matrix& noise,
                              GenState& state) const;
 
+  /// One generation step on autograd values: generation_step wraps this
+  /// with constants, and the generation tape is lowered from a meta-mode
+  /// trace of it (analysis/tape.h).
+  struct StepVars {
+    nn::Var records;  // [n, sample_len * record_width]
+    nn::Var h;
+    nn::Var c;
+    nn::Var mask;
+  };
+  StepVars generation_step_graph(const nn::Var& cond, const nn::Var& noise,
+                                 const nn::Var& h, const nn::Var& c,
+                                 const nn::Var& mask) const;
+
   int steps_per_series() const { return steps_per_series_; }
   int sample_len() const { return cfg_.sample_len; }
   int record_width() const { return record_width_; }
@@ -247,6 +260,46 @@ class DoppelGanger {
   const DoppelGangerConfig& config() const { return cfg_; }
   const data::GanCodec& codec() const { return codec_; }
   std::vector<nn::Var> generator_parameters() const;
+  /// Every parameter matrix with its name ("attr_gen.l0.w", "lstm.wh",
+  /// "disc.l2.b", ...) in save() order: the generator networks, the full
+  /// critic, then the auxiliary critic.
+  std::vector<std::pair<std::string, nn::Var>> named_parameters() const;
+
+  // ---- one training iteration, phase by phase ----
+  //
+  // run_training composes these with batch sampling, telemetry and the
+  // optimizer steps; none of them samples real data or steps an optimizer.
+  // The static analyzer meta-executes them (analysis/train_step.h), so it
+  // audits this code rather than a copy of it.
+
+  /// The two WGAN critics (§4.2).
+  enum class Critic { kFull, kAux };
+  std::vector<nn::Var> critic_parameters(Critic c) const;
+
+  /// The critics' fake batches from one detached n-sample generator pass
+  /// (under NoGradGuard): [attributes | minmax | features] for the full
+  /// critic, [attributes | minmax] for the auxiliary one.
+  struct FakeBatch {
+    nn::Matrix full;
+    nn::Matrix head;
+  };
+  FakeBatch fake_batch(int n);
+
+  /// A critic's loss on (real, fake): WGAN-GP, whose gradient penalty
+  /// differentiates through autograd::grad(create_graph=true), or the
+  /// standard loss. `gp_out` receives the raw penalty (0 without one).
+  nn::Var critic_loss(Critic c, const nn::Matrix& real, const nn::Matrix& fake,
+                      float* gp_out = nullptr);
+  /// critic_loss, then its backward pass into the critic's zeroed grad slots.
+  nn::Var critic_backward(Critic c, const nn::Matrix& real,
+                          const nn::Matrix& fake, float* gp_out = nullptr);
+
+  /// The generator objective L1 + alpha * L2 (Eq. 2) through both critics on
+  /// a fresh n-sample forward pass; `features` receives the fake features.
+  nn::Var generator_loss(int n, nn::Var* features = nullptr);
+  /// generator_loss with both critics frozen, then its backward pass into
+  /// the generator's zeroed grad slots.
+  nn::Var generator_backward(int n, nn::Var* features = nullptr);
 
  private:
   struct GenOut {
@@ -257,12 +310,13 @@ class DoppelGanger {
 
   GenOut forward(int n);
   nn::Var noise(int n, int dim);
-  void critic_step(nn::Mlp& critic, nn::Adam& opt, const nn::Matrix& real,
-                   const nn::Matrix& fake, float& loss_out,
-                   float* gp_out = nullptr, float* grad_norm_out = nullptr);
-  void dp_critic_step(nn::Mlp& critic, nn::Adam& opt, const nn::Matrix& real,
-                      const nn::Matrix& fake, float& loss_out,
-                      float* gp_out = nullptr, float* grad_norm_out = nullptr);
+  const nn::Mlp& critic_net(Critic c) const;
+  void critic_step(Critic c, const nn::Matrix& real, const nn::Matrix& fake,
+                   float& loss_out, float* gp_out = nullptr,
+                   float* grad_norm_out = nullptr);
+  void dp_critic_step(Critic c, const nn::Matrix& real, const nn::Matrix& fake,
+                      float& loss_out, float* gp_out = nullptr,
+                      float* grad_norm_out = nullptr);
   TrainStats run_training(const data::Dataset& train, int iterations);
 
   DoppelGangerConfig cfg_;

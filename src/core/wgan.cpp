@@ -4,14 +4,22 @@
 
 namespace dg::core {
 
+namespace {
+/// A 1x1 loss term's value, or 0 for a shape-only (meta-mode) one.
+float scalar_value(const nn::Var& v) {
+  return v.value().empty() ? 0.0f : v.value().at(0, 0);
+}
+}  // namespace
+
 nn::Var gradient_penalty(const CriticFn& critic, const nn::Matrix& real,
                          const nn::Matrix& fake, nn::Rng& rng) {
   if (!real.same_shape(fake)) {
     throw std::invalid_argument("gradient_penalty: real/fake shape mismatch");
   }
-  // Per-sample interpolation coefficient t ~ Unif[0,1].
+  // Per-sample interpolation coefficient t ~ Unif[0,1]. Under meta mode the
+  // batches are shape-only and there is nothing to interpolate.
   nn::Matrix xhat = fake;
-  for (int i = 0; i < xhat.rows(); ++i) {
+  for (int i = 0; i < xhat.rows() && !nn::meta_mode(); ++i) {
     const float t = static_cast<float>(rng.uniform());
     for (int j = 0; j < xhat.cols(); ++j) {
       xhat.at(i, j) = t * real.at(i, j) + (1.0f - t) * fake.at(i, j);
@@ -38,7 +46,7 @@ nn::Var critic_loss(const CriticFn& critic, const nn::Matrix& real,
   if (gp_out) *gp_out = 0.0f;
   if (gp_weight > 0.0f) {
     nn::Var penalty = gradient_penalty(critic, real, fake, rng);
-    if (gp_out) *gp_out = penalty.value().at(0, 0);
+    if (gp_out) *gp_out = scalar_value(penalty);
     loss = nn::add(loss, nn::mul_scalar(penalty, gp_weight));
   }
   return loss;

@@ -14,14 +14,32 @@
 
 namespace dg::nn {
 
+namespace detail {
+thread_local constinit bool g_meta_mode = false;
+}
+
 namespace {
 thread_local bool g_grad_enabled = true;
 thread_local OpObserverGuard::Callback* g_op_observer = nullptr;
+thread_local MetaRecorder* g_meta_recorder = nullptr;
 }
 
 NoGradGuard::NoGradGuard() : prev_(g_grad_enabled) { g_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { g_grad_enabled = prev_; }
 bool grad_enabled() { return g_grad_enabled; }
+
+MetaModeGuard::MetaModeGuard(MetaRecorder* recorder)
+    : prev_mode_(detail::g_meta_mode), prev_recorder_(g_meta_recorder) {
+  detail::g_meta_mode = true;
+  g_meta_recorder = recorder;
+}
+
+MetaModeGuard::~MetaModeGuard() {
+  detail::g_meta_mode = prev_mode_;
+  g_meta_recorder = prev_recorder_;
+}
+
+bool meta_mode() { return detail::g_meta_mode; }
 
 std::span<const char* const> known_op_names() {
   static const char* const kNames[] = {
@@ -36,7 +54,8 @@ std::span<const char* const> known_op_names() {
       "exp",         "log",         "sqrt",
       "square",      "abs",         "concat_cols",
       "concat_rows", "slice_cols",  "slice_rows",
-      "pad_cols",    "pad_rows",
+      "pad_cols",    "pad_rows",    "neg_row_max",
+      "add_colvec",  "recip",
   };
   return kNames;
 }
@@ -52,6 +71,7 @@ Var::Var(Matrix value, bool requires_grad) {
   n_ = std::make_shared<detail::Node>();
   n_->value = std::move(value);
   n_->requires_grad = requires_grad;
+  if (g_meta_recorder != nullptr) g_meta_recorder->on_node(n_.get(), {}, {});
 }
 
 const Matrix& Var::value() const {
@@ -84,16 +104,29 @@ void Var::clear_grad() {
   if (n_) n_->grad_slot.reset();
 }
 
-/// Creates an op-result node. If grad mode is off or no parent needs a
-/// gradient, the result is a plain constant and the graph edge is dropped.
+void Var::set_grad(Matrix g) {
+  if (!n_) throw std::logic_error("set_grad on undefined Var");
+  if (!g.same_shape(n_->value)) {
+    throw std::invalid_argument("set_grad: gradient shape mismatch");
+  }
+  n_->grad_slot = std::make_shared<detail::Node>();
+  n_->grad_slot->op = "grad";
+  n_->grad_slot->value = std::move(g);
+}
+
+/// Creates an op-result node. If grad mode is off, no parent needs a
+/// gradient or the op has no backward rule, the result is a plain constant
+/// and the graph edge is dropped.
 Var make_op(const char* op, Matrix value, std::vector<Var> parents,
-            std::function<std::vector<Var>(const Var&)> backward) {
+            std::function<std::vector<Var>(const Var&)> backward,
+            OpBounds bounds) {
+  const bool meta = detail::g_meta_mode;
 #ifdef DG_OBS_ENABLED
   // Op boundary for the profiler: by the time make_op runs, the op's forward
   // value has materialized, so this call closes the op's wall-time interval
   // on this thread (see obs/profile.h). Must run before `value`/`parents`
   // are moved into the node.
-  if (obs::Profiler::enabled()) {
+  if (!meta && obs::Profiler::enabled()) {
     obs::Profiler::Dims dims[8];
     std::size_t np = 0;
     for (const Var& p : parents) {
@@ -103,11 +136,11 @@ Var make_op(const char* op, Matrix value, std::vector<Var> parents,
     obs::Profiler::note_op(op, dims, np, {value.rows(), value.cols()});
   }
 #endif
-  if (g_op_observer != nullptr) {
+  if (!meta && g_op_observer != nullptr) {
     (*g_op_observer)(op, value.rows(), value.cols());
   }
   bool needs = false;
-  if (g_grad_enabled) {
+  if (g_grad_enabled && backward) {
     for (const Var& p : parents) needs = needs || p.requires_grad();
   }
   Var out;
@@ -115,11 +148,14 @@ Var make_op(const char* op, Matrix value, std::vector<Var> parents,
   out.n_->value = std::move(value);
   out.n_->requires_grad = needs;
   out.n_->op = op;
+  if (g_meta_recorder != nullptr) {
+    g_meta_recorder->on_node(out.n_.get(), parents, bounds);
+  }
   if (needs) {
     out.n_->parents = std::move(parents);
     out.n_->backward = std::move(backward);
   }
-  if (anomaly_enabled()) detail::anomaly_check_forward(out.n_.get());
+  if (!meta && anomaly_enabled()) detail::anomaly_check_forward(out.n_.get());
   return out;
 }
 
@@ -170,7 +206,8 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
   std::unordered_map<detail::Node*, Var> grads;
   if (!out.requires_grad()) return grads;
 
-  const bool checking = anomaly_enabled();
+  MetaRecorder* const recorder = g_meta_recorder;
+  const bool checking = !detail::g_meta_mode && anomaly_enabled();
   if (checking) detail::anomaly_count_backward_run();
 
   auto order = topo_order(out.node());
@@ -191,6 +228,9 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
       detail::BackwardContext ctx(node->op);
       pgrads = node->backward(gout);
     }
+    if (recorder != nullptr) {
+      recorder->on_backward(node, gout, create_graph, pgrads);
+    }
     if (pgrads.size() != node->parents.size()) {
       throw std::logic_error(std::string("backward rule of '") + node->op +
                              "' returned wrong arity");
@@ -208,7 +248,10 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
                                node->op + "'");
       }
       auto [slot, inserted] = grads.try_emplace(parent.node(), pgrads[i]);
-      if (!inserted) slot->second = add(slot->second, pgrads[i]);
+      if (!inserted) {
+        slot->second = add(slot->second, pgrads[i]);
+        if (recorder != nullptr) recorder->on_accumulate(slot->second.node());
+      }
     }
   }
   if (checking) detail::anomaly_audit_tape(order);
@@ -219,7 +262,8 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
 
 void Var::backward(bool create_graph) const {
   auto grads = run_backward(*this, create_graph);
-  const bool checking = anomaly_enabled();
+  MetaRecorder* const recorder = g_meta_recorder;
+  const bool checking = !detail::g_meta_mode && anomaly_enabled();
   for (auto& [node, g] : grads) {
     if (node->backward) continue;  // only leaves keep grads
     if (!node->grad_slot) {
@@ -230,6 +274,7 @@ void Var::backward(bool create_graph) const {
       if (checking) detail::anomaly_note_stale_grad(node);
       node->grad_slot->value = dg::nn::add(node->grad_slot->value, g.value());
     }
+    if (recorder != nullptr) recorder->on_grad_slot(node);
   }
 }
 
@@ -338,6 +383,16 @@ Var add_rowvec(const Var& x, const Var& b) {
                  });
 }
 
+Var add_colvec(const Var& x, const Var& v) {
+  // The column vector is usually a constant (softmax's shift): its
+  // gradient is only computed when something upstream needs it.
+  const bool v_needs = v.requires_grad();
+  return make_op("add_colvec", dg::nn::add_colvec(x.value(), v.value()),
+                 {x, v}, [v_needs](const Var& g) {
+                   return std::vector<Var>{g, v_needs ? row_sum(g) : Var{}};
+                 });
+}
+
 Var mul_colvec(const Var& x, const Var& v) {
   return make_op("mul_colvec", dg::nn::mul_colvec(x.value(), v.value()), {x, v},
                  [x, v](const Var& g) {
@@ -360,8 +415,10 @@ Var broadcast_scalar(const Var& s, int rows, int cols) {
   if (s.rows() != 1 || s.cols() != 1) {
     throw std::invalid_argument("broadcast_scalar: input must be 1x1");
   }
-  return make_op("broadcast_scalar", Matrix(rows, cols, s.value().at(0, 0)),
-                 {s}, [](const Var& g) { return std::vector<Var>{sum(g)}; });
+  // A shape-only (meta) scalar has no value to broadcast.
+  const float v = s.value().empty() ? 0.0f : s.value().at(0, 0);
+  return make_op("broadcast_scalar", Matrix(rows, cols, v), {s},
+                 [](const Var& g) { return std::vector<Var>{sum(g)}; });
 }
 
 Var row_sum(const Var& a) {
@@ -389,8 +446,13 @@ Var sum(const Var& a) {
 }
 
 Var mean(const Var& a) {
-  const float inv = 1.0f / static_cast<float>(a.value().size());
+  const float inv =
+      1.0f / static_cast<float>(static_cast<std::size_t>(a.rows()) * a.cols());
   return mul_scalar(sum(a), inv);
+}
+
+Var neg_row_max(const Var& a) {
+  return make_op("neg_row_max", dg::nn::neg_row_max(a.value()), {a}, nullptr);
 }
 
 Var relu(const Var& a) {
@@ -476,6 +538,16 @@ Var abs_(const Var& a) {
                  });
 }
 
+Var recip(const Var& a) {
+  // d(1/a) = -g / (a * a): the quotient rule's divisor term for a numerator
+  // of ones (g * 1 == g), in the same op order, so its bytes match the ones
+  // div(ones, a) backpropagates.
+  return make_op("recip", map_ew(simd::EwFn::kRecip, a.value()), {a},
+                 [a](const Var& g) {
+                   return std::vector<Var>{neg(div(g, mul(a, a)))};
+                 });
+}
+
 Var concat_cols(std::span<const Var> parts) {
   std::vector<const Matrix*> mats;
   std::vector<Var> parents;
@@ -524,7 +596,8 @@ Var slice_cols(const Var& a, int c0, int c1) {
   return make_op("slice_cols", dg::nn::slice_cols(a.value(), c0, c1), {a},
                  [c0, c1, total](const Var& g) {
                    return std::vector<Var>{pad_cols(g, c0, total - c1)};
-                 });
+                 },
+                 {c0, c1});
 }
 
 Var slice_rows(const Var& a, int r0, int r1) {
@@ -532,7 +605,8 @@ Var slice_rows(const Var& a, int r0, int r1) {
   return make_op("slice_rows", dg::nn::slice_rows(a.value(), r0, r1), {a},
                  [r0, r1, total](const Var& g) {
                    return std::vector<Var>{pad_rows(g, r0, total - r1)};
-                 });
+                 },
+                 {r0, r1});
 }
 
 Var pad_cols(const Var& a, int left, int right) {
@@ -551,9 +625,10 @@ Var pad_cols(const Var& a, int left, int right) {
                  });
   }
   const int c0 = left, c1 = left + m.cols();
-  return make_op("pad_cols", std::move(out), {a}, [c0, c1](const Var& g) {
-    return std::vector<Var>{slice_cols(g, c0, c1)};
-  });
+  return make_op(
+      "pad_cols", std::move(out), {a},
+      [c0, c1](const Var& g) { return std::vector<Var>{slice_cols(g, c0, c1)}; },
+      {left, right});
 }
 
 Var pad_rows(const Var& a, int top, int bottom) {
@@ -564,30 +639,19 @@ Var pad_rows(const Var& a, int top, int bottom) {
                 m.size() * sizeof(float));
   }
   const int r0 = top, r1 = top + m.rows();
-  return make_op("pad_rows", std::move(out), {a}, [r0, r1](const Var& g) {
-    return std::vector<Var>{slice_rows(g, r0, r1)};
-  });
+  return make_op(
+      "pad_rows", std::move(out), {a},
+      [r0, r1](const Var& g) { return std::vector<Var>{slice_rows(g, r0, r1)}; },
+      {top, bottom});
 }
 
 Var softmax_rows(const Var& a) {
   // Shift by the (constant) row max for numerical stability; the shift does
-  // not change the softmax value or its gradient.
-  Matrix shift(a.rows(), 1);
-  const int cols = a.cols();
-  // The shift is the SIMD tier's neg_row_max kernel — the same kernel the
-  // tape executor's kNegRowMax micro-op dispatches to, so the tape replay
-  // stays bit-identical to this forward on every tier.
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, a.rows(),
-               std::max<std::int64_t>(1, kGrainElemwise / std::max(1, cols)),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 kt.neg_row_max(a.value().data(), cols, shift.data(), r0, r1);
-               });
-  Var shifted = add(a, mul_colvec(ones(a.rows(), a.cols()), constant(shift)));
-  Var e = exp_(shifted);
-  Var denom = row_sum(e);
-  Var inv = div(ones(a.rows(), 1), denom);
-  return mul_colvec(e, inv);
+  // not change the softmax value or its gradient. These six ops are the
+  // generation tape's micro-ops one for one, so tape replay stays
+  // bit-identical to this forward on every tier.
+  Var e = exp_(add_colvec(a, neg_row_max(a)));
+  return mul_colvec(e, recip(row_sum(e)));
 }
 
 Var row_l2_norm(const Var& a, float eps) {

@@ -7,9 +7,16 @@
 // themselves differentiable graph nodes, so second-order gradients come out
 // of the same machinery. When create_graph=false a NoGradGuard suppresses
 // graph construction during backward, keeping first-order training cheap.
+//
+// The same engine also runs under a MetaModeGuard: matrices are then
+// shape-only, no kernel does arithmetic, and every node the real code
+// creates (forward ops, backward-rule ops, gradient accumulations, grad-slot
+// writes) is reported to a MetaRecorder instead. The static analyzer
+// (analysis/trace.h) traces the real model code this way.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -20,6 +27,14 @@
 namespace dg::nn {
 
 class Var;
+
+/// Integer attributes an op carries beyond its operands: the [lo, hi)
+/// bounds of slice_cols/slice_rows and the (lo, hi) padding of
+/// pad_cols/pad_rows. Zero for every other op.
+struct OpBounds {
+  int lo = 0;
+  int hi = 0;
+};
 
 namespace detail {
 struct Node {
@@ -40,6 +55,10 @@ struct Node {
   std::function<std::vector<Var>(const Var& gout)> backward;
   /// Accumulated gradient for leaf nodes, populated by backward().
   std::shared_ptr<Node> grad_slot;
+  /// Meta mode only: a MetaRecorder's handle for this node, meaningful
+  /// while `meta_trace` holds that recorder's trace id.
+  mutable const void* meta_tag = nullptr;
+  mutable std::uint64_t meta_trace = 0;
 };
 
 /// Number of Node objects currently alive in the process. The tape is pure
@@ -76,6 +95,9 @@ class Var {
   /// Gradient accumulated by the last backward() call(s); undefined if none.
   Var grad() const;
   void clear_grad();
+  /// Replaces the grad() slot with `g` (same shape as the value): for
+  /// gradients computed outside backward(), such as DP-SGD's noised average.
+  void set_grad(Matrix g);
 
   /// Backpropagates from this scalar (1x1) Var, accumulating gradients into
   /// the grad() slot of every reachable leaf that requires grad.
@@ -85,16 +107,19 @@ class Var {
 
  private:
   friend Var make_op(const char* op, Matrix value, std::vector<Var> parents,
-                     std::function<std::vector<Var>(const Var&)> backward);
+                     std::function<std::vector<Var>(const Var&)> backward,
+                     OpBounds bounds);
   std::shared_ptr<detail::Node> n_;
 };
 
 /// The extension point every op below is built on: wraps `value` in a graph
 /// node named `op` (a static string, used for anomaly attribution) whose
 /// backward rule maps the output-gradient to per-parent gradients. If grad
-/// mode is off or no parent requires grad, parents and the rule are dropped.
+/// mode is off, no parent requires grad, or the op has no backward rule
+/// (nullptr), parents and the rule are dropped and the result is a constant.
 Var make_op(const char* op, Matrix value, std::vector<Var> parents,
-            std::function<std::vector<Var>(const Var&)> backward);
+            std::function<std::vector<Var>(const Var&)> backward,
+            OpBounds bounds = {});
 
 /// Every op name `make_op` is called with across the nn layer, plus the two
 /// node kinds created outside it ("leaf" from the Var constructor, "grad"
@@ -104,9 +129,10 @@ Var make_op(const char* op, Matrix value, std::vector<Var> parents,
 std::span<const char* const> known_op_names();
 
 /// RAII: installs a thread-local observer notified of every op node this
-/// thread records (op name + result dims), nested-guard safe. The
-/// differential tests in tests/analysis use this to capture the real
-/// executor's op stream and compare it against the symbolic interpreter's.
+/// thread records (op name + result dims), nested-guard safe; silent under
+/// meta mode. The differential tests in tests/analysis use this to capture
+/// the real executor's op stream and compare it against the analyzer's
+/// meta-mode trace of the same code.
 class OpObserverGuard {
  public:
   using Callback = std::function<void(const char* op, int rows, int cols)>;
@@ -119,6 +145,50 @@ class OpObserverGuard {
   Callback cb_;
   Callback* prev_;
 };
+
+/// Receives the graph a MetaModeGuard'd thread builds. Implemented by the
+/// static analyzer (analysis/trace.h); the engine only reports to it.
+class MetaRecorder {
+ public:
+  virtual ~MetaRecorder() = default;
+  /// A node came into existence: an op result from make_op (with its
+  /// parents and bounds, reported before a no-grad op drops them) or a leaf
+  /// from the Var constructor (no parents).
+  virtual void on_node(const detail::Node* node, std::span<const Var> parents,
+                       OpBounds bounds) = 0;
+  /// The backward pass reached `node` with output gradient `gout`, and the
+  /// op's real backward rule returned `grads` (one per parent). The
+  /// recorder may rewrite or drop entries before the engine accumulates
+  /// them; in particular it drops any gradient whose shape disagrees with
+  /// its parent's, which the engine would otherwise throw on.
+  virtual void on_backward(const detail::Node* node, const Var& gout,
+                           bool create_graph, std::vector<Var>& grads) = 0;
+  /// `sum` merged a second gradient contribution into an existing entry of
+  /// the backward pass's gradient map.
+  virtual void on_accumulate(const detail::Node* sum) = 0;
+  /// Var::backward wrote the grad() slot of `leaf`.
+  virtual void on_grad_slot(const detail::Node* leaf) = 0;
+};
+
+/// RAII: meta mode for this thread (nested-guard safe). Matrices created
+/// meanwhile are shape-only (nn/matrix.h), kernels skip their arithmetic,
+/// RNG matrix draws consume nothing, and the profiler, op observers and
+/// anomaly checks stay silent. With a recorder, every node is reported to
+/// it; without one (e.g. while constructing a model whose weights should
+/// cost nothing) nodes are only shaped.
+class MetaModeGuard {
+ public:
+  explicit MetaModeGuard(MetaRecorder* recorder = nullptr);
+  ~MetaModeGuard();
+  MetaModeGuard(const MetaModeGuard&) = delete;
+  MetaModeGuard& operator=(const MetaModeGuard&) = delete;
+
+ private:
+  bool prev_mode_;
+  MetaRecorder* prev_recorder_;
+};
+
+bool meta_mode();
 
 /// RAII guard disabling graph construction (like torch.no_grad()).
 class NoGradGuard {
@@ -160,6 +230,7 @@ Var lstm_gates(const Var& x, const Var& wx, const Var& h, const Var& wh,
 
 // ---- broadcasts ----
 Var add_rowvec(const Var& x, const Var& b);  // b: [1,d]
+Var add_colvec(const Var& x, const Var& v);  // v: [n,1]
 Var mul_colvec(const Var& x, const Var& v);  // v: [n,1]
 Var mul_rowvec(const Var& x, const Var& m);  // m: [1,d]
 Var broadcast_scalar(const Var& s, int rows, int cols);  // s: [1,1]
@@ -169,6 +240,10 @@ Var row_sum(const Var& a);  // -> [n,1]
 Var col_sum(const Var& a);  // -> [1,d]
 Var sum(const Var& a);      // -> [1,1]
 Var mean(const Var& a);     // -> [1,1]
+/// Per row: minus the row maximum -> [n,1]. Has no backward rule, so its
+/// result is a constant: softmax_rows uses it as a shift its value and
+/// gradient are invariant to.
+Var neg_row_max(const Var& a);
 
 // ---- nonlinearities ----
 Var relu(const Var& a);
@@ -179,6 +254,7 @@ Var log_(const Var& a);
 Var sqrt_(const Var& a);
 Var square(const Var& a);
 Var abs_(const Var& a);
+Var recip(const Var& a);  // 1 / a
 
 // ---- shape ----
 Var concat_cols(std::span<const Var> parts);

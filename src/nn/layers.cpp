@@ -88,20 +88,30 @@ LstmCell::LstmCell(int input, int hidden, Rng& rng)
   wx_ = Var(rng.normal_matrix(input, 4 * hidden, 0.0, scale), true);
   wh_ = Var(rng.normal_matrix(hidden, 4 * hidden, 0.0, scale), true);
   Matrix b(1, 4 * hidden, 0.0f);
-  // Standard forget-gate bias of 1.0 so early training does not wipe state.
-  for (int j = hidden; j < 2 * hidden; ++j) b.at(0, j) = 1.0f;
+  // Standard forget-gate bias of 1.0 so early training does not wipe state
+  // (a shape-only meta-mode bias has no storage to write).
+  for (int j = hidden; j < 2 * hidden && !b.empty(); ++j) b.at(0, j) = 1.0f;
   b_ = Var(std::move(b), true);
 }
 
 LstmState LstmCell::step(const Var& x, const LstmState& state) const {
   // One fused, row-partitioned kernel instead of two matmul temporaries plus
   // an add and a broadcast — the batched-generation hot path.
+  // The four gate slices come first so the nine elementwise ops after them
+  // form one contiguous run: the generation tape lowered from this code
+  // fuses that run into a single group.
   Var gates = lstm_gates(x, wx_, state.h, wh_, b_);
-  Var i = sigmoid(slice_cols(gates, 0, hidden_));
-  Var f = sigmoid(slice_cols(gates, hidden_, 2 * hidden_));
-  Var g = tanh_(slice_cols(gates, 2 * hidden_, 3 * hidden_));
-  Var o = sigmoid(slice_cols(gates, 3 * hidden_, 4 * hidden_));
-  Var c = add(mul(f, state.c), mul(i, g));
+  Var si = slice_cols(gates, 0, hidden_);
+  Var sf = slice_cols(gates, hidden_, 2 * hidden_);
+  Var sg = slice_cols(gates, 2 * hidden_, 3 * hidden_);
+  Var so = slice_cols(gates, 3 * hidden_, 4 * hidden_);
+  Var i = sigmoid(si);
+  Var f = sigmoid(sf);
+  Var g = tanh_(sg);
+  Var o = sigmoid(so);
+  Var fc = mul(f, state.c);
+  Var ig = mul(i, g);
+  Var c = add(fc, ig);
   Var h = mul(o, tanh_(c));
   return {h, c};
 }

@@ -79,7 +79,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("matmul: inner dim mismatch");
   const int n = a.rows(), k = a.cols(), m = b.cols();
   Matrix out(n, m, 0.0f);
-  if (n == 0 || m == 0 || k == 0) return out;
+  if (out.empty() || k == 0) return out;
   DG_OBS_KERNEL_TIMER("matmul", 2ULL * n * k * m,
                       4ULL * (static_cast<std::uint64_t>(n) * k +
                               static_cast<std::uint64_t>(k) * m +
@@ -97,7 +97,7 @@ Matrix affine(const Matrix& x, const Matrix& w, const Matrix& b) {
     throw std::invalid_argument("affine: bias must be [1, w.cols]");
   const int n = x.rows(), m = w.cols();
   Matrix out(n, m);
-  if (n == 0 || m == 0) return out;
+  if (out.empty()) return out;
   DG_OBS_KERNEL_TIMER("affine",
                       2ULL * n * x.cols() * m + static_cast<std::uint64_t>(n) * m,
                       4ULL * (static_cast<std::uint64_t>(n) * x.cols() +
@@ -124,7 +124,7 @@ Matrix lstm_gates(const Matrix& x, const Matrix& wx, const Matrix& h,
     throw std::invalid_argument("lstm_gates: output width mismatch");
   const int n = x.rows(), m = wx.cols();
   Matrix out(n, m);
-  if (n == 0 || m == 0) return out;
+  if (out.empty()) return out;
   DG_OBS_KERNEL_TIMER("lstm_gates",
                       2ULL * n * (x.cols() + h.cols()) * m +
                           static_cast<std::uint64_t>(n) * m,
@@ -234,6 +234,7 @@ Matrix add_rowvec(const Matrix& x, const Matrix& b) {
   if (b.rows() != 1 || b.cols() != x.cols())
     throw std::invalid_argument("add_rowvec: b must be [1, x.cols]");
   Matrix out = x;
+  if (out.empty()) return out;
   const int cols = x.cols();
   const simd::KernelTable& kt = simd::kernels();
   parallel_for(0, x.rows(), row_grain(cols),
@@ -250,6 +251,7 @@ Matrix mul_colvec(const Matrix& x, const Matrix& v) {
   if (v.cols() != 1 || v.rows() != x.rows())
     throw std::invalid_argument("mul_colvec: v must be [x.rows, 1]");
   Matrix out = x;
+  if (out.empty()) return out;
   const int cols = x.cols();
   const simd::KernelTable& kt = simd::kernels();
   parallel_for(0, x.rows(), row_grain(cols),
@@ -266,6 +268,7 @@ Matrix mul_rowvec(const Matrix& x, const Matrix& m) {
   if (m.rows() != 1 || m.cols() != x.cols())
     throw std::invalid_argument("mul_rowvec: m must be [1, x.cols]");
   Matrix out = x;
+  if (out.empty()) return out;
   const int cols = x.cols();
   const simd::KernelTable& kt = simd::kernels();
   parallel_for(0, x.rows(), row_grain(cols),
@@ -278,8 +281,38 @@ Matrix mul_rowvec(const Matrix& x, const Matrix& m) {
   return out;
 }
 
+Matrix add_colvec(const Matrix& x, const Matrix& v) {
+  if (v.cols() != 1 || v.rows() != x.rows())
+    throw std::invalid_argument("add_colvec: v must be [x.rows, 1]");
+  Matrix out = x;
+  if (out.empty()) return out;
+  const int cols = x.cols();
+  const simd::KernelTable& kt = simd::kernels();
+  parallel_for(0, x.rows(), row_grain(cols),
+               [&](std::int64_t r0, std::int64_t r1) {
+                 for (std::int64_t i = r0; i < r1; ++i) {
+                   float* row = out.data() + static_cast<size_t>(i) * cols;
+                   kt.add_scalar(row, v.data()[i], row, cols);
+                 }
+               });
+  return out;
+}
+
+Matrix neg_row_max(const Matrix& a) {
+  Matrix out(a.rows(), 1);
+  if (a.empty()) return out;
+  const int cols = a.cols();
+  const simd::KernelTable& kt = simd::kernels();
+  parallel_for(0, a.rows(), row_grain(cols),
+               [&](std::int64_t r0, std::int64_t r1) {
+                 kt.neg_row_max(a.data(), cols, out.data(), r0, r1);
+               });
+  return out;
+}
+
 Matrix row_sum(const Matrix& a) {
   Matrix out(a.rows(), 1);
+  if (a.empty()) return out;
   const int cols = a.cols();
   const simd::KernelTable& kt = simd::kernels();
   parallel_for(0, a.rows(), row_grain(cols),
@@ -382,6 +415,7 @@ Matrix concat_cols(std::span<const Matrix* const> parts) {
     cols += p->cols();
   }
   Matrix out(rows, cols);
+  if (out.empty()) return out;
   int offset = 0;
   for (const Matrix* p : parts) {
     // 0-wide parts (e.g. the disabled-minmax placeholder) have no storage;

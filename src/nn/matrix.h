@@ -13,11 +13,22 @@
 
 namespace dg::nn {
 
+namespace detail {
+/// True while an nn::MetaModeGuard (nn/autograd.h) is active on this thread.
+extern thread_local constinit bool g_meta_mode;
+}  // namespace detail
+
 class Matrix {
  public:
   Matrix() = default;
+  /// Under meta mode the matrix is shape-only: it has rows() x cols() but no
+  /// storage (empty(), size() == 0), and every kernel below returns a
+  /// shape-only result without touching data.
   Matrix(int rows, int cols, float fill = 0.0f)
-      : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols, fill) {
+      : rows_(rows),
+        cols_(cols),
+        data_(detail::g_meta_mode ? 0 : static_cast<size_t>(rows) * cols,
+              fill) {
     assert(rows >= 0 && cols >= 0);
   }
 
@@ -83,6 +94,10 @@ Matrix add_rowvec(const Matrix& x, const Matrix& b);
 Matrix mul_colvec(const Matrix& x, const Matrix& v);
 /// X [n,d] * m [1,d], broadcast over rows.
 Matrix mul_rowvec(const Matrix& x, const Matrix& m);
+/// X [n,d] + v [n,1], broadcast over columns.
+Matrix add_colvec(const Matrix& x, const Matrix& v);
+/// Per row: minus the row maximum, [n,d] -> [n,1] (the softmax shift).
+Matrix neg_row_max(const Matrix& a);
 
 Matrix row_sum(const Matrix& a);  // [n,d] -> [n,1]
 Matrix col_sum(const Matrix& a);  // [n,d] -> [1,d]

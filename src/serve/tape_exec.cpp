@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/model.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
 
@@ -277,24 +276,9 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
   }
   const Tape& tape = report.tape;
 
-  // ---- bind generator weights by serialization-order name ----
-  // expected_parameter_shapes covers the WHOLE model; the generator's
-  // parameters are its prefix (attr_gen, minmax_gen?, lstm, head — same
-  // order), with the critic MLPs ("disc.*" / "aux_disc.*") trailing.
-  const std::vector<nn::Var> params = model.generator_parameters();
-  const std::vector<analysis::ParamShape> names =
-      analysis::expected_parameter_shapes(model.schema(), model.config());
-  size_t gen_count = 0;
-  while (gen_count < names.size() &&
-         names[gen_count].name.rfind("disc.", 0) != 0 &&
-         names[gen_count].name.rfind("aux_disc.", 0) != 0) {
-    ++gen_count;
-  }
-  if (params.size() != gen_count) return nullptr;
-  std::unordered_map<std::string, const nn::Var*> by_name;
-  for (size_t i = 0; i < gen_count; ++i) {
-    by_name.emplace(names[i].name, &params[i]);
-  }
+  // ---- bind weights: each parameter value names the traced leaf's
+  // position in named_parameters(), the same list on the live model ----
+  const auto params = model.named_parameters();
 
   auto impl = std::make_unique<Impl>();
   impl->n = width;
@@ -312,14 +296,17 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
   }
   for (int pid : tape.params) {
     const TapeValue& v = tape.values[static_cast<size_t>(pid)];
-    const auto it = by_name.find(v.name);
-    if (it == by_name.end()) return nullptr;
-    const nn::Matrix& m = it->second->value();
+    if (v.param_index < 0 ||
+        static_cast<size_t>(v.param_index) >= params.size()) {
+      return nullptr;
+    }
+    const nn::Var& p = params[static_cast<size_t>(v.param_index)].second;
+    const nn::Matrix& m = p.value();
     if (!v.shape.rows.concrete() || m.rows() != v.shape.rows.value ||
         m.cols() != v.cols()) {
       return nullptr;
     }
-    impl->held_params.push_back(*it->second);
+    impl->held_params.push_back(p);
     impl->ptr[static_cast<size_t>(pid)] =
         const_cast<float*>(m.data());  // never written: dsts are locals
   }

@@ -1,11 +1,11 @@
 // Static adjoint auditor tests:
 //   * registry coverage hard-gate — every nn::known_op_names() entry must
-//     declare BOTH an adjoint rule and a determinism class (a new op cannot
-//     merge half-registered);
+//     declare a determinism class (a new op cannot merge half-registered);
 //   * the probe-based determinism audit proves the builtin classes out and
 //     the ordered-reduction set is exactly the folding ops;
-//   * sym_backward unit battery — gradients, accumulation, scalar-root and
-//     create_graph gating, diagnostic dedup;
+//   * traced-backward unit battery over small nn graphs run under meta mode
+//     — the engine's own backward rules, recorded: gradients, accumulation,
+//     scalar-root and create_graph gating, finding dedup;
 //   * analyze_training_step — clean on every valid architecture variant,
 //     gradient slots cover every optimizer parameter exactly once, and the
 //     reduction-order census is consistent with the per-phase op multisets.
@@ -18,6 +18,7 @@
 #include <string>
 
 #include "analysis/model.h"
+#include "analysis/trace.h"
 #include "analysis/train_step.h"
 #include "core/doppelganger.h"
 #include "nn/autograd.h"
@@ -49,15 +50,15 @@ data::Schema gcut_schema() {
 
 // ---- registry coverage hard-gate ----------------------------------------
 
-TEST(AdjointRegistry, EveryKnownOpDeclaresAdjointAndDetClass) {
+TEST(AdjointRegistry, EveryKnownOpDeclaresDetClass) {
   const OpRegistry& reg = OpRegistry::builtin();
   for (const char* name : nn::known_op_names()) {
     const OpInfo* info = reg.find(name);
     ASSERT_NE(info, nullptr) << name << " missing from the registry";
     EXPECT_TRUE(info->det.has_value())
         << name << " declares no determinism class";
-    EXPECT_TRUE(static_cast<bool>(info->adjoint))
-        << name << " declares no adjoint rule";
+    EXPECT_FALSE(static_cast<bool>(info->fault))
+        << name << " carries a seeded fault in the builtin registry";
   }
 }
 
@@ -87,78 +88,96 @@ TEST(AdjointRegistry, OrderedReductionSetIsExactlyTheFoldingOps) {
   }
 }
 
-// ---- sym_backward unit battery ------------------------------------------
+// ---- traced backward: the engine's rules under meta mode ------------------
+
+nn::Var leaf(int rows, int cols) {
+  return nn::Var(nn::Matrix(rows, cols), /*requires_grad=*/true);
+}
 
 TEST(SymBackward, ChainProducesShapeCheckedGradients) {
   SymGraph g;
-  Tracer t(g);
-  const SymNode* x = t.input("x", {Dim::of(4), Dim::of(3)});
-  const SymNode* w = t.param("w", {Dim::of(3), Dim::of(2)});
-  const SymNode* loss = t.sum(t.matmul(x, w));
-  const BackwardResult res = sym_backward(t, loss);
-  EXPECT_TRUE(res.ok);
+  Trace t(g);
+  nn::Var x, w;
+  t.run([&] {
+    x = nn::constant(nn::Matrix(4, 3));
+    w = leaf(3, 2);
+    nn::sum(nn::matmul(x, w)).backward();
+  });
+  EXPECT_TRUE(t.backward_ok());
   EXPECT_TRUE(g.diagnostics().empty());
-  ASSERT_EQ(res.grads.count(w), 1u);
-  EXPECT_EQ(res.grads.at(w)->shape, (Shape{Dim::of(3), Dim::of(2)}));
-  // x is a constant: the gradient is computed, then dropped (drop-after-
-  // compute, mirroring the engine).
-  EXPECT_EQ(res.grads.count(x), 0u);
-  EXPECT_TRUE(res.accumulations.empty());
+  ASSERT_EQ(t.grad_slots().size(), 1u);
+  EXPECT_EQ(t.grad_slots()[0], t.node(w));
+  ASSERT_TRUE(w.grad().defined());
+  EXPECT_EQ(w.grad().rows(), 3);
+  EXPECT_EQ(w.grad().cols(), 2);
+  // x is a constant: matmul's rule still computes its gradient (a second
+  // matmul in the graph), which the engine then drops.
+  EXPECT_FALSE(x.grad().defined());
+  EXPECT_EQ(g.op_counts().at("matmul"), 3);
+  EXPECT_TRUE(t.accumulations().empty());
 }
 
 TEST(SymBackward, SharedParameterAccumulates) {
   SymGraph g;
-  Tracer t(g);
-  const SymNode* w = t.param("w", {Dim::of(2), Dim::of(2)});
-  // w feeds the loss through two paths (mul uses it twice, add once more):
-  // each extra contribution must merge through an emitted "add".
-  const SymNode* loss = t.sum(t.add(t.mul(w, w), w));
-  const BackwardResult res = sym_backward(t, loss);
-  EXPECT_TRUE(res.ok);
-  ASSERT_EQ(res.grads.count(w), 1u);
-  EXPECT_EQ(res.grads.at(w)->shape, w->shape);
-  EXPECT_EQ(res.accumulations.size(), 2u);
-  for (const AccumulationSite& acc : res.accumulations) {
-    EXPECT_EQ(acc.into, w);
-    EXPECT_EQ(acc.add_node->op, "add");
-  }
+  Trace t(g);
+  nn::Var w;
+  t.run([&] {
+    // w feeds the loss through two paths (mul uses it twice, add once
+    // more): each extra contribution merges through an engine "add".
+    w = leaf(2, 2);
+    nn::sum(nn::add(nn::mul(w, w), w)).backward();
+  });
+  EXPECT_TRUE(t.backward_ok());
+  ASSERT_TRUE(w.grad().defined());
+  EXPECT_EQ(w.grad().rows(), 2);
+  ASSERT_EQ(t.accumulations().size(), 2u);
+  for (const SymNode* acc : t.accumulations()) EXPECT_EQ(acc->op, "add");
+  EXPECT_EQ(t.grad_slots().size(), 1u);
 }
 
 TEST(SymBackward, NonScalarRootIsDiagnosed) {
   SymGraph g;
-  Tracer t(g);
-  const SymNode* w = t.param("w", {Dim::of(2), Dim::of(2)});
-  const BackwardResult res = sym_backward(t, t.mul(w, w));
-  EXPECT_FALSE(res.ok);
+  Trace t(g);
+  t.run([&] {
+    const nn::Var w = leaf(2, 2);
+    nn::mul(w, w).backward();  // the engine refuses a non-scalar root
+  });
+  EXPECT_FALSE(t.backward_ok());
   ASSERT_EQ(g.diagnostics().size(), 1u);
-  EXPECT_EQ(g.diagnostics()[0].code, "backward-nonscalar");
-  EXPECT_TRUE(res.grads.empty());
+  EXPECT_EQ(g.diagnostics()[0].code, "trace-error");
+  EXPECT_NE(g.diagnostics()[0].message.find("scalar"), std::string::npos);
+  EXPECT_TRUE(t.grad_slots().empty());
 }
 
 TEST(SymBackward, NoGradRootIsANoOp) {
   SymGraph g;
-  Tracer t(g);
-  const SymNode* x = t.input("x", {Dim::of(3), Dim::of(3)});
-  const BackwardResult res = sym_backward(t, t.sum(x));
-  EXPECT_TRUE(res.ok);
-  EXPECT_TRUE(res.grads.empty());
+  Trace t(g);
+  t.run([&] { nn::sum(nn::constant(nn::Matrix(3, 3))).backward(); });
+  EXPECT_TRUE(t.backward_ok());
+  EXPECT_TRUE(t.grad_slots().empty());
   EXPECT_TRUE(g.diagnostics().empty());
+  EXPECT_EQ(g.size(), 2);  // the constant and its sum; no backward nodes
 }
 
-TEST(SymBackward, MissingAdjointIsDiagnosedOncePerOp) {
+TEST(SymBackward, WrongGradientShapeIsDiagnosedOncePerOp) {
   OpRegistry reg = OpRegistry::builtin();
-  OpInfo stripped = *reg.find("tanh");
-  stripped.adjoint = {};
-  reg.add(std::move(stripped));
+  OpInfo broken = *reg.find("tanh");
+  broken.fault = [](std::vector<nn::Var>& grads, const nn::Var&) {
+    grads[0] = nn::sum(grads[0]);  // [2,2] collapsed to [1,1]
+  };
+  reg.add(std::move(broken));
   SymGraph g(&reg);
-  Tracer t(g);
-  const SymNode* w = t.param("w", {Dim::of(2), Dim::of(2)});
-  // Two tanh nodes on the path: dedup must still yield ONE diagnostic.
-  const SymNode* loss = t.sum(t.tanh(t.add(t.tanh(w), w)));
-  const BackwardResult res = sym_backward(t, loss);
-  EXPECT_FALSE(res.ok);
+  Trace t(g);
+  nn::Var w;
+  t.run([&] {
+    // Two tanh nodes on the path: dedup must still yield ONE finding, and
+    // the dropped gradient must not reach the engine's own shape check.
+    w = leaf(2, 2);
+    nn::sum(nn::tanh_(nn::add(nn::tanh_(w), w))).backward();
+  });
+  EXPECT_FALSE(t.backward_ok());
   ASSERT_EQ(g.diagnostics().size(), 1u);
-  EXPECT_EQ(g.diagnostics()[0].code, "no-adjoint");
+  EXPECT_EQ(g.diagnostics()[0].code, "adjoint-shape");
   EXPECT_EQ(g.diagnostics()[0].op, "tanh");
   EXPECT_NE(g.diagnostics()[0].path.find("<-"), std::string::npos);
 }
@@ -170,20 +189,22 @@ TEST(SymBackward, FirstOrderOpGatesOnCreateGraph) {
   reg.add(std::move(downgraded));
   {
     SymGraph g(&reg);
-    Tracer t(g);
-    const SymNode* w = t.param("w", {Dim::of(2), Dim::of(2)});
-    const BackwardResult res = sym_backward(t, t.sum(t.relu(w)));
-    EXPECT_TRUE(res.ok) << "first-order ops are fine without create_graph";
+    Trace t(g);
+    t.run([&] { nn::sum(nn::relu(leaf(2, 2))).backward(); });
+    EXPECT_TRUE(t.backward_ok())
+        << "first-order ops are fine without create_graph";
     EXPECT_TRUE(g.diagnostics().empty());
   }
   {
     SymGraph g(&reg);
-    Tracer t(g);
-    const SymNode* w = t.param("w", {Dim::of(2), Dim::of(2)});
-    BackwardOptions opts;
-    opts.create_graph = true;
-    const BackwardResult res = sym_backward(t, t.sum(t.relu(w)), opts);
-    EXPECT_FALSE(res.ok);
+    Trace t(g);
+    t.run([&] {
+      const nn::Var w = leaf(2, 2);
+      const nn::Var inputs[] = {w};
+      nn::autograd::grad(nn::sum(nn::relu(w)), inputs,
+                         /*create_graph=*/true);
+    });
+    EXPECT_FALSE(t.backward_ok());
     ASSERT_EQ(g.diagnostics().size(), 1u);
     EXPECT_EQ(g.diagnostics()[0].code, "no-double-backward");
     EXPECT_EQ(g.diagnostics()[0].op, "relu");

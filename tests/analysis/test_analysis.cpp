@@ -1,6 +1,7 @@
 // Unit tests for the static analyzer's foundations: the op registry's
 // coverage of the real autograd surface, shape rules, poison-node error
-// containment, graph-path attribution, and the diagnostics renderers.
+// containment, graph-path attribution, the diagnostics renderers, and the
+// engine's meta mode that the analyzer's traces run under.
 #include "analysis/symbolic.h"
 
 #include <gtest/gtest.h>
@@ -11,11 +12,34 @@
 #include <string>
 
 #include "analysis/diag.h"
+#include "analysis/model.h"
 #include "analysis/registry.h"
+#include "analysis/trace.h"
 #include "nn/autograd.h"
+#include "nn/rng.h"
+#include "synth/synth.h"
 
 namespace dg::analysis {
 namespace {
+
+const SymNode* op1(SymGraph& g, const char* op, const SymNode* a,
+                   const OpAttrs& attrs = {}) {
+  const SymNode* p[] = {a};
+  return g.apply(op, p, attrs);
+}
+
+const SymNode* op2(SymGraph& g, const char* op, const SymNode* a,
+                   const SymNode* b) {
+  const SymNode* p[] = {a, b};
+  return g.apply(op, p);
+}
+
+OpAttrs range(int i0, int i1) {
+  OpAttrs attrs;
+  attrs.i0 = i0;
+  attrs.i1 = i1;
+  return attrs;
+}
 
 // The extension contract: every op name nn::make_op is called with must
 // have a registry entry, and the registry must not invent ops the engine
@@ -61,13 +85,12 @@ TEST(Shape, SymbolicDimsComposeAndPrint) {
 
 TEST(SymGraph, MatmulInnerDimMismatchIsOneDiagnostic) {
   SymGraph g;
-  Tracer t(g);
-  auto* a = t.input("a", {Dim::sym("B"), Dim::of(3)});
-  auto* w = t.param("w", {Dim::of(4), Dim::of(2)});
-  auto* bad = t.matmul(a, w);  // 3 != 4
+  auto* a = g.input("a", {Dim::sym("B"), Dim::of(3)});
+  auto* w = g.param("w", {Dim::of(4), Dim::of(2)});
+  auto* bad = op2(g, "matmul", a, w);  // 3 != 4
   EXPECT_TRUE(bad->poisoned);
   // Downstream consumers stay silent: one root cause, one finding.
-  auto* out = t.sum(t.relu(bad));
+  auto* out = op1(g, "sum", op1(g, "relu", bad));
   EXPECT_TRUE(out->poisoned);
   ASSERT_EQ(g.diagnostics().size(), 1u);
   const Diagnostic& d = g.diagnostics()[0];
@@ -89,48 +112,56 @@ TEST(SymGraph, UnknownOpNamesTheExtensionContract) {
 
 TEST(SymGraph, BroadcastRulesCheckVectorOrientation) {
   SymGraph g;
-  Tracer t(g);
-  auto* x = t.input("x", {Dim::sym("B"), Dim::of(6)});
-  auto* row = t.constant({Dim::of(1), Dim::of(6)});
-  EXPECT_FALSE(t.add_rowvec(x, row)->poisoned);
-  auto* col = t.constant({Dim::sym("B"), Dim::of(1)});
-  EXPECT_FALSE(t.mul_colvec(x, col)->poisoned);
+  auto* x = g.input("x", {Dim::sym("B"), Dim::of(6)});
+  auto* row = g.input("", {Dim::of(1), Dim::of(6)});
+  EXPECT_FALSE(op2(g, "add_rowvec", x, row)->poisoned);
+  auto* col = g.input("", {Dim::sym("B"), Dim::of(1)});
+  EXPECT_FALSE(op2(g, "mul_colvec", x, col)->poisoned);
+  EXPECT_FALSE(op2(g, "add_colvec", x, col)->poisoned);
   // A column vector fed to the row-broadcast op must be caught.
-  auto* bad = t.add_rowvec(x, col);
+  auto* bad = op2(g, "add_rowvec", x, col);
   EXPECT_TRUE(bad->poisoned);
   EXPECT_EQ(g.diagnostics().size(), 1u);
 }
 
 TEST(SymGraph, SliceBoundsCheckedWhenConcrete) {
   SymGraph g;
-  Tracer t(g);
-  auto* x = t.input("x", {Dim::sym("B"), Dim::of(5)});
-  auto* ok = t.slice_cols(x, 1, 4);
+  auto* x = g.input("x", {Dim::sym("B"), Dim::of(5)});
+  auto* ok = op1(g, "slice_cols", x, range(1, 4));
   EXPECT_FALSE(ok->poisoned);
   EXPECT_EQ(ok->shape.cols, Dim::of(3));
-  auto* bad = t.slice_cols(x, 2, 9);
+  auto* bad = op1(g, "slice_cols", x, range(2, 9));
   EXPECT_TRUE(bad->poisoned);
   EXPECT_EQ(g.diagnostics().size(), 1u);
 }
 
 TEST(SymGraph, SoftmaxExpansionPreservesShape) {
+  // Traced from nn::softmax_rows itself: the shift, the exponential and the
+  // normalization are six engine ops, with no ones temporary.
   SymGraph g;
-  Tracer t(g);
-  auto* x = t.input("logits", {Dim::sym("B"), Dim::of(7)});
-  auto* sm = t.softmax_rows(x);
+  Trace t(g);
+  const SymNode* sm = nullptr;
+  t.run([&] {
+    const nn::Var x = nn::constant(nn::Matrix(kMetaBatch, 7));
+    sm = t.node(nn::softmax_rows(x));
+  });
+  ASSERT_NE(sm, nullptr);
   EXPECT_FALSE(sm->poisoned);
   EXPECT_EQ(sm->shape.rows, Dim::sym("B"));
   EXPECT_EQ(sm->shape.cols, Dim::of(7));
   EXPECT_TRUE(g.diagnostics().empty());
+  const std::map<std::string, int> expected = {
+      {"constant", 1}, {"neg_row_max", 1}, {"add_colvec", 1}, {"exp", 1},
+      {"row_sum", 1},  {"recip", 1},       {"mul_colvec", 1}};
+  EXPECT_EQ(g.op_counts(), expected);
 }
 
 TEST(SymGraph, ReachableParamsFollowsGradientFlow) {
   SymGraph g;
-  Tracer t(g);
-  auto* w1 = t.param("w1", {Dim::of(3), Dim::of(4)});
-  auto* w2 = t.param("w2", {Dim::of(3), Dim::of(4)});  // never consumed
-  auto* x = t.input("x", {Dim::sym("B"), Dim::of(3)});
-  auto* loss = t.sum(t.matmul(x, w1));
+  auto* w1 = g.param("w1", {Dim::of(3), Dim::of(4)});
+  auto* w2 = g.param("w2", {Dim::of(3), Dim::of(4)});  // never consumed
+  auto* x = g.input("x", {Dim::sym("B"), Dim::of(3)});
+  auto* loss = op1(g, "sum", op2(g, "matmul", x, w1));
   const auto reached = g.reachable_params(loss);
   ASSERT_EQ(reached.size(), 1u);
   EXPECT_EQ(reached[0], w1);
@@ -139,10 +170,9 @@ TEST(SymGraph, ReachableParamsFollowsGradientFlow) {
 
 TEST(SymGraph, PathRendersFirstParentChain) {
   SymGraph g;
-  Tracer t(g);
-  auto* w = t.param("head.w", {Dim::of(3), Dim::of(1)});
-  auto* x = t.input("x", {Dim::sym("B"), Dim::of(3)});
-  auto* n = t.sum(t.matmul(x, w));
+  auto* w = g.param("head.w", {Dim::of(3), Dim::of(1)});
+  auto* x = g.input("x", {Dim::sym("B"), Dim::of(3)});
+  auto* n = op1(g, "sum", op2(g, "matmul", x, w));
   const std::string p = SymGraph::path(n);
   EXPECT_NE(p.find("sum <- matmul"), std::string::npos);
   EXPECT_NE(p.find("(x)"), std::string::npos);
@@ -189,6 +219,51 @@ TEST(OpObserver, ReportsEveryMakeOpAndNests) {
   EXPECT_EQ(std::count(outer_ops.begin(), outer_ops.end(), "tanh"), 0);
   EXPECT_EQ(std::count(outer_ops.begin(), outer_ops.end(), "relu"), 1);
   EXPECT_EQ(std::count(outer_ops.begin(), outer_ops.end(), "sigmoid"), 1);
+}
+
+// ---- meta mode -------------------------------------------------------------
+
+TEST(MetaMode, MatricesAreShapeOnlyAndKernelsAndDrawsDoNothing) {
+  nn::Rng rng(5), reference(5);
+  int observed = 0;
+  nn::OpObserverGuard obs([&](const char*, int, int) { ++observed; });
+  {
+    nn::MetaModeGuard meta;
+    const nn::Matrix noise = rng.normal_matrix(kMetaBatch, 64);
+    EXPECT_EQ(noise.rows(), kMetaBatch);
+    EXPECT_EQ(noise.cols(), 64);
+    EXPECT_TRUE(noise.empty());
+    const nn::Var w(rng.normal_matrix(64, 32), /*requires_grad=*/true);
+    const nn::Var y = nn::softmax_rows(nn::matmul(nn::constant(noise), w));
+    EXPECT_EQ(y.rows(), kMetaBatch);
+    EXPECT_EQ(y.cols(), 32);
+    EXPECT_TRUE(y.value().empty());
+    nn::sum(y).backward();
+    ASSERT_TRUE(w.grad().defined());
+    EXPECT_EQ(w.grad().rows(), 64);
+  }
+  // No draw was consumed, and the observer never heard of the meta ops.
+  EXPECT_EQ(rng.next_u64(), reference.next_u64());
+  EXPECT_EQ(observed, 0);
+  EXPECT_FALSE(nn::meta_mode());
+  EXPECT_FALSE(nn::Matrix(2, 2).empty());
+}
+
+TEST(MetaMode, MetaModelHasShapeOnlyWeights) {
+  const data::Schema schema =
+      synth::make_gcut({.n = 4, .t_max = 20, .seed = 5}).schema;
+  core::DoppelGangerConfig cfg;
+  cfg.sample_len = 5;
+  const auto model = meta_model(schema, cfg);
+  const auto named = model->named_parameters();
+  const auto expected = expected_parameter_shapes(schema, cfg);
+  ASSERT_EQ(named.size(), expected.size());
+  for (size_t i = 0; i < named.size(); ++i) {
+    EXPECT_EQ(named[i].first, expected[i].name);
+    EXPECT_EQ(named[i].second.rows(), expected[i].rows);
+    EXPECT_EQ(named[i].second.cols(), expected[i].cols);
+    EXPECT_TRUE(named[i].second.value().empty()) << named[i].first;
+  }
 }
 
 }  // namespace

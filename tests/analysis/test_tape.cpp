@@ -20,6 +20,7 @@
 
 #include "analysis/planner.h"
 #include "core/doppelganger.h"
+#include "nn/autograd.h"
 #include "synth/synth.h"
 
 namespace dg::analysis {
@@ -214,17 +215,21 @@ TEST(TapeMutation, UnknownDefectClassRefused) {
   EXPECT_TRUE(r.ok());  // refusal must not corrupt the report
 }
 
-// The intrinsic registry stays a strict superset of the engine registry:
-// everything the symbolic analyzer knows plus exactly the three softmax
-// intrinsics the lowering emits.
-TEST(Tape, RegistryIsBuiltinPlusIntrinsics) {
-  const OpRegistry& t = tape_registry();
-  for (const std::string& name : OpRegistry::builtin().names()) {
-    EXPECT_NE(t.find(name), nullptr) << name;
+// The softmax micro-ops the executor runs are engine ops: the tape is
+// lowered from the engine's own softmax_rows, so every op it can contain is
+// registered and known to nn.
+TEST(Tape, IntrinsicsAreEngineOps) {
+  const std::set<std::string> engine(nn::known_op_names().begin(),
+                                     nn::known_op_names().end());
+  for (const char* op : {"neg_row_max", "add_colvec", "recip"}) {
+    EXPECT_NE(OpRegistry::builtin().find(op), nullptr) << op;
+    EXPECT_EQ(engine.count(op), 1u) << op;
   }
-  for (const char* extra : {"neg_row_max", "add_colvec", "recip"}) {
-    EXPECT_NE(t.find(extra), nullptr) << extra;
-    EXPECT_EQ(OpRegistry::builtin().find(extra), nullptr) << extra;
+  for (const Variant& v : variants()) {
+    const TapeReport r = build_generation_tape(schema_for(v.dataset), v.cfg);
+    for (const TapeInstr& ins : r.tape.instrs) {
+      EXPECT_EQ(engine.count(ins.op), 1u) << ins.op;
+    }
   }
 }
 
