@@ -49,7 +49,7 @@ int main() {
       const double q =
           static_cast<double>(cfg.batch) / static_cast<double>(d.data.size());
       privacy::RdpAccountant acc(q, v.noise_multiplier);
-      acc.add_steps(cfg.iterations * cfg.d_steps);
+      acc.add_steps(cfg.iterations * core::dp_mechanisms_per_iteration(cfg));
       eps = acc.epsilon(1e-5).first;
     }
     if (eps < 0) {

@@ -21,19 +21,20 @@ int main() {
   nn::Rng rng(55);
   const auto [pool, nonmembers] = data::train_test_split(d.data, 0.5, rng);
 
+  core::DoppelGangerConfig cfg;
+  cfg.sample_len = 5;
+  cfg.lstm_units = 48;
+  cfg.disc_hidden = 96;
+  cfg.disc_layers = 3;
+  cfg.batch = 32;
+  cfg.d_steps = 2;
+  cfg.iterations = 400;
+  cfg.seed = 11;
+
   std::printf("== membership inference audit ==\n");
   std::printf("%-14s %-12s %s\n", "train size", "attack rate", "verdict");
   for (int n_train : {40, 200}) {
     data::Dataset members(pool.begin(), pool.begin() + n_train);
-    core::DoppelGangerConfig cfg;
-    cfg.sample_len = 5;
-    cfg.lstm_units = 48;
-    cfg.disc_hidden = 96;
-    cfg.disc_layers = 3;
-    cfg.batch = 32;
-    cfg.d_steps = 2;
-    cfg.iterations = 400;
-    cfg.seed = 11;
     core::DoppelGanger model(d.schema, cfg);
     model.fit(members);
     const auto generated = model.generate(n_train);
@@ -45,12 +46,16 @@ int main() {
                                         : "near chance (ok)");
   }
 
+  // The aux critic is a second Gaussian mechanism on every d-step's batch.
+  const int mechanisms =
+      cfg.iterations * core::dp_mechanisms_per_iteration(cfg);
   std::printf("\n== DP-SGD budget planning ==\n");
-  std::printf("(batch 32 of 200 samples, 800 critic steps, delta=1e-5)\n");
+  std::printf("(batch %d of 200 samples, %d Gaussian mechanisms, delta=1e-5)\n",
+              cfg.batch, mechanisms);
   std::printf("%-8s %-10s\n", "sigma", "epsilon");
   for (double sigma : {0.5, 1.0, 2.0, 4.0}) {
-    privacy::RdpAccountant acc(32.0 / 200.0, sigma);
-    acc.add_steps(800);
+    privacy::RdpAccountant acc(cfg.batch / 200.0, sigma);
+    acc.add_steps(mechanisms);
     std::printf("%-8.1f %-10.2f\n", sigma, acc.epsilon(1e-5).first);
   }
   std::printf("\nNote (paper §5.3.1): at the sigmas needed for single-digit\n"

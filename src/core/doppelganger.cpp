@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 
 #include "analysis/model.h"
 #include "analysis/train_step.h"
 #include "core/preflight.h"
 #include "core/wgan.h"
+#include "nn/parallel.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -37,19 +37,6 @@ Matrix hcat(const Matrix& a, const Matrix& b) {
 Matrix hcat(const Matrix& a, const Matrix& b, const Matrix& c) {
   const Matrix* parts[] = {&a, &b, &c};
   return nn::concat_cols(parts);
-}
-
-/// Global L2 norm over every defined gradient in `params` (post-backward,
-/// pre-step) — the WGAN-health series the paper's Fig 13-style debugging
-/// leans on.
-float grad_global_norm(const std::vector<Var>& params) {
-  double s = 0.0;
-  for (const Var& p : params) {
-    Var g = p.grad();
-    if (!g.defined()) continue;
-    for (float v : g.value().flat()) s += static_cast<double>(v) * v;
-  }
-  return static_cast<float>(std::sqrt(s));
 }
 
 /// Collapse sentinel: how much of the output range the fake batch spans.
@@ -84,6 +71,11 @@ FeatureSpread feature_spread(const Matrix& feats) {
   return out;
 }
 }  // namespace
+
+int dp_mechanisms_per_iteration(const DoppelGangerConfig& cfg) {
+  // One dp_critic_step per critic per d-step (see run_training).
+  return cfg.d_steps * (cfg.use_aux_discriminator ? 2 : 1);
+}
 
 DoppelGanger::DoppelGanger(data::Schema schema, DoppelGangerConfig cfg)
     : cfg_(cfg),
@@ -455,7 +447,7 @@ void DoppelGanger::critic_step(Critic c, const Matrix& real,
   DG_OBS_SPAN("train.critic_step", "train");
   const Var loss = critic_backward(c, real, fake, gp_out);
   loss_out = loss.value().at(0, 0);
-  if (grad_norm_out) *grad_norm_out = grad_global_norm(critic_parameters(c));
+  if (grad_norm_out) *grad_norm_out = nn::global_grad_norm(critic_parameters(c));
   (c == Critic::kFull ? d_opt_ : aux_opt_).step();
 }
 
@@ -510,7 +502,7 @@ void DoppelGanger::dp_critic_step(Critic c, const Matrix& real,
   }
   // The installed gradient is the released one (clipped + noised), so the
   // reported norm reflects what the optimizer actually consumes.
-  if (grad_norm_out) *grad_norm_out = grad_global_norm(params);
+  if (grad_norm_out) *grad_norm_out = nn::global_grad_norm(params);
   (c == Critic::kFull ? d_opt_ : aux_opt_).step();
   loss_out = n_micro > 0 ? total_loss / static_cast<float>(n_micro) : 0.0f;
   if (gp_out) *gp_out = n_micro > 0 ? total_gp / static_cast<float>(n_micro) : 0.0f;
@@ -518,6 +510,12 @@ void DoppelGanger::dp_critic_step(Critic c, const Matrix& real,
 
 TrainStats DoppelGanger::run_training(const data::Dataset& train,
                                       int iterations) {
+  // The continuation mask is a running product of continue probabilities:
+  // over a long series (T=280) it sinks through the float subnormal range,
+  // where every operand costs x86 a microcode assist. Training flushes
+  // subnormals, as TensorFlow's CPU workers do; generation keeps gradual
+  // underflow. The guard also covers the pool's partitions (nn/parallel.h).
+  const nn::FlushDenormalsGuard flush_denormals;
   if (train.empty()) throw std::invalid_argument("fit: empty training set");
   // Preflight: meta-execute the full training graph (shape rules, gradient
   // flow, WGAN-GP double-backward audit) with the live parameters overlaid,
@@ -597,7 +595,7 @@ TrainStats DoppelGanger::run_training(const data::Dataset& train,
     DG_OBS_SPAN("train.generator_step", "train");
     Var features;
     const Var g_loss = generator_backward(b, &features);
-    const float g_grad_norm = grad_global_norm(generator_parameters());
+    const float g_grad_norm = nn::global_grad_norm(generator_parameters());
     g_opt_.step();
 
     const FeatureSpread spread = feature_spread(features.value());
@@ -660,6 +658,7 @@ TrainStats DoppelGanger::fit_more(const data::Dataset& train, int iterations) {
 void DoppelGanger::retrain_attributes(
     const std::function<std::vector<float>(nn::Rng&)>& target_sampler,
     int iterations) {
+  const nn::FlushDenormalsGuard flush_denormals;  // as in run_training
   nn::Rng init = rng_.fork();
   nn::Mlp critic(codec_.attribute_dim(), 1, cfg_.disc_hidden, cfg_.disc_layers,
                  init);

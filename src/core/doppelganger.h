@@ -87,6 +87,12 @@ struct DoppelGangerConfig {
   std::optional<DpOptions> dp;
 };
 
+/// Gaussian-mechanism invocations one DP-SGD training iteration makes on
+/// real data: one noised update per critic per d-step, so the auxiliary
+/// critic doubles the count. An accountant for a DP run of `iterations`
+/// charges `iterations * dp_mechanisms_per_iteration(cfg)` steps.
+int dp_mechanisms_per_iteration(const DoppelGangerConfig& cfg);
+
 struct TrainStats {
   std::vector<float> d_loss;
   std::vector<float> aux_loss;

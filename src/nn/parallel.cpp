@@ -13,6 +13,11 @@
 
 #include "obs/thread_annotations.h"
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <xmmintrin.h>
+#define DG_HAVE_MXCSR 1
+#endif
+
 namespace dg::nn {
 
 namespace {
@@ -22,6 +27,25 @@ constexpr bool kParallelBuild = false;
 #else
 constexpr bool kParallelBuild = true;
 #endif
+
+/// The calling thread's floating-point control/status word: MXCSR on
+/// x86-64, 0 on targets whose mode this library never changes.
+std::uint32_t fp_mode() {
+#ifdef DG_HAVE_MXCSR
+  return _mm_getcsr();
+#else
+  return 0;
+#endif
+}
+
+void set_fp_mode([[maybe_unused]] std::uint32_t mode) {
+#ifdef DG_HAVE_MXCSR
+  _mm_setcsr(mode);
+#endif
+}
+
+/// MXCSR flush-to-zero (bit 15) | denormals-are-zero (bit 6).
+constexpr std::uint32_t kFlushDenormalBits = 0x8040;
 
 // Workers only execute leaf loops, but guard against accidental nesting
 // (a kernel invoked from inside a parallel region runs serially).
@@ -184,6 +208,17 @@ void set_num_threads(int n) {
 
 bool parallel_enabled() { return kParallelBuild; }
 
+FlushDenormalsGuard::FlushDenormalsGuard() : saved_(fp_mode()) {
+  set_fp_mode(saved_ | kFlushDenormalBits);
+}
+
+FlushDenormalsGuard::~FlushDenormalsGuard() {
+  // Only the two bits this guard set go back: status flags raised inside
+  // the scope stay raised, as they would without the guard.
+  set_fp_mode((fp_mode() & ~kFlushDenormalBits) |
+              (saved_ & kFlushDenormalBits));
+}
+
 namespace detail {
 
 void parallel_run(std::int64_t begin, std::int64_t end, std::int64_t grain,
@@ -207,17 +242,24 @@ void parallel_run(std::int64_t begin, std::int64_t end, std::int64_t grain,
   Latch latch(parts - 1);
   std::int64_t cursor = begin + base + (rem > 0 ? 1 : 0);  // part 0 = caller's
   const std::int64_t caller_end = cursor;
+  // A worker keeps the FP mode of whichever thread spawned the pool; each
+  // partition runs under the caller's instead, so FTZ/DAZ on either side
+  // cannot make the bits depend on which thread ran which partition.
+  const std::uint32_t mode = fp_mode();
   for (int p = 1; p < parts; ++p) {
     const std::int64_t b = cursor;
     const std::int64_t e = b + base + (p < rem ? 1 : 0);
     cursor = e;
-    pool->submit([fn, ctx, b, e, &latch] {
+    pool->submit([fn, ctx, b, e, mode, &latch] {
+      const std::uint32_t own = fp_mode();
+      set_fp_mode(mode);
       std::exception_ptr err;
       try {
         fn(ctx, b, e);
       } catch (...) {
         err = std::current_exception();
       }
+      set_fp_mode(own);
       latch.done(err);
     });
   }

@@ -15,6 +15,10 @@
 //    partial per chunk and combine the partials in ascending chunk order, so
 //    the floating-point association is the same no matter which thread ran
 //    which chunk.
+//  * Every partition runs under the floating-point mode (MXCSR on x86-64:
+//    rounding, flush-to-zero, denormals-are-zero) of the thread that called
+//    the primitive, not the mode its worker inherited when the pool was
+//    spawned, so a `FlushDenormalsGuard` on the caller covers the pool too.
 //
 // Pool sizing: first use reads DG_THREADS (>= 1; 1 = fully serial, no worker
 // threads ever started), defaulting to std::thread::hardware_concurrency().
@@ -40,6 +44,22 @@ void set_num_threads(int n);
 
 /// True unless the library was compiled with -DDG_PARALLEL=OFF.
 bool parallel_enabled();
+
+/// Flushes subnormal floats to zero on the calling thread for its lifetime:
+/// sets MXCSR FTZ (subnormal results become 0) and DAZ (subnormal operands
+/// read as 0) on x86-64, a no-op on other targets. The destructor restores
+/// the caller's FTZ/DAZ bits on every exit path, so guards nest. Pool
+/// partitions run under their caller's mode (see the contract above).
+class FlushDenormalsGuard {
+ public:
+  FlushDenormalsGuard();
+  ~FlushDenormalsGuard();
+  FlushDenormalsGuard(const FlushDenormalsGuard&) = delete;
+  FlushDenormalsGuard& operator=(const FlushDenormalsGuard&) = delete;
+
+ private:
+  std::uint32_t saved_;
+};
 
 // Grain sizes (elements of work below which a range is not split further).
 // Chosen so that a partition amortizes the ~1us submit/wake cost by >= 100x

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "eval/metrics.h"
+#include "nn/parallel.h"
 #include "nn/rng.h"
+#include "nn/simd/vec.h"
+#include "obs/trace.h"
 #include "synth/synth.h"
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <xmmintrin.h>
+#endif
 
 namespace dg::core {
 namespace {
@@ -289,6 +299,32 @@ TEST(DoppelGanger, DpTrainingRunsAndStaysFinite) {
   EXPECT_NO_THROW(data::validate(d.schema, model.generate(4)));
 }
 
+TEST(DoppelGanger, DpMechanismsPerIterationMatchesCriticSteps) {
+#ifndef DG_OBS_ENABLED
+  GTEST_SKIP() << "spans are compiled out (DG_OBS=OFF)";
+#else
+  const auto d = tiny_dataset(24, 12);
+  for (const bool aux : {true, false}) {
+    DoppelGangerConfig cfg = tiny_config();
+    cfg.iterations = 2;
+    cfg.d_steps = 2;
+    cfg.use_aux_discriminator = aux;
+    cfg.dp = DpOptions{.noise_multiplier = 1.0f, .microbatches = 2};
+    DoppelGanger model(d.schema, cfg);
+    obs::Trace::start();
+    model.fit(d.data);
+    obs::Trace::stop();
+    int mechanisms = 0;
+    for (const obs::TraceEvent& e : obs::Trace::events()) {
+      mechanisms += e.name == "train.dp_critic_step";
+    }
+    obs::Trace::clear();
+    EXPECT_EQ(mechanisms, cfg.iterations * dp_mechanisms_per_iteration(cfg))
+        << "aux critic " << (aux ? "on" : "off");
+  }
+#endif
+}
+
 TEST(DoppelGanger, FitMoreContinuesTraining) {
   const auto d = tiny_dataset(16, 12);
   DoppelGangerConfig cfg = tiny_config();
@@ -340,6 +376,114 @@ TEST(DoppelGanger, CategoricalFeaturesGenerateValidOneHots) {
   }
   // The dominant state should remain dominant in generated data.
   EXPECT_GT(busy / static_cast<double>(total), 0.35);
+}
+
+/// The caller's FP control bits: MXCSR less its six sticky status flags on
+/// x86-64, 0 on targets where training leaves the FP mode alone.
+std::uint32_t fp_control() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return _mm_getcsr() & ~0x3Fu;
+#else
+  return 0;
+#endif
+}
+
+/// Classified by bits (zero exponent, nonzero mantissa), not by a float
+/// compare: under DAZ a subnormal operand compares equal to zero.
+bool is_subnormal(float v) {
+  const auto bits = std::bit_cast<std::uint32_t>(v);
+  return (bits & 0x7f800000u) == 0 && (bits & 0x007fffffu) != 0;
+}
+
+/// Narrow wwt shape: T=200 at S=10 unrolls 20 LSTM steps, long enough for
+/// the continuation mask to reach the subnormal range in one iteration.
+synth::SynthData narrow_wwt_data() {
+  return synth::make_wwt({.n = 32, .t = 200});
+}
+
+DoppelGangerConfig narrow_wwt_config() {
+  DoppelGangerConfig cfg;
+  cfg.sample_len = 10;
+  cfg.attr_hidden = 16;
+  cfg.minmax_hidden = 16;
+  cfg.lstm_units = 16;
+  cfg.head_hidden = 16;
+  cfg.disc_hidden = 16;
+  cfg.batch = 16;
+  return cfg;
+}
+
+/// Every grad-slot entry training left behind, in parameter order.
+std::vector<float> grad_entries(const DoppelGanger& model) {
+  std::vector<float> out;
+  for (const auto& [name, p] : model.named_parameters()) {
+    const nn::Var g = p.grad();
+    if (!g.defined()) continue;
+    const auto flat = g.value().flat();
+    out.insert(out.end(), flat.begin(), flat.end());
+  }
+  return out;
+}
+
+TEST(DoppelGanger, TrainingFlushesSubnormalsAndRestoresCallersFpMode) {
+  const auto d = narrow_wwt_data();
+  DoppelGanger model(d.schema, narrow_wwt_config());
+  const std::uint32_t caller = fp_control();
+  model.fit_more(d.data, 1);
+  EXPECT_EQ(fp_control(), caller);
+  const std::vector<float> grads = grad_entries(model);
+  // 210 with gradual underflow.
+  EXPECT_EQ(std::count_if(grads.begin(), grads.end(), is_subnormal), 0);
+
+  model.retrain_attributes(
+      [&d](nn::Rng&) { return d.data.front().attributes; }, 1);
+  EXPECT_EQ(fp_control(), caller);
+}
+
+TEST(DoppelGanger, PreflightFailureRestoresCallersFpMode) {
+  const auto d = narrow_wwt_data();
+  DoppelGanger model(d.schema, narrow_wwt_config());
+  // A fully frozen model fails the fit preflight, inside the trainer's guard.
+  for (auto [name, p] : model.named_parameters()) p.set_requires_grad(false);
+  const std::uint32_t caller = fp_control();
+  EXPECT_THROW(model.fit_more(d.data, 1), std::invalid_argument);
+  EXPECT_EQ(fp_control(), caller);
+  // A caller that already flushes keeps flushing.
+  const nn::FlushDenormalsGuard outer;
+  const std::uint32_t flushing = fp_control();
+  EXPECT_THROW(model.fit_more(d.data, 1), std::invalid_argument);
+  EXPECT_EQ(fp_control(), flushing);
+}
+
+TEST(DoppelGanger, FlushedTrainingIsThreadAndTierInvariant) {
+  const auto d = narrow_wwt_data();
+  const nn::simd::Tier tier = nn::simd::active_tier();
+  const int threads = nn::num_threads();
+  std::string reference;
+  for (const auto t : {nn::simd::Tier::kScalar, nn::simd::Tier::kAvx2}) {
+    if (!nn::simd::set_simd_tier(t)) continue;  // no avx2 on this host
+    for (const int n : {1, 4}) {
+      nn::set_num_threads(n);
+      // Spawn the workers outside training, under gradual underflow, as an
+      // earlier generate() would: training must still flush on all of them.
+      nn::matmul(nn::Matrix(64, 256, 1.0f), nn::Matrix(256, 64, 1.0f));
+      DoppelGanger model(d.schema, narrow_wwt_config());
+      model.fit_more(d.data, 1);
+      // Parameters and grad slots: a worker that did not flush would leave
+      // subnormals in the grad slots of its rows even where Adam, flushing
+      // on the caller, reads them as zeros.
+      std::ostringstream bytes;
+      model.save(bytes);
+      const std::vector<float> grads = grad_entries(model);
+      bytes.write(reinterpret_cast<const char*>(grads.data()),
+                  static_cast<std::streamsize>(grads.size() * sizeof(float)));
+      if (reference.empty()) reference = bytes.str();
+      EXPECT_TRUE(bytes.str() == reference)
+          << nn::simd::tier_name(t) << " tier at " << n << " threads";
+    }
+  }
+  nn::simd::set_simd_tier(tier);
+  nn::set_num_threads(threads);
 }
 
 TEST(DoppelGanger, EmptyTrainingSetThrows) {

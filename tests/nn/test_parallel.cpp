@@ -4,7 +4,9 @@
 // reproduction and every seeded experiment figure depend on this.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "nn/autograd.h"
@@ -242,6 +244,54 @@ TEST(Parallel, LstmStepAndGradientsBitExactAcrossThreadCounts) {
     const auto [h, g] = run();
     EXPECT_TRUE(bit_equal(h_ref, h)) << "h differs at " << t << " threads";
     EXPECT_TRUE(bit_equal(g_ref, g)) << "grad differs at " << t << " threads";
+  }
+}
+
+TEST(Parallel, PartitionsRunUnderCallersFpMode) {
+  // Pool workers inherit the FP mode of the thread that spawns them. Spawn
+  // the pool under one mode and call it under the other: every partition
+  // must still see the caller's mode, or flush-to-zero on one side would
+  // make the bits depend on which thread ran which partition.
+  Rng rng(21);
+  // Operands whose every entry is subnormal (|x| < 2^-126), built here under
+  // gradual underflow; with FTZ/DAZ they read as zeros.
+  const auto subnormal = [&rng](int r, int c) {
+    Matrix m = randn(rng, r, c);
+    for (float& v : m.flat()) v = std::ldexp(v, -130);
+    return m;
+  };
+  const Matrix tiny = subnormal(160, 256);  // 3 elementwise partitions
+  const Matrix tall = subnormal(5000, 8);   // 3 col_sum chunks
+  const Matrix b = randn(rng, 256, 64);     // 2-row matmul grain
+  const auto run = [&] {
+    return std::vector<Matrix>{matmul(tiny, b), mul_scalar(tiny, 0x1p20f),
+                               col_sum(tall)};
+  };
+  const auto run_in = [&run](bool flush) {
+    std::optional<FlushDenormalsGuard> guard;
+    if (flush) guard.emplace();
+    return run();
+  };
+  set_num_threads(1);
+  const std::vector<Matrix> ref[2] = {run_in(false), run_in(true)};
+#if defined(__x86_64__) || defined(_M_X64)
+  for (size_t i = 0; i < ref[0].size(); ++i) {
+    EXPECT_FALSE(bit_equal(ref[0][i], ref[1][i]))
+        << "op " << i << ": the inputs do not exercise FTZ/DAZ";
+  }
+#endif
+  for (const bool spawn_flushed : {false, true}) {
+    for (int t : kSweep) {
+      PoolSize pool(t);
+      run_in(spawn_flushed);  // first parallel call spawns the workers
+      const bool call_flushed = !spawn_flushed;
+      const std::vector<Matrix> got = run_in(call_flushed);
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(bit_equal(ref[call_flushed][i], got[i]))
+            << "op " << i << " at " << t << " threads, pool spawned "
+            << (spawn_flushed ? "flushing" : "gradual");
+      }
+    }
   }
 }
 

@@ -60,7 +60,12 @@ core::DoppelGangerConfig tiny_cfg(uint64_t seed = 3) {
 }
 
 std::string make_package() {
-  const std::string pkg = ::testing::TempDir() + "/traced.dgpkg";
+  // One file per test: ctest runs this binary's tests as concurrent
+  // processes, and a shared path lets one truncate what another loads.
+  const std::string pkg =
+      ::testing::TempDir() + "/traced_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".dgpkg";
   auto d = synth::make_gcut({.n = 8, .t_max = 20});
   for (auto& o : d.data) {
     if (o.length() > 20) o.features.resize(20);
