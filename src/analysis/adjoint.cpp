@@ -27,19 +27,18 @@ std::vector<Probe> make_probes(const OpInfo& info) {
     case 0:
       probes.push_back({{}, target});
       break;
-    case 1:
-      if (info.broadcast == Broadcast::kScalar) {
-        probes.push_back({{{one, one}}, target});
-      } else {
-        // Plain [P,Q]; a second variant with a slice/pad range for the
-        // attrs-consuming layout ops.
-        probes.push_back({{{P, Q}}, {}});
-        OpAttrs range;
-        range.i0 = 0;
-        range.i1 = 1;
-        probes.push_back({{{P, Q}}, range});
-      }
+    case 1: {
+      // Plain [P,Q]; a variant with a slice/pad range for the
+      // attrs-consuming layout ops; and a 1x1 broadcast to [P,Q] for the
+      // scalar broadcast, which rejects both [P,Q] probes.
+      probes.push_back({{{P, Q}}, {}});
+      OpAttrs range;
+      range.i0 = 0;
+      range.i1 = 1;
+      probes.push_back({{{P, Q}}, range});
+      probes.push_back({{{one, one}}, target});
       break;
+    }
     case 2:
       probes.push_back({{{P, Q}, {P, Q}}, {}});    // elementwise
       probes.push_back({{{P, Q}, {Q, R}}, {}});    // matmul-like
@@ -83,18 +82,10 @@ std::vector<Diagnostic> audit_registry(const OpRegistry& r) {
   std::vector<Diagnostic> out;
   for (const std::string& name : r.names()) {
     const OpInfo* info = r.find(name);
-    if (!info->det) {
-      out.push_back({Severity::kError, "determinism-class",
-                     "op declares no determinism class; the reduction-order "
-                     "census cannot account for it",
-                     name,
-                     {}});
-      continue;
-    }
     if (name == "grad") {
       // The slot itself is the read-modify-write accumulation target; the
       // vanishing-extent law does not apply to a leaf.
-      if (*info->det != DetClass::kAccumulating) {
+      if (info->det != DetClass::kAccumulating) {
         out.push_back({Severity::kError, "determinism-class",
                        "the gradient slot accumulates contributions in "
                        "traversal order and must be kAccumulating",
@@ -109,7 +100,7 @@ std::vector<Diagnostic> audit_registry(const OpRegistry& r) {
       // output without a floating-point fold — slicing copies an
       // attrs-defined sub-range, and a row max compares without adding.
       // Pinned kOrderFree.
-      if (*info->det != DetClass::kOrderFree) {
+      if (info->det != DetClass::kOrderFree) {
         out.push_back({Severity::kError, "determinism-class",
                        "op drops an extent without accumulating over it; it "
                        "must be kOrderFree",
@@ -140,10 +131,10 @@ std::vector<Diagnostic> audit_registry(const OpRegistry& r) {
       }
       const DetClass proved =
           vanished ? DetClass::kOrderedReduction : DetClass::kOrderFree;
-      if (*info->det != proved) {
+      if (info->det != proved) {
         out.push_back(
             {Severity::kError, "determinism-class",
-             std::string("declared ") + to_string(*info->det) +
+             std::string("declared ") + to_string(info->det) +
                  " but the shape probe proves " + to_string(proved) +
                  (vanished ? " (extent " + gone + " is folded away: " +
                                  probe.in[0].str() + " -> " +

@@ -18,7 +18,6 @@
 
 #include "analysis/diag.h"
 #include "analysis/registry.h"
-#include "analysis/shape.h"
 
 namespace dg::analysis {
 

@@ -94,6 +94,13 @@ class Lowering {
   std::vector<int> ids_;  ///< by graph node id
 };
 
+/// True for ops a fusion group may contain: rows with an elementwise kernel
+/// (one output element per input element, no cross-element reads).
+bool is_elementwise(std::string_view op) {
+  const nn::OpDef* row = nn::find_op(op);
+  return row != nullptr && row->ew.has_value();
+}
+
 /// Greedy run-based fusion: a fusion group is a maximal contiguous run of
 /// elementwise instructions over one iteration domain, where every operand
 /// is either produced inside the run or defined before it. Contiguity holds
@@ -108,7 +115,7 @@ void fuse_elementwise(Tape& t) {
   };
   for (int i = 0; i < n; ++i) {
     const TapeInstr& ins = t.instrs[static_cast<size_t>(i)];
-    if (!tape_op_is_elementwise(ins.op)) {
+    if (!is_elementwise(ins.op)) {
       close_run(i - 1);
       continue;
     }
@@ -187,13 +194,6 @@ void finding(std::vector<Diagnostic>& out, std::string code, std::string msg,
 }
 
 }  // namespace
-
-bool tape_op_is_elementwise(std::string_view op) {
-  static const std::set<std::string, std::less<>> kElementwise = {
-      "add",  "sub", "mul",     "div",  "neg",    "relu",  "abs",
-      "tanh", "sigmoid", "exp", "log",  "sqrt",   "square", "recip"};
-  return kElementwise.count(op) != 0;
-}
 
 std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
                                     const OpRegistry& registry) {
@@ -307,7 +307,8 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
                 tape, i);
         continue;
       }
-      if (!tape_op_is_elementwise(ins.op)) {
+      const OpInfo* info = registry.find(ins.op);
+      if (info == nullptr || !info->ew) {
         finding(out, "tape-illegal-fusion",
                 "op '" + ins.op + "' is not elementwise and cannot be fused",
                 tape, i);
@@ -604,7 +605,7 @@ bool seed_tape_defect(TapeReport& report, std::string_view defect_class) {
   } else if (defect_class == "illegal-fusion") {
     // Claim a non-elementwise instruction for a fusion group.
     for (TapeInstr& ins : t.instrs) {
-      if (!tape_op_is_elementwise(ins.op) && ins.group < 0) {
+      if (!is_elementwise(ins.op) && ins.group < 0) {
         ins.group = 0;
         if (t.fusion_groups == 0) t.fusion_groups = 1;
         seeded = true;

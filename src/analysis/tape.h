@@ -13,8 +13,9 @@
 //   * every operand is defined before its first use;
 //   * every op exists in the registry with matching arity, and re-running
 //     its shape rule reproduces the recorded result shape (stale-shape);
-//   * fusion groups are contiguous runs of elementwise ops over identical
-//     iteration domains, and their unmaterialized intermediates never leak;
+//   * fusion groups are contiguous runs of elementwise ops (rows with an
+//     EwFn kernel, nn/ops.h) over identical iteration domains, and their
+//     unmaterialized intermediates never leak;
 //   * the arena plan is sound: no two values with overlapping lifetimes
 //     share bytes, and no instruction's destination aliases a buffer some
 //     later instruction still needs (recomputed from the instruction
@@ -30,7 +31,6 @@
 
 #include "analysis/diag.h"
 #include "analysis/registry.h"
-#include "analysis/shape.h"
 #include "core/doppelganger.h"
 #include "data/types.h"
 
@@ -83,10 +83,6 @@ struct Tape {
   std::vector<int> outputs;  ///< records, state.h, state.c, state.mask
   int fusion_groups = 0;     ///< groups with >= 2 instructions
 };
-
-/// True for ops a fusion group may contain: one output element per input
-/// element, no cross-element reads (add/mul/.../tanh/sigmoid/recip).
-bool tape_op_is_elementwise(std::string_view op);
 
 /// Arena plan for a tape (planner.h computes it; carried here so a tape and
 /// its plan travel and get verified together).

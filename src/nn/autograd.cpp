@@ -9,7 +9,6 @@
 
 #include "nn/check.h"
 #include "nn/parallel.h"
-#include "nn/scalar_ops.h"
 #include "obs/profile.h"
 
 namespace dg::nn {
@@ -40,25 +39,6 @@ MetaModeGuard::~MetaModeGuard() {
 }
 
 bool meta_mode() { return detail::g_meta_mode; }
-
-std::span<const char* const> known_op_names() {
-  static const char* const kNames[] = {
-      "leaf",        "constant",    "grad",
-      "add",         "sub",         "neg",
-      "mul",         "div",         "add_scalar",
-      "mul_scalar",  "matmul",      "transpose",
-      "affine",      "lstm_gates",  "add_rowvec",
-      "mul_colvec",  "mul_rowvec",  "broadcast_scalar",
-      "row_sum",     "col_sum",     "sum",
-      "relu",        "tanh",        "sigmoid",
-      "exp",         "log",         "sqrt",
-      "square",      "abs",         "concat_cols",
-      "concat_rows", "slice_cols",  "slice_rows",
-      "pad_cols",    "pad_rows",    "neg_row_max",
-      "add_colvec",  "recip",
-  };
-  return kNames;
-}
 
 OpObserverGuard::OpObserverGuard(Callback cb)
     : cb_(std::move(cb)), prev_(g_op_observer) {
@@ -110,30 +90,33 @@ void Var::set_grad(Matrix g) {
     throw std::invalid_argument("set_grad: gradient shape mismatch");
   }
   n_->grad_slot = std::make_shared<detail::Node>();
-  n_->grad_slot->op = "grad";
+  n_->grad_slot->op = op_def(Op::kGrad).name;
   n_->grad_slot->value = std::move(g);
 }
 
 /// Creates an op-result node. If grad mode is off, no parent needs a
 /// gradient or the op has no backward rule, the result is a plain constant
 /// and the graph edge is dropped.
-Var make_op(const char* op, Matrix value, std::vector<Var> parents,
+Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
             std::function<std::vector<Var>(const Var&)> backward,
             OpBounds bounds) {
   const bool meta = detail::g_meta_mode;
+  const char* const op = row.name;
 #ifdef DG_OBS_ENABLED
   // Op boundary for the profiler: by the time make_op runs, the op's forward
   // value has materialized, so this call closes the op's wall-time interval
   // on this thread (see obs/profile.h). Must run before `value`/`parents`
   // are moved into the node.
   if (!meta && obs::Profiler::enabled()) {
-    obs::Profiler::Dims dims[8];
+    Dims dims[8];
     std::size_t np = 0;
     for (const Var& p : parents) {
       if (np == 8) break;
       if (p.defined()) dims[np++] = {p.value().rows(), p.value().cols()};
     }
-    obs::Profiler::note_op(op, dims, np, {value.rows(), value.cols()});
+    const std::span<const Dims> in(dims, np);
+    const Dims out{value.rows(), value.cols()};
+    obs::Profiler::note_op(op, row.flops(in, out), op_bytes(in, out));
   }
 #endif
   if (!meta && g_op_observer != nullptr) {
@@ -160,7 +143,7 @@ Var make_op(const char* op, Matrix value, std::vector<Var> parents,
 }
 
 Var constant(Matrix m) {
-  return make_op("constant", std::move(m), {}, nullptr);
+  return make_op(op_def(Op::kConstant), std::move(m), {}, nullptr);
 }
 Var ones(int rows, int cols) { return constant(Matrix(rows, cols, 1.0f)); }
 Var zeros(int rows, int cols) { return constant(Matrix(rows, cols, 0.0f)); }
@@ -268,7 +251,7 @@ void Var::backward(bool create_graph) const {
     if (node->backward) continue;  // only leaves keep grads
     if (!node->grad_slot) {
       node->grad_slot = std::make_shared<detail::Node>();
-      node->grad_slot->op = "grad";
+      node->grad_slot->op = op_def(Op::kGrad).name;
       node->grad_slot->value = g.value();
     } else {
       if (checking) detail::anomaly_note_stale_grad(node);
@@ -295,29 +278,29 @@ std::vector<Var> grad(const Var& out, std::span<const Var> inputs,
 // ---------------------------------------------------------------- ops
 
 Var add(const Var& a, const Var& b) {
-  return make_op("add", dg::nn::add(a.value(), b.value()), {a, b},
+  return make_op(op_def(Op::kAdd), dg::nn::add(a.value(), b.value()), {a, b},
                  [](const Var& g) { return std::vector<Var>{g, g}; });
 }
 
 Var sub(const Var& a, const Var& b) {
-  return make_op("sub", dg::nn::sub(a.value(), b.value()), {a, b},
+  return make_op(op_def(Op::kSub), dg::nn::sub(a.value(), b.value()), {a, b},
                  [](const Var& g) { return std::vector<Var>{g, neg(g)}; });
 }
 
 Var neg(const Var& a) {
-  return make_op("neg", dg::nn::mul_scalar(a.value(), -1.0f), {a},
+  return make_op(op_def(Op::kNeg), dg::nn::mul_scalar(a.value(), -1.0f), {a},
                  [](const Var& g) { return std::vector<Var>{neg(g)}; });
 }
 
 Var mul(const Var& a, const Var& b) {
-  return make_op("mul", dg::nn::mul(a.value(), b.value()), {a, b},
+  return make_op(op_def(Op::kMul), dg::nn::mul(a.value(), b.value()), {a, b},
                  [a, b](const Var& g) {
                    return std::vector<Var>{mul(g, b), mul(g, a)};
                  });
 }
 
 Var div(const Var& a, const Var& b) {
-  return make_op("div", dg::nn::div(a.value(), b.value()), {a, b},
+  return make_op(op_def(Op::kDiv), dg::nn::div(a.value(), b.value()), {a, b},
                  [a, b](const Var& g) {
                    Var da = div(g, b);
                    Var db = neg(div(mul(g, a), mul(b, b)));
@@ -326,19 +309,19 @@ Var div(const Var& a, const Var& b) {
 }
 
 Var add_scalar(const Var& a, float s) {
-  return make_op("add_scalar", dg::nn::add_scalar(a.value(), s), {a},
+  return make_op(op_def(Op::kAddScalar), dg::nn::add_scalar(a.value(), s), {a},
                  [](const Var& g) { return std::vector<Var>{g}; });
 }
 
 Var mul_scalar(const Var& a, float s) {
-  return make_op("mul_scalar", dg::nn::mul_scalar(a.value(), s), {a},
+  return make_op(op_def(Op::kMulScalar), dg::nn::mul_scalar(a.value(), s), {a},
                  [s](const Var& g) {
                    return std::vector<Var>{mul_scalar(g, s)};
                  });
 }
 
 Var matmul(const Var& a, const Var& b) {
-  return make_op("matmul", dg::nn::matmul(a.value(), b.value()), {a, b},
+  return make_op(op_def(Op::kMatmul), dg::nn::matmul(a.value(), b.value()), {a, b},
                  [a, b](const Var& g) {
                    Var da = matmul(g, transpose(b));
                    Var db = matmul(transpose(a), g);
@@ -347,15 +330,16 @@ Var matmul(const Var& a, const Var& b) {
 }
 
 Var transpose(const Var& a) {
-  return make_op("transpose", dg::nn::transpose(a.value()), {a},
+  return make_op(op_def(Op::kTranspose), dg::nn::transpose(a.value()), {a},
                  [](const Var& g) { return std::vector<Var>{transpose(g)}; });
 }
 
 Var affine(const Var& x, const Var& w, const Var& b) {
   // Backward is expressed in public ops, so the rule stays differentiable
   // (second-order WGAN-GP flows through the critic's affine layers).
-  return make_op("affine", dg::nn::affine(x.value(), w.value(), b.value()),
-                 {x, w, b}, [x, w](const Var& g) {
+  return make_op(op_def(Op::kAffine),
+                 dg::nn::affine(x.value(), w.value(), b.value()), {x, w, b},
+                 [x, w](const Var& g) {
                    return std::vector<Var>{matmul(g, transpose(w)),
                                            matmul(transpose(x), g),
                                            col_sum(g)};
@@ -365,7 +349,7 @@ Var affine(const Var& x, const Var& w, const Var& b) {
 Var lstm_gates(const Var& x, const Var& wx, const Var& h, const Var& wh,
                const Var& b) {
   return make_op(
-      "lstm_gates",
+      op_def(Op::kLstmGates),
       dg::nn::lstm_gates(x.value(), wx.value(), h.value(), wh.value(),
                          b.value()),
       {x, wx, h, wh, b}, [x, wx, h, wh](const Var& g) {
@@ -377,7 +361,8 @@ Var lstm_gates(const Var& x, const Var& wx, const Var& h, const Var& wh,
 }
 
 Var add_rowvec(const Var& x, const Var& b) {
-  return make_op("add_rowvec", dg::nn::add_rowvec(x.value(), b.value()), {x, b},
+  return make_op(op_def(Op::kAddRowvec),
+                 dg::nn::add_rowvec(x.value(), b.value()), {x, b},
                  [](const Var& g) {
                    return std::vector<Var>{g, col_sum(g)};
                  });
@@ -387,14 +372,16 @@ Var add_colvec(const Var& x, const Var& v) {
   // The column vector is usually a constant (softmax's shift): its
   // gradient is only computed when something upstream needs it.
   const bool v_needs = v.requires_grad();
-  return make_op("add_colvec", dg::nn::add_colvec(x.value(), v.value()),
-                 {x, v}, [v_needs](const Var& g) {
+  return make_op(op_def(Op::kAddColvec),
+                 dg::nn::add_colvec(x.value(), v.value()), {x, v},
+                 [v_needs](const Var& g) {
                    return std::vector<Var>{g, v_needs ? row_sum(g) : Var{}};
                  });
 }
 
 Var mul_colvec(const Var& x, const Var& v) {
-  return make_op("mul_colvec", dg::nn::mul_colvec(x.value(), v.value()), {x, v},
+  return make_op(op_def(Op::kMulColvec),
+                 dg::nn::mul_colvec(x.value(), v.value()), {x, v},
                  [x, v](const Var& g) {
                    Var dx = mul_colvec(g, v);
                    Var dv = row_sum(mul(g, x));
@@ -403,7 +390,8 @@ Var mul_colvec(const Var& x, const Var& v) {
 }
 
 Var mul_rowvec(const Var& x, const Var& m) {
-  return make_op("mul_rowvec", dg::nn::mul_rowvec(x.value(), m.value()), {x, m},
+  return make_op(op_def(Op::kMulRowvec),
+                 dg::nn::mul_rowvec(x.value(), m.value()), {x, m},
                  [x, m](const Var& g) {
                    Var dx = mul_rowvec(g, m);
                    Var dm = col_sum(mul(g, x));
@@ -417,13 +405,13 @@ Var broadcast_scalar(const Var& s, int rows, int cols) {
   }
   // A shape-only (meta) scalar has no value to broadcast.
   const float v = s.value().empty() ? 0.0f : s.value().at(0, 0);
-  return make_op("broadcast_scalar", Matrix(rows, cols, v), {s},
+  return make_op(op_def(Op::kBroadcastScalar), Matrix(rows, cols, v), {s},
                  [](const Var& g) { return std::vector<Var>{sum(g)}; });
 }
 
 Var row_sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
-  return make_op("row_sum", dg::nn::row_sum(a.value()), {a},
+  return make_op(op_def(Op::kRowSum), dg::nn::row_sum(a.value()), {a},
                  [n, d](const Var& g) {
                    return std::vector<Var>{mul_colvec(ones(n, d), g)};
                  });
@@ -431,7 +419,7 @@ Var row_sum(const Var& a) {
 
 Var col_sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
-  return make_op("col_sum", dg::nn::col_sum(a.value()), {a},
+  return make_op(op_def(Op::kColSum), dg::nn::col_sum(a.value()), {a},
                  [n, d](const Var& g) {
                    return std::vector<Var>{add_rowvec(zeros(n, d), g)};
                  });
@@ -439,7 +427,7 @@ Var col_sum(const Var& a) {
 
 Var sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
-  return make_op("sum", Matrix(1, 1, dg::nn::sum(a.value())), {a},
+  return make_op(op_def(Op::kSum), Matrix(1, 1, dg::nn::sum(a.value())), {a},
                  [n, d](const Var& g) {
                    return std::vector<Var>{broadcast_scalar(g, n, d)};
                  });
@@ -452,7 +440,8 @@ Var mean(const Var& a) {
 }
 
 Var neg_row_max(const Var& a) {
-  return make_op("neg_row_max", dg::nn::neg_row_max(a.value()), {a}, nullptr);
+  return make_op(op_def(Op::kNegRowMax), dg::nn::neg_row_max(a.value()), {a},
+                 nullptr);
 }
 
 Var relu(const Var& a) {
@@ -469,60 +458,66 @@ Var relu(const Var& a) {
                  }
                });
   // The mask is locally constant, so it is correct to treat it as data.
-  return make_op("relu", std::move(out), {a},
+  return make_op(op_def(Op::kRelu), std::move(out), {a},
                  [m = std::move(mask)](const Var& g) {
                    return std::vector<Var>{mul(g, constant(m))};
                  });
 }
 
 Var tanh_(const Var& a) {
-  Matrix out = map_ew(simd::EwFn::kTanh, a.value());
+  const OpDef& row = op_def(Op::kTanh);
+  Matrix out = map_ew(*row.ew, a.value());
   // Recompute tanh(a) in the backward pass instead of capturing the output
   // Var (which would create a shared_ptr cycle node->backward->node).
-  return make_op("tanh", std::move(out), {a}, [a](const Var& g) {
+  return make_op(row, std::move(out), {a}, [a](const Var& g) {
     Var y = tanh_(a);
     return std::vector<Var>{mul(g, add_scalar(neg(square(y)), 1.0f))};
   });
 }
 
 Var sigmoid(const Var& a) {
-  Matrix out = map_ew(simd::EwFn::kSigmoid, a.value());
-  return make_op("sigmoid", std::move(out), {a}, [a](const Var& g) {
+  const OpDef& row = op_def(Op::kSigmoid);
+  Matrix out = map_ew(*row.ew, a.value());
+  return make_op(row, std::move(out), {a}, [a](const Var& g) {
     Var s = sigmoid(a);
     return std::vector<Var>{mul(g, mul(s, add_scalar(neg(s), 1.0f)))};
   });
 }
 
 Var exp_(const Var& a) {
-  Matrix out = map_ew(simd::EwFn::kExp, a.value());
-  return make_op("exp", std::move(out), {a}, [a](const Var& g) {
+  const OpDef& row = op_def(Op::kExp);
+  Matrix out = map_ew(*row.ew, a.value());
+  return make_op(row, std::move(out), {a}, [a](const Var& g) {
     return std::vector<Var>{mul(g, exp_(a))};
   });
 }
 
 Var log_(const Var& a) {
-  Matrix out = map_ew(simd::EwFn::kLog, a.value());
-  return make_op("log", std::move(out), {a}, [a](const Var& g) {
+  const OpDef& row = op_def(Op::kLog);
+  Matrix out = map_ew(*row.ew, a.value());
+  return make_op(row, std::move(out), {a}, [a](const Var& g) {
     return std::vector<Var>{div(g, a)};
   });
 }
 
 Var sqrt_(const Var& a) {
-  Matrix out = map_ew(simd::EwFn::kSqrt, a.value());
-  return make_op("sqrt", std::move(out), {a}, [a](const Var& g) {
+  const OpDef& row = op_def(Op::kSqrt);
+  Matrix out = map_ew(*row.ew, a.value());
+  return make_op(row, std::move(out), {a}, [a](const Var& g) {
     return std::vector<Var>{mul_scalar(div(g, sqrt_(a)), 0.5f)};
   });
 }
 
 Var square(const Var& a) {
-  return make_op("square", dg::nn::mul(a.value(), a.value()), {a},
+  return make_op(op_def(Op::kSquare), dg::nn::mul(a.value(), a.value()), {a},
                  [a](const Var& g) {
                    return std::vector<Var>{mul_scalar(mul(g, a), 2.0f)};
                  });
 }
 
 Var abs_(const Var& a) {
-  Matrix out = map_ew(simd::EwFn::kAbs, a.value());
+  const OpDef& row = op_def(Op::kAbs);
+  Matrix out = map_ew(*row.ew, a.value());
   Matrix sign(out.rows(), out.cols());
   const float* pa = a.value().data();
   float* ps = sign.data();
@@ -532,7 +527,7 @@ Var abs_(const Var& a) {
                    ps[i] = pa[i] >= 0.0f ? 1.0f : -1.0f;
                  }
                });
-  return make_op("abs", std::move(out), {a},
+  return make_op(row, std::move(out), {a},
                  [s = std::move(sign)](const Var& g) {
                    return std::vector<Var>{mul(g, constant(s))};
                  });
@@ -542,10 +537,10 @@ Var recip(const Var& a) {
   // d(1/a) = -g / (a * a): the quotient rule's divisor term for a numerator
   // of ones (g * 1 == g), in the same op order, so its bytes match the ones
   // div(ones, a) backpropagates.
-  return make_op("recip", map_ew(simd::EwFn::kRecip, a.value()), {a},
-                 [a](const Var& g) {
-                   return std::vector<Var>{neg(div(g, mul(a, a)))};
-                 });
+  const OpDef& row = op_def(Op::kRecip);
+  return make_op(row, map_ew(*row.ew, a.value()), {a}, [a](const Var& g) {
+    return std::vector<Var>{neg(div(g, mul(a, a)))};
+  });
 }
 
 Var concat_cols(std::span<const Var> parts) {
@@ -558,8 +553,8 @@ Var concat_cols(std::span<const Var> parts) {
     parents.push_back(p);
     widths.push_back(p.cols());
   }
-  return make_op("concat_cols", dg::nn::concat_cols(mats), std::move(parents),
-                 [widths](const Var& g) {
+  return make_op(op_def(Op::kConcatCols), dg::nn::concat_cols(mats),
+                 std::move(parents), [widths](const Var& g) {
                    std::vector<Var> out;
                    int off = 0;
                    for (int w : widths) {
@@ -579,8 +574,8 @@ Var concat_rows(std::span<const Var> parts) {
     parents.push_back(p);
     heights.push_back(p.rows());
   }
-  return make_op("concat_rows", dg::nn::concat_rows(mats), std::move(parents),
-                 [heights](const Var& g) {
+  return make_op(op_def(Op::kConcatRows), dg::nn::concat_rows(mats),
+                 std::move(parents), [heights](const Var& g) {
                    std::vector<Var> out;
                    int off = 0;
                    for (int h : heights) {
@@ -593,7 +588,7 @@ Var concat_rows(std::span<const Var> parts) {
 
 Var slice_cols(const Var& a, int c0, int c1) {
   const int total = a.cols();
-  return make_op("slice_cols", dg::nn::slice_cols(a.value(), c0, c1), {a},
+  return make_op(op_def(Op::kSliceCols), dg::nn::slice_cols(a.value(), c0, c1), {a},
                  [c0, c1, total](const Var& g) {
                    return std::vector<Var>{pad_cols(g, c0, total - c1)};
                  },
@@ -602,7 +597,7 @@ Var slice_cols(const Var& a, int c0, int c1) {
 
 Var slice_rows(const Var& a, int r0, int r1) {
   const int total = a.rows();
-  return make_op("slice_rows", dg::nn::slice_rows(a.value(), r0, r1), {a},
+  return make_op(op_def(Op::kSliceRows), dg::nn::slice_rows(a.value(), r0, r1), {a},
                  [r0, r1, total](const Var& g) {
                    return std::vector<Var>{pad_rows(g, r0, total - r1)};
                  },
@@ -626,7 +621,7 @@ Var pad_cols(const Var& a, int left, int right) {
   }
   const int c0 = left, c1 = left + m.cols();
   return make_op(
-      "pad_cols", std::move(out), {a},
+      op_def(Op::kPadCols), std::move(out), {a},
       [c0, c1](const Var& g) { return std::vector<Var>{slice_cols(g, c0, c1)}; },
       {left, right});
 }
@@ -640,7 +635,7 @@ Var pad_rows(const Var& a, int top, int bottom) {
   }
   const int r0 = top, r1 = top + m.rows();
   return make_op(
-      "pad_rows", std::move(out), {a},
+      op_def(Op::kPadRows), std::move(out), {a},
       [r0, r1](const Var& g) { return std::vector<Var>{slice_rows(g, r0, r1)}; },
       {top, bottom});
 }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "nn/matrix.h"
+#include "nn/ops.h"
 
 namespace dg::nn {
 
@@ -45,9 +46,9 @@ struct Node {
 
   Matrix value;
   bool requires_grad = false;
-  /// Name of the op that produced this node ("leaf" for user-created Vars,
-  /// "constant" for constants). Static strings only; used by the anomaly
-  /// checker (nn/check.h) for attribution.
+  /// Name of the op row that produced this node ("leaf" for user-created
+  /// Vars, "constant" for constants). Static strings only; used by the
+  /// anomaly checker (nn/check.h) for attribution.
   const char* op = "leaf";
   std::vector<Var> parents;
   /// Maps this node's output-gradient to per-parent gradients (aligned with
@@ -106,27 +107,21 @@ class Var {
   detail::Node* node() const { return n_.get(); }
 
  private:
-  friend Var make_op(const char* op, Matrix value, std::vector<Var> parents,
+  friend Var make_op(const OpDef& row, Matrix value,
+                     std::vector<Var> parents,
                      std::function<std::vector<Var>(const Var&)> backward,
                      OpBounds bounds);
   std::shared_ptr<detail::Node> n_;
 };
 
 /// The extension point every op below is built on: wraps `value` in a graph
-/// node named `op` (a static string, used for anomaly attribution) whose
-/// backward rule maps the output-gradient to per-parent gradients. If grad
-/// mode is off, no parent requires grad, or the op has no backward rule
-/// (nullptr), parents and the rule are dropped and the result is a constant.
-Var make_op(const char* op, Matrix value, std::vector<Var> parents,
+/// node named after its op's row (nn/ops.h) whose backward rule maps the
+/// output-gradient to per-parent gradients. If grad mode is off, no parent
+/// requires grad, or the op has no backward rule (nullptr), parents and the
+/// rule are dropped and the result is a constant.
+Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
             std::function<std::vector<Var>(const Var&)> backward,
             OpBounds bounds = {});
-
-/// Every op name `make_op` is called with across the nn layer, plus the two
-/// node kinds created outside it ("leaf" from the Var constructor, "grad"
-/// for accumulated gradient slots). This is the coverage contract of the
-/// static analyzer's op registry (src/analysis/registry.h): tests cross-check
-/// the two lists so a new op cannot ship without a shape rule.
-std::span<const char* const> known_op_names();
 
 /// RAII: installs a thread-local observer notified of every op node this
 /// thread records (op name + result dims), nested-guard safe; silent under

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "nn/ops.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
 #include "obs/profile.h"
@@ -73,6 +74,28 @@ void matmul_acc_rows(const Matrix& a, const Matrix& b, Matrix& out,
                                   out.data(), r0, r1);
 }
 
+#ifdef DG_OBS_ENABLED
+/// Exact-wall timer for the kernel behind `op`, labelled and costed by the
+/// op's row, so its kernel.* profiler row counts what the op row counts.
+obs::KernelTimer op_timer(Op op, std::initializer_list<const Matrix*> in,
+                          const Matrix& out) {
+  const OpDef& row = op_def(op);
+  if (!obs::Profiler::enabled()) return obs::KernelTimer(row.name, 0, 0);
+  Dims dims[5];
+  std::size_t n = 0;
+  for (const Matrix* m : in) dims[n++] = {m->rows(), m->cols()};
+  const Dims o{out.rows(), out.cols()};
+  return obs::KernelTimer(row.name, row.flops({dims, n}, o),
+                          op_bytes({dims, n}, o));
+}
+#define DG_OP_KERNEL_TIMER(op, out, ...) \
+  const obs::KernelTimer dg_op_kernel_timer_ = op_timer(op, __VA_ARGS__, out)
+#else
+#define DG_OP_KERNEL_TIMER(op, out, ...) \
+  do {                                   \
+  } while (0)
+#endif
+
 }  // namespace
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -80,10 +103,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   const int n = a.rows(), k = a.cols(), m = b.cols();
   Matrix out(n, m, 0.0f);
   if (out.empty() || k == 0) return out;
-  DG_OBS_KERNEL_TIMER("matmul", 2ULL * n * k * m,
-                      4ULL * (static_cast<std::uint64_t>(n) * k +
-                              static_cast<std::uint64_t>(k) * m +
-                              static_cast<std::uint64_t>(n) * m));
+  DG_OP_KERNEL_TIMER(Op::kMatmul, out, {&a, &b});
   parallel_for(0, n, matmul_row_grain(k, m),
                [&](std::int64_t r0, std::int64_t r1) {
                  matmul_acc_rows(a, b, out, r0, r1);
@@ -98,11 +118,7 @@ Matrix affine(const Matrix& x, const Matrix& w, const Matrix& b) {
   const int n = x.rows(), m = w.cols();
   Matrix out(n, m);
   if (out.empty()) return out;
-  DG_OBS_KERNEL_TIMER("affine",
-                      2ULL * n * x.cols() * m + static_cast<std::uint64_t>(n) * m,
-                      4ULL * (static_cast<std::uint64_t>(n) * x.cols() +
-                              static_cast<std::uint64_t>(x.cols()) * m + m +
-                              static_cast<std::uint64_t>(n) * m));
+  DG_OP_KERNEL_TIMER(Op::kAffine, out, {&x, &w, &b});
   parallel_for(0, n, matmul_row_grain(x.cols(), m),
                [&](std::int64_t r0, std::int64_t r1) {
                  for (std::int64_t i = r0; i < r1; ++i) {
@@ -125,13 +141,7 @@ Matrix lstm_gates(const Matrix& x, const Matrix& wx, const Matrix& h,
   const int n = x.rows(), m = wx.cols();
   Matrix out(n, m);
   if (out.empty()) return out;
-  DG_OBS_KERNEL_TIMER("lstm_gates",
-                      2ULL * n * (x.cols() + h.cols()) * m +
-                          static_cast<std::uint64_t>(n) * m,
-                      4ULL * (static_cast<std::uint64_t>(n) * x.cols() +
-                              static_cast<std::uint64_t>(n) * h.cols() +
-                              static_cast<std::uint64_t>(x.cols() + h.cols()) * m +
-                              m + static_cast<std::uint64_t>(n) * m));
+  DG_OP_KERNEL_TIMER(Op::kLstmGates, out, {&x, &wx, &h, &wh, &b});
   const std::int64_t grain = matmul_row_grain(x.cols() + h.cols(), m);
   parallel_for(0, n, grain, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
@@ -148,8 +158,7 @@ Matrix transpose(const Matrix& a) {
   const int r = a.rows(), c = a.cols();
   Matrix out(c, r);
   if (out.empty()) return out;
-  DG_OBS_KERNEL_TIMER("transpose", 0,
-                      8ULL * static_cast<std::uint64_t>(r) * c);
+  DG_OP_KERNEL_TIMER(Op::kTranspose, out, {&a});
   // Blocked: read B columns of a per tile so the strided loads hit each
   // source cache line B times instead of once (the unblocked version was
   // quadratic in misses for the tall rows >> cols gate-slice shapes).

@@ -1,0 +1,146 @@
+// The op table: one row per engine op, and the only place an op is
+// described. A row holds what every layer needs to know about the op
+// without running it — its name, arity, shape rule, determinism class,
+// double-backward class, ULP bound, FLOP formula and, for elementwise ops,
+// the simd::EwFn kernel the forward and the generation tape both run.
+//
+// make_op (nn/autograd.h) takes a row, so no graph node exists without
+// one. The analyzer's registry is a copy of the table (analysis/registry.h),
+// the tape executor compiles instructions by the row's Op and kernel
+// (serve/tape_exec.cpp), and the profiler's op and kernel rows count the
+// row's FLOPs (obs/profile.h).
+//
+// Adding an op: add its Op, its row in ops.cpp (the static_assert there
+// fails until every Op has a row, in enum order), and its function in
+// nn/autograd.cpp calling make_op(op_def(Op::kNew), ...).
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
+
+#include "nn/shape.h"
+#include "nn/simd/vec.h"
+
+namespace dg::nn {
+
+/// Call-site attributes an op carries beyond its inputs' shapes.
+struct OpAttrs {
+  int i0 = 0;  ///< slice lower bound / pad left (cols) / pad top (rows)
+  int i1 = 0;  ///< slice upper bound / pad right (cols) / pad bottom (rows)
+  Dim rows;    ///< target shape: leaf/constant/broadcast_scalar
+  Dim cols;
+};
+
+/// Outcome of a shape rule: either the output shape or an error message
+/// (the interpreter attaches op name and graph path).
+struct ShapeResult {
+  std::optional<Shape> shape;
+  std::string error;
+
+  static ShapeResult ok(Shape s) { return {s, {}}; }
+  static ShapeResult fail(std::string msg) {
+    return {std::nullopt, std::move(msg)};
+  }
+};
+
+/// How an op behaves under double backward (create_graph=true). This
+/// matters because WGAN-GP differentiates *through* gradients: an op whose
+/// backward rule is not itself expressed in differentiable ops silently
+/// breaks the gradient penalty.
+enum class DiffClass {
+  /// Backward rule is expressed in public ops; gradients of gradients flow.
+  kDoubleBackward,
+  /// Backward multiplies by a locally-constant mask (relu, abs): valid under
+  /// the gradient penalty — the second derivative is exactly zero almost
+  /// everywhere, which the mask-as-data trick computes correctly.
+  kZeroCurvature,
+  /// Backward is not differentiable. Must not appear on a critic path when
+  /// WGAN-GP is active. No row is in this class; it exists for what-if
+  /// overrides of the analyzer's registry copy.
+  kFirstOrderOnly,
+};
+
+const char* to_string(DiffClass c);
+
+/// How the op (and its adjoint) behaves under reordered floating-point
+/// accumulation. Any execution that reorders work — a lowered training-step
+/// tape, or a data-parallel all-reduce — must keep the reduction order at
+/// every site that is not kOrderFree to stay bit-identical.
+enum class DetClass {
+  /// Pure elementwise / layout op: no accumulation anywhere, output is
+  /// invariant to any evaluation order.
+  kOrderFree,
+  /// Folds an input extent through floating-point adds (matmul, affine,
+  /// lstm_gates, row_sum, col_sum, sum): result depends on the summation
+  /// order, which our kernels fix by construction.
+  kOrderedReduction,
+  /// Read-modify-write into a gradient slot (the implicit "grad" op):
+  /// contributions from multiple graph paths are added in engine traversal
+  /// order. The census reports these separately because reordering the
+  /// backward pass changes *when* the adds happen, not just their order.
+  kAccumulating,
+};
+
+const char* to_string(DetClass c);
+
+/// Every engine op, in table order. kLeaf and kGrad name the two node kinds
+/// created outside make_op: Var's constructor and the grad() slot.
+enum class Op : std::uint8_t {
+  kLeaf, kConstant, kGrad,
+  kAdd, kSub, kNeg, kMul, kDiv, kAddScalar, kMulScalar,
+  kMatmul, kTranspose, kAffine, kLstmGates,
+  kAddRowvec, kAddColvec, kMulColvec, kMulRowvec, kBroadcastScalar,
+  kRowSum, kColSum, kSum, kNegRowMax,
+  kRelu, kTanh, kSigmoid, kExp, kLog, kSqrt, kSquare, kAbs, kRecip,
+  kConcatCols, kConcatRows, kSliceCols, kSliceRows, kPadCols, kPadRows,
+  kCount,
+};
+
+/// A concrete operand or result extent, (rows, cols), for the cost formulas.
+using Dims = std::pair<int, int>;
+
+struct OpDef {
+  Op op;
+  const char* name;
+  int min_arity;
+  int max_arity;  ///< -1 = variadic
+  ShapeResult (*shape)(std::span<const Shape> in, const OpAttrs& attrs);
+  DetClass det;
+  DiffClass diff;
+  /// 0: the kernel is bit-exact arithmetic. Otherwise the op is a shared
+  /// polynomial transcendental (exp/tanh/sigmoid, nn/simd/vec.h): still
+  /// bit-identical across SIMD tiers, and at most this many ULP from
+  /// double-precision libm on its supported domain — for exp that is
+  /// [-87.336, 88.376] (flush-to-zero below, +inf saturation above).
+  /// tests/nn/test_simd.cpp sweeps against it.
+  int ulp_bound;
+  /// FLOPs of one call: exact for the dense kernels, one per output element
+  /// for elementwise ops, broadcasts and reductions, zero for layout ops.
+  std::uint64_t (*flops)(std::span<const Dims> in, Dims out);
+  /// Elementwise ops only: the kernel of one output element per input
+  /// element, which the forward and the tape's fused groups both run.
+  std::optional<simd::EwFn> ew;
+};
+
+/// The table, indexed by Op. Defined in ops.cpp.
+extern const OpDef kOpTable[static_cast<std::size_t>(Op::kCount)];
+
+inline const OpDef& op_def(Op op) {
+  return kOpTable[static_cast<std::size_t>(op)];
+}
+
+inline std::span<const OpDef> op_table() { return kOpTable; }
+
+/// The row named `name`, or nullptr: for data keyed by name (tapes, traced
+/// graphs), never for building nodes.
+const OpDef* find_op(std::string_view name);
+
+/// Bytes one call moves: every operand and the result, as floats.
+std::uint64_t op_bytes(std::span<const Dims> in, Dims out);
+
+}  // namespace dg::nn

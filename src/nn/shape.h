@@ -1,4 +1,5 @@
-// Shape-only tensor vocabulary of the symbolic graph: a Dim is either a
+// Shape-only tensor vocabulary of the op table's shape rules (nn/ops.h)
+// and the analyzer's symbolic graph (analysis/symbolic.h): a Dim is either a
 // concrete extent or a named symbol (the batch dimension "B" is the only
 // symbol a DoppelGANger trace produces, but nothing here hard-codes that),
 // and a Shape is a [rows, cols] pair — the whole tensor model of the nn
@@ -9,7 +10,7 @@
 #include <string>
 #include <utility>
 
-namespace dg::analysis {
+namespace dg::nn {
 
 struct Dim {
   long long value = 0;
@@ -58,4 +59,4 @@ struct Shape {
   }
 };
 
-}  // namespace dg::analysis
+}  // namespace dg::nn

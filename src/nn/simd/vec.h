@@ -19,7 +19,7 @@
 //     approximation: exp_ref/tanh_ref/sigmoid_ref below ARE the semantics of
 //     the op in both tiers; the avx2 forms evaluate the same constants in the
 //     same order lane-wise. Accuracy vs libm is ULP-bounded, with the bound
-//     declared per op in the analysis registry (SimdClass::kUlpBounded).
+//     declared in each op's row (OpDef::ulp_bound in nn/ops.h).
 //   - Reductions (row_sum, neg_row_max) use a fixed 8-lane-blocked
 //     association, implemented identically in both tiers, so the vector form
 //     needs no reassociation. Lane partials combine in ascending lane order,
@@ -115,9 +115,9 @@ bool parse_tier(const char* s, Tier& t, bool& auto_tier);
 // Defined in kernels_scalar.cpp (the -ffp-contract=off TU) and deliberately
 // NOT inline: every caller in every TU gets the same bits regardless of that
 // TU's optimization flags. These are the op-level semantics of exp/tanh/
-// sigmoid project-wide (scalar_ops.h routes here); the avx2 tier evaluates
-// the same polynomial lane-wise. ULP bounds vs libm are declared in the
-// analysis registry and pinned by tests/nn/test_simd.cpp.
+// sigmoid project-wide (EwFn::kExp/kTanh/kSigmoid evaluate them); the avx2
+// tier evaluates the same polynomial lane-wise. ULP bounds vs libm are
+// declared in the ops' rows (nn/ops.h) and pinned by tests/nn/test_simd.cpp.
 float exp_ref(float x);
 float tanh_ref(float x);
 float sigmoid_ref(float x);

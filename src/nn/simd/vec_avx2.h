@@ -205,11 +205,12 @@ inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
         _mm256_storeu_ps(d + i, _mm256_div_ps(_mm256_loadu_ps(a + i),
                                               _mm256_loadu_ps(b + i)));
       break;
-    case EwFn::kNeg:
+    case EwFn::kNeg: {
+      const __m256 m = _mm256_set1_ps(scalar_impl::opaque(-1.0f));
       for (; i + 8 <= len; i += 8)
-        _mm256_storeu_ps(d + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                              _mm256_set1_ps(-1.0f)));
+        _mm256_storeu_ps(d + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), m));
       break;
+    }
     case EwFn::kRelu:
       // max_ps(v, 0) returns the second operand (0) for NaN lanes, matching
       // the scalar `v > 0 ? v : 0` which sends NaN to 0; and max(-0, +0)

@@ -75,14 +75,23 @@ inline float tanh_eval(float x) {
   return t + x;
 }
 
-/// The numerically-stable two-branch sigmoid (scalar_ops.h form) with
-/// exp_eval as the exponential.
+/// The numerically-stable two-branch sigmoid (never exp of a large positive
+/// argument) with exp_eval as the exponential.
 inline float sigmoid_eval(float v) {
   const bool nonneg = v >= 0.0f;
   const float arg = nonneg ? v * -1.0f : v;
   const float e = exp_eval(arg);
   const float num = nonneg ? 1.0f : e;
   return num / (1.0f + e);
+}
+
+/// `v`, hidden from constant folding. kNeg is a multiply by -1, the
+/// arithmetic autograd's neg runs (mul_scalar by a runtime -1); GCC would
+/// fold a multiply by a literal -1 into a sign flip, which differs from the
+/// multiply on NaN inputs (the multiply keeps the NaN's sign).
+inline float opaque(float v) {
+  __asm__("" : "+m"(v));
+  return v;
 }
 
 /// One elementwise micro-op on one element — the semantics apply_ew loops
@@ -93,7 +102,7 @@ inline float ew_eval(EwFn fn, float a, float b) {
     case EwFn::kSub: return a - b;
     case EwFn::kMul: return a * b;
     case EwFn::kDiv: return a / b;
-    case EwFn::kNeg: return a * -1.0f;
+    case EwFn::kNeg: return a * opaque(-1.0f);
     case EwFn::kRelu: return a > 0.0f ? a : 0.0f;
     case EwFn::kAbs: return std::fabs(a);
     case EwFn::kTanh: return tanh_eval(a);
@@ -166,9 +175,11 @@ inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
     case EwFn::kDiv:
       for (std::int64_t i = 0; i < len; ++i) d[i] = a[i] / b[i];
       break;
-    case EwFn::kNeg:
-      for (std::int64_t i = 0; i < len; ++i) d[i] = a[i] * -1.0f;
+    case EwFn::kNeg: {
+      const float m = opaque(-1.0f);
+      for (std::int64_t i = 0; i < len; ++i) d[i] = a[i] * m;
       break;
+    }
     case EwFn::kRelu:
       for (std::int64_t i = 0; i < len; ++i) d[i] = a[i] > 0.0f ? a[i] : 0.0f;
       break;

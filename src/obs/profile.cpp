@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -24,38 +23,6 @@ std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::uint64_t elems(Profiler::Dims d) {
-  return static_cast<std::uint64_t>(d.first) *
-         static_cast<std::uint64_t>(d.second);
-}
-
-/// FLOP estimate from the op name and operand shapes. Exact for the dense
-/// kernels that dominate training; elementwise ops count one flop per
-/// output element; shape/bookkeeping ops count zero.
-std::uint64_t estimate_flops(const char* op, const Profiler::Dims* parents,
-                             std::size_t n_parents, Profiler::Dims out) {
-  if (std::strcmp(op, "matmul") == 0 && n_parents >= 2) {
-    return 2 * elems(parents[0]) * static_cast<std::uint64_t>(out.second);
-  }
-  if (std::strcmp(op, "affine") == 0 && n_parents >= 3) {
-    // x*w + b: 2*n*k*m flops for the product, n*m adds for the bias.
-    return 2 * elems(parents[0]) * static_cast<std::uint64_t>(out.second) +
-           elems(out);
-  }
-  if (std::strcmp(op, "lstm_gates") == 0 && n_parents >= 5) {
-    // x*wx + h*wh + b.
-    return 2 * (elems(parents[0]) + elems(parents[2])) *
-               static_cast<std::uint64_t>(out.second) +
-           2 * elems(out);
-  }
-  if (std::strcmp(op, "transpose") == 0 || std::strcmp(op, "constant") == 0 ||
-      std::strncmp(op, "slice", 5) == 0 || std::strncmp(op, "pad", 3) == 0 ||
-      std::strncmp(op, "concat", 6) == 0) {
-    return 0;
-  }
-  return elems(out);  // elementwise / broadcast / reduction: ~1 flop per out
 }
 
 }  // namespace
@@ -85,8 +52,8 @@ std::vector<std::pair<std::string, OpStats>> Profiler::snapshot() {
   return {g_stats.begin(), g_stats.end()};
 }
 
-void Profiler::note_op(const char* op, const Dims* parents,
-                       std::size_t n_parents, Dims out) {
+void Profiler::note_op(const char* op, std::uint64_t flops,
+                       std::uint64_t bytes) {
   if (!enabled()) return;
   const std::int64_t now = now_ns();
   const std::uint64_t epoch = g_epoch.load(std::memory_order_relaxed);
@@ -96,10 +63,6 @@ void Profiler::note_op(const char* op, const Dims* parents,
   }
   t_epoch = epoch;
   t_last_boundary_ns = now;
-
-  std::uint64_t bytes = elems(out) * sizeof(float);
-  for (std::size_t i = 0; i < n_parents; ++i) bytes += elems(parents[i]) * sizeof(float);
-  const std::uint64_t flops = estimate_flops(op, parents, n_parents, out);
 
   std::lock_guard<std::mutex> lock(g_mu);
   OpStats& s = g_stats[op];

@@ -6,16 +6,18 @@
 //  * Op boundaries — nn::make_op calls note_op() as each op's forward value
 //    materializes. The eager executor runs ops serially per thread, so the
 //    time elapsed since the previous boundary on the same thread IS the
-//    op's forward cost (kernel + node bookkeeping). FLOPs/bytes are
-//    estimated from the op name and parent/output shapes (exact for
-//    matmul/affine/lstm_gates, elementwise counts otherwise). Time between
+//    op's forward cost (kernel + node bookkeeping). FLOPs come from the
+//    op's row in the nn op table (nn/ops.h: exact for matmul/affine/
+//    lstm_gates, elementwise counts otherwise), bytes from the operand and
+//    result shapes; make_op computes both. Time between
 //    graph bursts (data prep, optimizer copies) is excluded by mark(),
 //    which resets the thread's boundary clock.
 //
 //  * Kernel timers — the threaded kernels in nn/matrix.cpp open an RAII
 //    KernelTimer around their parallel region, so "kernel.matmul" rows
 //    carry exact wall time (inclusive of pool fan-out/join), independent of
-//    the boundary heuristic.
+//    the boundary heuristic. The dense kernels take their label, FLOPs and
+//    bytes from the same op row, so a kernel row and its op row agree.
 //
 // When the profiler is disabled (the default) every hook is one relaxed
 // atomic load; when the library is built with -DDG_OBS=OFF the hooks are
@@ -56,13 +58,9 @@ class Profiler {
 
   // ---- hooks (called from nn; no-ops unless enabled) ----
 
-  /// Shape of one operand as (rows, cols); used for FLOP/byte estimation.
-  using Dims = std::pair<int, int>;
-
-  /// Called by nn::make_op when an op's forward value is ready. `parents`
-  /// lists the operand shapes, `out` the result shape.
-  static void note_op(const char* op, const Dims* parents, std::size_t n_parents,
-                      Dims out);
+  /// Called by nn::make_op when an op's forward value is ready, with the
+  /// op's FLOPs and bytes moved.
+  static void note_op(const char* op, std::uint64_t flops, std::uint64_t bytes);
 
   /// Excludes the time since the last boundary from attribution (call when
   /// entering a region whose cost is not an op's: data prep, optimizer).

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "nn/ops.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
 
@@ -25,26 +26,8 @@ using Fn = nn::simd::EwFn;
 // tier (nn/simd/vec.h) since PR 7 — the same kernel table nn/matrix.cpp
 // dispatches into, which is what keeps tape replay bit-identical to the
 // autograd forward on every tier: both paths literally run the same code.
-
-bool fn_for(const std::string& op, Fn& fn, bool& binary) {
-  binary = false;
-  if (op == "add") { fn = Fn::kAdd; binary = true; }
-  else if (op == "sub") { fn = Fn::kSub; binary = true; }
-  else if (op == "mul") { fn = Fn::kMul; binary = true; }
-  else if (op == "div") { fn = Fn::kDiv; binary = true; }
-  else if (op == "neg") fn = Fn::kNeg;
-  else if (op == "relu") fn = Fn::kRelu;
-  else if (op == "abs") fn = Fn::kAbs;
-  else if (op == "tanh") fn = Fn::kTanh;
-  else if (op == "sigmoid") fn = Fn::kSigmoid;
-  else if (op == "exp") fn = Fn::kExp;
-  else if (op == "log") fn = Fn::kLog;
-  else if (op == "sqrt") fn = Fn::kSqrt;
-  else if (op == "square") fn = Fn::kSquare;
-  else if (op == "recip") fn = Fn::kRecip;
-  else return false;
-  return true;
-}
+// An elementwise instruction runs its op row's EwFn (nn/ops.h), the kernel
+// the autograd forward runs.
 
 /// One operand of a fused micro-op: a value id (resolved through the pointer
 /// table per element) or a register written earlier in the same group.
@@ -61,21 +44,9 @@ struct MicroOp {
 
 constexpr int kMaxFusedRegs = 64;
 
-enum class Opc : std::uint8_t {
-  kConcat,     // dst rows <- memcpy of each part row
-  kSlice,      // dst <- a[:, i0 : i0 + dst_cols]
-  kLstmGates,  // dst <- bias rows; += a*b; += c*d   (x, wx, h, wh, e=bias)
-  kAffine,     // dst <- bias rows; += a*b           (x, w, e=bias)
-  kMulColvec,  // dst <- copy(a); row i *= b[i]
-  kRowSum,     // dst[i] <- ascending sum of a row i
-  kNegRowMax,  // dst[i] <- -max(a row i)
-  kAddColvec,  // dst[i][j] <- a[i][j] + b[i]
-  kEw,         // dst <- copy(a); per-element fn (and fn(dst, b) if binary)
-  kFused,      // micro-program over one iteration domain
-};
-
+/// One compiled instruction, or (non-empty `prog`) one fused group.
 struct Step {
-  Opc opc{};
+  nn::Op op{};
   int dst = -1;  // value ids; pointers resolve through the table at run time
   int dst_cols = 0;
   int a = -1;
@@ -88,7 +59,7 @@ struct Step {
   Fn fn{};
   bool binary = false;
   std::vector<std::pair<int, int>> parts;  // concat: (value id, cols)
-  std::vector<MicroOp> prog;               // fused group program
+  std::vector<MicroOp> prog;               // fused group program, if any
 };
 
 }  // namespace
@@ -128,12 +99,43 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
   // writes through dst directly.
   float* dst = ptr[static_cast<size_t>(s.dst)];
   const int m = s.dst_cols;
-  if (m == 0 || (dst == nullptr && s.opc != Opc::kFused)) return;
+  if (m == 0 || (dst == nullptr && s.prog.empty())) return;
   const auto src = [&](int id) -> const float* {
     return ptr[static_cast<size_t>(id)];
   };
-  switch (s.opc) {
-    case Opc::kConcat: {
+  if (!s.prog.empty()) {
+    // Tile-at-a-time interpretation: each micro-op runs over a whole tile
+    // before the next dispatches, so the switch costs O(ops) per tile
+    // instead of O(ops) per element and the arithmetic loops vectorize.
+    // Per element the dependency chain is unchanged (every tile position
+    // is an independent SSA evaluation), so bits match the per-element
+    // interpreter exactly.
+    const std::int64_t e0 = r0 * m, e1 = r1 * m;
+    float* const* table = ptr.data();
+    constexpr std::int64_t kTile = 64;
+    float regs[kMaxFusedRegs][kTile];
+    for (std::int64_t base = e0; base < e1; base += kTile) {
+      const std::int64_t len = std::min<std::int64_t>(kTile, e1 - base);
+      for (const MicroOp& mo : s.prog) {
+        const float* av = mo.a_id >= 0
+                              ? table[static_cast<size_t>(mo.a_id)] + base
+                              : regs[mo.a_reg];
+        const float* bv = !mo.binary ? nullptr
+                          : mo.b_id >= 0
+                              ? table[static_cast<size_t>(mo.b_id)] + base
+                              : regs[mo.b_reg];
+        kt.apply_ew(mo.fn, av, bv, regs[mo.dst_reg], len);
+        if (mo.store_id >= 0) {
+          std::memcpy(table[static_cast<size_t>(mo.store_id)] + base,
+                      regs[mo.dst_reg],
+                      static_cast<size_t>(len) * sizeof(float));
+        }
+      }
+    }
+    return;
+  }
+  switch (s.op) {
+    case nn::Op::kConcatCols: {  // dst rows <- memcpy of each part row
       int offset = 0;
       for (const auto& [id, cols] : s.parts) {
         if (cols == 0) continue;
@@ -147,7 +149,7 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       }
       break;
     }
-    case Opc::kSlice: {
+    case nn::Op::kSliceCols: {  // dst <- a[:, i0 : i0 + dst_cols]
       const float* a = src(s.a);
       for (std::int64_t i = r0; i < r1; ++i) {
         std::memcpy(dst + static_cast<size_t>(i) * m,
@@ -156,7 +158,7 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       }
       break;
     }
-    case Opc::kLstmGates: {
+    case nn::Op::kLstmGates: {  // dst <- bias rows; += a*b; += c*d
       const float* x = src(s.a);
       const float* wx = src(s.b);
       const float* h = src(s.c);
@@ -171,7 +173,7 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       kt.matmul_acc_rows(h, hc, wh, m, dst, r0, r1);
       break;
     }
-    case Opc::kAffine: {
+    case nn::Op::kAffine: {  // dst <- bias rows; += a*b
       const float* x = src(s.a);
       const float* w = src(s.b);
       const float* bias = src(s.e);
@@ -182,7 +184,7 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       kt.matmul_acc_rows(x, s.a_cols, w, m, dst, r0, r1);
       break;
     }
-    case Opc::kMulColvec: {
+    case nn::Op::kMulColvec: {  // dst <- copy(a); row i *= b[i]
       // Single pass (a[j] * sc == copy-then-scale, bit for bit).
       const float* a = src(s.a);
       const float* v = src(s.b);
@@ -192,17 +194,17 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       }
       break;
     }
-    case Opc::kRowSum: {
+    case nn::Op::kRowSum: {  // dst[i] <- ascending sum of a row i
       kt.row_sum(src(s.a), s.a_cols, dst, r0, r1);
       break;
     }
-    case Opc::kNegRowMax: {
+    case nn::Op::kNegRowMax: {  // dst[i] <- -max(a row i)
       // The same kernel autograd's softmax_rows uses for its shift, so the
       // 8-lane-blocked max association matches the forward exactly.
       kt.neg_row_max(src(s.a), s.a_cols, dst, r0, r1);
       break;
     }
-    case Opc::kAddColvec: {
+    case nn::Op::kAddColvec: {  // dst[i][j] <- a[i][j] + b[i]
       const float* a = src(s.a);
       const float* v = src(s.b);
       for (std::int64_t i = r0; i < r1; ++i) {
@@ -211,7 +213,7 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       }
       break;
     }
-    case Opc::kEw: {
+    default: {  // dst <- fn(a) or fn(a, b), per element
       // Single pass: reading `a` and writing `dst` directly matches the
       // copy-then-transform result bit for bit (same-index elementwise),
       // including when the planner gave `dst` the slot `a` just vacated.
@@ -219,40 +221,6 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
       const float* b = s.binary ? src(s.b) : nullptr;
       const std::int64_t e0 = r0 * m, e1 = r1 * m;
       kt.apply_ew(s.fn, a + e0, b ? b + e0 : nullptr, dst + e0, e1 - e0);
-      break;
-    }
-    case Opc::kFused: {
-      // Tile-at-a-time interpretation: each micro-op runs over a whole tile
-      // before the next dispatches, so the switch costs O(ops) per tile
-      // instead of O(ops) per element and the arithmetic loops vectorize.
-      // Per element the dependency chain is unchanged (every tile position
-      // is an independent SSA evaluation), so bits match the per-element
-      // interpreter exactly.
-      const std::int64_t e0 = r0 * m, e1 = r1 * m;
-      const MicroOp* prog = s.prog.data();
-      const int prog_len = static_cast<int>(s.prog.size());
-      float* const* table = ptr.data();
-      constexpr std::int64_t kTile = 64;
-      float regs[kMaxFusedRegs][kTile];
-      for (std::int64_t base = e0; base < e1; base += kTile) {
-        const std::int64_t len = std::min<std::int64_t>(kTile, e1 - base);
-        for (int p = 0; p < prog_len; ++p) {
-          const MicroOp& mo = prog[p];
-          const float* av = mo.a_id >= 0
-                                ? table[static_cast<size_t>(mo.a_id)] + base
-                                : regs[mo.a_reg];
-          const float* bv = !mo.binary ? nullptr
-                            : mo.b_id >= 0
-                                ? table[static_cast<size_t>(mo.b_id)] + base
-                                : regs[mo.b_reg];
-          kt.apply_ew(mo.fn, av, bv, regs[mo.dst_reg], len);
-          if (mo.store_id >= 0) {
-            std::memcpy(table[static_cast<size_t>(mo.store_id)] + base,
-                        regs[mo.dst_reg],
-                        static_cast<size_t>(len) * sizeof(float));
-          }
-        }
-      }
       break;
     }
   }
@@ -324,8 +292,8 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       tape.values[static_cast<size_t>(impl->out_records)].cols();
   impl->h_cols = tape.values[static_cast<size_t>(impl->out_h)].cols();
 
-  // ---- compile: fused groups become one kFused step at their first
-  // member; everything else maps 1:1 onto an opcode ----
+  // ---- compile: fused groups become one step (a micro-program) at their
+  // first member; every other instruction becomes one step of its Op ----
   const auto val = [&](int id) -> const TapeValue& {
     return tape.values[static_cast<size_t>(id)];
   };
@@ -339,13 +307,15 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       if (i > 0 && tape.instrs[i - 1].group == ins.group) continue;  // compiled below
       // Compile the whole contiguous group into one micro-program.
       Step g;
-      g.opc = Opc::kFused;
       reg_of.clear();
       size_t j = i;
       for (; j < tape.instrs.size() && tape.instrs[j].group == ins.group; ++j) {
         const TapeInstr& m = tape.instrs[j];
+        const nn::OpDef* row = nn::find_op(m.op);
+        if (row == nullptr || !row->ew) return nullptr;
         MicroOp mo;
-        if (!fn_for(m.op, mo.fn, mo.binary)) return nullptr;
+        mo.fn = *row->ew;
+        mo.binary = row->min_arity == 2;
         if (m.args.empty() || (mo.binary && m.args.size() < 2)) return nullptr;
         const auto bind = [&](int arg, int& id, int& reg) {
           const auto it = reg_of.find(arg);
@@ -371,55 +341,40 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       impl->steps.push_back(std::move(g));
       continue;
     }
-    const std::string& op = ins.op;
-    if (op == "concat_cols") {
-      s.opc = Opc::kConcat;
-      for (int a : ins.args) s.parts.emplace_back(a, val(a).cols());
-    } else if (op == "slice_cols") {
-      s.opc = Opc::kSlice;
+    const nn::OpDef* row = nn::find_op(ins.op);
+    if (row == nullptr) return nullptr;
+    s.op = row->op;
+    if (!ins.args.empty()) {
       s.a = ins.args[0];
       s.a_cols = val(s.a).cols();
-      s.i0 = static_cast<int>(ins.attrs.i0);
-    } else if (op == "lstm_gates") {
-      s.opc = Opc::kLstmGates;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-      s.b = ins.args[1];
-      s.c = ins.args[2];
-      s.i0 = val(s.c).cols();  // h width rides in i0
-      s.d = ins.args[3];
-      s.e = ins.args[4];
-    } else if (op == "affine") {
-      s.opc = Opc::kAffine;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-      s.b = ins.args[1];
-      s.e = ins.args[2];
-    } else if (op == "mul_colvec") {
-      s.opc = Opc::kMulColvec;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-      s.b = ins.args[1];
-    } else if (op == "row_sum") {
-      s.opc = Opc::kRowSum;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-    } else if (op == "neg_row_max") {
-      s.opc = Opc::kNegRowMax;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-    } else if (op == "add_colvec") {
-      s.opc = Opc::kAddColvec;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-      s.b = ins.args[1];
-    } else if (fn_for(op, s.fn, s.binary)) {
-      s.opc = Opc::kEw;
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
-      if (s.binary) s.b = ins.args[1];
-    } else {
-      return nullptr;  // op the executor has no kernel for
+    }
+    if (ins.args.size() > 1) s.b = ins.args[1];
+    switch (row->op) {
+      case nn::Op::kConcatCols:
+        for (int a : ins.args) s.parts.emplace_back(a, val(a).cols());
+        break;
+      case nn::Op::kSliceCols:
+        s.i0 = static_cast<int>(ins.attrs.i0);
+        break;
+      case nn::Op::kLstmGates:
+        s.c = ins.args[2];
+        s.i0 = val(s.c).cols();  // h width rides in i0
+        s.d = ins.args[3];
+        s.e = ins.args[4];
+        break;
+      case nn::Op::kAffine:
+        s.e = ins.args[2];
+        break;
+      case nn::Op::kMulColvec:
+      case nn::Op::kRowSum:
+      case nn::Op::kNegRowMax:
+      case nn::Op::kAddColvec:
+        break;
+      default:
+        if (!row->ew) return nullptr;  // op the executor has no kernel for
+        s.fn = *row->ew;
+        s.binary = row->min_arity == 2;
+        break;
     }
     impl->steps.push_back(std::move(s));
   }

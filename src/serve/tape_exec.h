@@ -8,10 +8,15 @@
 // heap allocations per step() in steady state.
 //
 // Bit-identity contract: step() produces byte-for-byte the records and
-// state updates generation_step produces, at any DG_THREADS setting — the
-// kernels replicate src/nn/matrix.cpp's partitioning and accumulation
-// order, and the per-element math is the shared nn/scalar_ops.h.
-// tests/serve/test_tape_exec.cpp enforces this differentially.
+// state updates generation_step produces, at any DG_THREADS setting and
+// SIMD tier. Both paths run the same kernels (nn/simd/vec.h) in the same
+// per-row accumulation order, and an elementwise instruction runs its op
+// row's EwFn (nn/ops.h), which is the autograd forward's kernel. The
+// executor does not copy nn/matrix.cpp's per-kernel partitioning: it
+// partitions lanes once per step and each worker replays every instruction
+// on its lanes, which is sound because every opcode is row-local, so no
+// result depends on the partition. tests/serve/test_tape_exec.cpp enforces
+// this differentially.
 //
 // Trust model: construction re-runs analysis::verify_tape and returns
 // nullptr on any error — a corrupted tape is rejected statically, never

@@ -44,10 +44,10 @@ SynthData make_gcut(const GcutOptions& opt) {
     int dur;
     if (rng.bernoulli(long_mode_p[ev])) {
       dur = static_cast<int>(std::lround(rng.normal(40.0, 4.0)));
-      dur = std::clamp(dur, 25, opt.t_max);
+      dur = std::clamp(dur, std::min(25, opt.t_max), opt.t_max);
     } else {
       dur = static_cast<int>(std::lround(rng.normal(7.0, 2.5)));
-      dur = std::clamp(dur, 2, 15);
+      dur = std::clamp(dur, std::min(2, opt.t_max), std::min(15, opt.t_max));
     }
 
     // Per-task operating points.

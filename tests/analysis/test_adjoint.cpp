@@ -1,6 +1,6 @@
 // Static adjoint auditor tests:
-//   * registry coverage hard-gate — every nn::known_op_names() entry must
-//     declare a determinism class (a new op cannot merge half-registered);
+//   * registry coverage — every row of the nn op table is in the builtin
+//     registry with its determinism class and no seeded fault;
 //   * the probe-based determinism audit proves the builtin classes out and
 //     the ordered-reduction set is exactly the folding ops;
 //   * traced-backward unit battery over small nn graphs run under meta mode
@@ -52,13 +52,12 @@ data::Schema gcut_schema() {
 
 TEST(AdjointRegistry, EveryKnownOpDeclaresDetClass) {
   const OpRegistry& reg = OpRegistry::builtin();
-  for (const char* name : nn::known_op_names()) {
-    const OpInfo* info = reg.find(name);
-    ASSERT_NE(info, nullptr) << name << " missing from the registry";
-    EXPECT_TRUE(info->det.has_value())
-        << name << " declares no determinism class";
+  for (const nn::OpDef& row : nn::op_table()) {
+    const OpInfo* info = reg.find(row.name);
+    ASSERT_NE(info, nullptr) << row.name << " missing from the registry";
+    EXPECT_EQ(info->det, row.det) << row.name;
     EXPECT_FALSE(static_cast<bool>(info->fault))
-        << name << " carries a seeded fault in the builtin registry";
+        << row.name << " carries a seeded fault in the builtin registry";
   }
 }
 
@@ -77,13 +76,12 @@ TEST(AdjointRegistry, OrderedReductionSetIsExactlyTheFoldingOps) {
   const OpRegistry& reg = OpRegistry::builtin();
   for (const std::string& name : reg.names()) {
     const OpInfo* info = reg.find(name);
-    ASSERT_TRUE(info->det.has_value()) << name;
     if (name == "grad") {
-      EXPECT_EQ(*info->det, DetClass::kAccumulating);
+      EXPECT_EQ(info->det, DetClass::kAccumulating);
     } else if (folding.count(name) != 0) {
-      EXPECT_EQ(*info->det, DetClass::kOrderedReduction) << name;
+      EXPECT_EQ(info->det, DetClass::kOrderedReduction) << name;
     } else {
-      EXPECT_EQ(*info->det, DetClass::kOrderFree) << name;
+      EXPECT_EQ(info->det, DetClass::kOrderFree) << name;
     }
   }
 }
@@ -274,8 +272,7 @@ TEST(TrainStep, CensusIsConsistentWithPhaseMultisets) {
   // the census — no silent omission a data-parallel all-reduce would miss.
   for (const auto& [op, count] : combined) {
     const OpInfo* info = reg.find(op);
-    if (info != nullptr && info->det &&
-        *info->det == DetClass::kOrderedReduction) {
+    if (info != nullptr && info->det == DetClass::kOrderedReduction) {
       EXPECT_EQ(census_by_op[op], count) << op;
     }
   }

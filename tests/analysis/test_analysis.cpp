@@ -41,21 +41,24 @@ OpAttrs range(int i0, int i1) {
   return attrs;
 }
 
-// The extension contract: every op name nn::make_op is called with must
-// have a registry entry, and the registry must not invent ops the engine
-// does not have. A new op added to nn/autograd.cpp fails here until its
-// shape rule is registered.
+// The registry is a copy of the nn op table: one entry per row, under the
+// row's name, carrying the row's facts, and nothing the table lacks.
 TEST(OpRegistry, CoversExactlyTheEngineOpSurface) {
   const OpRegistry& reg = OpRegistry::builtin();
   std::set<std::string> engine;
-  for (const char* name : nn::known_op_names()) {
-    engine.insert(name);
-    EXPECT_NE(reg.find(name), nullptr) << "op '" << name
-        << "' has no registry entry (register a shape rule)";
+  for (const nn::OpDef& row : nn::op_table()) {
+    engine.insert(row.name);
+    const OpInfo* info = reg.find(row.name);
+    ASSERT_NE(info, nullptr) << "op '" << row.name << "' has no registry entry";
+    EXPECT_EQ(info->op, row.op) << row.name;
+    EXPECT_EQ(info->shape, row.shape) << row.name;
+    EXPECT_EQ(info->det, row.det) << row.name;
+    EXPECT_EQ(info->diff, row.diff) << row.name;
+    EXPECT_EQ(nn::find_op(row.name), &row) << row.name;
   }
   for (const std::string& name : reg.names()) {
     EXPECT_TRUE(engine.count(name)) << "registry op '" << name
-        << "' does not exist in nn/autograd.cpp";
+        << "' has no row in nn/ops.cpp";
   }
   EXPECT_EQ(engine.size(), reg.names().size());
 }

@@ -20,6 +20,13 @@ constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
 Matrix filled(int r, int c, float v) { return Matrix(r, c, v); }
 
+/// The row of a test-only op: an elementwise row's facts under `name`.
+OpDef custom_row(const char* name) {
+  OpDef row = op_def(Op::kNeg);
+  row.name = name;
+  return row;
+}
+
 /// what() of the AnomalyError thrown by fn (fails the test if none is).
 template <typename Fn>
 std::string anomaly_message(Fn&& fn) {
@@ -81,10 +88,11 @@ TEST(AnomalyGuard, DeliberateNanInBackwardRuleIsAttributed) {
   // acceptance scenario for op-level attribution of backward anomalies.
   AnomalyGuard guard;
   Var x(filled(1, 3, 1.0f), true);
-  Var bad = make_op("bad_rule", Matrix(x.value()), {x}, [](const Var& g) {
-    Matrix m(g.rows(), g.cols(), kNan);
-    return std::vector<Var>{Var(std::move(m), false)};
-  });
+  Var bad = make_op(custom_row("bad_rule"), Matrix(x.value()), {x},
+                    [](const Var& g) {
+                      Matrix m(g.rows(), g.cols(), kNan);
+                      return std::vector<Var>{Var(std::move(m), false)};
+                    });
   Var loss = sum(bad);
   const std::string msg = anomaly_message([&] { loss.backward(); });
   EXPECT_NE(msg.find("backward rule of 'bad_rule'"), std::string::npos) << msg;
@@ -94,9 +102,11 @@ TEST(AnomalyGuard, DeliberateNanInBackwardRuleIsAttributed) {
 TEST(AnomalyGuard, BackwardShapeMismatchIsAttributed) {
   AnomalyGuard guard;
   Var x(filled(2, 3, 1.0f), true);
-  Var bad = make_op("bad_shape", Matrix(1, 1, 1.0f), {x}, [](const Var& g) {
-    return std::vector<Var>{g};  // 1x1 gradient for a 2x3 parent
-  });
+  Var bad = make_op(custom_row("bad_shape"), Matrix(1, 1, 1.0f), {x},
+                    [](const Var& g) {
+                      // 1x1 gradient for a 2x3 parent
+                      return std::vector<Var>{g};
+                    });
   const std::string msg = anomaly_message([&] { bad.backward(); });
   EXPECT_NE(msg.find("'bad_shape'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("[1x1]"), std::string::npos) << msg;
@@ -176,7 +186,7 @@ TEST(AnomalyGuard, TapeLeakAuditDetectsBackwardClosureCycle) {
     Var x(filled(1, 1, 1.0f), true);
     // A backward closure capturing its own output Var is a shared_ptr
     // cycle: node -> backward -> node. The graph can never be freed.
-    Var out = make_op("leaky", Matrix(1, 1, 2.0f), {x}, nullptr);
+    Var out = make_op(custom_row("leaky"), Matrix(1, 1, 2.0f), {x}, nullptr);
     out.node()->backward = [out](const Var& g) {
       return std::vector<Var>{g};
     };
@@ -252,8 +262,8 @@ TEST(GradCheckLibrary, StructuredResultReportsWorstElement) {
   // A deliberately wrong rule must be flagged.
   const auto wrong = gradcheck(
       [](const std::vector<Var>& v) {
-        Var bad = make_op("wrong_rule", Matrix(v[0].value()), {v[0]},
-                          [](const Var& g) {
+        Var bad = make_op(custom_row("wrong_rule"), Matrix(v[0].value()),
+                          {v[0]}, [](const Var& g) {
                             return std::vector<Var>{mul_scalar(g, 3.0f)};
                           });
         return sum(bad);

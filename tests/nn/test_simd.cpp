@@ -4,7 +4,7 @@
 //  1. Dispatch plumbing: parse_tier / set_simd_tier / active_tier report
 //     coherently and the override round-trips.
 //  2. ULP property sweeps: the shared polynomial exp/tanh/sigmoid stay
-//     within the per-op bounds *declared in the analysis registry* vs a
+//     within the per-op bounds *declared in their op rows* (nn/ops.h) vs a
 //     double-precision libm reference, across their supported domain.
 //  3. Cross-tier bit-exactness: every dispatched kernel (matmul, affine,
 //     lstm_gates, all elementwise fns, broadcasts, reductions) produces
@@ -24,9 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/registry.h"
 #include "nn/autograd.h"
 #include "nn/matrix.h"
+#include "nn/ops.h"
 #include "nn/parallel.h"
 
 namespace dg::nn {
@@ -104,11 +104,10 @@ void fill(Matrix& m, std::uint32_t seed) {
 }
 
 int registry_ulp_bound(const char* op) {
-  const analysis::OpInfo* info = analysis::OpRegistry::builtin().find(op);
-  EXPECT_NE(info, nullptr) << op;
-  EXPECT_EQ(info->simd, analysis::SimdClass::kUlpBounded) << op;
-  EXPECT_GT(info->ulp_bound, 0) << op;
-  return info == nullptr ? 0 : info->ulp_bound;
+  const OpDef* row = find_op(op);
+  EXPECT_NE(row, nullptr) << op;
+  EXPECT_GT(row->ulp_bound, 0) << op;
+  return row == nullptr ? 0 : row->ulp_bound;
 }
 
 // ---------------------------------------------------------------------------
@@ -165,19 +164,17 @@ TEST(SimdRegistry, TranscendentalsDeclareUlpBounds) {
   registry_ulp_bound("exp");
   registry_ulp_bound("tanh");
   registry_ulp_bound("sigmoid");
-  EXPECT_STREQ(analysis::to_string(analysis::SimdClass::kUlpBounded),
-               "ulp-bounded");
-  EXPECT_STREQ(analysis::to_string(analysis::SimdClass::kBitExact),
-               "bit-exact");
+  int bounded = 0;
+  for (const OpDef& row : op_table()) bounded += row.ulp_bound > 0 ? 1 : 0;
+  EXPECT_EQ(bounded, 3) << "only the polynomial transcendentals are bounded";
 }
 
 TEST(SimdRegistry, PureOpsAreBitExact) {
   for (const char* op : {"add", "mul", "matmul", "lstm_gates", "row_sum",
                          "relu", "sqrt", "log"}) {
-    const analysis::OpInfo* info = analysis::OpRegistry::builtin().find(op);
-    ASSERT_NE(info, nullptr) << op;
-    EXPECT_EQ(info->simd, analysis::SimdClass::kBitExact) << op;
-    EXPECT_EQ(info->ulp_bound, 0) << op;
+    const OpDef* row = find_op(op);
+    ASSERT_NE(row, nullptr) << op;
+    EXPECT_EQ(row->ulp_bound, 0) << op;
   }
 }
 
@@ -208,7 +205,7 @@ void sweep_ulp(float (*fn)(float), double (*libm)(double), float lo, float hi,
 
 TEST(SimdUlp, ExpWithinRegistryBound) {
   const std::int64_t bound = registry_ulp_bound("exp");
-  // Supported domain (see OpInfo::ulp_bound doc): flush-to-zero below
+  // Supported domain (see OpDef::ulp_bound doc): flush-to-zero below
   // -87.336, +inf saturation above 88.376.
   sweep_ulp(&simd::exp_ref, &std::exp, -87.0f, 88.0f, 500000, bound, "exp");
   sweep_ulp(&simd::exp_ref, &std::exp, -1.0f, 1.0f, 200000, bound, "exp");

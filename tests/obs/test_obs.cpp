@@ -367,35 +367,8 @@ const OpStats* find_op(const std::vector<std::pair<std::string, OpStats>>& t,
   return nullptr;
 }
 
-TEST_F(ProfilerTest, MatmulFlopsAreExact) {
-  const Profiler::Dims parents[] = {{3, 4}, {4, 5}};
-  Profiler::note_op("matmul", parents, 2, {3, 5});
-  Profiler::note_op("matmul", parents, 2, {3, 5});
-  Profiler::stop();
-  const auto table = Profiler::snapshot();
-  const OpStats* mm = find_op(table, "matmul");
-  ASSERT_NE(mm, nullptr);
-  EXPECT_EQ(mm->calls, 2u);
-  EXPECT_EQ(mm->flops, 2u * (2ull * 3 * 4 * 5));  // 2nkm per call
-}
-
-TEST_F(ProfilerTest, ElementwiseOpsCountOneFlopPerOutput) {
-  const Profiler::Dims parents[] = {{6, 7}};
-  Profiler::note_op("exp", parents, 1, {6, 7});
-  Profiler::note_op("transpose", parents, 1, {7, 6});
-  Profiler::stop();
-  const auto table = Profiler::snapshot();
-  const OpStats* ew = find_op(table, "exp");
-  ASSERT_NE(ew, nullptr);
-  EXPECT_EQ(ew->flops, 42u);
-  const OpStats* tr = find_op(table, "transpose");
-  ASSERT_NE(tr, nullptr);
-  EXPECT_EQ(tr->flops, 0u);  // shape ops move bytes, not flops
-}
-
 TEST_F(ProfilerTest, ToJsonParses) {
-  const Profiler::Dims parents[] = {{2, 2}, {2, 2}};
-  Profiler::note_op("matmul", parents, 2, {2, 2});
+  Profiler::note_op("matmul", 16, 48);
   Profiler::stop();
   const serve::json::Value v = serve::json::parse(Profiler::to_json());
   const serve::json::Value* ops = v.find("ops");
@@ -407,6 +380,32 @@ TEST_F(ProfilerTest, ToJsonParses) {
 }
 
 #ifdef DG_OBS_ENABLED
+TEST_F(ProfilerTest, MatmulFlopsAreExact) {
+  const nn::Var a(nn::Matrix(3, 4, 0.5f)), b(nn::Matrix(4, 5, 0.25f));
+  (void)nn::matmul(a, b);
+  (void)nn::matmul(a, b);
+  Profiler::stop();
+  const auto table = Profiler::snapshot();
+  const OpStats* mm = find_op(table, "matmul");
+  ASSERT_NE(mm, nullptr);
+  EXPECT_EQ(mm->calls, 2u);
+  EXPECT_EQ(mm->flops, 2u * (2ull * 3 * 4 * 5));  // 2nkm per call
+}
+
+TEST_F(ProfilerTest, ElementwiseOpsCountOneFlopPerOutput) {
+  const nn::Var a(nn::Matrix(6, 7, 0.5f));
+  (void)nn::exp_(a);
+  (void)nn::transpose(a);
+  Profiler::stop();
+  const auto table = Profiler::snapshot();
+  const OpStats* ew = find_op(table, "exp");
+  ASSERT_NE(ew, nullptr);
+  EXPECT_EQ(ew->flops, 42u);
+  const OpStats* tr = find_op(table, "transpose");
+  ASSERT_NE(tr, nullptr);
+  EXPECT_EQ(tr->flops, 0u);  // shape ops move bytes, not flops
+}
+
 TEST_F(ProfilerTest, AutogradOpsAreAttributedThroughMakeOp) {
   nn::Var a(nn::Matrix(8, 16, 0.5f), false);
   nn::Var b(nn::Matrix(16, 4, 0.25f), false);
@@ -432,12 +431,29 @@ TEST_F(ProfilerTest, KernelTimersRecordExactFlopRows) {
   EXPECT_EQ(k->flops, 2ull * 8 * 16 * 4);
   EXPECT_GT(k->bytes, 0u);
 }
+
+// The op row and the kernel row of one lstm_gates call count from the same
+// formula: both products plus one add per output for the bias.
+TEST_F(ProfilerTest, LstmGatesOpAndKernelRowsAgree) {
+  const nn::Var x(nn::Matrix(6, 3, 0.5f)), wx(nn::Matrix(3, 8, 0.25f));
+  const nn::Var h(nn::Matrix(6, 2, 0.5f)), wh(nn::Matrix(2, 8, 0.25f));
+  const nn::Var b(nn::Matrix(1, 8, 0.1f));
+  (void)nn::lstm_gates(x, wx, h, wh, b);
+  Profiler::stop();
+  const auto table = Profiler::snapshot();
+  const OpStats* op = find_op(table, "lstm_gates");
+  const OpStats* k = find_op(table, "kernel.lstm_gates");
+  ASSERT_NE(op, nullptr);
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(op->flops, k->flops);
+  EXPECT_EQ(op->bytes, k->bytes);
+  EXPECT_EQ(k->flops, 2ull * 6 * (3 + 2) * 8 + 6ull * 8);
+}
 #endif  // DG_OBS_ENABLED
 
 TEST(Profiler, DisabledHooksRecordNothing) {
   ASSERT_FALSE(Profiler::enabled());
-  const Profiler::Dims parents[] = {{3, 3}};
-  Profiler::note_op("exp", parents, 1, {3, 3});
+  Profiler::note_op("exp", 9, 72);
   Profiler::record_kernel("kernel.matmul", 10, 10, 10);
   EXPECT_TRUE(Profiler::snapshot().empty());
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "eval/metrics.h"
 
@@ -144,6 +146,22 @@ TEST(Gcut, VariableLengthsWithinBounds) {
   EXPECT_LE(max_len, 50);
   EXPECT_LT(min_len, 16);  // short mode present
   EXPECT_GT(max_len, 24);  // long mode present
+}
+
+// Both duration modes clamp into [1, t_max], including below the long
+// mode's 25-step floor and the short mode's 15-step ceiling.
+TEST(Synth, GcutLengthsStayWithinTmax) {
+  for (const int t_max : {1, 2, 10, 14, 15, 20, 50}) {
+    SCOPED_TRACE("t_max=" + std::to_string(t_max));
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      const auto d = make_gcut({.n = 300, .t_max = t_max, .seed = seed});
+      for (const auto& o : d.data) {
+        ASSERT_GE(o.length(), 1);
+        ASSERT_LE(o.length(), t_max);
+      }
+      EXPECT_NO_THROW(data::validate(d.schema, d.data));
+    }
+  }
 }
 
 TEST(Gcut, BimodalDurations) {
