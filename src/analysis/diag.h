@@ -1,10 +1,10 @@
 // Diagnostics vocabulary of the static analyzer: every check — symbolic
-// shape rules, dead-parameter reachability, differentiability-class audits,
-// package preflight — reports through one structured record so the CLI,
-// the serving runtime, and tests consume a single format. Mirrors the
-// attribution style of nn/check.h: each finding names the offending op (or
-// parameter) and a first-parent graph path like "matmul <- concat_cols <-
-// leaf(attr_gen.l0.w)".
+// shape rules, differentiability-class and adjoint audits, gradient-slot
+// coverage, tape verification, package preflight — reports through one
+// structured record so the CLI, the serving runtime, and tests consume a
+// single format. Mirrors the attribution style of nn/check.h: each finding
+// names the offending op (or parameter) and a first-parent graph path like
+// "matmul <- concat_cols <- leaf(attr_gen.l0.w)".
 #pragma once
 
 #include <iosfwd>
@@ -21,14 +21,18 @@ const char* to_string(Severity s);
 struct Diagnostic {
   Severity severity = Severity::kError;
   /// Stable machine-readable class, kebab-case: "shape-mismatch",
-  /// "dead-param", "no-double-backward", "config-invalid", "weight-shape",
-  /// "package-parse", "frozen-params", "aux-ignored", "unknown-op".
+  /// "unknown-op", "trace-error", "no-double-backward", "adjoint-shape",
+  /// "grad-slot-undefined", "determinism-class", "config-invalid",
+  /// "aux-ignored", "weight-shape", "frozen-params", "package-parse", and
+  /// the tape verifier's "tape-*" classes.
   std::string code;
   std::string message;
   /// Op name (or parameter/config field name) the finding attaches to.
   std::string op;
   /// Graph-path attribution when the finding arose inside a symbolic walk.
   std::string path;
+
+  bool operator==(const Diagnostic&) const = default;
 };
 
 bool has_errors(std::span<const Diagnostic> diags);

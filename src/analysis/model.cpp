@@ -1,16 +1,11 @@
 #include "analysis/model.h"
 
-#include <unordered_set>
-#include <utility>
-
 #include "analysis/symbolic.h"
 #include "analysis/trace.h"
 
 namespace dg::analysis {
 
 namespace {
-
-using Critic = core::DoppelGanger::Critic;
 
 // ---- config / schema validation -----------------------------------------
 
@@ -130,6 +125,26 @@ std::unique_ptr<core::DoppelGanger> meta_model(
   return model;
 }
 
+std::unique_ptr<core::DoppelGanger> checked_meta_model(
+    const data::Schema& schema, const core::DoppelGangerConfig& cfg,
+    std::vector<Diagnostic>& diags,
+    std::span<const RuntimeParamInfo> runtime) {
+  const std::vector<Diagnostic> found = validate_config(schema, cfg);
+  diags.insert(diags.end(), found.begin(), found.end());
+  // A trace needs a constructible model: report the config findings alone
+  // rather than tracing a graph that cannot exist.
+  if (has_errors(found)) return nullptr;
+  try {
+    return meta_model(schema, cfg, runtime);
+  } catch (const std::exception& e) {
+    diags.push_back({Severity::kError, "config-invalid",
+                     std::string("the model cannot be built: ") + e.what(),
+                     "config",
+                     {}});
+    return nullptr;
+  }
+}
+
 std::vector<ParamShape> expected_parameter_shapes(
     const data::Schema& s, const core::DoppelGangerConfig& cfg) {
   std::vector<ParamShape> out;
@@ -144,131 +159,23 @@ std::vector<ParamShape> expected_parameter_shapes(
 }
 
 ModelAnalysis analyze_model(const data::Schema& schema,
-                            const core::DoppelGangerConfig& cfg,
-                            const AnalyzeOptions& opts) {
+                            const core::DoppelGangerConfig& cfg) {
   ModelAnalysis out;
-  out.diagnostics = validate_config(schema, cfg);
-  if (has_errors(out.diagnostics)) {
-    // The traces need a constructible model; report the config findings
-    // alone rather than tracing a graph that cannot exist.
-    return out;
-  }
-  std::unique_ptr<core::DoppelGanger> model;
-  try {
-    model = meta_model(schema, cfg, opts.runtime_params);
-  } catch (const std::exception& e) {
-    out.diagnostics.push_back({Severity::kError, "config-invalid",
-                               std::string("the model cannot be built: ") +
-                                   e.what(),
-                               "config",
-                               {}});
-    return out;
-  }
+  const std::unique_ptr<core::DoppelGanger> model =
+      checked_meta_model(schema, cfg, out.diagnostics);
+  if (!model) return out;
   const auto named = model->named_parameters();
   for (const auto& [name, p] : named) {
     out.parameters.push_back({name, p.rows(), p.cols()});
   }
 
-  // Runtime overlay: shape cross-check + frozen-parameter audit (meta_model
-  // already applied the trainability to the traced leaves).
-  if (!opts.runtime_params.empty()) {
-    if (opts.runtime_params.size() != out.parameters.size()) {
-      out.diagnostics.push_back(
-          {Severity::kError, "weight-shape",
-           "model exposes " + std::to_string(opts.runtime_params.size()) +
-               " parameter matrices; the schema + config imply " +
-               std::to_string(out.parameters.size()),
-           "parameters",
-           {}});
-    } else {
-      bool any_trainable = false;
-      for (size_t i = 0; i < out.parameters.size(); ++i) {
-        const ParamShape& e = out.parameters[i];
-        const RuntimeParamInfo& r = opts.runtime_params[i];
-        if (r.rows != e.rows || r.cols != e.cols) {
-          out.diagnostics.push_back(
-              {Severity::kError, "weight-shape",
-               "parameter is [" + std::to_string(r.rows) + ", " +
-                   std::to_string(r.cols) + "]; expected [" +
-                   std::to_string(e.rows) + ", " + std::to_string(e.cols) +
-                   "]",
-               e.name,
-               {}});
-        }
-        any_trainable = any_trainable || r.trainable;
-      }
-      if (!any_trainable) {
-        out.diagnostics.push_back(
-            {Severity::kError, "frozen-params",
-             "every parameter has requires_grad == false; no optimizer step "
-             "can change this model",
-             "parameters",
-             {}});
-      }
-    }
-  }
-
-  // Training-path trace: the generator's loss through both critics (shape
-  // soundness + gradient flow), then each critic's loss, whose gradient
-  // penalty runs the create_graph backward pass the double-backward audit
-  // watches.
-  SymGraph train_graph(opts.registry);
-  Trace t(train_graph);
+  // Generation trace, driven exactly as DoppelGanger::generate drives the
+  // stepwise API: its op census is what the differential test pins against
+  // real execution.
+  SymGraph graph;
+  Trace t(graph);
   t.bind_params(named);
-  const SymNode* g_loss = nullptr;
   t.run([&] {
-    g_loss = t.node(model->generator_loss(kMetaBatch));
-    for (const Critic c : {Critic::kFull, Critic::kAux}) {
-      const std::vector<nn::Var> critic = model->critic_parameters(c);
-      if (critic.empty()) continue;
-      const nn::Matrix batch(kMetaBatch, critic.front().rows());
-      model->critic_loss(c, batch, batch);
-    }
-  });
-  out.graph_nodes = train_graph.size();
-  for (const Diagnostic& diag : train_graph.diagnostics()) {
-    out.diagnostics.push_back(diag);
-  }
-
-  // Gradient flow: every trainable parameter leaf must be reachable from
-  // the generator loss (it flows through both critics, so a healthy model
-  // has no unreachable parameter at all).
-  if (g_loss != nullptr) {
-    std::unordered_set<const SymNode*> reachable;
-    for (const SymNode* p : train_graph.reachable_params(g_loss)) {
-      reachable.insert(p);
-    }
-    for (const SymNode* p : t.params()) {
-      if (reachable.count(p) != 0) {
-        // A partially frozen generator trains around the frozen weights —
-        // worth a warning; the all-frozen case is already an error above.
-        if (!p->trainable && !opts.runtime_params.empty()) {
-          out.diagnostics.push_back(
-              {Severity::kWarning, "frozen-params",
-               "parameter has requires_grad == false and will not train",
-               p->label,
-               {}});
-        }
-        continue;
-      }
-      out.diagnostics.push_back(
-          {p->trainable ? Severity::kError : Severity::kWarning, "dead-param",
-           p->trainable
-               ? "trainable parameter is unreachable from every loss; it "
-                 "would never be updated"
-               : "frozen parameter is also unreachable from every loss",
-           p->label,
-           {}});
-    }
-  }
-
-  // Generation trace on a fresh graph, driven exactly as
-  // DoppelGanger::generate drives the stepwise API: its op census is what
-  // the differential test pins against real execution.
-  SymGraph gen_graph(opts.registry);
-  Trace gt(gen_graph);
-  gt.bind_params(named);
-  gt.run([&] {
     nn::Rng rng(cfg.seed);
     const core::GenContext ctx = model->sample_context(kMetaBatch, rng);
     core::GenState st = model->initial_gen_state(kMetaBatch);
@@ -278,10 +185,11 @@ ModelAnalysis analyze_model(const data::Schema& schema,
           model->generation_step(ctx, noise, st).cols();
     }
   });
-  for (const Diagnostic& diag : gen_graph.diagnostics()) {
+  out.graph_nodes = graph.size();
+  for (const Diagnostic& diag : graph.diagnostics()) {
     out.diagnostics.push_back(diag);
   }
-  out.generation_op_counts = gen_graph.op_counts();
+  out.generation_op_counts = graph.op_counts();
   return out;
 }
 

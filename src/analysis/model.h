@@ -1,23 +1,20 @@
 // Whole-model static analysis: builds the DoppelGANger model (schema,
 // config) describes under nn meta mode — shape-only weights, no RNG draw —
-// and traces its real code (analysis/trace.h) with a symbolic batch
-// dimension: the generator's training loss through both critics, each
-// critic's loss with its gradient penalty, and sample_context plus a full
-// series of generation_steps. It audits the result:
+// and audits what a package or a serving process needs from it:
 //
 //  * config/schema validation — dimensions, rates and ranges that would
 //    make construction or training throw (or silently misbehave);
-//  * shape soundness — every traced op checks under the registry's shape
-//    rules, which must agree with the kernels that produced the shapes;
-//  * gradient flow — trainable parameters unreachable from every loss root
-//    are dead (they would never train); an all-frozen model cannot train;
-//  * WGAN-GP differentiability — the gradient penalty's create_graph
-//    backward pass must not traverse a first-order-only op.
+//  * the parameter census — named_parameters() give the expected parameter
+//    shapes in serialization order (the package preflight's ground truth);
+//  * the generation trace — sample_context plus a full series of
+//    generation_steps, traced from the real code (analysis/trace.h) with a
+//    symbolic batch dimension: every op checks under the registry's shape
+//    rules, and its op census is what the differential test pins against
+//    real execution.
 //
-// The model's named_parameters() give the expected parameter shapes in
-// serialization order (the package preflight's ground truth), and the
-// generation trace gives the op census the differential test pins against
-// real execution.
+// The training graph (both critic steps with the WGAN-GP double backward,
+// the generator step) is audited by analyze_training_step
+// (analysis/train_step.h), the one audit fit() runs.
 #pragma once
 
 #include <map>
@@ -27,7 +24,6 @@
 #include <vector>
 
 #include "analysis/diag.h"
-#include "analysis/registry.h"
 #include "core/doppelganger.h"
 #include "data/types.h"
 
@@ -47,21 +43,13 @@ std::vector<ParamShape> expected_parameter_shapes(
     const data::Schema& schema, const core::DoppelGangerConfig& cfg);
 
 /// Runtime view of one parameter (from a live model), overlaid onto the
-/// static walk for frozen-parameter and shape cross-checks.
+/// meta model by the training-step audit for its trainability and shape
+/// cross-checks.
 struct RuntimeParamInfo {
   std::string name;
   int rows = 0;
   int cols = 0;
   bool trainable = true;
-};
-
-struct AnalyzeOptions {
-  /// Registry to interpret ops with; override to register new ops or to
-  /// downgrade an op's DiffClass for what-if audits.
-  const OpRegistry* registry = &OpRegistry::builtin();
-  /// Live-model overlay (optional); order-matched to
-  /// expected_parameter_shapes.
-  std::span<const RuntimeParamInfo> runtime_params;
 };
 
 struct ModelAnalysis {
@@ -75,7 +63,7 @@ struct ModelAnalysis {
   std::map<std::string, int> generation_op_counts;
   /// Columns of one generation_step result: sample_len * record_width.
   int generation_step_cols = 0;
-  /// Node count of the symbolic training graph.
+  /// Node count of the symbolic generation graph.
   int graph_nodes = 0;
 
   bool ok() const { return !has_errors(diagnostics); }
@@ -84,8 +72,7 @@ struct ModelAnalysis {
 /// Runs every audit listed above. Never throws on bad input — findings come
 /// back as diagnostics.
 ModelAnalysis analyze_model(const data::Schema& schema,
-                            const core::DoppelGangerConfig& cfg,
-                            const AnalyzeOptions& opts = {});
+                            const core::DoppelGangerConfig& cfg);
 
 /// The model (schema, cfg) describes, built under nn meta mode: every
 /// weight is shape-only, so construction draws nothing from an RNG and
@@ -95,6 +82,15 @@ ModelAnalysis analyze_model(const data::Schema& schema,
 /// throws.
 std::unique_ptr<core::DoppelGanger> meta_model(
     const data::Schema& schema, const core::DoppelGangerConfig& cfg,
+    std::span<const RuntimeParamInfo> runtime = {});
+
+/// validate_config, then meta_model, for the analyses that trace a model:
+/// appends validate_config's findings to `diags` and returns the model, or
+/// nullptr when a finding is an error or the constructor throws (which
+/// adds a "config-invalid" error of its own).
+std::unique_ptr<core::DoppelGanger> checked_meta_model(
+    const data::Schema& schema, const core::DoppelGangerConfig& cfg,
+    std::vector<Diagnostic>& diags,
     std::span<const RuntimeParamInfo> runtime = {});
 
 /// Config/schema validation alone (the "config-invalid" findings of

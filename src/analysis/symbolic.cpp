@@ -1,6 +1,5 @@
 #include "analysis/symbolic.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace dg::analysis {
@@ -11,13 +10,11 @@ SymNode* SymGraph::push(SymNode n) {
   return &nodes_.back();
 }
 
-const SymNode* SymGraph::param(std::string label, Shape shape, bool trainable,
-                               int index) {
+const SymNode* SymGraph::param(std::string label, Shape shape, int index) {
   SymNode n;
   n.op = "leaf";
   n.shape = shape;
   n.label = std::move(label);
-  n.trainable = trainable;
   n.param = index;
   n.attrs.rows = shape.rows;
   n.attrs.cols = shape.cols;
@@ -96,36 +93,6 @@ const SymNode* SymGraph::apply(std::string_view op,
   }
   n.shape = *res.shape;
   return push(std::move(n));
-}
-
-std::vector<const SymNode*> SymGraph::ancestry(const SymNode* root) const {
-  std::vector<const SymNode*> out;
-  std::vector<char> seen(nodes_.size(), 0);  // by node id
-  std::vector<const SymNode*> stack{root};
-  seen[static_cast<size_t>(root->id)] = 1;
-  while (!stack.empty()) {
-    const SymNode* n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (const SymNode* p : n->parents) {
-      if (seen[static_cast<size_t>(p->id)] == 0) {
-        seen[static_cast<size_t>(p->id)] = 1;
-        stack.push_back(p);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<const SymNode*> SymGraph::reachable_params(
-    const SymNode* root) const {
-  std::vector<const SymNode*> out;
-  for (const SymNode* n : ancestry(root)) {
-    if (n->op == "leaf") out.push_back(n);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SymNode* a, const SymNode* b) { return a->id < b->id; });
-  return out;
 }
 
 std::string SymGraph::path(const SymNode* node, int max_depth) {

@@ -28,7 +28,6 @@ struct SymNode {
   std::vector<const SymNode*> parents;
   /// Human label for leaves ("attr_gen.l0.w") and named inputs.
   std::string label;
-  bool trainable = false;
   /// Model parameters: position in DoppelGanger::named_parameters().
   int param = -1;
   bool poisoned = false;
@@ -40,10 +39,9 @@ class SymGraph {
   explicit SymGraph(const OpRegistry* registry = &OpRegistry::builtin())
       : registry_(registry) {}
 
-  /// Leaf — op "leaf"; `trainable` is its requires_grad, `index` its
-  /// position in named_parameters() when it is a model parameter.
-  const SymNode* param(std::string label, Shape shape, bool trainable = true,
-                       int index = -1);
+  /// Leaf — op "leaf"; `index` is its position in named_parameters() when
+  /// it is a model parameter.
+  const SymNode* param(std::string label, Shape shape, int index = -1);
 
   /// Non-parameter input (noise, data, state) — op "constant".
   const SymNode* input(std::string label, Shape shape);
@@ -56,13 +54,6 @@ class SymGraph {
 
   const std::vector<Diagnostic>& diagnostics() const { return diags_; }
   std::vector<Diagnostic>& diagnostics() { return diags_; }
-
-  /// All parameter leaves reachable from `root` (the gradient-flow
-  /// footprint of a loss rooted there).
-  std::vector<const SymNode*> reachable_params(const SymNode* root) const;
-
-  /// Every node in root's ancestry, root included.
-  std::vector<const SymNode*> ancestry(const SymNode* root) const;
 
   /// First-parent walk rendered like nn::check: "mul <- exp <- leaf(w)".
   static std::string path(const SymNode* node, int max_depth = 8);

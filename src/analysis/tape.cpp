@@ -483,14 +483,9 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
 TapeReport build_generation_tape(const data::Schema& schema,
                                  const core::DoppelGangerConfig& cfg) {
   TapeReport rep;
-  std::unique_ptr<core::DoppelGanger> model;
-  if (!has_errors(validate_config(schema, cfg))) {
-    try {
-      model = meta_model(schema, cfg);
-    } catch (const std::exception&) {
-      model.reset();
-    }
-  }
+  std::vector<Diagnostic> config_findings;  // analyze_model reports these
+  const std::unique_ptr<core::DoppelGanger> model =
+      checked_meta_model(schema, cfg, config_findings);
   if (!model) {
     rep.diagnostics.push_back(
         {Sev::kError, "tape-config",

@@ -40,8 +40,8 @@ void Trace::bind_params(
     std::span<const std::pair<std::string, nn::Var>> named) {
   for (size_t i = 0; i < named.size(); ++i) {
     const nn::Var& p = named[i].second;
-    const SymNode* n = g_.param(named[i].first, shape_of(p.value()),
-                                p.requires_grad(), static_cast<int>(i));
+    const SymNode* n =
+        g_.param(named[i].first, shape_of(p.value()), static_cast<int>(i));
     tag(p.node(), n);
     params_.push_back(n);
   }
@@ -77,9 +77,8 @@ const SymNode* Trace::lookup(const nn::detail::Node* node) {
   // A node this trace did not see created (e.g. a constant built before it
   // began): record it as the leaf or input it is.
   const Shape s = shape_of(node->value);
-  const SymNode* n = std::string_view(node->op) == "leaf"
-                         ? g_.param("", s, node->requires_grad)
-                         : g_.input("", s);
+  const SymNode* n = std::string_view(node->op) == "leaf" ? g_.param("", s)
+                                                         : g_.input("", s);
   tag(node, n);
   return n;
 }
@@ -93,7 +92,7 @@ void Trace::on_node(const nn::detail::Node* node,
   const Shape out = shape_of(node->value);
   const std::string_view op = node->op;
   if (op == "leaf") {
-    tag(node, g_.param("", out, node->requires_grad));
+    tag(node, g_.param("", out));
     return;
   }
   std::vector<const SymNode*>& ps = parents_;

@@ -44,8 +44,8 @@ class Trace final : public nn::MetaRecorder {
   /// traces of the same analysis (one finding per defect class overall).
   explicit Trace(SymGraph& graph, std::set<std::string>* dedup = nullptr);
 
-  /// Records the model's parameters as labeled leaves (trainable = their
-  /// current requires_grad), in named_parameters() order.
+  /// Records the model's parameters as labeled leaves, in
+  /// named_parameters() order.
   void bind_params(std::span<const std::pair<std::string, nn::Var>> named);
 
   /// Runs `fn` under meta mode with this trace recording. An exception the

@@ -30,30 +30,58 @@ struct StepCensus {
   const char* first_missing_phase = "";
 };
 
+/// The live model's parameters (if given) against the meta model's: the
+/// same layout, and something an optimizer step can change.
+void check_runtime_params(
+    std::span<const std::pair<std::string, nn::Var>> expected,
+    std::span<const RuntimeParamInfo> runtime, std::vector<Diagnostic>& out) {
+  if (runtime.empty()) return;
+  const auto error = [&out](const char* code, std::string msg,
+                            std::string where) {
+    out.push_back(
+        {Severity::kError, code, std::move(msg), std::move(where), {}});
+  };
+  if (runtime.size() != expected.size()) {
+    error("weight-shape",
+          "model exposes " + std::to_string(runtime.size()) +
+              " parameter matrices; the schema + config imply " +
+              std::to_string(expected.size()),
+          "parameters");
+    return;
+  }
+  bool any_trainable = false;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const nn::Var& e = expected[i].second;
+    const RuntimeParamInfo& r = runtime[i];
+    if (r.rows != e.rows() || r.cols != e.cols()) {
+      error("weight-shape",
+            "parameter is [" + std::to_string(r.rows) + ", " +
+                std::to_string(r.cols) + "]; expected [" +
+                std::to_string(e.rows()) + ", " + std::to_string(e.cols()) +
+                "]",
+            expected[i].first);
+    }
+    any_trainable = any_trainable || r.trainable;
+  }
+  if (!any_trainable) {
+    error("frozen-params",
+          "every parameter has requires_grad == false; no optimizer step "
+          "can change this model",
+          "parameters");
+  }
+}
+
 }  // namespace
 
 TrainingStepAnalysis analyze_training_step(const data::Schema& schema,
                                            const core::DoppelGangerConfig& cfg,
                                            const TrainStepOptions& opts) {
   TrainingStepAnalysis out;
-  std::unique_ptr<core::DoppelGanger> model;
-  if (!has_errors(validate_config(schema, cfg))) {
-    try {
-      model = meta_model(schema, cfg, opts.runtime_params);
-    } catch (const std::exception&) {
-      model.reset();
-    }
-  }
-  if (!model) {
-    out.diagnostics.push_back(
-        {Severity::kError, "config-invalid",
-         "training-step analysis requires a constructible model; run "
-         "analyze_model for the full config report",
-         "config",
-         {}});
-    return out;
-  }
+  const std::unique_ptr<core::DoppelGanger> model =
+      checked_meta_model(schema, cfg, out.diagnostics, opts.runtime_params);
+  if (!model) return out;
   const auto named = model->named_parameters();
+  check_runtime_params(named, opts.runtime_params, out.diagnostics);
   std::set<std::string> dedup;  // one finding per defect class, all phases
   StepCensus census;
 

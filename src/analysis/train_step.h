@@ -1,15 +1,21 @@
-// Whole-training-step static analysis: traces one full WGAN-GP iteration of
-// a meta_model (analysis/model.h) by running the training phases
-// run_training itself is built from (core/doppelganger.h): the detached
-// generator pass that fabricates the critics' fake batch (fake_batch), the
-// full and auxiliary critic steps (critic_backward: loss, gradient-penalty
-// double backward, outer backward), and the generator step
-// (generator_backward: fresh forward, frozen critics, backward). Every
-// adjoint in the trace is the engine's own backward rule (nn/autograd.cpp).
+// Whole-training-step static analysis, the audit fit() runs before it
+// trains: traces one full WGAN-GP iteration of a meta_model
+// (analysis/model.h) by running the training phases run_training itself is
+// built from (core/doppelganger.h): the detached generator pass that
+// fabricates the critics' fake batch (fake_batch), the full and auxiliary
+// critic steps (critic_backward: loss, gradient-penalty double backward,
+// outer backward), and the generator step (generator_backward: fresh
+// forward, frozen critics, backward). Every adjoint in the trace is the
+// engine's own backward rule (nn/autograd.cpp).
 //
-// On top of the shape soundness the registry's rules enforce, the pass
-// audits three structural properties no spot check sees:
+// Before it traces, it reports validate_config's findings (a config with an
+// error is not traced) and checks the live model's parameters, when given,
+// against the meta model's: same count and shapes, and at least one
+// trainable. On top of the shape soundness the registry's rules enforce,
+// the trace audits four structural properties no spot check sees:
 //
+//  * WGAN-GP differentiability — the gradient penalty's create_graph
+//    backward pass must not traverse a first-order-only op;
 //  * adjoint soundness — every gradient a backward rule returns checks
 //    against its parent's shape, at every node of every phase;
 //  * def-before-use on gradient slots — every trainable parameter the
@@ -27,6 +33,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,9 +49,9 @@ struct TrainStepOptions {
   /// Registry to interpret ops with; override to seed defects
   /// (seed_adjoint_defect) or register new ops.
   const OpRegistry* registry = &OpRegistry::builtin();
-  /// Live-model overlay (optional); order-matched to named_parameters(),
-  /// used for the frozen-parameter trainability of each leaf (shape
-  /// cross-checks stay in analyze_model).
+  /// Live-model overlay (optional); order-matched to named_parameters():
+  /// sets each traced leaf's trainability and is cross-checked against the
+  /// meta model's parameter shapes.
   std::span<const RuntimeParamInfo> runtime_params;
 };
 
@@ -88,9 +95,8 @@ struct TrainingStepAnalysis {
 
 /// Runs the full training-step audit. Needs a constructible model: on a
 /// config that fails validate_config (analysis/model.h) or cannot be built
-/// this emits a single "config-invalid" diagnostic and returns (run
-/// analyze_model for the full config report). Never throws on bad input —
-/// findings come back as diagnostics.
+/// it returns the "config-invalid" findings alone. Never throws on bad
+/// input — findings come back as diagnostics.
 ///
 /// DP note: with differential privacy enabled the critic runs the
 /// microbatched clipped step (dp_critic_step); the audit still models the

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "analysis/model.h"
 #include "analysis/train_step.h"
 #include "core/preflight.h"
 #include "core/wgan.h"
@@ -188,28 +187,23 @@ DoppelGanger::GenOut DoppelGanger::forward(int n) {
   std::vector<Var> cond_parts{out.attributes, out.minmax};
   const Var cond = nn::concat_cols(cond_parts);
 
-  nn::LstmState st = lstm_.initial_state(n);
-  std::vector<Var> records;
-  records.reserve(static_cast<size_t>(codec_.tmax()));
-  // Differentiable continuation mask: record t is scaled by the product of
-  // all previous records' continue-flag probabilities, so generated series
-  // fade to zero after the end flag fires — matching real zero-padding.
-  Var mask = nn::ones(n, 1);
+  // The unroll is the generation step's graph, once per LSTM step, with the
+  // differentiable continuation mask carried across steps.
+  const nn::LstmState init = lstm_.initial_state(n);
+  StepVars st{Var(), init.h, init.c, nn::ones(n, 1)};
+  std::vector<Var> steps;
+  steps.reserve(static_cast<size_t>(steps_per_series_));
   for (int step = 0; step < steps_per_series_; ++step) {
-    std::vector<Var> in{cond, noise(n, cfg_.feat_noise_dim)};
-    st = lstm_.step(nn::concat_cols(in), st);
-    Var block = apply_blocks(head_.forward(st.h), step_blocks_);
-    for (int s = 0; s < cfg_.sample_len; ++s) {
-      if (static_cast<int>(records.size()) >= codec_.tmax()) break;
-      Var rec = nn::mul_colvec(
-          nn::slice_cols(block, s * record_width_, (s + 1) * record_width_),
-          mask);
-      // The masked continue flag *is* the next mask (mask * p_continue).
-      mask = nn::slice_cols(rec, record_width_ - 2, record_width_ - 1);
-      records.push_back(std::move(rec));
-    }
+    st = generation_step_graph(cond, noise(n, cfg_.feat_noise_dim), st.h, st.c,
+                               st.mask);
+    steps.push_back(st.records);
   }
-  out.features = nn::concat_cols(records);
+  out.features = nn::concat_cols(steps);
+  // When S does not divide T the last step's surplus records are cut.
+  const int width = codec_.tmax() * record_width_;
+  if (out.features.cols() > width) {
+    out.features = nn::slice_cols(out.features, 0, width);
+  }
   return out;
 }
 
@@ -517,35 +511,24 @@ TrainStats DoppelGanger::run_training(const data::Dataset& train,
   // underflow. The guard also covers the pool's partitions (nn/parallel.h).
   const nn::FlushDenormalsGuard flush_denormals;
   if (train.empty()) throw std::invalid_argument("fit: empty training set");
-  // Preflight: meta-execute the full training graph (shape rules, gradient
-  // flow, WGAN-GP double-backward audit) with the live parameters overlaid,
-  // so structural defects — including an accidentally frozen model — fail
-  // here with attribution instead of mid-training.
+  // Preflight: meta-execute one full training step with the live
+  // parameters overlaid (config validation, shape rules, the WGAN-GP
+  // double-backward audit, adjoint shapes, def-before-use on every optimizer
+  // gradient slot; see analysis/train_step.h), so structural defects —
+  // including an accidentally frozen model — fail here with attribution
+  // instead of mid-training or, worse, training that converges wrong.
   {
     std::vector<analysis::RuntimeParamInfo> runtime;
     for (const auto& [name, p] : named_parameters()) {
       runtime.push_back({name, p.rows(), p.cols(), p.requires_grad()});
     }
-    analysis::AnalyzeOptions opts;
+    analysis::TrainStepOptions opts;
     opts.runtime_params = runtime;
-    const analysis::ModelAnalysis preflight =
-        analysis::analyze_model(codec_.schema(), cfg_, opts);
+    const analysis::TrainingStepAnalysis preflight =
+        analysis::analyze_training_step(codec_.schema(), cfg_, opts);
     if (!preflight.ok()) {
       throw std::invalid_argument("fit: preflight failed:\n" +
                                   render_diagnostics(preflight.diagnostics));
-    }
-    // Second gate: the symbolic adjoint audit of one full training step —
-    // backward shape soundness at every node, def-before-use on every
-    // optimizer gradient slot, determinism-class consistency (see
-    // analysis/train_step.h). A config that fails here would train without
-    // crashing and converge wrong.
-    analysis::TrainStepOptions step_opts;
-    step_opts.runtime_params = runtime;
-    const analysis::TrainingStepAnalysis step =
-        analysis::analyze_training_step(codec_.schema(), cfg_, step_opts);
-    if (!step.ok()) {
-      throw std::invalid_argument("fit: training-step preflight failed:\n" +
-                                  render_diagnostics(step.diagnostics));
     }
   }
   const data::EncodedDataset enc = codec_.encode(train);

@@ -291,23 +291,25 @@ class DoppelGanger {
   };
   FakeBatch fake_batch(int n);
 
-  /// A critic's loss on (real, fake): WGAN-GP, whose gradient penalty
+  /// A critic's loss on (real, fake) — WGAN-GP, whose gradient penalty
   /// differentiates through autograd::grad(create_graph=true), or the
-  /// standard loss. `gp_out` receives the raw penalty (0 without one).
-  nn::Var critic_loss(Critic c, const nn::Matrix& real, const nn::Matrix& fake,
-                      float* gp_out = nullptr);
-  /// critic_loss, then its backward pass into the critic's zeroed grad slots.
+  /// standard loss — then its backward pass into the critic's zeroed grad
+  /// slots. `gp_out` receives the raw penalty (0 without one).
   nn::Var critic_backward(Critic c, const nn::Matrix& real,
                           const nn::Matrix& fake, float* gp_out = nullptr);
 
-  /// The generator objective L1 + alpha * L2 (Eq. 2) through both critics on
-  /// a fresh n-sample forward pass; `features` receives the fake features.
-  nn::Var generator_loss(int n, nn::Var* features = nullptr);
-  /// generator_loss with both critics frozen, then its backward pass into
-  /// the generator's zeroed grad slots.
+  /// The generator objective L1 + alpha * L2 (Eq. 2) through both critics,
+  /// frozen, on a fresh n-sample forward pass, then its backward pass into
+  /// the generator's zeroed grad slots; `features` receives the fake
+  /// features.
   nn::Var generator_backward(int n, nn::Var* features = nullptr);
 
  private:
+  // The losses critic_backward and generator_backward differentiate.
+  nn::Var critic_loss(Critic c, const nn::Matrix& real, const nn::Matrix& fake,
+                      float* gp_out);
+  nn::Var generator_loss(int n, nn::Var* features);
+
   struct GenOut {
     nn::Var attributes;  // [n, attr_dim]
     nn::Var minmax;      // [n, minmax_dim] (0-wide when disabled)

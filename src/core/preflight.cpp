@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/model.h"
 #include "core/package.h"
 #include "data/io.h"
 
@@ -22,16 +23,7 @@ void fail(std::vector<Diagnostic>& out, std::string code, std::string msg,
 
 }  // namespace
 
-analysis::ModelAnalysis preflight_config(const data::Schema& schema,
-                                         const DoppelGangerConfig& cfg,
-                                         const analysis::OpRegistry& registry) {
-  analysis::AnalyzeOptions opts;
-  opts.registry = &registry;
-  return analysis::analyze_model(schema, cfg, opts);
-}
-
-PackagePreflight preflight_package(std::istream& is,
-                                   const analysis::OpRegistry& registry) {
+PackagePreflight preflight_package(std::istream& is) {
   PackagePreflight out;
 
   // ---- header: magic + schema section ----
@@ -79,9 +71,9 @@ PackagePreflight preflight_package(std::istream& is,
   }
   out.header_ok = true;
 
-  // ---- schema <-> config consistency (full static model analysis) ----
+  // ---- schema <-> config consistency (static model analysis) ----
   const analysis::ModelAnalysis analysis =
-      preflight_config(out.schema, out.config, registry);
+      analysis::analyze_model(out.schema, out.config);
   for (const Diagnostic& d : analysis.diagnostics) {
     out.diagnostics.push_back(d);
   }
@@ -138,15 +130,14 @@ PackagePreflight preflight_package(std::istream& is,
   return out;
 }
 
-PackagePreflight preflight_package_file(const std::string& path,
-                                        const analysis::OpRegistry& registry) {
+PackagePreflight preflight_package_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) {
     PackagePreflight out;
     fail(out.diagnostics, "package-parse", "cannot open " + path, "package");
     return out;
   }
-  return preflight_package(is, registry);
+  return preflight_package(is);
 }
 
 std::string render_diagnostics(

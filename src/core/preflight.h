@@ -1,9 +1,10 @@
 // Package preflight: validates a `.dgpkg` end to end — header, schema,
-// config, schema<->config consistency (via the static analyzer), and the
-// weight section's shape census against the expected parameter layout —
-// WITHOUT constructing a model or reading a single float of payload. This
-// is what GenerationService runs before every load/hot-reload (refusing the
-// swap on failure) and what `dgcli lint --package` reports.
+// config, schema<->config consistency (analyze_model: config validation and
+// the generation trace), the generation tape, and the weight section's shape
+// census against the expected parameter layout — WITHOUT constructing a
+// model or reading a single float of payload. This is what
+// GenerationService runs before every load/hot-reload (refusing the swap on
+// failure) and what `dgcli lint --package` reports.
 #pragma once
 
 #include <iosfwd>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "analysis/diag.h"
-#include "analysis/model.h"
 #include "analysis/tape.h"
 #include "core/doppelganger.h"
 #include "data/types.h"
@@ -38,19 +38,9 @@ struct PackagePreflight {
 };
 
 /// Never throws on bad input — all findings come back as diagnostics.
-PackagePreflight preflight_package(
-    std::istream& is,
-    const analysis::OpRegistry& registry = analysis::OpRegistry::builtin());
+PackagePreflight preflight_package(std::istream& is);
 
-PackagePreflight preflight_package_file(
-    const std::string& path,
-    const analysis::OpRegistry& registry = analysis::OpRegistry::builtin());
-
-/// Analyze a schema + config pair directly (no weight section) — the
-/// `dgcli lint --schema/--config` path.
-analysis::ModelAnalysis preflight_config(
-    const data::Schema& schema, const DoppelGangerConfig& cfg,
-    const analysis::OpRegistry& registry = analysis::OpRegistry::builtin());
+PackagePreflight preflight_package_file(const std::string& path);
 
 /// Renders diagnostics into the multi-line message used when a preflight
 /// failure must surface as an exception (fit(), service construction).

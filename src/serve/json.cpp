@@ -55,9 +55,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -191,6 +196,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 void dump_to(const Value& v, std::string& out);
@@ -224,8 +230,10 @@ void dump_number(double n, std::string& out) {
     out += "null";  // JSON has no Inf/NaN; the protocol never sends them
     return;
   }
-  if (n == static_cast<double>(static_cast<long long>(n)) &&
-      std::fabs(n) < 9.0e15) {
+  // Magnitude first: casting a double beyond long long's range is
+  // undefined.
+  if (std::fabs(n) < 9.0e15 &&
+      n == static_cast<double>(static_cast<long long>(n))) {
     out += std::to_string(static_cast<long long>(n));
     return;
   }

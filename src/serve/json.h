@@ -68,7 +68,13 @@ class Value {
   Object obj_;
 };
 
-/// Parses exactly one JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so the bound keeps a hostile line from exhausting the stack;
+/// the protocol's deepest document has about five levels.
+inline constexpr int kMaxDepth = 64;
+
+/// Parses exactly one JSON document (trailing whitespace allowed). Nesting
+/// deeper than kMaxDepth is a parse error.
 Value parse(std::string_view text);
 
 /// Serializes compactly (no whitespace); numbers use shortest round-trip

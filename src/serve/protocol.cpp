@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <optional>
 #include <stdexcept>
 
 namespace dg::serve {
@@ -32,16 +33,44 @@ const data::FieldSpec& attr_spec(const data::Schema& schema,
   throw std::runtime_error("protocol: unknown attribute '" + name + "'");
 }
 
+// Request integers arrive as doubles, and casting a double outside the
+// target type's range is undefined, so each is range-checked first; the
+// cast then truncates toward zero. Absent or non-numeric fields take the
+// default.
+std::optional<std::uint64_t> to_u64(double x) {
+  if (!(x > -1.0 && x < 0x1p64)) return std::nullopt;
+  return static_cast<std::uint64_t>(x);
+}
+
+std::uint64_t u64_field(const json::Value& v, const char* key) {
+  if (const auto x = to_u64(v.number_or(key, 0))) return *x;
+  throw std::runtime_error(std::string("protocol: '") + key +
+                           "' is not an unsigned 64-bit integer");
+}
+
+int int_field(const json::Value& v, const char* key, int fallback) {
+  const double x = v.number_or(key, fallback);
+  if (!(x > -0x1p31 - 1.0 && x < 0x1p31)) {
+    throw std::runtime_error(std::string("protocol: '") + key +
+                             "' is outside the int range");
+  }
+  return static_cast<int>(x);
+}
+
 }  // namespace
+
+std::uint64_t request_id(const json::Value& v) {
+  return to_u64(v.number_or("id", 0)).value_or(0);
+}
 
 GenRequest request_from_json(const json::Value& v) {
   if (!v.is_object()) throw std::runtime_error("protocol: request not an object");
   GenRequest req;
-  req.id = static_cast<std::uint64_t>(v.number_or("id", 0));
-  req.seed = static_cast<std::uint64_t>(v.number_or("seed", 0));
-  req.count = static_cast<int>(v.number_or("n", 1));
-  req.max_len = static_cast<int>(v.number_or("max_len", 0));
-  req.max_attempts = static_cast<int>(v.number_or("attempts", 16));
+  req.id = u64_field(v, "id");
+  req.seed = u64_field(v, "seed");
+  req.count = int_field(v, "n", 1);
+  req.max_len = int_field(v, "max_len", 0);
+  req.max_attempts = int_field(v, "attempts", 16);
   if (const json::Value* fixed = v.find("fixed")) {
     for (const auto& [name, val] : fixed->as_object()) {
       FixedAttr f;

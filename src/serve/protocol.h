@@ -32,8 +32,12 @@
 namespace dg::serve {
 
 /// Parses a generate-op request line (schema resolution of labels happens
-/// later, in resolve_request). Throws std::runtime_error on malformed input.
+/// later, in resolve_request). Throws std::runtime_error on malformed input,
+/// including an integer field outside its type's range.
 GenRequest request_from_json(const json::Value& v);
+/// The request's `id` when it is a valid one, else 0: what an error reply
+/// to a request request_from_json refused echoes.
+std::uint64_t request_id(const json::Value& v);
 json::Value request_to_json(const GenRequest& req);
 
 json::Value response_to_json(const GenResponse& resp, const data::Schema& schema);

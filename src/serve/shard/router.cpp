@@ -131,9 +131,8 @@ std::string Router::handle_generate(const json::Value& req_json,
     req = request_from_json(req_json);
   } catch (const std::exception& e) {
     bad_requests_.add(1);
-    return error_reply(
-        static_cast<std::uint64_t>(req_json.number_or("id", 0)), e.what(),
-        error_code::kBadRequest);
+    return error_reply(request_id(req_json), e.what(),
+                       error_code::kBadRequest);
   }
 
   // Sampling decision: a sampled request is the trace root — every router

@@ -25,7 +25,10 @@ float resolve_label(const data::FieldSpec& spec, const std::string& label) {
 }  // namespace
 
 void resolve_request(GenRequest& req, const data::Schema& schema) {
-  if (req.count < 1) throw std::invalid_argument("serve: count must be >= 1");
+  if (req.count < 1 || req.count > kMaxRequestCount) {
+    throw std::invalid_argument("serve: count outside [1, " +
+                                std::to_string(kMaxRequestCount) + "]");
+  }
   if (req.max_len < 0 || req.max_len > schema.max_timesteps) {
     throw std::invalid_argument("serve: max_len outside [0, schema max]");
   }
@@ -42,8 +45,10 @@ void resolve_request(GenRequest& req, const data::Schema& schema) {
       }
       f.value = resolve_label(spec, f.label);
     } else if (spec.type == data::FieldType::Categorical) {
-      const int c = static_cast<int>(f.value);
-      if (c < 0 || c >= spec.n_categories) {
+      // No int cast here (one of an out-of-range float is undefined): the
+      // bounds accept exactly the values truncation maps into [0, n).
+      if (!(f.value > -1.0f &&
+            f.value < static_cast<float>(spec.n_categories))) {
         throw std::invalid_argument("serve: category out of range for '" +
                                     f.attr + "'");
       }

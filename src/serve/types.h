@@ -98,9 +98,15 @@ struct StatsSnapshot {
   std::string package_hash;  // hex FNV-1a-64 of the served package ("" = none)
 };
 
+/// Most series one generate request may ask for: an engine allocates the
+/// whole reply up front.
+inline constexpr int kMaxRequestCount = 4096;
+
 /// Resolves label-valued predicates/fixed attrs against the schema and
-/// validates field names. Throws std::invalid_argument on unknown names,
-/// bad labels, or type mismatches (e.g. Le on a categorical field).
+/// validates field names and ranges. Throws std::invalid_argument on
+/// unknown names, bad labels, out-of-range values (a count outside
+/// [1, kMaxRequestCount], a category index past the field's) or type
+/// mismatches (e.g. Le on a categorical field).
 void resolve_request(GenRequest& req, const data::Schema& schema);
 
 /// True when the decoded object satisfies every predicate.

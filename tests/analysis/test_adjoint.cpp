@@ -292,9 +292,9 @@ TEST(TrainStep, CensusIsConsistentWithPhaseMultisets) {
 }
 
 TEST(TrainStep, GpPathFirstOrderOpIsRefusedAtTheBackwardPass) {
-  // The training-step audit subsumes the model-level critic-path scan: the
-  // downgraded op is caught where the double backward actually traverses
-  // it, and a loss that never differentiates gradients stays clean.
+  // The downgraded op is caught where the gradient penalty's double
+  // backward actually traverses it, with a graph path into the critic, and
+  // a loss that never differentiates gradients stays clean.
   const data::Schema schema = gcut_schema();
   const core::DoppelGangerConfig cfg = tiny_cfg();
   OpRegistry reg = OpRegistry::builtin();
@@ -310,6 +310,7 @@ TEST(TrainStep, GpPathFirstOrderOpIsRefusedAtTheBackwardPass) {
     if (d.code == "no-double-backward" && d.severity == Severity::kError) {
       found = true;
       EXPECT_EQ(d.op, "relu");
+      EXPECT_NE(d.path.find("relu"), std::string::npos);
       EXPECT_NE(d.path.find("<-"), std::string::npos);
     }
   }
@@ -323,11 +324,18 @@ TEST(TrainStep, GpPathFirstOrderOpIsRefusedAtTheBackwardPass) {
 }
 
 TEST(TrainStep, UnconstructibleConfigShortCircuits) {
+  // An invalid config is reported with validate_config's own findings and
+  // never traced.
   core::DoppelGangerConfig cfg = tiny_cfg();
   cfg.sample_len = 0;
+  cfg.lr = 0.0f;
   const TrainingStepAnalysis ts = analyze_training_step(gcut_schema(), cfg);
-  ASSERT_EQ(ts.diagnostics.size(), 1u);
+  EXPECT_EQ(ts.diagnostics, validate_config(gcut_schema(), cfg));
+  ASSERT_EQ(ts.diagnostics.size(), 2u);
   EXPECT_EQ(ts.diagnostics[0].code, "config-invalid");
+  EXPECT_EQ(ts.diagnostics[0].op, "sample_len");
+  EXPECT_EQ(ts.diagnostics[1].code, "config-invalid");
+  EXPECT_EQ(ts.diagnostics[1].op, "lr");
   EXPECT_FALSE(ts.ok());
   EXPECT_EQ(ts.graph_nodes, 0);
 }

@@ -159,18 +159,6 @@ TEST(SymGraph, SoftmaxExpansionPreservesShape) {
   EXPECT_EQ(g.op_counts(), expected);
 }
 
-TEST(SymGraph, ReachableParamsFollowsGradientFlow) {
-  SymGraph g;
-  auto* w1 = g.param("w1", {Dim::of(3), Dim::of(4)});
-  auto* w2 = g.param("w2", {Dim::of(3), Dim::of(4)});  // never consumed
-  auto* x = g.input("x", {Dim::sym("B"), Dim::of(3)});
-  auto* loss = op1(g, "sum", op2(g, "matmul", x, w1));
-  const auto reached = g.reachable_params(loss);
-  ASSERT_EQ(reached.size(), 1u);
-  EXPECT_EQ(reached[0], w1);
-  (void)w2;
-}
-
 TEST(SymGraph, PathRendersFirstParentChain) {
   SymGraph g;
   auto* w = g.param("head.w", {Dim::of(3), Dim::of(1)});
@@ -185,7 +173,7 @@ TEST(Diagnostics, HumanAndJsonRenderings) {
   std::vector<Diagnostic> diags;
   diags.push_back({Severity::kError, "shape-mismatch", "inner dims 3 vs 4",
                    "matmul", "matmul <- leaf(w)"});
-  diags.push_back({Severity::kWarning, "dead-param", "say \"hi\"\n", "w", ""});
+  diags.push_back({Severity::kWarning, "aux-ignored", "say \"hi\"\n", "w", ""});
   EXPECT_TRUE(has_errors(diags));
   std::ostringstream os;
   print_human(os, diags);

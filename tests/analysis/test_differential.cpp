@@ -213,7 +213,8 @@ TEST(Differential, TrainingStepOpCensusMatchesRealTrainingIteration) {
 }
 
 TEST(Differential, AnalyzerIsCleanOnEveryValidVariant) {
-  // Zero-false-positive battery: a constructible model must lint clean.
+  // Zero-false-positive battery: a constructible model must lint clean,
+  // under the model analysis and under the training-step audit fit() runs.
   for (const Variant& v : variants()) {
     SCOPED_TRACE(describe(v));
     const ModelAnalysis ma = analyze_model(schema_for(v.dataset), v.cfg);
@@ -223,6 +224,12 @@ TEST(Differential, AnalyzerIsCleanOnEveryValidVariant) {
     }
     EXPECT_GT(ma.graph_nodes, 0);
     EXPECT_FALSE(ma.parameters.empty());
+    const TrainingStepAnalysis ts =
+        analyze_training_step(schema_for(v.dataset), v.cfg);
+    for (const Diagnostic& d : ts.diagnostics) {
+      EXPECT_NE(d.severity, Severity::kError)
+          << d.code << ": " << d.message << " at " << d.op;
+    }
   }
 }
 

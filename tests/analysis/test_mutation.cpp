@@ -7,12 +7,13 @@
 //   3. weights from a different schema (swapped dims)      weight-shape
 //   4. architecture flag flipped vs serialized weights     weight-shape
 //   5. every parameter frozen                              frozen-params
-//   6. first-order-only op on the critic path (WGAN-GP)    no-double-backward
-//   7. truncated package bytes                             package-parse
-//   8. wrong adjoint shape (row_sum grad unexpanded)        adjoint-shape
-//   9. dropped accumulation edge (affine loses its bias)    grad-slot-undefined
-//  10. mislabeled determinism class (matmul "order-free")   determinism-class
-// Classes 8-10 are seeded via seed_adjoint_defect and must each produce
+//   6. truncated package bytes                             package-parse
+//   7. wrong adjoint shape (row_sum grad unexpanded)        adjoint-shape
+//   8. dropped accumulation edge (affine loses its bias)    grad-slot-undefined
+//   9. mislabeled determinism class (matmul "order-free")   determinism-class
+// A first-order-only op on the critic path (no-double-backward) is
+// TrainStep.GpPathFirstOrderOpIsRefusedAtTheBackwardPass in test_adjoint.
+// Classes 7-9 are seeded via seed_adjoint_defect and must each produce
 // EXACTLY one error with a graph-path attribution — the adjoint auditor's
 // containment discipline (one root cause, one finding, no cascade).
 #include "analysis/model.h"
@@ -22,6 +23,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "analysis/adjoint.h"
 #include "analysis/train_step.h"
@@ -137,36 +139,35 @@ TEST(Mutation, FrozenEverythingIsAnError) {
   for (const ParamShape& p : shapes) {
     frozen.push_back({p.name, p.rows, p.cols, /*trainable=*/false});
   }
-  AnalyzeOptions opts;
+  TrainStepOptions opts;
   opts.runtime_params = frozen;
-  const ModelAnalysis ma = analyze_model(schema, cfg, opts);
-  EXPECT_TRUE(has_error(ma.diagnostics, "frozen-params"));
+  const TrainingStepAnalysis ts = analyze_training_step(schema, cfg, opts);
+  EXPECT_TRUE(has_error(ts.diagnostics, "frozen-params"));
 }
 
-TEST(Mutation, FirstOrderOpOnCriticPathFailsTheGpAudit) {
+TEST(Mutation, LiveParameterLayoutIsCrossChecked) {
+  // The training-step audit compares the live model's parameters with the
+  // layout schema + config imply: a reshaped matrix, or one too few.
   const data::Schema schema = gcut_schema();
   const core::DoppelGangerConfig cfg = tiny_cfg();
-  OpRegistry reg = OpRegistry::builtin();
-  OpInfo downgraded = *reg.find("relu");
-  downgraded.diff = DiffClass::kFirstOrderOnly;
-  reg.add(downgraded);
-  AnalyzeOptions opts;
-  opts.registry = &reg;
-  const ModelAnalysis ma = analyze_model(schema, cfg, opts);
-  ASSERT_TRUE(has_error(ma.diagnostics, "no-double-backward", "relu"));
-  // Attribution: the finding must carry a graph path into the critic.
-  for (const Diagnostic& d : ma.diagnostics) {
-    if (d.code == "no-double-backward") {
-      EXPECT_NE(d.path.find("relu"), std::string::npos);
-      EXPECT_NE(d.path.find("<-"), std::string::npos);
-    }
+  std::vector<RuntimeParamInfo> live;
+  for (const ParamShape& p : expected_parameter_shapes(schema, cfg)) {
+    live.push_back({p.name, p.rows, p.cols, /*trainable=*/true});
   }
-  // Standard GAN loss never differentiates through gradients: the same
-  // downgraded registry must pass there (no false positive).
-  core::DoppelGangerConfig std_cfg = cfg;
-  std_cfg.loss = core::GanLoss::Standard;
-  EXPECT_FALSE(has_error(analyze_model(schema, std_cfg, opts).diagnostics,
-                         "no-double-backward"));
+  ASSERT_GT(live.size(), 2u);
+  TrainStepOptions opts;
+  opts.runtime_params = live;
+  EXPECT_TRUE(analyze_training_step(schema, cfg, opts).ok());
+
+  std::swap(live[1].rows, live[1].cols);
+  const TrainingStepAnalysis reshaped =
+      analyze_training_step(schema, cfg, opts);
+  EXPECT_TRUE(has_error(reshaped.diagnostics, "weight-shape", live[1].name));
+
+  live.pop_back();
+  opts.runtime_params = live;
+  EXPECT_TRUE(has_error(analyze_training_step(schema, cfg, opts).diagnostics,
+                        "weight-shape", "parameters"));
 }
 
 TEST(Mutation, TruncatedPackageIsRefusedWithParseError) {
@@ -203,6 +204,15 @@ TEST(Mutation, FitRefusesToStartOnPreflightErrors) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("preflight"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("config-invalid"), std::string::npos);
+  }
+  // A valid config whose live model has nothing left to train.
+  core::DoppelGanger frozen(d.schema, tiny_cfg());
+  for (auto [name, p] : frozen.named_parameters()) p.set_requires_grad(false);
+  try {
+    frozen.fit(d.data);
+    FAIL() << "fit must refuse a model with nothing to train";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("frozen-params"), std::string::npos);
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,6 +21,11 @@ namespace {
 
 // ------------------------------------------------------------------ json
 
+std::string nested(int depth) {
+  return std::string(static_cast<size_t>(depth), '[') +
+         std::string(static_cast<size_t>(depth), ']');
+}
+
 TEST(Json, ParsesScalarsAndContainers) {
   const json::Value v = json::parse(
       R"({"a":1,"b":-2.5,"c":"hi","d":true,"e":null,"f":[1,2,3],"g":{"x":7}})");
@@ -29,6 +36,12 @@ TEST(Json, ParsesScalarsAndContainers) {
   EXPECT_TRUE(v.find("e")->is_null());
   EXPECT_EQ(v.find("f")->as_array().size(), 3u);
   EXPECT_EQ(v.find("g")->number_or("x", 0), 7.0);
+  // The nesting bound counts open containers, not containers seen.
+  EXPECT_TRUE(json::parse(nested(json::kMaxDepth)).is_array());
+  std::string wide = "[";
+  for (int i = 0; i < 2 * json::kMaxDepth; ++i) wide += i ? ",[[]]" : "[[]]";
+  EXPECT_EQ(json::parse(wide + "]").as_array().size(),
+            static_cast<size_t>(2 * json::kMaxDepth));
 }
 
 TEST(Json, DumpParseRoundTripIsValueExact) {
@@ -72,9 +85,45 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("tru"), std::runtime_error);
   EXPECT_THROW(json::parse("1 2"), std::runtime_error);
   EXPECT_THROW(json::parse("\"unterminated"), std::runtime_error);
+  // The parser recurses per level: 100,000 levels must be a parse error,
+  // not a stack overflow.
+  EXPECT_THROW(json::parse(nested(100'000)), std::runtime_error);
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), std::runtime_error);
+  EXPECT_THROW(json::parse("{\"a\":" + nested(json::kMaxDepth) + "}"),
+               std::runtime_error);
 }
 
 // -------------------------------------------------------------- protocol
+
+TEST(Protocol, OutOfRangeIntegerFieldsAreRefused) {
+  // Each integer request field refuses values its type cannot hold (the
+  // cast would be undefined).
+  const std::pair<const char*, const char*> refused[] = {
+      {"id", "-1"},          {"id", "1.8446744073709552e19"},
+      {"id", "1e300"},       {"seed", "-1"},
+      {"seed", "-1e300"},    {"seed", "1.8446744073709552e19"},
+      {"n", "2147483648"},   {"n", "-2147483649"},
+      {"n", "1e300"},        {"max_len", "2147483648"},
+      {"max_len", "-1e10"},  {"attempts", "3e9"},
+      {"attempts", "-2147483649"}};
+  for (const auto& [field, value] : refused) {
+    SCOPED_TRACE(std::string(field) + "=" + value);
+    const json::Value v = json::parse(std::string("{\"op\":\"generate\",\"") +
+                                      field + "\":" + value + "}");
+    EXPECT_THROW(request_from_json(v), std::runtime_error);
+  }
+  EXPECT_THROW(json::parse(R"({"n":1e999})"), std::runtime_error);
+  // The extremes that fit are accepted; the cast truncates toward zero.
+  const GenRequest top = request_from_json(json::parse(
+      R"({"id":18446744073709549568,"seed":-0.5,"n":2147483647})"));
+  EXPECT_EQ(top.id, 18446744073709549568ull);  // largest double below 2^64
+  EXPECT_EQ(top.seed, 0u);
+  EXPECT_EQ(top.count, 2147483647);
+  // An error reply echoes only an id that is one.
+  EXPECT_EQ(request_id(json::parse(R"({"id":-1})")), 0u);
+  EXPECT_EQ(request_id(json::parse(R"({"id":"x"})")), 0u);
+  EXPECT_EQ(request_id(json::parse(R"({"id":42})")), 42u);
+}
 
 TEST(Protocol, RequestRoundTrip) {
   GenRequest req;
@@ -360,6 +409,26 @@ TEST(Protocol, ResolveRequestValidates) {
   GenRequest bad_len;
   bad_len.max_len = d.schema.max_timesteps + 1;
   EXPECT_THROW(resolve_request(bad_len, d.schema), std::invalid_argument);
+
+  // The count is capped: an engine allocates the whole reply up front.
+  GenRequest most;
+  most.count = kMaxRequestCount;
+  resolve_request(most, d.schema);
+  for (const int count : {0, -1, kMaxRequestCount + 1, 2'000'000'000}) {
+    GenRequest bad_count;
+    bad_count.count = count;
+    EXPECT_THROW(resolve_request(bad_count, d.schema), std::invalid_argument)
+        << count;
+  }
+
+  // A categorical value is range-checked before any int cast.
+  for (const float bad : {-1.0f, 1e30f, -1e30f}) {
+    GenRequest bad_category;
+    bad_category.fixed.push_back({d.schema.attributes[0].name, bad, ""});
+    EXPECT_THROW(resolve_request(bad_category, d.schema),
+                 std::invalid_argument)
+        << bad;
+  }
 
   // Label resolution fills in the numeric category.
   GenRequest ok;

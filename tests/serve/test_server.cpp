@@ -13,6 +13,7 @@
 #include <future>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -274,6 +275,34 @@ TEST(GenerationService, PreflightCostIsSmall) {
     best_ms = std::min(best_ms, ms);
   }
   EXPECT_LT(best_ms, 5.0);
+}
+
+TEST(ServiceHandler, HostileLinesAreBadRequestsAndServingContinues) {
+  // Each line must get a bad_request reply, and the worker must then answer
+  // the next request: a 100,000-deep line must not overflow the parser's
+  // stack, and a count no engine may allocate must not abort one.
+  GenerationService service(make_model(), small_service_cfg());
+  service.start();
+  const LineHandler handle = service_handler(service);
+  const std::string deep =
+      std::string(100'000, '[') + std::string(100'000, ']');
+  for (const std::string& line :
+       {deep, R"({"op":"generate","n":1,"fixed":)" + deep + "}",
+        std::string(R"({"op":"generate","n":2000000000})"),
+        std::string(R"({"op":"generate","n":1e999})"),
+        std::string(R"({"op":"generate","n":-1})"),
+        std::string(R"({"op":"generate","seed":-1})"),
+        std::string(R"({"op":"generate","fixed":{"end_event_type":1e30}})")}) {
+    SCOPED_TRACE(line.substr(0, 48));
+    const json::Value err = json::parse(handle(line));
+    EXPECT_FALSE(err.bool_or("ok", true));
+    EXPECT_EQ(err.string_or("code", ""), error_code::kBadRequest);
+    const json::Value next = json::parse(
+        handle(json::dump(request_to_json(plain_request(7, 11, 2)))));
+    EXPECT_TRUE(next.bool_or("ok", false));
+    EXPECT_EQ(next.find("objects")->as_array().size(), 2u);
+  }
+  service.stop();
 }
 
 TEST(TcpServer, LoopbackRoundTrip) {

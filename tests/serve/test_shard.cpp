@@ -25,6 +25,7 @@
 #include <future>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -425,6 +426,44 @@ TEST(ShardRouter, StructuredErrorCodes) {
       json::parse(router.handle_line(R"({"op":"drain","worker":99})"));
   EXPECT_FALSE(admin.bool_or("ok", true));
   EXPECT_EQ(admin.string_or("code", ""), error_code::kBadRequest);
+}
+
+TEST(ShardRouter, HostileLinesAreBadRequestsAndTheFleetKeepsServing) {
+  // A 100,000-deep line must not overflow the router's parser, and a count
+  // no worker may serve must come back as the worker's bad_request rather
+  // than take a replica down and fail over to the next one.
+  const std::string pkg = ::testing::TempDir() + "/hostile.dgpkg";
+  core::save_package_file(pkg, *make_model(3));
+  ServiceConfig cfg = small_service_cfg();
+  cfg.package_path = pkg;
+  Fleet fleet = make_fleet(2, cfg);
+  Router router(*fleet.pool, RouterConfig{});
+  router.health().sweep_now();
+  const std::string deep =
+      std::string(100'000, '[') + std::string(100'000, ']');
+  std::uint64_t seed = 0;  // fresh seeds: a cache hit would skip the fleet
+  for (const std::string& line :
+       {deep, R"({"op":"generate","id":3,"n":1,"fixed":)" + deep + "}",
+        std::string(R"({"op":"generate","id":4,"n":2000000000})"),
+        std::string(R"({"op":"generate","id":5,"seed":-1})")}) {
+    SCOPED_TRACE(line.substr(0, 48));
+    const json::Value bad = json::parse(router.handle_line(line));
+    EXPECT_FALSE(bad.bool_or("ok", true));
+    EXPECT_EQ(bad.string_or("code", ""), error_code::kBadRequest);
+    // Both replicas still answer.
+    std::set<std::size_t> homes;
+    while (homes.size() < 2) {
+      homes.insert(shard_of(seed, 2));
+      const json::Value ok =
+          json::parse(router.handle_line(gen_line(10 + seed, seed, 1)));
+      EXPECT_TRUE(ok.bool_or("ok", false)) << seed;
+      ++seed;
+    }
+  }
+  EXPECT_EQ(json::parse(router.handle_line(
+                R"({"op":"generate","id":4,"n":2000000000})"))
+                .number_or("id", 0),
+            4.0);
 }
 
 TEST(ShardRouter, ShedsWithStructuredErrorWhenSaturated) {

@@ -55,24 +55,25 @@
 // (attribute MLP -> min/max MLP -> LSTM -> GP second-order pass).
 //
 // `lint` runs the static graph analyzer: `--package` preflights a .dgpkg
-// (header, schema, config, weight-shape census) without loading a float;
-// `--schema [--config]` meta-executes the full architecture symbolically and
-// reports shape errors, dead parameters, and critic-path ops that lack
-// double-backward support before any training run. `--assume-first-order`
-// downgrades named ops in the registry (what-if / mutation-test hook).
+// (header, schema, config, generation trace, weight-shape census) without
+// loading a float; `--schema [--config]` validates the config and traces
+// the generation step symbolically. Either way it then runs the
+// training-step audit fit() runs (analysis/train_step.h): one full WGAN-GP
+// training step meta-executed symbolically — generator forward, both critic
+// steps with the gradient-penalty double backward, generator step —
+// verifying every adjoint's shape, that no critic-path op lacks
+// double-backward support, def-before-use on every optimizer gradient slot,
+// and the per-op determinism classes. `--assume-first-order` downgrades
+// named ops in its registry (what-if / mutation-test hook).
 // `--tape` additionally lowers the generation step to the serving replay
 // tape (analysis/tape.h), runs the static verifier, and reports the plan
 // census (instructions, fusion groups, arena peak bytes); `--tape-mutate`
 // seeds one named defect class first — the negative control that proves the
 // verifier rejects a corrupted tape (expected exit: FAIL).
-// `--train` runs the static adjoint auditor (analysis/train_step.h): one
-// full WGAN-GP training step meta-executed symbolically — generator forward,
-// both critic steps with the gradient-penalty double backward, generator
-// step — verifying every adjoint's shape, def-before-use on every optimizer
-// gradient slot, and the per-op determinism classes; it prints the
-// reduction-order census (the accumulation sites a future data-parallel
-// all-reduce must pin). `--train-mutate` seeds one named adjoint defect
-// class first (the matching negative control; expected exit: FAIL).
+// `--train` adds the training step's reduction-order census to the output
+// (the accumulation sites a future data-parallel all-reduce must pin).
+// `--train-mutate` seeds one named adjoint defect class first (the matching
+// negative control; expected exit: FAIL).
 //
 // Observability: `train --run-dir DIR` streams per-iteration telemetry to
 // DIR/metrics.jsonl and drops trace.json (chrome://tracing), trace.jsonl,
@@ -90,6 +91,7 @@
 // nests across processes.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -1044,25 +1046,6 @@ int cmd_check(const Args& a) {
 
 // ---------------------------------------------------------------- lint
 
-/// Registry for lint runs: builtin, with --assume-first-order op1,op2
-/// downgrades applied (proves the critic-path audit catches such ops).
-analysis::OpRegistry lint_registry(const Args& a) {
-  analysis::OpRegistry reg = analysis::OpRegistry::builtin();
-  if (a.flag("assume-first-order")) {
-    for (const std::string& op : split_clauses(a.str("assume-first-order"))) {
-      const analysis::OpInfo* info = reg.find(op);
-      if (info == nullptr) {
-        throw std::runtime_error("lint: unknown op '" + op +
-                                 "' in --assume-first-order");
-      }
-      analysis::OpInfo downgraded = *info;
-      downgraded.diff = analysis::DiffClass::kFirstOrderOnly;
-      reg.add(std::move(downgraded));
-    }
-  }
-  return reg;
-}
-
 /// Minimal JSON string escape for census paths (quotes, backslashes,
 /// control bytes).
 std::string json_escape(const std::string& s) {
@@ -1174,15 +1157,28 @@ analysis::TapeSummary run_tape_lint(const data::Schema& schema,
   return analysis::summarize_tape(rep);
 }
 
-/// Runs the training-step adjoint audit for --train, optionally seeding a
-/// defect class first (--train-mutate CLASS, the adjoint-level mutation
-/// test). Appends the audit's findings to `diags` and returns the analysis
-/// (op multisets + reduction-order census).
+/// Runs the training-step audit every lint runs (the one fit() runs, with
+/// findings deduplicated against `diags`: both it and the model analysis
+/// validate the config) and returns it for --train's census. The registry
+/// it audits against is the builtin one, with --assume-first-order op1,op2
+/// downgrades applied (proves the critic-path audit catches such ops) and
+/// --train-mutate CLASS seeded (the adjoint-level mutation test).
 analysis::TrainingStepAnalysis run_train_lint(
     const data::Schema& schema, const core::DoppelGangerConfig& cfg,
-    const analysis::OpRegistry& base, const Args& a,
-    std::vector<analysis::Diagnostic>& diags) {
-  analysis::OpRegistry reg = base;
+    const Args& a, std::vector<analysis::Diagnostic>& diags) {
+  analysis::OpRegistry reg = analysis::OpRegistry::builtin();
+  if (a.flag("assume-first-order")) {
+    for (const std::string& op : split_clauses(a.str("assume-first-order"))) {
+      const analysis::OpInfo* info = reg.find(op);
+      if (info == nullptr) {
+        throw std::runtime_error("lint: unknown op '" + op +
+                                 "' in --assume-first-order");
+      }
+      analysis::OpInfo downgraded = *info;
+      downgraded.diff = analysis::DiffClass::kFirstOrderOnly;
+      reg.add(std::move(downgraded));
+    }
+  }
   if (a.flag("train-mutate")) {
     if (!analysis::seed_adjoint_defect(reg, a.str("train-mutate"))) {
       throw std::runtime_error("lint: unknown --train-mutate class '" +
@@ -1193,7 +1189,11 @@ analysis::TrainingStepAnalysis run_train_lint(
   opts.registry = &reg;
   analysis::TrainingStepAnalysis ts =
       analysis::analyze_training_step(schema, cfg, opts);
-  for (const analysis::Diagnostic& d : ts.diagnostics) diags.push_back(d);
+  for (const analysis::Diagnostic& d : ts.diagnostics) {
+    if (std::find(diags.begin(), diags.end(), d) == diags.end()) {
+      diags.push_back(d);
+    }
+  }
   return ts;
 }
 
@@ -1201,10 +1201,9 @@ int cmd_lint(const Args& a) {
   const bool json = a.flag("json");
   const bool want_tape = a.flag("tape") || a.flag("tape-mutate");
   const bool want_train = a.flag("train") || a.flag("train-mutate");
-  const analysis::OpRegistry reg = lint_registry(a);
   if (a.flag("package")) {
     const core::PackagePreflight pf =
-        core::preflight_package_file(a.str("package"), reg);
+        core::preflight_package_file(a.str("package"));
     if (!json && pf.header_ok) {
       std::printf("package %s: %d attributes, %d features, "
                   "%zu weight matrices\n",
@@ -1220,11 +1219,9 @@ int cmd_lint(const Args& a) {
       tape = run_tape_lint(pf.schema, pf.config, a, diags);
     }
     std::optional<analysis::TrainingStepAnalysis> train;
-    if (want_train && pf.header_ok) {
-      train = run_train_lint(pf.schema, pf.config, reg, a, diags);
-    }
+    if (pf.header_ok) train = run_train_lint(pf.schema, pf.config, a, diags);
     return lint_report(diags, json, want_tape ? &tape : nullptr,
-                       train ? &*train : nullptr);
+                       want_train && train ? &*train : nullptr);
   }
   const data::Schema schema = data::load_schema_file(a.str("schema"));
   core::DoppelGangerConfig cfg;
@@ -1237,8 +1234,7 @@ int cmd_lint(const Args& a) {
     // derived from the schema, as in config_from).
     cfg.sample_len = std::max(1, schema.max_timesteps / 28);
   }
-  const analysis::ModelAnalysis ma =
-      core::preflight_config(schema, cfg, reg);
+  const analysis::ModelAnalysis ma = analysis::analyze_model(schema, cfg);
   if (!json) {
     std::printf("model: %zu parameter matrices, %d symbolic graph nodes, "
                 "generation step width %d\n",
@@ -1247,10 +1243,10 @@ int cmd_lint(const Args& a) {
   std::vector<analysis::Diagnostic> diags = ma.diagnostics;
   std::optional<analysis::TapeSummary> tape;
   if (want_tape) tape = run_tape_lint(schema, cfg, a, diags);
-  std::optional<analysis::TrainingStepAnalysis> train;
-  if (want_train) train = run_train_lint(schema, cfg, reg, a, diags);
+  const analysis::TrainingStepAnalysis train =
+      run_train_lint(schema, cfg, a, diags);
   return lint_report(diags, json, tape ? &*tape : nullptr,
-                     train ? &*train : nullptr);
+                     want_train ? &train : nullptr);
 }
 
 int usage() {
