@@ -4,6 +4,7 @@
 // sample generation.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -85,6 +86,9 @@ BENCHMARK(BM_LstmStep)->ArgsProduct({{1, 32, 256}, {1, 4}});
 // ---- SIMD microkernel gates (nn/simd/vec.h). Single-threaded, shapes sized
 // to the L2-resident regime the register-tiled micro-kernel targets, so the
 // scalar->avx2 ratio measures the vector tier rather than memory bandwidth.
+// BM_MatmulMicro and BM_LstmGatesMicro have widths that are multiples of 32;
+// BM_MatmulMicroTail has the model's own widths, which are not multiples of
+// 8, so the gate also covers the tile's masked last vector.
 // CI's bench-smoke job runs these twice on one DG_NATIVE_ARCH=OFF binary
 // (DG_SIMD=scalar, then DG_SIMD=avx2) and gates the vectorized tier at
 // >= 2x scalar cpu_time via tools/bench_compare.py --best.
@@ -107,10 +111,11 @@ void attach_kernel_flops(benchmark::State& state, const char* row, Fn&& fn) {
 }
 #endif
 
-void BM_MatmulMicro(benchmark::State& state) {
-  const int n = 64, k = 256, m = 256;
+/// One-threaded [n,k] x [k,m] matmul on normal operands drawn from `seed`.
+void run_matmul_micro(benchmark::State& state, int n, int k, int m,
+                      std::uint64_t seed) {
   nn::set_num_threads(1);
-  nn::Rng rng(7);
+  nn::Rng rng(seed);
   const Matrix a = rng.normal_matrix(n, k);
   const Matrix b = rng.normal_matrix(k, m);
   for (auto _ : state) {
@@ -122,7 +127,25 @@ void BM_MatmulMicro(benchmark::State& state) {
                       [&] { benchmark::DoNotOptimize(nn::matmul(a, b)); });
 #endif
 }
+
+void BM_MatmulMicro(benchmark::State& state) {
+  run_matmul_micro(state, 64, 256, 256, 7);
+}
 BENCHMARK(BM_MatmulMicro);
+
+void BM_MatmulMicroTail(benchmark::State& state) {
+  // DoppelGANger's own widths, none a multiple of 8: the LSTM input and
+  // state gradients (k = 4 x 100 gate columns, m = 21 wwt input columns or
+  // 100 state units) and the batched head output (100 units -> S x record
+  // width = 30). Each row ends in a masked vector of the avx2 tile.
+  run_matmul_micro(state, static_cast<int>(state.range(0)),
+                   static_cast<int>(state.range(1)),
+                   static_cast<int>(state.range(2)), 9);
+}
+BENCHMARK(BM_MatmulMicroTail)
+    ->Args({50, 400, 21})
+    ->Args({50, 100, 30})
+    ->Args({50, 400, 100});
 
 void BM_LstmGatesMicro(benchmark::State& state) {
   // The fused gate pre-activation at the training shape: x*wx + h*wh + b.

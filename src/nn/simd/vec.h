@@ -61,11 +61,13 @@ enum class EwFn : std::uint8_t {
 /// The per-tier kernel table. One relaxed atomic pointer load reaches the
 /// active tier; pointers, not virtuals, so the scalar tier costs nothing
 /// extra when selected. All kernels tolerate unaligned data and arbitrary
-/// lengths (vector body + scalar-reference tail).
+/// lengths (vector body + scalar-reference tail, or a masked last vector).
 struct KernelTable {
   /// out[r0..r1) += a[r0..r1) * b for row-major a [n,k], b [k,m]: ascending-k
   /// accumulation per output element with the scalar tier's zero-skip, k
-  /// blocked in kKC slabs. Bit-identical across tiers and thread counts.
+  /// blocked in kKC slabs. The avx2 tier covers a row with ceil(m/8) vectors
+  /// (the last masked when 8 does not divide m) in balanced tiles of at most
+  /// 12 accumulators. Bit-identical across tiers and thread counts.
   void (*matmul_acc_rows)(const float* a, int k, const float* b, int m,
                           float* out, std::int64_t r0, std::int64_t r1);
   /// d[i] = fn(a[i]) or fn(a[i], b[i]); b ignored for unary fns. d may alias

@@ -20,9 +20,11 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "nn/simd/vec.h"
 #include "nn/simd/vec_scalar.h"
@@ -118,65 +120,94 @@ inline __m256 sigmoid_v(__m256 v) {
 
 // ---- kernels --------------------------------------------------------------
 
+/// Most ymm accumulators one matmul tile holds across the k loop: with the
+/// broadcast, the tail mask and a loaded b vector it fits the 16 ymm
+/// registers of plain AVX2.
+inline constexpr int kMaxTileVecs = 12;
+
+/// Vector V of a tile of G at p: the last one masked when kTail.
+template <int G, bool kTail, int V>
+inline __m256 tile_load(const float* p, __m256i tail) {
+  if constexpr (kTail && V == G - 1) return _mm256_maskload_ps(p + 8 * V, tail);
+  else return _mm256_loadu_ps(p + 8 * V);
+}
+
+template <int G, bool kTail, int V>
+inline void tile_store(float* p, __m256 v, __m256i tail) {
+  if constexpr (kTail && V == G - 1) _mm256_maskstore_ps(p + 8 * V, tail, v);
+  else _mm256_storeu_ps(p + 8 * V, v);
+}
+
+/// Columns [j, j + 8G) of out[r0..r1) += a[.., kb..kend) * b[kb..kend, ..]:
+/// G ymm accumulators per row held across the k loop (G independent add
+/// chains), the last one covering only m % 8 columns when kTail.
+template <int G, bool kTail, int... V>
+void tile_rows(std::integer_sequence<int, V...>, const float* a, int k,
+               const float* b, int m, float* out, std::int64_t r0,
+               std::int64_t r1, int j, int kb, int kend) {
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(m % 8), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const float* bcol = b + j;
+  for (std::int64_t i = r0; i < r1; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    float* o = out + static_cast<std::size_t>(i) * m + j;
+    __m256 acc[G] = {tile_load<G, kTail, V>(o, tail)...};
+    for (int kk = kb; kk < kend; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const __m256 bv = _mm256_set1_ps(av);
+      const float* brow = bcol + static_cast<std::size_t>(kk) * m;
+      ((acc[V] = _mm256_add_ps(
+            acc[V], _mm256_mul_ps(bv, tile_load<G, kTail, V>(brow, tail)))),
+       ...);
+    }
+    (tile_store<G, kTail, V>(o, acc[V], tail), ...);
+  }
+}
+
+template <int G, bool kTail>
+void matmul_tile(const float* a, int k, const float* b, int m, float* out,
+                 std::int64_t r0, std::int64_t r1, int j, int kb, int kend) {
+  tile_rows<G, kTail>(std::make_integer_sequence<int, G>(), a, k, b, m, out,
+                      r0, r1, j, kb, kend);
+}
+
+using TileFn = decltype(&matmul_tile<1, false>);
+
+/// matmul_tile<1..sizeof...(G), kTail>, indexed by G - 1.
+template <bool kTail, int... G>
+constexpr std::array<TileFn, sizeof...(G)> tile_table(
+    std::integer_sequence<int, G...>) {
+  return {&matmul_tile<G + 1, kTail>...};
+}
+
 /// out[r0..r1) += a[r0..r1) * b: the scalar kernel's kKC k-slabs and
-/// ascending-k zero-skip accumulation, with the 16-column register tile
-/// widened to 32 columns in four ymm accumulators. Per output element the
-/// operation sequence is the scalar tier's exactly (broadcast-mul then add),
-/// so results are bit-identical.
+/// ascending-k zero-skip accumulation. Each output row is ceil(m/8) ymm
+/// vectors, the last one masked when 8 does not divide m, split into
+/// balanced tiles of at most kMaxTileVecs accumulators (13 vectors run as
+/// 7+6, 50 as 5x10), so every tile of 4 or more vectors keeps 4 or more
+/// independent add chains. Per output element the operation sequence is the
+/// scalar tier's exactly (broadcast-mul then add, no FMA), so results are
+/// bit-identical.
 inline void matmul_acc_rows(const float* a, int k, const float* b, int m,
                             float* out, std::int64_t r0, std::int64_t r1) {
-  using scalar_impl::kKC;
-  for (int kb = 0; kb < k; kb += kKC) {
-    const int kend = kb + kKC < k ? kb + kKC : k;
-    for (std::int64_t i = r0; i < r1; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      float* orow = out + static_cast<std::size_t>(i) * m;
-      int j = 0;
-      for (; j + 32 <= m; j += 32) {
-        float* o = orow + j;
-        __m256 acc0 = _mm256_loadu_ps(o);
-        __m256 acc1 = _mm256_loadu_ps(o + 8);
-        __m256 acc2 = _mm256_loadu_ps(o + 16);
-        __m256 acc3 = _mm256_loadu_ps(o + 24);
-        for (int kk = kb; kk < kend; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const __m256 bv = _mm256_set1_ps(av);
-          const float* brow = b + static_cast<std::size_t>(kk) * m + j;
-          acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(bv, _mm256_loadu_ps(brow)));
-          acc1 = _mm256_add_ps(acc1,
-                               _mm256_mul_ps(bv, _mm256_loadu_ps(brow + 8)));
-          acc2 = _mm256_add_ps(acc2,
-                               _mm256_mul_ps(bv, _mm256_loadu_ps(brow + 16)));
-          acc3 = _mm256_add_ps(acc3,
-                               _mm256_mul_ps(bv, _mm256_loadu_ps(brow + 24)));
-        }
-        _mm256_storeu_ps(o, acc0);
-        _mm256_storeu_ps(o + 8, acc1);
-        _mm256_storeu_ps(o + 16, acc2);
-        _mm256_storeu_ps(o + 24, acc3);
-      }
-      for (; j + 8 <= m; j += 8) {
-        __m256 acc = _mm256_loadu_ps(orow + j);
-        for (int kk = kb; kk < kend; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const __m256 bv = _mm256_set1_ps(av);
-          acc = _mm256_add_ps(
-              acc, _mm256_mul_ps(
-                       bv, _mm256_loadu_ps(b + static_cast<std::size_t>(kk) * m + j)));
-        }
-        _mm256_storeu_ps(orow + j, acc);
-      }
-      for (; j < m; ++j) {
-        float acc = orow[j];
-        for (int kk = kb; kk < kend; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          acc += av * b[static_cast<std::size_t>(kk) * m + j];
-        }
-        orow[j] = acc;
-      }
+  static constexpr auto kFull =
+      tile_table<false>(std::make_integer_sequence<int, kMaxTileVecs>());
+  static constexpr auto kMasked =
+      tile_table<true>(std::make_integer_sequence<int, kMaxTileVecs>());
+  if (m <= 0) return;
+  const int vecs = (m + 7) / 8;
+  const int tiles = (vecs + kMaxTileVecs - 1) / kMaxTileVecs;
+  const int small = vecs / tiles, big_tiles = vecs % tiles;
+  for (int kb = 0; kb < k; kb += scalar_impl::kKC) {
+    const int kend = std::min(k, kb + scalar_impl::kKC);
+    int j = 0;
+    for (int t = 0; t < tiles; ++t) {
+      const int g = t < big_tiles ? small + 1 : small;
+      const bool last = t + 1 == tiles;
+      const TileFn fn = last && m % 8 != 0 ? kMasked[g - 1] : kFull[g - 1];
+      fn(a, k, b, m, out, r0, r1, j, kb, kend);
+      j += 8 * g;
     }
   }
 }

@@ -122,7 +122,8 @@ inline float ew_eval(EwFn fn, float a, float b) {
 /// across the rows of a partition (the PR-2 blocking, kept verbatim).
 inline constexpr int kKC = 256;
 /// Output-column tile held in registers across the k loop (the PR-6 tape
-/// micro-kernel shape; the avx2 tier widens the same tile to 4x8 lanes).
+/// micro-kernel shape). The avx2 tier tiles by 8-lane vectors instead; no
+/// tiling changes an output element's operation sequence.
 inline constexpr int kJTile = 16;
 
 /// out[r0..r1) += a[r0..r1) * b. Ascending-k accumulation per output element

@@ -288,28 +288,97 @@ void expect_invariant(const char* what, Matrix (*compute)(std::uint32_t),
 
 bool avx2_available() { return simd::tier_supported(simd::Tier::kAvx2); }
 
+/// (rows, k, m) packed into expect_invariant's seed: 8 + 10 + 10 bits.
+std::uint32_t pack_shape(int n, int k, int m) {
+  return (static_cast<std::uint32_t>(n) << 20) |
+         (static_cast<std::uint32_t>(k) << 10) | static_cast<std::uint32_t>(m);
+}
+
+void unpack_shape(std::uint32_t seed, int& n, int& k, int& m) {
+  n = static_cast<int>(seed >> 20) & 0xff;
+  k = static_cast<int>(seed >> 10) & 0x3ff;
+  m = static_cast<int>(seed) & 0x3ff;
+}
+
 TEST(SimdCrossTier, Matmul) {
   if (!avx2_available()) GTEST_SKIP() << "no avx2 on this machine";
-  // Shapes chosen to hit the 32-col tile, the 8-col tile, the per-column
-  // scalar tail, and the k-block remainder.
-  const int shapes[][3] = {{7, 13, 17}, {4, 96, 256}, {17, 33, 23},
-                           {1, 300, 40}, {5, 263, 40}, {3, 8, 8}};
-  for (const auto& s : shapes) {
-    struct Ctx {
-      static Matrix run(std::uint32_t seed) {
-        const int n = static_cast<int>(seed >> 20) & 0xff;
-        const int k = static_cast<int>(seed >> 10) & 0x3ff;
-        const int m = static_cast<int>(seed) & 0x3ff;
-        Matrix a(n, k), b(k, m);
-        fill(a, seed * 2 + 1);
-        fill(b, seed * 2 + 2);
-        return matmul(a, b);
+  // The avx2 kernel covers a row with ceil(m/8) vectors, the last masked
+  // when 8 does not divide m, in balanced tiles of at most 12. Every m in
+  // 1..104 (each m % 8, 1-13 vectors, 1-2 tiles) plus 200/400/856 (3, 5 and
+  // 9 tiles); k = 1 and 21 stay in one kKC slab, 256 fills it, 257 starts a
+  // second. k cycles per block of 8 m values and rows per m, so every m % 8
+  // meets every k while the sweep stays small enough for the sanitizer jobs.
+  constexpr int kKs[] = {1, 21, 256, 257};
+  constexpr int kRows[] = {1, 7, 50};
+  struct Ctx {
+    static Matrix run(std::uint32_t seed) {
+      int n, k, m;
+      unpack_shape(seed, n, k, m);
+      Matrix a(n, k), b(k, m);
+      fill(a, seed * 2 + 1);
+      fill(b, seed * 2 + 2);
+      return matmul(a, b);
+    }
+  };
+  for (int m = 1; m <= 104; ++m) {
+    const int i = m - 1;
+    expect_invariant("matmul", &Ctx::run,
+                     pack_shape(kRows[i % 3], kKs[(i / 8) % 4], m));
+  }
+  expect_invariant("matmul", &Ctx::run, pack_shape(7, 257, 200));
+  expect_invariant("matmul", &Ctx::run, pack_shape(50, 21, 400));
+  expect_invariant("matmul", &Ctx::run, pack_shape(1, 256, 856));
+}
+
+TEST(SimdCrossTier, AffineZeroSkipKeepsNonFiniteRowsOut) {
+  if (!avx2_available()) GTEST_SKIP() << "no avx2 on this machine";
+  // fill() makes only finite values and +0.0. Here the bias is -0.0, x has
+  // +-0.0 entries, and the w rows those zeros select hold Inf/NaN: the
+  // ascending-k zero-skip must keep those rows out of every output (0 * Inf
+  // would be NaN) in both tiers, and an all-zero x row must leave its -0.0
+  // bias untouched (-0.0 + 0.0 would be +0.0). The Inf/NaN rows span every
+  // column, the masked last vector's lanes included (m % 8 != 0).
+  struct Ctx {
+    static Matrix run(std::uint32_t seed) {
+      int n, k, m;
+      unpack_shape(seed, n, k, m);
+      const float inf = std::numeric_limits<float>::infinity();
+      const float nan = std::numeric_limits<float>::quiet_NaN();
+      Matrix x(n, k), w(k, m), b(1, m, -0.0f);
+      fill(x, seed + 1);
+      fill(w, seed + 2);
+      const int zero_cols[] = {0, k / 2, k - 1};
+      for (int r = 0; r < n; ++r) {
+        for (int c : zero_cols) x.at(r, c) = (r + c) % 2 ? -0.0f : 0.0f;
       }
-    };
-    const std::uint32_t seed = (static_cast<std::uint32_t>(s[0]) << 20) |
-                               (static_cast<std::uint32_t>(s[1]) << 10) |
-                               static_cast<std::uint32_t>(s[2]);
-    expect_invariant("matmul", &Ctx::run, seed);
+      for (int c = 0; c < k; ++c) x.at(1, c) = c % 2 ? -0.0f : 0.0f;
+      for (int c : zero_cols) {
+        for (int j = 0; j < m; ++j) {
+          w.at(c, j) = j % 3 == 0 ? nan : (j % 3 == 1 ? inf : -inf);
+        }
+      }
+      return affine(x, w, b);
+    }
+  };
+  for (const std::uint32_t shape :
+       {pack_shape(7, 21, 30), pack_shape(9, 257, 100),
+        pack_shape(3, 50, 21)}) {
+    expect_invariant("affine", &Ctx::run, shape);
+    TierGuard guard;
+    for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
+      ASSERT_TRUE(simd::set_simd_tier(tier));
+      const Matrix y = Ctx::run(shape);
+      for (int r = 0; r < y.rows(); ++r) {
+        for (int j = 0; j < y.cols(); ++j) {
+          ASSERT_TRUE(std::isfinite(y.at(r, j)))
+              << simd::tier_name(tier) << " (" << r << ", " << j << ")";
+        }
+      }
+      for (int j = 0; j < y.cols(); ++j) {
+        EXPECT_EQ(float_bits(y.at(1, j)), float_bits(-0.0f))
+            << simd::tier_name(tier) << " column " << j;
+      }
+    }
   }
 }
 

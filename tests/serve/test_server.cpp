@@ -262,6 +262,8 @@ TEST(GenerationService, PreflightCostIsSmall) {
   // Acceptance criterion: the preflight adds < 5ms to a package load. It is
   // header-only (no float payload is read) plus one symbolic walk, so even
   // on a loaded CI machine the best-of-5 must clear the bar comfortably.
+  // Sanitizer builds still run and check all five preflights but skip the
+  // bound: their instrumentation, not the preflight, sets the wall time.
   const std::string path = ::testing::TempDir() + "/timed.dgpkg";
   core::save_package_file(path, *make_model(3));
   double best_ms = 1e9;
@@ -274,6 +276,11 @@ TEST(GenerationService, PreflightCostIsSmall) {
     ASSERT_TRUE(pf.ok);
     best_ms = std::min(best_ms, ms);
   }
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "sanitizer build: best preflight " << best_ms
+               << " ms is instrumentation overhead; the 5 ms bound is "
+                  "checked in builds without sanitizers";
+#endif
   EXPECT_LT(best_ms, 5.0);
 }
 
