@@ -25,6 +25,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/shard/router.h"
+#include "serve/tape_exec.h"
 #include "synth/synth.h"
 
 namespace {
@@ -341,18 +342,16 @@ void BM_ServeSequentialPerRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSequentialPerRequest)->Unit(benchmark::kMillisecond);
 
-void run_slot_sampler_bench(benchmark::State& state,
-                            serve::SamplerOptions opts) {
+/// The serving sampler: one service-shaped SlotSampler replaying the
+/// verified tape (serve/tape_exec.h) over the mixed workload.
+void BM_ServeSlotSamplerTape(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
-  // Both samplers get the same 4-thread budget (the CI runner's core count).
-  // The tape replays the whole step as one fork-join over static lane ranges,
-  // while the autograd forward pays a pool round-trip per op — that scheduling
-  // gap, not a bigger thread budget, is what the tape series measures.
+  // The CI runner's core count, the same budget the step pair below gets.
   nn::set_num_threads(4);
   auto model = serve_bench_model();
   // One sampler for the whole run, like a service: the tape is lowered and
   // verified once at load, not per request batch.
-  serve::SlotSampler sampler(model, width, opts);
+  serve::SlotSampler sampler(model, width);
   for (auto _ : state) {
     for (int i = 0; i < kServeRequests; ++i) {
       nn::Rng root(static_cast<uint64_t>(i) + 1);
@@ -369,24 +368,65 @@ void run_slot_sampler_bench(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * kServeRequests);
 }
-
-/// The autograd-forward sampler: pinned to use_tape=false so this series
-/// keeps measuring the graph-building path the tape is judged against.
-void BM_ServeSlotSampler(benchmark::State& state) {
-  run_slot_sampler_bench(state, {.use_tape = false});
-}
-BENCHMARK(BM_ServeSlotSampler)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
-/// The verified-tape replay path (serve/tape_exec.h): identical bytes out,
-/// no autograd nodes, no per-step allocation. Gated in CI at >= 2x the
-/// autograd sampler's items/sec.
-void BM_ServeSlotSamplerTape(benchmark::State& state) {
-  run_slot_sampler_bench(state, {.use_tape = true});
-}
 BENCHMARK(BM_ServeSlotSamplerTape)
     ->Arg(8)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
+
+// ---- one series' generation steps, autograd vs tape: the pair CI gates the
+// tape at >= 2x on. Both chain steps_per_series() steps over the same fixed
+// context and noise under the same 4-thread pool, so the engine is the only
+// difference: generation_step builds an autograd graph and pays a pool
+// round-trip per op, while the tape replays the verified instruction list in
+// one fork-join. The gate sits here, not on the sampler, because a sampler
+// also draws each series' context and decodes it: work both engines would
+// pay, and close to half of BM_ServeSlotSamplerTape's time.
+
+struct StepBench {
+  std::shared_ptr<core::DoppelGanger> model = serve_bench_model();
+  nn::Rng rng{7};
+  int width;
+  core::GenContext ctx;
+  nn::Matrix noise;
+
+  explicit StepBench(int w)
+      : width(w),
+        ctx(model->sample_context(w, rng)),
+        noise(rng.normal_matrix(w, model->feat_noise_dim())) {
+    nn::set_num_threads(4);
+  }
+};
+
+void BM_GenerationStep(benchmark::State& state) {
+  StepBench b(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    core::GenState st = b.model->initial_gen_state(b.width);
+    for (int s = 0; s < b.model->steps_per_series(); ++s) {
+      benchmark::DoNotOptimize(b.model->generation_step(b.ctx, b.noise, st));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * b.width);
+}
+BENCHMARK(BM_GenerationStep)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+
+void BM_GenerationStepTape(benchmark::State& state) {
+  StepBench b(static_cast<int>(state.range(0)));
+  auto tape = serve::TapeExecutor::create_or_throw(*b.model, b.width);
+  nn::Matrix records(b.width, b.model->sample_len() * b.model->record_width());
+  for (auto _ : state) {
+    core::GenState st = b.model->initial_gen_state(b.width);
+    for (int s = 0; s < b.model->steps_per_series(); ++s) {
+      tape->step(b.ctx, b.noise, st, records);
+      benchmark::DoNotOptimize(records.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * b.width);
+}
+BENCHMARK(BM_GenerationStepTape)
+    ->Arg(8)
+    ->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- shard router throughput: the front-tier scaling story. All three
 // benches serve the same mixed-length workload (serve_bench_cap) over real

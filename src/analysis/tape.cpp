@@ -264,6 +264,13 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
               tape, i);
       continue;
     }
+    if (ins.group < 0 && info->rows == nullptr && !info->ew) {
+      // Verified must mean runnable: the executor runs an unfused
+      // instruction through its row's kernel and has no other code for it.
+      finding(out, "tape-no-kernel",
+              "op '" + ins.op + "' has no row kernel for the executor to run",
+              tape, i);
+    }
     if (!order_ok) continue;  // one root cause per defect; shapes would lie
     std::vector<Shape> in;
     in.reserve(ins.args.size());
@@ -483,14 +490,17 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
 TapeReport build_generation_tape(const data::Schema& schema,
                                  const core::DoppelGangerConfig& cfg) {
   TapeReport rep;
-  std::vector<Diagnostic> config_findings;  // analyze_model reports these
+  std::vector<Diagnostic> config_findings;  // named in the refusal below
   const std::unique_ptr<core::DoppelGanger> model =
       checked_meta_model(schema, cfg, config_findings);
   if (!model) {
+    std::string msg =
+        "schema + config do not describe a constructible generation step";
+    for (const Diagnostic& d : config_findings) {
+      if (d.severity == Sev::kError) msg += "; " + d.op + ": " + d.message;
+    }
     rep.diagnostics.push_back(
-        {Sev::kError, "tape-config",
-         "schema + config do not describe a constructible generation step",
-         "tape", {}});
+        {Sev::kError, "tape-config", std::move(msg), "tape", {}});
     return rep;
   }
 

@@ -13,6 +13,9 @@
 //   * every operand is defined before its first use;
 //   * every op exists in the registry with matching arity, and re-running
 //     its shape rule reproduces the recorded result shape (stale-shape);
+//   * every unfused instruction's row has a kernel the executor runs (a row
+//     kernel or an elementwise EwFn, nn/ops.h), so a verified tape is a
+//     runnable one;
 //   * fusion groups are contiguous runs of elementwise ops (rows with an
 //     EwFn kernel, nn/ops.h) over identical iteration domains, and their
 //     unmaterialized intermediates never leak;

@@ -189,8 +189,10 @@ class DoppelGanger {
       int max_batches = 200);
 
   /// Non-throwing conditional generation: returns whatever matched within
-  /// the round budget, flagged complete/incomplete (the serving path uses
-  /// this so rare predicates degrade to partial responses, not errors).
+  /// the round budget, flagged complete/incomplete, so rare predicates
+  /// degrade to partial results, not errors. The serving path degrades the
+  /// same way through SlotSampler's per-series `where` predicates and
+  /// attempt budgets (serve/sampler.h); it does not call this.
   ConditionalResult generate_conditional_partial(
       int n, const std::function<bool(const data::Object&)>& accept,
       const ConditionalOptions& opts = {});

@@ -63,15 +63,19 @@ std::int64_t matmul_row_grain(int k, int m) {
   return std::max<std::int64_t>(1, kGrainMatmulFlops / flops_per_row);
 }
 
-/// The shared matmul-accumulate core: out[r0..r1) += a[r0..r1) * b. Since
-/// PR 7 this dispatches into the SIMD tier (simd/vec.h): the k loop stays
-/// blocked in kKC slabs and accumulation per output element is ascending k
-/// for every tier/blocking/partitioning choice, so results are bit-identical
-/// for any thread count and any dispatch tier.
-void matmul_acc_rows(const Matrix& a, const Matrix& b, Matrix& out,
-                     std::int64_t r0, std::int64_t r1) {
-  simd::kernels().matmul_acc_rows(a.data(), a.cols(), b.data(), b.cols(),
-                                  out.data(), r0, r1);
+RowIn row_in(const Matrix& m) { return {m.data(), m.cols()}; }
+
+/// Runs `op`'s row kernel (nn/ops.h) over every row of `out`, `grain` rows
+/// per partition. The kernels keep the per-element accumulation order fixed
+/// (a product's is ascending k in kKC slabs on every tier), so the result is
+/// bit-identical for any thread count and any dispatch tier.
+void for_rows(Op op, std::initializer_list<RowIn> in, Matrix& out,
+              std::int64_t grain) {
+  const RowKernel kernel = op_def(op).rows;
+  const OpAttrs attrs;
+  const RowArgs args{in, out.data(), out.cols(), attrs};
+  parallel_for(0, out.rows(), grain,
+               [&](std::int64_t r0, std::int64_t r1) { kernel(args, r0, r1); });
 }
 
 #ifdef DG_OBS_ENABLED
@@ -104,9 +108,14 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix out(n, m, 0.0f);
   if (out.empty() || k == 0) return out;
   DG_OP_KERNEL_TIMER(Op::kMatmul, out, {&a, &b});
+  // Accumulates onto the zeroed allocation, so matmul has no row kernel:
+  // one would zero the output again, which slows the outer products of
+  // per-example gradients.
+  const simd::KernelTable& kt = simd::kernels();
   parallel_for(0, n, matmul_row_grain(k, m),
                [&](std::int64_t r0, std::int64_t r1) {
-                 matmul_acc_rows(a, b, out, r0, r1);
+                 kt.matmul_acc_rows(a.data(), k, b.data(), m, out.data(), r0,
+                                    r1);
                });
   return out;
 }
@@ -119,14 +128,8 @@ Matrix affine(const Matrix& x, const Matrix& w, const Matrix& b) {
   Matrix out(n, m);
   if (out.empty()) return out;
   DG_OP_KERNEL_TIMER(Op::kAffine, out, {&x, &w, &b});
-  parallel_for(0, n, matmul_row_grain(x.cols(), m),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 for (std::int64_t i = r0; i < r1; ++i) {
-                   std::memcpy(out.data() + static_cast<size_t>(i) * m,
-                               b.data(), static_cast<size_t>(m) * sizeof(float));
-                 }
-                 matmul_acc_rows(x, w, out, r0, r1);
-               });
+  for_rows(Op::kAffine, {row_in(x), row_in(w), row_in(b)}, out,
+           matmul_row_grain(x.cols(), m));
   return out;
 }
 
@@ -142,15 +145,9 @@ Matrix lstm_gates(const Matrix& x, const Matrix& wx, const Matrix& h,
   Matrix out(n, m);
   if (out.empty()) return out;
   DG_OP_KERNEL_TIMER(Op::kLstmGates, out, {&x, &wx, &h, &wh, &b});
-  const std::int64_t grain = matmul_row_grain(x.cols() + h.cols(), m);
-  parallel_for(0, n, grain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t i = r0; i < r1; ++i) {
-      std::memcpy(out.data() + static_cast<size_t>(i) * m, b.data(),
-                  static_cast<size_t>(m) * sizeof(float));
-    }
-    matmul_acc_rows(x, wx, out, r0, r1);
-    matmul_acc_rows(h, wh, out, r0, r1);
-  });
+  for_rows(Op::kLstmGates,
+           {row_in(x), row_in(wx), row_in(h), row_in(wh), row_in(b)}, out,
+           matmul_row_grain(x.cols() + h.cols(), m));
   return out;
 }
 
@@ -242,92 +239,50 @@ Matrix mul_scalar(const Matrix& a, float s) {
 Matrix add_rowvec(const Matrix& x, const Matrix& b) {
   if (b.rows() != 1 || b.cols() != x.cols())
     throw std::invalid_argument("add_rowvec: b must be [1, x.cols]");
-  Matrix out = x;
+  Matrix out(x.rows(), x.cols());
   if (out.empty()) return out;
-  const int cols = x.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, x.rows(), row_grain(cols),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 for (std::int64_t i = r0; i < r1; ++i) {
-                   float* row = out.data() + static_cast<size_t>(i) * cols;
-                   kt.apply_ew(simd::EwFn::kAdd, row, b.data(), row, cols);
-                 }
-               });
+  for_rows(Op::kAddRowvec, {row_in(x), row_in(b)}, out, row_grain(x.cols()));
   return out;
 }
 
 Matrix mul_colvec(const Matrix& x, const Matrix& v) {
   if (v.cols() != 1 || v.rows() != x.rows())
     throw std::invalid_argument("mul_colvec: v must be [x.rows, 1]");
-  Matrix out = x;
+  Matrix out(x.rows(), x.cols());
   if (out.empty()) return out;
-  const int cols = x.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, x.rows(), row_grain(cols),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 for (std::int64_t i = r0; i < r1; ++i) {
-                   float* row = out.data() + static_cast<size_t>(i) * cols;
-                   kt.mul_scalar(row, v.data()[i], row, cols);
-                 }
-               });
+  for_rows(Op::kMulColvec, {row_in(x), row_in(v)}, out, row_grain(x.cols()));
   return out;
 }
 
 Matrix mul_rowvec(const Matrix& x, const Matrix& m) {
   if (m.rows() != 1 || m.cols() != x.cols())
     throw std::invalid_argument("mul_rowvec: m must be [1, x.cols]");
-  Matrix out = x;
+  Matrix out(x.rows(), x.cols());
   if (out.empty()) return out;
-  const int cols = x.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, x.rows(), row_grain(cols),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 for (std::int64_t i = r0; i < r1; ++i) {
-                   float* row = out.data() + static_cast<size_t>(i) * cols;
-                   kt.apply_ew(simd::EwFn::kMul, row, m.data(), row, cols);
-                 }
-               });
+  for_rows(Op::kMulRowvec, {row_in(x), row_in(m)}, out, row_grain(x.cols()));
   return out;
 }
 
 Matrix add_colvec(const Matrix& x, const Matrix& v) {
   if (v.cols() != 1 || v.rows() != x.rows())
     throw std::invalid_argument("add_colvec: v must be [x.rows, 1]");
-  Matrix out = x;
+  Matrix out(x.rows(), x.cols());
   if (out.empty()) return out;
-  const int cols = x.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, x.rows(), row_grain(cols),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 for (std::int64_t i = r0; i < r1; ++i) {
-                   float* row = out.data() + static_cast<size_t>(i) * cols;
-                   kt.add_scalar(row, v.data()[i], row, cols);
-                 }
-               });
+  for_rows(Op::kAddColvec, {row_in(x), row_in(v)}, out, row_grain(x.cols()));
   return out;
 }
 
 Matrix neg_row_max(const Matrix& a) {
   Matrix out(a.rows(), 1);
   if (a.empty()) return out;
-  const int cols = a.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, a.rows(), row_grain(cols),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 kt.neg_row_max(a.data(), cols, out.data(), r0, r1);
-               });
+  for_rows(Op::kNegRowMax, {row_in(a)}, out, row_grain(a.cols()));
   return out;
 }
 
 Matrix row_sum(const Matrix& a) {
   Matrix out(a.rows(), 1);
   if (a.empty()) return out;
-  const int cols = a.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  parallel_for(0, a.rows(), row_grain(cols),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 kt.row_sum(a.data(), cols, out.data(), r0, r1);
-               });
+  for_rows(Op::kRowSum, {row_in(a)}, out, row_grain(a.cols()));
   return out;
 }
 
@@ -425,18 +380,12 @@ Matrix concat_cols(std::span<const Matrix* const> parts) {
   }
   Matrix out(rows, cols);
   if (out.empty()) return out;
-  int offset = 0;
-  for (const Matrix* p : parts) {
-    // 0-wide parts (e.g. the disabled-minmax placeholder) have no storage;
-    // memcpy with a null source is UB even at size 0.
-    if (p->cols() == 0) continue;
-    for (int i = 0; i < rows; ++i) {
-      std::memcpy(out.data() + static_cast<size_t>(i) * cols + offset,
-                  p->data() + static_cast<size_t>(i) * p->cols(),
-                  static_cast<size_t>(p->cols()) * sizeof(float));
-    }
-    offset += p->cols();
-  }
+  // Reused per thread, so the forward allocates only its result.
+  thread_local std::vector<RowIn> in;
+  in.clear();
+  for (const Matrix* p : parts) in.push_back(row_in(*p));
+  const OpAttrs attrs;
+  op_def(Op::kConcatCols).rows({in, out.data(), cols, attrs}, 0, rows);
   return out;
 }
 
@@ -464,11 +413,12 @@ Matrix slice_cols(const Matrix& a, int c0, int c1) {
     throw std::invalid_argument("slice_cols: bad range");
   Matrix out(a.rows(), c1 - c0);
   if (out.size() == 0) return out;  // 0-wide slice: no storage to touch
-  for (int i = 0; i < a.rows(); ++i) {
-    std::memcpy(out.data() + static_cast<size_t>(i) * out.cols(),
-                a.data() + static_cast<size_t>(i) * a.cols() + c0,
-                static_cast<size_t>(out.cols()) * sizeof(float));
-  }
+  OpAttrs range;
+  range.i0 = c0;
+  range.i1 = c1;
+  const RowIn in[] = {row_in(a)};
+  op_def(Op::kSliceCols).rows({in, out.data(), out.cols(), range}, 0,
+                              a.rows());
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "nn/ops.h"
 
+#include <cstring>
 #include <iterator>
 
 namespace dg::nn {
@@ -227,6 +228,96 @@ std::uint64_t gates_flops(std::span<const Dims> in, Dims out) {
          elems(out);
 }
 
+// ---- row kernels ----
+// Every body runs through the SIMD tier (nn/simd/vec.h), whose kernels fix
+// the per-row accumulation order, so a row's bytes do not depend on which
+// rows share its call. Operands are read into locals first: the SIMD calls
+// are opaque, so fields read through `a` would be reloaded every row.
+
+/// Row i of a row-major buffer `cols` floats wide.
+template <typename T>
+T* row(T* data, int cols, std::int64_t i) {
+  return data + static_cast<std::size_t>(i) * cols;
+}
+
+/// The bias row (the last operand) copied into each output row, then each
+/// (x, w) operand pair's product accumulated onto it in order: x*w + b for
+/// affine, x*wx + h*wh + b for lstm_gates.
+void products_plus_bias(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  const float* const bias = a.in.back().data;
+  float* const out = a.out;
+  const int m = a.out_cols;
+  for (std::int64_t i = r0; i < r1; ++i) {
+    std::memcpy(row(out, m, i), bias,
+                static_cast<std::size_t>(m) * sizeof(float));
+  }
+  for (std::size_t p = 0; p + 1 < a.in.size(); p += 2) {
+    const RowIn x = a.in[p], w = a.in[p + 1];
+    simd::kernels().matmul_acc_rows(x.data, x.cols, w.data, m, out, r0, r1);
+  }
+}
+
+/// Row i of x combined elementwise with the row vector in[1].
+template <simd::EwFn F>
+void rowvec_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  const auto apply = simd::kernels().apply_ew;
+  const RowIn x = a.in[0];
+  const float* const v = a.in[1].data;
+  float* const out = a.out;
+  const int m = a.out_cols;
+  for (std::int64_t i = r0; i < r1; ++i) {
+    apply(F, row(x.data, x.cols, i), v, row(out, m, i), m);
+  }
+}
+
+/// Row i of x combined with the scalar in[1][i] (add_scalar/mul_scalar).
+template <auto simd::KernelTable::*F>
+void colvec_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  const auto f = simd::kernels().*F;
+  const RowIn x = a.in[0];
+  const float* const v = a.in[1].data;
+  float* const out = a.out;
+  const int m = a.out_cols;
+  for (std::int64_t i = r0; i < r1; ++i) {
+    f(row(x.data, x.cols, i), v[i], row(out, m, i), m);
+  }
+}
+
+/// Row i of x reduced to one float (row_sum, or neg_row_max: the softmax
+/// shift).
+template <auto simd::KernelTable::*F>
+void reduce_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  (simd::kernels().*F)(a.in[0].data, a.in[0].cols, a.out, r0, r1);
+}
+
+void concat_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  float* const out = a.out;
+  const int m = a.out_cols;
+  int offset = 0;
+  for (const RowIn part : a.in) {
+    // 0-wide parts (e.g. the disabled-minmax placeholder) have no storage;
+    // memcpy with a null source is UB even at size 0.
+    if (part.cols == 0) continue;
+    for (std::int64_t i = r0; i < r1; ++i) {
+      std::memcpy(row(out, m, i) + offset, row(part.data, part.cols, i),
+                  static_cast<std::size_t>(part.cols) * sizeof(float));
+    }
+    offset += part.cols;
+  }
+}
+
+/// Columns [attrs.i0, attrs.i0 + out_cols) of each row.
+void slice_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  const RowIn x = a.in[0];
+  const float* const from = x.data + a.attrs.i0;
+  float* const out = a.out;
+  const int m = a.out_cols;
+  for (std::int64_t i = r0; i < r1; ++i) {
+    std::memcpy(row(out, m, i), row(from, x.cols, i),
+                static_cast<std::size_t>(m) * sizeof(float));
+  }
+}
+
 // ---- the table ----
 
 using enum Op;
@@ -240,6 +331,8 @@ constexpr DiffClass kDouble = DiffClass::kDoubleBackward;
 constexpr DiffClass kMask = DiffClass::kZeroCurvature;
 constexpr std::optional<simd::EwFn> kNoEw;
 using Fn = simd::EwFn;
+using KT = simd::KernelTable;
+constexpr RowKernel kNoRows = nullptr;
 
 }  // namespace
 
@@ -253,45 +346,45 @@ using Fn = simd::EwFn;
 // with headroom).
 // clang-format off
 constexpr OpDef kOpTable[] = {
-    // op, name, arity min/max, shape rule, det, diff, ulp, flops, ew
-    {kLeaf,            "leaf",             0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kConstant,        "constant",         0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kGrad,            "grad",             0, 0,  from_attrs,        kAccum, kDouble, 0, no_flops,     kNoEw},
-    {kAdd,             "add",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kAdd},
-    {kSub,             "sub",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kSub},
-    {kNeg,             "neg",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kNeg},
-    {kMul,             "mul",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kMul},
-    {kDiv,             "div",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kDiv},
-    {kAddScalar,       "add_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw},
-    {kMulScalar,       "mul_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw},
-    {kMatmul,          "matmul",           2, 2,  matmul_shape,      kRed,   kDouble, 0, matmul_flops, kNoEw},
-    {kTranspose,       "transpose",        1, 1,  transpose_shape,   kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kAffine,          "affine",           3, 3,  affine_shape,      kRed,   kDouble, 0, affine_flops, kNoEw},
-    {kLstmGates,       "lstm_gates",       5, 5,  lstm_gates_shape,  kRed,   kDouble, 0, gates_flops,  kNoEw},
-    {kAddRowvec,       "add_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw},
-    {kAddColvec,       "add_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw},
-    {kMulColvec,       "mul_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw},
-    {kMulRowvec,       "mul_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw},
-    {kBroadcastScalar, "broadcast_scalar", 1, 1,  scalar_to_attrs,   kFree,  kDouble, 0, per_output,   kNoEw},
-    {kRowSum,          "row_sum",          1, 1,  per_row,           kRed,   kDouble, 0, per_output,   kNoEw},
-    {kColSum,          "col_sum",          1, 1,  per_col,           kRed,   kDouble, 0, per_output,   kNoEw},
-    {kSum,             "sum",              1, 1,  scalar,            kRed,   kDouble, 0, per_output,   kNoEw},
-    {kNegRowMax,       "neg_row_max",      1, 1,  per_row,           kFree,  kDouble, 0, per_output,   kNoEw},
-    {kRelu,            "relu",             1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kRelu},
-    {kTanh,            "tanh",             1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kTanh},
-    {kSigmoid,         "sigmoid",          1, 1,  pass_through,      kFree,  kDouble, 3, per_output,   Fn::kSigmoid},
-    {kExp,             "exp",              1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kExp},
-    {kLog,             "log",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kLog},
-    {kSqrt,            "sqrt",             1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSqrt},
-    {kSquare,          "square",           1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSquare},
-    {kAbs,             "abs",              1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kAbs},
-    {kRecip,           "recip",            1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kRecip},
-    {kConcatCols,      "concat_cols",      1, -1, concat_cols_shape, kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kConcatRows,      "concat_rows",      1, -1, concat_rows_shape, kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kSliceCols,       "slice_cols",       1, 1,  slice_cols_shape,  kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kSliceRows,       "slice_rows",       1, 1,  slice_rows_shape,  kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kPadCols,         "pad_cols",         1, 1,  pad_cols_shape,    kFree,  kDouble, 0, no_flops,     kNoEw},
-    {kPadRows,         "pad_rows",         1, 1,  pad_rows_shape,    kFree,  kDouble, 0, no_flops,     kNoEw},
+    // op, name, arity min/max, shape rule, det, diff, ulp, flops, ew, rows
+    {kLeaf,            "leaf",             0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kConstant,        "constant",         0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kGrad,            "grad",             0, 0,  from_attrs,        kAccum, kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kAdd,             "add",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kAdd,     kNoRows},
+    {kSub,             "sub",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kSub,     kNoRows},
+    {kNeg,             "neg",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kNeg,     kNoRows},
+    {kMul,             "mul",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kMul,     kNoRows},
+    {kDiv,             "div",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kDiv,     kNoRows},
+    {kAddScalar,       "add_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        kNoRows},
+    {kMulScalar,       "mul_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        kNoRows},
+    {kMatmul,          "matmul",           2, 2,  matmul_shape,      kRed,   kDouble, 0, matmul_flops, kNoEw,        kNoRows},
+    {kTranspose,       "transpose",        1, 1,  transpose_shape,   kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kAffine,          "affine",           3, 3,  affine_shape,      kRed,   kDouble, 0, affine_flops, kNoEw,        products_plus_bias},
+    {kLstmGates,       "lstm_gates",       5, 5,  lstm_gates_shape,  kRed,   kDouble, 0, gates_flops,  kNoEw,        products_plus_bias},
+    {kAddRowvec,       "add_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        rowvec_rows<Fn::kAdd>},
+    {kAddColvec,       "add_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        colvec_rows<&KT::add_scalar>},
+    {kMulColvec,       "mul_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        colvec_rows<&KT::mul_scalar>},
+    {kMulRowvec,       "mul_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        rowvec_rows<Fn::kMul>},
+    {kBroadcastScalar, "broadcast_scalar", 1, 1,  scalar_to_attrs,   kFree,  kDouble, 0, per_output,   kNoEw,        kNoRows},
+    {kRowSum,          "row_sum",          1, 1,  per_row,           kRed,   kDouble, 0, per_output,   kNoEw,        reduce_rows<&KT::row_sum>},
+    {kColSum,          "col_sum",          1, 1,  per_col,           kRed,   kDouble, 0, per_output,   kNoEw,        kNoRows},
+    {kSum,             "sum",              1, 1,  scalar,            kRed,   kDouble, 0, per_output,   kNoEw,        kNoRows},
+    {kNegRowMax,       "neg_row_max",      1, 1,  per_row,           kFree,  kDouble, 0, per_output,   kNoEw,        reduce_rows<&KT::neg_row_max>},
+    {kRelu,            "relu",             1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kRelu,    kNoRows},
+    {kTanh,            "tanh",             1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kTanh,    kNoRows},
+    {kSigmoid,         "sigmoid",          1, 1,  pass_through,      kFree,  kDouble, 3, per_output,   Fn::kSigmoid, kNoRows},
+    {kExp,             "exp",              1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kExp,     kNoRows},
+    {kLog,             "log",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kLog,     kNoRows},
+    {kSqrt,            "sqrt",             1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSqrt,    kNoRows},
+    {kSquare,          "square",           1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSquare,  kNoRows},
+    {kAbs,             "abs",              1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kAbs,     kNoRows},
+    {kRecip,           "recip",            1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kRecip,   kNoRows},
+    {kConcatCols,      "concat_cols",      1, -1, concat_cols_shape, kFree,  kDouble, 0, no_flops,     kNoEw,        concat_cols_rows},
+    {kConcatRows,      "concat_rows",      1, -1, concat_rows_shape, kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kSliceCols,       "slice_cols",       1, 1,  slice_cols_shape,  kFree,  kDouble, 0, no_flops,     kNoEw,        slice_cols_rows},
+    {kSliceRows,       "slice_rows",       1, 1,  slice_rows_shape,  kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kPadCols,         "pad_cols",         1, 1,  pad_cols_shape,    kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    {kPadRows,         "pad_rows",         1, 1,  pad_rows_shape,    kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
 };
 // clang-format on
 

@@ -1,18 +1,22 @@
 // The op table: one row per engine op, and the only place an op is
 // described. A row holds what every layer needs to know about the op
 // without running it — its name, arity, shape rule, determinism class,
-// double-backward class, ULP bound, FLOP formula and, for elementwise ops,
-// the simd::EwFn kernel the forward and the generation tape both run.
+// double-backward class, ULP bound, FLOP formula — and the op's forward
+// kernel: for elementwise ops the simd::EwFn, for the other row-local ops a
+// row kernel that computes a range of output rows. The autograd forward
+// (nn/matrix.cpp) and the generation tape (serve/tape_exec.cpp) both run
+// the row's kernel, so each forward body has one home.
 //
 // make_op (nn/autograd.h) takes a row, so no graph node exists without
 // one. The analyzer's registry is a copy of the table (analysis/registry.h),
-// the tape executor compiles instructions by the row's Op and kernel
-// (serve/tape_exec.cpp), and the profiler's op and kernel rows count the
+// the tape verifier refuses an op whose row has no kernel the executor can
+// run (analysis/tape.h), and the profiler's op and kernel rows count the
 // row's FLOPs (obs/profile.h).
 //
 // Adding an op: add its Op, its row in ops.cpp (the static_assert there
 // fails until every Op has a row, in enum order), and its function in
-// nn/autograd.cpp calling make_op(op_def(Op::kNew), ...).
+// nn/autograd.cpp calling make_op(op_def(Op::kNew), ...); a row kernel
+// goes in ops.cpp, and the nn/matrix.cpp forward calls it.
 #pragma once
 
 #include <cstddef>
@@ -104,6 +108,26 @@ enum class Op : std::uint8_t {
 /// A concrete operand or result extent, (rows, cols), for the cost formulas.
 using Dims = std::pair<int, int>;
 
+/// One operand of a row kernel: a row-major buffer `cols` floats wide.
+struct RowIn {
+  const float* data;
+  int cols;
+};
+
+/// A row kernel's operands in op order, output and call-site attributes.
+struct RowArgs {
+  std::span<const RowIn> in;
+  float* out;
+  int out_cols;
+  const OpAttrs& attrs;
+};
+
+/// Computes rows [r0, r1) of the output from the same rows of the batch
+/// operands; weights and biases are read whole. Row i never reads another
+/// row, so any partition of the rows gives the same bytes.
+using RowKernel = void (*)(const RowArgs& args, std::int64_t r0,
+                           std::int64_t r1);
+
 struct OpDef {
   Op op;
   const char* name;
@@ -123,8 +147,13 @@ struct OpDef {
   /// for elementwise ops, broadcasts and reductions, zero for layout ops.
   std::uint64_t (*flops)(std::span<const Dims> in, Dims out);
   /// Elementwise ops only: the kernel of one output element per input
-  /// element, which the forward and the tape's fused groups both run.
+  /// element, which the forward and the tape (fused or not) both run.
   std::optional<simd::EwFn> ew;
+  /// Row-local ops that are not elementwise: the forward's body, which the
+  /// tape replays per lane range. Null for ops that are not row-local, for
+  /// add_scalar/mul_scalar (no tape records the scalar), and for matmul,
+  /// whose forward accumulates onto its zeroed allocation (see matmul()).
+  RowKernel rows;
 };
 
 /// The table, indexed by Op. Defined in ops.cpp.

@@ -37,11 +37,6 @@ const data::FieldSpec& attr_spec(const data::Schema& schema,
 // target type's range is undefined, so each is range-checked first; the
 // cast then truncates toward zero. Absent or non-numeric fields take the
 // default.
-std::optional<std::uint64_t> to_u64(double x) {
-  if (!(x > -1.0 && x < 0x1p64)) return std::nullopt;
-  return static_cast<std::uint64_t>(x);
-}
-
 std::uint64_t u64_field(const json::Value& v, const char* key) {
   if (const auto x = to_u64(v.number_or(key, 0))) return *x;
   throw std::runtime_error(std::string("protocol: '") + key +
@@ -58,6 +53,11 @@ int int_field(const json::Value& v, const char* key, int fallback) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> to_u64(double x) {
+  if (!(x > -1.0 && x < 0x1p64)) return std::nullopt;
+  return static_cast<std::uint64_t>(x);
+}
 
 std::uint64_t request_id(const json::Value& v) {
   return to_u64(v.number_or("id", 0)).value_or(0);

@@ -20,6 +20,8 @@
 // travel as {"attributes":{name:value-or-label}, "features":[[rec]...]}.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,10 @@ GenRequest request_from_json(const json::Value& v);
 /// The request's `id` when it is a valid one, else 0: what an error reply
 /// to a request request_from_json refused echoes.
 std::uint64_t request_id(const json::Value& v);
+/// `x` as an unsigned 64-bit integer, truncated toward zero, or nullopt when
+/// it is outside that range (or NaN): wire integers arrive as doubles, and
+/// casting one outside the target's range is undefined.
+std::optional<std::uint64_t> to_u64(double x);
 json::Value request_to_json(const GenRequest& req);
 
 json::Value response_to_json(const GenResponse& resp, const data::Schema& schema);

@@ -39,7 +39,7 @@ void record_span(const char* name, std::int64_t t0_us, std::int64_t t1_us,
 }  // namespace
 
 SlotSampler::SlotSampler(std::shared_ptr<const core::DoppelGanger> model,
-                         int width, SamplerOptions opts)
+                         int width)
     : model_(std::move(model)), width_(width) {
   if (!model_) throw std::invalid_argument("SlotSampler: null model");
   if (width_ < 1) throw std::invalid_argument("SlotSampler: width must be >= 1");
@@ -53,11 +53,7 @@ SlotSampler::SlotSampler(std::shared_ptr<const core::DoppelGanger> model,
   state_ = model_->initial_gen_state(width_);
   noise_ = nn::Matrix(width_, model_->feat_noise_dim());
   records_ = nn::Matrix(width_, model_->sample_len() * record_width_);
-  if (opts.use_tape) {
-    // Build-or-fallback: a model whose tape does not verify keeps serving
-    // through the autograd path (the differential-test oracle), just slower.
-    tape_ = TapeExecutor::create(*model_, width_);
-  }
+  tape_ = TapeExecutor::create_or_throw(*model_, width_);
   lanes_.resize(static_cast<size_t>(width_));
   for (Lane& lane : lanes_) {
     lane.features.assign(static_cast<size_t>(feature_row_dim_), 0.0f);
@@ -143,16 +139,11 @@ int SlotSampler::pump() {
   // The batched step serves every occupied lane at once; attribute its span
   // to the first traced occupant (the step has no single owner).
   const std::int64_t t_step = traced_lane ? obs::Trace::now_us() : 0;
-  if (tape_) {
-    tape_->step(ctx_, noise_, state_, records_);
-    ++stats_.tape_steps;
-  } else {
-    records_ = model_->generation_step(ctx_, noise_, state_);
-  }
+  tape_->step(ctx_, noise_, state_, records_);
   if (traced_lane != nullptr) {
-    record_span(tape_ ? "serve.tape_replay" : "serve.autograd_step", t_step,
-                obs::Trace::now_us(), traced_lane->job.trace,
-                obs::next_trace_id(), traced_lane->span_id);
+    record_span("serve.tape_replay", t_step, obs::Trace::now_us(),
+                traced_lane->job.trace, obs::next_trace_id(),
+                traced_lane->span_id);
   }
   const nn::Matrix& records = records_;
   stats_.rnn_steps += 1;

@@ -15,6 +15,11 @@
 // computed from row r of the inputs with a fixed association order — so
 // co-batched traffic, slot position, and slot-array width never change a
 // series' output. tests/serve/test_sampler.cpp asserts this bit-exactly.
+//
+// One engine: every step replays the model's verified generation tape
+// (serve/tape_exec.h). A model whose tape does not build is refused at
+// construction; DoppelGanger::generation_step, the autograd forward, is the
+// oracle tests/serve/test_tape_exec.cpp diffs the sampler's series against.
 #pragma once
 
 #include <cstdint>
@@ -67,22 +72,14 @@ struct SamplerStats {
   std::uint64_t slot_steps_total = 0;   // lane-steps paid for
   std::uint64_t series_completed = 0;   // accepted results
   std::uint64_t series_rejected = 0;    // predicate discards (incl. retries)
-  std::uint64_t tape_steps = 0;         // rnn_steps served by the tape path
-};
-
-struct SamplerOptions {
-  /// Replay the statically verified tape (serve/tape_exec.h) instead of
-  /// building an autograd graph per step. Falls back to the autograd path
-  /// automatically when no tape verifies for this model. The two paths are
-  /// bit-identical, so this is a pure speed knob.
-  bool use_tape = true;
 };
 
 class SlotSampler {
  public:
   /// `width` is the slot count W: every pump costs one W-row LSTM step.
-  SlotSampler(std::shared_ptr<const core::DoppelGanger> model, int width,
-              SamplerOptions opts = {});
+  /// Throws std::invalid_argument, naming the tape's findings, when the
+  /// model's generation tape does not build.
+  SlotSampler(std::shared_ptr<const core::DoppelGanger> model, int width);
   ~SlotSampler();
 
   void submit(SeriesJob job);
@@ -101,8 +98,6 @@ class SlotSampler {
   int width() const { return width_; }
   const SamplerStats& stats() const { return stats_; }
   const core::DoppelGanger& model() const { return *model_; }
-  /// True when pump() replays the verified tape (vs the autograd fallback).
-  bool tape_active() const { return tape_ != nullptr; }
 
  private:
   struct Lane {
@@ -129,7 +124,7 @@ class SlotSampler {
   core::GenState state_;   // row r = lane r's recurrent state
   nn::Matrix noise_;       // persistent [width, feat_noise_dim] staging
   nn::Matrix records_;     // persistent [width, S * record_width] step output
-  std::unique_ptr<TapeExecutor> tape_;  // null => autograd fallback
+  std::unique_ptr<TapeExecutor> tape_;  // the model's verified step
   std::vector<Lane> lanes_;
   int occupied_ = 0;
 

@@ -3,6 +3,7 @@
 #include "core/preflight.h"
 #include "obs/trace.h"
 #include "obs/tracectx.h"
+#include "serve/tape_exec.h"
 
 #include <algorithm>
 #include <chrono>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -46,6 +48,32 @@ std::string fnv1a_hex(const std::string& bytes) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return std::string(buf);
+}
+
+// The package at `path`, read once: the bytes that pass preflight are the
+// bytes hashed and loaded, so a file replaced mid-load can never serve
+// weights that skipped preflight. Throws std::invalid_argument naming why
+// the package was refused.
+std::pair<std::shared_ptr<const core::DoppelGanger>, std::string>
+load_preflighted_package(const std::string& path) {
+  std::string bytes;
+  if (!read_file_bytes(path, bytes)) {
+    throw std::invalid_argument("serve: cannot read package " + path);
+  }
+  std::istringstream is(bytes);
+  // Schema<->config<->weight-shape consistency and the generation tape are
+  // checked from the headers alone, so a broken package fails here with a
+  // structured diagnostic instead of a mid-construction throw (or worse, a
+  // model that serves garbage).
+  const core::PackagePreflight pf = core::preflight_package(is);
+  if (!pf.ok) {
+    throw std::invalid_argument("serve: package preflight failed for " + path +
+                                ":\n" +
+                                core::render_diagnostics(pf.diagnostics));
+  }
+  is.clear();
+  is.seekg(0);
+  return {core::load_package(is), fnv1a_hex(bytes)};
 }
 
 // Package mtime as an opaque tick count; 0 when the file is unreadable.
@@ -86,29 +114,8 @@ GenerationService::GenerationService(ServiceConfig cfg)
   if (cfg_.package_path.empty()) {
     throw std::invalid_argument("serve: ServiceConfig.package_path is empty");
   }
-  // Preflight before load: schema<->config<->weight-shape consistency is
-  // checked from the headers alone, so a broken package fails here with a
-  // structured diagnostic instead of a mid-construction throw (or worse, a
-  // model that serves garbage).
-  {
-    const core::PackagePreflight pf =
-        core::preflight_package_file(cfg_.package_path);
-    if (!pf.ok) {
-      throw std::invalid_argument("serve: package preflight failed for " +
-                                  cfg_.package_path + ":\n" +
-                                  core::render_diagnostics(pf.diagnostics));
-    }
-  }
-  {
-    std::string bytes;
-    if (!read_file_bytes(cfg_.package_path, bytes)) {
-      throw std::invalid_argument("serve: cannot read package " +
-                                  cfg_.package_path);
-    }
-    package_hash_ = fnv1a_hex(bytes);
-    std::istringstream is(bytes);
-    model_ = core::load_package(is);
-  }
+  std::tie(model_, package_hash_) =
+      load_preflighted_package(cfg_.package_path);
   package_mtime_ = file_mtime(cfg_.package_path);
   if (cfg_.slots < 1) throw std::invalid_argument("serve: slots must be >= 1");
   if (cfg_.engines < 1) throw std::invalid_argument("serve: engines must be >= 1");
@@ -121,6 +128,10 @@ GenerationService::GenerationService(
   if (!model_) throw std::invalid_argument("serve: null model");
   if (cfg_.slots < 1) throw std::invalid_argument("serve: slots must be >= 1");
   if (cfg_.engines < 1) throw std::invalid_argument("serve: engines must be >= 1");
+  // A package passed preflight, tape included; an injected model did not.
+  // Refuse it here, not in an engine thread, where building its sampler
+  // would throw into std::terminate.
+  TapeExecutor::create_or_throw(*model_, cfg_.slots);
   if (!cfg_.package_path.empty()) {
     package_mtime_ = file_mtime(cfg_.package_path);
   }
@@ -239,35 +250,14 @@ void GenerationService::maybe_reload() {
     if (mtime == package_mtime_) return;
     if (mtime == rejected_mtime_) return;  // already diagnosed this version
   }
-  // Preflight the candidate before loading it: a truncated or inconsistent
-  // package on disk must never displace the weights we are serving. A
-  // rejection is remembered by mtime so the counter ticks once per bad file
-  // version, not once per poll.
-  try {
-    const core::PackagePreflight pf =
-        core::preflight_package_file(cfg_.package_path);
-    if (!pf.ok) {
-      std::lock_guard<std::mutex> lock(model_mu_);
-      rejected_mtime_ = mtime;
-      reload_rejected_.add(1);
-      return;
-    }
-  } catch (const std::exception&) {
-    return;  // file vanished mid-check (mid-replace): retry later
-  }
+  // A truncated or inconsistent package on disk must never displace the
+  // weights we are serving. A rejection is remembered by mtime so the
+  // counter ticks once per bad file version, not once per poll.
   std::shared_ptr<const core::DoppelGanger> fresh;
   std::string fresh_hash;
   try {
-    std::string bytes;
-    if (!read_file_bytes(cfg_.package_path, bytes)) {
-      throw std::runtime_error("unreadable");
-    }
-    fresh_hash = fnv1a_hex(bytes);
-    std::istringstream is(bytes);
-    fresh = core::load_package(is);
+    std::tie(fresh, fresh_hash) = load_preflighted_package(cfg_.package_path);
   } catch (const std::exception&) {
-    // Passed preflight but failed the full load (e.g. replaced between the
-    // two reads): count it as a rejection for this version and keep serving.
     std::lock_guard<std::mutex> lock(model_mu_);
     rejected_mtime_ = mtime;
     reload_rejected_.add(1);

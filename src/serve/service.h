@@ -41,10 +41,12 @@ struct ServiceConfig {
 
 class GenerationService {
  public:
-  /// Loads the package at cfg.package_path (throws if unreadable).
+  /// Loads the package at cfg.package_path (throws if unreadable or if it
+  /// fails the package preflight).
   explicit GenerationService(ServiceConfig cfg);
   /// Serves an already-loaded model; hot reload is off unless
-  /// cfg.package_path is also set.
+  /// cfg.package_path is also set. Throws std::invalid_argument, naming the
+  /// tape's findings, when the model's generation tape does not build.
   GenerationService(std::shared_ptr<const core::DoppelGanger> model,
                     ServiceConfig cfg);
   ~GenerationService();

@@ -442,14 +442,16 @@ std::string Router::handle_schema() {
 std::string Router::handle_admin(const std::string& op,
                                  const json::Value& req) {
   json::Value v{json::Object{}};
+  // Only an integral index names a worker: 0.5 must not truncate to 0.
   const double raw = req.number_or("worker", -1.0);
-  const auto i = static_cast<std::size_t>(raw);
-  if (raw < 0 || i >= pool_.size()) {
+  const std::optional<std::uint64_t> index = to_u64(raw);
+  if (!index || static_cast<double>(*index) != raw || *index >= pool_.size()) {
     v.set("ok", false);
     v.set("error", "missing or out-of-range 'worker' index");
     v.set("code", error_code::kBadRequest);
     return json::dump(v);
   }
+  const auto i = static_cast<std::size_t>(*index);
   Worker& w = pool_.worker(i);
   if (op == "drain") {
     w.set_state(WorkerState::Draining);

@@ -5,8 +5,10 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/preflight.h"
 #include "nn/ops.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
@@ -22,12 +24,9 @@ using analysis::TapeValueKind;
 
 using Fn = nn::simd::EwFn;
 
-// The matmul/elementwise/reduction micro-kernels live in the SIMD dispatch
-// tier (nn/simd/vec.h) since PR 7 — the same kernel table nn/matrix.cpp
-// dispatches into, which is what keeps tape replay bit-identical to the
-// autograd forward on every tier: both paths literally run the same code.
-// An elementwise instruction runs its op row's EwFn (nn/ops.h), the kernel
-// the autograd forward runs.
+// Every instruction runs its op row's kernel (nn/ops.h) — the row kernel,
+// or for an elementwise op the EwFn — which is the kernel the autograd
+// forward runs, so tape replay is bit-identical to it on every SIMD tier.
 
 /// One operand of a fused micro-op: a value id (resolved through the pointer
 /// table per element) or a register written earlier in the same group.
@@ -46,20 +45,13 @@ constexpr int kMaxFusedRegs = 64;
 
 /// One compiled instruction, or (non-empty `prog`) one fused group.
 struct Step {
-  nn::Op op{};
-  int dst = -1;  // value ids; pointers resolve through the table at run time
+  const nn::OpDef* row = nullptr;  // unfused: its row kernel, else its EwFn
+  int dst = -1;  // value id; pointers resolve through the table at run time
   int dst_cols = 0;
-  int a = -1;
-  int a_cols = 0;
-  int b = -1;
-  int c = -1;
-  int d = -1;
-  int e = -1;
-  int i0 = 0;
-  Fn fn{};
-  bool binary = false;
-  std::vector<std::pair<int, int>> parts;  // concat: (value id, cols)
-  std::vector<MicroOp> prog;               // fused group program, if any
+  std::vector<nn::RowIn> in;  // operand buffers, rebound when inputs move
+  std::vector<MicroOp> prog;  // fused group program, if any
+  std::vector<int> args;      // operand value ids
+  nn::OpAttrs attrs;
 };
 
 }  // namespace
@@ -100,9 +92,6 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
   float* dst = ptr[static_cast<size_t>(s.dst)];
   const int m = s.dst_cols;
   if (m == 0 || (dst == nullptr && s.prog.empty())) return;
-  const auto src = [&](int id) -> const float* {
-    return ptr[static_cast<size_t>(id)];
-  };
   if (!s.prog.empty()) {
     // Tile-at-a-time interpretation: each micro-op runs over a whole tile
     // before the next dispatches, so the switch costs O(ops) per tile
@@ -134,96 +123,17 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
     }
     return;
   }
-  switch (s.op) {
-    case nn::Op::kConcatCols: {  // dst rows <- memcpy of each part row
-      int offset = 0;
-      for (const auto& [id, cols] : s.parts) {
-        if (cols == 0) continue;
-        const float* p = src(id);
-        for (std::int64_t i = r0; i < r1; ++i) {
-          std::memcpy(dst + static_cast<size_t>(i) * m + offset,
-                      p + static_cast<size_t>(i) * cols,
-                      static_cast<size_t>(cols) * sizeof(float));
-        }
-        offset += cols;
-      }
-      break;
-    }
-    case nn::Op::kSliceCols: {  // dst <- a[:, i0 : i0 + dst_cols]
-      const float* a = src(s.a);
-      for (std::int64_t i = r0; i < r1; ++i) {
-        std::memcpy(dst + static_cast<size_t>(i) * m,
-                    a + static_cast<size_t>(i) * s.a_cols + s.i0,
-                    static_cast<size_t>(m) * sizeof(float));
-      }
-      break;
-    }
-    case nn::Op::kLstmGates: {  // dst <- bias rows; += a*b; += c*d
-      const float* x = src(s.a);
-      const float* wx = src(s.b);
-      const float* h = src(s.c);
-      const float* wh = src(s.d);
-      const float* bias = src(s.e);
-      const int xc = s.a_cols, hc = s.i0;  // i0 carries h's width here
-      for (std::int64_t i = r0; i < r1; ++i) {
-        std::memcpy(dst + static_cast<size_t>(i) * m, bias,
-                    static_cast<size_t>(m) * sizeof(float));
-      }
-      kt.matmul_acc_rows(x, xc, wx, m, dst, r0, r1);
-      kt.matmul_acc_rows(h, hc, wh, m, dst, r0, r1);
-      break;
-    }
-    case nn::Op::kAffine: {  // dst <- bias rows; += a*b
-      const float* x = src(s.a);
-      const float* w = src(s.b);
-      const float* bias = src(s.e);
-      for (std::int64_t i = r0; i < r1; ++i) {
-        std::memcpy(dst + static_cast<size_t>(i) * m, bias,
-                    static_cast<size_t>(m) * sizeof(float));
-      }
-      kt.matmul_acc_rows(x, s.a_cols, w, m, dst, r0, r1);
-      break;
-    }
-    case nn::Op::kMulColvec: {  // dst <- copy(a); row i *= b[i]
-      // Single pass (a[j] * sc == copy-then-scale, bit for bit).
-      const float* a = src(s.a);
-      const float* v = src(s.b);
-      for (std::int64_t i = r0; i < r1; ++i) {
-        kt.mul_scalar(a + static_cast<size_t>(i) * m, v[i],
-                      dst + static_cast<size_t>(i) * m, m);
-      }
-      break;
-    }
-    case nn::Op::kRowSum: {  // dst[i] <- ascending sum of a row i
-      kt.row_sum(src(s.a), s.a_cols, dst, r0, r1);
-      break;
-    }
-    case nn::Op::kNegRowMax: {  // dst[i] <- -max(a row i)
-      // The same kernel autograd's softmax_rows uses for its shift, so the
-      // 8-lane-blocked max association matches the forward exactly.
-      kt.neg_row_max(src(s.a), s.a_cols, dst, r0, r1);
-      break;
-    }
-    case nn::Op::kAddColvec: {  // dst[i][j] <- a[i][j] + b[i]
-      const float* a = src(s.a);
-      const float* v = src(s.b);
-      for (std::int64_t i = r0; i < r1; ++i) {
-        kt.add_scalar(a + static_cast<size_t>(i) * m, v[i],
-                      dst + static_cast<size_t>(i) * m, m);
-      }
-      break;
-    }
-    default: {  // dst <- fn(a) or fn(a, b), per element
-      // Single pass: reading `a` and writing `dst` directly matches the
-      // copy-then-transform result bit for bit (same-index elementwise),
-      // including when the planner gave `dst` the slot `a` just vacated.
-      const float* a = src(s.a);
-      const float* b = s.binary ? src(s.b) : nullptr;
-      const std::int64_t e0 = r0 * m, e1 = r1 * m;
-      kt.apply_ew(s.fn, a + e0, b ? b + e0 : nullptr, dst + e0, e1 - e0);
-      break;
-    }
+  if (s.row->rows != nullptr) {
+    s.row->rows({s.in, dst, m, s.attrs}, r0, r1);
+    return;
   }
+  // An elementwise row: dst <- fn(a) or fn(a, b), per element. Reading `a`
+  // and writing `dst` in one pass matches the forward's copy-then-transform
+  // bit for bit (same-index elementwise), including when the planner gave
+  // `dst` the slot `a` just vacated.
+  const std::int64_t e0 = r0 * m, e1 = r1 * m;
+  const float* b = s.in.size() > 1 ? s.in[1].data + e0 : nullptr;
+  kt.apply_ew(*s.row->ew, s.in[0].data + e0, b, dst + e0, e1 - e0);
 }
 
 std::unique_ptr<TapeExecutor> TapeExecutor::create(
@@ -231,6 +141,20 @@ std::unique_ptr<TapeExecutor> TapeExecutor::create(
   return from_report(
       model, analysis::build_generation_tape(model.schema(), model.config()),
       width);
+}
+
+std::unique_ptr<TapeExecutor> TapeExecutor::create_or_throw(
+    const core::DoppelGanger& model, int width) {
+  analysis::TapeReport report =
+      analysis::build_generation_tape(model.schema(), model.config());
+  const std::string why = core::render_diagnostics(report.diagnostics);
+  auto exec = from_report(model, std::move(report), width);
+  if (!exec) {
+    throw std::invalid_argument(
+        "the model's generation tape does not build, so it cannot be "
+        "served:\n" + why);
+  }
+  return exec;
 }
 
 std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
@@ -293,7 +217,8 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
   impl->h_cols = tape.values[static_cast<size_t>(impl->out_h)].cols();
 
   // ---- compile: fused groups become one step (a micro-program) at their
-  // first member; every other instruction becomes one step of its Op ----
+  // first member; every other instruction becomes one step running its
+  // row's kernel, which the verifier proved it has ----
   const auto val = [&](int id) -> const TapeValue& {
     return tape.values[static_cast<size_t>(id)];
   };
@@ -341,41 +266,12 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       impl->steps.push_back(std::move(g));
       continue;
     }
-    const nn::OpDef* row = nn::find_op(ins.op);
-    if (row == nullptr) return nullptr;
-    s.op = row->op;
-    if (!ins.args.empty()) {
-      s.a = ins.args[0];
-      s.a_cols = val(s.a).cols();
+    s.row = nn::find_op(ins.op);
+    s.args = ins.args;
+    for (int a : ins.args) {
+      s.in.push_back({impl->ptr[static_cast<size_t>(a)], val(a).cols()});
     }
-    if (ins.args.size() > 1) s.b = ins.args[1];
-    switch (row->op) {
-      case nn::Op::kConcatCols:
-        for (int a : ins.args) s.parts.emplace_back(a, val(a).cols());
-        break;
-      case nn::Op::kSliceCols:
-        s.i0 = static_cast<int>(ins.attrs.i0);
-        break;
-      case nn::Op::kLstmGates:
-        s.c = ins.args[2];
-        s.i0 = val(s.c).cols();  // h width rides in i0
-        s.d = ins.args[3];
-        s.e = ins.args[4];
-        break;
-      case nn::Op::kAffine:
-        s.e = ins.args[2];
-        break;
-      case nn::Op::kMulColvec:
-      case nn::Op::kRowSum:
-      case nn::Op::kNegRowMax:
-      case nn::Op::kAddColvec:
-        break;
-      default:
-        if (!row->ew) return nullptr;  // op the executor has no kernel for
-        s.fn = *row->ew;
-        s.binary = row->min_arity == 2;
-        break;
-    }
+    s.attrs = ins.attrs;
     impl->steps.push_back(std::move(s));
   }
 
@@ -407,13 +303,27 @@ void TapeExecutor::step(const core::GenContext& ctx, const nn::Matrix& noise,
   }
 
   // Inputs are read-only (every instruction destination is a verified
-  // local), so the const_cast never turns into a write.
-  im.ptr[static_cast<size_t>(im.in_cond)] = const_cast<float*>(ctx.cond.data());
-  im.ptr[static_cast<size_t>(im.in_noise)] = const_cast<float*>(noise.data());
-  im.ptr[static_cast<size_t>(im.in_h)] = const_cast<float*>(state.h.data());
-  im.ptr[static_cast<size_t>(im.in_c)] = const_cast<float*>(state.c.data());
-  im.ptr[static_cast<size_t>(im.in_mask)] =
-      const_cast<float*>(state.mask.data());
+  // local), so the const_cast never turns into a write. The steps'
+  // operands are rebound only when an input buffer moved: a caller that
+  // steps the same buffers again (SlotSampler does) writes nothing the
+  // workers read, so their copies of the steps stay in their caches.
+  bool moved = false;
+  const auto bind = [&](int id, const nn::Matrix& m) {
+    float* p = const_cast<float*>(m.data());
+    moved |= std::exchange(im.ptr[static_cast<size_t>(id)], p) != p;
+  };
+  bind(im.in_cond, ctx.cond);
+  bind(im.in_noise, noise);
+  bind(im.in_h, state.h);
+  bind(im.in_c, state.c);
+  bind(im.in_mask, state.mask);
+  if (moved) {
+    for (Step& s : im.steps) {
+      for (size_t k = 0; k < s.args.size(); ++k) {
+        s.in[k].data = im.ptr[static_cast<size_t>(s.args[k])];
+      }
+    }
+  }
 
   // One fork-join for the whole step. The autograd forward pays a pool
   // round-trip per op (~90 per generation step); here each worker takes a

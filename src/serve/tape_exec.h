@@ -1,26 +1,28 @@
-// Allocation-free replay of the verified generation tape (analysis/tape.h).
+// Allocation-free replay of the verified generation tape (analysis/tape.h),
+// the one engine SlotSampler serves with.
 //
 // The executor is the serving counterpart of DoppelGanger::generation_step:
 // it binds the model's generator weights once at build time, lays every
 // intermediate into one arena sized by the liveness planner, and compiles
-// the tape into a flat opcode array executed with a switch — no autograd
-// node allocation, no virtual dispatch, no shared_ptr traffic, and zero
-// heap allocations per step() in steady state.
+// each unfused instruction to {its op row's kernel, operands, attributes}
+// (nn/ops.h) and each fused group to a register program — no autograd node
+// allocation, no per-op code, zero heap allocations per step() once warm.
 //
 // Bit-identity contract: step() produces byte-for-byte the records and
 // state updates generation_step produces, at any DG_THREADS setting and
-// SIMD tier. Both paths run the same kernels (nn/simd/vec.h) in the same
-// per-row accumulation order, and an elementwise instruction runs its op
-// row's EwFn (nn/ops.h), which is the autograd forward's kernel. The
-// executor does not copy nn/matrix.cpp's per-kernel partitioning: it
-// partitions lanes once per step and each worker replays every instruction
-// on its lanes, which is sound because every opcode is row-local, so no
-// result depends on the partition. tests/serve/test_tape_exec.cpp enforces
-// this differentially.
+// SIMD tier: an instruction runs its row's kernel (row kernel or EwFn), the
+// body the autograd forward runs. The executor does not copy the forward's
+// per-kernel partitioning: it partitions lanes once per step and each
+// worker replays every instruction on its lanes, which is sound because
+// every kernel is row-local. tests/serve/test_tape_exec.cpp enforces this
+// differentially, with generation_step as the oracle.
 //
 // Trust model: construction re-runs analysis::verify_tape and returns
 // nullptr on any error — a corrupted tape is rejected statically, never
-// executed. Callers fall back to the autograd path on nullptr.
+// executed — and the verifier refuses an unfused op without a kernel, so a
+// tape it accepts is one the executor can run. A model without an executor
+// is not served: SlotSampler and GenerationService refuse it
+// (create_or_throw).
 #pragma once
 
 #include <memory>
@@ -35,12 +37,18 @@ class TapeExecutor {
  public:
   /// Lowers + verifies a tape for the model's schema/config and binds the
   /// model's generator weights. Returns nullptr when verification fails or
-  /// the weights cannot be bound (caller keeps the autograd path).
+  /// the weights cannot be bound.
   static std::unique_ptr<TapeExecutor> create(const core::DoppelGanger& model,
                                               int width);
 
-  /// Same, from an externally built report (tests, lint). The report is
-  /// re-verified here regardless of what its `verified` flag claims.
+  /// create(), but a refusal throws std::invalid_argument carrying the tape
+  /// report's findings: how the serving stack refuses a model it cannot
+  /// replay.
+  static std::unique_ptr<TapeExecutor> create_or_throw(
+      const core::DoppelGanger& model, int width);
+
+  /// As create(), from an externally built report (tests, lint). The report
+  /// is re-verified here regardless of what its `verified` flag claims.
   static std::unique_ptr<TapeExecutor> from_report(
       const core::DoppelGanger& model, analysis::TapeReport report, int width);
 

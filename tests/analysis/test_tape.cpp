@@ -208,6 +208,32 @@ TEST(TapeMutation, EveryDefectClassIsRejected) {
   }
 }
 
+// Verified means runnable: an unfused instruction whose op has no kernel
+// the executor can run — mul_scalar in place of relu: same arity and shape
+// rule, but its scalar is not in the tape — draws exactly one finding, and
+// it names the instruction.
+TEST(TapeMutation, UnfusedOpWithoutAKernelIsRefused) {
+  for (const Variant& v : variants()) {
+    SCOPED_TRACE(describe(v));
+    TapeReport r = build_generation_tape(schema_for(v.dataset), v.cfg);
+    ASSERT_TRUE(r.ok());
+    const auto relu =
+        std::find_if(r.tape.instrs.begin(), r.tape.instrs.end(),
+                     [](const TapeInstr& i) {
+                       return i.group < 0 && i.op == "relu";
+                     });
+    ASSERT_NE(relu, r.tape.instrs.end());
+    relu->op = "mul_scalar";
+    const std::vector<Diagnostic> diags = verify_tape(r.tape, r.plan);
+    ASSERT_EQ(diags.size(), 1u) << render(diags);
+    EXPECT_EQ(diags[0].code, "tape-no-kernel");
+    EXPECT_EQ(diags[0].op, "mul_scalar");
+    EXPECT_NE(diags[0].path.find("instr #" + std::to_string(relu->id) + ":"),
+              std::string::npos)
+        << render(diags);
+  }
+}
+
 TEST(TapeMutation, UnknownDefectClassRefused) {
   TapeReport r = build_generation_tape(schema_for("gcut"), small_cfg(11));
   ASSERT_TRUE(r.ok());

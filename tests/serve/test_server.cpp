@@ -44,13 +44,18 @@ core::DoppelGangerConfig tiny_cfg(uint64_t seed = 3) {
   return cfg;
 }
 
-std::shared_ptr<core::DoppelGanger> make_model(uint64_t seed = 3) {
+std::shared_ptr<core::DoppelGanger> make_model(
+    const core::DoppelGangerConfig& cfg) {
   auto d = synth::make_gcut({.n = 8, .t_max = 20});
   for (auto& o : d.data) {
     if (o.length() > 20) o.features.resize(20);
   }
   d.schema.max_timesteps = 20;
-  return std::make_shared<core::DoppelGanger>(d.schema, tiny_cfg(seed));
+  return std::make_shared<core::DoppelGanger>(d.schema, cfg);
+}
+
+std::shared_ptr<core::DoppelGanger> make_model(uint64_t seed = 3) {
+  return make_model(tiny_cfg(seed));
 }
 
 ServiceConfig small_service_cfg() {
@@ -255,6 +260,25 @@ TEST(GenerationService, ConstructionRefusesCorruptPackage) {
     FAIL() << "construction must refuse a package that fails preflight";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("preflight"), std::string::npos);
+  }
+}
+
+TEST(GenerationService, ConstructionRefusesModelWhoseTapeDoesNotBuild) {
+  // lr = 0 constructs a model but fails the config checks, so no generation
+  // tape verifies for it. An injected model skips the package preflight;
+  // the service must still refuse it, naming why, before any engine thread
+  // could try to build a sampler for it.
+  core::DoppelGangerConfig cfg = tiny_cfg();
+  cfg.lr = 0.0f;
+  const auto model = make_model(cfg);
+  try {
+    GenerationService service(model, small_service_cfg());
+    FAIL() << "construction must refuse a model whose tape does not build";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tape-config"), std::string::npos) << what;
+    EXPECT_NE(what.find("learning rate must be positive"), std::string::npos)
+        << what;
   }
 }
 

@@ -442,14 +442,26 @@ TEST(ShardRouter, HostileLinesAreBadRequestsAndTheFleetKeepsServing) {
   const std::string deep =
       std::string(100'000, '[') + std::string(100'000, ']');
   std::uint64_t seed = 0;  // fresh seeds: a cache hit would skip the fleet
+  // A worker index is integral and in range, or the admin op is refused:
+  // 0.5 must not truncate to worker 0, nor 1.9 to worker 1, and a missing,
+  // negative or huge index must not reach a float-to-integer cast.
   for (const std::string& line :
        {deep, R"({"op":"generate","id":3,"n":1,"fixed":)" + deep + "}",
         std::string(R"({"op":"generate","id":4,"n":2000000000})"),
-        std::string(R"({"op":"generate","id":5,"seed":-1})")}) {
+        std::string(R"({"op":"generate","id":5,"seed":-1})"),
+        std::string(R"({"op":"drain","worker":0.5})"),
+        std::string(R"({"op":"drain","worker":1.9})"),
+        std::string(R"({"op":"drain"})"),
+        std::string(R"({"op":"drain","worker":-1})"),
+        std::string(R"({"op":"drain","worker":1e300})"),
+        std::string(R"({"op":"restart","worker":-3})")}) {
     SCOPED_TRACE(line.substr(0, 48));
     const json::Value bad = json::parse(router.handle_line(line));
     EXPECT_FALSE(bad.bool_or("ok", true));
     EXPECT_EQ(bad.string_or("code", ""), error_code::kBadRequest);
+    for (std::size_t w = 0; w < 2; ++w) {
+      EXPECT_EQ(fleet.pool->worker(w).state(), WorkerState::Up) << w;
+    }
     // Both replicas still answer.
     std::set<std::size_t> homes;
     while (homes.size() < 2) {

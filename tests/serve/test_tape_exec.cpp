@@ -1,5 +1,6 @@
-// Tape executor tests: bit-identity against the autograd forward, static
-// rejection of corrupted tapes, and the zero-allocation steady state.
+// Tape executor tests: bit-identity against the autograd forward (the
+// oracle of the sampler's one engine), static rejection of corrupted tapes,
+// and the zero-allocation steady state.
 //
 // This suite lives in its own test binary because it replaces the global
 // operator new/delete pair with counting versions — the proof that the tape
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -217,44 +219,126 @@ TEST(TapeExec, BitIdenticalToAutogradAcrossVariantsAndThreads) {
   }
 }
 
-// The sampler path end to end: a tape-backed SlotSampler and an autograd
-// SlotSampler fed identical jobs must produce byte-identical series.
+/// Biases the head's continue/end flag logits so the end flag never wins
+/// and every series runs to its cap. Untrained flag logits end most series
+/// within a record or two.
+void run_series_to_cap(core::DoppelGanger& model) {
+  auto params = model.generator_parameters();
+  nn::Matrix& head_bias = params.back().mutable_value();  // head.l1.b
+  ASSERT_EQ(head_bias.rows(), 1);
+  const int rw = model.record_width();
+  ASSERT_EQ(head_bias.cols(), model.sample_len() * rw);
+  for (int s = 0; s < model.sample_len(); ++s) {
+    head_bias.at(0, s * rw + rw - 2) += 8.0f;  // continue flag logit
+    head_bias.at(0, s * rw + rw - 1) -= 8.0f;  // end flag logit
+  }
+}
+
+/// One series the way SlotSampler must produce it, built on the autograd
+/// path from the job alone: its context, one noise row per step drawn from
+/// its own stream, generation_step, flag termination, then decode and the
+/// cap trim.
+data::Object reference_series(const core::DoppelGanger& model, nn::Rng rng,
+                              int max_len) {
+  const data::GanCodec& codec = model.codec();
+  const int cap = max_len > 0 ? max_len : codec.tmax();
+  const int rw = model.record_width();
+  const core::GenContext ctx = model.sample_context_fixed(1, {}, rng);
+  core::GenState state = model.initial_gen_state(1);
+  nn::Matrix feats(1, codec.feature_row_dim());
+  int emitted = 0;
+  bool ended = false;
+  while (!ended && emitted < cap) {
+    nn::Matrix noise(1, model.feat_noise_dim());
+    for (int j = 0; j < noise.cols(); ++j) {
+      noise.at(0, j) = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    const nn::Matrix records = model.generation_step(ctx, noise, state);
+    const int take = std::min(model.sample_len(), cap - emitted);
+    for (int s = 0; s < take && !ended; ++s, ++emitted) {
+      for (int j = 0; j < rw; ++j) {
+        feats.at(0, emitted * rw + j) = records.at(0, s * rw + j);
+      }
+      ended = records.at(0, s * rw + rw - 1) > records.at(0, s * rw + rw - 2);
+    }
+  }
+  data::Object obj =
+      std::move(codec.decode(ctx.attributes, ctx.minmax, feats).front());
+  if (obj.length() > cap) obj.features.resize(static_cast<size_t>(cap));
+  return obj;
+}
+
+// The sampler end to end: its series, replayed on the tape while lanes turn
+// over, must be byte-identical to the same jobs run one at a time through
+// the autograd forward — ended by their flags (the untrained model) and by
+// their caps, including a cap that cuts a step's records short.
 TEST(TapeExec, SamplerTapeAndAutogradPathsAgree) {
   const Variant v = variants()[0];
-  auto model = std::make_shared<const core::DoppelGanger>(
-      schema_for(v.dataset), v.cfg);
+  for (const bool to_cap : {false, true}) {
+    SCOPED_TRACE(to_cap ? "series run to their caps" : "flag-ended series");
+    auto model =
+        std::make_shared<core::DoppelGanger>(schema_for(v.dataset), v.cfg);
+    if (to_cap) run_series_to_cap(*model);
 
-  SlotSampler with_tape(model, 4, {.use_tape = true});
-  SlotSampler without(model, 4, {.use_tape = false});
-  ASSERT_TRUE(with_tape.tape_active());
-  ASSERT_FALSE(without.tape_active());
+    SlotSampler sampler(model, 4);
+    std::vector<SeriesJob> jobs;
+    for (int i = 0; i < 8; ++i) {
+      SeriesJob job;
+      job.request_id = 1;
+      job.index = i;
+      job.rng = nn::Rng(1000 + static_cast<uint64_t>(i));
+      job.max_len = i % 3 == 0 ? 7 : 0;
+      jobs.push_back(job);
+      sampler.submit(job);
+    }
+    while (!sampler.idle()) sampler.pump();
 
-  for (int i = 0; i < 8; ++i) {
-    SeriesJob job;
-    job.request_id = 1;
-    job.index = i;
-    job.rng = nn::Rng(1000 + static_cast<uint64_t>(i));
-    with_tape.submit(job);
-    without.submit(job);
+    const std::vector<SeriesResult> got = sampler.drain();
+    ASSERT_EQ(got.size(), jobs.size());
+    for (const SeriesResult& r : got) {
+      SCOPED_TRACE("series " + std::to_string(r.index));
+      const SeriesJob& job = jobs[static_cast<size_t>(r.index)];
+      const data::Object want =
+          reference_series(*model, job.rng, job.max_len);
+      ASSERT_EQ(r.object.attributes, want.attributes);
+      ASSERT_EQ(r.object.features.size(), want.features.size());
+      for (size_t t = 0; t < want.features.size(); ++t) {
+        EXPECT_EQ(r.object.features[t], want.features[t]) << "record " << t;
+      }
+    }
   }
-  while (!with_tape.idle()) with_tape.pump();
-  while (!without.idle()) without.pump();
+}
 
-  EXPECT_GT(with_tape.stats().tape_steps, 0u);
-  EXPECT_EQ(with_tape.stats().tape_steps, with_tape.stats().rnn_steps);
-  EXPECT_EQ(without.stats().tape_steps, 0u);
-
-  auto a = with_tape.drain();
-  auto b = without.drain();
-  ASSERT_EQ(a.size(), 8u);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].index, b[i].index);
-    ASSERT_EQ(a[i].object.attributes, b[i].object.attributes);
-    ASSERT_EQ(a[i].object.features.size(), b[i].object.features.size());
-    for (size_t t = 0; t < a[i].object.features.size(); ++t) {
-      EXPECT_EQ(a[i].object.features[t], b[i].object.features[t])
-          << "series " << i << " record " << t;
+// Verified means runnable: over the differential variants, the executor
+// accepts exactly the tapes the verifier accepts — each variant's own tape,
+// and the tape with an unfused unary op swapped for mul_scalar (same arity
+// and shape rule, but no kernel the executor can run).
+TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
+  for (const Variant& v : variants()) {
+    SCOPED_TRACE(describe(v));
+    const data::Schema schema = schema_for(v.dataset);
+    const core::DoppelGanger model(schema, v.cfg);
+    const analysis::TapeReport clean =
+        analysis::build_generation_tape(schema, v.cfg);
+    ASSERT_TRUE(clean.ok());
+    analysis::TapeReport swapped = clean;
+    const auto relu = std::find_if(
+        swapped.tape.instrs.begin(), swapped.tape.instrs.end(),
+        [](const analysis::TapeInstr& i) {
+          return i.group < 0 && i.op == "relu";
+        });
+    ASSERT_NE(relu, swapped.tape.instrs.end());
+    relu->op = "mul_scalar";
+    const analysis::TapeReport* reports[] = {&clean, &swapped};
+    for (const analysis::TapeReport* r : reports) {
+      const bool verified = !analysis::has_errors(
+          analysis::verify_tape(r->tape, r->plan));
+      analysis::TapeReport forged = *r;
+      forged.verified = true;  // only the executor's own verdict counts
+      const bool runs =
+          TapeExecutor::from_report(model, std::move(forged), 4) != nullptr;
+      EXPECT_EQ(verified, runs) << (r == &clean ? "clean" : "swapped")
+                                << " tape: verified=" << verified;
     }
   }
 }
@@ -298,24 +382,11 @@ TEST(TapeExec, SamplerSteadyStatePumpIsAllocationFree) {
   auto model = std::make_shared<core::DoppelGanger>(schema_for("gcut"),
                                                     small_cfg(11));
 
-  // Untrained flag logits end most series within a record or two, so every
-  // pump would retire and admit lanes (which legitimately allocates). Bias
-  // the head's continue/end logits so the softmax'd end flag never wins and
-  // every series runs to its cap — guaranteeing mid-series pumps to measure.
-  {
-    auto params = model->generator_parameters();
-    nn::Matrix& head_bias = params.back().mutable_value();  // head.l1.b
-    ASSERT_EQ(head_bias.rows(), 1);
-    const int rw = model->record_width();
-    ASSERT_EQ(head_bias.cols(), model->sample_len() * rw);
-    for (int s = 0; s < model->sample_len(); ++s) {
-      head_bias.at(0, s * rw + rw - 2) += 8.0f;  // continue flag logit
-      head_bias.at(0, s * rw + rw - 1) -= 8.0f;  // end flag logit
-    }
-  }
+  // Every pump that retires and admits lanes legitimately allocates: run
+  // every series to its cap, guaranteeing mid-series pumps to measure.
+  run_series_to_cap(*model);
 
-  SlotSampler sampler(model, 4, {.use_tape = true});
-  ASSERT_TRUE(sampler.tape_active());
+  SlotSampler sampler(model, 4);
   for (int i = 0; i < 4; ++i) {
     SeriesJob job;
     job.request_id = 7;
