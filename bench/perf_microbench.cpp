@@ -51,18 +51,25 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->ArgsProduct({{64, 128, 256, 512, 1024}, {1, 2, 4, 8}});
 
-void BM_Transpose(benchmark::State& state) {
-  // rows >> cols — the LSTM gate-slice shape whose column-strided writes the
-  // blocked kernel exists for — plus its transpose-square counterpart.
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = static_cast<int>(state.range(1));
-  nn::set_num_threads(static_cast<int>(state.range(2)));
+/// nn::transpose of a normal [rows, cols] matrix on a `threads`-wide pool.
+/// Items are floats moved; the output's allocation and zero-fill are timed
+/// too, as every nn::transpose pays them.
+void run_transpose(benchmark::State& state, int rows, int cols, int threads) {
+  nn::set_num_threads(threads);
   nn::Rng rng(4);
   const Matrix a = rng.normal_matrix(rows, cols);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::transpose(a));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows) * cols);
+}
+
+void BM_Transpose(benchmark::State& state) {
+  // rows >> cols — the LSTM gate-slice shape whose column-strided writes the
+  // blocked kernel exists for — plus its transpose-square counterpart.
+  run_transpose(state, static_cast<int>(state.range(0)),
+                static_cast<int>(state.range(1)),
+                static_cast<int>(state.range(2)));
 }
 BENCHMARK(BM_Transpose)
     ->Args({4096, 64, 1})
@@ -89,10 +96,12 @@ BENCHMARK(BM_LstmStep)->ArgsProduct({{1, 32, 256}, {1, 4}});
 // scalar->avx2 ratio measures the vector tier rather than memory bandwidth.
 // BM_MatmulMicro and BM_LstmGatesMicro have widths that are multiples of 32;
 // BM_MatmulMicroTail has the model's own widths, which are not multiples of
-// 8, so the gate also covers the tile's masked last vector.
+// 8, so the gate also covers the tile's masked last vector. BM_TransposeMicro
+// times the transpose kernel's 8x8 blocks and scalar edges.
 // CI's bench-smoke job runs these twice on one DG_NATIVE_ARCH=OFF binary
 // (DG_SIMD=scalar, then DG_SIMD=avx2) and gates the vectorized tier at
-// >= 2x scalar cpu_time via tools/bench_compare.py --best.
+// >= 2x scalar cpu_time via tools/bench_compare.py --best; the transpose,
+// which only moves floats, at >= 1.25x.
 
 #ifdef DG_OBS_ENABLED
 /// Attaches the obs profiler's exact FLOP attribution for one call of `fn`
@@ -170,6 +179,18 @@ void BM_LstmGatesMicro(benchmark::State& state) {
 #endif
 }
 BENCHMARK(BM_LstmGatesMicro);
+
+void BM_TransposeMicro(benchmark::State& state) {
+  // The transposes the backward rules build at DoppelGANger's training
+  // shapes: a critic's [200,200] hidden weight, the wwt critic's [856,200]
+  // input layer and the LSTM's [100,400] recurrent weight.
+  run_transpose(state, static_cast<int>(state.range(0)),
+                static_cast<int>(state.range(1)), 1);
+}
+BENCHMARK(BM_TransposeMicro)
+    ->Args({200, 200})
+    ->Args({856, 200})
+    ->Args({100, 400});
 
 // One full WGAN-GP critic step (forward, second-order gradient-penalty
 // backward, Adam update) — the training hot loop. Shared by the critic

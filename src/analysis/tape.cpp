@@ -101,10 +101,11 @@ bool is_elementwise(std::string_view op) {
   return row != nullptr && row->ew.has_value();
 }
 
-/// Greedy run-based fusion: a fusion group is a maximal contiguous run of
-/// elementwise instructions over one iteration domain, where every operand
-/// is either produced inside the run or defined before it. Contiguity holds
-/// by construction, which is exactly what the verifier later demands.
+/// Greedy run-based fusion: a fusion group is a maximal contiguous run of at
+/// most kMaxFusionMembers elementwise instructions over one iteration
+/// domain, where every operand is either produced inside the run or defined
+/// before it. Contiguity holds by construction, which is exactly what the
+/// verifier later demands.
 void fuse_elementwise(Tape& t) {
   const int n = static_cast<int>(t.instrs.size());
   int run_lo = -1;
@@ -119,7 +120,7 @@ void fuse_elementwise(Tape& t) {
       close_run(i - 1);
       continue;
     }
-    bool join = run_lo >= 0;
+    bool join = run_lo >= 0 && i - run_lo < kMaxFusionMembers;
     if (join) {
       const Shape& run_shape =
           t.values[static_cast<size_t>(t.instrs[static_cast<size_t>(run_lo)].dst)]
@@ -231,6 +232,16 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
             tape, -1);
     return out;
   }
+  if (tape.inputs.size() != kTapeInputs ||
+      tape.outputs.size() != kTapeOutputs) {
+    finding(out, "tape-signature",
+            "tape has " + std::to_string(tape.inputs.size()) +
+                " inputs and " + std::to_string(tape.outputs.size()) +
+                " outputs; the executor binds the step's " +
+                std::to_string(kTapeInputs) + " and " +
+                std::to_string(kTapeOutputs),
+            tape, -1);
+  }
 
   // ---- per-instruction: def-before-use, registry, arity, shapes ----
   for (int i = 0; i < n_instrs; ++i) {
@@ -303,6 +314,7 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
   }
   for (const auto& [gid, ext] : groups) {
     const Shape* domain = nullptr;
+    int members = 0;
     for (int i = ext.lo; i <= ext.hi; ++i) {
       const TapeInstr& ins = tape.instrs[static_cast<size_t>(i)];
       if (ins.group != gid) {
@@ -313,6 +325,13 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
                     "contiguous)",
                 tape, i);
         continue;
+      }
+      if (++members == kMaxFusionMembers + 1) {
+        finding(out, "tape-fusion-size",
+                "group " + std::to_string(gid) + " has more than " +
+                    std::to_string(kMaxFusionMembers) +
+                    " members, the executor's register count",
+                tape, i);
       }
       const OpInfo* info = registry.find(ins.op);
       if (info == nullptr || !info->ew) {

@@ -16,9 +16,11 @@
 //   * every unfused instruction's row has a kernel the executor runs (a row
 //     kernel or an elementwise EwFn, nn/ops.h), so a verified tape is a
 //     runnable one;
-//   * fusion groups are contiguous runs of elementwise ops (rows with an
-//     EwFn kernel, nn/ops.h) over identical iteration domains, and their
-//     unmaterialized intermediates never leak;
+//   * the tape has the step's signature (kTapeInputs inputs, kTapeOutputs
+//     outputs), which the executor binds by position;
+//   * fusion groups are contiguous runs of at most kMaxFusionMembers
+//     elementwise ops (rows with an EwFn kernel, nn/ops.h) over identical
+//     iteration domains, and their unmaterialized intermediates never leak;
 //   * the arena plan is sound: no two values with overlapping lifetimes
 //     share bytes, and no instruction's destination aliases a buffer some
 //     later instruction still needs (recomputed from the instruction
@@ -47,6 +49,15 @@ enum class TapeValueKind {
 
 /// Sentinel last_use for values that outlive the tape (the step's outputs).
 inline constexpr int kLiveToEnd = -2;
+
+/// The step's signature, bound by position: inputs cond, noise, state.h,
+/// state.c, state.mask; outputs records, state.h, state.c, state.mask.
+inline constexpr int kTapeInputs = 5;
+inline constexpr int kTapeOutputs = 4;
+
+/// Most instructions one fusion group may hold: the executor gives each
+/// member a register of per-element values, and has this many.
+inline constexpr int kMaxFusionMembers = 64;
 
 struct TapeValue {
   int id = 0;

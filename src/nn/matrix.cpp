@@ -156,23 +156,10 @@ Matrix transpose(const Matrix& a) {
   Matrix out(c, r);
   if (out.empty()) return out;
   DG_OP_KERNEL_TIMER(Op::kTranspose, out, {&a});
-  // Blocked: read B columns of a per tile so the strided loads hit each
-  // source cache line B times instead of once (the unblocked version was
-  // quadratic in misses for the tall rows >> cols gate-slice shapes).
-  constexpr int B = 64;
+  // Output rows are columns of a: a partition owns a column range of a.
+  const simd::KernelTable& kt = simd::kernels();
   parallel_for(0, c, row_grain(r), [&](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t jb = j0; jb < j1; jb += B) {
-      const std::int64_t jend = std::min<std::int64_t>(j1, jb + B);
-      for (int ib = 0; ib < r; ib += B) {
-        const int iend = std::min(r, ib + B);
-        for (std::int64_t j = jb; j < jend; ++j) {
-          float* orow = out.data() + static_cast<size_t>(j) * r;
-          for (int i = ib; i < iend; ++i) {
-            orow[i] = a.data()[static_cast<size_t>(i) * c + j];
-          }
-        }
-      }
-    }
+    kt.transpose(a.data(), r, c, out.data(), j0, j1);
   });
   return out;
 }

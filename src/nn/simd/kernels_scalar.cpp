@@ -19,6 +19,7 @@ const KernelTable* scalar_table() {
       &scalar_impl::matmul_acc_rows, &scalar_impl::apply_ew,
       &scalar_impl::add_scalar,      &scalar_impl::mul_scalar,
       &scalar_impl::row_sum,         &scalar_impl::neg_row_max,
+      &scalar_impl::transpose,
   };
   return &table;
 }

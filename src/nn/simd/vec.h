@@ -24,6 +24,10 @@
 //     association, implemented identically in both tiers, so the vector form
 //     needs no reassociation. Lane partials combine in ascending lane order,
 //     then the tail sequentially — independent of tier and thread count.
+//   - transpose does no arithmetic at all: every float is loaded once and
+//     stored once, through moves and lane shuffles that never inspect a
+//     value, so every tier writes the same bytes (NaN payloads included)
+//     by construction.
 //
 // Tier selection: DG_SIMD=scalar|avx2|auto (auto = CPUID pick, the default).
 // Requesting avx2 on a host without it falls back to scalar; the resolved
@@ -85,6 +89,13 @@ struct KernelTable {
   /// and the tape's kNegRowMax micro-op so both stay bit-identical.
   void (*neg_row_max)(const float* a, int cols, float* dst, std::int64_t r0,
                       std::int64_t r1);
+  /// Rows [j0, j1) of out = aᵀ for row-major a [rows, cols] and out
+  /// [cols, rows]: out[j][i] = a[i][j], read from columns [j0, j1) of a.
+  /// The scalar tier is the 64-blocked copy loop; the avx2 tier moves 8x8
+  /// register blocks inside cache tiles, with scalar edges past the last
+  /// multiple of 8. Pure data movement, so the bytes match on every tier.
+  void (*transpose)(const float* a, int rows, int cols, float* out,
+                    std::int64_t j0, std::int64_t j1);
 };
 
 /// Kernel table of the active tier (one relaxed atomic load).

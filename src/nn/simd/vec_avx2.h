@@ -357,6 +357,82 @@ inline void neg_row_max(const float* a, int cols, float* dst, std::int64_t r0,
   }
 }
 
+/// The 8x8 block of a at p (row stride lda) transposed into the 8x8 block
+/// of out at q (row stride ldo). Unpacks interleave row pairs, shuffles
+/// gather one column of four rows per 128-bit half (columns c and c + 4),
+/// and the cross-lane permutes join the halves of rows 0-3 and 4-7. Every
+/// instruction moves lanes and none reads one as a number.
+inline void transpose_8x8(const float* p, std::size_t lda, float* q,
+                          std::size_t ldo) {
+  const __m256 r0 = _mm256_loadu_ps(p);
+  const __m256 r1 = _mm256_loadu_ps(p + lda);
+  const __m256 r2 = _mm256_loadu_ps(p + 2 * lda);
+  const __m256 r3 = _mm256_loadu_ps(p + 3 * lda);
+  const __m256 r4 = _mm256_loadu_ps(p + 4 * lda);
+  const __m256 r5 = _mm256_loadu_ps(p + 5 * lda);
+  const __m256 r6 = _mm256_loadu_ps(p + 6 * lda);
+  const __m256 r7 = _mm256_loadu_ps(p + 7 * lda);
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+  const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+  const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+  constexpr int kLo = _MM_SHUFFLE(1, 0, 1, 0), kHi = _MM_SHUFFLE(3, 2, 3, 2);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, kLo);  // columns 0 | 4
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, kHi);  // columns 1 | 5
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, kLo);  // columns 2 | 6
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, kHi);  // columns 3 | 7
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, kLo);
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, kHi);
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, kLo);
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, kHi);
+  constexpr int kLows = 0x20, kHighs = 0x31;
+  _mm256_storeu_ps(q, _mm256_permute2f128_ps(s0, s4, kLows));
+  _mm256_storeu_ps(q + ldo, _mm256_permute2f128_ps(s1, s5, kLows));
+  _mm256_storeu_ps(q + 2 * ldo, _mm256_permute2f128_ps(s2, s6, kLows));
+  _mm256_storeu_ps(q + 3 * ldo, _mm256_permute2f128_ps(s3, s7, kLows));
+  _mm256_storeu_ps(q + 4 * ldo, _mm256_permute2f128_ps(s0, s4, kHighs));
+  _mm256_storeu_ps(q + 5 * ldo, _mm256_permute2f128_ps(s1, s5, kHighs));
+  _mm256_storeu_ps(q + 6 * ldo, _mm256_permute2f128_ps(s2, s6, kHighs));
+  _mm256_storeu_ps(q + 7 * ldo, _mm256_permute2f128_ps(s3, s7, kHighs));
+}
+
+/// Rows [j0, j1) of out = aᵀ: the scalar tier's kTransposeTile cache tiles,
+/// each covered by 8x8 register blocks counted from the tile's corner. Rows
+/// of a past the tile's last multiple of 8 and columns past the partition's
+/// last multiple of 8 copy one float at a time, so no load or store leaves
+/// either buffer.
+inline void transpose(const float* a, int rows, int cols, float* out,
+                      std::int64_t j0, std::int64_t j1) {
+  constexpr int B = scalar_impl::kTransposeTile;
+  const auto lda = static_cast<std::size_t>(cols);
+  const auto ldo = static_cast<std::size_t>(rows);
+  for (std::int64_t jb = j0; jb < j1; jb += B) {
+    const std::int64_t jend = std::min<std::int64_t>(j1, jb + B);
+    for (int ib = 0; ib < rows; ib += B) {
+      const int iend = std::min(rows, ib + B);
+      std::int64_t j = jb;
+      for (; j + 8 <= jend; j += 8) {
+        int i = ib;
+        for (; i + 8 <= iend; i += 8) {
+          transpose_8x8(a + i * lda + j, lda, out + j * ldo + i, ldo);
+        }
+        for (; i < iend; ++i) {
+          for (int t = 0; t < 8; ++t) {
+            out[(j + t) * ldo + i] = a[i * lda + j + t];
+          }
+        }
+      }
+      for (; j < jend; ++j) {
+        for (int i = ib; i < iend; ++i) out[j * ldo + i] = a[i * lda + j];
+      }
+    }
+  }
+}
+
 }  // namespace dg::nn::simd::avx2_impl
 
 #endif  // defined(__AVX2__)

@@ -280,6 +280,30 @@ inline void neg_row_max(const float* a, int cols, float* dst, std::int64_t r0,
   }
 }
 
+/// Cache tile of the transpose in both tiers, in rows and columns of a.
+inline constexpr int kTransposeTile = 64;
+
+/// Rows [j0, j1) of out = aᵀ. Blocked: read kTransposeTile columns of a per
+/// tile so the strided loads hit each source cache line that many times
+/// instead of once (the unblocked loop was quadratic in misses for the tall
+/// rows >> cols gate-slice shapes).
+inline void transpose(const float* a, int rows, int cols, float* out,
+                      std::int64_t j0, std::int64_t j1) {
+  constexpr int B = kTransposeTile;
+  for (std::int64_t jb = j0; jb < j1; jb += B) {
+    const std::int64_t jend = std::min<std::int64_t>(j1, jb + B);
+    for (int ib = 0; ib < rows; ib += B) {
+      const int iend = std::min(rows, ib + B);
+      for (std::int64_t j = jb; j < jend; ++j) {
+        float* orow = out + static_cast<std::size_t>(j) * rows;
+        for (int i = ib; i < iend; ++i) {
+          orow[i] = a[static_cast<std::size_t>(i) * cols + j];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace dg::nn::simd::scalar_impl
 
 #endif  // DG_NN_SIMD_VEC_SCALAR_H_

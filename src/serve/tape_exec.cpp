@@ -41,8 +41,6 @@ struct MicroOp {
   int store_id = -1;  // materialized members also write their arena slot
 };
 
-constexpr int kMaxFusedRegs = 64;
-
 /// One compiled instruction, or (non-empty `prog`) one fused group.
 struct Step {
   const nn::OpDef* row = nullptr;  // unfused: its row kernel, else its EwFn
@@ -102,7 +100,7 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
     const std::int64_t e0 = r0 * m, e1 = r1 * m;
     float* const* table = ptr.data();
     constexpr std::int64_t kTile = 64;
-    float regs[kMaxFusedRegs][kTile];
+    float regs[analysis::kMaxFusionMembers][kTile];
     for (std::int64_t base = e0; base < e1; base += kTile) {
       const std::int64_t len = std::min<std::int64_t>(kTile, e1 - base);
       for (const MicroOp& mo : s.prog) {
@@ -202,7 +200,10 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
     impl->ptr[static_cast<size_t>(pid)] =
         const_cast<float*>(m.data());  // never written: dsts are locals
   }
-  if (tape.inputs.size() != 5 || tape.outputs.size() != 4) return nullptr;
+  if (tape.inputs.size() != analysis::kTapeInputs ||
+      tape.outputs.size() != analysis::kTapeOutputs) {
+    return nullptr;
+  }
   impl->in_cond = tape.inputs[0];
   impl->in_noise = tape.inputs[1];
   impl->in_h = tape.inputs[2];
@@ -254,7 +255,7 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
         bind(m.args[0], mo.a_id, mo.a_reg);
         if (mo.binary) bind(m.args[1], mo.b_id, mo.b_reg);
         mo.dst_reg = static_cast<int>(reg_of.size());
-        if (mo.dst_reg >= kMaxFusedRegs) return nullptr;
+        if (mo.dst_reg >= analysis::kMaxFusionMembers) return nullptr;
         mo.store_id =
             impl->ptr[static_cast<size_t>(m.dst)] != nullptr ? m.dst : -1;
         reg_of.emplace(m.dst, mo.dst_reg);

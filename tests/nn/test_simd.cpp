@@ -7,9 +7,10 @@
 //     within the per-op bounds *declared in their op rows* (nn/ops.h) vs a
 //     double-precision libm reference, across their supported domain.
 //  3. Cross-tier bit-exactness: every dispatched kernel (matmul, affine,
-//     lstm_gates, all elementwise fns, broadcasts, reductions) produces
-//     bit-identical output under scalar and avx2 tiers, for shapes that
-//     exercise the vector remainder paths, across DG_THREADS in {1,4,16}.
+//     lstm_gates, all elementwise fns, broadcasts, reductions, transpose)
+//     produces bit-identical output under scalar and avx2 tiers, for shapes
+//     that exercise the vector remainder paths, across DG_THREADS in
+//     {1,4,16}.
 //
 // The avx2 half of (3) self-skips on machines without AVX2 — CI runs the
 // full matrix on x86.
@@ -21,7 +22,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/autograd.h"
@@ -502,6 +505,83 @@ TEST(SimdCrossTier, BroadcastsAndReductions) {
                      0x1000u | static_cast<std::uint32_t>(cols));
   }
   expect_invariant("col_sum", &Ctx::run_col_sum, 45);
+}
+
+/// Bit pattern of a float built from raw bits (NaN payloads survive).
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+/// fill() plus the values a move must carry bit for bit: quiet and
+/// signaling NaNs with payloads (both signs), -0.0, +-Inf and subnormals,
+/// scattered so they land in 8x8 blocks and in the scalar edges alike.
+void fill_edge_values(Matrix& m, std::uint32_t seed) {
+  fill(m, seed);
+  const float specials[] = {
+      from_bits(0x7fc00001u), from_bits(0xffc0beefu), from_bits(0x7f800123u),
+      from_bits(0xff812345u), -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), from_bits(0x00000001u),
+      from_bits(0x807fffffu), from_bits(0x00400000u)};
+  constexpr std::size_t kSpecials = sizeof(specials) / sizeof(specials[0]);
+  std::span<float> flat = m.flat();
+  for (std::size_t i = seed % 7; i < flat.size(); i += 7) {
+    flat[i] = specials[(i / 7) % kSpecials];
+  }
+}
+
+TEST(SimdCrossTier, Transpose) {
+  // Every (rows % 8, cols % 8) pair with 0-2 whole blocks (1..17, 23), one
+  // and two cache tiles (64, 65), the training shapes, and empty operands.
+  // Each result must equal the scalar tier's byte for byte and be the exact
+  // permutation out[j][i] == a[i][j] at DG_THREADS 1, 4 and 16, whose
+  // partitions start mid-block. Matrix storage is an exact-size heap
+  // vector, so the sanitizer jobs see any load or store past either buffer.
+  TierGuard guard;
+  std::vector<std::pair<int, int>> shapes;
+  std::vector<int> sides;
+  for (int s = 1; s <= 17; ++s) sides.push_back(s);
+  for (int s : {23, 64, 65}) sides.push_back(s);
+  for (int r : sides) {
+    for (int c : sides) shapes.emplace_back(r, c);
+  }
+  const std::pair<int, int> training_and_empty[] = {
+      {7, 200}, {50, 856}, {200, 200}, {200, 260},
+      {856, 200}, {0, 5}, {5, 0}, {0, 0}};
+  for (const auto& rc : training_and_empty) shapes.push_back(rc);
+  for (const auto& [rows, cols] : shapes) {
+    Matrix a(rows, cols);
+    fill_edge_values(a, static_cast<std::uint32_t>(rows * 1000 + cols));
+    ASSERT_TRUE(simd::set_simd_tier(simd::Tier::kScalar));
+    set_num_threads(1);
+    const Matrix ref = transpose(a);
+    ASSERT_EQ(ref.rows(), cols);
+    ASSERT_EQ(ref.cols(), rows);
+    for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
+      if (!simd::tier_supported(tier)) continue;
+      ASSERT_TRUE(simd::set_simd_tier(tier));
+      for (int threads : kThreadSweep) {
+        set_num_threads(threads);
+        const Matrix t = transpose(a);
+        SCOPED_TRACE(::testing::Message()
+                     << "[" << rows << "," << cols
+                     << "] tier=" << simd::tier_name(tier)
+                     << " threads=" << threads);
+        ASSERT_TRUE(t.same_shape(ref));
+        if (t.size() > 0) {
+          EXPECT_EQ(
+              std::memcmp(t.data(), ref.data(), t.size() * sizeof(float)), 0);
+        }
+        for (int i = 0; i < rows; ++i) {
+          for (int j = 0; j < cols; ++j) {
+            ASSERT_EQ(float_bits(t.at(j, i)), float_bits(a.at(i, j)))
+                << "out[" << j << "][" << i << "]";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdCrossTier, SoftmaxRowsViaAutograd) {

@@ -309,10 +309,44 @@ TEST(TapeExec, SamplerTapeAndAutogradPathsAgree) {
   }
 }
 
+/// `r` with `members` relu instructions appended as one fusion group: a
+/// chain from the records output whose values live only in the group's
+/// registers (no arena slot), otherwise a well-formed tape.
+analysis::TapeReport with_fused_chain(analysis::TapeReport r, int members) {
+  analysis::Tape& t = r.tape;
+  const int gid = t.fusion_groups++;
+  int src = t.outputs[0];
+  for (int k = 0; k < members; ++k) {
+    analysis::TapeValue v;
+    v.id = static_cast<int>(t.values.size());
+    v.shape = t.values[static_cast<size_t>(src)].shape;
+    v.def = static_cast<int>(t.instrs.size());
+    v.last_use = k + 1 < members ? v.def + 1 : -1;
+    v.fused_temp = true;
+    t.values.push_back(v);
+    r.plan.offsets.push_back(-1);
+    t.instrs.push_back(
+        {.id = v.def, .op = "relu", .dst = v.id, .args = {src}, .attrs = {},
+         .group = gid});
+    src = v.id;
+  }
+  return r;
+}
+
+bool has_code(const std::vector<analysis::Diagnostic>& diags,
+              const std::string& code) {
+  return std::any_of(diags.begin(), diags.end(),
+                     [&](const analysis::Diagnostic& d) {
+                       return d.code == code;
+                     });
+}
+
 // Verified means runnable: over the differential variants, the executor
-// accepts exactly the tapes the verifier accepts — each variant's own tape,
-// and the tape with an unfused unary op swapped for mul_scalar (same arity
-// and shape rule, but no kernel the executor can run).
+// accepts exactly the tapes the verifier accepts — each variant's own tape;
+// the tape with an unfused unary op swapped for mul_scalar (same arity and
+// shape rule, but no kernel the executor can run); the tape with a fusion
+// group of exactly the executor's register count, and of one more; and the
+// tape with an output dropped from the step's signature.
 TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
   for (const Variant& v : variants()) {
     SCOPED_TRACE(describe(v));
@@ -329,16 +363,34 @@ TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
         });
     ASSERT_NE(relu, swapped.tape.instrs.end());
     relu->op = "mul_scalar";
-    const analysis::TapeReport* reports[] = {&clean, &swapped};
-    for (const analysis::TapeReport* r : reports) {
-      const bool verified = !analysis::has_errors(
-          analysis::verify_tape(r->tape, r->plan));
-      analysis::TapeReport forged = *r;
+    const analysis::TapeReport at_cap =
+        with_fused_chain(clean, analysis::kMaxFusionMembers);
+    const analysis::TapeReport over_cap =
+        with_fused_chain(clean, analysis::kMaxFusionMembers + 1);
+    analysis::TapeReport short_signature = clean;
+    short_signature.tape.outputs.pop_back();
+    const struct {
+      const char* name;
+      const analysis::TapeReport* report;
+      const char* refusal;  // the verifier's finding; null if it verifies
+    } cases[] = {{"clean", &clean, nullptr},
+                 {"swapped", &swapped, "tape-no-kernel"},
+                 {"at-cap", &at_cap, nullptr},
+                 {"over-cap", &over_cap, "tape-fusion-size"},
+                 {"short-signature", &short_signature, "tape-signature"}};
+    for (const auto& c : cases) {
+      const std::vector<analysis::Diagnostic> diags =
+          analysis::verify_tape(c.report->tape, c.report->plan);
+      const bool verified = !analysis::has_errors(diags);
+      EXPECT_EQ(verified, c.refusal == nullptr) << c.name;
+      if (c.refusal != nullptr) {
+        EXPECT_TRUE(has_code(diags, c.refusal)) << c.name;
+      }
+      analysis::TapeReport forged = *c.report;
       forged.verified = true;  // only the executor's own verdict counts
       const bool runs =
           TapeExecutor::from_report(model, std::move(forged), 4) != nullptr;
-      EXPECT_EQ(verified, runs) << (r == &clean ? "clean" : "swapped")
-                                << " tape: verified=" << verified;
+      EXPECT_EQ(verified, runs) << c.name << " tape: verified=" << verified;
     }
   }
 }

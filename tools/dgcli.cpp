@@ -32,6 +32,10 @@
 //                    [--train-mutate wrong-adjoint-shape|dropped-accum-edge|
 //                     mislabel-det-class]
 //
+// Each subcommand accepts only the flags listed for it (commands() below).
+// An unknown flag, or a number with characters left over or out of range,
+// prints the usage text and exits 2 before any work starts.
+//
 // The .dgpkg package bundles schema + architecture + trained parameters, so
 // `generate` needs nothing else — the paper's Fig 2 release flow. `serve`
 // keeps a package resident behind a TCP JSON-lines endpoint (hot-reloading
@@ -92,6 +96,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -102,9 +107,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "analysis/adjoint.h"
 #include "analysis/diag.h"
@@ -137,53 +145,61 @@ namespace {
 
 using namespace dg;
 
+/// A command line dgcli refuses: reported with the usage text, exit 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
-  bool flag(const std::string& name) const { return options.count(name) > 0; }
+  /// The flags the command declares (commands() below): parse() refuses any
+  /// other, and reading an undeclared one is a bug in this file.
+  std::span<const std::string_view> declared;
+
+  bool flag(const std::string& name) const { return find(name) != nullptr; }
   std::string str(const std::string& name, const std::string& fallback = "") const {
-    auto it = options.find(name);
-    if (it == options.end()) {
+    const std::string* v = find(name);
+    if (v == nullptr) {
       if (fallback.empty()) {
         throw std::runtime_error("missing required option --" + name);
       }
       return fallback;
     }
-    return it->second;
+    return *v;
   }
-  long num(const std::string& name, long fallback) const {
-    auto it = options.find(name);
-    return it == options.end() ? fallback : std::stol(it->second);
+  /// --name read whole as a T, or `fallback` when absent. A token with
+  /// characters left over ("12abc") or outside T's range is a usage error,
+  /// not the prefix std::stol would take.
+  template <typename T>
+  T num(const std::string& name, T fallback) const {
+    const std::string* v = find(name);
+    if (v == nullptr) return fallback;
+    T out{};
+    const char* end = v->data() + v->size();
+    const auto [stop, ec] = std::from_chars(v->data(), end, out);
+    if (ec != std::errc() || stop != end) {
+      throw UsageError("--" + name + " expects a number in range, got '" +
+                       *v + "'");
+    }
+    return out;
   }
-  double dbl(const std::string& name, double fallback) const {
-    auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+
+ private:
+  const std::string* find(const std::string& name) const {
+    if (std::find(declared.begin(), declared.end(), name) == declared.end()) {
+      throw std::logic_error("dgcli " + command + " reads --" + name +
+                             ", which it does not declare");
+    }
+    const auto it = options.find(name);
+    return it == options.end() ? nullptr : &it->second;
   }
 };
 
-Args parse(int argc, char** argv) {
-  Args a;
-  if (argc < 2) throw std::runtime_error("no command given");
-  a.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) throw std::runtime_error("bad option " + key);
-    key = key.substr(2);
-    // Constructing the std::string up front (rather than assigning the char*
-    // into the map slot) sidesteps a GCC 12 -Wrestrict false positive on the
-    // basic_string::assign(const char*) path at -O3.
-    const char* v = (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                        ? argv[++i]
-                        : "1";  // bare option = boolean flag
-    a.options.insert_or_assign(std::move(key), std::string(v));
-  }
-  return a;
-}
-
 int cmd_make_synth(const Args& a) {
   const std::string kind = a.str("dataset");
-  const int n = static_cast<int>(a.num("n", 500));
-  const uint64_t seed = static_cast<uint64_t>(a.num("seed", 1));
+  const int n = a.num("n", 500);
+  const uint64_t seed = a.num<std::uint64_t>("seed", 1);
   synth::SynthData d;
   if (kind == "wwt") {
     d = synth::make_wwt({.n = n, .seed = seed});
@@ -203,16 +219,16 @@ int cmd_make_synth(const Args& a) {
 
 core::DoppelGangerConfig config_from(const Args& a, const data::Schema& schema) {
   core::DoppelGangerConfig cfg;
-  cfg.sample_len = static_cast<int>(
-      a.num("sample-len", std::max(1, schema.max_timesteps / 28)));
-  cfg.lstm_units = static_cast<int>(a.num("lstm-units", 64));
+  cfg.sample_len =
+      a.num("sample-len", std::max(1, schema.max_timesteps / 28));
+  cfg.lstm_units = a.num("lstm-units", 64);
   cfg.head_hidden = cfg.lstm_units;
-  cfg.disc_hidden = static_cast<int>(a.num("disc-hidden", 128));
+  cfg.disc_hidden = a.num("disc-hidden", 128);
   cfg.disc_layers = 3;
-  cfg.batch = static_cast<int>(a.num("batch", 32));
-  cfg.iterations = static_cast<int>(a.num("iterations", 800));
-  cfg.d_steps = static_cast<int>(a.num("d-steps", 2));
-  cfg.seed = static_cast<uint64_t>(a.num("seed", 0));
+  cfg.batch = a.num("batch", 32);
+  cfg.iterations = a.num("iterations", 800);
+  cfg.d_steps = a.num("d-steps", 2);
+  cfg.seed = a.num<std::uint64_t>("seed", 0);
   cfg.use_minmax_generator = !a.flag("no-minmax");
   cfg.use_aux_discriminator = !a.flag("no-aux");
   return cfg;
@@ -278,8 +294,8 @@ int cmd_train(const Args& a) {
 
 int cmd_generate(const Args& a) {
   auto model = core::load_package_file(a.str("model"));
-  const int n = static_cast<int>(a.num("n", 500));
-  if (a.flag("seed")) model->reseed(static_cast<uint64_t>(a.num("seed", 0)));
+  const int n = a.num("n", 500);
+  if (a.flag("seed")) model->reseed(a.num<std::uint64_t>("seed", 0));
   const data::Dataset out = model->generate(n);
   const std::string format = a.str("format", "csv");
   if (format == "bin") {
@@ -320,11 +336,10 @@ void write_port_file(const Args& a, int port) {
 int cmd_serve(const Args& a) {
   serve::ServiceConfig cfg;
   cfg.package_path = a.str("model");
-  cfg.slots = static_cast<int>(a.num("slots", 32));
-  cfg.engines = static_cast<int>(a.num("engines", 1));
-  cfg.queue_capacity = static_cast<size_t>(a.num("queue", 256));
-  cfg.reload_poll_seconds =
-      static_cast<double>(a.num("poll", 1));  // 0 disables hot reload
+  cfg.slots = a.num("slots", 32);
+  cfg.engines = a.num("engines", 1);
+  cfg.queue_capacity = a.num<std::size_t>("queue", 256);
+  cfg.reload_poll_seconds = a.num("poll", 1.0);  // 0 disables hot reload
   serve::GenerationService service(cfg);
   // Collect spans from the start: a worker only records spans for requests
   // the router stamped (the sampling decision is the router's), so an idle
@@ -332,7 +347,7 @@ int cmd_serve(const Args& a) {
   // (DG_OBS_SPAN_CAP) and drained by the router's `trace` op.
   obs::Trace::start();
   service.start();
-  serve::TcpServer server(service, static_cast<int>(a.num("port", 7788)));
+  serve::TcpServer server(service, a.num("port", 7788));
   server.start();
   write_port_file(a, server.port());
   std::printf("serving %s on 127.0.0.1:%d (%d slots x %d engine%s)\n",
@@ -361,10 +376,10 @@ std::string self_exe_path() {
 
 int cmd_route(const Args& a) {
   serve::shard::RouterConfig rcfg;
-  rcfg.cache_capacity = static_cast<size_t>(a.num("cache", 1024));
-  rcfg.max_inflight_per_worker = static_cast<int>(a.num("max-inflight", 64));
-  rcfg.slo_p99_ms = static_cast<double>(a.num("slo-p99", 0));
-  rcfg.trace_sample_rate = a.dbl("trace-sample", 0.01);
+  rcfg.cache_capacity = a.num<std::size_t>("cache", 1024);
+  rcfg.max_inflight_per_worker = a.num("max-inflight", 64);
+  rcfg.slo_p99_ms = a.num("slo-p99", 0.0);
+  rcfg.trace_sample_rate = a.num("trace-sample", 0.01);
   if (rcfg.trace_sample_rate > 0.0) obs::Trace::start();
 
   std::unique_ptr<serve::shard::WorkerPool> pool;
@@ -375,7 +390,8 @@ int cmd_route(const Args& a) {
     }
     pool = std::make_unique<serve::shard::WorkerPool>(std::move(eps));
   } else {
-    const int replicas = static_cast<int>(a.num("workers", 2));
+    const int replicas = a.num("workers", 2);
+    a.num("poll", 1.0);  // workers get the token as given: refuse it here
     serve::shard::SpawnSpec spec;
     spec.argv = {self_exe_path(),
                  "serve",
@@ -386,9 +402,9 @@ int cmd_route(const Args& a) {
                  "--engines",
                  std::to_string(a.num("engines", 1)),
                  "--queue",
-                 std::to_string(a.num("queue", 256)),
+                 std::to_string(a.num<std::size_t>("queue", 256)),
                  "--poll",
-                 std::to_string(a.num("poll", 1))};
+                 a.str("poll", "1")};
     char scratch[] = "/tmp/dgroute.XXXXXX";
     if (::mkdtemp(scratch) == nullptr) {
       throw std::runtime_error("route: mkdtemp failed for port-file scratch");
@@ -405,7 +421,7 @@ int cmd_route(const Args& a) {
   serve::shard::Router router(*pool, rcfg);
   router.start();
   serve::TcpServer server(router.handler(),
-                          static_cast<int>(a.num("port", 7799)));
+                          a.num("port", 7799));
   server.start();
   write_port_file(a, server.port());
   std::printf("routing on 127.0.0.1:%d across %zu workers:\n", server.port(),
@@ -435,7 +451,7 @@ int cmd_route(const Args& a) {
 /// reply has no process list — its events pass through unrebased).
 int cmd_trace(const Args& a) {
   const std::string host = a.str("host", "127.0.0.1");
-  const int port = static_cast<int>(a.num("port", 7799));
+  const int port = a.num("port", 7799);
   const std::string reply =
       serve::send_line(host, port, "{\"op\":\"trace\"}");
   const serve::json::Value v = serve::json::parse(reply);
@@ -547,11 +563,11 @@ bool parse_number(const std::string& s, float& value) {
 
 serve::GenRequest request_from(const Args& a) {
   serve::GenRequest req;
-  req.id = static_cast<uint64_t>(a.num("id", 1));
-  req.seed = static_cast<uint64_t>(a.num("seed", 0));
-  req.count = static_cast<int>(a.num("n", 1));
-  req.max_len = static_cast<int>(a.num("max-len", 0));
-  req.max_attempts = static_cast<int>(a.num("attempts", 16));
+  req.id = a.num<std::uint64_t>("id", 1);
+  req.seed = a.num<std::uint64_t>("seed", 0);
+  req.count = a.num("n", 1);
+  req.max_len = a.num("max-len", 0);
+  req.max_attempts = a.num("attempts", 16);
   if (a.flag("fixed")) {
     for (const std::string& clause : split_clauses(a.str("fixed"))) {
       const size_t eq = clause.find('=');
@@ -593,7 +609,7 @@ serve::GenRequest request_from(const Args& a) {
 
 int cmd_request(const Args& a) {
   const std::string host = a.str("host", "127.0.0.1");
-  const int port = static_cast<int>(a.num("port", 7788));
+  const int port = a.num("port", 7788);
   if (a.flag("stats")) {
     std::printf("%s\n", serve::send_line(host, port, "{\"op\":\"stats\"}").c_str());
     return 0;
@@ -727,7 +743,7 @@ void print_metric_table(const char* title, const serve::json::Value& reg) {
 /// one-line admission/cache summary — the operator's view of the tier.
 int cmd_stats_router(const Args& a, const serve::json::Value& metrics) {
   const std::string host = a.str("host", "127.0.0.1");
-  const int port = static_cast<int>(a.num("port", 7788));
+  const int port = a.num("port", 7788);
   if (const auto* router = metrics.find("router")) {
     print_metric_table("router metrics", *router);
   }
@@ -779,7 +795,7 @@ int cmd_stats_router(const Args& a, const serve::json::Value& metrics) {
 /// identifies a router, the fleet view.
 int cmd_stats_server(const Args& a) {
   const std::string host = a.str("host", "127.0.0.1");
-  const int port = static_cast<int>(a.num("port", 7788));
+  const int port = a.num("port", 7788);
   const std::string reply =
       serve::send_line(host, port, "{\"op\":\"metrics\"}");
   if (a.flag("json")) {
@@ -825,7 +841,7 @@ int cmd_stats(const Args& a) {
 int cmd_top(const Args& a) {
   const std::string path = a.str("run") + "/metrics.jsonl";
   const bool follow = a.flag("follow");
-  const std::size_t want = static_cast<std::size_t>(a.num("rows", 20));
+  const std::size_t want = a.num<std::size_t>("rows", 20);
 
   const auto print_header = [] {
     std::printf("%8s %9s %9s %9s %9s %9s %9s %9s %8s\n", "iter", "d_loss",
@@ -891,8 +907,8 @@ bool run_gradcheck_item(const char* name, const nn::GradCheckFn& fn,
 int cmd_check(const Args& a) {
   using nn::Matrix;
   using nn::Var;
-  const uint64_t seed = static_cast<uint64_t>(a.num("seed", 17));
-  const int iterations = static_cast<int>(a.num("iterations", 2));
+  const uint64_t seed = a.num<std::uint64_t>("seed", 17);
+  const int iterations = a.num("iterations", 2);
   nn::Rng rng(seed);
   const auto randn = [&rng](int r, int c) {
     Matrix m(r, c);
@@ -1249,31 +1265,110 @@ int cmd_lint(const Args& a) {
                      want_train ? &train : nullptr);
 }
 
-int usage() {
+/// A subcommand and every flag it reads. parse() refuses any other flag, so
+/// a typo such as --confg is an error instead of a silently default run.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"make-synth", cmd_make_synth, {"dataset", "n", "seed", "schema", "out"}},
+      {"train",
+       cmd_train,
+       {"schema", "data", "out", "run-dir", "iterations", "sample-len",
+        "batch", "seed", "no-minmax", "no-aux", "lstm-units", "disc-hidden",
+        "d-steps"}},
+      {"generate", cmd_generate, {"model", "n", "out", "seed", "format"}},
+      {"serve",
+       cmd_serve,
+       {"model", "port", "slots", "engines", "queue", "poll", "port-file"}},
+      {"route",
+       cmd_route,
+       {"model", "endpoints", "workers", "port", "slots", "engines", "queue",
+        "poll", "cache", "max-inflight", "slo-p99", "port-file",
+        "trace-sample"}},
+      {"trace", cmd_trace, {"port", "host", "out"}},
+      {"request",
+       cmd_request,
+       {"port", "host", "id", "n", "seed", "max-len", "attempts", "fixed",
+        "where", "out", "stats", "json", "raw"}},
+      {"stats",
+       cmd_stats,
+       {"schema", "data", "compare", "port", "host", "json"}},
+      {"top", cmd_top, {"run", "follow", "rows"}},
+      {"check", cmd_check, {"seed", "iterations"}},
+      {"lint",
+       cmd_lint,
+       {"package", "schema", "config", "json", "tape", "train",
+        "assume-first-order", "tape-mutate", "train-mutate"}},
+  };
+  return kCommands;
+}
+
+const Command* find_command(std::string_view name) {
+  for (const Command& c : commands()) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+Args parse(int argc, char** argv, const Command& cmd) {
+  Args a;
+  a.command = cmd.name;
+  a.declared = cmd.flags;
+  for (int i = 2; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) throw UsageError("bad option " + key);
+    key = key.substr(2);
+    if (std::find(cmd.flags.begin(), cmd.flags.end(), key) ==
+        cmd.flags.end()) {
+      throw UsageError("unknown option --" + key + " for " + a.command);
+    }
+    // Constructing the std::string up front (rather than assigning the char*
+    // into the map slot) sidesteps a GCC 12 -Wrestrict false positive on the
+    // basic_string::assign(const char*) path at -O3.
+    const char* v = (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+                        ? argv[++i]
+                        : "1";  // bare option = boolean flag
+    a.options.insert_or_assign(std::move(key), std::string(v));
+  }
+  return a;
+}
+
+/// Prints the usage text (with `cmd`'s flags when known) and returns 2.
+int usage(const Command* cmd) {
   std::fprintf(stderr,
                "usage: dgcli <make-synth|train|generate|serve|route|request|"
                "trace|stats|top|check|lint> [options]\n"
                "see the header of tools/dgcli.cpp for the option list\n");
+  if (cmd != nullptr) {
+    std::string flags;
+    for (std::string_view f : cmd->flags) {
+      flags += " --";
+      flags += f;
+    }
+    std::fprintf(stderr, "dgcli %s flags:%s\n",
+                 std::string(cmd->name).c_str(), flags.c_str());
+  }
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Command* cmd = argc < 2 ? nullptr : find_command(argv[1]);
   try {
-    const Args a = parse(argc, argv);
-    if (a.command == "make-synth") return cmd_make_synth(a);
-    if (a.command == "train") return cmd_train(a);
-    if (a.command == "generate") return cmd_generate(a);
-    if (a.command == "serve") return cmd_serve(a);
-    if (a.command == "route") return cmd_route(a);
-    if (a.command == "request") return cmd_request(a);
-    if (a.command == "trace") return cmd_trace(a);
-    if (a.command == "stats") return cmd_stats(a);
-    if (a.command == "top") return cmd_top(a);
-    if (a.command == "check") return cmd_check(a);
-    if (a.command == "lint") return cmd_lint(a);
-    return usage();
+    if (cmd == nullptr) {
+      throw UsageError(argc < 2 ? "no command given"
+                                : "unknown command " + std::string(argv[1]));
+    }
+    return cmd->run(parse(argc, argv, *cmd));
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dgcli: %s\n", e.what());
+    return usage(cmd);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dgcli: %s\n", e.what());
     return 1;
