@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -98,8 +100,7 @@ void Var::set_grad(Matrix g) {
 /// gradient or the op has no backward rule, the result is a plain constant
 /// and the graph edge is dropped.
 Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
-            std::function<std::vector<Var>(const Var&)> backward,
-            OpBounds bounds) {
+            BackwardRule backward, OpBounds bounds) {
   const bool meta = detail::g_meta_mode;
   const char* const op = row.name;
 #ifdef DG_OBS_ENABLED
@@ -179,9 +180,60 @@ std::vector<detail::Node*> topo_order(detail::Node* root) {
   return order;  // children appear after parents when reversed
 }
 
-/// Runs reverse-mode accumulation; returns the full node->grad map.
-std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
-                                                    bool create_graph) {
+/// The nodes whose gradient a backward pass reads. Var::backward requests
+/// every leaf, so there that is every node that requires grad.
+/// autograd::grad requests only its inputs: a node is needed if it is one
+/// of them or one is reachable from it through parents. The set is local to
+/// the pass (two threads may back-propagate through shared leaves), and a
+/// lookup is a binary search over the pass's nodes, so it allocates nothing
+/// per node.
+class NeededSet {
+ public:
+  /// Every node that requires grad.
+  NeededSet() = default;
+
+  /// The nodes of `order` (post-order, parents first) from which an input
+  /// is reachable: one forward sweep sees every parent before its child.
+  NeededSet(const std::vector<detail::Node*>& order,
+            std::span<const Var> inputs)
+      : all_(false), nodes_(order) {
+    std::sort(nodes_.begin(), nodes_.end(), std::less<>{});
+    flags_.assign(nodes_.size(), false);
+    for (detail::Node* n : order) {
+      bool need = std::any_of(inputs.begin(), inputs.end(),
+                              [n](const Var& in) { return in.node() == n; });
+      for (const Var& p : n->parents) need = need || contains(p.node());
+      flags_[index(n)] = need;
+    }
+  }
+
+  bool contains(const detail::Node* n) const {
+    if (n == nullptr || !n->requires_grad) return false;
+    if (all_) return true;
+    const std::size_t i = index(n);
+    return i < nodes_.size() && flags_[i];
+  }
+
+ private:
+  /// Position of `n` in nodes_, or nodes_.size() when absent.
+  std::size_t index(const detail::Node* n) const {
+    const auto it =
+        std::lower_bound(nodes_.begin(), nodes_.end(), n, std::less<>{});
+    return it != nodes_.end() && *it == n
+               ? static_cast<std::size_t>(it - nodes_.begin())
+               : nodes_.size();
+  }
+
+  bool all_ = true;
+  std::vector<detail::Node*> nodes_;  // the pass's nodes, by address
+  std::vector<bool> flags_;           // aligned with nodes_
+};
+
+/// Runs reverse-mode accumulation towards `inputs` (every leaf when
+/// absent); returns the node->grad map of the needed nodes.
+std::unordered_map<detail::Node*, Var> run_backward(
+    const Var& out, bool create_graph,
+    std::optional<std::span<const Var>> inputs) {
   if (!out.defined()) throw std::logic_error("backward on undefined Var");
   if (out.value().rows() != 1 || out.value().cols() != 1) {
     throw std::invalid_argument("backward requires a scalar (1x1) output");
@@ -194,7 +246,15 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
   if (checking) detail::anomaly_count_backward_run();
 
   auto order = topo_order(out.node());
+  const NeededSet needed = inputs ? NeededSet(order, *inputs) : NeededSet();
   grads[out.node()] = constant(Matrix(1, 1, 1.0f));
+
+  // One flag buffer for the whole pass, as wide as the widest node.
+  std::size_t widest = 0;
+  for (const detail::Node* n : order) {
+    widest = std::max(widest, n->parents.size());
+  }
+  const auto needs = std::make_unique<bool[]>(widest);
 
   std::unique_ptr<NoGradGuard> guard;
   if (!create_graph) guard = std::make_unique<NoGradGuard>();
@@ -205,22 +265,29 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
     detail::Node* node = *it;
     auto git = grads.find(node);
     if (git == grads.end() || !node->backward) continue;
+    const std::size_t np = node->parents.size();
+    bool any = false;
+    for (size_t i = 0; i < np; ++i) {
+      needs[i] = needed.contains(node->parents[i].node());
+      any = any || needs[i];
+    }
+    if (!any) continue;  // nothing below this node is read
     const Var gout = git->second;
     std::vector<Var> pgrads;
     {
       detail::BackwardContext ctx(node->op);
-      pgrads = node->backward(gout);
+      pgrads = node->backward(gout, std::span<const bool>(needs.get(), np));
     }
     if (recorder != nullptr) {
       recorder->on_backward(node, gout, create_graph, pgrads);
     }
-    if (pgrads.size() != node->parents.size()) {
+    if (pgrads.size() != np) {
       throw std::logic_error(std::string("backward rule of '") + node->op +
                              "' returned wrong arity");
     }
-    for (size_t i = 0; i < pgrads.size(); ++i) {
+    for (size_t i = 0; i < np; ++i) {
       const Var& parent = node->parents[i];
-      if (!parent.requires_grad() || !pgrads[i].defined()) continue;
+      if (!needs[i] || !pgrads[i].defined()) continue;
       if (checking) {
         detail::anomaly_check_backward_grad(node, i, parent.node(),
                                             pgrads[i].node());
@@ -244,7 +311,7 @@ std::unordered_map<detail::Node*, Var> run_backward(const Var& out,
 }  // namespace
 
 void Var::backward(bool create_graph) const {
-  auto grads = run_backward(*this, create_graph);
+  auto grads = run_backward(*this, create_graph, std::nullopt);
   MetaRecorder* const recorder = g_meta_recorder;
   const bool checking = !detail::g_meta_mode && anomaly_enabled();
   for (auto& [node, g] : grads) {
@@ -264,7 +331,7 @@ void Var::backward(bool create_graph) const {
 namespace autograd {
 std::vector<Var> grad(const Var& out, std::span<const Var> inputs,
                       bool create_graph) {
-  auto grads = run_backward(out, create_graph);
+  auto grads = run_backward(out, create_graph, inputs);
   std::vector<Var> result;
   result.reserve(inputs.size());
   for (const Var& in : inputs) {
@@ -277,61 +344,72 @@ std::vector<Var> grad(const Var& out, std::span<const Var> inputs,
 
 // ---------------------------------------------------------------- ops
 
+namespace {
+/// A rule's per-parent flags (see BackwardRule). Single-parent rules take
+/// them unnamed: the engine runs a rule only when a parent is flagged.
+using Needs = std::span<const bool>;
+}  // namespace
+
 Var add(const Var& a, const Var& b) {
   return make_op(op_def(Op::kAdd), dg::nn::add(a.value(), b.value()), {a, b},
-                 [](const Var& g) { return std::vector<Var>{g, g}; });
+                 [](const Var& g, Needs) { return std::vector<Var>{g, g}; });
 }
 
 Var sub(const Var& a, const Var& b) {
   return make_op(op_def(Op::kSub), dg::nn::sub(a.value(), b.value()), {a, b},
-                 [](const Var& g) { return std::vector<Var>{g, neg(g)}; });
+                 [](const Var& g, Needs needs) {
+                   return std::vector<Var>{g, needs[1] ? neg(g) : Var{}};
+                 });
 }
 
 Var neg(const Var& a) {
   return make_op(op_def(Op::kNeg), dg::nn::mul_scalar(a.value(), -1.0f), {a},
-                 [](const Var& g) { return std::vector<Var>{neg(g)}; });
+                 [](const Var& g, Needs) { return std::vector<Var>{neg(g)}; });
 }
 
 Var mul(const Var& a, const Var& b) {
   return make_op(op_def(Op::kMul), dg::nn::mul(a.value(), b.value()), {a, b},
-                 [a, b](const Var& g) {
-                   return std::vector<Var>{mul(g, b), mul(g, a)};
+                 [a, b](const Var& g, Needs needs) {
+                   return std::vector<Var>{needs[0] ? mul(g, b) : Var{},
+                                           needs[1] ? mul(g, a) : Var{}};
                  });
 }
 
 Var div(const Var& a, const Var& b) {
   return make_op(op_def(Op::kDiv), dg::nn::div(a.value(), b.value()), {a, b},
-                 [a, b](const Var& g) {
-                   Var da = div(g, b);
-                   Var db = neg(div(mul(g, a), mul(b, b)));
+                 [a, b](const Var& g, Needs needs) {
+                   Var da = needs[0] ? div(g, b) : Var{};
+                   Var db = needs[1] ? neg(div(mul(g, a), mul(b, b))) : Var{};
                    return std::vector<Var>{da, db};
                  });
 }
 
 Var add_scalar(const Var& a, float s) {
   return make_op(op_def(Op::kAddScalar), dg::nn::add_scalar(a.value(), s), {a},
-                 [](const Var& g) { return std::vector<Var>{g}; });
+                 [](const Var& g, Needs) { return std::vector<Var>{g}; });
 }
 
 Var mul_scalar(const Var& a, float s) {
   return make_op(op_def(Op::kMulScalar), dg::nn::mul_scalar(a.value(), s), {a},
-                 [s](const Var& g) {
+                 [s](const Var& g, Needs) {
                    return std::vector<Var>{mul_scalar(g, s)};
                  });
 }
 
 Var matmul(const Var& a, const Var& b) {
   return make_op(op_def(Op::kMatmul), dg::nn::matmul(a.value(), b.value()), {a, b},
-                 [a, b](const Var& g) {
-                   Var da = matmul(g, transpose(b));
-                   Var db = matmul(transpose(a), g);
+                 [a, b](const Var& g, Needs needs) {
+                   Var da = needs[0] ? matmul(g, transpose(b)) : Var{};
+                   Var db = needs[1] ? matmul(transpose(a), g) : Var{};
                    return std::vector<Var>{da, db};
                  });
 }
 
 Var transpose(const Var& a) {
   return make_op(op_def(Op::kTranspose), dg::nn::transpose(a.value()), {a},
-                 [](const Var& g) { return std::vector<Var>{transpose(g)}; });
+                 [](const Var& g, Needs) {
+                   return std::vector<Var>{transpose(g)};
+                 });
 }
 
 Var affine(const Var& x, const Var& w, const Var& b) {
@@ -339,10 +417,11 @@ Var affine(const Var& x, const Var& w, const Var& b) {
   // (second-order WGAN-GP flows through the critic's affine layers).
   return make_op(op_def(Op::kAffine),
                  dg::nn::affine(x.value(), w.value(), b.value()), {x, w, b},
-                 [x, w](const Var& g) {
-                   return std::vector<Var>{matmul(g, transpose(w)),
-                                           matmul(transpose(x), g),
-                                           col_sum(g)};
+                 [x, w](const Var& g, Needs needs) {
+                   return std::vector<Var>{
+                       needs[0] ? matmul(g, transpose(w)) : Var{},
+                       needs[1] ? matmul(transpose(x), g) : Var{},
+                       needs[2] ? col_sum(g) : Var{}};
                  });
 }
 
@@ -352,39 +431,37 @@ Var lstm_gates(const Var& x, const Var& wx, const Var& h, const Var& wh,
       op_def(Op::kLstmGates),
       dg::nn::lstm_gates(x.value(), wx.value(), h.value(), wh.value(),
                          b.value()),
-      {x, wx, h, wh, b}, [x, wx, h, wh](const Var& g) {
-        return std::vector<Var>{matmul(g, transpose(wx)),
-                                matmul(transpose(x), g),
-                                matmul(g, transpose(wh)),
-                                matmul(transpose(h), g), col_sum(g)};
+      {x, wx, h, wh, b}, [x, wx, h, wh](const Var& g, Needs needs) {
+        return std::vector<Var>{needs[0] ? matmul(g, transpose(wx)) : Var{},
+                                needs[1] ? matmul(transpose(x), g) : Var{},
+                                needs[2] ? matmul(g, transpose(wh)) : Var{},
+                                needs[3] ? matmul(transpose(h), g) : Var{},
+                                needs[4] ? col_sum(g) : Var{}};
       });
 }
 
 Var add_rowvec(const Var& x, const Var& b) {
   return make_op(op_def(Op::kAddRowvec),
                  dg::nn::add_rowvec(x.value(), b.value()), {x, b},
-                 [](const Var& g) {
-                   return std::vector<Var>{g, col_sum(g)};
+                 [](const Var& g, Needs needs) {
+                   return std::vector<Var>{g, needs[1] ? col_sum(g) : Var{}};
                  });
 }
 
 Var add_colvec(const Var& x, const Var& v) {
-  // The column vector is usually a constant (softmax's shift): its
-  // gradient is only computed when something upstream needs it.
-  const bool v_needs = v.requires_grad();
   return make_op(op_def(Op::kAddColvec),
                  dg::nn::add_colvec(x.value(), v.value()), {x, v},
-                 [v_needs](const Var& g) {
-                   return std::vector<Var>{g, v_needs ? row_sum(g) : Var{}};
+                 [](const Var& g, Needs needs) {
+                   return std::vector<Var>{g, needs[1] ? row_sum(g) : Var{}};
                  });
 }
 
 Var mul_colvec(const Var& x, const Var& v) {
   return make_op(op_def(Op::kMulColvec),
                  dg::nn::mul_colvec(x.value(), v.value()), {x, v},
-                 [x, v](const Var& g) {
-                   Var dx = mul_colvec(g, v);
-                   Var dv = row_sum(mul(g, x));
+                 [x, v](const Var& g, Needs needs) {
+                   Var dx = needs[0] ? mul_colvec(g, v) : Var{};
+                   Var dv = needs[1] ? row_sum(mul(g, x)) : Var{};
                    return std::vector<Var>{dx, dv};
                  });
 }
@@ -392,9 +469,9 @@ Var mul_colvec(const Var& x, const Var& v) {
 Var mul_rowvec(const Var& x, const Var& m) {
   return make_op(op_def(Op::kMulRowvec),
                  dg::nn::mul_rowvec(x.value(), m.value()), {x, m},
-                 [x, m](const Var& g) {
-                   Var dx = mul_rowvec(g, m);
-                   Var dm = col_sum(mul(g, x));
+                 [x, m](const Var& g, Needs needs) {
+                   Var dx = needs[0] ? mul_rowvec(g, m) : Var{};
+                   Var dm = needs[1] ? col_sum(mul(g, x)) : Var{};
                    return std::vector<Var>{dx, dm};
                  });
 }
@@ -406,13 +483,13 @@ Var broadcast_scalar(const Var& s, int rows, int cols) {
   // A shape-only (meta) scalar has no value to broadcast.
   const float v = s.value().empty() ? 0.0f : s.value().at(0, 0);
   return make_op(op_def(Op::kBroadcastScalar), Matrix(rows, cols, v), {s},
-                 [](const Var& g) { return std::vector<Var>{sum(g)}; });
+                 [](const Var& g, Needs) { return std::vector<Var>{sum(g)}; });
 }
 
 Var row_sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
   return make_op(op_def(Op::kRowSum), dg::nn::row_sum(a.value()), {a},
-                 [n, d](const Var& g) {
+                 [n, d](const Var& g, Needs) {
                    return std::vector<Var>{mul_colvec(ones(n, d), g)};
                  });
 }
@@ -420,7 +497,7 @@ Var row_sum(const Var& a) {
 Var col_sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
   return make_op(op_def(Op::kColSum), dg::nn::col_sum(a.value()), {a},
-                 [n, d](const Var& g) {
+                 [n, d](const Var& g, Needs) {
                    return std::vector<Var>{add_rowvec(zeros(n, d), g)};
                  });
 }
@@ -428,7 +505,7 @@ Var col_sum(const Var& a) {
 Var sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
   return make_op(op_def(Op::kSum), Matrix(1, 1, dg::nn::sum(a.value())), {a},
-                 [n, d](const Var& g) {
+                 [n, d](const Var& g, Needs) {
                    return std::vector<Var>{broadcast_scalar(g, n, d)};
                  });
 }
@@ -459,7 +536,7 @@ Var relu(const Var& a) {
                });
   // The mask is locally constant, so it is correct to treat it as data.
   return make_op(op_def(Op::kRelu), std::move(out), {a},
-                 [m = std::move(mask)](const Var& g) {
+                 [m = std::move(mask)](const Var& g, Needs) {
                    return std::vector<Var>{mul(g, constant(m))};
                  });
 }
@@ -469,7 +546,7 @@ Var tanh_(const Var& a) {
   Matrix out = map_ew(*row.ew, a.value());
   // Recompute tanh(a) in the backward pass instead of capturing the output
   // Var (which would create a shared_ptr cycle node->backward->node).
-  return make_op(row, std::move(out), {a}, [a](const Var& g) {
+  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
     Var y = tanh_(a);
     return std::vector<Var>{mul(g, add_scalar(neg(square(y)), 1.0f))};
   });
@@ -478,7 +555,7 @@ Var tanh_(const Var& a) {
 Var sigmoid(const Var& a) {
   const OpDef& row = op_def(Op::kSigmoid);
   Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g) {
+  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
     Var s = sigmoid(a);
     return std::vector<Var>{mul(g, mul(s, add_scalar(neg(s), 1.0f)))};
   });
@@ -487,7 +564,7 @@ Var sigmoid(const Var& a) {
 Var exp_(const Var& a) {
   const OpDef& row = op_def(Op::kExp);
   Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g) {
+  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
     return std::vector<Var>{mul(g, exp_(a))};
   });
 }
@@ -495,7 +572,7 @@ Var exp_(const Var& a) {
 Var log_(const Var& a) {
   const OpDef& row = op_def(Op::kLog);
   Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g) {
+  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
     return std::vector<Var>{div(g, a)};
   });
 }
@@ -503,14 +580,14 @@ Var log_(const Var& a) {
 Var sqrt_(const Var& a) {
   const OpDef& row = op_def(Op::kSqrt);
   Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g) {
+  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
     return std::vector<Var>{mul_scalar(div(g, sqrt_(a)), 0.5f)};
   });
 }
 
 Var square(const Var& a) {
   return make_op(op_def(Op::kSquare), dg::nn::mul(a.value(), a.value()), {a},
-                 [a](const Var& g) {
+                 [a](const Var& g, Needs) {
                    return std::vector<Var>{mul_scalar(mul(g, a), 2.0f)};
                  });
 }
@@ -528,7 +605,7 @@ Var abs_(const Var& a) {
                  }
                });
   return make_op(row, std::move(out), {a},
-                 [s = std::move(sign)](const Var& g) {
+                 [s = std::move(sign)](const Var& g, Needs) {
                    return std::vector<Var>{mul(g, constant(s))};
                  });
 }
@@ -538,7 +615,7 @@ Var recip(const Var& a) {
   // of ones (g * 1 == g), in the same op order, so its bytes match the ones
   // div(ones, a) backpropagates.
   const OpDef& row = op_def(Op::kRecip);
-  return make_op(row, map_ew(*row.ew, a.value()), {a}, [a](const Var& g) {
+  return make_op(row, map_ew(*row.ew, a.value()), {a}, [a](const Var& g, Needs) {
     return std::vector<Var>{neg(div(g, mul(a, a)))};
   });
 }
@@ -554,11 +631,13 @@ Var concat_cols(std::span<const Var> parts) {
     widths.push_back(p.cols());
   }
   return make_op(op_def(Op::kConcatCols), dg::nn::concat_cols(mats),
-                 std::move(parents), [widths](const Var& g) {
+                 std::move(parents), [widths](const Var& g, Needs needs) {
                    std::vector<Var> out;
                    int off = 0;
-                   for (int w : widths) {
-                     out.push_back(slice_cols(g, off, off + w));
+                   for (size_t i = 0; i < widths.size(); ++i) {
+                     const int w = widths[i];
+                     out.push_back(needs[i] ? slice_cols(g, off, off + w)
+                                            : Var{});
                      off += w;
                    }
                    return out;
@@ -575,11 +654,13 @@ Var concat_rows(std::span<const Var> parts) {
     heights.push_back(p.rows());
   }
   return make_op(op_def(Op::kConcatRows), dg::nn::concat_rows(mats),
-                 std::move(parents), [heights](const Var& g) {
+                 std::move(parents), [heights](const Var& g, Needs needs) {
                    std::vector<Var> out;
                    int off = 0;
-                   for (int h : heights) {
-                     out.push_back(slice_rows(g, off, off + h));
+                   for (size_t i = 0; i < heights.size(); ++i) {
+                     const int h = heights[i];
+                     out.push_back(needs[i] ? slice_rows(g, off, off + h)
+                                            : Var{});
                      off += h;
                    }
                    return out;
@@ -589,7 +670,7 @@ Var concat_rows(std::span<const Var> parts) {
 Var slice_cols(const Var& a, int c0, int c1) {
   const int total = a.cols();
   return make_op(op_def(Op::kSliceCols), dg::nn::slice_cols(a.value(), c0, c1), {a},
-                 [c0, c1, total](const Var& g) {
+                 [c0, c1, total](const Var& g, Needs) {
                    return std::vector<Var>{pad_cols(g, c0, total - c1)};
                  },
                  {c0, c1});
@@ -598,7 +679,7 @@ Var slice_cols(const Var& a, int c0, int c1) {
 Var slice_rows(const Var& a, int r0, int r1) {
   const int total = a.rows();
   return make_op(op_def(Op::kSliceRows), dg::nn::slice_rows(a.value(), r0, r1), {a},
-                 [r0, r1, total](const Var& g) {
+                 [r0, r1, total](const Var& g, Needs) {
                    return std::vector<Var>{pad_rows(g, r0, total - r1)};
                  },
                  {r0, r1});
@@ -622,7 +703,9 @@ Var pad_cols(const Var& a, int left, int right) {
   const int c0 = left, c1 = left + m.cols();
   return make_op(
       op_def(Op::kPadCols), std::move(out), {a},
-      [c0, c1](const Var& g) { return std::vector<Var>{slice_cols(g, c0, c1)}; },
+      [c0, c1](const Var& g, Needs) {
+        return std::vector<Var>{slice_cols(g, c0, c1)};
+      },
       {left, right});
 }
 
@@ -636,7 +719,9 @@ Var pad_rows(const Var& a, int top, int bottom) {
   const int r0 = top, r1 = top + m.rows();
   return make_op(
       op_def(Op::kPadRows), std::move(out), {a},
-      [r0, r1](const Var& g) { return std::vector<Var>{slice_rows(g, r0, r1)}; },
+      [r0, r1](const Var& g, Needs) {
+        return std::vector<Var>{slice_rows(g, r0, r1)};
+      },
       {top, bottom});
 }
 

@@ -29,6 +29,19 @@ namespace dg::nn {
 
 class Var;
 
+/// A backward rule: maps a node's output-gradient to one gradient per
+/// parent, aligned with its parents. `needs[i]` says whether the running
+/// backward pass reads parent i's gradient: false for a constant, a frozen
+/// leaf, or (under autograd::grad) a parent from which no requested input
+/// is reachable. A rule builds no op for an unflagged parent: it returns an
+/// undefined Var there (or the output-gradient itself, which costs
+/// nothing), and the engine drops whatever it returns for that parent. A
+/// flagged gradient is built by the same ops in the same order whatever the
+/// other flags say, so the flags change which nodes exist, never the bytes
+/// of a gradient that is read.
+using BackwardRule = std::function<std::vector<Var>(
+    const Var& gout, std::span<const bool> needs)>;
+
 /// Integer attributes an op carries beyond its operands: the [lo, hi)
 /// bounds of slice_cols/slice_rows and the (lo, hi) padding of
 /// pad_cols/pad_rows. Zero for every other op.
@@ -51,9 +64,9 @@ struct Node {
   /// anomaly checker (nn/check.h) for attribution.
   const char* op = "leaf";
   std::vector<Var> parents;
-  /// Maps this node's output-gradient to per-parent gradients (aligned with
-  /// `parents`; an undefined Var means "no gradient for this parent").
-  std::function<std::vector<Var>(const Var& gout)> backward;
+  /// This node's backward rule (an undefined Var in its result means "no
+  /// gradient for this parent"); empty for leaves and constants.
+  BackwardRule backward;
   /// Accumulated gradient for leaf nodes, populated by backward().
   std::shared_ptr<Node> grad_slot;
   /// Meta mode only: a MetaRecorder's handle for this node, meaningful
@@ -108,20 +121,19 @@ class Var {
 
  private:
   friend Var make_op(const OpDef& row, Matrix value,
-                     std::vector<Var> parents,
-                     std::function<std::vector<Var>(const Var&)> backward,
+                     std::vector<Var> parents, BackwardRule backward,
                      OpBounds bounds);
   std::shared_ptr<detail::Node> n_;
 };
 
 /// The extension point every op below is built on: wraps `value` in a graph
 /// node named after its op's row (nn/ops.h) whose backward rule maps the
-/// output-gradient to per-parent gradients. If grad mode is off, no parent
+/// output-gradient to per-parent gradients, building only those its `needs`
+/// flags ask for (see BackwardRule). If grad mode is off, no parent
 /// requires grad, or the op has no backward rule (nullptr), parents and the
 /// rule are dropped and the result is a constant.
 Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
-            std::function<std::vector<Var>(const Var&)> backward,
-            OpBounds bounds = {});
+            BackwardRule backward, OpBounds bounds = {});
 
 /// RAII: installs a thread-local observer notified of every op node this
 /// thread records (op name + result dims), nested-guard safe; silent under
@@ -152,7 +164,8 @@ class MetaRecorder {
   virtual void on_node(const detail::Node* node, std::span<const Var> parents,
                        OpBounds bounds) = 0;
   /// The backward pass reached `node` with output gradient `gout`, and the
-  /// op's real backward rule returned `grads` (one per parent). The
+  /// op's real backward rule returned `grads` (one per parent, undefined
+  /// for each parent the pass does not read; see BackwardRule). The
   /// recorder may rewrite or drop entries before the engine accumulates
   /// them; in particular it drops any gradient whose shape disagrees with
   /// its parent's, which the engine would otherwise throw on.
@@ -267,6 +280,8 @@ Var row_l2_norm(const Var& a, float eps = 1e-12f);
 namespace autograd {
 /// Gradients of scalar `out` w.r.t. `inputs`, without touching any leaf's
 /// grad() slot. With create_graph=true the results are differentiable.
+/// Only nodes from which a requested input is reachable are expanded, so
+/// e.g. a critic's gradient w.r.t. its input builds no weight gradients.
 std::vector<Var> grad(const Var& out, std::span<const Var> inputs,
                       bool create_graph = false);
 }  // namespace autograd

@@ -1,6 +1,7 @@
 #include "nn/optim.h"
 
 #include <cmath>
+#include <span>
 
 namespace dg::nn {
 
@@ -41,12 +42,23 @@ void Adam::zero_grad() {
   for (Var& p : params_) p.clear_grad();
 }
 
+namespace {
+/// `total` plus the squares of `xs`, in order. Out of line on purpose:
+/// global_grad_norm's sum is live across its Var::grad() calls, which
+/// clobber every XMM register, so GCC keeps it on the stack; inlined, this
+/// loop would store and reload it for every element.
+[[gnu::noinline]] double add_squares(double total, std::span<const float> xs) {
+  for (float v : xs) total += static_cast<double>(v) * v;
+  return total;
+}
+}  // namespace
+
 float global_grad_norm(const std::vector<Var>& params) {
   double total = 0.0;
   for (const Var& p : params) {
     Var g = p.grad();
     if (!g.defined()) continue;
-    for (float v : g.value().flat()) total += static_cast<double>(v) * v;
+    total = add_squares(total, g.value().flat());
   }
   return static_cast<float>(std::sqrt(total));
 }

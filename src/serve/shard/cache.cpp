@@ -14,6 +14,23 @@ std::string cache_key(const std::string& package_hash, const GenRequest& req) {
   return package_hash + "\n" + json::dump(request_to_json(canonical));
 }
 
+bool reply_cacheable(std::string_view reply, std::string_view fleet_hash) {
+  if (fleet_hash.empty()) return false;
+  const std::string_view header = reply.substr(0, reply.find("\"objects\":"));
+  if (header.find("\"ok\":true") == std::string_view::npos ||
+      header.find("\"complete\":true") == std::string_view::npos) {
+    return false;
+  }
+  constexpr std::string_view kHash = "\"package_hash\":\"";
+  const std::size_t p = header.find(kHash);
+  if (p == std::string_view::npos) return false;
+  const std::size_t start = p + kHash.size();
+  // package_hash is bare hex, never escaped.
+  const std::size_t end = header.find('"', start);
+  return end != std::string_view::npos &&
+         header.substr(start, end - start) == fleet_hash;
+}
+
 std::string rewrite_reply_id(const std::string& reply, std::uint64_t id) {
   static constexpr const char kPrefix[] = "{\"id\":";
   constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;

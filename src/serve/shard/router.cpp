@@ -23,27 +23,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Field scans over a worker reply, used instead of a DOM parse on the
-// generate hot path: the reply carries count*len*k series floats and
-// parsing all of them to read three scalar fields costs more than the
-// routing itself. Sound because the reply is our own serializer's output,
-// which escapes '"' inside string values — a bare `"key":` byte sequence
-// can therefore only be an actual key.
-bool scan_bool_true(const std::string& reply, const char* key) {
-  return reply.find(std::string("\"") + key + "\":true") != std::string::npos;
-}
-
-std::string scan_string_field(const std::string& reply, const char* key) {
-  const std::string pat = std::string("\"") + key + "\":\"";
-  const std::size_t p = reply.find(pat);
-  if (p == std::string::npos) return {};
-  const std::size_t start = p + pat.size();
-  // package_hash is bare hex, never escaped.
-  const std::size_t end = reply.find('"', start);
-  if (end == std::string::npos) return {};
-  return reply.substr(start, end - start);
-}
-
 }  // namespace
 
 std::size_t shard_of(std::uint64_t seed, std::size_t n) {
@@ -238,9 +217,7 @@ std::string Router::handle_generate(const json::Value& req_json,
   // must not replay to a later cache-hit client.
   if (cfg_.cache_capacity > 0 && !sampled) {
     const std::string fleet = health_.fleet_hash();
-    if (!fleet.empty() && scan_bool_true(reply, "ok") &&
-        scan_bool_true(reply, "complete") &&
-        scan_string_field(reply, "package_hash") == fleet) {
+    if (reply_cacheable(reply, fleet)) {
       if (cache_.insert(cache_key(fleet, req), reply)) {
         cache_evictions_.add(1);
       }

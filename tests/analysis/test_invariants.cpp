@@ -43,11 +43,11 @@ struct Pinned {
 
 const Pinned kPinned[] = {
     {"wwt", 30, 140, 4472, 1737,
-     {{"affine", 164}, {"col_sum", 130}, {"lstm_gates", 56},
-      {"matmul", 336}, {"row_sum", 1131}, {"sum", 10}}},
+     {{"affine", 164}, {"col_sum", 110}, {"lstm_gates", 56},
+      {"matmul", 308}, {"row_sum", 1130}, {"sum", 10}}},
     {"gcut", 25, 100, 4396, 487,
-     {{"affine", 92}, {"col_sum", 76}, {"lstm_gates", 20},
-      {"matmul", 192}, {"row_sum", 205}, {"sum", 10}}},
+     {{"affine", 92}, {"col_sum", 56}, {"lstm_gates", 20},
+      {"matmul", 164}, {"row_sum", 204}, {"sum", 10}}},
 };
 
 std::string example_path(const char* name, const char* ext) {

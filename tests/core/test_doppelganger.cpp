@@ -457,29 +457,39 @@ TEST(DoppelGanger, PreflightFailureRestoresCallersFpMode) {
 
 TEST(DoppelGanger, FlushedTrainingIsThreadAndTierInvariant) {
   const auto d = narrow_wwt_data();
+  DoppelGangerConfig dp_cfg = narrow_wwt_config();
+  dp_cfg.dp = DpOptions{
+      .clip_norm = 1.0f, .noise_multiplier = 1.0f, .microbatches = 4};
   const nn::simd::Tier tier = nn::simd::active_tier();
   const int threads = nn::num_threads();
-  std::string reference;
-  for (const auto t : {nn::simd::Tier::kScalar, nn::simd::Tier::kAvx2}) {
-    if (!nn::simd::set_simd_tier(t)) continue;  // no avx2 on this host
-    for (const int n : {1, 4}) {
-      nn::set_num_threads(n);
-      // Spawn the workers outside training, under gradual underflow, as an
-      // earlier generate() would: training must still flush on all of them.
-      nn::matmul(nn::Matrix(64, 256, 1.0f), nn::Matrix(256, 64, 1.0f));
-      DoppelGanger model(d.schema, narrow_wwt_config());
-      model.fit_more(d.data, 1);
-      // Parameters and grad slots: a worker that did not flush would leave
-      // subnormals in the grad slots of its rows even where Adam, flushing
-      // on the caller, reads them as zeros.
-      std::ostringstream bytes;
-      model.save(bytes);
-      const std::vector<float> grads = grad_entries(model);
-      bytes.write(reinterpret_cast<const char*>(grads.data()),
-                  static_cast<std::streamsize>(grads.size() * sizeof(float)));
-      if (reference.empty()) reference = bytes.str();
-      EXPECT_TRUE(bytes.str() == reference)
-          << nn::simd::tier_name(t) << " tier at " << n << " threads";
+  for (const DoppelGangerConfig& cfg : {narrow_wwt_config(), dp_cfg}) {
+    SCOPED_TRACE(cfg.dp ? "DP-SGD" : "WGAN-GP");
+    std::string reference;
+    for (const auto t : {nn::simd::Tier::kScalar, nn::simd::Tier::kAvx2}) {
+      if (!nn::simd::set_simd_tier(t)) continue;  // no avx2 on this host
+      for (const int n : {1, 4}) {
+        nn::set_num_threads(n);
+        // Spawn the workers outside training, under gradual underflow, as an
+        // earlier generate() would: training must still flush on all of
+        // them.
+        nn::matmul(nn::Matrix(64, 256, 1.0f), nn::Matrix(256, 64, 1.0f));
+        DoppelGanger model(d.schema, cfg);
+        const TrainStats st = model.fit_more(d.data, 1);
+        // Parameters and grad slots: a worker that did not flush would
+        // leave subnormals in the grad slots of its rows even where Adam,
+        // flushing on the caller, reads them as zeros. d_grad_norm is
+        // global_grad_norm's output, the sum DP clipping runs per microbatch.
+        std::ostringstream bytes;
+        model.save(bytes);
+        const std::vector<float> grads = grad_entries(model);
+        for (const std::vector<float>* v : {&grads, &st.d_grad_norm}) {
+          bytes.write(reinterpret_cast<const char*>(v->data()),
+                      static_cast<std::streamsize>(v->size() * sizeof(float)));
+        }
+        if (reference.empty()) reference = bytes.str();
+        EXPECT_TRUE(bytes.str() == reference)
+            << nn::simd::tier_name(t) << " tier at " << n << " threads";
+      }
     }
   }
   nn::simd::set_simd_tier(tier);

@@ -4,7 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <map>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
@@ -488,6 +494,141 @@ TEST(AutogradOps, ElementwiseRowKernelIsTheForward) {
     EXPECT_EQ(rows_checked, 14);
   }
   simd::set_simd_tier(prev);
+}
+
+// ---- backward builds only the gradients it reads ---------------------------
+
+/// Counts the op nodes each named op gets while `fn` runs.
+template <class Fn>
+std::map<std::string, int> op_census(Fn&& fn) {
+  std::map<std::string, int> counts;
+  OpObserverGuard obs([&](const char* op, int, int) { ++counts[op]; });
+  fn();
+  return counts;
+}
+
+TEST(AutogradNeeds, ConstantOperandGetsNoGradient) {
+  const Var x = constant(rand_mat(4, 3, 1));
+  const Var w(rand_mat(3, 2, 2), true);
+  const auto counts = op_census([&] { sum(matmul(x, w)).backward(); });
+  // The forward matmul and w's xᵀg; x's g·wᵀ (and wᵀ) is never built.
+  EXPECT_EQ(counts.at("matmul"), 2);
+  EXPECT_EQ(counts.at("transpose"), 1);
+  EXPECT_TRUE(w.grad().defined());
+  EXPECT_FALSE(x.grad().defined());
+}
+
+TEST(AutogradNeeds, FrozenMlpBuildsOnlyInputGradients) {
+  Rng rng(3);
+  const Mlp mlp(5, 2, 7, 2, rng);  // three affine layers
+  const Var x(rand_mat(4, 5, 4), true);
+  const Var loss = sum(mlp.forward(x));
+  const FreezeGuard freeze(mlp);
+  const auto counts = op_census([&] { loss.backward(); });
+  EXPECT_EQ(counts.count("col_sum"), 0u);
+  EXPECT_EQ(counts.at("matmul"), 3);  // g·Wᵀ per layer, no dW
+  EXPECT_TRUE(x.grad().defined());
+  for (const Var& p : mlp.parameters()) EXPECT_FALSE(p.grad().defined());
+}
+
+TEST(AutogradNeeds, InputGradientSkipsWeightGradients) {
+  Rng rng(5);
+  const Mlp mlp(5, 2, 7, 2, rng);  // parameters require grad, unrequested
+  const Var x(rand_mat(4, 5, 6), true);
+  const Var out = sum(mlp.forward(x));
+  std::vector<int> matmul_rows;
+  int col_sums = 0;
+  std::vector<Var> g;
+  {
+    OpObserverGuard obs([&](const char* op, int rows, int) {
+      if (std::strcmp(op, "matmul") == 0) matmul_rows.push_back(rows);
+      if (std::strcmp(op, "col_sum") == 0) ++col_sums;
+    });
+    g = autograd::grad(out, std::vector<Var>{x}, /*create_graph=*/true);
+  }
+  ASSERT_TRUE(g[0].defined());
+  EXPECT_EQ(col_sums, 0);
+  // One g·Wᵀ per layer, each [batch, fan-in]; an xᵀg is [fan-in, fan-out].
+  EXPECT_EQ(matmul_rows, (std::vector<int>{4, 4, 4}));
+}
+
+/// One multi-parent op over leaves of the given shapes.
+struct MultiParentCase {
+  const char* name;
+  std::vector<std::pair<int, int>> shapes;
+  std::function<Var(const std::vector<Var>&)> op;
+};
+
+std::vector<MultiParentCase> multi_parent_cases() {
+  std::vector<MultiParentCase> cases = {
+      {"add", {{3, 4}, {3, 4}}, [](const auto& v) { return add(v[0], v[1]); }},
+      {"sub", {{3, 4}, {3, 4}}, [](const auto& v) { return sub(v[0], v[1]); }},
+      {"mul", {{3, 4}, {3, 4}}, [](const auto& v) { return mul(v[0], v[1]); }},
+      {"div", {{3, 4}, {3, 4}}, [](const auto& v) { return div(v[0], v[1]); }},
+      {"matmul", {{3, 4}, {4, 5}},
+       [](const auto& v) { return matmul(v[0], v[1]); }},
+      {"affine", {{3, 4}, {4, 5}, {1, 5}},
+       [](const auto& v) { return affine(v[0], v[1], v[2]); }},
+      {"lstm_gates", {{3, 4}, {4, 8}, {3, 2}, {2, 8}, {1, 8}},
+       [](const auto& v) { return lstm_gates(v[0], v[1], v[2], v[3], v[4]); }},
+      {"add_rowvec", {{3, 4}, {1, 4}},
+       [](const auto& v) { return add_rowvec(v[0], v[1]); }},
+      {"add_colvec", {{3, 4}, {3, 1}},
+       [](const auto& v) { return add_colvec(v[0], v[1]); }},
+      {"mul_colvec", {{3, 4}, {3, 1}},
+       [](const auto& v) { return mul_colvec(v[0], v[1]); }},
+      {"mul_rowvec", {{3, 4}, {1, 4}},
+       [](const auto& v) { return mul_rowvec(v[0], v[1]); }},
+      {"concat_rows", {{1, 3}, {2, 3}, {3, 3}},
+       [](const auto& v) { return concat_rows(v); }},
+  };
+  // More parts than a 64-bit mask holds, of varying widths.
+  MultiParentCase wide{"concat_cols", {}, [](const auto& v) {
+                         return concat_cols(v);
+                       }};
+  for (int i = 0; i < 70; ++i) wide.shapes.push_back({3, 1 + i % 3});
+  cases.push_back(std::move(wide));
+  return cases;
+}
+
+TEST(AutogradNeeds, SingleInputGradientIsBitwiseTheFullOne) {
+  const std::vector<MultiParentCase> cases = multi_parent_cases();
+  std::set<std::string> covered;
+  for (const MultiParentCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    covered.insert(c.name);
+    std::vector<Var> leaves;
+    std::uint64_t seed = 10;
+    for (const auto& [r, cols] : c.shapes) {
+      // Away from zero, so div's divisor is safe.
+      leaves.emplace_back(rand_mat(r, cols, seed++, 0.5, 1.5), true);
+    }
+    const Var y = c.op(leaves);
+    // A non-uniform output weighting, so every gradient entry differs.
+    const Var out = sum(mul(y, constant(rand_mat(y.rows(), y.cols(), 99))));
+    for (const bool create_graph : {false, true}) {
+      SCOPED_TRACE(create_graph ? "create_graph" : "first order");
+      const std::vector<Var> all = autograd::grad(out, leaves, create_graph);
+      ASSERT_EQ(all.size(), leaves.size());
+      for (size_t i = 0; i < leaves.size(); ++i) {
+        const Var one =
+            autograd::grad(out, std::span(&leaves[i], 1), create_graph)[0];
+        ASSERT_TRUE(one.defined()) << "parent " << i;
+        ASSERT_TRUE(all[i].defined()) << "parent " << i;
+        ASSERT_TRUE(one.value().same_shape(leaves[i].value())) << "parent " << i;
+        ASSERT_TRUE(one.value().same_shape(all[i].value())) << "parent " << i;
+        EXPECT_EQ(std::memcmp(one.value().data(), all[i].value().data(),
+                              one.value().size() * sizeof(float)),
+                  0)
+            << "parent " << i;
+      }
+    }
+  }
+  // Every multi-parent row of the op table has a case.
+  for (const OpDef& row : op_table()) {
+    if (row.max_arity == 1 || row.max_arity == 0) continue;
+    EXPECT_EQ(covered.count(row.name), 1u) << row.name;
+  }
 }
 
 }  // namespace

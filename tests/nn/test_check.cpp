@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,7 +90,7 @@ TEST(AnomalyGuard, DeliberateNanInBackwardRuleIsAttributed) {
   AnomalyGuard guard;
   Var x(filled(1, 3, 1.0f), true);
   Var bad = make_op(custom_row("bad_rule"), Matrix(x.value()), {x},
-                    [](const Var& g) {
+                    [](const Var& g, std::span<const bool>) {
                       Matrix m(g.rows(), g.cols(), kNan);
                       return std::vector<Var>{Var(std::move(m), false)};
                     });
@@ -103,7 +104,7 @@ TEST(AnomalyGuard, BackwardShapeMismatchIsAttributed) {
   AnomalyGuard guard;
   Var x(filled(2, 3, 1.0f), true);
   Var bad = make_op(custom_row("bad_shape"), Matrix(1, 1, 1.0f), {x},
-                    [](const Var& g) {
+                    [](const Var& g, std::span<const bool>) {
                       // 1x1 gradient for a 2x3 parent
                       return std::vector<Var>{g};
                     });
@@ -187,7 +188,7 @@ TEST(AnomalyGuard, TapeLeakAuditDetectsBackwardClosureCycle) {
     // A backward closure capturing its own output Var is a shared_ptr
     // cycle: node -> backward -> node. The graph can never be freed.
     Var out = make_op(custom_row("leaky"), Matrix(1, 1, 2.0f), {x}, nullptr);
-    out.node()->backward = [out](const Var& g) {
+    out.node()->backward = [out](const Var& g, std::span<const bool>) {
       return std::vector<Var>{g};
     };
     ASSERT_GT(guard.leaked_nodes(), 0u);  // alive, as expected, in scope
@@ -263,7 +264,7 @@ TEST(GradCheckLibrary, StructuredResultReportsWorstElement) {
   const auto wrong = gradcheck(
       [](const std::vector<Var>& v) {
         Var bad = make_op(custom_row("wrong_rule"), Matrix(v[0].value()),
-                          {v[0]}, [](const Var& g) {
+                          {v[0]}, [](const Var& g, std::span<const bool>) {
                             return std::vector<Var>{mul_scalar(g, 3.0f)};
                           });
         return sum(bad);

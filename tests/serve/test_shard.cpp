@@ -206,6 +206,74 @@ TEST(GenCacheUnit, RewriteReplyId) {
   EXPECT_EQ(json::parse(odd).number_or("id", -1), 9.0);
 }
 
+/// The DOM parser's reading of reply_cacheable's decision.
+bool parsed_cacheable(const std::string& reply, const std::string& fleet) {
+  const json::Value v = json::parse(reply);
+  return !fleet.empty() && v.bool_or("ok", false) &&
+         v.bool_or("complete", false) &&
+         v.string_or("package_hash", "") == fleet;
+}
+
+TEST(GenCacheUnit, ReplyCacheableAgreesWithTheParser) {
+  const std::string fleet = "00c0ffee12345678";
+  // Schemas whose attribute names are reply fields, labelled with the
+  // fleet hash and "true": entries of the objects that byte-match a field.
+  std::vector<data::Schema> schemas(4);
+  const auto attribute = [](std::string name, std::vector<std::string> labels) {
+    data::FieldSpec f;
+    f.name = std::move(name);
+    f.type = data::FieldType::Categorical;
+    f.n_categories = static_cast<int>(labels.size());
+    f.labels = std::move(labels);
+    return f;
+  };
+  schemas[1].attributes = {attribute("package_hash", {fleet, "x"})};
+  schemas[2].attributes = {attribute("ok", {"true"}),
+                           attribute("complete", {"true"})};
+  schemas[3].attributes = {attribute("package_hash", {fleet}),
+                           attribute("ok", {"true"}),
+                           attribute("complete", {"true"})};
+  const std::vector<std::string> errors = {
+      "",
+      R"("ok":true)",
+      R"(x","ok":true,"complete":true,"package_hash":")" + fleet,
+      R"(say "hi" \ and \\ "objects":[)",
+      "\\",
+  };
+  const std::vector<std::string> hashes = {fleet, "", "0badc0de",
+                                           fleet + "0"};
+  int cacheable = 0, checked = 0;
+  for (const data::Schema& schema : schemas) {
+    for (const std::string& error : errors) {
+      for (const std::string& hash : hashes) {
+        for (const int flags : {0, 1, 2, 3}) {
+          GenResponse resp;
+          resp.id = 17;
+          resp.ok = (flags & 1) != 0;
+          resp.complete = (flags & 2) != 0;
+          resp.error = error;
+          resp.package_hash = hash;
+          if (!schema.attributes.empty()) {
+            data::Object o;
+            o.attributes.assign(schema.attributes.size(), 0.0f);
+            o.features = {{1.5f, -2.0f}};
+            resp.objects = {o, o};
+          }
+          const std::string line = json::dump(response_to_json(resp, schema));
+          for (const std::string& f : {fleet, std::string()}) {
+            const bool want = parsed_cacheable(line, f);
+            EXPECT_EQ(reply_cacheable(line, f), want) << line;
+            cacheable += want ? 1 : 0;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 5 * 4 * 4 * 2);
+  EXPECT_EQ(cacheable, 4 * 5);  // ok, complete and the fleet's hash
+}
+
 TEST(GenCacheUnit, LruEvictionAndInvalidate) {
   GenCache cache(2);
   std::string out;
