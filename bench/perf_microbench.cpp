@@ -13,6 +13,7 @@
 
 #include "core/doppelganger.h"
 #include "core/package.h"
+#include "core/tape_exec.h"
 #include "core/wgan.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
@@ -25,7 +26,6 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/shard/router.h"
-#include "serve/tape_exec.h"
 #include "synth/synth.h"
 
 namespace {
@@ -364,7 +364,7 @@ void BM_ServeSequentialPerRequest(benchmark::State& state) {
 BENCHMARK(BM_ServeSequentialPerRequest)->Unit(benchmark::kMillisecond);
 
 /// The serving sampler: one service-shaped SlotSampler replaying the
-/// verified tape (serve/tape_exec.h) over the mixed workload.
+/// verified tape (core/tape_exec.h) over the mixed workload.
 void BM_ServeSlotSamplerTape(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   // The CI runner's core count, the same budget the step pair below gets.
@@ -432,7 +432,7 @@ BENCHMARK(BM_GenerationStep)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_GenerationStepTape(benchmark::State& state) {
   StepBench b(static_cast<int>(state.range(0)));
-  auto tape = serve::TapeExecutor::create_or_throw(*b.model, b.width);
+  auto tape = core::TapeExecutor::create_or_throw(*b.model, b.width);
   nn::Matrix records(b.width, b.model->sample_len() * b.model->record_width());
   for (auto _ : state) {
     core::GenState st = b.model->initial_gen_state(b.width);

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "obs/json_string.h"
+
 namespace dg::analysis {
 
 const char* to_string(Severity s) {
@@ -29,33 +31,6 @@ void print_human(std::ostream& os, std::span<const Diagnostic> diags) {
   }
 }
 
-namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string to_json(std::span<const Diagnostic> diags) {
   std::string out = "[";
   bool first = true;
@@ -63,15 +38,15 @@ std::string to_json(std::span<const Diagnostic> diags) {
     if (!first) out += ',';
     first = false;
     out += "{\"severity\":";
-    append_json_string(out, to_string(d.severity));
+    obs::append_json_string(out, to_string(d.severity));
     out += ",\"code\":";
-    append_json_string(out, d.code);
+    obs::append_json_string(out, d.code);
     out += ",\"message\":";
-    append_json_string(out, d.message);
+    obs::append_json_string(out, d.message);
     out += ",\"op\":";
-    append_json_string(out, d.op);
+    obs::append_json_string(out, d.op);
     out += ",\"path\":";
-    append_json_string(out, d.path);
+    obs::append_json_string(out, d.path);
     out += '}';
   }
   out += ']';

@@ -77,7 +77,7 @@ ArenaPlan plan_arena(const Tape& tape) {
   // Exact-slot reuse: a value may only take over a slot of exactly its own
   // width, never a gap carved out of a wider one. Identical (offset, width)
   // for every pair of values that share floats is what makes the plan safe
-  // under lane-partitioned replay (serve/tape_exec.cpp): with slab-major
+  // under lane-partitioned replay (core/tape_exec.cpp): with slab-major
   // layout, two same-slot values put lane i at the same addresses, so a
   // worker that owns lanes [r0, r1) never touches bytes of another worker's
   // lanes no matter which instruction either is executing. A shifted or

@@ -6,6 +6,7 @@
 
 #include "analysis/train_step.h"
 #include "core/preflight.h"
+#include "core/tape_exec.h"
 #include "core/wgan.h"
 #include "nn/parallel.h"
 #include "nn/serialize.h"
@@ -123,6 +124,8 @@ DoppelGanger::DoppelGanger(data::Schema schema, DoppelGangerConfig cfg)
     aux_opt_ = nn::Adam(aux_disc_.parameters(), {.lr = cfg_.lr});
   }
 }
+
+DoppelGanger::~DoppelGanger() = default;
 
 std::vector<nn::Var> DoppelGanger::generator_parameters() const {
   std::vector<Var> params = attr_gen_.parameters();
@@ -312,6 +315,11 @@ nn::Matrix DoppelGanger::generation_step(const GenContext& ctx,
 }
 
 data::Dataset DoppelGanger::generate(int n) {
+  if (n < 0) {
+    throw std::invalid_argument("generate: n must be >= 0, got n = " +
+                                std::to_string(n));
+  }
+  if (!tape_) tape_ = TapeExecutor::create_or_throw(*this, cfg_.batch);
   data::Dataset out;
   out.reserve(static_cast<size_t>(n));
   int remaining = n;
@@ -319,11 +327,11 @@ data::Dataset DoppelGanger::generate(int n) {
     const int b = std::min(remaining, cfg_.batch);
     GenContext ctx = sample_context(b, rng_);
     GenState st = initial_gen_state(b);
+    Matrix recs(b, cfg_.sample_len * record_width_);
     Matrix feats(b, codec_.feature_row_dim());
     int emitted = 0;  // records written so far (per lane, all lanes aligned)
     while (emitted < codec_.tmax()) {
-      const Matrix recs =
-          generation_step(ctx, rng_.normal_matrix(b, cfg_.feat_noise_dim), st);
+      tape_->step(ctx, rng_.normal_matrix(b, cfg_.feat_noise_dim), st, recs);
       const int take =
           std::min(cfg_.sample_len, codec_.tmax() - emitted) * record_width_;
       for (int i = 0; i < b; ++i) {
@@ -340,13 +348,12 @@ data::Dataset DoppelGanger::generate(int n) {
   return out;
 }
 
-ConditionalResult DoppelGanger::generate_conditional_partial(
+ConditionalResult DoppelGanger::generate_conditional(
     int n, const std::function<bool(const data::Object&)>& accept,
-    const ConditionalOptions& opts) {
+    int max_batches) {
   ConditionalResult res;
-  res.objects.reserve(static_cast<size_t>(n));
   for (int round = 0;
-       round < opts.max_batches && static_cast<int>(res.objects.size()) < n;
+       round < max_batches && static_cast<int>(res.objects.size()) < n;
        ++round) {
     data::Dataset batch = generate(cfg_.batch);
     res.candidates += static_cast<long long>(batch.size());
@@ -358,23 +365,6 @@ ConditionalResult DoppelGanger::generate_conditional_partial(
   }
   res.complete = static_cast<int>(res.objects.size()) >= n;
   return res;
-}
-
-data::Dataset DoppelGanger::generate_conditional(
-    int n, const std::function<bool(const data::Object&)>& accept,
-    int max_batches) {
-  ConditionalResult res =
-      generate_conditional_partial(n, accept, {.max_batches = max_batches});
-  if (!res.complete) {
-    const std::string msg =
-        "generate_conditional: target attributes too rare under the current "
-        "attribute generator (matched " +
-        std::to_string(res.objects.size()) + "/" + std::to_string(n) +
-        " in " + std::to_string(res.candidates) +
-        " candidates); consider retrain_attributes() or the partial API";
-    throw ConditionalError(msg, std::move(res));
-  }
-  return std::move(res.objects);
 }
 
 DoppelGanger::FakeBatch DoppelGanger::fake_batch(int n) {

@@ -24,7 +24,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,12 +127,6 @@ struct GenState {
   int step = 0;     // LSTM steps taken so far
 };
 
-/// Options for rejection-sampled conditional generation.
-struct ConditionalOptions {
-  /// Generation rounds (of `cfg.batch` candidates each) before giving up.
-  int max_batches = 200;
-};
-
 /// Outcome of conditional generation; `objects` holds whatever matched even
 /// when the target count was not reached.
 struct ConditionalResult {
@@ -143,22 +136,12 @@ struct ConditionalResult {
   long long candidates = 0;  // total candidates drawn
 };
 
-/// Thrown by the strict generate_conditional API when the accept predicate
-/// is too rare; carries the partial results instead of discarding them.
-class ConditionalError : public std::runtime_error {
- public:
-  ConditionalError(const std::string& msg, ConditionalResult partial)
-      : std::runtime_error(msg), partial_(std::move(partial)) {}
-  /// Everything that *was* matched before the attempt budget ran out.
-  const ConditionalResult& partial() const { return partial_; }
-
- private:
-  ConditionalResult partial_;
-};
+class TapeExecutor;
 
 class DoppelGanger {
  public:
   DoppelGanger(data::Schema schema, DoppelGangerConfig cfg);
+  ~DoppelGanger();
 
   /// Trains for cfg.iterations generator steps (call repeatedly with
   /// fit_more to continue — useful for epoch sweeps).
@@ -174,34 +157,32 @@ class DoppelGanger {
     run_logger_ = std::move(logger);
   }
 
-  /// Draws n synthetic objects from the trained model. Built on the
-  /// stepwise API below (sample_context / generation_step) with the model's
-  /// own RNG, so it stays bit-identical to the historical monolithic path.
+  /// Draws n synthetic objects from the trained model, cfg.batch at a
+  /// time: sample_context from the model's own RNG, then one noise draw per
+  /// step, each step replayed on the verified generation tape
+  /// (core/tape_exec.h), which the model builds on first use. The bytes are
+  /// those of the same loop over generation_step. Throws
+  /// std::invalid_argument for n < 0 or a model whose tape does not build.
   data::Dataset generate(int n);
 
   /// Rejection-samples n objects whose attributes satisfy `accept` — the
   /// consumer-side "desired attribute distribution" input of Fig 2 when
-  /// retraining the attribute generator is not warranted. Throws a
-  /// ConditionalError (carrying the partial results) if fewer than n
-  /// matches are found within `max_batches` generation rounds.
-  data::Dataset generate_conditional(
+  /// retraining the attribute generator is not warranted — from at most
+  /// `max_batches` generate(cfg.batch) rounds. A predicate too rare for
+  /// that budget gives a partial result (complete == false), not an error.
+  /// The serving path degrades the same way through SlotSampler's
+  /// per-series `where` predicates and attempt budgets (serve/sampler.h).
+  ConditionalResult generate_conditional(
       int n, const std::function<bool(const data::Object&)>& accept,
       int max_batches = 200);
-
-  /// Non-throwing conditional generation: returns whatever matched within
-  /// the round budget, flagged complete/incomplete, so rare predicates
-  /// degrade to partial results, not errors. The serving path degrades the
-  /// same way through SlotSampler's per-series `where` predicates and
-  /// attempt budgets (serve/sampler.h); it does not call this.
-  ConditionalResult generate_conditional_partial(
-      int n, const std::function<bool(const data::Object&)>& accept,
-      const ConditionalOptions& opts = {});
 
   // ---- stepwise generation (inference; the serving runtime's substrate) --
   //
   // A series is produced as: ctx = sample_context(...), st = initial state,
-  // then steps_per_series() calls to generation_step(), each emitting
-  // sample_len() records per lane. All methods are const and draw solely
+  // then steps_per_series() steps, each emitting sample_len() records per
+  // lane. generate() and the sampler take each step on the tape
+  // (core/tape_exec.h); generation_step() takes it on autograd and is the
+  // tape's oracle. All methods are const and draw solely
   // from the caller-supplied RNG / noise, so independent callers can share
   // one loaded model. Row r of every matrix is an independent lane: the
   // kernels underneath are row-partitioned, so a lane's records are
@@ -227,6 +208,8 @@ class DoppelGanger {
   /// (one row per lane, drawn by the caller), updates `state` in place and
   /// returns the sample_len() new records [n, sample_len * record_width()],
   /// already continuation-masked exactly like the training-time unroll.
+  /// This is the autograd forward: generation replays the tape lowered from
+  /// it, and the tests and the analyzer use it as that tape's oracle.
   nn::Matrix generation_step(const GenContext& ctx, const nn::Matrix& noise,
                              GenState& state) const;
 
@@ -353,6 +336,8 @@ class DoppelGanger {
 
   std::shared_ptr<obs::RunLogger> run_logger_;
   std::uint64_t iters_done_ = 0;  // cumulative across fit / fit_more
+  /// generate()'s engine, built at width cfg.batch on first use.
+  std::unique_ptr<TapeExecutor> tape_;
 };
 
 }  // namespace dg::core

@@ -1,4 +1,4 @@
-#include "serve/tape_exec.h"
+#include "core/tape_exec.h"
 
 #include <algorithm>
 #include <cstring>
@@ -12,8 +12,9 @@
 #include "nn/ops.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
+#include "obs/profile.h"
 
-namespace dg::serve {
+namespace dg::core {
 
 namespace {
 
@@ -46,7 +47,7 @@ struct Step {
   const nn::OpDef* row = nullptr;  // unfused: its row kernel, else its EwFn
   int dst = -1;  // value id; pointers resolve through the table at run time
   int dst_cols = 0;
-  std::vector<nn::RowIn> in;  // operand buffers, rebound when inputs move
+  std::vector<nn::RowIn> in;  // operand buffers, rebound when any moves
   std::vector<MicroOp> prog;  // fused group program, if any
   std::vector<int> args;      // operand value ids
   nn::OpAttrs attrs;
@@ -55,13 +56,18 @@ struct Step {
 }  // namespace
 
 struct TapeExecutor::Impl {
-  int n = 0;  // batch width (rows of every batch-shaped buffer)
+  int width = 0;  // rows of every batch-shaped arena slot
   std::vector<float> arena;
-  /// Per-value data pointer: arena slots and parameters are fixed at build
-  /// time; the input entries are rebound at every step() call.
+  /// Per-value data pointer: arena slots are fixed at build time; the input
+  /// and parameter entries are rebound at every step() call.
   std::vector<float*> ptr;
-  std::vector<nn::Var> held_params;  // keeps the weight matrices alive
+  /// Parameter value ids and the model's weights they read. A Var stays the
+  /// model's parameter while load() moves a new matrix into it, so step()
+  /// reads the data pointer through it every call.
+  std::vector<std::pair<int, nn::Var>> params;
   std::vector<Step> steps;
+  /// One full-width step's FLOPs and bytes, summed from the op rows.
+  std::uint64_t flops = 0, bytes = 0;
   // Input value ids, in Tape::inputs order.
   int in_cond = -1, in_noise = -1, in_h = -1, in_c = -1, in_mask = -1;
   // Output value ids + widths.
@@ -134,29 +140,29 @@ void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
   kt.apply_ew(*s.row->ew, s.in[0].data + e0, b, dst + e0, e1 - e0);
 }
 
-std::unique_ptr<TapeExecutor> TapeExecutor::create(
-    const core::DoppelGanger& model, int width) {
+std::unique_ptr<TapeExecutor> TapeExecutor::create(const DoppelGanger& model,
+                                                   int width) {
   return from_report(
       model, analysis::build_generation_tape(model.schema(), model.config()),
       width);
 }
 
 std::unique_ptr<TapeExecutor> TapeExecutor::create_or_throw(
-    const core::DoppelGanger& model, int width) {
+    const DoppelGanger& model, int width) {
   analysis::TapeReport report =
       analysis::build_generation_tape(model.schema(), model.config());
-  const std::string why = core::render_diagnostics(report.diagnostics);
+  const std::string why = render_diagnostics(report.diagnostics);
   auto exec = from_report(model, std::move(report), width);
   if (!exec) {
     throw std::invalid_argument(
-        "the model's generation tape does not build, so it cannot be "
-        "served:\n" + why);
+        "the model's generation tape does not build, so the model cannot "
+        "generate:\n" + why);
   }
   return exec;
 }
 
 std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
-    const core::DoppelGanger& model, analysis::TapeReport report, int width) {
+    const DoppelGanger& model, analysis::TapeReport report, int width) {
   if (width < 1) return nullptr;
   if (!report.ok()) return nullptr;
   // License to execute is a clean verifier run HERE, not the report's flag:
@@ -171,7 +177,7 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
   const auto params = model.named_parameters();
 
   auto impl = std::make_unique<Impl>();
-  impl->n = width;
+  impl->width = width;
   impl->arena.assign(
       static_cast<size_t>(report.plan.peak_cols) * static_cast<size_t>(width),
       0.0f);
@@ -196,9 +202,7 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
         m.cols() != v.cols()) {
       return nullptr;
     }
-    impl->held_params.push_back(p);
-    impl->ptr[static_cast<size_t>(pid)] =
-        const_cast<float*>(m.data());  // never written: dsts are locals
+    impl->params.emplace_back(pid, p);
   }
   if (tape.inputs.size() != analysis::kTapeInputs ||
       tape.outputs.size() != analysis::kTapeOutputs) {
@@ -276,6 +280,20 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
     impl->steps.push_back(std::move(s));
   }
 
+  // ---- cost: a full-width step's FLOPs and bytes as the op rows count
+  // them, for the step's kernel timer ----
+  const auto dims = [&](int id) -> nn::Dims {
+    const TapeValue& v = val(id);
+    const bool batch = !v.shape.rows.concrete();
+    return {batch ? width : static_cast<int>(v.shape.rows.value), v.cols()};
+  };
+  for (const TapeInstr& ins : tape.instrs) {
+    std::vector<nn::Dims> in;
+    for (int a : ins.args) in.push_back(dims(a));
+    impl->flops += nn::find_op(ins.op)->flops(in, dims(ins.dst));
+    impl->bytes += nn::op_bytes(in, dims(ins.dst));
+  }
+
   auto exec = std::unique_ptr<TapeExecutor>(new TapeExecutor());
   exec->width_ = width;
   exec->summary_ = analysis::summarize_tape(report);
@@ -285,29 +303,34 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
 
 TapeExecutor::~TapeExecutor() = default;
 
-void TapeExecutor::step(const core::GenContext& ctx, const nn::Matrix& noise,
-                        core::GenState& state, nn::Matrix& records) {
+void TapeExecutor::step(const GenContext& ctx, const nn::Matrix& noise,
+                        GenState& state, nn::Matrix& records) {
   Impl& im = *impl_;
+  const int n = ctx.cond.rows();
+  if (n < 1 || n > im.width) {
+    throw std::invalid_argument("TapeExecutor::step: lane count " +
+                                std::to_string(n) + " outside 1.." +
+                                std::to_string(im.width));
+  }
   const auto expect = [&](const nn::Matrix& m, const char* what) {
-    if (m.rows() != im.n) {
+    if (m.rows() != n) {
       throw std::invalid_argument(std::string("TapeExecutor::step: ") + what +
-                                  " row count != width");
+                                  " row count != ctx.cond's");
     }
   };
-  expect(ctx.cond, "cond");
   expect(noise, "noise");
   expect(state.h, "state.h");
   expect(state.c, "state.c");
   expect(state.mask, "state.mask");
-  if (records.rows() != im.n || records.cols() != im.records_cols) {
+  if (records.rows() != n || records.cols() != im.records_cols) {
     throw std::invalid_argument("TapeExecutor::step: records shape mismatch");
   }
 
-  // Inputs are read-only (every instruction destination is a verified
-  // local), so the const_cast never turns into a write. The steps'
-  // operands are rebound only when an input buffer moved: a caller that
-  // steps the same buffers again (SlotSampler does) writes nothing the
-  // workers read, so their copies of the steps stay in their caches.
+  // Inputs and weights are read-only (every instruction destination is a
+  // verified local), so the const_cast never turns into a write. The steps'
+  // operands are rebound only when a buffer moved: a caller that steps the
+  // same buffers again (SlotSampler does) writes nothing the workers read,
+  // so their copies of the steps stay in their caches.
   bool moved = false;
   const auto bind = [&](int id, const nn::Matrix& m) {
     float* p = const_cast<float*>(m.data());
@@ -318,6 +341,7 @@ void TapeExecutor::step(const core::GenContext& ctx, const nn::Matrix& noise,
   bind(im.in_h, state.h);
   bind(im.in_c, state.c);
   bind(im.in_mask, state.mask);
+  for (const auto& [id, p] : im.params) bind(id, p.value());
   if (moved) {
     for (Step& s : im.steps) {
       for (size_t k = 0; k < s.args.size(); ++k) {
@@ -325,6 +349,11 @@ void TapeExecutor::step(const core::GenContext& ctx, const nn::Matrix& noise,
       }
     }
   }
+
+  // The whole step is one profiler kernel row; a row-local step's FLOPs
+  // and bytes scale with its lanes.
+  DG_OBS_KERNEL_TIMER("tape_step", im.flops * n / im.width,
+                      im.bytes * n / im.width);
 
   // One fork-join for the whole step. The autograd forward pays a pool
   // round-trip per op (~90 per generation step); here each worker takes a
@@ -334,8 +363,8 @@ void TapeExecutor::step(const core::GenContext& ctx, const nn::Matrix& noise,
   // state.h/c/mask, and the other workers' reads of those buffers (as
   // in_h/in_c/in_mask) are confined to their own lanes too.
   const std::int64_t grain = std::max<std::int64_t>(
-      1, (im.n + nn::num_threads() - 1) / nn::num_threads());
-  nn::parallel_for(0, im.n, grain, [&](std::int64_t r0, std::int64_t r1) {
+      1, (n + nn::num_threads() - 1) / nn::num_threads());
+  nn::parallel_for(0, n, grain, [&](std::int64_t r0, std::int64_t r1) {
     for (const Step& s : im.steps) im.run(s, r0, r1);
     const size_t rows = static_cast<size_t>(r1 - r0);
     const auto lanes = [&](auto* base, int cols) {
@@ -358,4 +387,4 @@ void TapeExecutor::step(const core::GenContext& ctx, const nn::Matrix& noise,
   ++state.step;
 }
 
-}  // namespace dg::serve
+}  // namespace dg::core

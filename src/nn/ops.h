@@ -4,7 +4,7 @@
 // double-backward class, ULP bound, FLOP formula — and the op's forward
 // kernel: for elementwise ops the simd::EwFn, for the other row-local ops a
 // row kernel that computes a range of output rows. The autograd forward
-// (nn/matrix.cpp) and the generation tape (serve/tape_exec.cpp) both run
+// (nn/matrix.cpp) and the generation tape (core/tape_exec.cpp) both run
 // the row's kernel, so each forward body has one home.
 //
 // make_op (nn/autograd.h) takes a row, so no graph node exists without

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/json_string.h"
 #include "obs/tracectx.h"
 
 namespace dg::obs {
@@ -156,23 +157,6 @@ void Registry::reset() {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {  // JSON has no inf/nan
     out += "null";
@@ -191,7 +175,7 @@ std::string to_json(const RegistrySnapshot& snap) {
   for (const auto& [name, v] : snap.counters) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     out += std::to_string(v);
   }
@@ -200,7 +184,7 @@ std::string to_json(const RegistrySnapshot& snap) {
   for (const auto& [name, v] : snap.gauges) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     append_number(out, v);
   }
@@ -209,7 +193,7 @@ std::string to_json(const RegistrySnapshot& snap) {
   for (const auto& [name, h] : snap.histograms) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ":{\"count\":" + std::to_string(h.count);
     out += ",\"sum\":";
     append_number(out, h.sum);
@@ -247,7 +231,7 @@ std::string to_json(const RegistrySnapshot& snap) {
         ex_first = false;
         out += "{\"bucket\":" + std::to_string(i);
         out += ",\"trace\":";
-        append_escaped(out, trace_id_hex(h.exemplars[i].trace_id));
+        append_json_string(out, trace_id_hex(h.exemplars[i].trace_id));
         out += ",\"v\":";
         append_number(out, h.exemplars[i].value);
         out += '}';

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <ostream>
 
+#include "obs/json_string.h"
 #include "obs/metrics.h"
 #include "obs/tracectx.h"
 
@@ -82,23 +82,6 @@ void push_locked(TraceEvent&& e) {
   Registry::global().counter("obs.trace.dropped_spans").add(1);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
 void append_ids(std::string& out, const TraceEvent& e) {
   if (e.trace_id == 0) return;
   out += ",\"trace\":\"" + trace_id_hex(e.trace_id) + '"';
@@ -171,9 +154,9 @@ void Trace::write_chrome(std::ostream& os) {
     line += ",\"ts\":" + std::to_string(e.ts_us);
     line += ",\"dur\":" + std::to_string(e.dur_us);
     line += ",\"name\":";
-    append_escaped(line, e.name);
+    append_json_string(line, e.name);
     line += ",\"cat\":";
-    append_escaped(line, e.category);
+    append_json_string(line, e.category);
     line += ",\"args\":{\"depth\":" + std::to_string(e.depth);
     append_ids(line, e);
     line += "}}";
@@ -186,9 +169,9 @@ void Trace::write_jsonl(std::ostream& os) {
   const std::vector<TraceEvent> evs = events();
   for (const TraceEvent& e : evs) {
     std::string line = "{\"name\":";
-    append_escaped(line, e.name);
+    append_json_string(line, e.name);
     line += ",\"cat\":";
-    append_escaped(line, e.category);
+    append_json_string(line, e.category);
     line += ",\"tid\":" + std::to_string(e.tid);
     line += ",\"ts_us\":" + std::to_string(e.ts_us);
     line += ",\"dur_us\":" + std::to_string(e.dur_us);

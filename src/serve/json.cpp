@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/json_string.h"
+
 namespace dg::serve::json {
 
 namespace {
@@ -201,30 +203,6 @@ class Parser {
 
 void dump_to(const Value& v, std::string& out);
 
-void dump_string(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void dump_number(double n, std::string& out) {
   if (!std::isfinite(n)) {
     out += "null";  // JSON has no Inf/NaN; the protocol never sends them
@@ -255,7 +233,7 @@ void dump_to(const Value& v, std::string& out) {
       dump_number(v.as_number(), out);
       break;
     case Value::Type::String:
-      dump_string(v.as_string(), out);
+      obs::append_json_string(out, v.as_string());
       break;
     case Value::Type::Array: {
       out.push_back('[');
@@ -274,7 +252,7 @@ void dump_to(const Value& v, std::string& out) {
       for (const auto& [k, e] : v.as_object()) {
         if (!first) out.push_back(',');
         first = false;
-        dump_string(k, out);
+        obs::append_json_string(out, k);
         out.push_back(':');
         dump_to(e, out);
       }

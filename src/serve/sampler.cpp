@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/tape_exec.h"
 #include "obs/trace.h"
-#include "serve/tape_exec.h"
 
 namespace dg::serve {
 
@@ -53,7 +53,7 @@ SlotSampler::SlotSampler(std::shared_ptr<const core::DoppelGanger> model,
   state_ = model_->initial_gen_state(width_);
   noise_ = nn::Matrix(width_, model_->feat_noise_dim());
   records_ = nn::Matrix(width_, model_->sample_len() * record_width_);
-  tape_ = TapeExecutor::create_or_throw(*model_, width_);
+  tape_ = core::TapeExecutor::create_or_throw(*model_, width_);
   lanes_.resize(static_cast<size_t>(width_));
   for (Lane& lane : lanes_) {
     lane.features.assign(static_cast<size_t>(feature_row_dim_), 0.0f);

@@ -17,9 +17,10 @@
 // series' output. tests/serve/test_sampler.cpp asserts this bit-exactly.
 //
 // One engine: every step replays the model's verified generation tape
-// (serve/tape_exec.h). A model whose tape does not build is refused at
-// construction; DoppelGanger::generation_step, the autograd forward, is the
-// oracle tests/serve/test_tape_exec.cpp diffs the sampler's series against.
+// (core/tape_exec.h), as DoppelGanger::generate does. A model whose tape does
+// not build is refused at construction; DoppelGanger::generation_step, the
+// autograd forward, is the oracle tests/serve/test_tape_exec.cpp diffs the
+// sampler's series against.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +32,11 @@
 #include "core/doppelganger.h"
 #include "serve/types.h"
 
-namespace dg::serve {
-
+namespace dg::core {
 class TapeExecutor;
+}  // namespace dg::core
+
+namespace dg::serve {
 
 /// Resolved per-request generation spec shared by all of its series.
 struct SeriesSpec {
@@ -124,7 +127,7 @@ class SlotSampler {
   core::GenState state_;   // row r = lane r's recurrent state
   nn::Matrix noise_;       // persistent [width, feat_noise_dim] staging
   nn::Matrix records_;     // persistent [width, S * record_width] step output
-  std::unique_ptr<TapeExecutor> tape_;  // the model's verified step
+  std::unique_ptr<core::TapeExecutor> tape_;  // the model's verified step
   std::vector<Lane> lanes_;
   int occupied_ = 0;
 

@@ -1,9 +1,9 @@
 #include "serve/service.h"
 
 #include "core/preflight.h"
+#include "core/tape_exec.h"
 #include "obs/trace.h"
 #include "obs/tracectx.h"
-#include "serve/tape_exec.h"
 
 #include <algorithm>
 #include <chrono>
@@ -131,7 +131,7 @@ GenerationService::GenerationService(
   // A package passed preflight, tape included; an injected model did not.
   // Refuse it here, not in an engine thread, where building its sampler
   // would throw into std::terminate.
-  TapeExecutor::create_or_throw(*model_, cfg_.slots);
+  core::TapeExecutor::create_or_throw(*model_, cfg_.slots);
   if (!cfg_.package_path.empty()) {
     package_mtime_ = file_mtime(cfg_.package_path);
   }

@@ -173,7 +173,8 @@ TEST(Diagnostics, HumanAndJsonRenderings) {
   std::vector<Diagnostic> diags;
   diags.push_back({Severity::kError, "shape-mismatch", "inner dims 3 vs 4",
                    "matmul", "matmul <- leaf(w)"});
-  diags.push_back({Severity::kWarning, "aux-ignored", "say \"hi\"\n", "w", ""});
+  diags.push_back(
+      {Severity::kWarning, "aux-ignored", "say \"hi\"\n\b\x01", "w", ""});
   EXPECT_TRUE(has_errors(diags));
   std::ostringstream os;
   print_human(os, diags);
@@ -182,8 +183,10 @@ TEST(Diagnostics, HumanAndJsonRenderings) {
   EXPECT_NE(os.str().find("(path: matmul <- leaf(w))"), std::string::npos);
   const std::string json = to_json(diags);
   EXPECT_NE(json.find("\"code\":\"shape-mismatch\""), std::string::npos);
-  // Quotes and newlines must be escaped, not emitted raw.
-  EXPECT_NE(json.find("say \\\"hi\\\"\\n"), std::string::npos);
+  // Quotes and control bytes must be escaped, not emitted raw: the short
+  // escapes where JSON has one, \u00XX for the rest.
+  EXPECT_NE(json.find("say \\\"hi\\\"\\n\\b\\u0001"), std::string::npos)
+      << json;
   diags.erase(diags.begin());
   EXPECT_FALSE(has_errors(diags));
 }

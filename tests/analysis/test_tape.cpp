@@ -7,7 +7,7 @@
 // fails here, not in serving. The mutation tests seed each documented
 // defect class and require (a) static rejection and (b) a diagnostic that
 // names the offending instruction: the executor's refusal contract
-// (serve/tape_exec.h) leans on exactly these verdicts.
+// (core/tape_exec.h) leans on exactly these verdicts.
 #include "analysis/tape.h"
 
 #include <gtest/gtest.h>

@@ -220,61 +220,171 @@ TEST(DoppelGanger, GenerateConditionalFiltersAttributes) {
   cfg.iterations = 100;
   DoppelGanger model(d.schema, cfg);
   model.fit(d.data);
-  const auto highs = model.generate_conditional(
+  const ConditionalResult highs = model.generate_conditional(
       20, [](const data::Object& o) { return o.attributes[0] == 1.0f; });
-  EXPECT_EQ(highs.size(), 20u);
-  for (const auto& o : highs) EXPECT_FLOAT_EQ(o.attributes[0], 1.0f);
-}
+  EXPECT_TRUE(highs.complete);
+  EXPECT_EQ(highs.objects.size(), 20u);
+  for (const auto& o : highs.objects) EXPECT_FLOAT_EQ(o.attributes[0], 1.0f);
 
-TEST(DoppelGanger, GenerateConditionalThrowsForImpossiblePredicate) {
-  const auto d = tiny_dataset(8, 12);
-  DoppelGanger model(d.schema, tiny_config());
-  EXPECT_THROW(model.generate_conditional(
-                   1, [](const data::Object&) { return false; }, 3),
-               std::runtime_error);
-}
-
-TEST(DoppelGanger, ConditionalErrorCarriesPartialResults) {
-  const auto d = tiny_dataset(8, 12);
-  DoppelGanger model(d.schema, tiny_config());
-  // Accept one category only: some candidates match, but never 500 within
-  // a 2-round budget — the error must still surface what DID match.
-  const auto accept = [](const data::Object& o) {
-    return o.attributes[0] == 1.0f;
-  };
-  try {
-    model.generate_conditional(500, accept, 2);
-    FAIL() << "expected ConditionalError";
-  } catch (const ConditionalError& e) {
-    const ConditionalResult& partial = e.partial();
-    EXPECT_FALSE(partial.complete);
-    EXPECT_EQ(partial.batches_used, 2);
-    EXPECT_GT(partial.candidates, 0);
-    EXPECT_LT(partial.objects.size(), 500u);
-    for (const auto& o : partial.objects) {
-      EXPECT_FLOAT_EQ(o.attributes[0], 1.0f);
-    }
-    EXPECT_NE(std::string(e.what()).find("500"), std::string::npos);
-  }
-}
-
-TEST(DoppelGanger, GenerateConditionalPartialNeverThrows) {
-  const auto d = tiny_dataset(8, 12);
-  DoppelGanger model(d.schema, tiny_config());
-  ConditionalOptions opts;
-  opts.max_batches = 2;
-  const ConditionalResult r = model.generate_conditional_partial(
-      4, [](const data::Object&) { return false; }, opts);
-  EXPECT_FALSE(r.complete);
-  EXPECT_TRUE(r.objects.empty());
-  EXPECT_EQ(r.batches_used, 2);
-  EXPECT_GT(r.candidates, 0);
-
-  const ConditionalResult all = model.generate_conditional_partial(
+  const ConditionalResult all = model.generate_conditional(
       3, [](const data::Object&) { return true; });
   EXPECT_TRUE(all.complete);
   EXPECT_EQ(all.objects.size(), 3u);
   EXPECT_EQ(all.batches_used, 1);
+}
+
+TEST(DoppelGanger, GenerateConditionalImpossiblePredicateIsIncomplete) {
+  const auto d = tiny_dataset(8, 12);
+  DoppelGanger model(d.schema, tiny_config());
+  const ConditionalResult r = model.generate_conditional(
+      4, [](const data::Object&) { return false; }, 2);
+  EXPECT_FALSE(r.complete);
+  EXPECT_TRUE(r.objects.empty());
+  EXPECT_EQ(r.batches_used, 2);
+  EXPECT_EQ(r.candidates, 2 * tiny_config().batch);
+}
+
+TEST(DoppelGanger, GenerateConditionalKeepsPartialMatchesOfRarePredicate) {
+  const auto d = tiny_dataset(8, 12);
+  DoppelGanger model(d.schema, tiny_config());
+  // Accept one category only: some candidates match, but never 500 within
+  // a 2-round budget — the result must still hold what DID match.
+  const ConditionalResult r = model.generate_conditional(
+      500, [](const data::Object& o) { return o.attributes[0] == 1.0f; }, 2);
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.batches_used, 2);
+  EXPECT_EQ(r.candidates, 2 * tiny_config().batch);
+  EXPECT_FALSE(r.objects.empty());
+  EXPECT_LT(r.objects.size(), 500u);
+  for (const auto& o : r.objects) EXPECT_FLOAT_EQ(o.attributes[0], 1.0f);
+}
+
+/// Every attribute and feature float of `ds`, as raw bytes.
+std::string dataset_bytes(const data::Dataset& ds) {
+  std::string out;
+  const auto put = [&out](const std::vector<float>& v) {
+    out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(float));
+  };
+  for (const data::Object& o : ds) {
+    put(o.attributes);
+    for (const auto& rec : o.features) put(rec);
+  }
+  return out;
+}
+
+/// generate()'s loop on the autograd forward, drawing from `rng` in
+/// generate()'s order: the engine the tape replaced, and its oracle.
+data::Dataset autograd_generate(const DoppelGanger& model, int n,
+                                nn::Rng& rng) {
+  const data::GanCodec& codec = model.codec();
+  const int rw = model.record_width();
+  data::Dataset out;
+  for (int remaining = n; remaining > 0; remaining -= model.config().batch) {
+    const int b = std::min(remaining, model.config().batch);
+    const GenContext ctx = model.sample_context(b, rng);
+    GenState st = model.initial_gen_state(b);
+    nn::Matrix feats(b, codec.feature_row_dim());
+    for (int emitted = 0; emitted < codec.tmax();) {
+      const nn::Matrix recs = model.generation_step(
+          ctx, rng.normal_matrix(b, model.feat_noise_dim()), st);
+      const int take = std::min(model.sample_len(), codec.tmax() - emitted);
+      for (int i = 0; i < b; ++i) {
+        for (int j = 0; j < take * rw; ++j) {
+          feats.at(i, emitted * rw + j) = recs.at(i, j);
+        }
+      }
+      emitted += take;
+    }
+    for (auto& o : codec.decode(ctx.attributes, ctx.minmax, feats)) {
+      out.push_back(std::move(o));
+    }
+  }
+  return out;
+}
+
+// generate() replays the tape; its bytes are the autograd loop's, including
+// the short last batch (2.5 batches), at every pool size and SIMD tier.
+TEST(DoppelGanger, GenerateIsByteIdenticalToTheAutogradLoop) {
+  const auto d = tiny_dataset(8, 10);  // S = 4: the last step is cut short
+  const DoppelGangerConfig cfg = tiny_config();
+  const int n = cfg.batch * 5 / 2;
+  const nn::simd::Tier tier = nn::simd::active_tier();
+  const int threads = nn::num_threads();
+  std::string reference;
+  for (const auto t : {nn::simd::Tier::kScalar, nn::simd::Tier::kAvx2}) {
+    if (!nn::simd::set_simd_tier(t)) continue;  // no avx2 on this host
+    for (const int pool : {1, 4}) {
+      SCOPED_TRACE(std::string(nn::simd::tier_name(t)) + " tier at " +
+                   std::to_string(pool) + " threads");
+      nn::set_num_threads(pool);
+      DoppelGanger model(d.schema, cfg);
+      model.reseed(5);
+      const data::Dataset got = model.generate(n);
+      ASSERT_EQ(got.size(), static_cast<size_t>(n));
+      nn::Rng rng(5);
+      const std::string want = dataset_bytes(autograd_generate(model, n, rng));
+      EXPECT_TRUE(dataset_bytes(got) == want);
+      if (reference.empty()) reference = want;
+      EXPECT_TRUE(want == reference);
+    }
+  }
+  nn::simd::set_simd_tier(tier);
+  nn::set_num_threads(threads);
+}
+
+// The model caches its executor across generate() calls; load() moves new
+// matrices into the weights, and the next generate() must read those.
+TEST(DoppelGanger, GenerateAfterLoadReadsTheLoadedWeights) {
+  const auto d = tiny_dataset(8, 12);
+  DoppelGangerConfig other_cfg = tiny_config();
+  other_cfg.seed = 99;
+  std::stringstream saved;
+  DoppelGanger(d.schema, other_cfg).save(saved);
+  const std::string weights = saved.str();
+
+  DoppelGanger model(d.schema, tiny_config());
+  model.reseed(3);
+  const std::string before = dataset_bytes(model.generate(20));
+  std::istringstream in(weights);
+  model.load(in);
+  model.reseed(3);
+  const std::string after = dataset_bytes(model.generate(20));
+
+  DoppelGanger fresh(d.schema, tiny_config());
+  std::istringstream fresh_in(weights);
+  fresh.load(fresh_in);
+  fresh.reseed(3);
+  EXPECT_TRUE(after == dataset_bytes(fresh.generate(20)));
+  EXPECT_FALSE(after == before);
+}
+
+TEST(DoppelGanger, GenerateRefusesANegativeCount) {
+  const auto d = tiny_dataset(4, 12);
+  DoppelGanger model(d.schema, tiny_config());
+  try {
+    (void)model.generate(-5);
+    FAIL() << "generate(-5) returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("n = -5"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(model.generate(0).empty());
+}
+
+// No autograd fallback: a model whose generation tape does not build (a
+// config the analyzer refuses) cannot generate.
+TEST(DoppelGanger, GenerateRefusesAModelWhoseTapeDoesNotBuild) {
+  const auto d = tiny_dataset(4, 12);
+  DoppelGangerConfig cfg = tiny_config();
+  cfg.lr = 0.0f;
+  DoppelGanger model(d.schema, cfg);
+  try {
+    (void)model.generate(2);
+    FAIL() << "generate() ran without a tape";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tape-config"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DoppelGanger, StandardGanLossTrains) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/doppelganger.h"
+#include "core/tape_exec.h"
 #include "nn/autograd.h"
 #include "nn/check.h"
 #include "nn/matrix.h"
@@ -448,6 +449,41 @@ TEST_F(ProfilerTest, LstmGatesOpAndKernelRowsAgree) {
   EXPECT_EQ(op->flops, k->flops);
   EXPECT_EQ(op->bytes, k->bytes);
   EXPECT_EQ(k->flops, 2ull * 6 * (3 + 2) * 8 + 6ull * 8);
+}
+
+// A tape step is one kernel row whose FLOPs are the autograd step's op rows
+// summed; a step over half the lanes counts half.
+TEST_F(ProfilerTest, TapeStepIsOneKernelRowCountingTheStepsOps) {
+  const auto d = synth::make_gcut({.n = 4, .t_max = 20, .seed = 5});
+  core::DoppelGangerConfig cfg;
+  cfg.lstm_units = 8;
+  cfg.head_hidden = 8;
+  cfg.sample_len = 5;
+  const core::DoppelGanger model(d.schema, cfg);
+  const auto tape = core::TapeExecutor::create_or_throw(model, 4);
+  nn::Rng rng(3);
+  for (const int n : {4, 2}) {
+    const core::GenContext ctx = model.sample_context(n, rng);
+    const nn::Matrix noise = rng.normal_matrix(n, model.feat_noise_dim());
+    core::GenState st = model.initial_gen_state(n);
+    nn::Matrix records(n, model.sample_len() * model.record_width());
+    Profiler::start();
+    (void)model.generation_step(ctx, noise, st);
+    std::uint64_t op_flops = 0;
+    for (const auto& [name, stats] : Profiler::snapshot()) {
+      if (name.rfind("kernel.", 0) != 0) op_flops += stats.flops;
+    }
+    Profiler::start();
+    tape->step(ctx, noise, st, records);
+    Profiler::stop();
+    const auto table = Profiler::snapshot();
+    ASSERT_EQ(table.size(), 1u) << "lanes " << n;
+    const OpStats* k = find_op(table, "kernel.tape_step");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->calls, 1u);
+    EXPECT_EQ(k->flops, op_flops) << "lanes " << n;
+    EXPECT_GT(k->bytes, 0u);
+  }
 }
 #endif  // DG_OBS_ENABLED
 

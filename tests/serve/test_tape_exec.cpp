@@ -15,7 +15,7 @@
 // at DG_THREADS ∈ {1, 4, 16}. The executor replicates the autograd
 // kernels' partition grains and accumulation orders exactly, so equality
 // here is memcmp, not almost-equal.
-#include "serve/tape_exec.h"
+#include "core/tape_exec.h"
 
 #include <gtest/gtest.h>
 
@@ -87,6 +87,8 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace dg::serve {
 namespace {
+
+using core::TapeExecutor;
 
 /// Arms the counter for the enclosing scope and reports calls seen.
 class AllocationWatch {

@@ -84,13 +84,20 @@ TEST(DgcliArgs, MisspelledFlagsAreRefused) {
 TEST(DgcliArgs, NumbersMustParseWholeAndInRange) {
   TempDir dir;
   ASSERT_FALSE(dir.path().empty());
-  for (const char* n : {"12abc", "1.5", "", "99999999999", "0x10"}) {
+  for (const char* n : {"12abc", "1.5", "", "99999999999", "0x10", "-5"}) {
     const std::string args = std::string("make-synth --dataset gcut --n '") +
                              n + "' --schema g.schema --out g.csv";
     const Outcome r = dgcli(args, dir.path());
     EXPECT_EQ(r.status, 2) << "--n '" << n << "': " << r.output;
     EXPECT_TRUE(contains(r.output, "usage: dgcli")) << r.output;
     EXPECT_FALSE(fs::exists(dir.path() / "g.csv")) << "--n '" << n << "'";
+    // generate reads --n before it opens the (missing) package, so a
+    // regression exits 1 instead.
+    const Outcome gen = dgcli(std::string("generate --model missing.dgpkg --n '") +
+                                  n + "' --out s.csv",
+                              dir.path());
+    EXPECT_EQ(gen.status, 2) << "generate --n '" << n << "': " << gen.output;
+    EXPECT_TRUE(contains(gen.output, "usage: dgcli")) << gen.output;
   }
   // Refused before the package is opened (it does not exist either way, so
   // a regression exits 1 instead of serving).

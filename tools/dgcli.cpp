@@ -103,6 +103,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -131,6 +132,7 @@
 #include "nn/gradcheck.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
+#include "obs/json_string.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/runlog.h"
@@ -168,17 +170,18 @@ struct Args {
     }
     return *v;
   }
-  /// --name read whole as a T, or `fallback` when absent. A token with
-  /// characters left over ("12abc") or outside T's range is a usage error,
-  /// not the prefix std::stol would take.
+  /// --name read whole as a T no less than `lo`, or `fallback` when
+  /// absent. A token with characters left over ("12abc") or out of range is
+  /// a usage error, not the prefix std::stol would take.
   template <typename T>
-  T num(const std::string& name, T fallback) const {
+  T num(const std::string& name, T fallback,
+        T lo = std::numeric_limits<T>::lowest()) const {
     const std::string* v = find(name);
     if (v == nullptr) return fallback;
     T out{};
     const char* end = v->data() + v->size();
     const auto [stop, ec] = std::from_chars(v->data(), end, out);
-    if (ec != std::errc() || stop != end) {
+    if (ec != std::errc() || stop != end || out < lo) {
       throw UsageError("--" + name + " expects a number in range, got '" +
                        *v + "'");
     }
@@ -198,7 +201,7 @@ struct Args {
 
 int cmd_make_synth(const Args& a) {
   const std::string kind = a.str("dataset");
-  const int n = a.num("n", 500);
+  const int n = a.num("n", 500, 0);
   const uint64_t seed = a.num<std::uint64_t>("seed", 1);
   synth::SynthData d;
   if (kind == "wwt") {
@@ -293,8 +296,8 @@ int cmd_train(const Args& a) {
 }
 
 int cmd_generate(const Args& a) {
+  const int n = a.num("n", 500, 0);
   auto model = core::load_package_file(a.str("model"));
-  const int n = a.num("n", 500);
   if (a.flag("seed")) model->reseed(a.num<std::uint64_t>("seed", 0));
   const data::Dataset out = model->generate(n);
   const std::string format = a.str("format", "csv");
@@ -1062,26 +1065,6 @@ int cmd_check(const Args& a) {
 
 // ---------------------------------------------------------------- lint
 
-/// Minimal JSON string escape for census paths (quotes, backslashes,
-/// control bytes).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// Common tail of every lint mode: render diagnostics (human or JSON) and
 /// map them to the exit code (0 clean, 1 errors). `tape`, when present,
 /// adds the tape-plan census (a `tape` block in JSON output); `train` adds
@@ -1113,10 +1096,13 @@ int lint_report(std::span<const analysis::Diagnostic> diags, bool json,
       for (const analysis::ReductionSite& site : train->census) {
         if (!first) train_block += ',';
         first = false;
-        train_block += "{\"op\":\"" + json_escape(site.op) +
-                       "\",\"class\":\"" + analysis::to_string(site.det) +
-                       "\",\"count\":" + std::to_string(site.count) +
-                       ",\"where\":\"" + json_escape(site.where) + "\"}";
+        train_block += "{\"op\":";
+        obs::append_json_string(train_block, site.op);
+        train_block += std::string(",\"class\":\"") +
+                       analysis::to_string(site.det) + "\",\"count\":" +
+                       std::to_string(site.count) + ",\"where\":";
+        obs::append_json_string(train_block, site.where);
+        train_block += '}';
       }
       train_block += "]},";
     }
