@@ -47,7 +47,7 @@ int main() {
     double eps = -1;
     if (v.noise_multiplier > 0) {
       const double q =
-          static_cast<double>(cfg.batch) / static_cast<double>(d.data.size());
+          core::dp_sampling_rate(cfg, static_cast<int>(d.data.size()));
       privacy::RdpAccountant acc(q, v.noise_multiplier);
       acc.add_steps(cfg.iterations * core::dp_mechanisms_per_iteration(cfg));
       eps = acc.epsilon(1e-5).first;

@@ -101,7 +101,8 @@ BENCHMARK(BM_LstmStep)->ArgsProduct({{1, 32, 256}, {1, 4}});
 // CI's bench-smoke job runs these twice on one DG_NATIVE_ARCH=OFF binary
 // (DG_SIMD=scalar, then DG_SIMD=avx2) and gates the vectorized tier at
 // >= 2x scalar cpu_time via tools/bench_compare.py --best; the transpose,
-// which only moves floats, at >= 1.25x.
+// which only moves floats, at >= 1.25x. BM_GaussianFill and BM_AdamStep
+// (below) are gated the same way.
 
 #ifdef DG_OBS_ENABLED
 /// Attaches the obs profiler's exact FLOP attribution for one call of `fn`
@@ -191,6 +192,40 @@ BENCHMARK(BM_TransposeMicro)
     ->Args({200, 200})
     ->Args({856, 200})
     ->Args({100, 400});
+
+// DP-SGD's per-parameter work at train-gcut-dp's size: each critic step
+// draws one Gaussian per critic parameter and takes one Adam update of it,
+// 296,002 parameters per iteration (173,001 in the full critic, 123,001 in
+// the auxiliary one). One thread; items are elements. CI's bench-smoke job
+// times both under DG_SIMD=scalar and DG_SIMD=avx2 and gates the ratio.
+constexpr int kDpCriticParams = 296002;
+
+void BM_GaussianFill(benchmark::State& state) {
+  nn::set_num_threads(1);
+  nn::Rng rng(5);
+  std::vector<float> noise(kDpCriticParams);
+  for (auto _ : state) {
+    rng.fill_normal(noise, 0.0, 1.0);
+    benchmark::DoNotOptimize(noise.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kDpCriticParams);
+}
+BENCHMARK(BM_GaussianFill);
+
+void BM_AdamStep(benchmark::State& state) {
+  nn::set_num_threads(1);
+  nn::Rng rng(6);
+  Var p(rng.normal_matrix(1, kDpCriticParams), /*requires_grad=*/true);
+  p.set_grad(rng.normal_matrix(1, kDpCriticParams));
+  nn::Adam opt({p});
+  for (auto _ : state) {
+    opt.step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kDpCriticParams);
+}
+BENCHMARK(BM_AdamStep);
 
 // One full WGAN-GP critic step (forward, second-order gradient-penalty
 // backward, Adam update) — the training hot loop. Shared by the critic

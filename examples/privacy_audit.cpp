@@ -49,12 +49,14 @@ int main() {
   // The aux critic is a second Gaussian mechanism on every d-step's batch.
   const int mechanisms =
       cfg.iterations * core::dp_mechanisms_per_iteration(cfg);
+  constexpr int kPlannedRows = 200;
   std::printf("\n== DP-SGD budget planning ==\n");
-  std::printf("(batch %d of 200 samples, %d Gaussian mechanisms, delta=1e-5)\n",
-              cfg.batch, mechanisms);
+  std::printf("(batch %d of %d samples, %d Gaussian mechanisms, delta=1e-5)\n",
+              cfg.batch, kPlannedRows, mechanisms);
   std::printf("%-8s %-10s\n", "sigma", "epsilon");
   for (double sigma : {0.5, 1.0, 2.0, 4.0}) {
-    privacy::RdpAccountant acc(cfg.batch / 200.0, sigma);
+    privacy::RdpAccountant acc(core::dp_sampling_rate(cfg, kPlannedRows),
+                               sigma);
     acc.add_steps(mechanisms);
     std::printf("%-8.1f %-10.2f\n", sigma, acc.epsilon(1e-5).first);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 
 #include "analysis/train_step.h"
@@ -75,6 +76,11 @@ FeatureSpread feature_spread(const Matrix& feats) {
 int dp_mechanisms_per_iteration(const DoppelGangerConfig& cfg) {
   // One dp_critic_step per critic per d-step (see run_training).
   return cfg.d_steps * (cfg.use_aux_discriminator ? 2 : 1);
+}
+
+double dp_sampling_rate(const DoppelGangerConfig& cfg, int n) {
+  if (n <= 0) throw std::invalid_argument("dp_sampling_rate: n must be positive");
+  return static_cast<double>(std::min(cfg.batch, n)) / static_cast<double>(n);
 }
 
 DoppelGanger::DoppelGanger(data::Schema schema, DoppelGangerConfig cfg)
@@ -455,8 +461,8 @@ void DoppelGanger::dp_critic_step(Critic c, const Matrix& real,
     const int end = std::min(n, start + (n + micro - 1) / micro);
     if (end <= start) break;
     float micro_gp = 0.0f;
-    Var loss = core::critic_loss(fn, nn::slice_rows(Matrix(real), start, end),
-                                 nn::slice_rows(Matrix(fake), start, end),
+    Var loss = core::critic_loss(fn, nn::slice_rows(real, start, end),
+                                 nn::slice_rows(fake, start, end),
                                  cfg_.gp_weight, rng_, &micro_gp);
     total_loss += loss.value().at(0, 0);
     total_gp += micro_gp;
@@ -474,12 +480,20 @@ void DoppelGanger::dp_critic_step(Critic c, const Matrix& real,
   }
   // Gaussian noise calibrated to the clipping norm, then average; the
   // result is written straight into each trainable parameter's grad slot.
+  // One draw per element, a stack block at a time, in element order.
   const float sigma = dp.noise_multiplier * dp.clip_norm;
+  const auto denom = static_cast<float>(n_micro);
+  constexpr std::size_t kNoiseBlock = 1024;
+  float noise[kNoiseBlock];
   critic.zero_grad();
   for (size_t i = 0; i < params.size(); ++i) {
-    for (float& v : acc[i].flat()) {
-      v = (v + static_cast<float>(rng_.normal(0.0, sigma))) /
-          static_cast<float>(n_micro);
+    const std::span<float> sum = acc[i].flat();
+    for (std::size_t j0 = 0; j0 < sum.size(); j0 += kNoiseBlock) {
+      const std::span<float> z(noise, std::min(kNoiseBlock, sum.size() - j0));
+      rng_.fill_normal(z, 0.0, sigma);
+      for (std::size_t j = 0; j < z.size(); ++j) {
+        sum[j0 + j] = (sum[j0 + j] + z[j]) / denom;
+      }
     }
     Var p = params[i];
     if (p.requires_grad()) p.set_grad(std::move(acc[i]));

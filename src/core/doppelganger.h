@@ -92,6 +92,11 @@ struct DoppelGangerConfig {
 /// charges `iterations * dp_mechanisms_per_iteration(cfg)` steps.
 int dp_mechanisms_per_iteration(const DoppelGangerConfig& cfg);
 
+/// The sampling rate q of each of those mechanisms on a training set of n
+/// rows: run_training draws min(batch, n) distinct rows per d-step, so
+/// q = min(batch, n) / n, at most 1. Throws on n <= 0.
+double dp_sampling_rate(const DoppelGangerConfig& cfg, int n);
+
 struct TrainStats {
   std::vector<float> d_loss;
   std::vector<float> aux_loss;

@@ -374,7 +374,7 @@ constexpr OpDef kOpTable[] = {
     {kTanh,            "tanh",             1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kTanh,    kNoRows},
     {kSigmoid,         "sigmoid",          1, 1,  pass_through,      kFree,  kDouble, 3, per_output,   Fn::kSigmoid, kNoRows},
     {kExp,             "exp",              1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kExp,     kNoRows},
-    {kLog,             "log",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kLog,     kNoRows},
+    {kLog,             "log",              1, 1,  pass_through,      kFree,  kDouble, 1, per_output,   Fn::kLog,     kNoRows},
     {kSqrt,            "sqrt",             1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSqrt,    kNoRows},
     {kSquare,          "square",           1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSquare,  kNoRows},
     {kAbs,             "abs",              1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kAbs,     kNoRows},

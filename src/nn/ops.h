@@ -137,7 +137,7 @@ struct OpDef {
   DetClass det;
   DiffClass diff;
   /// 0: the kernel is bit-exact arithmetic. Otherwise the op is a shared
-  /// polynomial transcendental (exp/tanh/sigmoid, nn/simd/vec.h): still
+  /// in-tree transcendental (exp/tanh/sigmoid/log, nn/simd/vec.h): still
   /// bit-identical across SIMD tiers, and at most this many ULP from
   /// double-precision libm on its supported domain — for exp that is
   /// [-87.336, 88.376] (flush-to-zero below, +inf saturation above).

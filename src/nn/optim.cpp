@@ -3,7 +3,25 @@
 #include <cmath>
 #include <span>
 
+#include "nn/simd/vec.h"
+#include "obs/profile.h"
+
 namespace dg::nn {
+
+namespace {
+/// beta^t by squaring in double, rounded once to float: no libm pow, whose
+/// variant glibc picks by CPU. The bias corrections 1 - beta^t it gives
+/// equal those of glibc 2.36's powf (x86-64) for beta = 0.9 at every t up
+/// to 2e6 and for beta = 0.999 at all but t = 2958 and 3606.
+float beta_power(float beta, long t) {
+  double result = 1.0, base = beta;
+  for (; t > 0; t >>= 1) {
+    if (t & 1) result *= base;
+    base *= base;
+  }
+  return static_cast<float>(result);
+}
+}  // namespace
 
 Adam::Adam(std::vector<Var> params, AdamConfig cfg)
     : params_(std::move(params)), cfg_(cfg) {
@@ -17,24 +35,21 @@ Adam::Adam(std::vector<Var> params, AdamConfig cfg)
 
 void Adam::step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(cfg_.beta2, static_cast<float>(t_));
+  const simd::AdamCoeffs coeffs{cfg_.beta1,
+                                cfg_.beta2,
+                                cfg_.lr,
+                                cfg_.eps,
+                                1.0f - beta_power(cfg_.beta1, t_),
+                                1.0f - beta_power(cfg_.beta2, t_)};
+  const simd::KernelTable& kernels = simd::kernels();
   for (size_t i = 0; i < params_.size(); ++i) {
     Var g = params_[i].grad();
     if (!g.defined()) continue;
-    const Matrix& grad = g.value();
     Matrix& value = params_[i].mutable_value();
-    float* mv = m_[i].data();
-    float* vv = v_[i].data();
-    float* pv = value.data();
-    const float* gv = grad.data();
-    for (size_t j = 0; j < value.size(); ++j) {
-      mv[j] = cfg_.beta1 * mv[j] + (1.0f - cfg_.beta1) * gv[j];
-      vv[j] = cfg_.beta2 * vv[j] + (1.0f - cfg_.beta2) * gv[j] * gv[j];
-      const float mhat = mv[j] / bc1;
-      const float vhat = vv[j] / bc2;
-      pv[j] -= cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
-    }
+    // One sweep per parameter: reads g, p, m, v and writes p, m, v.
+    DG_OBS_KERNEL_TIMER("adam", value.size(), 7 * sizeof(float) * value.size());
+    kernels.adam(value.data(), m_[i].data(), v_[i].data(), g.value().data(),
+                 static_cast<std::int64_t>(value.size()), coeffs);
   }
 }
 

@@ -1,8 +1,10 @@
 #include "nn/rng.h"
 
-#include <cmath>
-#include <numbers>
+#include <algorithm>
 #include <stdexcept>
+
+#include "nn/simd/vec.h"
+#include "obs/profile.h"
 
 namespace dg::nn {
 
@@ -16,6 +18,10 @@ uint64_t splitmix64(uint64_t& x) {
 }
 
 uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+/// Pairs per block of Rng::fill_normal: the uniforms and their transform
+/// share one 4 KiB stack buffer.
+constexpr std::size_t kNormalBlockPairs = 256;
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -47,22 +53,53 @@ int Rng::uniform_int(int n) {
   return static_cast<int>(next_u64() % static_cast<uint64_t>(n));
 }
 
+void Rng::uniform_pair(double* u) {
+  u[0] = uniform();
+  while (u[0] <= 1e-300) u[0] = uniform();
+  u[1] = uniform();
+}
+
 double Rng::normal() {
   if (have_cached_normal_) {
     have_cached_normal_ = false;
     return cached_normal_;
   }
-  double u1 = uniform();
-  while (u1 <= 1e-300) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
+  double z[2];
+  uniform_pair(z);
+  simd::box_muller_ref(z, z);
+  cached_normal_ = z[1];
   have_cached_normal_ = true;
-  return r * std::cos(theta);
+  return z[0];
 }
 
 double Rng::normal(double mu, double sigma) { return mu + sigma * normal(); }
+
+void Rng::fill_normal(std::span<float> out, double mu, double sigma) {
+  if (out.empty()) return;
+  DG_OBS_KERNEL_TIMER("normal", out.size(), sizeof(float) * out.size());
+  std::size_t i = 0;
+  if (have_cached_normal_) {
+    have_cached_normal_ = false;
+    out[i++] = static_cast<float>(mu + sigma * cached_normal_);
+  }
+  double z[2 * kNormalBlockPairs];
+  const simd::KernelTable& kernels = simd::kernels();
+  while (i < out.size()) {
+    const std::size_t left = out.size() - i;
+    const std::size_t pairs = std::min(kNormalBlockPairs, (left + 1) / 2);
+    for (std::size_t p = 0; p < pairs; ++p) uniform_pair(z + 2 * p);
+    kernels.box_muller(z, z, static_cast<std::int64_t>(pairs));
+    const std::size_t take = std::min(2 * pairs, left);
+    for (std::size_t j = 0; j < take; ++j) {
+      out[i + j] = static_cast<float>(mu + sigma * z[j]);
+    }
+    i += take;
+    if (take < 2 * pairs) {  // an odd count: keep the last sine, as normal()
+      cached_normal_ = z[take];
+      have_cached_normal_ = true;
+    }
+  }
+}
 
 namespace {
 template <typename T>
@@ -111,7 +148,7 @@ std::vector<int> Rng::sample_without_replacement(int n, int k) {
 
 Matrix Rng::normal_matrix(int rows, int cols, double mu, double sigma) {
   Matrix m(rows, cols);
-  for (float& v : m.flat()) v = static_cast<float>(normal(mu, sigma));
+  fill_normal(m.flat(), mu, sigma);
   return m;
 }
 

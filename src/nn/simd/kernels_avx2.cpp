@@ -15,7 +15,8 @@ const KernelTable* avx2_table() {
       &avx2_impl::matmul_acc_rows, &avx2_impl::apply_ew,
       &avx2_impl::add_scalar,      &avx2_impl::mul_scalar,
       &avx2_impl::row_sum,         &avx2_impl::neg_row_max,
-      &avx2_impl::transpose,
+      &avx2_impl::transpose,       &avx2_impl::box_muller,
+      &avx2_impl::adam,
   };
   return &table;
 }

@@ -28,6 +28,15 @@
 //     stored once, through moves and lane shuffles that never inspect a
 //     value, so every tier writes the same bytes (NaN payloads included)
 //     by construction.
+//   - box_muller (the Gaussian sampler's transform) and log run in double
+//     precision through in-tree, branch-free forms of fdlibm's log and
+//     sin/cos: no libm, so the bytes do not depend on which variant the
+//     host's glibc picks. Every special case is computed and selected, so
+//     the avx2 tier (4 doubles per vector) runs the scalar tier's
+//     operations lane for lane.
+//   - adam is Adam's per-element update. Its mul, add, div and sqrt are
+//     correctly rounded IEEE operations, done in the scalar loop's order,
+//     so the 8-wide form writes the same bytes.
 //
 // Tier selection: DG_SIMD=scalar|avx2|auto (auto = CPUID pick, the default).
 // Requesting avx2 on a host without it falls back to scalar; the resolved
@@ -37,6 +46,7 @@
 #define DG_NN_SIMD_VEC_H_
 
 #include <cstdint>
+#include <numbers>
 
 namespace dg::nn::simd {
 
@@ -56,10 +66,24 @@ enum class EwFn : std::uint8_t {
   kTanh,      // d = tanh_ref(a)
   kSigmoid,   // d = sigmoid_ref(a)
   kExp,       // d = exp_ref(a)
-  kLog,       // d = log(a)   (libm in both tiers; never vectorized)
+  kLog,       // d = log_ref(a) (the double log, rounded once to float)
   kSqrt,      // d = sqrt(a)  (IEEE-exact, so vectorization is bit-safe)
   kSquare,    // d = a * a
   kRecip,     // d = 1 / a
+};
+
+/// Per-call constants of one Adam sweep (nn/optim.h). Each element is
+///   m = beta1·m + (1 − beta1)·g
+///   v = beta2·v + (1 − beta2)·g·g
+///   p −= lr·(m / bc1) / (sqrt(v / bc2) + eps)
+/// with bc1 = 1 − beta1ᵗ and bc2 = 1 − beta2ᵗ, the bias corrections.
+struct AdamCoeffs {
+  float beta1;
+  float beta2;
+  float lr;
+  float eps;
+  float bc1;
+  float bc2;
 };
 
 /// The per-tier kernel table. One relaxed atomic pointer load reaches the
@@ -96,6 +120,15 @@ struct KernelTable {
   /// multiple of 8. Pure data movement, so the bytes match on every tier.
   void (*transpose)(const float* a, int rows, int cols, float* out,
                     std::int64_t j0, std::int64_t j1);
+  /// Box-Muller on `pairs` uniform pairs (u[2i], u[2i+1]) = (u1, u2), u1 in
+  /// (0, 1] and u2 in [0, 1): z[2i] = r·cos θ and z[2i+1] = r·sin θ for
+  /// r = sqrt(−2·log u1) and θ = 2π·u2, with the double log and sin/cos
+  /// below. z may alias u. The avx2 tier transforms 4 pairs per step.
+  void (*box_muller)(const double* u, double* z, std::int64_t pairs);
+  /// One Adam update (see AdamCoeffs) of len elements, in place on the
+  /// parameters p and the moments m and v, from the gradient g.
+  void (*adam)(float* p, float* m, float* v, const float* g,
+               std::int64_t len, const AdamCoeffs& c);
 };
 
 /// Kernel table of the active tier (one relaxed atomic load).
@@ -128,12 +161,29 @@ bool parse_tier(const char* s, Tier& t, bool& auto_tier);
 // Defined in kernels_scalar.cpp (the -ffp-contract=off TU) and deliberately
 // NOT inline: every caller in every TU gets the same bits regardless of that
 // TU's optimization flags. These are the op-level semantics of exp/tanh/
-// sigmoid project-wide (EwFn::kExp/kTanh/kSigmoid evaluate them); the avx2
-// tier evaluates the same polynomial lane-wise. ULP bounds vs libm are
-// declared in the ops' rows (nn/ops.h) and pinned by tests/nn/test_simd.cpp.
+// sigmoid/log project-wide (EwFn::kExp/kTanh/kSigmoid/kLog evaluate them);
+// the avx2 tier evaluates the same operations lane-wise. ULP bounds vs libm
+// are declared in the ops' rows (nn/ops.h) and pinned by
+// tests/nn/test_simd.cpp.
 float exp_ref(float x);
 float tanh_ref(float x);
 float sigmoid_ref(float x);
+/// log_f64_ref(x) rounded once to float: 0 -> -inf, negative -> NaN.
+float log_ref(float x);
+
+/// The double-precision log and sin/cos behind box_muller and log_ref:
+/// fdlibm's polynomials and reduction, without branches. sincos_f64_ref
+/// takes x in [0, 2π], the Box-Muller angle's range.
+double log_f64_ref(double x);
+void sincos_f64_ref(double x, double& sin_x, double& cos_x);
+/// Most ULP log_f64_ref and sincos_f64_ref may differ from glibc's log, sin
+/// and cos on their domains (tests/nn/test_simd.cpp sweeps against it).
+inline constexpr int kF64UlpBound = 1;
+
+/// One Box-Muller pair (u1, u2) -> (r·cos θ, r·sin θ) on the scalar tier's
+/// code path: what Rng::normal() draws, and what every tier's box_muller
+/// computes per pair. z may alias u.
+void box_muller_ref(const double* u, double* z);
 
 namespace detail {
 
@@ -159,6 +209,46 @@ inline constexpr float kTanhP1 = 2.06390887954e-2f;
 inline constexpr float kTanhP2 = -5.37397155531e-2f;
 inline constexpr float kTanhP3 = 1.33314422036e-1f;
 inline constexpr float kTanhP4 = -3.33332819422e-1f;
+
+// fdlibm e_log.c: log(x) = k·ln2 + log(1 + f) with 1 + f in [√2/2, √2),
+// log(1 + f) from s = f / (2 + f) and a degree-14 polynomial in s.
+inline constexpr double kTwo54 = 0x1p54;
+inline constexpr double kLn2HiD = 6.93147180369123816490e-01;
+inline constexpr double kLn2LoD = 1.90821492927058770002e-10;
+inline constexpr double kLg1 = 6.666666666666735130e-01;
+inline constexpr double kLg2 = 3.999999999940941908e-01;
+inline constexpr double kLg3 = 2.857142874366239149e-01;
+inline constexpr double kLg4 = 2.222219843214978396e-01;
+inline constexpr double kLg5 = 1.818357216161805012e-01;
+inline constexpr double kLg6 = 1.531383769920937332e-01;
+inline constexpr double kLg7 = 1.479819860511658591e-01;
+
+// fdlibm e_rem_pio2.c: x = n·π/2 + y, π/2 split into a 33-bit head pio2_1
+// (n·pio2_1 is exact for small n), a 33-bit pio2_2 and its tail pio2_2t.
+inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
+inline constexpr double kInvPio2 = 6.36619772367581382433e-01;
+inline constexpr double kPio2_1 = 1.57079632673412561417e+00;
+inline constexpr double kPio2_2 = 6.07710050630396597660e-11;
+inline constexpr double kPio2_2t = 2.02226624879595063154e-21;
+
+// fdlibm k_sin.c / k_cos.c on |y| <= π/4.
+inline constexpr double kS1 = -1.66666666666666324348e-01;
+inline constexpr double kS2 = 8.33333333332248946124e-03;
+inline constexpr double kS3 = -1.98412698298579493134e-04;
+inline constexpr double kS4 = 2.75573137070700676789e-06;
+inline constexpr double kS5 = -2.50507602534068634195e-08;
+inline constexpr double kS6 = 1.58969099521155010221e-10;
+inline constexpr double kC1 = 4.16666666666666019037e-02;
+inline constexpr double kC2 = -1.38888888888741095749e-03;
+inline constexpr double kC3 = 2.48015872894767294178e-05;
+inline constexpr double kC4 = -2.75573143513906633035e-07;
+inline constexpr double kC5 = 2.08757232129817482790e-09;
+inline constexpr double kC6 = -1.13596475577881948265e-11;
+// k_cos.c's thresholds on |y|'s high word, as doubles: below 0x3fd33333
+// (~0.3) the correction qx is 0, above 0x3fe90000 (0.78125) it is 0.28125,
+// between them it is |y|/4 cut to its high word.
+inline constexpr double kCosQxLo = 0x1.33333p-2;
+inline constexpr double kCosQxHi = 0x1.90000ffffffffp-1;
 
 }  // namespace detail
 

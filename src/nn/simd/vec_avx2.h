@@ -9,7 +9,8 @@
 // No FMA anywhere: every mul+add pair is _mm256_mul_ps + _mm256_add_ps in
 // the scalar tier's operation order, which is what makes cross-tier
 // bit-identity hold without a tolerance. The transcendentals mirror
-// exp_eval/tanh_eval/sigmoid_eval constant-for-constant and op-for-op;
+// exp_eval/tanh_eval/sigmoid_eval and the double log_f64/sincos_f64
+// constant-for-constant and op-for-op;
 // branches become blends whose selector matches the scalar branch condition
 // (including NaN behavior — comments note each case).
 #ifndef DG_NN_SIMD_VEC_AVX2_H_
@@ -116,6 +117,142 @@ inline __m256 sigmoid_v(__m256 v) {
   const __m256 e = exp_v(arg);
   const __m256 num = _mm256_blendv_ps(e, one, nonneg);
   return _mm256_div_ps(num, _mm256_add_ps(one, e));
+}
+
+// ---- double-precision log and sin/cos --------------------------------------
+
+inline __m256d v_set1(double x) { return _mm256_set1_pd(x); }
+inline __m256i v_set1_epi64(std::int64_t x) { return _mm256_set1_epi64x(x); }
+inline __m256d add(__m256d a, __m256d b) { return _mm256_add_pd(a, b); }
+inline __m256d sub(__m256d a, __m256d b) { return _mm256_sub_pd(a, b); }
+inline __m256d mul(__m256d a, __m256d b) { return _mm256_mul_pd(a, b); }
+
+/// Small integers (|k| < 2^51) to double, exactly: k added to the bits of
+/// 1.5·2^52 is 1.5·2^52 + k, and subtracting 1.5·2^52 leaves k. Equal to
+/// the scalar static_cast<double>(k).
+inline __m256d small_int64_to_pd(__m256i k) {
+  const __m256d magic = v_set1(0x1.8p52);
+  return sub(
+      _mm256_castsi256_pd(_mm256_add_epi64(k, _mm256_castpd_si256(magic))),
+      magic);
+}
+
+/// scalar_impl::log_f64, 4 lanes: the selects become blends on the same
+/// conditions (ordered compares, false on NaN, like the scalar tests).
+inline __m256d log_f64_v(__m256d x) {
+  using namespace detail;
+  const __m256d tiny = _mm256_cmp_pd(x, v_set1(0x1p-1022), _CMP_LT_OQ);
+  const __m256d xs = _mm256_blendv_pd(x, mul(x, v_set1(kTwo54)), tiny);
+  const __m256i b = _mm256_castpd_si256(xs);
+  const __m256i hx =
+      _mm256_and_si256(_mm256_srli_epi64(b, 32), v_set1_epi64(0xfffff));
+  const __m256i i = _mm256_and_si256(
+      _mm256_add_epi64(hx, v_set1_epi64(0x95f64)), v_set1_epi64(0x100000));
+  __m256i k = _mm256_sub_epi64(
+      _mm256_and_si256(_mm256_srli_epi64(b, 52), v_set1_epi64(0x7ff)),
+      v_set1_epi64(1023));
+  k = _mm256_add_epi64(k, _mm256_srli_epi64(i, 20));
+  k = _mm256_add_epi64(
+      k, _mm256_and_si256(_mm256_castpd_si256(tiny), v_set1_epi64(-54)));
+  const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(b, v_set1_epi64(0x000fffffffffffffLL)),
+      _mm256_slli_epi64(_mm256_xor_si256(i, v_set1_epi64(0x3ff00000)), 32)));
+  const __m256d f = sub(m, v_set1(1.0));
+  const __m256d s = _mm256_div_pd(f, add(v_set1(2.0), f));
+  const __m256d dk = small_int64_to_pd(k);
+  const __m256d z = mul(s, s);
+  const __m256d w = mul(z, z);
+  __m256d t1 = add(v_set1(kLg4), mul(w, v_set1(kLg6)));
+  t1 = mul(w, add(v_set1(kLg2), mul(w, t1)));
+  __m256d t2 = add(v_set1(kLg5), mul(w, v_set1(kLg7)));
+  t2 = add(v_set1(kLg3), mul(w, t2));
+  t2 = mul(z, add(v_set1(kLg1), mul(w, t2)));
+  const __m256d r = add(t2, t1);
+  const __m256d hfsq = mul(mul(v_set1(0.5), f), f);
+  const __m256i near_sqrt2 = _mm256_cmpgt_epi64(
+      _mm256_or_si256(_mm256_sub_epi64(hx, v_set1_epi64(0x6147a)),
+                      _mm256_sub_epi64(v_set1_epi64(0x6b851), hx)),
+      _mm256_setzero_si256());
+  const __m256d hi = mul(dk, v_set1(kLn2HiD));
+  const __m256d lo = mul(dk, v_set1(kLn2LoD));
+  const __m256d big =
+      sub(hi, sub(sub(hfsq, add(mul(s, add(hfsq, r)), lo)), f));
+  const __m256d small = sub(hi, sub(sub(mul(s, sub(f, r)), lo), f));
+  __m256d res = _mm256_blendv_pd(small, big, _mm256_castsi256_pd(near_sqrt2));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d nan = v_set1(std::numeric_limits<double>::quiet_NaN());
+  res = _mm256_blendv_pd(res, v_set1(-kInf), _mm256_cmp_pd(x, zero, _CMP_EQ_OQ));
+  res = _mm256_blendv_pd(res, nan, _mm256_cmp_pd(x, zero, _CMP_LT_OQ));
+  res = _mm256_blendv_pd(res, x, _mm256_cmp_pd(x, v_set1(kInf), _CMP_EQ_OQ));
+  return _mm256_blendv_pd(res, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
+}
+
+/// scalar_impl::sincos_f64, 4 lanes. The quadrant n comes from the same
+/// truncating conversion; its bits 0 and 1 pick the swap and the signs,
+/// and a sign flip is an XOR of the sign bit, as the scalar negation is.
+inline void sincos_f64_v(__m256d x, __m256d& sin_x, __m256d& cos_x) {
+  using namespace detail;
+  const __m128i n32 =
+      _mm256_cvttpd_epi32(add(mul(x, v_set1(kInvPio2)), v_set1(0.5)));
+  const __m256d fn = _mm256_cvtepi32_pd(n32);
+  const __m256i n = _mm256_cvtepi32_epi64(n32);
+  const __m256d t = sub(x, mul(fn, v_set1(kPio2_1)));
+  const __m256d w = mul(fn, v_set1(kPio2_2));
+  const __m256d r = sub(t, w);
+  const __m256d wt = sub(mul(fn, v_set1(kPio2_2t)), sub(sub(t, r), w));
+  const __m256d y0 = sub(r, wt);
+  const __m256d y1 = sub(sub(r, y0), wt);
+
+  const __m256d z = mul(y0, y0);
+  const __m256d v = mul(z, y0);
+  __m256d rs = add(v_set1(kS5), mul(z, v_set1(kS6)));
+  rs = add(v_set1(kS4), mul(z, rs));
+  rs = add(v_set1(kS3), mul(z, rs));
+  rs = add(v_set1(kS2), mul(z, rs));
+  const __m256d ks =
+      sub(y0, sub(sub(mul(z, sub(mul(v_set1(0.5), y1), mul(v, rs))), y1),
+                  mul(v, v_set1(kS1))));
+
+  __m256d rc = add(v_set1(kC5), mul(z, v_set1(kC6)));
+  rc = add(v_set1(kC4), mul(z, rc));
+  rc = add(v_set1(kC3), mul(z, rc));
+  rc = add(v_set1(kC2), mul(z, rc));
+  rc = mul(z, add(v_set1(kC1), mul(z, rc)));
+  const __m256d ay = _mm256_andnot_pd(v_set1(-0.0), y0);
+  const __m256i high_word = v_set1_epi64(-0x100000000LL);  // 0xffffffff00000000
+  __m256d qx = _mm256_castsi256_pd(_mm256_sub_epi64(
+      _mm256_and_si256(_mm256_castpd_si256(ay), high_word),
+      v_set1_epi64(0x0020000000000000LL)));
+  qx = _mm256_blendv_pd(qx, v_set1(0.28125),
+                        _mm256_cmp_pd(ay, v_set1(kCosQxHi), _CMP_GT_OQ));
+  qx = _mm256_blendv_pd(qx, _mm256_setzero_pd(),
+                        _mm256_cmp_pd(ay, v_set1(kCosQxLo), _CMP_LT_OQ));
+  const __m256d hz = sub(mul(v_set1(0.5), z), qx);
+  const __m256d a = sub(v_set1(1.0), qx);
+  const __m256d kc = sub(a, sub(hz, sub(mul(z, rc), mul(y0, y1))));
+
+  // Bit 0 of n in the sign bit selects the swap; bits 1 of n and of n + 1
+  // shifted into the sign bit are the sin and cos sign flips.
+  const __m256d odd = _mm256_castsi256_pd(_mm256_slli_epi64(n, 63));
+  const __m256d s = _mm256_blendv_pd(ks, kc, odd);
+  const __m256d c = _mm256_blendv_pd(kc, ks, odd);
+  const __m256i two = v_set1_epi64(2);
+  const __m256d sin_flip = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_and_si256(n, two), 62));
+  const __m256d cos_flip = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(n, v_set1_epi64(1)), two), 62));
+  sin_x = _mm256_xor_pd(s, sin_flip);
+  cos_x = _mm256_xor_pd(c, cos_flip);
+}
+
+/// log_eval, 8 lanes: each half widened to 4 doubles, log_f64_v, narrowed.
+inline __m256 log_v(__m256 x) {
+  const __m128 lo = _mm256_cvtpd_ps(log_f64_v(_mm256_cvtps_pd(
+      _mm256_castps256_ps128(x))));
+  const __m128 hi = _mm256_cvtpd_ps(log_f64_v(_mm256_cvtps_pd(
+      _mm256_extractf128_ps(x, 1))));
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
 }
 
 // ---- kernels --------------------------------------------------------------
@@ -267,7 +404,8 @@ inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
         _mm256_storeu_ps(d + i, exp_v(_mm256_loadu_ps(a + i)));
       break;
     case EwFn::kLog:
-      // Deliberately not vectorized: log is libm in both tiers (vec.h).
+      for (; i + 8 <= len; i += 8)
+        _mm256_storeu_ps(d + i, log_v(_mm256_loadu_ps(a + i)));
       break;
     case EwFn::kSqrt:
       // VSQRTPS is correctly rounded, so it is bit-identical to std::sqrt.
@@ -431,6 +569,59 @@ inline void transpose(const float* a, int rows, int cols, float* out,
       }
     }
   }
+}
+
+/// Box-Muller, 4 pairs per step. Two loads hold pairs (0, 1) and (2, 3);
+/// unpacklo/hi gather u1 and u2 of pairs 0, 2, 1, 3, and the same
+/// unpacks on (r·cos θ, r·sin θ) put every pair back in place, so the
+/// lanes never cross. The last pairs go through the scalar tier.
+inline void box_muller(const double* u, double* z, std::int64_t pairs) {
+  const __m256d m2 = v_set1(-2.0), two_pi = v_set1(detail::kTwoPi);
+  std::int64_t i = 0;
+  for (; i + 4 <= pairs; i += 4) {
+    const __m256d a = _mm256_loadu_pd(u + 2 * i);
+    const __m256d b = _mm256_loadu_pd(u + 2 * i + 4);
+    const __m256d u1 = _mm256_unpacklo_pd(a, b);
+    const __m256d u2 = _mm256_unpackhi_pd(a, b);
+    const __m256d r = _mm256_sqrt_pd(mul(m2, log_f64_v(u1)));
+    __m256d s, c;
+    sincos_f64_v(mul(two_pi, u2), s, c);
+    const __m256d zc = mul(r, c), zs = mul(r, s);
+    _mm256_storeu_pd(z + 2 * i, _mm256_unpacklo_pd(zc, zs));
+    _mm256_storeu_pd(z + 2 * i + 4, _mm256_unpackhi_pd(zc, zs));
+  }
+  scalar_impl::box_muller(u + 2 * i, z + 2 * i, pairs - i);
+}
+
+/// scalar_impl::adam, 8 lanes: the same multiplies, adds, divides and
+/// square root in the same order (VSQRTPS and VDIVPS round correctly, as
+/// the scalar instructions do), then the scalar loop for the tail.
+inline void adam(float* p, float* m, float* v, const float* g,
+                 std::int64_t len, const AdamCoeffs& c) {
+  const __m256 beta1 = _mm256_set1_ps(c.beta1);
+  const __m256 beta2 = _mm256_set1_ps(c.beta2);
+  const __m256 one_m_beta1 = _mm256_set1_ps(1.0f - c.beta1);
+  const __m256 one_m_beta2 = _mm256_set1_ps(1.0f - c.beta2);
+  const __m256 lr = _mm256_set1_ps(c.lr), eps = _mm256_set1_ps(c.eps);
+  const __m256 bc1 = _mm256_set1_ps(c.bc1), bc2 = _mm256_set1_ps(c.bc2);
+  std::int64_t j = 0;
+  for (; j + 8 <= len; j += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + j);
+    const __m256 mv =
+        _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + j)),
+                      _mm256_mul_ps(one_m_beta1, gv));
+    const __m256 vv =
+        _mm256_add_ps(_mm256_mul_ps(beta2, _mm256_loadu_ps(v + j)),
+                      _mm256_mul_ps(_mm256_mul_ps(one_m_beta2, gv), gv));
+    _mm256_storeu_ps(m + j, mv);
+    _mm256_storeu_ps(v + j, vv);
+    const __m256 mhat = _mm256_div_ps(mv, bc1);
+    const __m256 vhat = _mm256_div_ps(vv, bc2);
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lr, mhat), _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(p + j, _mm256_sub_ps(_mm256_loadu_ps(p + j), step));
+  }
+  scalar_impl::adam(p + j, m + j, v + j, g + j, len - j, c);
 }
 
 }  // namespace dg::nn::simd::avx2_impl

@@ -21,8 +21,10 @@ namespace dg::nn::simd::scalar_impl {
 
 // ---- transcendentals ------------------------------------------------------
 // One definition, mirrored operation-for-operation by the avx2 lane forms in
-// vec_avx2.h. Any edit here must be applied there in lockstep or the
-// cross-tier bit-identity tests (test_simd.cpp) will catch the fork.
+// vec_avx2.h. None calls libm: exp/tanh/sigmoid are float polynomials, log
+// and sin/cos fdlibm's double forms. Any edit here must be applied there in
+// lockstep or the cross-tier bit-identity tests (test_simd.cpp) will catch
+// the fork.
 
 /// Cephes-style expf: 2^n * P(r) after Cody-Waite range reduction.
 /// ~2 ulp vs libm (bound pinned in the analysis registry + test_simd.cpp).
@@ -85,6 +87,102 @@ inline float sigmoid_eval(float v) {
   return num / (1.0f + e);
 }
 
+inline std::uint64_t bits_of(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+inline double double_of(std::uint64_t u) {
+  double x;
+  std::memcpy(&x, &u, sizeof(x));
+  return x;
+}
+
+/// fdlibm's log (e_log.c), with its branches on the value turned into
+/// selects the avx2 tier mirrors: subnormals are scaled by 2^54 first, the
+/// k = 0 and |f| < 2^-20 shortcuts are dropped (the general formula gives
+/// the same value at k = 0 and stays within the bound for small f), and
+/// both of its final formulas are computed, one picked by the same
+/// mantissa test. 0 -> -inf, negative -> NaN, +inf -> +inf, NaN -> itself.
+inline double log_f64(double x) {
+  using namespace detail;
+  const bool tiny = x < 0x1p-1022;
+  const double xs = tiny ? x * kTwo54 : x;
+  const std::uint64_t b = bits_of(xs);
+  // hx: the top 20 mantissa bits. i is 0x100000 when the mantissa is at
+  // least √2, where x is written as 2^(k+1) · m/2 so that m is below √2.
+  const auto hx = static_cast<std::int64_t>((b >> 32) & 0xfffff);
+  const std::int64_t i = (hx + 0x95f64) & 0x100000;
+  const std::int64_t k = static_cast<std::int64_t>((b >> 52) & 0x7ff) -
+                         1023 + (i >> 20) - (tiny ? 54 : 0);
+  const double m = double_of((b & 0x000fffffffffffffULL) |
+                             (static_cast<std::uint64_t>(i ^ 0x3ff00000) << 32));
+  const double f = m - 1.0;
+  const double s = f / (2.0 + f);
+  const auto dk = static_cast<double>(k);
+  const double z = s * s;
+  const double w = z * z;
+  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const double r = t2 + t1;
+  const double hfsq = 0.5 * f * f;
+  const bool near_sqrt2 = ((hx - 0x6147a) | (0x6b851 - hx)) > 0;
+  const double big =
+      dk * kLn2HiD - ((hfsq - (s * (hfsq + r) + dk * kLn2LoD)) - f);
+  const double small = dk * kLn2HiD - ((s * (f - r) - dk * kLn2LoD) - f);
+  double res = near_sqrt2 ? big : small;
+  if (x == 0.0) res = -std::numeric_limits<double>::infinity();
+  if (x < 0.0) res = std::numeric_limits<double>::quiet_NaN();
+  if (x == std::numeric_limits<double>::infinity()) res = x;
+  if (std::isnan(x)) res = x;
+  return res;
+}
+
+/// sin and cos of x in [0, 2π]: fdlibm's medium-range reduction (e_rem_pio2.c)
+/// x = n·π/2 + y0 + y1, always taking its second round (π/2 to ~118 bits,
+/// which the angles near n·π/2 need), then k_sin.c and k_cos.c on (y0, y1)
+/// and the quadrant's swap and signs. k_cos's branch on |y0| becomes its
+/// correction term qx, which is 0 in the branch that does not use it.
+inline void sincos_f64(double x, double& sin_x, double& cos_x) {
+  using namespace detail;
+  // x >= 0, so truncation is round-half-up of x·2/π.
+  const auto n = static_cast<std::int64_t>(x * kInvPio2 + 0.5);
+  const auto fn = static_cast<double>(n);
+  const double t = x - fn * kPio2_1;
+  const double w = fn * kPio2_2;
+  const double r = t - w;
+  const double wt = fn * kPio2_2t - ((t - r) - w);
+  const double y0 = r - wt;
+  const double y1 = (r - y0) - wt;
+
+  const double z = y0 * y0;
+  const double v = z * y0;
+  const double rs = kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)));
+  const double ks = y0 - ((z * (0.5 * y1 - v * rs) - y1) - v * kS1);
+
+  const double rc =
+      z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
+  const double ay = std::fabs(y0);
+  double qx = double_of((bits_of(ay) & 0xffffffff00000000ULL) -
+                        0x0020000000000000ULL);
+  if (ay > kCosQxHi) qx = 0.28125;
+  if (ay < kCosQxLo) qx = 0.0;
+  const double hz = 0.5 * z - qx;
+  const double a = 1.0 - qx;
+  const double kc = a - (hz - (z * rc - y0 * y1));
+
+  const double s = (n & 1) != 0 ? kc : ks;
+  const double c = (n & 1) != 0 ? ks : kc;
+  sin_x = (n & 2) != 0 ? -s : s;
+  cos_x = ((n + 1) & 2) != 0 ? -c : c;
+}
+
+/// log_f64 of the widened float, rounded once.
+inline float log_eval(float x) {
+  return static_cast<float>(log_f64(static_cast<double>(x)));
+}
+
 /// `v`, hidden from constant folding. kNeg is a multiply by -1, the
 /// arithmetic autograd's neg runs (mul_scalar by a runtime -1); GCC would
 /// fold a multiply by a literal -1 into a sign flip, which differs from the
@@ -108,7 +206,7 @@ inline float ew_eval(EwFn fn, float a, float b) {
     case EwFn::kTanh: return tanh_eval(a);
     case EwFn::kSigmoid: return sigmoid_eval(a);
     case EwFn::kExp: return exp_eval(a);
-    case EwFn::kLog: return std::log(a);
+    case EwFn::kLog: return log_eval(a);
     case EwFn::kSqrt: return std::sqrt(a);
     case EwFn::kSquare: return a * a;
     case EwFn::kRecip: return 1.0f / a;
@@ -197,7 +295,7 @@ inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
       for (std::int64_t i = 0; i < len; ++i) d[i] = exp_eval(a[i]);
       break;
     case EwFn::kLog:
-      for (std::int64_t i = 0; i < len; ++i) d[i] = std::log(a[i]);
+      for (std::int64_t i = 0; i < len; ++i) d[i] = log_eval(a[i]);
       break;
     case EwFn::kSqrt:
       for (std::int64_t i = 0; i < len; ++i) d[i] = std::sqrt(a[i]);
@@ -301,6 +399,34 @@ inline void transpose(const float* a, int rows, int cols, float* out,
         }
       }
     }
+  }
+}
+
+/// Box-Muller, pair by pair (see KernelTable::box_muller): today's
+/// Rng::normal expression with the in-tree log and sin/cos.
+inline void box_muller(const double* u, double* z, std::int64_t pairs) {
+  for (std::int64_t i = 0; i < pairs; ++i) {
+    const double u1 = u[2 * i], u2 = u[2 * i + 1];
+    const double r = std::sqrt(-2.0 * log_f64(u1));
+    const double theta = detail::kTwoPi * u2;
+    double s, c;
+    sincos_f64(theta, s, c);
+    z[2 * i] = r * c;
+    z[2 * i + 1] = r * s;
+  }
+}
+
+/// One Adam update per element, in the order the avx2 tier mirrors.
+inline void adam(float* p, float* m, float* v, const float* g,
+                 std::int64_t len, const AdamCoeffs& c) {
+  const float beta1 = c.beta1, beta2 = c.beta2, lr = c.lr, eps = c.eps;
+  const float bc1 = c.bc1, bc2 = c.bc2;
+  for (std::int64_t j = 0; j < len; ++j) {
+    m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+    v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+    const float mhat = m[j] / bc1;
+    const float vhat = v[j] / bc2;
+    p[j] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
 }
 

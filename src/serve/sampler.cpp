@@ -131,9 +131,9 @@ int SlotSampler::pump() {
     if (tracing && traced_lane == nullptr && lane.span_id != 0) {
       traced_lane = &lane;
     }
-    for (int j = 0; j < noise_dim; ++j) {
-      noise_.at(r, j) = static_cast<float>(lane.job.rng.normal(0.0, 1.0));
-    }
+    lane.job.rng.fill_normal(
+        noise_.flat().subspan(static_cast<std::size_t>(r) * noise_dim,
+                              static_cast<std::size_t>(noise_dim)));
   }
 
   // The batched step serves every occupied lane at once; attribute its span

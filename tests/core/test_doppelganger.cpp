@@ -435,6 +435,17 @@ TEST(DoppelGanger, DpMechanismsPerIterationMatchesCriticSteps) {
 #endif
 }
 
+TEST(DoppelGanger, DpSamplingRateIsTheBatchRunTrainingDraws) {
+  // run_training draws min(batch, n) rows, so q never exceeds 1 (an
+  // accountant refuses q > 1) when the data is smaller than the batch.
+  DoppelGangerConfig cfg;
+  cfg.batch = 50;
+  EXPECT_DOUBLE_EQ(dp_sampling_rate(cfg, 20), 1.0);
+  EXPECT_DOUBLE_EQ(dp_sampling_rate(cfg, 50), 1.0);
+  EXPECT_DOUBLE_EQ(dp_sampling_rate(cfg, 200), 0.25);
+  EXPECT_THROW(dp_sampling_rate(cfg, 0), std::invalid_argument);
+}
+
 TEST(DoppelGanger, FitMoreContinuesTraining) {
   const auto d = tiny_dataset(16, 12);
   DoppelGangerConfig cfg = tiny_config();

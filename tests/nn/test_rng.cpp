@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <set>
+#include <vector>
+
+#include "nn/autograd.h"
 
 namespace dg::nn {
 namespace {
@@ -48,19 +53,86 @@ TEST(Rng, UniformIntBounds) {
   EXPECT_THROW(rng.uniform_int(0), std::invalid_argument);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(11);
-  const int n = 20000;
+/// Mean and variance within 5 standard errors of N(0, 1), and the
+/// Kolmogorov-Smirnov distance to its CDF below the 1% critical value
+/// 1.63/sqrt(n).
+void expect_standard_normal(std::vector<double> xs, const char* what) {
+  const auto n = static_cast<double>(xs.size());
   double s = 0, s2 = 0;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal();
+  for (double x : xs) {
     s += x;
     s2 += x * x;
   }
-  const double mu = s / n;
-  const double var = s2 / n - mu * mu;
-  EXPECT_NEAR(mu, 0.0, 0.03);
-  EXPECT_NEAR(var, 1.0, 0.05);
+  const double mean = s / n;
+  const double var = s2 / n - mean * mean;
+  EXPECT_NEAR(mean, 0.0, 5.0 / std::sqrt(n)) << what;
+  EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / n)) << what;
+  std::sort(xs.begin(), xs.end());
+  double ks = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double cdf = 0.5 * std::erfc(-xs[i] / std::numbers::sqrt2);
+    ks = std::max({ks, cdf - static_cast<double>(i) / n,
+                   static_cast<double>(i + 1) / n - cdf});
+  }
+  EXPECT_LT(ks, 1.63 / std::sqrt(n)) << what;
+}
+
+TEST(Rng, NormalMoments) {
+  constexpr int kDraws = 1000000;
+  Rng rng(11);
+  std::vector<double> draws(kDraws);
+  for (double& x : draws) x = rng.normal();
+  expect_standard_normal(draws, "normal()");
+  std::vector<float> filled(kDraws);
+  rng.fill_normal(filled);
+  expect_standard_normal({filled.begin(), filled.end()}, "fill_normal");
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+TEST(Rng, FillNormalIsTheNormalStream) {
+  // fill_normal(n) draws what n calls of normal(mu, sigma) draw, cast to
+  // float, and leaves the same xoshiro state and cached sine behind, with
+  // or without a cached value at the start, at every length around the
+  // kernel's 4-pair vectors and its 256-pair blocks.
+  std::vector<int> lengths;
+  for (int n = 0; n <= 67; ++n) lengths.push_back(n);
+  for (int n : {511, 512, 513, 1025}) lengths.push_back(n);
+  for (int n : lengths) {
+    for (bool cached : {false, true}) {
+      Rng a(100 + n), b(100 + n);
+      if (cached) {
+        (void)a.normal();
+        (void)b.normal();
+      }
+      std::vector<float> out(static_cast<std::size_t>(n));
+      a.fill_normal(out, 0.25, 3.0);
+      for (int i = 0; i < n; ++i) {
+        const auto want = static_cast<float>(b.normal(0.25, 3.0));
+        ASSERT_TRUE(same_bits(out[static_cast<std::size_t>(i)], want))
+            << "n=" << n << " cached=" << cached << " i=" << i;
+      }
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(a.normal(), b.normal())
+            << "n=" << n << " cached=" << cached << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, ShapeOnlyNormalMatrixDrawsNothing) {
+  Rng a(31), b(31);
+  (void)a.normal();  // leave a cached sine for the guard to keep
+  (void)b.normal();
+  {
+    MetaModeGuard meta;
+    const Matrix m = a.normal_matrix(4, 6);
+    EXPECT_EQ(m.rows(), 4);
+    EXPECT_EQ(m.cols(), 6);
+    EXPECT_TRUE(m.empty());
+  }
+  EXPECT_EQ(a.normal(), b.normal());
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(Rng, NormalShiftScale) {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -88,6 +89,13 @@ void fill(Matrix& m, std::uint32_t seed) {
       v = static_cast<float>(r) * (4.0f / 4294967296.0f) - 2.0f;
     }
   }
+}
+
+/// Bit pattern of a float built from raw bits (NaN payloads survive).
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
 }
 
 ::testing::AssertionResult bit_identical(const Matrix& a, const Matrix& b) {
@@ -167,14 +175,15 @@ TEST(SimdRegistry, TranscendentalsDeclareUlpBounds) {
   registry_ulp_bound("exp");
   registry_ulp_bound("tanh");
   registry_ulp_bound("sigmoid");
+  registry_ulp_bound("log");
   int bounded = 0;
   for (const OpDef& row : op_table()) bounded += row.ulp_bound > 0 ? 1 : 0;
-  EXPECT_EQ(bounded, 3) << "only the polynomial transcendentals are bounded";
+  EXPECT_EQ(bounded, 4) << "only the in-tree transcendentals are bounded";
 }
 
 TEST(SimdRegistry, PureOpsAreBitExact) {
   for (const char* op : {"add", "mul", "matmul", "lstm_gates", "row_sum",
-                         "relu", "sqrt", "log"}) {
+                         "relu", "sqrt"}) {
     const OpDef* row = find_op(op);
     ASSERT_NE(row, nullptr) << op;
     EXPECT_EQ(row->ulp_bound, 0) << op;
@@ -261,6 +270,107 @@ TEST(SimdUlp, TanhSigmoidEdgeCases) {
   EXPECT_EQ(simd::sigmoid_ref(inf), 1.0f);
   EXPECT_EQ(simd::sigmoid_ref(-inf), 0.0f);
   EXPECT_EQ(simd::sigmoid_ref(0.0f), 0.5f);
+}
+
+TEST(SimdUlp, LogWithinRegistryBound) {
+  const std::int64_t bound = registry_ulp_bound("log");
+  sweep_ulp(&simd::log_ref, &std::log, 0.5f, 2.0f, 200000, bound, "log");
+  sweep_ulp(&simd::log_ref, &std::log, 1e-3f, 1e3f, 200000, bound, "log");
+  // Every binade: positive bit patterns from the smallest subnormal to the
+  // largest finite float, 2^31 / 1021 of them.
+  std::int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (std::uint32_t u = 1; u < 0x7f800000u; u += 1021) {
+    const float x = from_bits(u);
+    const std::int64_t d = ulp_distance(
+        simd::log_ref(x), static_cast<float>(std::log(static_cast<double>(x))));
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, bound) << "log worst ULP " << worst << " at x=" << worst_x;
+}
+
+TEST(SimdUlp, LogEdgeCases) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(simd::log_ref(0.0f), -inf);
+  EXPECT_EQ(simd::log_ref(-0.0f), -inf);
+  EXPECT_TRUE(std::isnan(simd::log_ref(-1.0f)));
+  EXPECT_TRUE(std::isnan(simd::log_ref(-1e-40f)));
+  EXPECT_TRUE(std::isnan(simd::log_ref(-inf)));
+  EXPECT_TRUE(std::isnan(simd::log_ref(nan)));
+  EXPECT_EQ(simd::log_ref(inf), inf);
+  EXPECT_EQ(float_bits(simd::log_ref(1.0f)), float_bits(0.0f));
+  const std::int64_t bound = registry_ulp_bound("log");
+  for (const float x : {from_bits(0x00000001u), from_bits(0x00000400u),
+                        from_bits(0x007fffffu), from_bits(0x00800000u),
+                        std::numeric_limits<float>::max()}) {
+    EXPECT_LE(ulp_distance(simd::log_ref(x), static_cast<float>(std::log(
+                                                 static_cast<double>(x)))),
+              bound)
+        << x;
+  }
+}
+
+/// Distance in ULP between two doubles (same mapping as ulp_distance).
+std::int64_t ulp_distance_f64(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return 0;
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  auto key = [](double d) -> std::int64_t {
+    std::int64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u < 0 ? std::numeric_limits<std::int64_t>::min() - u : u;
+  };
+  return std::llabs(key(a) - key(b));
+}
+
+/// A uniform on Rng::uniform's grid, k·2^-53 for a 53-bit k, from an LCG.
+double lcg_uniform(std::uint64_t& s) {
+  s = s * 6364136223846793005ull + 1442695040888963407ull;
+  return static_cast<double>(s >> 11) * 0x1.0p-53;
+}
+
+TEST(SimdUlp, F64LogSinCosWithinBound) {
+  // The double log and sin/cos behind the Gaussian sampler, against glibc
+  // on the sampler's domains: log on [2^-53, 1), sin and cos on [0, 2π).
+  struct Worst {
+    std::int64_t ulp = 0;
+    double at = 0;
+    void note(double got, double want, double x) {
+      const std::int64_t d = ulp_distance_f64(got, want);
+      if (d > ulp) {
+        ulp = d;
+        at = x;
+      }
+    }
+  } log_w, sin_w, cos_w;
+  constexpr int kPoints = 1000000;
+  std::uint64_t s = 12345;
+  for (int i = 0; i < kPoints; ++i) {
+    const double u = std::max(lcg_uniform(s), 0x1.0p-53);
+    log_w.note(simd::log_f64_ref(u), std::log(u), u);
+    const double x = simd::detail::kTwoPi * lcg_uniform(s);
+    double sn, cs;
+    simd::sincos_f64_ref(x, sn, cs);
+    sin_w.note(sn, std::sin(x), x);
+    cos_w.note(cs, std::cos(x), x);
+  }
+  for (int e = 1; e <= 53; ++e) {
+    for (const double u : {std::ldexp(1.0, -e), 1.0 - std::ldexp(1.0, -e)}) {
+      log_w.note(simd::log_f64_ref(u), std::log(u), u);
+    }
+  }
+  // Subnormal arguments take the 2^54 scaling.
+  for (const double u : {0x1.0p-1074, 0x1.8p-1030, 0x1.fffffp-1023}) {
+    log_w.note(simd::log_f64_ref(u), std::log(u), u);
+  }
+  EXPECT_LE(log_w.ulp, simd::kF64UlpBound) << "log at " << log_w.at;
+  EXPECT_LE(sin_w.ulp, simd::kF64UlpBound) << "sin at " << sin_w.at;
+  EXPECT_LE(cos_w.ulp, simd::kF64UlpBound) << "cos at " << cos_w.at;
 }
 
 // ---------------------------------------------------------------------------
@@ -507,13 +617,6 @@ TEST(SimdCrossTier, BroadcastsAndReductions) {
   expect_invariant("col_sum", &Ctx::run_col_sum, 45);
 }
 
-/// Bit pattern of a float built from raw bits (NaN payloads survive).
-float from_bits(std::uint32_t u) {
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
 /// fill() plus the values a move must carry bit for bit: quiet and
 /// signaling NaNs with payloads (both signs), -0.0, +-Inf and subnormals,
 /// scattered so they land in 8x8 blocks and in the scalar edges alike.
@@ -620,6 +723,112 @@ TEST(SimdCrossTier, EdgeValuesThroughElementwise) {
     ASSERT_TRUE(simd::set_simd_tier(simd::Tier::kAvx2));
     EXPECT_TRUE(bit_identical(want, map_ew(fn, edge)))
         << "fn=" << static_cast<int>(fn);
+  }
+}
+
+TEST(SimdCrossTier, BoxMuller) {
+  if (!avx2_available()) GTEST_SKIP() << "no avx2 tier to compare";
+  // The avx2 tier's 4-pair vectors and scalar tail write the scalar tier's
+  // bytes, out of place and in place, on random pairs and on the pairs
+  // whose angles land on multiples of π/4 (u2 = k/8), where the reduction
+  // cancels most, with u1 at the ends of (0, 1), on powers of two and on
+  // subnormals (the log's 2^54 scaling).
+  TierGuard guard;
+  std::vector<double> u;
+  std::uint64_t s = 777;
+  for (int i = 0; i < 100000; ++i) {
+    u.push_back(std::max(lcg_uniform(s), 0x1.0p-53));
+    u.push_back(lcg_uniform(s));
+  }
+  std::vector<double> u1s = {0x1.0p-53, 1.0 - 0x1.0p-53, 0x1.0p-1074,
+                             0x1.8p-1030};
+  for (int e = 1; e <= 52; ++e) u1s.push_back(std::ldexp(1.0, -e));
+  std::vector<double> u2s = {0.0, 1.0 - 0x1.0p-53};
+  for (int k = 1; k <= 7; ++k) u2s.push_back(k / 8.0);
+  for (double u1 : u1s) {
+    for (double u2 : u2s) {
+      u.push_back(u1);
+      u.push_back(u2);
+    }
+  }
+  const auto pairs = static_cast<std::int64_t>(u.size() / 2);
+  auto run = [&](simd::Tier tier, const double* in, std::int64_t n,
+                 bool in_place) {
+    EXPECT_TRUE(simd::set_simd_tier(tier));
+    std::vector<double> z(in, in + 2 * n);
+    simd::kernels().box_muller(in_place ? z.data() : in, z.data(), n);
+    return z;
+  };
+  auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  };
+  const std::vector<double> ref =
+      run(simd::Tier::kScalar, u.data(), pairs, false);
+  for (bool in_place : {false, true}) {
+    EXPECT_TRUE(same(run(simd::Tier::kAvx2, u.data(), pairs, in_place), ref))
+        << "in_place=" << in_place;
+  }
+  for (std::int64_t i = 0; i < pairs; i += 997) {
+    double z[2];
+    simd::box_muller_ref(&u[static_cast<std::size_t>(2 * i)], z);
+    const double* want = &ref[static_cast<std::size_t>(2 * i)];
+    EXPECT_EQ(std::memcmp(z, want, sizeof(z)), 0) << "pair " << i;
+  }
+  // Lengths 0..9 from an offset start: every tail length, and no write
+  // past the last pair (the vectors hold exactly 2n doubles).
+  const std::size_t edge0 = u.size() - 2 * u1s.size() * u2s.size();
+  for (std::int64_t n = 0; n <= 9; ++n) {
+    EXPECT_TRUE(same(run(simd::Tier::kAvx2, &u[edge0 + 2], n, false),
+                     run(simd::Tier::kScalar, &u[edge0 + 2], n, false)))
+        << "pairs=" << n;
+  }
+}
+
+TEST(SimdCrossTier, Adam) {
+  if (!avx2_available()) GTEST_SKIP() << "no avx2 tier to compare";
+  // One update of every length 0..17 and of train-gcut-dp's 296,002 critic
+  // parameters, with ±0, ±inf, NaN and subnormal gradients among random
+  // ones, with and without flushed subnormals: the avx2 tier writes the
+  // scalar tier's p, m and v bytes.
+  TierGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,  -0.0f, inf,     -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            1e-40f, -3e-42f, from_bits(0x00000001u)};
+  const simd::AdamCoeffs coeffs{0.9f, 0.999f, 1e-3f, 1e-8f,
+                                1.0f - 0.9f * 0.9f * 0.9f,
+                                1.0f - 0.999f * 0.999f * 0.999f};
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(296002);
+  for (bool flush : {false, true}) {
+    std::optional<FlushDenormalsGuard> ftz;
+    if (flush) ftz.emplace();
+    for (std::int64_t n : lengths) {
+      Matrix p(1, static_cast<int>(n)), m(1, static_cast<int>(n)),
+          v(1, static_cast<int>(n)), g(1, static_cast<int>(n));
+      fill(p, static_cast<std::uint32_t>(n) + 1);
+      fill(m, static_cast<std::uint32_t>(n) + 2);
+      fill(v, static_cast<std::uint32_t>(n) + 3);
+      for (float& x : v.flat()) x = std::fabs(x);
+      fill(g, static_cast<std::uint32_t>(n) + 4);
+      for (std::size_t i = 0; i < g.size(); i += 3) {
+        g.data()[i] = specials[(i / 3) % std::size(specials)];
+      }
+      Matrix want[3] = {p, m, v}, got[3] = {p, m, v};
+      ASSERT_TRUE(simd::set_simd_tier(simd::Tier::kScalar));
+      simd::kernels().adam(want[0].data(), want[1].data(), want[2].data(),
+                           g.data(), n, coeffs);
+      ASSERT_TRUE(simd::set_simd_tier(simd::Tier::kAvx2));
+      simd::kernels().adam(got[0].data(), got[1].data(), got[2].data(),
+                           g.data(), n, coeffs);
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_TRUE(bit_identical(want[k], got[k]))
+            << "array " << k << " n=" << n << " flush=" << flush;
+      }
+    }
   }
 }
 
