@@ -78,41 +78,44 @@ bool dim_mentions(const Dim& dim, const std::string& name) {
 
 }  // namespace
 
-std::vector<Diagnostic> audit_registry(const OpRegistry& r) {
+std::vector<Diagnostic> audit_registry(const OpRegistry& r,
+                                       std::span<const std::string> where) {
   std::vector<Diagnostic> out;
-  for (const std::string& name : r.names()) {
-    const OpInfo* info = r.find(name);
-    if (name == "grad") {
+  for (const nn::OpDef& row : nn::op_table()) {
+    const Op op = row.op;
+    const OpInfo& info = r[op];
+    const auto finding = [&](Severity sev, const char* code, std::string msg) {
+      out.push_back({sev, code, std::move(msg), row.name,
+                     where.empty() ? std::string()
+                                   : where[static_cast<size_t>(op)]});
+    };
+    if (op == Op::kGrad) {
       // The slot itself is the read-modify-write accumulation target; the
       // vanishing-extent law does not apply to a leaf.
-      if (info->det != DetClass::kAccumulating) {
-        out.push_back({Severity::kError, "determinism-class",
-                       "the gradient slot accumulates contributions in "
-                       "traversal order and must be kAccumulating",
-                       name,
-                       {}});
+      if (info.det != DetClass::kAccumulating) {
+        finding(Severity::kError, "determinism-class",
+                "the gradient slot accumulates contributions in traversal "
+                "order and must be kAccumulating");
       }
       continue;
     }
-    if (name == "slice_cols" || name == "slice_rows" ||
-        name == "neg_row_max") {
+    if (op == Op::kSliceCols || op == Op::kSliceRows ||
+        op == Op::kNegRowMax) {
       // Exempt from the vanishing-extent law: the input extent leaves the
       // output without a floating-point fold — slicing copies an
       // attrs-defined sub-range, and a row max compares without adding.
       // Pinned kOrderFree.
-      if (info->det != DetClass::kOrderFree) {
-        out.push_back({Severity::kError, "determinism-class",
-                       "op drops an extent without accumulating over it; it "
-                       "must be kOrderFree",
-                       name,
-                       {}});
+      if (info.det != DetClass::kOrderFree) {
+        finding(Severity::kError, "determinism-class",
+                "op drops an extent without accumulating over it; it must "
+                "be kOrderFree");
       }
       continue;
     }
 
     bool verified = false;
-    for (const Probe& probe : make_probes(*info)) {
-      const ShapeResult sr = info->shape(probe.in, probe.attrs);
+    for (const Probe& probe : make_probes(info)) {
+      const ShapeResult sr = info.shape(probe.in, probe.attrs);
       if (!sr.shape) continue;
       verified = true;
       // The law: an op folds (reduces) iff some non-unit input extent
@@ -131,27 +134,22 @@ std::vector<Diagnostic> audit_registry(const OpRegistry& r) {
       }
       const DetClass proved =
           vanished ? DetClass::kOrderedReduction : DetClass::kOrderFree;
-      if (info->det != proved) {
-        out.push_back(
-            {Severity::kError, "determinism-class",
-             std::string("declared ") + to_string(info->det) +
-                 " but the shape probe proves " + to_string(proved) +
-                 (vanished ? " (extent " + gone + " is folded away: " +
-                                 probe.in[0].str() + " -> " +
-                                 sr.shape->str() + ")"
-                           : " (every non-unit input extent survives to the "
-                             "output)"),
-             name,
-             {}});
+      if (info.det != proved) {
+        finding(Severity::kError, "determinism-class",
+                std::string("declared ") + to_string(info.det) +
+                    " but the shape probe proves " + to_string(proved) +
+                    (vanished ? " (extent " + gone + " is folded away: " +
+                                    probe.in[0].str() + " -> " +
+                                    sr.shape->str() + ")"
+                              : " (every non-unit input extent survives to "
+                                "the output)"));
       }
       break;
     }
     if (!verified) {
-      out.push_back({Severity::kWarning, "determinism-unverified",
-                     "no generic shape probe satisfies this op's shape rule; "
-                     "its determinism class is declared but unproven",
-                     name,
-                     {}});
+      finding(Severity::kWarning, "determinism-unverified",
+              "no generic shape probe satisfies this op's shape rule; its "
+              "determinism class is declared but unproven");
     }
   }
   return out;
@@ -167,29 +165,22 @@ bool seed_adjoint_defect(OpRegistry& r, std::string_view defect) {
   if (defect == "wrong-adjoint-shape") {
     // row_sum's gradient must expand [n,1] back to [n,d]; returning the
     // output gradient unexpanded is the classic transposed-convention bug.
-    OpInfo info = *r.find("row_sum");
-    info.fault = [](std::vector<nn::Var>& grads, const nn::Var& gout) {
-      grads[0] = gout;
-    };
-    r.add(std::move(info));
+    r[Op::kRowSum].fault = [](std::vector<nn::Var>& grads,
+                              const nn::Var& gout) { grads[0] = gout; };
     return true;
   }
   if (defect == "dropped-accum-edge") {
     // affine silently loses its bias gradient: nothing crashes, the slot
     // just never receives a contribution and Adam never updates the bias.
-    OpInfo info = *r.find("affine");
-    info.fault = [](std::vector<nn::Var>& grads, const nn::Var&) {
+    r[Op::kAffine].fault = [](std::vector<nn::Var>& grads, const nn::Var&) {
       grads[2] = nn::Var();
     };
-    r.add(std::move(info));
     return true;
   }
   if (defect == "mislabel-det-class") {
     // matmul declared order-free would hide every weight-gradient reduction
     // from the census.
-    OpInfo info = *r.find("matmul");
-    info.det = DetClass::kOrderFree;
-    r.add(std::move(info));
+    r[Op::kMatmul].det = DetClass::kOrderFree;
     return true;
   }
   return false;

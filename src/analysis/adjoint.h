@@ -14,6 +14,7 @@
 // broken rule in nn/autograd.cpp would.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,11 +24,13 @@
 
 namespace dg::analysis {
 
-/// Probe-based determinism-class audit over every registered op (see file
-/// comment). Emits code "determinism-class" for a mislabeled op and
+/// Probe-based determinism-class audit over every op, in table order (see
+/// file comment). Emits code "determinism-class" for a mislabeled op and
 /// "determinism-unverified" (warning) for an op whose shape rule accepts
-/// none of the generic probes.
-std::vector<Diagnostic> audit_registry(const OpRegistry& r);
+/// none of the generic probes. `where`, if given, holds an exemplar graph
+/// path per Op, attached to that op's findings.
+std::vector<Diagnostic> audit_registry(
+    const OpRegistry& r, std::span<const std::string> where = {});
 
 /// The seeded defect classes the mutation tests cover:
 ///   "wrong-adjoint-shape"   row_sum's backward returns the [n,1] output

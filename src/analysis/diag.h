@@ -21,13 +21,14 @@ const char* to_string(Severity s);
 struct Diagnostic {
   Severity severity = Severity::kError;
   /// Stable machine-readable class, kebab-case: "shape-mismatch",
-  /// "unknown-op", "trace-error", "no-double-backward", "adjoint-shape",
-  /// "grad-slot-undefined", "determinism-class", "config-invalid",
-  /// "aux-ignored", "weight-shape", "frozen-params", "package-parse", and
-  /// the tape verifier's "tape-*" classes.
+  /// "trace-error", "no-double-backward", "adjoint-shape",
+  /// "grad-slot-undefined", "determinism-class", "determinism-unverified",
+  /// "config-invalid", "aux-ignored", "weight-shape", "frozen-params",
+  /// "package-parse", and the tape verifier's "tape-*" classes.
   std::string code;
   std::string message;
-  /// Op name (or parameter/config field name) the finding attaches to.
+  /// Name of the op the finding attaches to, rendered from its row (or a
+  /// parameter or config field name).
   std::string op;
   /// Graph-path attribution when the finding arose inside a symbolic walk.
   std::string path;

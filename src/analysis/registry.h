@@ -1,23 +1,22 @@
 // The op registry: the analyzer's copy of the nn op table (nn/ops.h), one
-// entry per row. Every fact about an op — its shape rule, arity,
-// differentiability class and determinism class — is the row's; the
-// registry exists so an analysis can run against a modified copy: the
-// what-if downgrades of `dgcli lint --assume-first-order`, the seeded
-// adjoint faults of analysis/adjoint.h, and the override tests.
+// entry per row, indexed by nn::Op like the table itself. Every fact about
+// an op — its shape rule, arity, differentiability class and determinism
+// class — is the row's; the registry exists so an analysis can run against
+// a modified copy: the what-if downgrades of `dgcli lint
+// --assume-first-order`, the seeded adjoint faults of analysis/adjoint.h,
+// and the override tests.
 //
 // The registry holds no backward rules: the analyzer traces the engine's
 // own (analysis/trace.h), so every adjoint it audits is the one training
 // runs.
 //
 // Extension contract: a new op is a new row in nn/ops.cpp. make_op takes
-// a row, so an op without one does not compile, and builtin() picks the row
-// up with nothing to register here.
+// a row, so an op without one does not compile, and the registry picks the
+// row up with nothing to register here.
 #pragma once
 
+#include <array>
 #include <functional>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "nn/autograd.h"
@@ -29,6 +28,7 @@ using nn::add_dims;
 using nn::DetClass;
 using nn::DiffClass;
 using nn::Dim;
+using nn::Op;
 using nn::OpAttrs;
 using nn::Shape;
 using nn::ShapeResult;
@@ -48,22 +48,22 @@ struct OpInfo : nn::OpDef {
 
 class OpRegistry {
  public:
-  OpRegistry() = default;
+  /// One entry per row of nn::op_table(), unmodified.
+  OpRegistry();
 
-  /// One entry per row of nn::op_table(). Copy it to apply overrides.
+  /// The unmodified registry. Copy it to apply overrides.
   static const OpRegistry& builtin();
 
-  const OpInfo* find(std::string_view name) const;
-
-  /// Insert-or-replace: the override point for what-if audits (e.g.
-  /// downgrading an op to kFirstOrderOnly to prove the critic-path audit
-  /// catches it) and seeded defects.
-  void add(OpInfo info);
-
-  std::vector<std::string> names() const;
+  const OpInfo& operator[](Op op) const {
+    return ops_[static_cast<std::size_t>(op)];
+  }
+  /// The override point for what-if audits (e.g. downgrading an op to
+  /// kFirstOrderOnly to prove the critic-path audit catches it) and seeded
+  /// defects.
+  OpInfo& operator[](Op op) { return ops_[static_cast<std::size_t>(op)]; }
 
  private:
-  std::map<std::string, OpInfo, std::less<>> ops_;
+  std::array<OpInfo, nn::kNumOps> ops_;
 };
 
 }  // namespace dg::analysis

@@ -1,5 +1,6 @@
 #include "analysis/symbolic.h"
 
+#include <array>
 #include <utility>
 
 namespace dg::analysis {
@@ -12,7 +13,7 @@ SymNode* SymGraph::push(SymNode n) {
 
 const SymNode* SymGraph::param(std::string label, Shape shape, int index) {
   SymNode n;
-  n.op = "leaf";
+  n.op = Op::kLeaf;
   n.shape = shape;
   n.label = std::move(label);
   n.param = index;
@@ -23,7 +24,7 @@ const SymNode* SymGraph::param(std::string label, Shape shape, int index) {
 
 const SymNode* SymGraph::input(std::string label, Shape shape) {
   SymNode n;
-  n.op = "constant";
+  n.op = Op::kConstant;
   n.shape = shape;
   n.label = std::move(label);
   n.attrs.rows = shape.rows;
@@ -31,11 +32,10 @@ const SymNode* SymGraph::input(std::string label, Shape shape) {
   return push(std::move(n));
 }
 
-const SymNode* SymGraph::apply(std::string_view op,
-                               std::span<const SymNode* const> parents,
+const SymNode* SymGraph::apply(Op op, std::span<const SymNode* const> parents,
                                const OpAttrs& attrs) {
   SymNode n;
-  n.op = std::string(op);
+  n.op = op;
   n.parents.assign(parents.begin(), parents.end());
   n.attrs = attrs;
 
@@ -49,46 +49,36 @@ const SymNode* SymGraph::apply(std::string_view op,
     }
   }
 
-  const OpInfo* info = registry_->find(op);
-  if (info == nullptr) {
-    n.poisoned = true;
-    SymNode* stored = push(std::move(n));
-    diags_.push_back({Severity::kError, "unknown-op",
-                      "op is not registered with the analyzer (see the "
-                      "extension contract in analysis/registry.h)",
-                      stored->op, path(stored)});
-    return stored;
-  }
-
+  const OpInfo& info = (*registry_)[op];
   const int arity = static_cast<int>(parents.size());
-  if (arity < info->min_arity ||
-      (info->max_arity >= 0 && arity > info->max_arity)) {
+  if (arity < info.min_arity ||
+      (info.max_arity >= 0 && arity > info.max_arity)) {
     n.poisoned = true;
     SymNode* stored = push(std::move(n));
     diags_.push_back({Severity::kError, "shape-mismatch",
                       "op applied to " + std::to_string(arity) +
                           " inputs; expects " +
-                          std::to_string(info->min_arity) +
-                          (info->max_arity < 0
+                          std::to_string(info.min_arity) +
+                          (info.max_arity < 0
                                ? "+"
-                               : (info->max_arity == info->min_arity
+                               : (info.max_arity == info.min_arity
                                       ? ""
                                       : ".." + std::to_string(
-                                                   info->max_arity))),
-                      stored->op, path(stored)});
+                                                   info.max_arity))),
+                      info.name, path(stored)});
     return stored;
   }
 
   shapes_.clear();
   for (const SymNode* p : parents) shapes_.push_back(p->shape);
 
-  ShapeResult res = info->shape(shapes_, attrs);
+  ShapeResult res = info.shape(shapes_, attrs);
   if (!res.shape) {
     n.poisoned = true;
     if (!parents.empty()) n.shape = parents[0]->shape;
     SymNode* stored = push(std::move(n));
     diags_.push_back({Severity::kError, "shape-mismatch", res.error,
-                      stored->op, path(stored)});
+                      info.name, path(stored)});
     return stored;
   }
   n.shape = *res.shape;
@@ -100,7 +90,7 @@ std::string SymGraph::path(const SymNode* node, int max_depth) {
   const SymNode* cur = node;
   for (int depth = 0; cur != nullptr && depth < max_depth; ++depth) {
     if (depth > 0) out += " <- ";
-    out += cur->op;
+    out += nn::op_def(cur->op).name;
     if (!cur->label.empty()) out += "(" + cur->label + ")";
     cur = cur->parents.empty() ? nullptr : cur->parents.front();
   }
@@ -109,8 +99,13 @@ std::string SymGraph::path(const SymNode* node, int max_depth) {
 }
 
 std::map<std::string, int> SymGraph::op_counts() const {
+  std::array<int, nn::kNumOps> counts{};
+  for (const SymNode& n : nodes_) ++counts[static_cast<size_t>(n.op)];
   std::map<std::string, int> out;
-  for (const SymNode& n : nodes_) ++out[n.op];
+  for (const nn::OpDef& row : nn::op_table()) {
+    const int c = counts[static_cast<size_t>(row.op)];
+    if (c > 0) out[row.name] = c;
+  }
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Symbolic graph: the shape-only image of an autograd graph. Nodes carry
-// symbolic shapes (the batch dimension is the symbol "B") derived by the
-// registry's shape rules. analysis/trace.h fills a SymGraph by recording the
-// real nn/core code under meta mode; the analyzer's audits, census and tape
-// lowering all read it.
+// their nn::Op and symbolic shapes (the batch dimension is the symbol "B")
+// derived by the registry's shape rules. analysis/trace.h fills a SymGraph
+// by recording the real nn/core code under meta mode; the analyzer's audits,
+// census and tape lowering all read it. Op names appear only in what it
+// renders: diagnostics, graph paths and op_counts().
 //
 // Error containment: a failing node is *poisoned*, not fatal. Its shape
 // keeps the rule's best guess where possible, downstream nodes that consume
@@ -23,7 +24,7 @@ namespace dg::analysis {
 
 struct SymNode {
   int id = 0;
-  std::string op;
+  Op op = Op::kLeaf;
   Shape shape;
   std::vector<const SymNode*> parents;
   /// Human label for leaves ("attr_gen.l0.w") and named inputs.
@@ -39,17 +40,16 @@ class SymGraph {
   explicit SymGraph(const OpRegistry* registry = &OpRegistry::builtin())
       : registry_(registry) {}
 
-  /// Leaf — op "leaf"; `index` is its position in named_parameters() when
+  /// Leaf — Op::kLeaf; `index` is its position in named_parameters() when
   /// it is a model parameter.
   const SymNode* param(std::string label, Shape shape, int index = -1);
 
-  /// Non-parameter input (noise, data, state) — op "constant".
+  /// Non-parameter input (noise, data, state) — Op::kConstant.
   const SymNode* input(std::string label, Shape shape);
 
-  /// Apply a registered op. Emits at most one diagnostic per new failure;
-  /// poisoned parents propagate without further noise.
-  const SymNode* apply(std::string_view op,
-                       std::span<const SymNode* const> parents,
+  /// Apply an op. Emits at most one diagnostic per new failure (arity or
+  /// shape rule); poisoned parents propagate without further noise.
+  const SymNode* apply(Op op, std::span<const SymNode* const> parents,
                        const OpAttrs& attrs = {});
 
   const std::vector<Diagnostic>& diagnostics() const { return diags_; }
@@ -58,7 +58,7 @@ class SymGraph {
   /// First-parent walk rendered like nn::check: "mul <- exp <- leaf(w)".
   static std::string path(const SymNode* node, int max_depth = 8);
 
-  /// Multiset of op names over the whole graph.
+  /// Multiset of op names over the whole graph (rendered from the rows).
   std::map<std::string, int> op_counts() const;
 
   int size() const { return static_cast<int>(nodes_.size()); }

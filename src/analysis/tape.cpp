@@ -16,6 +16,16 @@ namespace {
 
 using Sev = Severity;
 
+/// Whether `op` is a row of the op table. A tape is data, and a hand-edited
+/// one may hold any value.
+bool in_table(Op op) { return static_cast<size_t>(op) < nn::kNumOps; }
+
+/// The op's name, for output; "op#N" for a value past the table.
+std::string op_name(Op op) {
+  return in_table(op) ? nn::op_def(op).name
+                      : "op#" + std::to_string(static_cast<int>(op));
+}
+
 // ---- lowering -----------------------------------------------------------
 
 /// Builds tape values and instructions from a traced SymGraph: inputs,
@@ -49,7 +59,7 @@ class Lowering {
         diags.push_back({Sev::kError, "tape-lower",
                          "operand has no tape binding (only the step's "
                          "inputs and weights may enter it)",
-                         n->op, SymGraph::path(n)});
+                         nn::op_def(n->op).name, SymGraph::path(n)});
         return;
       }
       args.push_back(id_of(p));
@@ -96,9 +106,8 @@ class Lowering {
 
 /// True for ops a fusion group may contain: rows with an elementwise kernel
 /// (one output element per input element, no cross-element reads).
-bool is_elementwise(std::string_view op) {
-  const nn::OpDef* row = nn::find_op(op);
-  return row != nullptr && row->ew.has_value();
+bool is_elementwise(Op op) {
+  return in_table(op) && nn::op_def(op).ew.has_value();
 }
 
 /// Greedy run-based fusion: a fusion group is a maximal contiguous run of at
@@ -175,7 +184,7 @@ void fuse_elementwise(Tape& t) {
 std::string instr_str(const Tape& t, int i) {
   const TapeInstr& ins = t.instrs[static_cast<size_t>(i)];
   std::string s = "instr #" + std::to_string(i) + ": v" +
-                  std::to_string(ins.dst) + " = " + ins.op + "(";
+                  std::to_string(ins.dst) + " = " + op_name(ins.op) + "(";
   for (size_t a = 0; a < ins.args.size(); ++a) {
     if (a > 0) s += ", ";
     s += 'v';
@@ -189,7 +198,7 @@ std::string instr_str(const Tape& t, int i) {
 void finding(std::vector<Diagnostic>& out, std::string code, std::string msg,
              const Tape& t, int instr) {
   out.push_back({Sev::kError, std::move(code), std::move(msg),
-                 instr >= 0 ? t.instrs[static_cast<size_t>(instr)].op
+                 instr >= 0 ? op_name(t.instrs[static_cast<size_t>(instr)].op)
                             : std::string("tape"),
                  instr >= 0 ? instr_str(t, instr) : std::string{}});
 }
@@ -257,36 +266,40 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
         order_ok = false;
       }
     }
-    const OpInfo* info = registry.find(ins.op);
-    if (info == nullptr) {
+    if (!in_table(ins.op)) {
       finding(out, "tape-unknown-op",
-              "op '" + ins.op + "' is not in the tape registry", tape, i);
+              "op value " + std::to_string(static_cast<int>(ins.op)) +
+                  " is not a row of the op table (" +
+                  std::to_string(nn::kNumOps) + " rows)",
+              tape, i);
       continue;
     }
+    const OpInfo& info = registry[ins.op];
     const int arity = static_cast<int>(ins.args.size());
-    if (arity < info->min_arity ||
-        (info->max_arity >= 0 && arity > info->max_arity)) {
+    if (arity < info.min_arity ||
+        (info.max_arity >= 0 && arity > info.max_arity)) {
       finding(out, "tape-arity",
-              "op '" + ins.op + "' takes " + std::to_string(info->min_arity) +
-                  ".." +
-                  (info->max_arity < 0 ? std::string("*")
-                                       : std::to_string(info->max_arity)) +
+              std::string("op '") + info.name + "' takes " +
+                  std::to_string(info.min_arity) + ".." +
+                  (info.max_arity < 0 ? std::string("*")
+                                      : std::to_string(info.max_arity)) +
                   " operands; tape records " + std::to_string(arity),
               tape, i);
       continue;
     }
-    if (ins.group < 0 && info->rows == nullptr && !info->ew) {
+    if (ins.group < 0 && info.rows == nullptr && !info.ew) {
       // Verified must mean runnable: the executor runs an unfused
       // instruction through its row's kernel and has no other code for it.
       finding(out, "tape-no-kernel",
-              "op '" + ins.op + "' has no row kernel for the executor to run",
+              std::string("op '") + info.name +
+                  "' has no row kernel for the executor to run",
               tape, i);
     }
     if (!order_ok) continue;  // one root cause per defect; shapes would lie
     std::vector<Shape> in;
     in.reserve(ins.args.size());
     for (int a : ins.args) in.push_back(tape.values[static_cast<size_t>(a)].shape);
-    const ShapeResult r = info->shape(in, ins.attrs);
+    const ShapeResult r = info.shape(in, ins.attrs);
     const Shape& recorded = tape.values[static_cast<size_t>(ins.dst)].shape;
     if (!r.shape) {
       finding(out, "tape-stale-shape",
@@ -333,10 +346,10 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
                     " members, the executor's register count",
                 tape, i);
       }
-      const OpInfo* info = registry.find(ins.op);
-      if (info == nullptr || !info->ew) {
+      if (!in_table(ins.op) || !registry[ins.op].ew) {
         finding(out, "tape-illegal-fusion",
-                "op '" + ins.op + "' is not elementwise and cannot be fused",
+                "op '" + op_name(ins.op) +
+                    "' is not elementwise and cannot be fused",
                 tape, i);
         continue;
       }
@@ -573,7 +586,7 @@ TapeReport build_generation_tape(const data::Schema& schema,
   }
   for (int i = 0; i < graph.size(); ++i) {
     const SymNode* n = graph.node(i);
-    if (n->op != "leaf") lw.emit(n);
+    if (n->op != Op::kLeaf) lw.emit(n);
   }
   lw.mark_output(trace.node(out.records), "records");
   lw.mark_output(trace.node(out.h), "state.h");
@@ -637,8 +650,9 @@ bool seed_tape_defect(TapeReport& report, std::string_view defect_class) {
       }
     }
   } else if (defect_class == "unknown-op") {
+    // An op value past the table, as a hand-edited tape could hold.
     if (!t.instrs.empty()) {
-      t.instrs.front().op = "fused_gelu";
+      t.instrs.front().op = Op::kCount;
       seeded = true;
     }
   } else if (defect_class == "stale-shape") {

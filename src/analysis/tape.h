@@ -1,5 +1,6 @@
 // Tape IR: the generation path lowered to a flat, SSA-like instruction
-// list that a dumb interpreter can replay with zero allocations. One tape
+// list that a dumb interpreter can replay with zero allocations. An
+// instruction carries its nn::Op; names appear only in diagnostics. One tape
 // covers one `generation_step` (the serving hot loop's unit of work): the
 // lowering traces DoppelGanger::generation_step_graph of a meta_model
 // (analysis/trace.h) — so the instructions are the ops generation_step
@@ -11,8 +12,9 @@
 // test mutation, or (in principle) from disk. Nothing executes a tape until
 // `verify_tape` proves, statically:
 //   * every operand is defined before its first use;
-//   * every op exists in the registry with matching arity, and re-running
-//     its shape rule reproduces the recorded result shape (stale-shape);
+//   * every op is a row of the op table (the Op is in range) with matching
+//     arity, and re-running its shape rule reproduces the recorded result
+//     shape (stale-shape);
 //   * every unfused instruction's row has a kernel the executor runs (a row
 //     kernel or an elementwise EwFn, nn/ops.h), so a verified tape is a
 //     runnable one;
@@ -82,7 +84,8 @@ struct TapeValue {
 
 struct TapeInstr {
   int id = 0;
-  std::string op;
+  /// Range-checked by verify_tape: a tape is data, and may be edited.
+  Op op = Op::kLeaf;
   int dst = -1;
   std::vector<int> args;
   OpAttrs attrs;  ///< slice bounds etc., exactly as the registry rules read
@@ -146,10 +149,11 @@ TapeSummary summarize_tape(const TapeReport& report);
 
 /// Negative-control hook (mutation tests, `dgcli lint --tape-mutate`):
 /// corrupts the tape/plan with one of the seeded defect classes —
-/// "use-before-def", "arena-overlap", "illegal-fusion", "unknown-op",
-/// "stale-shape" — then re-verifies, updating report.diagnostics and
-/// report.verified. Returns false for an unknown class or a tape too small
-/// to corrupt. A mutated tape must be rejected by verify_tape, never run.
+/// "use-before-def", "arena-overlap", "illegal-fusion", "unknown-op" (an Op
+/// past the table), "stale-shape" — then re-verifies, updating
+/// report.diagnostics and report.verified. Returns false for an unknown
+/// class or a tape too small to corrupt. A mutated tape must be rejected by
+/// verify_tape, never run.
 bool seed_tape_defect(TapeReport& report, std::string_view defect_class);
 
 }  // namespace dg::analysis

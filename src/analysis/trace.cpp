@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <exception>
-#include <string_view>
 
 namespace dg::analysis {
 
@@ -75,10 +74,11 @@ const SymNode* Trace::lookup(const nn::detail::Node* node) {
     return static_cast<const SymNode*>(node->meta_tag);
   }
   // A node this trace did not see created (e.g. a constant built before it
-  // began): record it as the leaf or input it is.
+  // began) is a leaf of this graph: a parameter if gradients flow into it,
+  // an input otherwise.
   const Shape s = shape_of(node->value);
-  const SymNode* n = std::string_view(node->op) == "leaf" ? g_.param("", s)
-                                                         : g_.input("", s);
+  const SymNode* n =
+      node->requires_grad ? g_.param("", s) : g_.input("", s);
   tag(node, n);
   return n;
 }
@@ -87,11 +87,10 @@ void Trace::emit(const std::string& key, Diagnostic d) {
   if (dedup_.insert(key).second) g_.diagnostics().push_back(std::move(d));
 }
 
-void Trace::on_node(const nn::detail::Node* node,
+void Trace::on_node(const nn::detail::Node* node, Op op,
                     std::span<const nn::Var> parents, nn::OpBounds bounds) {
   const Shape out = shape_of(node->value);
-  const std::string_view op = node->op;
-  if (op == "leaf") {
+  if (op == Op::kLeaf) {
     tag(node, g_.param("", out));
     return;
   }
@@ -109,29 +108,29 @@ void Trace::on_node(const nn::detail::Node* node,
   // between the two is a registry bug the analyzer would otherwise hide.
   if (!n->poisoned && (!agrees(n->shape.rows, node->value.rows()) ||
                        !agrees(n->shape.cols, node->value.cols()))) {
-    emit("shape-rule:" + n->op,
+    const std::string name = nn::op_def(op).name;
+    emit("shape-rule:" + name,
          {Severity::kError, "shape-mismatch",
           "registry shape rule gives " + n->shape.str() +
               "; the kernel produced " + out.str(),
-          n->op, SymGraph::path(n)});
+          name, SymGraph::path(n)});
   }
 }
 
 void Trace::on_backward(const nn::detail::Node* node, const nn::Var& gout,
                         bool create_graph, std::vector<nn::Var>& grads) {
   const SymNode* n = lookup(node);
-  const OpInfo* info = g_.registry().find(node->op);
-  if (info == nullptr) return;  // unknown-op: reported when it was recorded
-  if (create_graph && info->diff == DiffClass::kFirstOrderOnly) {
+  const OpInfo& info = g_.registry()[n->op];
+  if (create_graph && info.diff == DiffClass::kFirstOrderOnly) {
     backward_ok_ = false;
-    emit("no-double-backward:" + n->op,
+    emit(std::string("no-double-backward:") + info.name,
          {Severity::kError, "no-double-backward",
           "op is first-order only but this backward pass runs with "
           "create_graph=true: WGAN-GP's gradient penalty differentiates "
           "through its gradient",
-          n->op, SymGraph::path(n)});
+          info.name, SymGraph::path(n)});
   }
-  if (info->fault) info->fault(grads, gout);
+  if (info.fault) info.fault(grads, gout);
   for (size_t i = 0; i < grads.size() && i < node->parents.size(); ++i) {
     const nn::Var& parent = node->parents[i];
     if (!grads[i].defined() || !parent.requires_grad() ||
@@ -139,12 +138,12 @@ void Trace::on_backward(const nn::detail::Node* node, const nn::Var& gout,
       continue;
     }
     backward_ok_ = false;
-    emit("adjoint-shape:" + n->op,
+    emit(std::string("adjoint-shape:") + info.name,
          {Severity::kError, "adjoint-shape",
           "adjoint produced a " + shape_of(grads[i].value()).str() +
               " gradient for parent " + std::to_string(i) + " of shape " +
               shape_of(parent.value()).str(),
-          n->op, SymGraph::path(n)});
+          info.name, SymGraph::path(n)});
     grads[i] = nn::Var();
   }
 }

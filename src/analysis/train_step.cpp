@@ -1,5 +1,7 @@
 #include "analysis/train_step.h"
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <set>
@@ -19,10 +21,10 @@ using Critic = core::DoppelGanger::Critic;
 /// gone: the reduction-order census, exemplar paths and the gradient slots
 /// each phase left undefined.
 struct StepCensus {
-  std::map<std::string, ReductionSite> reductions;
+  std::array<ReductionSite, nn::kNumOps> reductions;  ///< by Op
   ReductionSite slots{"grad-slot", DetClass::kAccumulating, 0, {}};
   ReductionSite merges{"grad-accumulate", DetClass::kAccumulating, 0, {}};
-  std::map<std::string, std::string> first_path;  ///< op -> exemplar path
+  std::array<std::string, nn::kNumOps> first_path;  ///< by Op: exemplar path
   bool backward_ok = true;
   int missing = 0;
   std::string first_missing;
@@ -104,16 +106,16 @@ TrainingStepAnalysis analyze_training_step(const data::Schema& schema,
     census.backward_ok = census.backward_ok && t.backward_ok();
     for (int i = 0; i < g.size(); ++i) {
       const SymNode* n = g.node(i);
-      const auto [first, fresh] = census.first_path.try_emplace(n->op);
-      if (fresh) first->second = SymGraph::path(n);
-      const OpInfo* info = opts.registry->find(n->op);
-      if (info == nullptr || info->det != DetClass::kOrderedReduction) {
+      const auto k = static_cast<size_t>(n->op);
+      std::string& first = census.first_path[k];
+      if (first.empty()) first = SymGraph::path(n);
+      if ((*opts.registry)[n->op].det != DetClass::kOrderedReduction) {
         continue;
       }
-      ReductionSite& site = census.reductions[n->op];
+      ReductionSite& site = census.reductions[k];
       if (site.count++ == 0) {
-        site.op = n->op;
-        site.where = first->second;
+        site.op = nn::op_def(n->op).name;
+        site.where = first;
       }
     }
     if (!t.grad_slots().empty() && census.slots.where.empty()) {
@@ -182,19 +184,19 @@ TrainingStepAnalysis analyze_training_step(const data::Schema& schema,
          census.first_missing, census.first_missing_path});
   }
 
-  // Determinism-class audit over the registry, with exemplar paths
-  // backfilled from the training graphs where the offending op occurs.
-  for (Diagnostic diag : audit_registry(*opts.registry)) {
-    if (diag.path.empty()) {
-      const auto it = census.first_path.find(diag.op);
-      if (it != census.first_path.end()) diag.path = it->second;
-    }
-    out.diagnostics.push_back(std::move(diag));
-  }
+  // Determinism-class audit over the registry, with exemplar paths from
+  // the training graphs where the offending op occurs.
+  const std::vector<Diagnostic> audit =
+      audit_registry(*opts.registry, census.first_path);
+  out.diagnostics.insert(out.diagnostics.end(), audit.begin(), audit.end());
 
-  for (auto& [op, site] : census.reductions) {
-    out.census.push_back(std::move(site));
+  for (ReductionSite& site : census.reductions) {
+    if (site.count > 0) out.census.push_back(std::move(site));
   }
+  std::sort(out.census.begin(), out.census.end(),
+            [](const ReductionSite& a, const ReductionSite& b) {
+              return a.op < b.op;
+            });
   out.grad_slot_writes = census.slots.count;
   out.accumulation_adds = census.merges.count;
   out.census.push_back(std::move(census.slots));

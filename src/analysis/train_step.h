@@ -47,7 +47,7 @@ namespace dg::analysis {
 
 struct TrainStepOptions {
   /// Registry to interpret ops with; override to seed defects
-  /// (seed_adjoint_defect) or register new ops.
+  /// (seed_adjoint_defect) or downgrade an op's class (what-if audits).
   const OpRegistry* registry = &OpRegistry::builtin();
   /// Live-model overlay (optional); order-matched to named_parameters():
   /// sets each traced leaf's trainability and is cross-checked against the

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/preflight.h"
 #include "data/io.h"
 
 namespace dg::core {
@@ -97,28 +98,17 @@ void save_package(std::ostream& os, const DoppelGanger& model) {
 }
 
 std::unique_ptr<DoppelGanger> load_package(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != kPackageMagic) {
-    throw std::runtime_error("package: bad magic");
+  // The preflight is the one reader of the header, and it checks the whole
+  // package against the config without building the model, so a config
+  // whose sizes disagree with the weights never allocates at those sizes.
+  PackagePreflight pf = preflight_package(is);
+  if (!pf.ok) {
+    throw std::runtime_error("package: preflight failed:\n" +
+                             render_diagnostics(pf.diagnostics));
   }
-  std::size_t schema_bytes = 0;
-  {
-    std::getline(is, line);
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key >> schema_bytes;
-    if (key != "schema_bytes" || schema_bytes == 0) {
-      throw std::runtime_error("package: missing schema section");
-    }
-  }
-  std::string schema_text(schema_bytes, '\0');
-  is.read(schema_text.data(), static_cast<std::streamsize>(schema_bytes));
-  if (!is) throw std::runtime_error("package: truncated schema");
-  std::istringstream schema_ss(schema_text);
-  data::Schema schema = data::load_schema(schema_ss);
-
-  DoppelGangerConfig cfg = load_config(is);
-  auto model = std::make_unique<DoppelGanger>(std::move(schema), cfg);
+  is.clear();
+  is.seekg(pf.weights_at);
+  auto model = std::make_unique<DoppelGanger>(std::move(pf.schema), pf.config);
   model->load(is);
   return model;
 }

@@ -70,6 +70,7 @@ PackagePreflight preflight_package(std::istream& is) {
     return out;
   }
   out.header_ok = true;
+  out.weights_at = is.tellg();
 
   // ---- schema <-> config consistency (static model analysis) ----
   const analysis::ModelAnalysis analysis =

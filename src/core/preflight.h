@@ -2,11 +2,13 @@
 // config, schema<->config consistency (analyze_model: config validation and
 // the generation trace), the generation tape, and the weight section's shape
 // census against the expected parameter layout — WITHOUT constructing a
-// model or reading a single float of payload. This is what
-// GenerationService runs before every load/hot-reload (refusing the swap on
-// failure) and what `dgcli lint --package` reports.
+// model or reading a single float of payload. It is the only reader of a
+// package's header: load_package (core/package.h) runs it on every load, so
+// GenerationService's loads and hot reloads and `dgcli generate` refuse
+// what it refuses, and `dgcli lint --package` reports it.
 #pragma once
 
+#include <ios>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -29,6 +31,9 @@ struct PackagePreflight {
   std::vector<analysis::Diagnostic> diagnostics;
   data::Schema schema;
   DoppelGangerConfig config;
+  /// Stream position of the weight section, once `header_ok`: where
+  /// load_package reads the floats from.
+  std::streampos weights_at = -1;
   /// Shape of every matrix in the weight section (header-only read).
   std::vector<nn::MatrixShape> weight_matrices;
   /// Generation-tape lowering census (analysis/tape.h): instruction and

@@ -241,11 +241,11 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       size_t j = i;
       for (; j < tape.instrs.size() && tape.instrs[j].group == ins.group; ++j) {
         const TapeInstr& m = tape.instrs[j];
-        const nn::OpDef* row = nn::find_op(m.op);
-        if (row == nullptr || !row->ew) return nullptr;
+        const nn::OpDef& row = nn::op_def(m.op);
+        if (!row.ew) return nullptr;
         MicroOp mo;
-        mo.fn = *row->ew;
-        mo.binary = row->min_arity == 2;
+        mo.fn = *row.ew;
+        mo.binary = row.min_arity == 2;
         if (m.args.empty() || (mo.binary && m.args.size() < 2)) return nullptr;
         const auto bind = [&](int arg, int& id, int& reg) {
           const auto it = reg_of.find(arg);
@@ -271,7 +271,7 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       impl->steps.push_back(std::move(g));
       continue;
     }
-    s.row = nn::find_op(ins.op);
+    s.row = &nn::op_def(ins.op);
     s.args = ins.args;
     for (int a : ins.args) {
       s.in.push_back({impl->ptr[static_cast<size_t>(a)], val(a).cols()});
@@ -290,7 +290,7 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
   for (const TapeInstr& ins : tape.instrs) {
     std::vector<nn::Dims> in;
     for (int a : ins.args) in.push_back(dims(a));
-    impl->flops += nn::find_op(ins.op)->flops(in, dims(ins.dst));
+    impl->flops += nn::op_def(ins.op).flops(in, dims(ins.dst));
     impl->bytes += nn::op_bytes(in, dims(ins.dst));
   }
 

@@ -53,7 +53,9 @@ Var::Var(Matrix value, bool requires_grad) {
   n_ = std::make_shared<detail::Node>();
   n_->value = std::move(value);
   n_->requires_grad = requires_grad;
-  if (g_meta_recorder != nullptr) g_meta_recorder->on_node(n_.get(), {}, {});
+  if (g_meta_recorder != nullptr) {
+    g_meta_recorder->on_node(n_.get(), Op::kLeaf, {}, {});
+  }
 }
 
 const Matrix& Var::value() const {
@@ -133,7 +135,7 @@ Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
   out.n_->requires_grad = needs;
   out.n_->op = op;
   if (g_meta_recorder != nullptr) {
-    g_meta_recorder->on_node(out.n_.get(), parents, bounds);
+    g_meta_recorder->on_node(out.n_.get(), row.op, parents, bounds);
   }
   if (needs) {
     out.n_->parents = std::move(parents);

@@ -60,8 +60,9 @@ struct Node {
   Matrix value;
   bool requires_grad = false;
   /// Name of the op row that produced this node ("leaf" for user-created
-  /// Vars, "constant" for constants). Static strings only; used by the
-  /// anomaly checker (nn/check.h) for attribution.
+  /// Vars, "constant" for constants). Static strings only, and for messages
+  /// only: the anomaly checker's attribution (nn/check.h) and the engine's
+  /// errors. The analyzer receives the row's Op (MetaRecorder::on_node).
   const char* op = "leaf";
   std::vector<Var> parents;
   /// This node's backward rule (an undefined Var in its result means "no
@@ -158,11 +159,11 @@ class OpObserverGuard {
 class MetaRecorder {
  public:
   virtual ~MetaRecorder() = default;
-  /// A node came into existence: an op result from make_op (with its
-  /// parents and bounds, reported before a no-grad op drops them) or a leaf
-  /// from the Var constructor (no parents).
-  virtual void on_node(const detail::Node* node, std::span<const Var> parents,
-                       OpBounds bounds) = 0;
+  /// A node came into existence: an op result from make_op (its row's op,
+  /// with its parents and bounds, reported before a no-grad op drops them)
+  /// or a leaf from the Var constructor (Op::kLeaf, no parents).
+  virtual void on_node(const detail::Node* node, Op op,
+                       std::span<const Var> parents, OpBounds bounds) = 0;
   /// The backward pass reached `node` with output gradient `gout`, and the
   /// op's real backward rule returned `grads` (one per parent, undefined
   /// for each parent the pass does not read; see BackwardRule). The

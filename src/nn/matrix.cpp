@@ -334,16 +334,6 @@ float mean(const Matrix& a) {
   return sum(a) / static_cast<float>(a.size());
 }
 
-Matrix apply(const Matrix& a, float (*fn)(float)) {
-  Matrix out = a;
-  float* po = out.data();
-  parallel_for(0, static_cast<std::int64_t>(out.size()), kGrainElemwise,
-               [&](std::int64_t i0, std::int64_t i1) {
-                 for (std::int64_t i = i0; i < i1; ++i) po[i] = fn(po[i]);
-               });
-  return out;
-}
-
 Matrix map_ew(simd::EwFn fn, const Matrix& a) {
   Matrix out = a;
   if (out.empty()) return out;

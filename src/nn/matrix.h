@@ -104,12 +104,9 @@ Matrix col_sum(const Matrix& a);  // [n,d] -> [1,d]
 float sum(const Matrix& a);
 float mean(const Matrix& a);
 
-Matrix apply(const Matrix& a, float (*fn)(float));
-
-/// Elementwise map through the SIMD dispatch tier (simd/vec.h): the
-/// vectorized form of apply() for the micro-ops both the autograd forward
-/// and the tape executor share. Bit-identical across tiers and thread
-/// counts by the vec.h contract.
+/// Elementwise map through the SIMD dispatch tier (simd/vec.h), for the
+/// micro-ops both the autograd forward and the tape executor share.
+/// Bit-identical across tiers and thread counts by the vec.h contract.
 Matrix map_ew(simd::EwFn fn, const Matrix& a);
 
 Matrix concat_cols(std::span<const Matrix* const> parts);

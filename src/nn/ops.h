@@ -8,10 +8,12 @@
 // the row's kernel, so each forward body has one home.
 //
 // make_op (nn/autograd.h) takes a row, so no graph node exists without
-// one. The analyzer's registry is a copy of the table (analysis/registry.h),
-// the tape verifier refuses an op whose row has no kernel the executor can
-// run (analysis/tape.h), and the profiler's op and kernel rows count the
-// row's FLOPs (obs/profile.h).
+// one. An Op is an op's only identity below the output layer: the traced
+// graph and the tape IR carry it, the analyzer's registry is a copy of the
+// table indexed by it (analysis/registry.h), and names are rendered from the
+// row only for output. The tape verifier refuses an op whose row has no
+// kernel the executor can run (analysis/tape.h), and the profiler's op and
+// kernel rows count the row's FLOPs (obs/profile.h).
 //
 // Adding an op: add its Op, its row in ops.cpp (the static_assert there
 // fails until every Op has a row, in enum order), and its function in
@@ -156,8 +158,11 @@ struct OpDef {
   RowKernel rows;
 };
 
+/// Number of rows: one per Op.
+inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kCount);
+
 /// The table, indexed by Op. Defined in ops.cpp.
-extern const OpDef kOpTable[static_cast<std::size_t>(Op::kCount)];
+extern const OpDef kOpTable[kNumOps];
 
 inline const OpDef& op_def(Op op) {
   return kOpTable[static_cast<std::size_t>(op)];
@@ -165,8 +170,9 @@ inline const OpDef& op_def(Op op) {
 
 inline std::span<const OpDef> op_table() { return kOpTable; }
 
-/// The row named `name`, or nullptr: for data keyed by name (tapes, traced
-/// graphs), never for building nodes.
+/// The row named `name`, or nullptr. Only for a name that arrives from
+/// outside the program (`dgcli lint --assume-first-order`): graphs, tapes
+/// and the analyzer's registry carry an Op, and render its name for output.
 const OpDef* find_op(std::string_view name);
 
 /// Bytes one call moves: every operand and the result, as floats.

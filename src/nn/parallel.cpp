@@ -22,12 +22,6 @@ namespace dg::nn {
 
 namespace {
 
-#ifdef DG_PARALLEL_DISABLED
-constexpr bool kParallelBuild = false;
-#else
-constexpr bool kParallelBuild = true;
-#endif
-
 /// The calling thread's floating-point control/status word: MXCSR on
 /// x86-64, 0 on targets whose mode this library never changes.
 std::uint32_t fp_mode() {
@@ -150,11 +144,6 @@ PoolState& state() {
 /// Resolves the thread count from DG_THREADS / hardware_concurrency.
 void resolve_locked(PoolState& s) DG_REQUIRES(s.mu) {
   if (s.threads != 0) return;
-  if (!kParallelBuild) {
-    s.threads = 1;
-    s.source = "DG_PARALLEL=OFF";
-    return;
-  }
   if (const char* env = std::getenv("DG_THREADS")) {
     char* rest = nullptr;
     const long v = std::strtol(env, &rest, 10);
@@ -201,12 +190,10 @@ const char* num_threads_source() {
 void set_num_threads(int n) {
   PoolState& s = state();
   MutexLock lock(s.mu);
-  s.threads = kParallelBuild ? std::max(1, n) : 1;
-  s.source = kParallelBuild ? "set_num_threads" : "DG_PARALLEL=OFF";
+  s.threads = std::max(1, n);
+  s.source = "set_num_threads";
   s.pool.reset();  // workers for the old size wind down with the last region
 }
-
-bool parallel_enabled() { return kParallelBuild; }
 
 FlushDenormalsGuard::FlushDenormalsGuard() : saved_(fp_mode()) {
   set_fp_mode(saved_ | kFlushDenormalBits);

@@ -23,7 +23,6 @@
 // Pool sizing: first use reads DG_THREADS (>= 1; 1 = fully serial, no worker
 // threads ever started), defaulting to std::thread::hardware_concurrency().
 // `set_num_threads` reconfigures at runtime (tests and benchmark sweeps).
-// Building with -DDG_PARALLEL=OFF pins the pool to one thread permanently.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +33,13 @@ namespace dg::nn {
 int num_threads();
 
 /// Where the current thread count came from: "DG_THREADS",
-/// "hardware_concurrency", "set_num_threads", or "DG_PARALLEL=OFF".
+/// "hardware_concurrency" or "set_num_threads".
 const char* num_threads_source();
 
-/// Reconfigures the pool to n threads (clamped to >= 1; and to exactly 1 when
-/// compiled with DG_PARALLEL=OFF). In-flight parallel regions keep the old
-/// pool alive until they finish; a new pool is spun up lazily.
+/// Reconfigures the pool to n threads (clamped to >= 1). In-flight parallel
+/// regions keep the old pool alive until they finish; a new pool is spun up
+/// lazily.
 void set_num_threads(int n);
-
-/// True unless the library was compiled with -DDG_PARALLEL=OFF.
-bool parallel_enabled();
 
 /// Flushes subnormal floats to zero on the calling thread for its lifetime:
 /// sets MXCSR FTZ (subnormal results become 0) and DAZ (subnormal operands

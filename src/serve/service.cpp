@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include "core/preflight.h"
 #include "core/tape_exec.h"
 #include "obs/trace.h"
 #include "obs/tracectx.h"
@@ -61,19 +60,16 @@ load_preflighted_package(const std::string& path) {
     throw std::invalid_argument("serve: cannot read package " + path);
   }
   std::istringstream is(bytes);
-  // Schema<->config<->weight-shape consistency and the generation tape are
-  // checked from the headers alone, so a broken package fails here with a
-  // structured diagnostic instead of a mid-construction throw (or worse, a
-  // model that serves garbage).
-  const core::PackagePreflight pf = core::preflight_package(is);
-  if (!pf.ok) {
-    throw std::invalid_argument("serve: package preflight failed for " + path +
-                                ":\n" +
-                                core::render_diagnostics(pf.diagnostics));
+  // load_package preflights what it loads: schema<->config<->weight-shape
+  // consistency and the generation tape are checked from the headers alone,
+  // so a broken package fails here with a structured diagnostic instead of
+  // a mid-construction throw (or worse, a model that serves garbage).
+  try {
+    return {core::load_package(is), fnv1a_hex(bytes)};
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument("serve: cannot load " + path + ": " +
+                                e.what());
   }
-  is.clear();
-  is.seekg(0);
-  return {core::load_package(is), fnv1a_hex(bytes)};
 }
 
 // Package mtime as an opaque tick count; 0 when the file is unreadable.

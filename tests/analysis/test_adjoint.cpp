@@ -53,10 +53,9 @@ data::Schema gcut_schema() {
 TEST(AdjointRegistry, EveryKnownOpDeclaresDetClass) {
   const OpRegistry& reg = OpRegistry::builtin();
   for (const nn::OpDef& row : nn::op_table()) {
-    const OpInfo* info = reg.find(row.name);
-    ASSERT_NE(info, nullptr) << row.name << " missing from the registry";
-    EXPECT_EQ(info->det, row.det) << row.name;
-    EXPECT_FALSE(static_cast<bool>(info->fault))
+    const OpInfo& info = reg[row.op];
+    EXPECT_EQ(info.det, row.det) << row.name;
+    EXPECT_FALSE(static_cast<bool>(info.fault))
         << row.name << " carries a seeded fault in the builtin registry";
   }
 }
@@ -74,14 +73,14 @@ TEST(AdjointRegistry, OrderedReductionSetIsExactlyTheFoldingOps) {
   const std::set<std::string> folding = {"matmul", "affine", "lstm_gates",
                                          "row_sum", "col_sum", "sum"};
   const OpRegistry& reg = OpRegistry::builtin();
-  for (const std::string& name : reg.names()) {
-    const OpInfo* info = reg.find(name);
-    if (name == "grad") {
-      EXPECT_EQ(info->det, DetClass::kAccumulating);
-    } else if (folding.count(name) != 0) {
-      EXPECT_EQ(info->det, DetClass::kOrderedReduction) << name;
+  for (const nn::OpDef& row : nn::op_table()) {
+    const OpInfo& info = reg[row.op];
+    if (row.op == Op::kGrad) {
+      EXPECT_EQ(info.det, DetClass::kAccumulating);
+    } else if (folding.count(row.name) != 0) {
+      EXPECT_EQ(info.det, DetClass::kOrderedReduction) << row.name;
     } else {
-      EXPECT_EQ(info->det, DetClass::kOrderFree) << name;
+      EXPECT_EQ(info.det, DetClass::kOrderFree) << row.name;
     }
   }
 }
@@ -129,7 +128,7 @@ TEST(SymBackward, SharedParameterAccumulates) {
   ASSERT_TRUE(w.grad().defined());
   EXPECT_EQ(w.grad().rows(), 2);
   ASSERT_EQ(t.accumulations().size(), 2u);
-  for (const SymNode* acc : t.accumulations()) EXPECT_EQ(acc->op, "add");
+  for (const SymNode* acc : t.accumulations()) EXPECT_EQ(acc->op, Op::kAdd);
   EXPECT_EQ(t.grad_slots().size(), 1u);
 }
 
@@ -159,11 +158,9 @@ TEST(SymBackward, NoGradRootIsANoOp) {
 
 TEST(SymBackward, WrongGradientShapeIsDiagnosedOncePerOp) {
   OpRegistry reg = OpRegistry::builtin();
-  OpInfo broken = *reg.find("tanh");
-  broken.fault = [](std::vector<nn::Var>& grads, const nn::Var&) {
+  reg[Op::kTanh].fault = [](std::vector<nn::Var>& grads, const nn::Var&) {
     grads[0] = nn::sum(grads[0]);  // [2,2] collapsed to [1,1]
   };
-  reg.add(std::move(broken));
   SymGraph g(&reg);
   Trace t(g);
   nn::Var w;
@@ -182,9 +179,7 @@ TEST(SymBackward, WrongGradientShapeIsDiagnosedOncePerOp) {
 
 TEST(SymBackward, FirstOrderOpGatesOnCreateGraph) {
   OpRegistry reg = OpRegistry::builtin();
-  OpInfo downgraded = *reg.find("relu");
-  downgraded.diff = DiffClass::kFirstOrderOnly;
-  reg.add(std::move(downgraded));
+  reg[Op::kRelu].diff = DiffClass::kFirstOrderOnly;
   {
     SymGraph g(&reg);
     Trace t(g);
@@ -270,10 +265,9 @@ TEST(TrainStep, CensusIsConsistentWithPhaseMultisets) {
   }
   // Completeness: every ordered-reduction op that occurs in any phase is in
   // the census — no silent omission a data-parallel all-reduce would miss.
-  for (const auto& [op, count] : combined) {
-    const OpInfo* info = reg.find(op);
-    if (info != nullptr && info->det == DetClass::kOrderedReduction) {
-      EXPECT_EQ(census_by_op[op], count) << op;
+  for (const nn::OpDef& row : nn::op_table()) {
+    if (reg[row.op].det == DetClass::kOrderedReduction) {
+      EXPECT_EQ(census_by_op[row.name], combined[row.name]) << row.name;
     }
   }
   // The WGAN-GP training path exercises every folding op class.
@@ -298,9 +292,7 @@ TEST(TrainStep, GpPathFirstOrderOpIsRefusedAtTheBackwardPass) {
   const data::Schema schema = gcut_schema();
   const core::DoppelGangerConfig cfg = tiny_cfg();
   OpRegistry reg = OpRegistry::builtin();
-  OpInfo downgraded = *reg.find("relu");
-  downgraded.diff = DiffClass::kFirstOrderOnly;
-  reg.add(std::move(downgraded));
+  reg[Op::kRelu].diff = DiffClass::kFirstOrderOnly;
   TrainStepOptions opts;
   opts.registry = &reg;
 

@@ -220,10 +220,10 @@ TEST(TapeMutation, UnfusedOpWithoutAKernelIsRefused) {
     const auto relu =
         std::find_if(r.tape.instrs.begin(), r.tape.instrs.end(),
                      [](const TapeInstr& i) {
-                       return i.group < 0 && i.op == "relu";
+                       return i.group < 0 && i.op == Op::kRelu;
                      });
     ASSERT_NE(relu, r.tape.instrs.end());
-    relu->op = "mul_scalar";
+    relu->op = Op::kMulScalar;
     const std::vector<Diagnostic> diags = verify_tape(r.tape, r.plan);
     ASSERT_EQ(diags.size(), 1u) << render(diags);
     EXPECT_EQ(diags[0].code, "tape-no-kernel");
@@ -242,17 +242,18 @@ TEST(TapeMutation, UnknownDefectClassRefused) {
 }
 
 // The softmax micro-ops the executor runs are engine ops: the tape is
-// lowered from the engine's own softmax_rows, so every op it can contain is
-// registered and known to nn.
+// lowered from the engine's own softmax_rows, so every instruction carries
+// an op of the table, and the softmax's three appear.
 TEST(Tape, IntrinsicsAreEngineOps) {
-  for (const char* op : {"neg_row_max", "add_colvec", "recip"}) {
-    EXPECT_NE(OpRegistry::builtin().find(op), nullptr) << op;
-    EXPECT_NE(nn::find_op(op), nullptr) << op;
-  }
   for (const Variant& v : variants()) {
     const TapeReport r = build_generation_tape(schema_for(v.dataset), v.cfg);
+    std::set<Op> seen;
     for (const TapeInstr& ins : r.tape.instrs) {
-      EXPECT_NE(nn::find_op(ins.op), nullptr) << ins.op;
+      EXPECT_LT(static_cast<size_t>(ins.op), nn::kNumOps) << ins.id;
+      seen.insert(ins.op);
+    }
+    for (const Op op : {Op::kNegRowMax, Op::kAddColvec, Op::kRecip}) {
+      EXPECT_TRUE(seen.count(op)) << nn::op_def(op).name;
     }
   }
 }

@@ -153,6 +153,31 @@ TEST(Package, RetrainedAttributeGeneratorRoundTrips) {
   expect_datasets_identical(model.generate(6), loaded->generate(6));
 }
 
+// An offline load refuses what the preflight refuses, before it builds the
+// model at the config's sizes: a config line edited so the weights no longer
+// fit names the mismatch instead of failing inside the weight read.
+TEST(Package, LoadRefusesWhatThePreflightRefuses) {
+  const auto d = synth::make_wwt({.n = 4, .t = 10});
+  DoppelGangerConfig cfg = tiny_cfg();
+  cfg.lstm_units = 8;
+  DoppelGanger model(d.schema, cfg);
+  std::stringstream ss;
+  save_package(ss, model);
+  std::string text = ss.str();
+  const std::string line = "\nlstm_units 8\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "\nlstm_units 9\n");
+  std::stringstream edited(text);
+  try {
+    load_package(edited);
+    FAIL() << "load_package accepted weights that do not fit the config";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("weight-shape"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Package, RejectsTruncatedStream) {
   const auto d = synth::make_wwt({.n = 4, .t = 10});
   DoppelGanger model(d.schema, tiny_cfg());

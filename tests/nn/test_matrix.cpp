@@ -153,12 +153,6 @@ TEST(Matrix, SliceBadRangeThrows) {
   EXPECT_THROW(slice_rows(a, -1, 1), std::invalid_argument);
 }
 
-TEST(Matrix, ApplyFn) {
-  Matrix a = Matrix::from({{1, 4}, {9, 16}});
-  Matrix s = apply(a, [](float v) { return v * 2.f; });
-  EXPECT_TRUE(allclose(s, Matrix::from({{2, 8}, {18, 32}})));
-}
-
 TEST(Matrix, Allclose) {
   Matrix a = Matrix::from({{1, 2}});
   Matrix b = Matrix::from({{1.00001f, 2.00001f}});

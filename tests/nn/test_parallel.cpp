@@ -62,13 +62,8 @@ const Shape kShapes[] = {{0, 0}, {0, 5}, {1, 1},    {1, 257},
 
 TEST(Parallel, PoolConfigClampsAndReports) {
   set_num_threads(7);
-  if (parallel_enabled()) {
-    EXPECT_EQ(num_threads(), 7);
-    EXPECT_STREQ(num_threads_source(), "set_num_threads");
-  } else {
-    EXPECT_EQ(num_threads(), 1);  // DG_PARALLEL=OFF pins the pool
-    EXPECT_STREQ(num_threads_source(), "DG_PARALLEL=OFF");
-  }
+  EXPECT_EQ(num_threads(), 7);
+  EXPECT_STREQ(num_threads_source(), "set_num_threads");
   set_num_threads(0);  // clamps to >= 1
   EXPECT_EQ(num_threads(), 1);
   set_num_threads(-3);
@@ -107,7 +102,7 @@ TEST(Parallel, ChunkDecompositionIndependentOfThreadCount) {
 TEST(Parallel, PropagatesExceptionsFromWorkers) {
   PoolSize pool(4);
   // Throws from whichever partition owns index 12345 — a worker thread when
-  // the pool is live, the caller in the serial/DG_PARALLEL=OFF path.
+  // the pool is live, the caller in the serial path.
   EXPECT_THROW(
       parallel_for(0, 1 << 20, 1,
                    [](std::int64_t b, std::int64_t e) {
@@ -162,9 +157,6 @@ TEST(Parallel, ElementwiseBitExactAcrossThreadCounts) {
     expect_thread_invariant("div", [&] { return div(a, b); });
     expect_thread_invariant("add_scalar", [&] { return add_scalar(a, 1.5f); });
     expect_thread_invariant("mul_scalar", [&] { return mul_scalar(a, -2.f); });
-    expect_thread_invariant("apply", [&] {
-      return apply(a, [](float v) { return v * v + 1.0f; });
-    });
   }
 }
 

@@ -328,8 +328,8 @@ analysis::TapeReport with_fused_chain(analysis::TapeReport r, int members) {
     t.values.push_back(v);
     r.plan.offsets.push_back(-1);
     t.instrs.push_back(
-        {.id = v.def, .op = "relu", .dst = v.id, .args = {src}, .attrs = {},
-         .group = gid});
+        {.id = v.def, .op = nn::Op::kRelu, .dst = v.id, .args = {src},
+         .attrs = {}, .group = gid});
     src = v.id;
   }
   return r;
@@ -361,10 +361,10 @@ TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
     const auto relu = std::find_if(
         swapped.tape.instrs.begin(), swapped.tape.instrs.end(),
         [](const analysis::TapeInstr& i) {
-          return i.group < 0 && i.op == "relu";
+          return i.group < 0 && i.op == nn::Op::kRelu;
         });
     ASSERT_NE(relu, swapped.tape.instrs.end());
-    relu->op = "mul_scalar";
+    relu->op = nn::Op::kMulScalar;
     const analysis::TapeReport at_cap =
         with_fused_chain(clean, analysis::kMaxFusionMembers);
     const analysis::TapeReport over_cap =

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -123,6 +125,74 @@ TEST(DgcliArgs, DeclaredFlagsStillRun) {
                              dir.path());
   EXPECT_EQ(lint.status, 0) << lint.output;
   EXPECT_TRUE(contains(lint.output, "lint: PASS")) << lint.output;
+}
+
+/// Trains a small gcut package (8 LSTM units) as g.dgpkg in `dir`; returns
+/// the train command's outcome.
+Outcome train_package(const fs::path& dir, int iterations) {
+  const Outcome synth = dgcli(
+      "make-synth --dataset gcut --n 12 --seed 3 --schema g.schema --out g.csv",
+      dir);
+  if (synth.status != 0) return synth;
+  return dgcli("train --schema g.schema --data g.csv --out g.dgpkg "
+               "--iterations " + std::to_string(iterations) +
+                   " --batch 8 --lstm-units 8 --sample-len 5",
+               dir);
+}
+
+// --iterations 0 is a valid request for an untrained package: it has no
+// losses to print, and the package it writes passes the preflight.
+TEST(DgcliTrain, ZeroIterationsWritesAPackageThatLints) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const Outcome train = train_package(dir.path(), 0);
+  EXPECT_EQ(train.status, 0) << train.output;
+  EXPECT_TRUE(contains(train.output, "wrote model package")) << train.output;
+  const Outcome lint = dgcli("lint --package g.dgpkg", dir.path());
+  EXPECT_EQ(lint.status, 0) << lint.output;
+  EXPECT_TRUE(contains(lint.output, "lint: PASS")) << lint.output;
+}
+
+// generate loads through the package preflight: a config line edited so the
+// weights no longer fit is refused by the preflight's finding, before the
+// model is built at the edited sizes.
+TEST(DgcliGenerate, RefusesWhatThePackagePreflightRefuses) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  ASSERT_EQ(train_package(dir.path(), 1).status, 0);
+  std::stringstream text;
+  text << std::ifstream(dir.path() / "g.dgpkg", std::ios::binary).rdbuf();
+  std::string bytes = text.str();
+  const std::string line = "\nlstm_units 8\n";
+  const std::size_t at = bytes.find(line);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, line.size(), "\nlstm_units 9\n");
+  std::ofstream(dir.path() / "bad.dgpkg", std::ios::binary) << bytes;
+
+  const Outcome gen =
+      dgcli("generate --model bad.dgpkg --n 2 --out s.csv", dir.path());
+  EXPECT_EQ(gen.status, 1) << gen.output;
+  EXPECT_TRUE(contains(gen.output, "weight-shape")) << gen.output;
+  EXPECT_FALSE(fs::exists(dir.path() / "s.csv"));
+}
+
+// --assume-first-order is the one place an op name becomes an Op: an
+// unknown name is refused by name, and a known one is downgraded, so the
+// gradient penalty's double backward through relu fails the lint (the
+// ctest mirror of CI's negative control).
+TEST(DgcliLint, AssumeFirstOrderNamesAreOps) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const Outcome unknown = dgcli("lint --schema " + example("gcut.schema") +
+                                    " --assume-first-order fused_gelu",
+                                dir.path());
+  EXPECT_NE(unknown.status, 0) << unknown.output;
+  EXPECT_TRUE(contains(unknown.output, "fused_gelu")) << unknown.output;
+  const Outcome relu = dgcli("lint --schema " + example("gcut.schema") +
+                                 " --assume-first-order relu",
+                             dir.path());
+  EXPECT_EQ(relu.status, 1) << relu.output;
+  EXPECT_TRUE(contains(relu.output, "no-double-backward")) << relu.output;
 }
 
 }  // namespace

@@ -130,6 +130,7 @@
 #include "eval/report.h"
 #include "nn/check.h"
 #include "nn/gradcheck.h"
+#include "nn/ops.h"
 #include "nn/parallel.h"
 #include "nn/simd/vec.h"
 #include "obs/json_string.h"
@@ -261,8 +262,10 @@ int cmd_train(const Args& a) {
   std::printf("training on %zu objects (%d iterations, S=%d)...\n",
               train.size(), cfg.iterations, cfg.sample_len);
   const auto stats = model.fit(train);
-  std::printf("final losses: critic %.3f, generator %.3f\n",
-              stats.d_loss.back(), stats.g_loss.back());
+  if (!stats.d_loss.empty()) {  // none at --iterations 0
+    std::printf("final losses: critic %.3f, generator %.3f\n",
+                stats.d_loss.back(), stats.g_loss.back());
+  }
 
   if (run_log) {
     obs::Trace::stop();
@@ -920,10 +923,8 @@ int cmd_check(const Args& a) {
   };
 
   std::printf("== compute backend ==\n");
-  std::printf("  intra-op pool: %s, %d thread%s (%s)\n",
-              nn::parallel_enabled() ? "enabled" : "compiled out (DG_PARALLEL=OFF)",
-              nn::num_threads(), nn::num_threads() == 1 ? "" : "s",
-              nn::num_threads_source());
+  std::printf("  intra-op pool: %d thread%s (%s)\n", nn::num_threads(),
+              nn::num_threads() == 1 ? "" : "s", nn::num_threads_source());
   std::printf("  simd tier: %s (%s)\n",
               nn::simd::tier_name(nn::simd::active_tier()),
               nn::simd::simd_tier_source());
@@ -1171,14 +1172,12 @@ analysis::TrainingStepAnalysis run_train_lint(
   analysis::OpRegistry reg = analysis::OpRegistry::builtin();
   if (a.flag("assume-first-order")) {
     for (const std::string& op : split_clauses(a.str("assume-first-order"))) {
-      const analysis::OpInfo* info = reg.find(op);
-      if (info == nullptr) {
+      const nn::OpDef* row = nn::find_op(op);
+      if (row == nullptr) {
         throw std::runtime_error("lint: unknown op '" + op +
                                  "' in --assume-first-order");
       }
-      analysis::OpInfo downgraded = *info;
-      downgraded.diff = analysis::DiffClass::kFirstOrderOnly;
-      reg.add(std::move(downgraded));
+      reg[row->op].diff = analysis::DiffClass::kFirstOrderOnly;
     }
   }
   if (a.flag("train-mutate")) {
