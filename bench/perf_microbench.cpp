@@ -402,8 +402,10 @@ BENCHMARK(BM_ServeSequentialPerRequest)->Unit(benchmark::kMillisecond);
 /// verified tape (core/tape_exec.h) over the mixed workload.
 void BM_ServeSlotSamplerTape(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
-  // The CI runner's core count, the same budget the step pair below gets.
-  nn::set_num_threads(4);
+  // One thread, like the sequential baseline above: google-benchmark
+  // divides by the calling thread's CPU time, which leaves out any pool
+  // worker's, so only a one-thread pair compares like with like.
+  nn::set_num_threads(1);
   auto model = serve_bench_model();
   // One sampler for the whole run, like a service: the tape is lowered and
   // verified once at load, not per request batch.

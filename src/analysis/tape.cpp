@@ -9,6 +9,7 @@
 #include "analysis/model.h"
 #include "analysis/planner.h"
 #include "analysis/trace.h"
+#include "obs/metrics.h"
 
 namespace dg::analysis {
 
@@ -521,6 +522,7 @@ std::vector<Diagnostic> verify_tape(const Tape& tape, const ArenaPlan& plan,
 
 TapeReport build_generation_tape(const data::Schema& schema,
                                  const core::DoppelGangerConfig& cfg) {
+  obs::Registry::global().counter("analysis.tape_builds").add(1);
   TapeReport rep;
   std::vector<Diagnostic> config_findings;  // named in the refusal below
   const std::unique_ptr<core::DoppelGanger> model =

@@ -223,11 +223,26 @@ GenContext DoppelGanger::sample_context(int n, nn::Rng& rng) const {
 GenContext DoppelGanger::sample_context_fixed(
     int n, const std::vector<std::pair<int, float>>& fixed,
     nn::Rng& rng) const {
+  Matrix attr_noise = rng.normal_matrix(n, cfg_.attr_noise_dim);
+  Matrix minmax_noise = rng.normal_matrix(n, minmax_noise_dim());
+  const std::vector<std::pair<int, float>>* every_row[] = {&fixed};
+  return context_forward(std::move(attr_noise), std::move(minmax_noise),
+                         every_row);
+}
+
+GenContext DoppelGanger::context_forward(
+    Matrix attr_noise, Matrix minmax_noise,
+    std::span<const std::vector<std::pair<int, float>>* const> fixed) const {
+  const int n = attr_noise.rows();
+  if (attr_noise.cols() != cfg_.attr_noise_dim ||
+      minmax_noise.rows() != n || minmax_noise.cols() != minmax_noise_dim() ||
+      (fixed.size() != 1 && fixed.size() != static_cast<size_t>(n))) {
+    throw std::invalid_argument("context_forward: noise shape mismatch");
+  }
   nn::NoGradGuard guard;
   GenContext ctx;
   ctx.attributes =
-      apply_blocks(attr_gen_.forward(
-                       nn::constant(rng.normal_matrix(n, cfg_.attr_noise_dim))),
+      apply_blocks(attr_gen_.forward(nn::constant(std::move(attr_noise))),
                    attr_blocks_)
           .value();
 
@@ -236,32 +251,44 @@ GenContext DoppelGanger::sample_context_fixed(
   // fixed ones are overwritten in encoded space (one-hot / scaled [0,1])
   // before conditioning the min/max generator and the LSTM.
   const data::Schema& s = codec_.schema();
-  for (const auto& [field, raw] : fixed) {
-    if (field < 0 || field >= s.num_attributes()) {
-      throw std::invalid_argument("sample_context_fixed: bad attribute index");
-    }
-    int col = 0;
-    for (int j = 0; j < field; ++j) col += s.attributes[static_cast<size_t>(j)].width();
-    const data::FieldSpec& spec = s.attributes[static_cast<size_t>(field)];
-    if (spec.type == data::FieldType::Categorical) {
-      const int c = static_cast<int>(raw);
-      if (c < 0 || c >= spec.n_categories) {
-        throw std::invalid_argument("sample_context_fixed: category range");
+  const auto clamp = [&](const std::vector<std::pair<int, float>>& list,
+                         int r0, int r1) {
+    for (const auto& [field, raw] : list) {
+      if (field < 0 || field >= s.num_attributes()) {
+        throw std::invalid_argument("sample_context_fixed: bad attribute index");
       }
-      for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < spec.n_categories; ++j) {
-          ctx.attributes.at(i, col + j) = (j == c) ? 1.0f : 0.0f;
+      int col = 0;
+      for (int j = 0; j < field; ++j) col += s.attributes[static_cast<size_t>(j)].width();
+      const data::FieldSpec& spec = s.attributes[static_cast<size_t>(field)];
+      if (spec.type == data::FieldType::Categorical) {
+        const int c = static_cast<int>(raw);
+        if (c < 0 || c >= spec.n_categories) {
+          throw std::invalid_argument("sample_context_fixed: category range");
         }
+        for (int i = r0; i < r1; ++i) {
+          for (int j = 0; j < spec.n_categories; ++j) {
+            ctx.attributes.at(i, col + j) = (j == c) ? 1.0f : 0.0f;
+          }
+        }
+      } else {
+        const float v01 = data::scale01(spec, raw);
+        for (int i = r0; i < r1; ++i) ctx.attributes.at(i, col) = v01;
       }
-    } else {
-      const float v01 = data::scale01(spec, raw);
-      for (int i = 0; i < n; ++i) ctx.attributes.at(i, col) = v01;
+    }
+  };
+  if (fixed.size() == 1) {
+    if (fixed[0] != nullptr) clamp(*fixed[0], 0, n);
+  } else {
+    for (int i = 0; i < n; ++i) {
+      if (fixed[static_cast<size_t>(i)] != nullptr) {
+        clamp(*fixed[static_cast<size_t>(i)], i, i + 1);
+      }
     }
   }
 
   if (minmax_enabled_) {
     std::vector<Var> in{nn::constant(ctx.attributes),
-                        nn::constant(rng.normal_matrix(n, cfg_.minmax_noise_dim))};
+                        nn::constant(std::move(minmax_noise))};
     ctx.minmax =
         apply_blocks(minmax_gen_.forward(nn::concat_cols(in)), minmax_blocks_)
             .value();

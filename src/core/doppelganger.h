@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,10 @@
 #include "nn/optim.h"
 #include "nn/rng.h"
 #include "obs/runlog.h"
+
+namespace dg::analysis {
+struct TapeReport;
+}  // namespace dg::analysis
 
 namespace dg::core {
 
@@ -201,10 +206,26 @@ class DoppelGanger {
   /// values after sampling (categorical: category index; continuous: raw
   /// value), re-encoding the row before the min/max generator sees it. An
   /// empty index list means "fix nothing" and is identical to
-  /// sample_context. Field indices are schema attribute positions.
+  /// sample_context. Field indices are schema attribute positions. This is
+  /// context_forward after one stream's draws: all n rows of attribute
+  /// noise, then all n rows of min/max noise.
   GenContext sample_context_fixed(
       int n, const std::vector<std::pair<int, float>>& fixed,
       nn::Rng& rng) const;
+
+  /// The context forward over noise the caller drew: row i of `attr_noise`
+  /// [n, attr_noise_dim()] and of `minmax_noise` [n, minmax_noise_dim()]
+  /// give row i of the context, with the clamps *fixed[i]* (none when null)
+  /// applied between the attribute and the min/max generator, as in
+  /// sample_context_fixed; a one-entry `fixed` clamps every row alike.
+  /// Every op is row-local, so row i's bytes depend on row i's noise and
+  /// clamps only, at any n: the sampler draws the contexts of every lane it
+  /// admits in one pump, each row from its lane's stream, as one forward.
+  /// Throws std::invalid_argument on a shape mismatch or a clamp outside the
+  /// schema.
+  GenContext context_forward(
+      nn::Matrix attr_noise, nn::Matrix minmax_noise,
+      std::span<const std::vector<std::pair<int, float>>* const> fixed) const;
 
   /// Zeroed LSTM state + all-ones continuation masks for n lanes.
   GenState initial_gen_state(int n) const;
@@ -235,6 +256,20 @@ class DoppelGanger {
   int sample_len() const { return cfg_.sample_len; }
   int record_width() const { return record_width_; }
   int feat_noise_dim() const { return cfg_.feat_noise_dim; }
+  int attr_noise_dim() const { return cfg_.attr_noise_dim; }
+  /// Min/max noise columns per context row: 0 when the min/max generator is
+  /// off, so a row draws nothing after its attribute noise.
+  int minmax_noise_dim() const {
+    return minmax_enabled_ ? cfg_.minmax_noise_dim : 0;
+  }
+
+  /// The verified generation tape the package preflight lowered, when this
+  /// model came from load_package (core/package.h); null for a model built
+  /// in-process. TapeExecutor::create_or_throw builds from it, so a loaded
+  /// model's generate() and samplers lower no tape of their own.
+  const analysis::TapeReport* generation_tape() const {
+    return gen_tape_.get();
+  }
 
   /// Re-seeds the model's own generation RNG (used by `dgcli generate
   /// --seed` and the package round-trip tests to pin regeneration).
@@ -343,6 +378,9 @@ class DoppelGanger {
   std::uint64_t iters_done_ = 0;  // cumulative across fit / fit_more
   /// generate()'s engine, built at width cfg.batch on first use.
   std::unique_ptr<TapeExecutor> tape_;
+  /// Set once, by load_package, from the preflight that checked the package.
+  std::shared_ptr<const analysis::TapeReport> gen_tape_;
+  friend std::unique_ptr<DoppelGanger> load_package(std::istream& is);
 };
 
 }  // namespace dg::core

@@ -110,6 +110,7 @@ std::unique_ptr<DoppelGanger> load_package(std::istream& is) {
   is.seekg(pf.weights_at);
   auto model = std::make_unique<DoppelGanger>(std::move(pf.schema), pf.config);
   model->load(is);
+  model->gen_tape_ = std::move(pf.tape_report);
   return model;
 }
 

@@ -82,12 +82,13 @@ PackagePreflight preflight_package(std::istream& is) {
   // ---- generation tape: lower + verify, so a package whose serving tape
   // would be rejected (or fall back to autograd) is flagged before load ----
   if (!analysis::has_errors(analysis.diagnostics)) {
-    const analysis::TapeReport tape_report =
-        analysis::build_generation_tape(out.schema, out.config);
-    out.tape = analysis::summarize_tape(tape_report);
-    for (const Diagnostic& d : tape_report.diagnostics) {
+    auto tape_report = std::make_shared<const analysis::TapeReport>(
+        analysis::build_generation_tape(out.schema, out.config));
+    out.tape = analysis::summarize_tape(*tape_report);
+    for (const Diagnostic& d : tape_report->diagnostics) {
       out.diagnostics.push_back(d);
     }
+    if (tape_report->ok()) out.tape_report = std::move(tape_report);
   }
 
   // ---- weight section: header-only shape census ----

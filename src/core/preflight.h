@@ -10,6 +10,7 @@
 
 #include <ios>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +41,10 @@ struct PackagePreflight {
   /// fusion-group counts, arena peak, and whether the verifier passed. Only
   /// populated when the header + analysis were clean enough to lower.
   analysis::TapeSummary tape;
+  /// The lowered tape itself, when it verified. load_package hands it to
+  /// the model it builds, so the tape of a loaded package is lowered once,
+  /// here, and every executor of that model is built from this report.
+  std::shared_ptr<const analysis::TapeReport> tape_report;
 };
 
 /// Never throws on bad input — all findings come back as diagnostics.

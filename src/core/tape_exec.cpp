@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -149,20 +150,23 @@ std::unique_ptr<TapeExecutor> TapeExecutor::create(const DoppelGanger& model,
 
 std::unique_ptr<TapeExecutor> TapeExecutor::create_or_throw(
     const DoppelGanger& model, int width) {
-  analysis::TapeReport report =
-      analysis::build_generation_tape(model.schema(), model.config());
-  const std::string why = render_diagnostics(report.diagnostics);
-  auto exec = from_report(model, std::move(report), width);
+  std::optional<analysis::TapeReport> lowered;
+  const analysis::TapeReport* report = model.generation_tape();
+  if (report == nullptr) {
+    lowered = analysis::build_generation_tape(model.schema(), model.config());
+    report = &*lowered;
+  }
+  auto exec = from_report(model, *report, width);
   if (!exec) {
     throw std::invalid_argument(
         "the model's generation tape does not build, so the model cannot "
-        "generate:\n" + why);
+        "generate:\n" + render_diagnostics(report->diagnostics));
   }
   return exec;
 }
 
 std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
-    const DoppelGanger& model, analysis::TapeReport report, int width) {
+    const DoppelGanger& model, const analysis::TapeReport& report, int width) {
   if (width < 1) return nullptr;
   if (!report.ok()) return nullptr;
   // License to execute is a clean verifier run HERE, not the report's flag:

@@ -42,16 +42,19 @@ class TapeExecutor {
   static std::unique_ptr<TapeExecutor> create(const DoppelGanger& model,
                                               int width);
 
-  /// create(), but a refusal throws std::invalid_argument carrying the tape
-  /// report's findings: how generate() and the serving stack refuse a model
-  /// they cannot replay.
+  /// The engine generate() and the serving stack build: from the report a
+  /// package load handed the model (DoppelGanger::generation_tape), lowering
+  /// a tape only for a model that has none. A refusal throws
+  /// std::invalid_argument carrying the tape report's findings: how
+  /// generate() and the serving stack refuse a model they cannot replay.
   static std::unique_ptr<TapeExecutor> create_or_throw(
       const DoppelGanger& model, int width);
 
   /// As create(), from an externally built report (tests, lint). The report
   /// is re-verified here regardless of what its `verified` flag claims.
   static std::unique_ptr<TapeExecutor> from_report(
-      const DoppelGanger& model, analysis::TapeReport report, int width);
+      const DoppelGanger& model, const analysis::TapeReport& report,
+      int width);
 
   ~TapeExecutor();
   TapeExecutor(const TapeExecutor&) = delete;

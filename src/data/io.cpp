@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace dg::data {
 
@@ -50,6 +52,26 @@ FieldSpec parse_field(std::istringstream& line) {
     return continuous_field(name, lo, hi);
   }
   throw std::runtime_error("io: unknown field type '" + type + "'");
+}
+
+// A name keys a field on the wire and in `fixed`/`where`, and a label names
+// its category: with a repeat, one of the two could never be named.
+void check_unique_names(const Schema& s) {
+  std::set<std::string_view> names;
+  for (const auto* fields : {&s.attributes, &s.features}) {
+    for (const FieldSpec& f : *fields) {
+      if (!names.insert(f.name).second) {
+        throw std::runtime_error("io: repeated field name '" + f.name + "'");
+      }
+      std::set<std::string_view> labels;
+      for (const std::string& l : f.labels) {
+        if (!labels.insert(l).second) {
+          throw std::runtime_error("io: repeated label '" + l +
+                                   "' in field '" + f.name + "'");
+        }
+      }
+    }
+  }
 }
 
 std::vector<std::string> split_csv(const std::string& line) {
@@ -107,6 +129,7 @@ Schema load_schema(std::istream& is) {
   if (s.max_timesteps <= 0 || s.features.empty()) {
     throw std::runtime_error("io: schema missing max_timesteps or features");
   }
+  check_unique_names(s);
   return s;
 }
 

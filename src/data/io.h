@@ -16,6 +16,9 @@
 namespace dg::data {
 
 void save_schema(std::ostream& os, const Schema& schema);
+/// Throws std::runtime_error ("io: ...") on a malformed schema, including a
+/// field name used twice (attributes and features share one namespace) and
+/// a label repeated within a categorical field.
 Schema load_schema(std::istream& is);
 void save_schema_file(const std::string& path, const Schema& schema);
 Schema load_schema_file(const std::string& path);

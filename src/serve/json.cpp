@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/json_string.h"
@@ -201,26 +200,6 @@ class Parser {
   int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
-void dump_to(const Value& v, std::string& out);
-
-void dump_number(double n, std::string& out) {
-  if (!std::isfinite(n)) {
-    out += "null";  // JSON has no Inf/NaN; the protocol never sends them
-    return;
-  }
-  // Magnitude first: casting a double beyond long long's range is
-  // undefined.
-  if (std::fabs(n) < 9.0e15 &&
-      n == static_cast<double>(static_cast<long long>(n))) {
-    out += std::to_string(static_cast<long long>(n));
-    return;
-  }
-  char buf[32];
-  // %.9g round-trips every float32 value, which is all the wire carries.
-  std::snprintf(buf, sizeof(buf), "%.9g", n);
-  out += buf;
-}
-
 void dump_to(const Value& v, std::string& out) {
   switch (v.type()) {
     case Value::Type::Null:
@@ -230,7 +209,7 @@ void dump_to(const Value& v, std::string& out) {
       out += v.as_bool() ? "true" : "false";
       break;
     case Value::Type::Number:
-      dump_number(v.as_number(), out);
+      append_number(out, v.as_number());
       break;
     case Value::Type::String:
       obs::append_json_string(out, v.as_string());
@@ -327,6 +306,25 @@ void Value::set(std::string key, Value v) {
 }
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+void append_number(std::string& out, double n) {
+  if (!std::isfinite(n)) {
+    out += "null";  // JSON has no Inf/NaN; the protocol never sends them
+    return;
+  }
+  char buf[32];
+  std::to_chars_result r;
+  // Magnitude first: casting a double beyond long long's range is
+  // undefined.
+  if (std::fabs(n) < 9.0e15 &&
+      n == static_cast<double>(static_cast<long long>(n))) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(n));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), n, std::chars_format::general,
+                      9);
+  }
+  out.append(buf, r.ptr);
+}
 
 std::string dump(const Value& v) {
   std::string out;

@@ -77,8 +77,15 @@ inline constexpr int kMaxDepth = 64;
 /// deeper than kMaxDepth is a parse error.
 Value parse(std::string_view text);
 
-/// Serializes compactly (no whitespace); numbers use shortest round-trip
-/// formatting so a parse(dump(v)) round trip is value-exact.
+/// Serializes compactly (no whitespace); numbers are written by
+/// append_number, so a parse(dump(v)) round trip is exact for every float32
+/// value and every integer below 9e15.
 std::string dump(const Value& v);
+
+/// Appends `n` as dump writes it: `null` when not finite, an integral value
+/// below 9e15 in magnitude as an integer, anything else with
+/// std::to_chars(..., std::chars_format::general, 9), which the standard
+/// defines as printf's "%.9g" (9 significant digits round-trip a float32).
+void append_number(std::string& out, double n);
 
 }  // namespace dg::serve::json

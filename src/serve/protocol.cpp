@@ -3,6 +3,8 @@
 #include <optional>
 #include <stdexcept>
 
+#include "obs/json_string.h"
+
 namespace dg::serve {
 
 namespace {
@@ -211,6 +213,77 @@ data::Object object_from_json(const json::Value& v, const data::Schema& schema) 
     o.features.push_back(std::move(rec));
   }
   return o;
+}
+
+namespace {
+
+void append_object(std::string& out, const data::Object& o,
+                   const data::Schema& schema) {
+  out += "{\"attributes\":{";
+  for (size_t j = 0; j < schema.attributes.size(); ++j) {
+    const data::FieldSpec& a = schema.attributes[j];
+    if (j > 0) out += ',';
+    obs::append_json_string(out, a.name);
+    out += ':';
+    const float raw = o.attributes[j];
+    if (a.type == data::FieldType::Categorical) {
+      const int c = static_cast<int>(raw);
+      if (c >= 0 && c < static_cast<int>(a.labels.size())) {
+        obs::append_json_string(out, a.labels[static_cast<size_t>(c)]);
+      } else {
+        json::append_number(out, static_cast<double>(c));
+      }
+    } else {
+      json::append_number(out, static_cast<double>(raw));
+    }
+  }
+  out += "},\"features\":[";
+  for (size_t t = 0; t < o.features.size(); ++t) {
+    if (t > 0) out += ',';
+    out += '[';
+    const std::vector<float>& rec = o.features[t];
+    for (size_t k = 0; k < rec.size(); ++k) {
+      if (k > 0) out += ',';
+      json::append_number(out, static_cast<double>(rec[k]));
+    }
+    out += ']';
+  }
+  out += "]}";
+}
+
+void append_string_field(std::string& out, const char* key,
+                         const std::string& value) {
+  if (value.empty()) return;
+  out += ",\"";
+  out += key;
+  out += "\":";
+  obs::append_json_string(out, value);
+}
+
+}  // namespace
+
+void append_response(std::string& out, const GenResponse& resp,
+                     const data::Schema& schema) {
+  // The fields and their order are response_to_json's; the numbers go
+  // through the double conversions json::Value applies there.
+  out += "{\"id\":";
+  json::append_number(out, static_cast<double>(resp.id));
+  out += resp.ok ? ",\"ok\":true" : ",\"ok\":false";
+  out += resp.complete ? ",\"complete\":true" : ",\"complete\":false";
+  append_string_field(out, "error", resp.error);
+  append_string_field(out, "code", resp.code);
+  append_string_field(out, "package_hash", resp.package_hash);
+  append_string_field(out, "trace", resp.trace_id);
+  out += ",\"rejected\":";
+  json::append_number(out, static_cast<double>(resp.series_rejected));
+  out += ",\"latency_ms\":";
+  json::append_number(out, resp.latency_ms);
+  out += ",\"objects\":[";
+  for (size_t i = 0; i < resp.objects.size(); ++i) {
+    if (i > 0) out += ',';
+    append_object(out, resp.objects[i], schema);
+  }
+  out += "]}";
 }
 
 json::Value response_to_json(const GenResponse& resp, const data::Schema& schema) {

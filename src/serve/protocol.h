@@ -46,6 +46,19 @@ std::uint64_t request_id(const json::Value& v);
 std::optional<std::uint64_t> to_u64(double x);
 json::Value request_to_json(const GenRequest& req);
 
+/// Appends `resp` to `out` as one generate reply line (no newline), in one
+/// pass with no intermediate document. The one producer of generate replies
+/// on the wire: the server's generate handler and the router's error
+/// replies. The bytes are json::dump(response_to_json(resp, schema)); the
+/// reply starts with `{"id":` and writes `objects` last, which the router's
+/// byte scans rely on (serve/shard/cache.h). Attribute names and the labels
+/// of a field are unique in a schema load_schema accepts; with repeats, the
+/// oracle's json::Value::set would fold what this writer writes twice.
+void append_response(std::string& out, const GenResponse& resp,
+                     const data::Schema& schema);
+
+/// The reply as a document: the oracle tests/serve/test_protocol.cpp holds
+/// append_response to, byte for byte.
 json::Value response_to_json(const GenResponse& resp, const data::Schema& schema);
 GenResponse response_from_json(const json::Value& v, const data::Schema& schema);
 

@@ -58,6 +58,8 @@ SlotSampler::SlotSampler(std::shared_ptr<const core::DoppelGanger> model,
   for (Lane& lane : lanes_) {
     lane.features.assign(static_cast<size_t>(feature_row_dim_), 0.0f);
   }
+  starting_.reserve(static_cast<size_t>(width_));
+  starting_fixed_.reserve(static_cast<size_t>(width_));
 }
 
 SlotSampler::~SlotSampler() = default;
@@ -70,45 +72,66 @@ void SlotSampler::submit(SeriesJob job) {
 }
 
 void SlotSampler::admit() {
-  if (pending_.empty()) return;
   for (int r = 0; r < width_ && !pending_.empty(); ++r) {
     Lane& lane = lanes_[static_cast<size_t>(r)];
     if (lane.busy) continue;
     lane.job = std::move(pending_.front());
     pending_.pop_front();
     lane.attempts_used = 0;
-    begin_series(lane, r);
+    lane.busy = true;
     ++occupied_;
+    starting_.push_back(r);
   }
+  if (!starting_.empty()) begin_series();
 }
 
-void SlotSampler::begin_series(Lane& lane, int row) {
-  // All of the series' randomness comes from its own stream: context noise
-  // here, one feature-noise row per step in pump(). Slot position `row` and
-  // the other lanes' contents contribute nothing.
-  static const std::vector<std::pair<int, float>> kNoFixed;
-  const auto& fixed = lane.job.spec ? lane.job.spec->fixed : kNoFixed;
-  const core::GenContext one = model_->sample_context_fixed(1, fixed, lane.job.rng);
-  copy_row(one.attributes, 0, ctx_.attributes, row);
-  copy_row(one.minmax, 0, ctx_.minmax, row);
-  copy_row(one.cond, 0, ctx_.cond, row);
-  zero_row(state_.h, row);
-  zero_row(state_.c, row);
-  state_.mask.at(row, 0) = 1.0f;
-  lane.emitted = 0;
-  lane.cap_records = lane.job.max_len;
-  std::fill(lane.features.begin(), lane.features.end(), 0.0f);
-  ++lane.attempts_used;
-  if (lane.attempts_used == 1) {
-    // Slot-occupancy span: admission to retirement (rejection retries stay
-    // inside the same span — the lane is occupied throughout).
-    lane.span_id = 0;
-    if (lane.job.trace.sampled() && obs::Trace::enabled()) {
-      lane.span_id = obs::next_trace_id();
-      lane.t_begin_us = obs::Trace::now_us();
+void SlotSampler::begin_series() {
+  // All of a series' randomness comes from its own stream: its context
+  // noise row here (attribute noise, then min/max noise, as
+  // sample_context_fixed(1, ...) draws them), one feature-noise row per
+  // step in pump(). Slot position and the other rows of the batch
+  // contribute nothing.
+  const int k = static_cast<int>(starting_.size());
+  nn::Matrix attr_noise(k, model_->attr_noise_dim());
+  nn::Matrix minmax_noise(k, model_->minmax_noise_dim());
+  starting_fixed_.clear();
+  for (int i = 0; i < k; ++i) {
+    Lane& lane = lanes_[static_cast<size_t>(starting_[static_cast<size_t>(i)])];
+    lane.job.rng.fill_normal(attr_noise.flat().subspan(
+        static_cast<size_t>(i) * attr_noise.cols(),
+        static_cast<size_t>(attr_noise.cols())));
+    lane.job.rng.fill_normal(minmax_noise.flat().subspan(
+        static_cast<size_t>(i) * minmax_noise.cols(),
+        static_cast<size_t>(minmax_noise.cols())));
+    starting_fixed_.push_back(lane.job.spec ? &lane.job.spec->fixed : nullptr);
+  }
+  const core::GenContext ctx = model_->context_forward(
+      std::move(attr_noise), std::move(minmax_noise), starting_fixed_);
+
+  for (int i = 0; i < k; ++i) {
+    const int row = starting_[static_cast<size_t>(i)];
+    Lane& lane = lanes_[static_cast<size_t>(row)];
+    copy_row(ctx.attributes, i, ctx_.attributes, row);
+    copy_row(ctx.minmax, i, ctx_.minmax, row);
+    copy_row(ctx.cond, i, ctx_.cond, row);
+    zero_row(state_.h, row);
+    zero_row(state_.c, row);
+    state_.mask.at(row, 0) = 1.0f;
+    lane.emitted = 0;
+    lane.cap_records = lane.job.max_len;
+    std::fill(lane.features.begin(), lane.features.end(), 0.0f);
+    ++lane.attempts_used;
+    if (lane.attempts_used == 1) {
+      // Slot-occupancy span: admission to retirement (rejection retries
+      // stay inside the same span — the lane is occupied throughout).
+      lane.span_id = 0;
+      if (lane.job.trace.sampled() && obs::Trace::enabled()) {
+        lane.span_id = obs::next_trace_id();
+        lane.t_begin_us = obs::Trace::now_us();
+      }
     }
   }
-  lane.busy = true;
+  starting_.clear();
 }
 
 int SlotSampler::pump() {
@@ -207,8 +230,10 @@ void SlotSampler::finish_lane(Lane& lane, int row) {
     ++stats_.series_rejected;
     if (lane.attempts_used < lane.job.attempts_left) {
       // Retry in place: the SAME stream keeps drawing, so the accept/reject
-      // trajectory of this series is deterministic too.
-      begin_series(lane, row);
+      // trajectory of this series is deterministic too. The lane stays
+      // occupied; its new context is drawn at the next pump's admission,
+      // in one batch with the lanes admitted there.
+      starting_.push_back(row);
       return;
     }
   } else {

@@ -16,6 +16,12 @@
 // co-batched traffic, slot position, and slot-array width never change a
 // series' output. tests/serve/test_sampler.cpp asserts this bit-exactly.
 //
+// Admission draws the contexts of every lane admitted in a pump, and of
+// every lane a `where` rejection sends back for another attempt, as one
+// batched forward (DoppelGanger::context_forward): row i's noise comes from
+// lane i's own stream in sample_context's order, and every context op is
+// row-local, so batching changes no byte.
+//
 // One engine: every step replays the model's verified generation tape
 // (core/tape_exec.h), as DoppelGanger::generate does. A model whose tape does
 // not build is refused at construction; DoppelGanger::generation_step, the
@@ -114,8 +120,12 @@ class SlotSampler {
     std::int64_t t_begin_us = 0;  // lane admission, trace timebase
   };
 
+  /// Fills free lanes from the pending queue, then begins a series on every
+  /// lane that needs one: the new lanes and the retries finish_lane queued.
   void admit();
-  void begin_series(Lane& lane, int row);
+  /// Begins a series on each row of `starting_`, one context forward for
+  /// all of them.
+  void begin_series();
   void finish_lane(Lane& lane, int row);
 
   std::shared_ptr<const core::DoppelGanger> model_;
@@ -130,6 +140,9 @@ class SlotSampler {
   std::unique_ptr<core::TapeExecutor> tape_;  // the model's verified step
   std::vector<Lane> lanes_;
   int occupied_ = 0;
+  // Admission scratch, reserved to `width` entries at construction.
+  std::vector<int> starting_;  // rows whose series begins at the next admit
+  std::vector<const std::vector<std::pair<int, float>>*> starting_fixed_;
 
   std::deque<SeriesJob> pending_;
   std::vector<SeriesResult> results_;

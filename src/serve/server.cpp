@@ -167,7 +167,9 @@ LineHandler service_handler(GenerationService& service) {
       }
       if (op == "generate") {
         GenResponse resp = service.submit(request_from_json(req)).get();
-        return json::dump(response_to_json(resp, service.schema()));
+        std::string reply;
+        append_response(reply, resp, service.schema());
+        return reply;
       }
       return json::dump(
           error_value("unknown op '" + op + "'", error_code::kBadRequest));
@@ -268,8 +270,9 @@ void TcpServer::connection_loop(int fd) {
   std::string line;
   while (alive() && reader.next(line, alive)) {
     if (line.empty()) continue;
-    const std::string reply = handler_(line);
-    if (!send_all(fd, reply + "\n")) break;
+    std::string reply = handler_(line);
+    reply += '\n';
+    if (!send_all(fd, reply)) break;
   }
   ::close(fd);
   std::lock_guard<std::mutex> lock(conns_mu_);

@@ -36,21 +36,22 @@ namespace dg::serve::shard {
 /// serving injected models, or no consensus during a rolling reload.
 std::string cache_key(const std::string& package_hash, const GenRequest& req);
 
-/// Whether the router may cache `reply`, a response_to_json line, under
-/// the fleet's consensus package hash: the request succeeded (`ok`), every
+/// Whether the router may cache `reply`, a generate reply line, under the
+/// fleet's consensus package hash: the request succeeded (`ok`), every
 /// series came back (`complete`), and the producing package is the
 /// fleet's. False for an empty `fleet_hash` (no consensus). Decided by byte
 /// scans, not a DOM parse: a reply carries count*len*k series floats, and
 /// parsing them to read three header fields costs more than the routing.
-/// Sound for our serializer's output only. It escapes '"' inside strings,
-/// so a bare `"key":` is always a key, and it writes `objects` last, so the
+/// Sound for the output of append_response (serve/protocol.h), the one
+/// writer of generate replies, only. It escapes '"' inside strings, so a
+/// bare `"key":` is always a key, and it writes `objects` last, so the
 /// scans stop there: an attribute a schema names `ok` or `package_hash` is
 /// data inside the objects, not a reply field.
 bool reply_cacheable(std::string_view reply, std::string_view fleet_hash);
 
 /// Rewrites the `id` field of a cached reply line to the requesting
-/// client's id. Replies are produced by response_to_json, which always
-/// emits `{"id":<n>,...` first, so this is a prefix splice; a full JSON
+/// client's id. Replies are written by append_response, which always
+/// starts with `{"id":<n>,...`, so this is a prefix splice; a full JSON
 /// round-trip fallback covers anything else.
 std::string rewrite_reply_id(const std::string& reply, std::uint64_t id);
 

@@ -66,7 +66,9 @@ std::string Router::error_reply(std::uint64_t id, const std::string& what,
   resp.id = id;
   resp.error = what;
   resp.code = code;
-  return json::dump(response_to_json(resp, data::Schema{}));
+  std::string reply;
+  append_response(reply, resp, data::Schema{});
+  return reply;
 }
 
 bool Router::try_forward(Worker& w, const std::string& line,

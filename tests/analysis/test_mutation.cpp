@@ -117,6 +117,26 @@ TEST(Mutation, SwappedSchemaWeightsAreCaughtByPreflight) {
   EXPECT_TRUE(has_error(pf.diagnostics, "weight-shape"));
 }
 
+// A package whose schema repeats a field name does not load: the preflight
+// refuses it at the schema section and names the field.
+TEST(Mutation, RepeatedSchemaNameIsCaughtByPreflight) {
+  const core::DoppelGangerConfig cfg = tiny_cfg();
+  data::Schema schema = gcut_schema();
+  const core::DoppelGanger donor(schema, cfg);
+  schema.features[1].name = schema.features[0].name;
+  std::istringstream pkg(spliced_package(schema, cfg, donor));
+  const core::PackagePreflight pf = core::preflight_package(pkg);
+  EXPECT_FALSE(pf.header_ok);
+  EXPECT_FALSE(pf.ok);
+  ASSERT_TRUE(has_error(pf.diagnostics, "package-parse"));
+  bool named = false;
+  for (const Diagnostic& d : pf.diagnostics) {
+    named |= d.message.find("repeated field name '" +
+                            schema.features[0].name + "'") != std::string::npos;
+  }
+  EXPECT_TRUE(named) << core::render_diagnostics(pf.diagnostics);
+}
+
 TEST(Mutation, AuxFlagFlipVsWeightsIsCaughtByPreflight) {
   core::DoppelGangerConfig with_aux = tiny_cfg();
   with_aux.use_aux_discriminator = true;

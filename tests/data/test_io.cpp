@@ -37,6 +37,36 @@ TEST(SchemaIo, RejectsNamesWithCommas) {
   EXPECT_THROW(save_schema(ss, s), std::invalid_argument);
 }
 
+// A repeated name or label would leave one of its fields or categories
+// unnameable by `fixed`, `where` and the reply's attribute keys.
+TEST(SchemaIo, RejectsRepeatedNamesAndLabels) {
+  const std::string head =
+      "doppelganger-schema v1\nname s\nmax_timesteps 4\n";
+  const auto refusal = [&](const std::string& fields) -> std::string {
+    std::stringstream ss(head + fields);
+    try {
+      load_schema(ss);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(refusal("attribute categorical code A B\n"
+                    "attribute continuous code 0 1\n"
+                    "feature continuous x 0 1\n"),
+            "io: repeated field name 'code'");
+  EXPECT_EQ(refusal("feature continuous x 0 1\nfeature continuous x 0 2\n"),
+            "io: repeated field name 'x'");
+  EXPECT_EQ(refusal("attribute continuous x 0 1\nfeature continuous x 0 1\n"),
+            "io: repeated field name 'x'");
+  EXPECT_EQ(refusal("attribute categorical code A B A\n"
+                    "feature continuous x 0 1\n"),
+            "io: repeated label 'A' in field 'code'");
+  EXPECT_EQ(refusal("attribute categorical code A B\n"
+                    "feature categorical state A B\n"),
+            "accepted");  // labels are per field
+}
+
 TEST(CsvIo, RoundTripVariableLengths) {
   const auto d = synth::make_gcut({.n = 25, .t_max = 20});
   data::Dataset clamped = d.data;

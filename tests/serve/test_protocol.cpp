@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "data/encoding.h"
+#include "nn/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/tracectx.h"
@@ -70,6 +76,53 @@ TEST(Json, Float32ValuesRoundTripBitExact) {
     v.set("x", static_cast<double>(x));
     const json::Value back = json::parse(json::dump(v));
     EXPECT_EQ(static_cast<float>(back.number_or("x", 0)), x);
+  }
+}
+
+// append_number writes a non-integral number with std::to_chars(general,
+// 9), which the standard defines as printf's "%.9g": hold it to printf on
+// float bit patterns across the whole range, random doubles and values
+// next to a 9-digit rounding tie.
+TEST(Json, NumbersMatchPrintfG9) {
+  const auto printf_g9 = [](double n) -> std::string {
+    if (!std::isfinite(n)) return "null";
+    if (std::fabs(n) < 9.0e15 &&
+        n == static_cast<double>(static_cast<long long>(n))) {
+      return std::to_string(static_cast<long long>(n));
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", n);
+    return buf;
+  };
+  const auto check = [&](double n) {
+    std::string out;
+    json::append_number(out, n);
+    ASSERT_EQ(out, printf_g9(n)) << "bits of " << n;
+  };
+  for (std::uint64_t bits = 0; bits <= 0xffffffffull; bits += 65521) {
+    const auto b = static_cast<std::uint32_t>(bits);
+    float f;
+    std::memcpy(&f, &b, sizeof(f));
+    check(static_cast<double>(f));
+  }
+  nn::Rng rng(2026);
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t b = rng.next_u64();
+    double d;
+    std::memcpy(&d, &b, sizeof(d));
+    check(d);
+    check(rng.uniform(-1.0, 1.0));
+    // 10 significant digits ending in 5: the 9-digit rounding tie, give or
+    // take the binary representation's last bit.
+    const double tie = (static_cast<double>(rng.uniform_int(1'000'000'000)) *
+                            10.0 + 5.0) * std::pow(10.0, rng.uniform_int(40) - 20);
+    check(tie);
+    check(std::nextafter(tie, 0.0));
+    check(std::nextafter(tie, 1e300));
+  }
+  for (const double n : {0.0, -0.0, 1e-300, -2.5, 9e15, 9.0e15 + 2.0, 1e16,
+                         static_cast<double>(1ull << 63), 5e-324}) {
+    check(n);
   }
 }
 
@@ -186,6 +239,167 @@ TEST(Protocol, ObjectAndResponseRoundTrip) {
       }
     }
   }
+}
+
+// ---- the generate reply writer against its oracle
+
+/// append_response's bytes, which must be json::dump(response_to_json(...)).
+std::string written(const GenResponse& resp, const data::Schema& schema) {
+  std::string out;
+  append_response(out, resp, schema);
+  return out;
+}
+
+void expect_writer_matches_oracle(const GenResponse& resp,
+                                  const data::Schema& schema) {
+  EXPECT_EQ(written(resp, schema),
+            json::dump(response_to_json(resp, schema)));
+}
+
+TEST(ResponseWriter, MatchesTheOracleOnFullLengthReplies) {
+  const auto gcut = synth::make_gcut({.n = 6, .t_max = 50});
+  const auto wwt = synth::make_wwt({.n = 3, .t = 280});
+  for (const auto* d : {&gcut, &wwt}) {
+    GenResponse resp;
+    resp.id = 41;
+    resp.ok = resp.complete = true;
+    resp.package_hash = "0123456789abcdef";
+    resp.series_rejected = 12;
+    resp.latency_ms = 3.0517578125e-05 + 17.25;
+    resp.objects = d->data;
+    expect_writer_matches_oracle(resp, d->schema);
+  }
+}
+
+TEST(ResponseWriter, MatchesTheOracleOnHeaderFields) {
+  const data::Schema none;
+  GenResponse err;
+  err.id = 17;
+  err.error = "all workers at inflight cap";
+  err.code = error_code::kShed;
+  expect_writer_matches_oracle(err, none);
+  EXPECT_EQ(written(err, none),
+            R"({"id":17,"ok":false,"complete":false,"error":"all workers at )"
+            R"(inflight cap","code":"shed","rejected":0,"latency_ms":0,)"
+            R"("objects":[]})");
+
+  GenResponse traced;
+  traced.ok = traced.complete = true;
+  traced.trace_id = obs::trace_id_hex(0x00c0ffee0ddba11ull);
+  expect_writer_matches_oracle(traced, none);
+
+  // Ids travel as doubles through json::Value: above 2^53 they round, and
+  // from 9e15 up they print in %.9g form. The writer does the same.
+  for (const std::uint64_t id :
+       {(1ull << 53) - 1, 1ull << 53, (1ull << 53) + 1, 8'999'999'999'999'999ull,
+        9'000'000'000'000'001ull, 1ull << 60, ~0ull}) {
+    GenResponse r;
+    r.id = id;
+    expect_writer_matches_oracle(r, none);
+  }
+
+  GenResponse odd;
+  odd.error = "quote \" backslash \\ newline \n tab \t bell \x07 nul-free";
+  odd.code = "c\x1f";
+  odd.package_hash = "\"objects\":[]";
+  odd.series_rejected = -3;
+  odd.latency_ms = std::numeric_limits<double>::quiet_NaN();
+  expect_writer_matches_oracle(odd, none);
+  odd.latency_ms = -std::numeric_limits<double>::infinity();
+  expect_writer_matches_oracle(odd, none);
+}
+
+TEST(ResponseWriter, MatchesTheOracleOnOddValues) {
+  data::Schema schema;
+  schema.max_timesteps = 4;
+  schema.attributes = {
+      data::categorical_field("code \"q\"", {"A\n", "B\\", "\x01C"}),
+      data::continuous_field("x", 0.0f, 10.0f)};
+  schema.features = {data::continuous_field("v", 0.0f, 1.0f),
+                     data::continuous_field("w", -1.0f, 1.0f)};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  GenResponse resp;
+  resp.ok = true;
+  // Category codes in and out of the label range, integral and non-finite
+  // continuous values, a zero-length series.
+  for (const float code : {0.0f, 1.0f, 2.0f, 2.5f, 3.0f, 7.0f, -1.0f, -0.5f}) {
+    data::Object o;
+    o.attributes = {code, code * 1.5f};
+    o.features = {{0.0f, -0.0f}, {1.0f, 16777216.0f}, {1e10f, -3.0f},
+                  {inf, -inf}, {nan, 1.0f / 3.0f}, {1e-45f, 3.4e38f}};
+    resp.objects.push_back(std::move(o));
+  }
+  resp.objects.push_back({{1.0f, nan}, {}});
+  expect_writer_matches_oracle(resp, schema);
+}
+
+TEST(ResponseWriter, MatchesTheOracleWithAZeroWideMinMaxBlock) {
+  // Only categorical features: the codec's min/max block has no columns.
+  data::Schema schema;
+  schema.max_timesteps = 3;
+  schema.attributes = {data::categorical_field("tech", {"dsl", "cable"})};
+  schema.features = {data::categorical_field("state", {"up", "down", "idle"})};
+  data::GanCodec codec(schema, true);
+  ASSERT_EQ(codec.minmax_dim(), 0);
+  GenResponse resp;
+  resp.ok = resp.complete = true;
+  resp.objects = {{{1.0f}, {{0.0f}, {2.0f}, {1.0f}}}, {{0.0f}, {{2.0f}}}};
+  expect_writer_matches_oracle(resp, schema);
+}
+
+// One reply spelled out, so a change that moved writer and oracle together
+// still shows.
+TEST(ResponseWriter, GoldenReply) {
+  data::Schema schema;
+  schema.max_timesteps = 2;
+  schema.attributes = {data::categorical_field("code", {"A", "B"}),
+                       data::continuous_field("x", 0.0f, 10.0f)};
+  schema.features = {data::continuous_field("v", 0.0f, 1.0f)};
+  GenResponse resp;
+  resp.id = 3;
+  resp.ok = resp.complete = true;
+  resp.package_hash = "00ff";
+  resp.trace_id = "0a";
+  resp.series_rejected = 1;
+  resp.latency_ms = 2.5;
+  resp.objects = {{{1.0f, 0.1f}, {{0.5f}, {1.0f / 3.0f}}}};
+  EXPECT_EQ(written(resp, schema),
+            R"({"id":3,"ok":true,"complete":true,"package_hash":"00ff",)"
+            R"("trace":"0a","rejected":1,"latency_ms":2.5,"objects":[{)"
+            R"("attributes":{"code":"B","x":0.100000001},"features":[[0.5],)"
+            R"([0.333333343]]}]})");
+  expect_writer_matches_oracle(resp, schema);
+}
+
+// The router reads replies by byte scans (serve/shard/cache.h): the id is a
+// `{"id":` prefix, and the first `"objects":` is the reply's own, after
+// every header field, even when a header string or an attribute name spells
+// the key.
+TEST(ResponseWriter, IdComesFirstAndObjectsLast) {
+  data::Schema schema;
+  schema.max_timesteps = 2;
+  schema.attributes = {data::continuous_field("objects", 0.0f, 1.0f),
+                       data::continuous_field("ok", 0.0f, 1.0f)};
+  schema.features = {data::continuous_field("v", 0.0f, 1.0f)};
+  GenResponse resp;
+  resp.id = 77;
+  resp.ok = true;
+  resp.error = R"("objects":[] "ok":true)";
+  resp.package_hash = "abc";
+  resp.objects = {{{0.25f, 0.5f}, {{0.75f}}}};
+  const std::string reply = written(resp, schema);
+  EXPECT_EQ(reply.rfind(R"({"id":77,)", 0), 0u);
+  const std::size_t at = reply.find(R"("objects":)");
+  ASSERT_NE(at, std::string::npos);
+  json::Array objects;
+  for (const data::Object& o : resp.objects) {
+    objects.push_back(object_to_json(o, schema));
+  }
+  EXPECT_EQ(reply.substr(at),
+            R"("objects":)" + json::dump(json::Value(std::move(objects))) + "}");
+  EXPECT_NE(reply.substr(0, at).find(R"("package_hash":"abc")"),
+            std::string::npos);
 }
 
 TEST(Protocol, ErrorCodeAndPackageHashRoundTripAndStayOptional) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/doppelganger.h"
@@ -240,6 +243,75 @@ TEST(SlotSampler, RejectionTrajectoryIsDeterministic) {
   EXPECT_EQ(a.accepted, b.accepted);
   EXPECT_EQ(a.attempts_used, b.attempts_used);
   expect_objects_identical(a.object, b.object);
+}
+
+// Batched admission: one pump admits lanes with no `fixed`, lanes with two
+// different `fixed` lists and a `where` retry, and draws all of their
+// contexts in one forward. Each series still gets the bytes it gets alone.
+TEST(SlotSampler, BatchedAdmissionMatchesSoloSeries) {
+  auto model = make_model();
+  const auto solo = [&](const SeriesJob& job) {
+    SlotSampler s(model, 1);
+    s.submit(job);
+    auto r = run_to_completion(s);
+    EXPECT_EQ(r.size(), 1u);
+    return r.at(0);
+  };
+
+  auto where = std::make_shared<SeriesSpec>();
+  AttrPredicate p;
+  p.attr = model->schema().attributes[0].name;
+  p.op = AttrPredicate::Op::Eq;
+  p.value = 0.0f;
+  where->where.push_back(p);
+  // A seed whose first draw is rejected, so the series needs a retry.
+  std::uint64_t where_seed = 1;
+  while (solo(make_job(9, 0, where_seed, 0, where, 64)).attempts_used < 2) {
+    ASSERT_LT(++where_seed, 200u) << "no seed draws a rejection first";
+  }
+
+  auto fixed_a = std::make_shared<SeriesSpec>();
+  fixed_a->fixed.emplace_back(0, 1.0f);
+  auto fixed_b = std::make_shared<SeriesSpec>();
+  fixed_b->fixed.emplace_back(0, 3.0f);
+  std::vector<SeriesJob> jobs{
+      make_job(1, 0, 11), make_job(1, 1, 11),
+      make_job(2, 0, 12, 0, fixed_a), make_job(2, 1, 12, 0, fixed_a),
+      make_job(3, 0, 13, 4, fixed_b), make_job(3, 1, 13, 0, fixed_b)};
+
+  SlotSampler sampler(model, 8);
+  sampler.submit(make_job(9, 0, where_seed, 0, where, 64));
+  while (sampler.stats().series_rejected == 0) {
+    ASSERT_GT(sampler.pump(), 0);
+  }
+  // The retry waits for the next admission, where the six new lanes join
+  // it in one context forward.
+  for (const SeriesJob& job : jobs) sampler.submit(job);
+  sampler.pump();
+  EXPECT_EQ(sampler.pending(), 0u);
+  std::vector<SeriesResult> results = sampler.drain();
+  for (SeriesResult& r : run_to_completion(sampler)) {
+    results.push_back(std::move(r));
+  }
+  ASSERT_EQ(results.size(), 7u);
+
+  jobs.push_back(make_job(9, 0, where_seed, 0, where, 64));
+  for (const SeriesJob& job : jobs) {
+    const SeriesResult ref = solo(job);
+    const auto it = std::find_if(
+        results.begin(), results.end(), [&](const SeriesResult& r) {
+          return r.request_id == job.request_id && r.index == job.index;
+        });
+    ASSERT_NE(it, results.end());
+    SCOPED_TRACE("request " + std::to_string(job.request_id) + " series " +
+                 std::to_string(job.index));
+    EXPECT_EQ(it->accepted, ref.accepted);
+    EXPECT_EQ(it->attempts_used, ref.attempts_used);
+    expect_objects_identical(ref.object, it->object);
+    if (job.spec && !job.spec->fixed.empty()) {
+      EXPECT_EQ(it->object.attributes[0], job.spec->fixed[0].second);
+    }
+  }
 }
 
 }  // namespace

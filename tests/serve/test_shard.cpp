@@ -259,7 +259,8 @@ TEST(GenCacheUnit, ReplyCacheableAgreesWithTheParser) {
             o.features = {{1.5f, -2.0f}};
             resp.objects = {o, o};
           }
-          const std::string line = json::dump(response_to_json(resp, schema));
+          std::string line;
+          append_response(line, resp, schema);
           for (const std::string& f : {fleet, std::string()}) {
             const bool want = parsed_cacheable(line, f);
             EXPECT_EQ(reply_cacheable(line, f), want) << line;

@@ -23,14 +23,18 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/tape.h"
 #include "core/doppelganger.h"
+#include "core/package.h"
 #include "nn/parallel.h"
+#include "obs/metrics.h"
 #include "serve/sampler.h"
 #include "synth/synth.h"
 
@@ -474,6 +478,83 @@ TEST(TapeExec, SamplerSteadyStatePumpIsAllocationFree) {
   sampler.drain();
   EXPECT_GT(quiescent_pumps, 0)
       << "no quiescent pump observed — lengthen the series";
+}
+
+// The context forward is row-local: a batch of rows, each with its own
+// noise and clamps, gives every row the bytes it gets alone. The sampler's
+// batched admission rests on this, at every variant and thread count.
+TEST(ContextForward, BatchedRowsEqualSoloRows) {
+  ThreadGuard guard;
+  for (const Variant& v : variants()) {
+    SCOPED_TRACE(describe(v));
+    const core::DoppelGanger model(schema_for(v.dataset), v.cfg);
+    const data::Schema& schema = model.schema();
+    // Row 1 clamps the first attribute, row 3 the last one as well.
+    const int last = schema.num_attributes() - 1;
+    const float last_raw =
+        schema.attributes[static_cast<size_t>(last)].type ==
+                data::FieldType::Categorical
+            ? 1.0f
+            : schema.attributes[static_cast<size_t>(last)].lo;
+    const std::vector<std::pair<int, float>> first{{0, 0.0f}};
+    const std::vector<std::pair<int, float>> both{{0, 1.0f}, {last, last_raw}};
+    const std::vector<const std::vector<std::pair<int, float>>*> fixed{
+        nullptr, &first, nullptr, &both, &first};
+    const int n = static_cast<int>(fixed.size());
+    nn::Rng rng(v.cfg.seed + 5);
+    const nn::Matrix attr_noise = rng.normal_matrix(n, model.attr_noise_dim());
+    const nn::Matrix minmax_noise =
+        rng.normal_matrix(n, model.minmax_noise_dim());
+
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      nn::set_num_threads(threads);
+      const core::GenContext batch =
+          model.context_forward(attr_noise, minmax_noise, fixed);
+      for (int i = 0; i < n; ++i) {
+        nn::Matrix a(1, attr_noise.cols());
+        nn::Matrix m(1, minmax_noise.cols());
+        for (int j = 0; j < a.cols(); ++j) a.at(0, j) = attr_noise.at(i, j);
+        for (int j = 0; j < m.cols(); ++j) m.at(0, j) = minmax_noise.at(i, j);
+        const core::GenContext solo = model.context_forward(
+            std::move(a), std::move(m), {&fixed[static_cast<size_t>(i)], 1});
+        ASSERT_EQ(solo.cond.cols(), batch.cond.cols());
+        EXPECT_EQ(0, std::memcmp(solo.cond.data(),
+                                 batch.cond.data() + i * batch.cond.cols(),
+                                 sizeof(float) * static_cast<size_t>(
+                                                     solo.cond.cols())))
+            << "row " << i << " of the batch differs from its solo forward";
+      }
+    }
+  }
+}
+
+// A loaded package's tape is lowered once, by the preflight inside
+// load_package: generate() and every sampler build their executors from
+// that verified report. A model built in-process lowers on first use.
+TEST(TapeExec, LoadedPackageLowersItsTapeOnce) {
+  const core::DoppelGanger built(schema_for("gcut"), small_cfg(11));
+  std::stringstream pkg;
+  core::save_package(pkg, built);
+  const obs::Counter& builds =
+      obs::Registry::global().counter("analysis.tape_builds");
+
+  const std::uint64_t before_load = builds.get();
+  std::shared_ptr<core::DoppelGanger> loaded = core::load_package(pkg);
+  ASSERT_NE(loaded->generation_tape(), nullptr);
+  EXPECT_EQ(builds.get(), before_load + 1) << "the preflight lowers it";
+
+  const std::uint64_t loaded_builds = builds.get();
+  EXPECT_EQ(loaded->generate(3).size(), 3u);
+  SlotSampler a(loaded, 4);
+  SlotSampler b(loaded, 8);
+  EXPECT_EQ(builds.get(), loaded_builds)
+      << "generate() or a sampler lowered the tape of a loaded package again";
+
+  core::DoppelGanger fresh(schema_for("gcut"), small_cfg(11));
+  EXPECT_EQ(fresh.generation_tape(), nullptr);
+  EXPECT_EQ(fresh.generate(1).size(), 1u);
+  EXPECT_EQ(builds.get(), loaded_builds + 1);
 }
 
 // Corrupted tapes never reach the executor: from_report() re-verifies and
