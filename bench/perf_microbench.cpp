@@ -19,6 +19,7 @@
 #include "nn/optim.h"
 #include "nn/parallel.h"
 #include "nn/rng.h"
+#include "nn/simd/vec.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -51,9 +52,32 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->ArgsProduct({{64, 128, 256, 512, 1024}, {1, 2, 4, 8}});
 
+/// One parallel_for region over four kGrainElemwise-float grains on a
+/// `threads`-wide pool (args: body, threads): the fork-join alone with an
+/// empty body (0), or with each grain's floats incremented through the
+/// SIMD tier (1). Wall time, since the partitions run on pool threads. It
+/// measures what a grain must amortize (nn/parallel.h).
+void BM_ForkJoin(benchmark::State& state) {
+  const bool work = state.range(0) != 0;
+  nn::set_num_threads(static_cast<int>(state.range(1)));
+  constexpr std::int64_t kGrain = nn::kGrainElemwise;
+  std::vector<float> buf(4 * kGrain, 1.0f);
+  float* const p = buf.data();
+  const auto add_scalar = nn::simd::kernels().add_scalar;
+  for (auto _ : state) {
+    nn::parallel_for(0, 4 * kGrain, kGrain,
+                     [&](std::int64_t i0, std::int64_t i1) {
+                       if (work) add_scalar(p + i0, 1.0f, p + i0, i1 - i0);
+                     });
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ForkJoin)->ArgsProduct({{0, 1}, {1, 2, 4}})->UseRealTime();
+
 /// nn::transpose of a normal [rows, cols] matrix on a `threads`-wide pool.
-/// Items are floats moved; the output's allocation and zero-fill are timed
-/// too, as every nn::transpose pays them.
+/// Items are floats moved; the output's allocation is timed too, as every
+/// nn::transpose pays it.
 void run_transpose(benchmark::State& state, int rows, int cols, int threads) {
   nn::set_num_threads(threads);
   nn::Rng rng(4);
@@ -157,6 +181,14 @@ BENCHMARK(BM_MatmulMicroTail)
     ->Args({50, 400, 21})
     ->Args({50, 100, 30})
     ->Args({50, 400, 100});
+
+void BM_MatmulOuterProduct(benchmark::State& state) {
+  // A [64,1]x[1,48] outer product, the shape of a per-example weight
+  // gradient: k = 1, so zeroing the output costs about as much as the
+  // product.
+  run_matmul_micro(state, 64, 1, 48, 10);
+}
+BENCHMARK(BM_MatmulOuterProduct);
 
 void BM_LstmGatesMicro(benchmark::State& state) {
   // The fused gate pre-activation at the training shape: x*wx + h*wh + b.

@@ -88,7 +88,8 @@ void Trace::emit(const std::string& key, Diagnostic d) {
 }
 
 void Trace::on_node(const nn::detail::Node* node, Op op,
-                    std::span<const nn::Var> parents, nn::OpBounds bounds) {
+                    std::span<const nn::Var> parents,
+                    const OpAttrs& call_attrs) {
   const Shape out = shape_of(node->value);
   if (op == Op::kLeaf) {
     tag(node, g_.param("", out));
@@ -97,9 +98,7 @@ void Trace::on_node(const nn::detail::Node* node, Op op,
   std::vector<const SymNode*>& ps = parents_;
   ps.clear();
   for (const nn::Var& p : parents) ps.push_back(lookup(p.node()));
-  OpAttrs attrs;
-  attrs.i0 = bounds.lo;
-  attrs.i1 = bounds.hi;
+  OpAttrs attrs = call_attrs;
   attrs.rows = out.rows;
   attrs.cols = out.cols;
   const SymNode* n = g_.apply(op, ps, attrs);

@@ -69,7 +69,8 @@ class Trace final : public nn::MetaRecorder {
   bool backward_ok() const { return backward_ok_; }
 
   void on_node(const nn::detail::Node* node, Op op,
-               std::span<const nn::Var> parents, nn::OpBounds bounds) override;
+               std::span<const nn::Var> parents,
+               const OpAttrs& call_attrs) override;
   void on_backward(const nn::detail::Node* node, const nn::Var& gout,
                    bool create_graph, std::vector<nn::Var>& grads) override;
   void on_accumulate(const nn::detail::Node* sum) override;

@@ -1,8 +1,6 @@
 #include "nn/autograd.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -10,7 +8,6 @@
 #include <unordered_set>
 
 #include "nn/check.h"
-#include "nn/parallel.h"
 #include "obs/profile.h"
 
 namespace dg::nn {
@@ -102,7 +99,7 @@ void Var::set_grad(Matrix g) {
 /// gradient or the op has no backward rule, the result is a plain constant
 /// and the graph edge is dropped.
 Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
-            BackwardRule backward, OpBounds bounds) {
+            BackwardRule backward, const OpAttrs& attrs) {
   const bool meta = detail::g_meta_mode;
   const char* const op = row.name;
 #ifdef DG_OBS_ENABLED
@@ -135,7 +132,7 @@ Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
   out.n_->requires_grad = needs;
   out.n_->op = op;
   if (g_meta_recorder != nullptr) {
-    g_meta_recorder->on_node(out.n_.get(), row.op, parents, bounds);
+    g_meta_recorder->on_node(out.n_.get(), row.op, parents, attrs);
   }
   if (needs) {
     out.n_->parents = std::move(parents);
@@ -350,6 +347,14 @@ namespace {
 /// A rule's per-parent flags (see BackwardRule). Single-parent rules take
 /// them unnamed: the engine runs a rule only when a parent is flagged.
 using Needs = std::span<const bool>;
+
+/// An elementwise op of one parent: its forward of a's value, with its
+/// backward rule.
+Var unary(Op op, const Var& a, BackwardRule rule) {
+  const Matrix& v = a.value();
+  return make_op(op_def(op), run_op(op, {&v}, {v.rows(), v.cols()}), {a},
+                 std::move(rule));
+}
 }  // namespace
 
 Var add(const Var& a, const Var& b) {
@@ -365,8 +370,8 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var neg(const Var& a) {
-  return make_op(op_def(Op::kNeg), dg::nn::mul_scalar(a.value(), -1.0f), {a},
-                 [](const Var& g, Needs) { return std::vector<Var>{neg(g)}; });
+  return unary(Op::kNeg, a,
+               [](const Var& g, Needs) { return std::vector<Var>{neg(g)}; });
 }
 
 Var mul(const Var& a, const Var& b) {
@@ -388,14 +393,16 @@ Var div(const Var& a, const Var& b) {
 
 Var add_scalar(const Var& a, float s) {
   return make_op(op_def(Op::kAddScalar), dg::nn::add_scalar(a.value(), s), {a},
-                 [](const Var& g, Needs) { return std::vector<Var>{g}; });
+                 [](const Var& g, Needs) { return std::vector<Var>{g}; },
+                 {.scalar = s});
 }
 
 Var mul_scalar(const Var& a, float s) {
   return make_op(op_def(Op::kMulScalar), dg::nn::mul_scalar(a.value(), s), {a},
                  [s](const Var& g, Needs) {
                    return std::vector<Var>{mul_scalar(g, s)};
-                 });
+                 },
+                 {.scalar = s});
 }
 
 Var matmul(const Var& a, const Var& b) {
@@ -482,9 +489,8 @@ Var broadcast_scalar(const Var& s, int rows, int cols) {
   if (s.rows() != 1 || s.cols() != 1) {
     throw std::invalid_argument("broadcast_scalar: input must be 1x1");
   }
-  // A shape-only (meta) scalar has no value to broadcast.
-  const float v = s.value().empty() ? 0.0f : s.value().at(0, 0);
-  return make_op(op_def(Op::kBroadcastScalar), Matrix(rows, cols, v), {s},
+  return make_op(op_def(Op::kBroadcastScalar),
+                 run_op(Op::kBroadcastScalar, {&s.value()}, {rows, cols}), {s},
                  [](const Var& g, Needs) { return std::vector<Var>{sum(g)}; });
 }
 
@@ -506,7 +512,7 @@ Var col_sum(const Var& a) {
 
 Var sum(const Var& a) {
   const int n = a.rows(), d = a.cols();
-  return make_op(op_def(Op::kSum), Matrix(1, 1, dg::nn::sum(a.value())), {a},
+  return make_op(op_def(Op::kSum), run_op(Op::kSum, {&a.value()}, {1, 1}), {a},
                  [n, d](const Var& g, Needs) {
                    return std::vector<Var>{broadcast_scalar(g, n, d)};
                  });
@@ -524,150 +530,101 @@ Var neg_row_max(const Var& a) {
 }
 
 Var relu(const Var& a) {
-  Matrix out = a.value();
-  Matrix mask(out.rows(), out.cols());
-  float* po = out.data();
-  float* pm = mask.data();
-  parallel_for(0, static_cast<std::int64_t>(out.size()), kGrainElemwise,
-               [&](std::int64_t i0, std::int64_t i1) {
-                 for (std::int64_t i = i0; i < i1; ++i) {
-                   const bool pos = po[i] > 0.0f;
-                   pm[i] = pos ? 1.0f : 0.0f;
-                   if (!pos) po[i] = 0.0f;
-                 }
-               });
   // The mask is locally constant, so it is correct to treat it as data.
-  return make_op(op_def(Op::kRelu), std::move(out), {a},
-                 [m = std::move(mask)](const Var& g, Needs) {
-                   return std::vector<Var>{mul(g, constant(m))};
-                 });
+  return unary(Op::kRelu, a, [a](const Var& g, Needs) {
+    return std::vector<Var>{
+        mul(g, constant(map_ew(simd::EwFn::kStep, a.value())))};
+  });
 }
 
 Var tanh_(const Var& a) {
-  const OpDef& row = op_def(Op::kTanh);
-  Matrix out = map_ew(*row.ew, a.value());
   // Recompute tanh(a) in the backward pass instead of capturing the output
   // Var (which would create a shared_ptr cycle node->backward->node).
-  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
+  return unary(Op::kTanh, a, [a](const Var& g, Needs) {
     Var y = tanh_(a);
     return std::vector<Var>{mul(g, add_scalar(neg(square(y)), 1.0f))};
   });
 }
 
 Var sigmoid(const Var& a) {
-  const OpDef& row = op_def(Op::kSigmoid);
-  Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
+  return unary(Op::kSigmoid, a, [a](const Var& g, Needs) {
     Var s = sigmoid(a);
     return std::vector<Var>{mul(g, mul(s, add_scalar(neg(s), 1.0f)))};
   });
 }
 
 Var exp_(const Var& a) {
-  const OpDef& row = op_def(Op::kExp);
-  Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
+  return unary(Op::kExp, a, [a](const Var& g, Needs) {
     return std::vector<Var>{mul(g, exp_(a))};
   });
 }
 
 Var log_(const Var& a) {
-  const OpDef& row = op_def(Op::kLog);
-  Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
+  return unary(Op::kLog, a, [a](const Var& g, Needs) {
     return std::vector<Var>{div(g, a)};
   });
 }
 
 Var sqrt_(const Var& a) {
-  const OpDef& row = op_def(Op::kSqrt);
-  Matrix out = map_ew(*row.ew, a.value());
-  return make_op(row, std::move(out), {a}, [a](const Var& g, Needs) {
+  return unary(Op::kSqrt, a, [a](const Var& g, Needs) {
     return std::vector<Var>{mul_scalar(div(g, sqrt_(a)), 0.5f)};
   });
 }
 
 Var square(const Var& a) {
-  return make_op(op_def(Op::kSquare), dg::nn::mul(a.value(), a.value()), {a},
-                 [a](const Var& g, Needs) {
-                   return std::vector<Var>{mul_scalar(mul(g, a), 2.0f)};
-                 });
+  return unary(Op::kSquare, a, [a](const Var& g, Needs) {
+    return std::vector<Var>{mul_scalar(mul(g, a), 2.0f)};
+  });
 }
 
 Var abs_(const Var& a) {
-  const OpDef& row = op_def(Op::kAbs);
-  Matrix out = map_ew(*row.ew, a.value());
-  Matrix sign(out.rows(), out.cols());
-  const float* pa = a.value().data();
-  float* ps = sign.data();
-  parallel_for(0, static_cast<std::int64_t>(out.size()), kGrainElemwise,
-               [&](std::int64_t i0, std::int64_t i1) {
-                 for (std::int64_t i = i0; i < i1; ++i) {
-                   ps[i] = pa[i] >= 0.0f ? 1.0f : -1.0f;
-                 }
-               });
-  return make_op(row, std::move(out), {a},
-                 [s = std::move(sign)](const Var& g, Needs) {
-                   return std::vector<Var>{mul(g, constant(s))};
-                 });
+  return unary(Op::kAbs, a, [a](const Var& g, Needs) {
+    return std::vector<Var>{
+        mul(g, constant(map_ew(simd::EwFn::kSign, a.value())))};
+  });
 }
 
 Var recip(const Var& a) {
   // d(1/a) = -g / (a * a): the quotient rule's divisor term for a numerator
   // of ones (g * 1 == g), in the same op order, so its bytes match the ones
   // div(ones, a) backpropagates.
-  const OpDef& row = op_def(Op::kRecip);
-  return make_op(row, map_ew(*row.ew, a.value()), {a}, [a](const Var& g, Needs) {
+  return unary(Op::kRecip, a, [a](const Var& g, Needs) {
     return std::vector<Var>{neg(div(g, mul(a, a)))};
   });
 }
 
-Var concat_cols(std::span<const Var> parts) {
+namespace {
+/// concat_cols (by_cols) or concat_rows: the parts joined along one axis;
+/// the backward slices each needed part's span of the gradient back out.
+Var concat(std::span<const Var> parts, bool by_cols) {
   std::vector<const Matrix*> mats;
-  std::vector<Var> parents;
-  std::vector<int> widths;
-  mats.reserve(parts.size());
+  std::vector<Var> parents(parts.begin(), parts.end());
+  std::vector<int> extents;
   for (const Var& p : parts) {
     mats.push_back(&p.value());
-    parents.push_back(p);
-    widths.push_back(p.cols());
+    extents.push_back(by_cols ? p.cols() : p.rows());
   }
-  return make_op(op_def(Op::kConcatCols), dg::nn::concat_cols(mats),
-                 std::move(parents), [widths](const Var& g, Needs needs) {
-                   std::vector<Var> out;
-                   int off = 0;
-                   for (size_t i = 0; i < widths.size(); ++i) {
-                     const int w = widths[i];
-                     out.push_back(needs[i] ? slice_cols(g, off, off + w)
-                                            : Var{});
-                     off += w;
-                   }
-                   return out;
-                 });
+  return make_op(
+      op_def(by_cols ? Op::kConcatCols : Op::kConcatRows),
+      by_cols ? dg::nn::concat_cols(mats) : dg::nn::concat_rows(mats),
+      std::move(parents), [extents, by_cols](const Var& g, Needs needs) {
+        std::vector<Var> out;
+        int off = 0;
+        for (size_t i = 0; i < extents.size(); ++i) {
+          const int end = off + extents[i];
+          out.push_back(!needs[i] ? Var{}
+                        : by_cols ? slice_cols(g, off, end)
+                                  : slice_rows(g, off, end));
+          off = end;
+        }
+        return out;
+      });
 }
+}  // namespace
 
-Var concat_rows(std::span<const Var> parts) {
-  std::vector<const Matrix*> mats;
-  std::vector<Var> parents;
-  std::vector<int> heights;
-  for (const Var& p : parts) {
-    mats.push_back(&p.value());
-    parents.push_back(p);
-    heights.push_back(p.rows());
-  }
-  return make_op(op_def(Op::kConcatRows), dg::nn::concat_rows(mats),
-                 std::move(parents), [heights](const Var& g, Needs needs) {
-                   std::vector<Var> out;
-                   int off = 0;
-                   for (size_t i = 0; i < heights.size(); ++i) {
-                     const int h = heights[i];
-                     out.push_back(needs[i] ? slice_rows(g, off, off + h)
-                                            : Var{});
-                     off += h;
-                   }
-                   return out;
-                 });
-}
+Var concat_cols(std::span<const Var> parts) { return concat(parts, true); }
+
+Var concat_rows(std::span<const Var> parts) { return concat(parts, false); }
 
 Var slice_cols(const Var& a, int c0, int c1) {
   const int total = a.cols();
@@ -675,7 +632,7 @@ Var slice_cols(const Var& a, int c0, int c1) {
                  [c0, c1, total](const Var& g, Needs) {
                    return std::vector<Var>{pad_cols(g, c0, total - c1)};
                  },
-                 {c0, c1});
+                 {.i0 = c0, .i1 = c1});
 }
 
 Var slice_rows(const Var& a, int r0, int r1) {
@@ -684,47 +641,31 @@ Var slice_rows(const Var& a, int r0, int r1) {
                  [r0, r1, total](const Var& g, Needs) {
                    return std::vector<Var>{pad_rows(g, r0, total - r1)};
                  },
-                 {r0, r1});
+                 {.i0 = r0, .i1 = r1});
 }
 
 Var pad_cols(const Var& a, int left, int right) {
-  const Matrix& m = a.value();
-  Matrix out(m.rows(), left + m.cols() + right, 0.0f);
-  if (m.size() > 0) {
-    const int mc = m.cols(), oc = out.cols();
-    parallel_for(0, m.rows(),
-                 std::max<std::int64_t>(1, kGrainElemwise / std::max(1, oc)),
-                 [&](std::int64_t r0, std::int64_t r1) {
-                   for (std::int64_t i = r0; i < r1; ++i) {
-                     std::memcpy(out.data() + static_cast<size_t>(i) * oc + left,
-                                 m.data() + static_cast<size_t>(i) * mc,
-                                 static_cast<size_t>(mc) * sizeof(float));
-                   }
-                 });
-  }
-  const int c0 = left, c1 = left + m.cols();
+  const int c0 = left, c1 = left + a.cols();
+  const OpAttrs attrs{.i0 = left, .i1 = right};
   return make_op(
-      op_def(Op::kPadCols), std::move(out), {a},
+      op_def(Op::kPadCols),
+      run_op(Op::kPadCols, {&a.value()}, {a.rows(), c1 + right}, attrs), {a},
       [c0, c1](const Var& g, Needs) {
         return std::vector<Var>{slice_cols(g, c0, c1)};
       },
-      {left, right});
+      attrs);
 }
 
 Var pad_rows(const Var& a, int top, int bottom) {
-  const Matrix& m = a.value();
-  Matrix out(top + m.rows() + bottom, m.cols(), 0.0f);
-  if (m.size() > 0) {
-    std::memcpy(out.data() + static_cast<size_t>(top) * m.cols(), m.data(),
-                m.size() * sizeof(float));
-  }
-  const int r0 = top, r1 = top + m.rows();
+  const int r0 = top, r1 = top + a.rows();
+  const OpAttrs attrs{.i0 = top, .i1 = bottom};
   return make_op(
-      op_def(Op::kPadRows), std::move(out), {a},
+      op_def(Op::kPadRows),
+      run_op(Op::kPadRows, {&a.value()}, {r1 + bottom, a.cols()}, attrs), {a},
       [r0, r1](const Var& g, Needs) {
         return std::vector<Var>{slice_rows(g, r0, r1)};
       },
-      {top, bottom});
+      attrs);
 }
 
 Var softmax_rows(const Var& a) {

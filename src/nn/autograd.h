@@ -42,14 +42,6 @@ class Var;
 using BackwardRule = std::function<std::vector<Var>(
     const Var& gout, std::span<const bool> needs)>;
 
-/// Integer attributes an op carries beyond its operands: the [lo, hi)
-/// bounds of slice_cols/slice_rows and the (lo, hi) padding of
-/// pad_cols/pad_rows. Zero for every other op.
-struct OpBounds {
-  int lo = 0;
-  int hi = 0;
-};
-
 namespace detail {
 struct Node {
   Node();
@@ -123,18 +115,19 @@ class Var {
  private:
   friend Var make_op(const OpDef& row, Matrix value,
                      std::vector<Var> parents, BackwardRule backward,
-                     OpBounds bounds);
+                     const OpAttrs& attrs);
   std::shared_ptr<detail::Node> n_;
 };
 
 /// The extension point every op below is built on: wraps `value` in a graph
 /// node named after its op's row (nn/ops.h) whose backward rule maps the
 /// output-gradient to per-parent gradients, building only those its `needs`
-/// flags ask for (see BackwardRule). If grad mode is off, no parent
-/// requires grad, or the op has no backward rule (nullptr), parents and the
-/// rule are dropped and the result is a constant.
+/// flags ask for (see BackwardRule), and reports its call-site `attrs` to a
+/// MetaRecorder. If grad mode is off, no parent requires grad, or the op
+/// has no backward rule (nullptr), parents and the rule are dropped and the
+/// result is a constant.
 Var make_op(const OpDef& row, Matrix value, std::vector<Var> parents,
-            BackwardRule backward, OpBounds bounds = {});
+            BackwardRule backward, const OpAttrs& attrs = kNoAttrs);
 
 /// RAII: installs a thread-local observer notified of every op node this
 /// thread records (op name + result dims), nested-guard safe; silent under
@@ -160,10 +153,11 @@ class MetaRecorder {
  public:
   virtual ~MetaRecorder() = default;
   /// A node came into existence: an op result from make_op (its row's op,
-  /// with its parents and bounds, reported before a no-grad op drops them)
-  /// or a leaf from the Var constructor (Op::kLeaf, no parents).
+  /// parents and attributes, reported before a no-grad op drops them) or
+  /// a leaf from the Var constructor (Op::kLeaf, no parents).
   virtual void on_node(const detail::Node* node, Op op,
-                       std::span<const Var> parents, OpBounds bounds) = 0;
+                       std::span<const Var> parents,
+                       const OpAttrs& attrs) = 0;
   /// The backward pass reached `node` with output gradient `gout`, and the
   /// op's real backward rule returned `grads` (one per parent, undefined
   /// for each parent the pass does not read; see BackwardRule). The

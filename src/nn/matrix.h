@@ -1,15 +1,15 @@
 // Dense row-major float matrix: the single value type all tensor math in this
-// project flows through. Deliberately minimal — shaped buffers plus the small
-// set of BLAS-like kernels the autograd ops need.
+// project flows through. Deliberately minimal — shaped buffers plus the op
+// forwards, whose kernels live in the op table (nn/ops.h).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <span>
-#include <vector>
-
-#include "nn/simd/vec.h"
+#include <utility>
 
 namespace dg::nn {
 
@@ -24,12 +24,33 @@ class Matrix {
   /// Under meta mode the matrix is shape-only: it has rows() x cols() but no
   /// storage (empty(), size() == 0), and every kernel below returns a
   /// shape-only result without touching data.
-  Matrix(int rows, int cols, float fill = 0.0f)
-      : rows_(rows),
-        cols_(cols),
-        data_(detail::g_meta_mode ? 0 : static_cast<size_t>(rows) * cols,
-              fill) {
+  Matrix(int rows, int cols, float fill = 0.0f) : Matrix(uninit(rows, cols)) {
+    std::fill_n(data(), size_, fill);
+  }
+
+  /// rows x cols of unset floats, for a kernel that writes every element
+  /// (run_op in nn/ops.h). Shape-only under meta mode, like every Matrix.
+  static Matrix uninit(int rows, int cols) {
     assert(rows >= 0 && cols >= 0);
+    return {Unset{}, rows, cols,
+            detail::g_meta_mode ? 0 : static_cast<std::size_t>(rows) * cols};
+  }
+
+  Matrix(const Matrix& o) : Matrix(Unset{}, o.rows_, o.cols_, o.size_) {
+    std::copy_n(o.data(), size_, data());
+  }
+  /// A moved-from matrix keeps its shape and has no storage.
+  Matrix(Matrix&& o) noexcept
+      : rows_(o.rows_),
+        cols_(o.cols_),
+        size_(std::exchange(o.size_, 0)),
+        data_(std::move(o.data_)) {}
+  Matrix& operator=(Matrix o) noexcept {
+    rows_ = o.rows_;
+    cols_ = o.cols_;
+    size_ = o.size_;
+    data_ = std::move(o.data_);
+    return *this;
   }
 
   /// Builds a matrix from nested braces, e.g. Matrix::from({{1,2},{3,4}}).
@@ -41,8 +62,8 @@ class Matrix {
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
-  std::size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   float& at(int r, int c) {
     assert(r >= 0 && r < rows_ && c >= 0 && c < cols_);
@@ -53,22 +74,32 @@ class Matrix {
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-  std::span<float> flat() { return data_; }
-  std::span<const float> flat() const { return data_; }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
+  std::span<float> flat() { return {data(), size_}; }
+  std::span<const float> flat() const { return {data(), size_}; }
 
   bool same_shape(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_;
   }
 
  private:
+  /// rows x cols over `size` unset floats (none for a shape-only matrix).
+  struct Unset {};
+  Matrix(Unset, int rows, int cols, std::size_t size)
+      : rows_(rows),
+        cols_(cols),
+        size_(size),
+        data_(size > 0 ? std::make_unique_for_overwrite<float[]>(size)
+                       : nullptr) {}
+
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<float> data_;
+  std::size_t size_ = 0;
+  std::unique_ptr<float[]> data_;
 };
 
-// ---- shape-checked kernels (allocate and return the result) ----
+// ---- op forwards: a shape check, then run_op (nn/ops.h) ----
 
 Matrix matmul(const Matrix& a, const Matrix& b);
 Matrix transpose(const Matrix& a);
@@ -103,11 +134,6 @@ Matrix row_sum(const Matrix& a);  // [n,d] -> [n,1]
 Matrix col_sum(const Matrix& a);  // [n,d] -> [1,d]
 float sum(const Matrix& a);
 float mean(const Matrix& a);
-
-/// Elementwise map through the SIMD dispatch tier (simd/vec.h), for the
-/// micro-ops both the autograd forward and the tape executor share.
-/// Bit-identical across tiers and thread counts by the vec.h contract.
-Matrix map_ew(simd::EwFn fn, const Matrix& a);
 
 Matrix concat_cols(std::span<const Matrix* const> parts);
 Matrix concat_rows(std::span<const Matrix* const> parts);

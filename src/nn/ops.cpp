@@ -1,7 +1,11 @@
 #include "nn/ops.h"
 
-#include <cstring>
+#include <algorithm>
 #include <iterator>
+#include <vector>
+
+#include "nn/parallel.h"
+#include "obs/profile.h"
 
 namespace dg::nn {
 
@@ -240,21 +244,31 @@ T* row(T* data, int cols, std::int64_t i) {
   return data + static_cast<std::size_t>(i) * cols;
 }
 
-/// The bias row (the last operand) copied into each output row, then each
-/// (x, w) operand pair's product accumulated onto it in order: x*w + b for
-/// affine, x*wx + h*wh + b for lstm_gates.
-void products_plus_bias(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
-  const float* const bias = a.in.back().data;
+/// Each output row set to the bias row (the last operand) when the op has
+/// one, else to zero, then each (x, w) operand pair's product accumulated
+/// onto it in order: x*w (matmul), x*w + b (affine), x*wx + h*wh + b
+/// (lstm_gates).
+template <bool kBias>
+void products(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   float* const out = a.out;
   const int m = a.out_cols;
   for (std::int64_t i = r0; i < r1; ++i) {
-    std::memcpy(row(out, m, i), bias,
-                static_cast<std::size_t>(m) * sizeof(float));
+    if constexpr (kBias) std::copy_n(a.in.back().data, m, row(out, m, i));
+    else std::fill_n(row(out, m, i), m, 0.0f);
   }
   for (std::size_t p = 0; p + 1 < a.in.size(); p += 2) {
     const RowIn x = a.in[p], w = a.in[p + 1];
     simd::kernels().matmul_acc_rows(x.data, x.cols, w.data, m, out, r0, r1);
   }
+}
+
+/// Row i of x combined with the call's scalar (add_scalar, mul_scalar). The
+/// rows are contiguous and as wide as the output, so one call covers them.
+template <auto simd::KernelTable::*F>
+void scalar_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  const int m = a.out_cols;
+  (simd::kernels().*F)(row(a.in[0].data, m, r0), a.attrs.scalar,
+                       row(a.out, m, r0), (r1 - r0) * m);
 }
 
 /// Row i of x combined elementwise with the row vector in[1].
@@ -270,7 +284,7 @@ void rowvec_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   }
 }
 
-/// Row i of x combined with the scalar in[1][i] (add_scalar/mul_scalar).
+/// Row i of x combined with the scalar in[1][i] (add_colvec, mul_colvec).
 template <auto simd::KernelTable::*F>
 void colvec_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   const auto f = simd::kernels().*F;
@@ -281,6 +295,13 @@ void colvec_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   for (std::int64_t i = r0; i < r1; ++i) {
     f(row(x.data, x.cols, i), v[i], row(out, m, i), m);
   }
+}
+
+/// The 1x1 operand in every element of each row.
+void broadcast_scalar_rows(const RowArgs& a, std::int64_t r0,
+                           std::int64_t r1) {
+  std::fill(row(a.out, a.out_cols, r0), row(a.out, a.out_cols, r1),
+            a.in[0].data[0]);
 }
 
 /// Row i of x reduced to one float (row_sum, or neg_row_max: the softmax
@@ -295,12 +316,9 @@ void concat_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   const int m = a.out_cols;
   int offset = 0;
   for (const RowIn part : a.in) {
-    // 0-wide parts (e.g. the disabled-minmax placeholder) have no storage;
-    // memcpy with a null source is UB even at size 0.
-    if (part.cols == 0) continue;
     for (std::int64_t i = r0; i < r1; ++i) {
-      std::memcpy(row(out, m, i) + offset, row(part.data, part.cols, i),
-                  static_cast<std::size_t>(part.cols) * sizeof(float));
+      std::copy_n(row(part.data, part.cols, i), part.cols,
+                  row(out, m, i) + offset);
     }
     offset += part.cols;
   }
@@ -313,9 +331,108 @@ void slice_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   float* const out = a.out;
   const int m = a.out_cols;
   for (std::int64_t i = r0; i < r1; ++i) {
-    std::memcpy(row(out, m, i), row(from, x.cols, i),
-                static_cast<std::size_t>(m) * sizeof(float));
+    std::copy_n(row(from, x.cols, i), m, row(out, m, i));
   }
+}
+
+/// attrs.i0 zero columns, the row of x, then zero columns to the width.
+void pad_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
+  const RowIn x = a.in[0];
+  const int m = a.out_cols;
+  std::fill(row(a.out, m, r0), row(a.out, m, r1), 0.0f);
+  for (std::int64_t i = r0; i < r1; ++i) {
+    std::copy_n(row(x.data, x.cols, i), x.cols, row(a.out, m, i) + a.attrs.i0);
+  }
+}
+
+// ---- whole-batch kernels ----
+
+/// Rows per partition of an [n, d]-shaped range: whole rows, at least
+/// kGrainElemwise floats each.
+std::int64_t rows_per_part(int cols) {
+  return std::max<std::int64_t>(1, kGrainElemwise / std::max(1, cols));
+}
+
+/// out = xᵀ. A partition owns a column range of x: rows of out.
+void transpose_batch(std::span<const Matrix* const> in, Matrix& out,
+                     const OpAttrs&) {
+  const Matrix& x = *in[0];
+  const auto transpose = simd::kernels().transpose;
+  parallel_for(0, x.cols(), rows_per_part(x.rows()),
+               [&](std::int64_t j0, std::int64_t j1) {
+                 transpose(x.data(), x.rows(), x.cols(), out.data(), j0, j1);
+               });
+}
+
+/// Column sums of x: fixed-size row chunks, independent of the thread
+/// count, add their rows in ascending order (a vector add per row), and the
+/// chunk partials add onto zeros in ascending order, exactly for one chunk
+/// since a sum from +0 is never -0. Bit-identical for any pool and tier.
+void col_sum_batch(std::span<const Matrix* const> in, Matrix& out,
+                   const OpAttrs&) {
+  const Matrix& x = *in[0];
+  const int d = x.cols();
+  const auto apply = simd::kernels().apply_ew;
+  const std::int64_t chunk =
+      std::max<std::int64_t>(1, kGrainReduce / std::max(1, d));
+  const std::int64_t chunks = num_chunks(x.rows(), chunk);
+  std::vector<float> partials(static_cast<std::size_t>(chunks) * d, 0.0f);
+  parallel_for_chunks(x.rows(), chunk,
+                      [&](std::int64_t ci, std::int64_t r0, std::int64_t r1) {
+                        float* const acc = row(partials.data(), d, ci);
+                        for (std::int64_t i = r0; i < r1; ++i) {
+                          apply(simd::EwFn::kAdd, acc, row(x.data(), d, i),
+                                acc, d);
+                        }
+                      });
+  std::fill_n(out.data(), d, 0.0f);
+  for (std::int64_t ci = 0; ci < chunks; ++ci) {
+    apply(simd::EwFn::kAdd, out.data(), row(partials.data(), d, ci),
+          out.data(), d);
+  }
+}
+
+/// The sum of every element of x, in double: fixed kGrainReduce-element
+/// chunks fold serially and their partials add in ascending chunk order.
+void sum_batch(std::span<const Matrix* const> in, Matrix& out,
+               const OpAttrs&) {
+  const float* const x = in[0]->data();
+  const auto n = static_cast<std::int64_t>(in[0]->size());
+  std::vector<double> partials(
+      static_cast<std::size_t>(num_chunks(n, kGrainReduce)));
+  parallel_for_chunks(n, kGrainReduce,
+                      [&](std::int64_t ci, std::int64_t i0, std::int64_t i1) {
+                        double s = 0.0;
+                        for (std::int64_t i = i0; i < i1; ++i) s += x[i];
+                        partials[static_cast<std::size_t>(ci)] = s;
+                      });
+  double s = 0.0;
+  for (double p : partials) s += p;
+  out.data()[0] = static_cast<float>(s);
+}
+
+/// The operands' rows, one operand after another.
+void concat_rows_batch(std::span<const Matrix* const> in, Matrix& out,
+                       const OpAttrs&) {
+  float* o = out.data();
+  for (const Matrix* part : in) o = std::copy_n(part->data(), part->size(), o);
+}
+
+/// Rows [attrs.i0, attrs.i0 + out.rows()) of x.
+void slice_rows_batch(std::span<const Matrix* const> in, Matrix& out,
+                      const OpAttrs& attrs) {
+  const Matrix& x = *in[0];
+  std::copy_n(row(x.data(), x.cols(), attrs.i0), out.size(), out.data());
+}
+
+/// attrs.i0 zero rows, x, then zero rows to the height.
+void pad_rows_batch(std::span<const Matrix* const> in, Matrix& out,
+                    const OpAttrs& attrs) {
+  const Matrix& x = *in[0];
+  float* const mid = row(out.data(), out.cols(), attrs.i0);
+  std::fill(out.data(), mid, 0.0f);
+  std::fill(std::copy_n(x.data(), x.size(), mid), out.data() + out.size(),
+            0.0f);
 }
 
 // ---- the table ----
@@ -333,6 +450,7 @@ constexpr std::optional<simd::EwFn> kNoEw;
 using Fn = simd::EwFn;
 using KT = simd::KernelTable;
 constexpr RowKernel kNoRows = nullptr;
+constexpr BatchKernel kNoBatch = nullptr;
 
 }  // namespace
 
@@ -346,45 +464,45 @@ constexpr RowKernel kNoRows = nullptr;
 // with headroom).
 // clang-format off
 constexpr OpDef kOpTable[] = {
-    // op, name, arity min/max, shape rule, det, diff, ulp, flops, ew, rows
-    {kLeaf,            "leaf",             0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kConstant,        "constant",         0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kGrad,            "grad",             0, 0,  from_attrs,        kAccum, kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kAdd,             "add",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kAdd,     kNoRows},
-    {kSub,             "sub",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kSub,     kNoRows},
-    {kNeg,             "neg",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kNeg,     kNoRows},
-    {kMul,             "mul",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kMul,     kNoRows},
-    {kDiv,             "div",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kDiv,     kNoRows},
-    {kAddScalar,       "add_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        kNoRows},
-    {kMulScalar,       "mul_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        kNoRows},
-    {kMatmul,          "matmul",           2, 2,  matmul_shape,      kRed,   kDouble, 0, matmul_flops, kNoEw,        kNoRows},
-    {kTranspose,       "transpose",        1, 1,  transpose_shape,   kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kAffine,          "affine",           3, 3,  affine_shape,      kRed,   kDouble, 0, affine_flops, kNoEw,        products_plus_bias},
-    {kLstmGates,       "lstm_gates",       5, 5,  lstm_gates_shape,  kRed,   kDouble, 0, gates_flops,  kNoEw,        products_plus_bias},
-    {kAddRowvec,       "add_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        rowvec_rows<Fn::kAdd>},
-    {kAddColvec,       "add_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        colvec_rows<&KT::add_scalar>},
-    {kMulColvec,       "mul_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        colvec_rows<&KT::mul_scalar>},
-    {kMulRowvec,       "mul_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        rowvec_rows<Fn::kMul>},
-    {kBroadcastScalar, "broadcast_scalar", 1, 1,  scalar_to_attrs,   kFree,  kDouble, 0, per_output,   kNoEw,        kNoRows},
-    {kRowSum,          "row_sum",          1, 1,  per_row,           kRed,   kDouble, 0, per_output,   kNoEw,        reduce_rows<&KT::row_sum>},
-    {kColSum,          "col_sum",          1, 1,  per_col,           kRed,   kDouble, 0, per_output,   kNoEw,        kNoRows},
-    {kSum,             "sum",              1, 1,  scalar,            kRed,   kDouble, 0, per_output,   kNoEw,        kNoRows},
-    {kNegRowMax,       "neg_row_max",      1, 1,  per_row,           kFree,  kDouble, 0, per_output,   kNoEw,        reduce_rows<&KT::neg_row_max>},
-    {kRelu,            "relu",             1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kRelu,    kNoRows},
-    {kTanh,            "tanh",             1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kTanh,    kNoRows},
-    {kSigmoid,         "sigmoid",          1, 1,  pass_through,      kFree,  kDouble, 3, per_output,   Fn::kSigmoid, kNoRows},
-    {kExp,             "exp",              1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kExp,     kNoRows},
-    {kLog,             "log",              1, 1,  pass_through,      kFree,  kDouble, 1, per_output,   Fn::kLog,     kNoRows},
-    {kSqrt,            "sqrt",             1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSqrt,    kNoRows},
-    {kSquare,          "square",           1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSquare,  kNoRows},
-    {kAbs,             "abs",              1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kAbs,     kNoRows},
-    {kRecip,           "recip",            1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kRecip,   kNoRows},
-    {kConcatCols,      "concat_cols",      1, -1, concat_cols_shape, kFree,  kDouble, 0, no_flops,     kNoEw,        concat_cols_rows},
-    {kConcatRows,      "concat_rows",      1, -1, concat_rows_shape, kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kSliceCols,       "slice_cols",       1, 1,  slice_cols_shape,  kFree,  kDouble, 0, no_flops,     kNoEw,        slice_cols_rows},
-    {kSliceRows,       "slice_rows",       1, 1,  slice_rows_shape,  kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kPadCols,         "pad_cols",         1, 1,  pad_cols_shape,    kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
-    {kPadRows,         "pad_rows",         1, 1,  pad_rows_shape,    kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows},
+    // op, name, arity min/max, shape rule, det, diff, ulp, flops, ew, rows, batch
+    {kLeaf,            "leaf",             0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       kNoBatch},
+    {kConstant,        "constant",         0, 0,  from_attrs,        kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       kNoBatch},
+    {kGrad,            "grad",             0, 0,  from_attrs,        kAccum, kDouble, 0, no_flops,     kNoEw,        kNoRows,                       kNoBatch},
+    {kAdd,             "add",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kAdd,     kNoRows,                       kNoBatch},
+    {kSub,             "sub",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kSub,     kNoRows,                       kNoBatch},
+    {kNeg,             "neg",              1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kNeg,     kNoRows,                       kNoBatch},
+    {kMul,             "mul",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kMul,     kNoRows,                       kNoBatch},
+    {kDiv,             "div",              2, 2,  same_shape,        kFree,  kDouble, 0, per_output,   Fn::kDiv,     kNoRows,                       kNoBatch},
+    {kAddScalar,       "add_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        scalar_rows<&KT::add_scalar>,  kNoBatch},
+    {kMulScalar,       "mul_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        scalar_rows<&KT::mul_scalar>,  kNoBatch},
+    {kMatmul,          "matmul",           2, 2,  matmul_shape,      kRed,   kDouble, 0, matmul_flops, kNoEw,        products<false>,               kNoBatch},
+    {kTranspose,       "transpose",        1, 1,  transpose_shape,   kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       transpose_batch},
+    {kAffine,          "affine",           3, 3,  affine_shape,      kRed,   kDouble, 0, affine_flops, kNoEw,        products<true>,                kNoBatch},
+    {kLstmGates,       "lstm_gates",       5, 5,  lstm_gates_shape,  kRed,   kDouble, 0, gates_flops,  kNoEw,        products<true>,                kNoBatch},
+    {kAddRowvec,       "add_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        rowvec_rows<Fn::kAdd>,         kNoBatch},
+    {kAddColvec,       "add_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        colvec_rows<&KT::add_scalar>,  kNoBatch},
+    {kMulColvec,       "mul_colvec",       2, 2,  col_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        colvec_rows<&KT::mul_scalar>,  kNoBatch},
+    {kMulRowvec,       "mul_rowvec",       2, 2,  row_vector,        kFree,  kDouble, 0, per_output,   kNoEw,        rowvec_rows<Fn::kMul>,         kNoBatch},
+    {kBroadcastScalar, "broadcast_scalar", 1, 1,  scalar_to_attrs,   kFree,  kDouble, 0, per_output,   kNoEw,        broadcast_scalar_rows,         kNoBatch},
+    {kRowSum,          "row_sum",          1, 1,  per_row,           kRed,   kDouble, 0, per_output,   kNoEw,        reduce_rows<&KT::row_sum>,     kNoBatch},
+    {kColSum,          "col_sum",          1, 1,  per_col,           kRed,   kDouble, 0, per_output,   kNoEw,        kNoRows,                       col_sum_batch},
+    {kSum,             "sum",              1, 1,  scalar,            kRed,   kDouble, 0, per_output,   kNoEw,        kNoRows,                       sum_batch},
+    {kNegRowMax,       "neg_row_max",      1, 1,  per_row,           kFree,  kDouble, 0, per_output,   kNoEw,        reduce_rows<&KT::neg_row_max>, kNoBatch},
+    {kRelu,            "relu",             1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kRelu,    kNoRows,                       kNoBatch},
+    {kTanh,            "tanh",             1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kTanh,    kNoRows,                       kNoBatch},
+    {kSigmoid,         "sigmoid",          1, 1,  pass_through,      kFree,  kDouble, 3, per_output,   Fn::kSigmoid, kNoRows,                       kNoBatch},
+    {kExp,             "exp",              1, 1,  pass_through,      kFree,  kDouble, 2, per_output,   Fn::kExp,     kNoRows,                       kNoBatch},
+    {kLog,             "log",              1, 1,  pass_through,      kFree,  kDouble, 1, per_output,   Fn::kLog,     kNoRows,                       kNoBatch},
+    {kSqrt,            "sqrt",             1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSqrt,    kNoRows,                       kNoBatch},
+    {kSquare,          "square",           1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kSquare,  kNoRows,                       kNoBatch},
+    {kAbs,             "abs",              1, 1,  pass_through,      kFree,  kMask,   0, per_output,   Fn::kAbs,     kNoRows,                       kNoBatch},
+    {kRecip,           "recip",            1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   Fn::kRecip,   kNoRows,                       kNoBatch},
+    {kConcatCols,      "concat_cols",      1, -1, concat_cols_shape, kFree,  kDouble, 0, no_flops,     kNoEw,        concat_cols_rows,              kNoBatch},
+    {kConcatRows,      "concat_rows",      1, -1, concat_rows_shape, kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       concat_rows_batch},
+    {kSliceCols,       "slice_cols",       1, 1,  slice_cols_shape,  kFree,  kDouble, 0, no_flops,     kNoEw,        slice_cols_rows,               kNoBatch},
+    {kSliceRows,       "slice_rows",       1, 1,  slice_rows_shape,  kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       slice_rows_batch},
+    {kPadCols,         "pad_cols",         1, 1,  pad_cols_shape,    kFree,  kDouble, 0, no_flops,     kNoEw,        pad_cols_rows,                 kNoBatch},
+    {kPadRows,         "pad_rows",         1, 1,  pad_rows_shape,    kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       pad_rows_batch},
 };
 // clang-format on
 
@@ -408,6 +526,84 @@ std::uint64_t op_bytes(std::span<const Dims> in, Dims out) {
   std::uint64_t floats = elems(out);
   for (const Dims& d : in) floats += elems(d);
   return floats * sizeof(float);
+}
+
+namespace {
+
+/// `fn` over flat partitions of out's elements; `b` is null for a unary fn.
+void run_ew(simd::EwFn fn, const float* a, const float* b, Matrix& out) {
+  const auto apply = simd::kernels().apply_ew;
+  float* const o = out.data();
+  parallel_for(0, static_cast<std::int64_t>(out.size()), kGrainElemwise,
+               [&](std::int64_t i0, std::int64_t i1) {
+                 apply(fn, a + i0, b != nullptr ? b + i0 : nullptr, o + i0,
+                       i1 - i0);
+               });
+}
+
+/// Rows per partition of a row kernel: at least kGrainMatmulFlops FLOPs of
+/// a product's (x, w) pairs, or kGrainElemwise floats of any other kernel's
+/// widest row.
+std::int64_t row_kernel_grain(const OpDef& row, std::span<const RowIn> in,
+                              int out_cols) {
+  if (row.rows == products<true> || row.rows == products<false>) {
+    std::int64_t k = 0;
+    for (std::size_t p = 0; p + 1 < in.size(); p += 2) k += in[p].cols;
+    return std::max<std::int64_t>(
+        1, kGrainMatmulFlops /
+               (2 * std::max<std::int64_t>(1, k) * std::max(1, out_cols)));
+  }
+  int widest = out_cols;
+  for (const RowIn& x : in) widest = std::max(widest, x.cols);
+  return rows_per_part(widest);
+}
+
+#ifdef DG_OBS_ENABLED
+/// One profiler kernel row per kernel: kernel.ew for every EwFn sweep,
+/// kernel.<op> for a row or whole-batch kernel, costed by the op's row, so
+/// the kernel rows count what the op rows count.
+obs::KernelTimer kernel_timer(const OpDef& row,
+                              std::span<const Matrix* const> in, Dims out) {
+  const char* const name = row.ew ? "ew" : row.name;
+  if (!obs::Profiler::enabled()) return obs::KernelTimer(name, 0, 0);
+  std::vector<Dims> dims;
+  for (const Matrix* m : in) dims.push_back({m->rows(), m->cols()});
+  return obs::KernelTimer(name, row.flops(dims, out), op_bytes(dims, out));
+}
+#endif
+
+}  // namespace
+
+Matrix run_op(Op op, std::span<const Matrix* const> in, Dims out_dims,
+              const OpAttrs& attrs) {
+  Matrix out = Matrix::uninit(out_dims.first, out_dims.second);
+  if (out.empty()) return out;
+  const OpDef& row = op_def(op);
+#ifdef DG_OBS_ENABLED
+  const obs::KernelTimer timer = kernel_timer(row, in, out_dims);
+#endif
+  if (row.ew) {
+    run_ew(*row.ew, in[0]->data(), in.size() > 1 ? in[1]->data() : nullptr,
+           out);
+  } else if (row.rows != nullptr) {
+    // Reused per thread, so a forward allocates only its result.
+    thread_local std::vector<RowIn> ins;
+    ins.clear();
+    for (const Matrix* m : in) ins.push_back({m->data(), m->cols()});
+    const RowKernel kernel = row.rows;
+    const RowArgs args{ins, out.data(), out.cols(), attrs};
+    parallel_for(0, out.rows(), row_kernel_grain(row, ins, out.cols()),
+                 [&](std::int64_t r0, std::int64_t r1) { kernel(args, r0, r1); });
+  } else {
+    row.batch(in, out, attrs);
+  }
+  return out;
+}
+
+Matrix map_ew(simd::EwFn fn, const Matrix& a) {
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
+  if (!out.empty()) run_ew(fn, a.data(), nullptr, out);
+  return out;
 }
 
 }  // namespace dg::nn

@@ -2,10 +2,12 @@
 // described. A row holds what every layer needs to know about the op
 // without running it — its name, arity, shape rule, determinism class,
 // double-backward class, ULP bound, FLOP formula — and the op's forward
-// kernel: for elementwise ops the simd::EwFn, for the other row-local ops a
-// row kernel that computes a range of output rows. The autograd forward
-// (nn/matrix.cpp) and the generation tape (core/tape_exec.cpp) both run
-// the row's kernel, so each forward body has one home.
+// body, as exactly one kernel (none for leaf, constant and grad): the
+// simd::EwFn of an elementwise op, the row kernel of another row-local op,
+// or the whole-batch kernel of an op that is not row-local. run_op runs
+// it; every nn/matrix.cpp forward is a shape check and a run_op call, and
+// the generation tape (core/tape_exec.cpp) runs the same EwFn and row
+// kernels, so each forward body has one home.
 //
 // make_op (nn/autograd.h) takes a row, so no graph node exists without
 // one. An Op is an op's only identity below the output layer: the traced
@@ -15,10 +17,10 @@
 // kernel the executor can run (analysis/tape.h), and the profiler's op and
 // kernel rows count the row's FLOPs (obs/profile.h).
 //
-// Adding an op: add its Op, its row in ops.cpp (the static_assert there
-// fails until every Op has a row, in enum order), and its function in
-// nn/autograd.cpp calling make_op(op_def(Op::kNew), ...); a row kernel
-// goes in ops.cpp, and the nn/matrix.cpp forward calls it.
+// Adding an op: add its Op, its row and kernel in ops.cpp (the
+// static_assert there fails until every Op has a row, in enum order), and
+// its function in nn/autograd.cpp calling make_op(op_def(Op::kNew), ...)
+// on its forward's value.
 #pragma once
 
 #include <cstddef>
@@ -29,18 +31,25 @@
 #include <string_view>
 #include <utility>
 
+#include "nn/matrix.h"
 #include "nn/shape.h"
 #include "nn/simd/vec.h"
 
 namespace dg::nn {
 
-/// Call-site attributes an op carries beyond its inputs' shapes.
+/// Call-site attributes an op carries beyond its inputs' shapes: what its
+/// kernel reads, which make_op hands to the analyzer's trace.
 struct OpAttrs {
   int i0 = 0;  ///< slice lower bound / pad left (cols) / pad top (rows)
   int i1 = 0;  ///< slice upper bound / pad right (cols) / pad bottom (rows)
-  Dim rows;    ///< target shape: leaf/constant/broadcast_scalar
-  Dim cols;
+  Dim rows{};  ///< target shape: leaf/constant/broadcast_scalar
+  Dim cols{};
+  float scalar = 0.0f;  ///< the s of add_scalar / mul_scalar
 };
+
+/// The attributes of a call that has none: a default argument that builds
+/// no Dim per call.
+inline const OpAttrs kNoAttrs;
 
 /// Outcome of a shape rule: either the output shape or an error message
 /// (the interpreter attaches op name and graph path).
@@ -124,11 +133,18 @@ struct RowArgs {
   const OpAttrs& attrs;
 };
 
-/// Computes rows [r0, r1) of the output from the same rows of the batch
-/// operands; weights and biases are read whole. Row i never reads another
-/// row, so any partition of the rows gives the same bytes.
+/// Writes rows [r0, r1) of the output from the same rows of the batch
+/// operands; weights, biases and a 1x1 scalar are read whole. Row i never
+/// reads another row, so any partition of the rows gives the same bytes.
 using RowKernel = void (*)(const RowArgs& args, std::int64_t r0,
                            std::int64_t r1);
+
+/// Writes all of `out` from the operands in op order. It owns its partition
+/// of the work across the pool, and a reduction folds fixed-size chunks
+/// whose partials combine in ascending order, so the bytes do not depend on
+/// the thread count.
+using BatchKernel = void (*)(std::span<const Matrix* const> in, Matrix& out,
+                             const OpAttrs& attrs);
 
 struct OpDef {
   Op op;
@@ -148,14 +164,13 @@ struct OpDef {
   /// FLOPs of one call: exact for the dense kernels, one per output element
   /// for elementwise ops, broadcasts and reductions, zero for layout ops.
   std::uint64_t (*flops)(std::span<const Dims> in, Dims out);
-  /// Elementwise ops only: the kernel of one output element per input
-  /// element, which the forward and the tape (fused or not) both run.
+  /// The forward's body, exactly one of the three: an elementwise op's
+  /// kernel of one output element, which the tape also runs (fused or not);
+  /// a row-local op's row kernel, which the tape replays per lane range; or
+  /// the whole-batch kernel of an op that is not row-local.
   std::optional<simd::EwFn> ew;
-  /// Row-local ops that are not elementwise: the forward's body, which the
-  /// tape replays per lane range. Null for ops that are not row-local, for
-  /// add_scalar/mul_scalar (no tape records the scalar), and for matmul,
-  /// whose forward accumulates onto its zeroed allocation (see matmul()).
   RowKernel rows;
+  BatchKernel batch;
 };
 
 /// Number of rows: one per Op.
@@ -177,5 +192,21 @@ const OpDef* find_op(std::string_view name);
 
 /// Bytes one call moves: every operand and the result, as floats.
 std::uint64_t op_bytes(std::span<const Dims> in, Dims out);
+
+/// The forward of `op` over operands whose shapes the caller has checked:
+/// its row's kernel over an `out`-shaped result allocated without a fill,
+/// timed as the profiler row kernel.ew or kernel.<op>. A shape-only (meta
+/// mode) or empty result runs nothing.
+Matrix run_op(Op op, std::span<const Matrix* const> in, Dims out,
+              const OpAttrs& attrs = kNoAttrs);
+inline Matrix run_op(Op op, std::initializer_list<const Matrix*> in, Dims out,
+                     const OpAttrs& attrs = kNoAttrs) {
+  return run_op(op, std::span<const Matrix* const>(in.begin(), in.size()),
+                out, attrs);
+}
+
+/// `fn` over every element of `a`, for an elementwise map that is not an
+/// op's forward: the relu and abs backward masks, and the SIMD tests.
+Matrix map_ew(simd::EwFn fn, const Matrix& a);
 
 }  // namespace dg::nn

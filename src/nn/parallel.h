@@ -58,8 +58,10 @@ class FlushDenormalsGuard {
 };
 
 // Grain sizes (elements of work below which a range is not split further).
-// Chosen so that a partition amortizes the ~1us submit/wake cost by >= 100x
-// on this library's float kernels.
+// BM_ForkJoin (bench/perf_microbench.cpp) measures what they must amortize:
+// on a 4-vCPU x86 VM (nproc 4, GCC 12, Release) a region costs 8-15 us with
+// an empty body at 2 or 4 threads, and 14-23 us over four kGrainElemwise
+// grains that take 6 us inline, so these grains split work too fine.
 inline constexpr std::int64_t kGrainElemwise = 1 << 14;  // flat float ops
 inline constexpr std::int64_t kGrainReduce = 1 << 14;    // reduction chunk
 inline constexpr std::int64_t kGrainMatmulFlops = 1 << 16;  // flops per row-part

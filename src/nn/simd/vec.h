@@ -52,9 +52,9 @@ namespace dg::nn::simd {
 
 enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
-/// Elementwise micro-op selector shared by nn/matrix.cpp and the tape
-/// executor's fused-region interpreter — one enum so both paths dispatch into
-/// the same kernels and stay bit-identical by construction.
+/// Elementwise micro-op selector shared by the op table (nn/ops.h) and the
+/// tape executor's fused-region interpreter — one enum so both paths
+/// dispatch into the same kernels and stay bit-identical by construction.
 enum class EwFn : std::uint8_t {
   kAdd = 0,   // d = a + b
   kSub,       // d = a - b
@@ -70,6 +70,8 @@ enum class EwFn : std::uint8_t {
   kSqrt,      // d = sqrt(a)  (IEEE-exact, so vectorization is bit-safe)
   kSquare,    // d = a * a
   kRecip,     // d = 1 / a
+  kStep,      // d = a > 0 ? 1 : 0, relu's backward mask (NaN -> 0)
+  kSign,      // d = a >= 0 ? 1 : -1, abs's backward mask (-0 -> 1, NaN -> -1)
 };
 
 /// Per-call constants of one Adam sweep (nn/optim.h). Each element is
@@ -102,7 +104,8 @@ struct KernelTable {
   /// a or b.
   void (*apply_ew)(EwFn fn, const float* a, const float* b, float* d,
                    std::int64_t len);
-  /// d[i] = a[i] + s / a[i] * s; d may alias a.
+  /// d[i] = a[i] + s (add_scalar) and d[i] = a[i] * s (mul_scalar); d may
+  /// alias a.
   void (*add_scalar)(const float* a, float s, float* d, std::int64_t len);
   void (*mul_scalar)(const float* a, float s, float* d, std::int64_t len);
   /// dst[i] = sum(row i) for rows [r0, r1) of a [*, cols], 8-lane-blocked

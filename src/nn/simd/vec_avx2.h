@@ -424,6 +424,22 @@ inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
         _mm256_storeu_ps(d + i, _mm256_div_ps(_mm256_set1_ps(1.0f),
                                               _mm256_loadu_ps(a + i)));
       break;
+    case EwFn::kStep:
+      // Ordered compares are false on NaN lanes, like the scalar `>`/`>=`.
+      for (; i + 8 <= len; i += 8)
+        _mm256_storeu_ps(d + i, _mm256_and_ps(_mm256_set1_ps(1.0f),
+                                              _mm256_cmp_ps(_mm256_loadu_ps(a + i),
+                                                            _mm256_setzero_ps(),
+                                                            _CMP_GT_OQ)));
+      break;
+    case EwFn::kSign:
+      for (; i + 8 <= len; i += 8)
+        _mm256_storeu_ps(d + i, _mm256_blendv_ps(_mm256_set1_ps(-1.0f),
+                                                 _mm256_set1_ps(1.0f),
+                                                 _mm256_cmp_ps(_mm256_loadu_ps(a + i),
+                                                               _mm256_setzero_ps(),
+                                                               _CMP_GE_OQ)));
+      break;
   }
   for (; i < len; ++i) d[i] = scalar_impl::ew_eval(fn, a[i], b ? b[i] : 0.0f);
 }

@@ -210,6 +210,8 @@ inline float ew_eval(EwFn fn, float a, float b) {
     case EwFn::kSqrt: return std::sqrt(a);
     case EwFn::kSquare: return a * a;
     case EwFn::kRecip: return 1.0f / a;
+    case EwFn::kStep: return a > 0.0f ? 1.0f : 0.0f;
+    case EwFn::kSign: return a >= 0.0f ? 1.0f : -1.0f;
   }
   return a;  // unreachable
 }
@@ -305,6 +307,12 @@ inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
       break;
     case EwFn::kRecip:
       for (std::int64_t i = 0; i < len; ++i) d[i] = 1.0f / a[i];
+      break;
+    case EwFn::kStep:
+      for (std::int64_t i = 0; i < len; ++i) d[i] = a[i] > 0.0f ? 1.0f : 0.0f;
+      break;
+    case EwFn::kSign:
+      for (std::int64_t i = 0; i < len; ++i) d[i] = a[i] >= 0.0f ? 1.0f : -1.0f;
       break;
   }
 }

@@ -13,11 +13,11 @@
 //    graph bursts (data prep, optimizer copies) is excluded by mark(),
 //    which resets the thread's boundary clock.
 //
-//  * Kernel timers — the threaded kernels in nn/matrix.cpp open an RAII
-//    KernelTimer around their parallel region, so "kernel.matmul" rows
-//    carry exact wall time (inclusive of pool fan-out/join), independent of
-//    the boundary heuristic. The dense kernels take their label, FLOPs and
-//    bytes from the same op row, so a kernel row and its op row agree.
+//  * Kernel timers — nn::run_op (nn/ops.h) opens an RAII KernelTimer around
+//    every op kernel it runs, so "kernel.matmul" rows carry exact wall time
+//    (inclusive of pool fan-out/join), independent of the boundary
+//    heuristic. A kernel takes its FLOPs and bytes from its op's row, so a
+//    kernel row and its op row agree; every EwFn sweep is "kernel.ew".
 //
 // When the profiler is disabled (the default) every hook is one relaxed
 // atomic load; when the library is built with -DDG_OBS=OFF the hooks are

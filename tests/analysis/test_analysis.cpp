@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -200,6 +202,45 @@ TEST(OpObserver, ReportsEveryMakeOpAndNests) {
   EXPECT_EQ(std::count(outer_ops.begin(), outer_ops.end(), "tanh"), 0);
   EXPECT_EQ(std::count(outer_ops.begin(), outer_ops.end(), "relu"), 1);
   EXPECT_EQ(std::count(outer_ops.begin(), outer_ops.end(), "sigmoid"), 1);
+}
+
+// make_op hands a call's attributes to the trace: a scalar op's node holds
+// its scalar, slice and pad nodes their bounds, and the op's row kernel fed
+// the traced attributes reproduces the op's forward bit for bit.
+TEST(Trace, CallSiteAttrsReachTheTracedGraph) {
+  SymGraph g;
+  Trace t(g);
+  nn::Var plus, times, slice, pad;
+  t.run([&] {
+    const nn::Var x(nn::Matrix(kMetaBatch, 6));
+    plus = nn::add_scalar(x, 0.25f);
+    times = nn::mul_scalar(x, -1.5f);
+    slice = nn::slice_cols(x, 1, 4);
+    pad = nn::pad_rows(x, 2, 3);
+  });
+  const SymNode* p = t.node(plus);
+  const SymNode* m = t.node(times);
+  const SymNode* s = t.node(slice);
+  const SymNode* r = t.node(pad);
+  ASSERT_TRUE(p && m && s && r);
+  EXPECT_EQ(p->op, Op::kAddScalar);
+  EXPECT_EQ(p->attrs.scalar, 0.25f);
+  EXPECT_EQ(m->op, Op::kMulScalar);
+  EXPECT_EQ(m->attrs.scalar, -1.5f);
+  EXPECT_EQ(s->attrs.i0, 1);
+  EXPECT_EQ(s->attrs.i1, 4);
+  EXPECT_EQ(r->attrs.i0, 2);
+  EXPECT_EQ(r->attrs.i1, 3);
+  EXPECT_EQ(r->shape.str(), "[B+5, 6]");
+
+  nn::Rng rng(9);
+  const nn::Matrix v = rng.normal_matrix(5, 6);
+  const nn::Matrix want = nn::add_scalar(v, 0.25f);
+  nn::Matrix got(5, 6, std::numeric_limits<float>::quiet_NaN());
+  const nn::RowIn in[] = {{v.data(), v.cols()}};
+  nn::op_def(p->op).rows({in, got.data(), got.cols(), p->attrs}, 0, 5);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0);
 }
 
 // ---- meta mode -------------------------------------------------------------

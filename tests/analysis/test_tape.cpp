@@ -208,11 +208,15 @@ TEST(TapeMutation, EveryDefectClassIsRejected) {
   }
 }
 
-// Verified means runnable: an unfused instruction whose op has no kernel
-// the executor can run — mul_scalar in place of relu: same arity and shape
-// rule, but its scalar is not in the tape — draws exactly one finding, and
-// it names the instruction.
+// Verified means runnable: an unfused instruction whose op's row has no
+// kernel the executor can run draws exactly one finding, and it names the
+// instruction. mul_scalar in place of relu has the same arity and shape
+// rule, and its row kernel reads its scalar from the instruction's
+// attributes, so the table's own rows verify the swap; a registry copy
+// whose mul_scalar row has lost its kernel refuses it.
 TEST(TapeMutation, UnfusedOpWithoutAKernelIsRefused) {
+  OpRegistry kernelless = OpRegistry::builtin();
+  kernelless[Op::kMulScalar].rows = nullptr;
   for (const Variant& v : variants()) {
     SCOPED_TRACE(describe(v));
     TapeReport r = build_generation_tape(schema_for(v.dataset), v.cfg);
@@ -224,7 +228,9 @@ TEST(TapeMutation, UnfusedOpWithoutAKernelIsRefused) {
                      });
     ASSERT_NE(relu, r.tape.instrs.end());
     relu->op = Op::kMulScalar;
-    const std::vector<Diagnostic> diags = verify_tape(r.tape, r.plan);
+    EXPECT_TRUE(verify_tape(r.tape, r.plan).empty());
+    const std::vector<Diagnostic> diags =
+        verify_tape(r.tape, r.plan, kernelless);
     ASSERT_EQ(diags.size(), 1u) << render(diags);
     EXPECT_EQ(diags[0].code, "tape-no-kernel");
     EXPECT_EQ(diags[0].op, "mul_scalar");

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -16,7 +15,6 @@
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/rng.h"
-#include "nn/simd/vec.h"
 #include "gradcheck.h"
 
 namespace dg::nn {
@@ -411,89 +409,6 @@ TEST(Autograd, LongChainDeepGraph) {
   loss.backward();
   EXPECT_TRUE(x.grad().defined());
   EXPECT_NEAR(x.grad().value().at(0, 0), std::pow(0.999f, 2000.f), 1e-3f);
-}
-
-// ---- each elementwise row's kernel is its op's forward ----
-
-/// The autograd op of each row that carries an elementwise kernel.
-Var ew_forward(const OpDef& row, const Var& a, const Var& b) {
-  switch (row.op) {
-    case Op::kAdd: return add(a, b);
-    case Op::kSub: return sub(a, b);
-    case Op::kMul: return mul(a, b);
-    case Op::kDiv: return div(a, b);
-    case Op::kNeg: return neg(a);
-    case Op::kRelu: return relu(a);
-    case Op::kAbs: return abs_(a);
-    case Op::kTanh: return tanh_(a);
-    case Op::kSigmoid: return sigmoid(a);
-    case Op::kExp: return exp_(a);
-    case Op::kLog: return log_(a);
-    case Op::kSqrt: return sqrt_(a);
-    case Op::kSquare: return square(a);
-    case Op::kRecip: return recip(a);
-    default:
-      ADD_FAILURE() << "row '" << row.name << "' has a kernel but no forward";
-      return {};
-  }
-}
-
-std::uint32_t bits_of(float f) {
-  std::uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
-}
-
-// The tape runs row.ew where the autograd forward runs the op itself, so
-// the two must agree bit for bit on every input, in every SIMD tier: signed
-// zeros, subnormals, infinities, NaNs, and the exp/tanh/sigmoid saturation
-// range. Binary ops see every pair of inputs.
-TEST(AutogradOps, ElementwiseRowKernelIsTheForward) {
-  using Lim = std::numeric_limits<float>;
-  std::vector<float> in = {0.0f,          -0.0f,         Lim::denorm_min(),
-                           -Lim::denorm_min(), 1e-39f,   -1e-39f,
-                           Lim::min(),    -Lim::min(),   Lim::infinity(),
-                           -Lim::infinity(), Lim::quiet_NaN(),
-                           -Lim::quiet_NaN(), Lim::max(), -Lim::max(),
-                           1.0f,          -1.0f,         0.5f,
-                           -2.5f,         87.3f,         88.3f,
-                           88.8f,         -87.4f,        -103.9f,
-                           -104.1f,       9.1f,          -9.1f};
-  for (float x = -120.0f; x <= 120.0f; x += 3.7f) in.push_back(x);
-  const int n = static_cast<int>(in.size());
-  Matrix a(n, n), b(n, n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      a.at(i, j) = in[static_cast<size_t>(i)];
-      b.at(i, j) = in[static_cast<size_t>(j)];
-    }
-  }
-  const simd::Tier prev = simd::active_tier();
-  for (const simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
-    if (!simd::set_simd_tier(tier)) continue;  // no avx2 on this host
-    SCOPED_TRACE(simd::tier_name(tier));
-    int rows_checked = 0;
-    for (const OpDef& row : op_table()) {
-      if (!row.ew) continue;
-      ++rows_checked;
-      const bool binary = row.min_arity == 2;
-      const Var out = ew_forward(row, Var(a), Var(b));
-      ASSERT_TRUE(out.defined()) << row.name;
-      Matrix want(n, n);
-      simd::kernels().apply_ew(*row.ew, a.data(), binary ? b.data() : nullptr,
-                               want.data(),
-                               static_cast<std::int64_t>(want.size()));
-      for (size_t i = 0; i < want.size(); ++i) {
-        const float got = out.value().data()[i];
-        ASSERT_EQ(bits_of(got), bits_of(want.data()[i]))
-            << row.name << "(" << a.data()[i]
-            << (binary ? ", " + std::to_string(b.data()[i]) : "")
-            << "): forward " << got << ", kernel " << want.data()[i];
-      }
-    }
-    EXPECT_EQ(rows_checked, 14);
-  }
-  simd::set_simd_tier(prev);
 }
 
 // ---- backward builds only the gradients it reads ---------------------------

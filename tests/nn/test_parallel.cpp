@@ -188,6 +188,53 @@ TEST(Parallel, ReductionsBitExactAcrossThreadCounts) {
   }
 }
 
+TEST(Parallel, LayoutOpsBitExactAcrossThreadCounts) {
+  Rng rng(22);
+  for (const auto& s : kShapes) {
+    const Matrix a = randn(rng, s.rows, s.cols);
+    const Matrix b = randn(rng, s.rows, s.cols);
+    const Var one(randn(rng, 1, 1));
+    const Matrix* both[] = {&a, &b};
+    expect_thread_invariant("broadcast_scalar", [&] {
+      return broadcast_scalar(one, s.rows, s.cols).value();
+    });
+    expect_thread_invariant("concat_cols", [&] { return concat_cols(both); });
+    expect_thread_invariant("concat_rows", [&] { return concat_rows(both); });
+    expect_thread_invariant("slice_cols",
+                            [&] { return slice_cols(a, s.cols / 3, s.cols); });
+    expect_thread_invariant("slice_rows",
+                            [&] { return slice_rows(a, s.rows / 3, s.rows); });
+    expect_thread_invariant("pad_cols",
+                            [&] { return pad_cols(Var(a), 2, 3).value(); });
+    expect_thread_invariant("pad_rows",
+                            [&] { return pad_rows(Var(a), 2, 3).value(); });
+  }
+}
+
+TEST(Parallel, UnaryOpsAndMasksBitExactAcrossThreadCounts) {
+  // neg, square, relu and abs run their rows' elementwise kernels; relu's
+  // and abs's backward masks are elementwise maps of the input.
+  Rng rng(23);
+  const std::pair<const char*, Var (*)(const Var&)> ops[] = {
+      {"neg", [](const Var& x) { return neg(x); }},
+      {"square", [](const Var& x) { return square(x); }},
+      {"relu", [](const Var& x) { return relu(x); }},
+      {"abs", [](const Var& x) { return abs_(x); }},
+  };
+  for (const auto& s : kShapes) {
+    const Matrix a = randn(rng, s.rows, s.cols);
+    for (const auto& [name, op] : ops) {
+      expect_thread_invariant(name, [&] { return op(Var(a)).value(); });
+      if (a.empty()) continue;
+      expect_thread_invariant(name, [&] {
+        const Var x(a, true);
+        sum(op(x)).backward();
+        return x.grad().value();
+      });
+    }
+  }
+}
+
 TEST(Parallel, FusedKernelsBitExactAcrossThreadCounts) {
   Rng rng(17);
   const Matrix x = randn(rng, 129, 40);

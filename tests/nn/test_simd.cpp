@@ -528,7 +528,7 @@ TEST(SimdCrossTier, ElementwiseAllFns) {
       simd::EwFn::kNeg,     simd::EwFn::kRelu, simd::EwFn::kAbs,
       simd::EwFn::kTanh,    simd::EwFn::kSigmoid, simd::EwFn::kExp,
       simd::EwFn::kLog,     simd::EwFn::kSqrt, simd::EwFn::kSquare,
-      simd::EwFn::kRecip};
+      simd::EwFn::kRecip,   simd::EwFn::kStep, simd::EwFn::kSign};
   for (simd::EwFn fn : unary) {
     struct Ctx {
       static Matrix run(std::uint32_t seed) {
@@ -717,7 +717,8 @@ TEST(SimdCrossTier, EdgeValuesThroughElementwise) {
   for (simd::EwFn fn :
        {simd::EwFn::kTanh, simd::EwFn::kSigmoid, simd::EwFn::kExp,
         simd::EwFn::kRelu, simd::EwFn::kNeg, simd::EwFn::kAbs,
-        simd::EwFn::kSqrt, simd::EwFn::kRecip, simd::EwFn::kSquare}) {
+        simd::EwFn::kSqrt, simd::EwFn::kRecip, simd::EwFn::kSquare,
+        simd::EwFn::kStep, simd::EwFn::kSign}) {
     ASSERT_TRUE(simd::set_simd_tier(simd::Tier::kScalar));
     const Matrix want = map_ew(fn, edge);
     ASSERT_TRUE(simd::set_simd_tier(simd::Tier::kAvx2));

@@ -368,7 +368,7 @@ TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
           return i.group < 0 && i.op == nn::Op::kRelu;
         });
     ASSERT_NE(relu, swapped.tape.instrs.end());
-    relu->op = nn::Op::kMulScalar;
+    relu->op = nn::Op::kTranspose;  // a whole-batch kernel: no tape runs one
     const analysis::TapeReport at_cap =
         with_fused_chain(clean, analysis::kMaxFusionMembers);
     const analysis::TapeReport over_cap =
