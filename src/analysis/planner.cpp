@@ -1,76 +1,50 @@
 #include "analysis/planner.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace dg::analysis {
 
-namespace {
-
-/// Instruction span [lo, hi] of the fusion group containing `instr`
-/// (the singleton span when the instruction is unfused).
-std::pair<int, int> group_extent(const Tape& t, int instr) {
-  const int gid = t.instrs[static_cast<size_t>(instr)].group;
-  if (gid < 0) return {instr, instr};
-  int lo = instr;
-  int hi = instr;
-  for (const TapeInstr& ins : t.instrs) {
-    if (ins.group == gid) {
-      lo = std::min(lo, ins.id);
-      hi = std::max(hi, ins.id);
-    }
-  }
-  return {lo, hi};
-}
-
-}  // namespace
-
-void compute_liveness(Tape& tape) {
-  for (TapeValue& v : tape.values) v.last_use = -1;
-  for (const TapeInstr& ins : tape.instrs) {
+Liveness liveness(const Tape& tape) {
+  const size_t n = tape.values.size();
+  Liveness lv{std::vector<int>(n, 0), std::vector<LiveInterval>(n)};
+  const auto valid = [&](int v) {
+    return v >= 0 && static_cast<size_t>(v) < n;
+  };
+  const int end = static_cast<int>(tape.instrs.size());
+  for (int i = 0; i < end; ++i) {
+    const TapeInstr& ins = tape.instrs[static_cast<size_t>(i)];
     for (int a : ins.args) {
-      TapeValue& v = tape.values[static_cast<size_t>(a)];
-      v.last_use = std::max(v.last_use, ins.id);
+      if (valid(a)) lv.live[static_cast<size_t>(a)].end = i;
+    }
+    if (valid(ins.dst) && lv.writes[static_cast<size_t>(ins.dst)]++ == 0) {
+      lv.live[static_cast<size_t>(ins.dst)].begin = i;
     }
   }
   for (int o : tape.outputs) {
-    tape.values[static_cast<size_t>(o)].last_use = kLiveToEnd;
+    if (valid(o)) lv.live[static_cast<size_t>(o)].end = end;
   }
-}
-
-LiveInterval live_interval(const Tape& tape, int value_id) {
-  const TapeValue& v = tape.values[static_cast<size_t>(value_id)];
-  LiveInterval iv;
-  // A fusion group executes per element, so every member's reads and writes
-  // are treated as simultaneous: the whole group span is occupied.
-  iv.begin = v.def >= 0 ? group_extent(tape, v.def).first : 0;
-  if (v.last_use == kLiveToEnd) {
-    iv.end = static_cast<int>(tape.instrs.size());
-  } else if (v.last_use >= 0) {
-    iv.end = group_extent(tape, v.last_use).second;
-  } else {
-    iv.end = v.def >= 0 ? group_extent(tape, v.def).second : iv.begin;
-  }
-  return iv;
+  for (LiveInterval& iv : lv.live) iv.end = std::max(iv.end, iv.begin);
+  return lv;
 }
 
 ArenaPlan plan_arena(const Tape& tape) {
   ArenaPlan plan;
   plan.offsets.assign(tape.values.size(), -1);
+  const Liveness lv = liveness(tape);
+  const auto live = [&](int v) { return lv.live[static_cast<size_t>(v)]; };
 
   // Values are placed in lifetime-start order (left-edge interval coloring):
   // within each width class this reaches the clique number, i.e. the minimum
   // slot count that exact-width reuse permits.
   std::vector<int> order;
-  for (const TapeValue& v : tape.values) {
-    if (v.kind == TapeValueKind::kLocal && !v.fused_temp && v.cols() > 0) {
-      order.push_back(v.id);
+  for (size_t v = 0; v < tape.values.size(); ++v) {
+    const TapeValue& val = tape.values[v];
+    if (val.kind == TapeValueKind::kLocal && val.cols() > 0) {
+      order.push_back(static_cast<int>(v));
     }
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int ba = live_interval(tape, a).begin;
-    const int bb = live_interval(tape, b).begin;
-    if (ba != bb) return ba < bb;
+    if (live(a).begin != live(b).begin) return live(a).begin < live(b).begin;
     return a < b;
   });
 
@@ -90,27 +64,20 @@ ArenaPlan plan_arena(const Tape& tape) {
   };
   std::vector<Slot> slots;
   for (int id : order) {
-    const TapeValue& v = tape.values[static_cast<size_t>(id)];
-    const LiveInterval iv = live_interval(tape, id);
+    const int cols = tape.values[static_cast<size_t>(id)].cols();
     Slot* home = nullptr;
     for (Slot& s : slots) {
-      if (s.cols != v.cols()) continue;
-      bool vacant = true;
-      for (int u : s.occupants) {
-        if (live_interval(tape, u).overlaps(iv)) {
-          vacant = false;
-          break;
-        }
-      }
-      if (vacant) {
+      if (s.cols != cols) continue;
+      if (std::none_of(s.occupants.begin(), s.occupants.end(),
+                       [&](int u) { return live(u).overlaps(live(id)); })) {
         home = &s;
         break;
       }
     }
     if (home == nullptr) {
-      slots.push_back({plan.peak_cols, v.cols(), {}});
+      slots.push_back({plan.peak_cols, cols, {}});
       home = &slots.back();
-      plan.peak_cols += v.cols();
+      plan.peak_cols += cols;
     }
     home->occupants.push_back(id);
     plan.offsets[static_cast<size_t>(id)] = home->off;

@@ -4,35 +4,35 @@
 // covers one `generation_step` (the serving hot loop's unit of work): the
 // lowering traces DoppelGanger::generation_step_graph of a meta_model
 // (analysis/trace.h) — so the instructions are the ops generation_step
-// really runs, in its order, with registry-derived shapes — then fuses
-// adjacent elementwise runs into per-element groups and hands the result to
-// the arena planner (analysis/planner.h).
+// really runs, in its order, with registry-derived shapes — and hands the
+// result to the arena planner (analysis/planner.h).
 //
 // Trust model: a tape is DATA, not code — it may come from lowering, from a
-// test mutation, or (in principle) from disk. Nothing executes a tape until
+// test mutation, or (in principle) from disk. A tape stores only its
+// instruction list, its values' kinds and shapes, and which values are the
+// step's outputs; every other fact (which instruction writes a value, which
+// reads it last) is derived from the instructions (planner.h's liveness()),
+// so no stored field can contradict them. Nothing executes a tape until
 // `verify_tape` proves, statically:
-//   * every operand is defined before its first use;
+//   * every local is written by exactly one instruction, and before its
+//     first use;
 //   * every op is a row of the op table (the Op is in range) with matching
 //     arity, and re-running its shape rule reproduces the recorded result
 //     shape (stale-shape);
-//   * every unfused instruction's row has a kernel the executor runs (a row
-//     kernel or an elementwise EwFn, nn/ops.h), so a verified tape is a
-//     runnable one;
+//   * every instruction's row has a kernel the executor runs (a row kernel
+//     or an elementwise EwFn, nn/ops.h), and its result is batch-shaped,
+//     since the executor runs every instruction over the step's lanes: a
+//     verified tape is a runnable one;
 //   * the tape has the step's signature (kTapeInputs inputs, kTapeOutputs
-//     outputs), which the executor binds by position;
-//   * fusion groups are contiguous runs of at most kMaxFusionMembers
-//     elementwise ops (rows with an EwFn kernel, nn/ops.h) over identical
-//     iteration domains, and their unmaterialized intermediates never leak;
+//     outputs, each output a local and each state output of its state
+//     input's shape), which the executor binds by position;
 //   * the arena plan is sound: no two values with overlapping lifetimes
-//     share bytes, and no instruction's destination aliases a buffer some
-//     later instruction still needs (recomputed from the instruction
-//     stream, not trusted from the liveness metadata).
+//     share bytes, and values that share bytes share a whole slot.
 // Failures surface as analysis::Diagnostic records naming the offending
 // instruction — the same machinery `dgcli lint` and the .dgpkg preflight
 // already speak.
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -46,59 +46,42 @@ namespace dg::analysis {
 enum class TapeValueKind {
   kParam,  ///< model weight, bound once at executor build time
   kInput,  ///< per-step input (cond, noise, state.h/c/mask)
-  kLocal,  ///< produced by an instruction; lives in the arena (or a register)
+  kLocal,  ///< written by one instruction; lives in the arena
 };
 
-/// Sentinel last_use for values that outlive the tape (the step's outputs).
-inline constexpr int kLiveToEnd = -2;
-
 /// The step's signature, bound by position: inputs cond, noise, state.h,
-/// state.c, state.mask; outputs records, state.h, state.c, state.mask.
+/// state.c, state.mask (the kInput values in value order); outputs records,
+/// state.h, state.c, state.mask.
 inline constexpr int kTapeInputs = 5;
 inline constexpr int kTapeOutputs = 4;
 
-/// Most instructions one fusion group may hold: the executor gives each
-/// member a register of per-element values, and has this many.
-inline constexpr int kMaxFusionMembers = 64;
-
+/// A value is its position in Tape::values; an instruction its position in
+/// Tape::instrs.
 struct TapeValue {
-  int id = 0;
   TapeValueKind kind = TapeValueKind::kLocal;
-  /// Parameter / input / output name ("lstm.wx", "cond", "records");
-  /// empty for anonymous locals.
-  std::string name;
   /// kParam: the traced leaf's position in DoppelGanger::named_parameters(),
   /// which is what an executor binds the model's weight by.
   int param_index = -1;
   Shape shape;  ///< rows is Dim::sym("B") for batch-shaped values
-  int def = -1;       ///< defining instruction (-1 for params/inputs)
-  int last_use = -1;  ///< last reading instruction; kLiveToEnd for outputs
-  bool output = false;
-  /// Lives only inside its fusion group's per-element registers: gets no
-  /// arena slot and must never be read outside the group.
-  bool fused_temp = false;
 
   /// Concrete column count (every tape value has concrete cols).
   int cols() const { return static_cast<int>(shape.cols.value); }
 };
 
 struct TapeInstr {
-  int id = 0;
   /// Range-checked by verify_tape: a tape is data, and may be edited.
   Op op = Op::kLeaf;
   int dst = -1;
   std::vector<int> args;
   OpAttrs attrs;  ///< slice bounds etc., exactly as the registry rules read
-  int group = -1;  ///< fusion group id; -1 = not fused
 };
 
+/// The lowering numbers the values: inputs first, then the weights the step
+/// reads (named_parameters() order), then one local per instruction.
 struct Tape {
   std::vector<TapeValue> values;
   std::vector<TapeInstr> instrs;
-  std::vector<int> params;   ///< value ids, named_parameters() order
-  std::vector<int> inputs;   ///< cond, noise, state.h, state.c, state.mask
   std::vector<int> outputs;  ///< records, state.h, state.c, state.mask
-  int fusion_groups = 0;     ///< groups with >= 2 instructions
 };
 
 /// Arena plan for a tape (planner.h computes it; carried here so a tape and
@@ -140,7 +123,6 @@ std::vector<Diagnostic> verify_tape(
 /// Compact census for lint output and the .dgpkg preflight.
 struct TapeSummary {
   int instructions = 0;
-  int fusion_groups = 0;
   long long arena_peak_bytes = 0;  ///< per lane
   bool verified = false;
 };
@@ -149,8 +131,9 @@ TapeSummary summarize_tape(const TapeReport& report);
 
 /// Negative-control hook (mutation tests, `dgcli lint --tape-mutate`):
 /// corrupts the tape/plan with one of the seeded defect classes —
-/// "use-before-def", "arena-overlap", "illegal-fusion", "unknown-op" (an Op
-/// past the table), "stale-shape" — then re-verifies, updating
+/// "use-before-def", "arena-overlap", "double-def" (the last instruction
+/// writes the first one's destination), "unknown-op" (an Op past the
+/// table), "stale-shape" — then re-verifies, updating
 /// report.diagnostics and report.verified. Returns false for an unknown
 /// class or a tape too small to corrupt. A mutated tape must be rejected by
 /// verify_tape, never run.

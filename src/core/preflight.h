@@ -37,8 +37,8 @@ struct PackagePreflight {
   std::streampos weights_at = -1;
   /// Shape of every matrix in the weight section (header-only read).
   std::vector<nn::MatrixShape> weight_matrices;
-  /// Generation-tape lowering census (analysis/tape.h): instruction and
-  /// fusion-group counts, arena peak, and whether the verifier passed. Only
+  /// Generation-tape lowering census (analysis/tape.h): instruction count,
+  /// arena peak, and whether the verifier passed. Only
   /// populated when the header + analysis were clean enough to lower.
   analysis::TapeSummary tape;
   /// The lowered tape itself, when it verified. load_package hands it to

@@ -1,11 +1,11 @@
 #include "core/tape_exec.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,32 +24,16 @@ using analysis::TapeInstr;
 using analysis::TapeValue;
 using analysis::TapeValueKind;
 
-using Fn = nn::simd::EwFn;
-
 // Every instruction runs its op row's kernel (nn/ops.h) — the row kernel,
 // or for an elementwise op the EwFn — which is the kernel the autograd
 // forward runs, so tape replay is bit-identical to it on every SIMD tier.
 
-/// One operand of a fused micro-op: a value id (resolved through the pointer
-/// table per element) or a register written earlier in the same group.
-struct MicroOp {
-  Fn fn{};
-  bool binary = false;
-  int a_id = -1;  // value id, or -1 => register a_reg
-  int a_reg = 0;
-  int b_id = -1;
-  int b_reg = 0;
-  int dst_reg = 0;
-  int store_id = -1;  // materialized members also write their arena slot
-};
-
-/// One compiled instruction, or (non-empty `prog`) one fused group.
+/// One compiled instruction: its row, destination and operand buffers.
 struct Step {
-  const nn::OpDef* row = nullptr;  // unfused: its row kernel, else its EwFn
+  const nn::OpDef* row = nullptr;
   int dst = -1;  // value id; pointers resolve through the table at run time
   int dst_cols = 0;
   std::vector<nn::RowIn> in;  // operand buffers, rebound when any moves
-  std::vector<MicroOp> prog;  // fused group program, if any
   std::vector<int> args;      // operand value ids
   nn::OpAttrs attrs;
 };
@@ -69,11 +53,13 @@ struct TapeExecutor::Impl {
   std::vector<Step> steps;
   /// One full-width step's FLOPs and bytes, summed from the op rows.
   std::uint64_t flops = 0, bytes = 0;
-  // Input value ids, in Tape::inputs order.
-  int in_cond = -1, in_noise = -1, in_h = -1, in_c = -1, in_mask = -1;
-  // Output value ids + widths.
-  int out_records = -1, out_h = -1, out_c = -1, out_mask = -1;
-  int records_cols = 0, h_cols = 0;
+  /// The step's input value ids (the tape's kInput values in value order:
+  /// cond, noise, state.h, state.c, state.mask) and their widths, which
+  /// step() checks the caller's matrices against.
+  std::array<int, analysis::kTapeInputs> in{}, in_cols{};
+  /// Output value ids (records, state.h, state.c, state.mask) and widths;
+  /// each state output has its state input's width (verified).
+  std::array<int, analysis::kTapeOutputs> out{}, out_cols{};
 
   void run(const Step& s, std::int64_t r0, std::int64_t r1) const;
 };
@@ -89,56 +75,20 @@ struct TapeExecutor::Impl {
 /// forward at every thread count.
 void TapeExecutor::Impl::run(const Step& s, std::int64_t r0,
                              std::int64_t r1) const {
-  const nn::simd::KernelTable& kt = nn::simd::kernels();
-  // A fused group's `dst` is its first member, which is usually a fused
-  // temp living only in registers — the group needs just the iteration
-  // domain (rows x dst_cols), not a destination pointer. Every other opcode
-  // writes through dst directly.
   float* dst = ptr[static_cast<size_t>(s.dst)];
   const int m = s.dst_cols;
-  if (m == 0 || (dst == nullptr && s.prog.empty())) return;
-  if (!s.prog.empty()) {
-    // Tile-at-a-time interpretation: each micro-op runs over a whole tile
-    // before the next dispatches, so the switch costs O(ops) per tile
-    // instead of O(ops) per element and the arithmetic loops vectorize.
-    // Per element the dependency chain is unchanged (every tile position
-    // is an independent SSA evaluation), so bits match the per-element
-    // interpreter exactly.
-    const std::int64_t e0 = r0 * m, e1 = r1 * m;
-    float* const* table = ptr.data();
-    constexpr std::int64_t kTile = 64;
-    float regs[analysis::kMaxFusionMembers][kTile];
-    for (std::int64_t base = e0; base < e1; base += kTile) {
-      const std::int64_t len = std::min<std::int64_t>(kTile, e1 - base);
-      for (const MicroOp& mo : s.prog) {
-        const float* av = mo.a_id >= 0
-                              ? table[static_cast<size_t>(mo.a_id)] + base
-                              : regs[mo.a_reg];
-        const float* bv = !mo.binary ? nullptr
-                          : mo.b_id >= 0
-                              ? table[static_cast<size_t>(mo.b_id)] + base
-                              : regs[mo.b_reg];
-        kt.apply_ew(mo.fn, av, bv, regs[mo.dst_reg], len);
-        if (mo.store_id >= 0) {
-          std::memcpy(table[static_cast<size_t>(mo.store_id)] + base,
-                      regs[mo.dst_reg],
-                      static_cast<size_t>(len) * sizeof(float));
-        }
-      }
-    }
-    return;
-  }
+  if (m <= 0) return;
   if (s.row->rows != nullptr) {
     s.row->rows({s.in, dst, m, s.attrs}, r0, r1);
     return;
   }
   // An elementwise row: dst <- fn(a) or fn(a, b), per element. Reading `a`
   // and writing `dst` in one pass matches the forward's copy-then-transform
-  // bit for bit (same-index elementwise), including when the planner gave
-  // `dst` the slot `a` just vacated.
+  // bit for bit (same-index elementwise).
   const std::int64_t e0 = r0 * m, e1 = r1 * m;
   const float* b = s.in.size() > 1 ? s.in[1].data + e0 : nullptr;
-  kt.apply_ew(*s.row->ew, s.in[0].data + e0, b, dst + e0, e1 - e0);
+  nn::simd::kernels().apply_ew(*s.row->ew, s.in[0].data + e0, b, dst + e0,
+                               e1 - e0);
 }
 
 std::unique_ptr<TapeExecutor> TapeExecutor::create(const DoppelGanger& model,
@@ -187,15 +137,18 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
       0.0f);
   impl->ptr.assign(tape.values.size(), nullptr);
 
-  for (const TapeValue& v : tape.values) {
-    const long long off = report.plan.offsets[static_cast<size_t>(v.id)];
+  int n_inputs = 0;
+  for (size_t id = 0; id < tape.values.size(); ++id) {
+    const TapeValue& v = tape.values[id];
+    const long long off = report.plan.offsets[id];
     if (off >= 0) {
-      impl->ptr[static_cast<size_t>(v.id)] =
-          impl->arena.data() + static_cast<size_t>(off) * width;
+      impl->ptr[id] = impl->arena.data() + static_cast<size_t>(off) * width;
     }
-  }
-  for (int pid : tape.params) {
-    const TapeValue& v = tape.values[static_cast<size_t>(pid)];
+    if (v.kind == TapeValueKind::kInput) {
+      impl->in[static_cast<size_t>(n_inputs)] = static_cast<int>(id);
+      impl->in_cols[static_cast<size_t>(n_inputs++)] = v.cols();
+    }
+    if (v.kind != TapeValueKind::kParam) continue;
     if (v.param_index < 0 ||
         static_cast<size_t>(v.param_index) >= params.size()) {
       return nullptr;
@@ -206,76 +159,23 @@ std::unique_ptr<TapeExecutor> TapeExecutor::from_report(
         m.cols() != v.cols()) {
       return nullptr;
     }
-    impl->params.emplace_back(pid, p);
+    impl->params.emplace_back(static_cast<int>(id), p);
   }
-  if (tape.inputs.size() != analysis::kTapeInputs ||
-      tape.outputs.size() != analysis::kTapeOutputs) {
-    return nullptr;
-  }
-  impl->in_cond = tape.inputs[0];
-  impl->in_noise = tape.inputs[1];
-  impl->in_h = tape.inputs[2];
-  impl->in_c = tape.inputs[3];
-  impl->in_mask = tape.inputs[4];
-  impl->out_records = tape.outputs[0];
-  impl->out_h = tape.outputs[1];
-  impl->out_c = tape.outputs[2];
-  impl->out_mask = tape.outputs[3];
-  impl->records_cols =
-      tape.values[static_cast<size_t>(impl->out_records)].cols();
-  impl->h_cols = tape.values[static_cast<size_t>(impl->out_h)].cols();
-
-  // ---- compile: fused groups become one step (a micro-program) at their
-  // first member; every other instruction becomes one step running its
-  // row's kernel, which the verifier proved it has ----
   const auto val = [&](int id) -> const TapeValue& {
     return tape.values[static_cast<size_t>(id)];
   };
-  std::unordered_map<int, int> reg_of;  // value id -> register, per group
-  for (size_t i = 0; i < tape.instrs.size(); ++i) {
-    const TapeInstr& ins = tape.instrs[i];
+  for (size_t k = 0; k < impl->out.size(); ++k) {
+    impl->out[k] = tape.outputs[k];
+    impl->out_cols[k] = val(tape.outputs[k]).cols();
+  }
+
+  // ---- compile: every instruction becomes one step running its row's
+  // kernel, which the verifier proved it has ----
+  for (const TapeInstr& ins : tape.instrs) {
     Step s;
+    s.row = &nn::op_def(ins.op);
     s.dst = ins.dst;
     s.dst_cols = val(ins.dst).cols();
-    if (ins.group >= 0) {
-      if (i > 0 && tape.instrs[i - 1].group == ins.group) continue;  // compiled below
-      // Compile the whole contiguous group into one micro-program.
-      Step g;
-      reg_of.clear();
-      size_t j = i;
-      for (; j < tape.instrs.size() && tape.instrs[j].group == ins.group; ++j) {
-        const TapeInstr& m = tape.instrs[j];
-        const nn::OpDef& row = nn::op_def(m.op);
-        if (!row.ew) return nullptr;
-        MicroOp mo;
-        mo.fn = *row.ew;
-        mo.binary = row.min_arity == 2;
-        if (m.args.empty() || (mo.binary && m.args.size() < 2)) return nullptr;
-        const auto bind = [&](int arg, int& id, int& reg) {
-          const auto it = reg_of.find(arg);
-          if (it != reg_of.end() && impl->ptr[static_cast<size_t>(arg)] == nullptr) {
-            id = -1;
-            reg = it->second;
-          } else {
-            id = arg;  // materialized or defined before the group
-          }
-        };
-        bind(m.args[0], mo.a_id, mo.a_reg);
-        if (mo.binary) bind(m.args[1], mo.b_id, mo.b_reg);
-        mo.dst_reg = static_cast<int>(reg_of.size());
-        if (mo.dst_reg >= analysis::kMaxFusionMembers) return nullptr;
-        mo.store_id =
-            impl->ptr[static_cast<size_t>(m.dst)] != nullptr ? m.dst : -1;
-        reg_of.emplace(m.dst, mo.dst_reg);
-        g.prog.push_back(mo);
-      }
-      // The group's iteration domain: every member shares it (verified).
-      g.dst = ins.dst;
-      g.dst_cols = val(ins.dst).cols();
-      impl->steps.push_back(std::move(g));
-      continue;
-    }
-    s.row = &nn::op_def(ins.op);
     s.args = ins.args;
     for (int a : ins.args) {
       s.in.push_back({impl->ptr[static_cast<size_t>(a)], val(a).cols()});
@@ -316,17 +216,19 @@ void TapeExecutor::step(const GenContext& ctx, const nn::Matrix& noise,
                                 std::to_string(n) + " outside 1.." +
                                 std::to_string(im.width));
   }
-  const auto expect = [&](const nn::Matrix& m, const char* what) {
-    if (m.rows() != n) {
-      throw std::invalid_argument(std::string("TapeExecutor::step: ") + what +
-                                  " row count != ctx.cond's");
+  // Every buffer the step reads or writes has the shape the tape was
+  // verified for, so no kernel reads or writes past it.
+  const nn::Matrix* const bound[] = {&ctx.cond, &noise, &state.h, &state.c,
+                                     &state.mask};
+  const char* const kNames[] = {"ctx.cond", "noise", "state.h", "state.c",
+                                "state.mask"};
+  for (size_t k = 0; k < im.in.size(); ++k) {
+    if (bound[k]->rows() != n || bound[k]->cols() != im.in_cols[k]) {
+      throw std::invalid_argument(std::string("TapeExecutor::step: ") +
+                                  kNames[k] + " shape mismatch");
     }
-  };
-  expect(noise, "noise");
-  expect(state.h, "state.h");
-  expect(state.c, "state.c");
-  expect(state.mask, "state.mask");
-  if (records.rows() != n || records.cols() != im.records_cols) {
+  }
+  if (records.rows() != n || records.cols() != im.out_cols[0]) {
     throw std::invalid_argument("TapeExecutor::step: records shape mismatch");
   }
 
@@ -340,11 +242,7 @@ void TapeExecutor::step(const GenContext& ctx, const nn::Matrix& noise,
     float* p = const_cast<float*>(m.data());
     moved |= std::exchange(im.ptr[static_cast<size_t>(id)], p) != p;
   };
-  bind(im.in_cond, ctx.cond);
-  bind(im.in_noise, noise);
-  bind(im.in_h, state.h);
-  bind(im.in_c, state.c);
-  bind(im.in_mask, state.mask);
+  for (size_t k = 0; k < im.in.size(); ++k) bind(im.in[k], *bound[k]);
   for (const auto& [id, p] : im.params) bind(id, p.value());
   if (moved) {
     for (Step& s : im.steps) {
@@ -368,25 +266,18 @@ void TapeExecutor::step(const GenContext& ctx, const nn::Matrix& noise,
   // in_h/in_c/in_mask) are confined to their own lanes too.
   const std::int64_t grain = std::max<std::int64_t>(
       1, (n + nn::num_threads() - 1) / nn::num_threads());
+  float* const dst[] = {records.data(), state.h.data(), state.c.data(),
+                        state.mask.data()};
   nn::parallel_for(0, n, grain, [&](std::int64_t r0, std::int64_t r1) {
     for (const Step& s : im.steps) im.run(s, r0, r1);
-    const size_t rows = static_cast<size_t>(r1 - r0);
-    const auto lanes = [&](auto* base, int cols) {
-      return base + static_cast<size_t>(r0) * cols;
-    };
-    std::memcpy(lanes(records.data(), im.records_cols),
-                lanes(im.ptr[static_cast<size_t>(im.out_records)],
-                      im.records_cols),
-                rows * im.records_cols * sizeof(float));
-    std::memcpy(lanes(state.h.data(), im.h_cols),
-                lanes(im.ptr[static_cast<size_t>(im.out_h)], im.h_cols),
-                rows * im.h_cols * sizeof(float));
-    std::memcpy(lanes(state.c.data(), im.h_cols),
-                lanes(im.ptr[static_cast<size_t>(im.out_c)], im.h_cols),
-                rows * im.h_cols * sizeof(float));
-    std::memcpy(lanes(state.mask.data(), 1),
-                lanes(im.ptr[static_cast<size_t>(im.out_mask)], 1),
-                rows * sizeof(float));
+    for (size_t k = 0; k < im.out.size(); ++k) {
+      const size_t cols = static_cast<size_t>(im.out_cols[k]);
+      if (cols == 0) continue;
+      std::memcpy(dst[k] + static_cast<size_t>(r0) * cols,
+                  im.ptr[static_cast<size_t>(im.out[k])] +
+                      static_cast<size_t>(r0) * cols,
+                  static_cast<size_t>(r1 - r0) * cols * sizeof(float));
+    }
   });
   ++state.step;
 }

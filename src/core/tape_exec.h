@@ -4,9 +4,9 @@
 //
 // The executor replays DoppelGanger::generation_step: it lays every
 // intermediate into one arena sized by the liveness planner, and compiles
-// each unfused instruction to {its op row's kernel, operands, attributes}
-// (nn/ops.h) and each fused group to a register program — no autograd node
-// allocation, no per-op code, zero heap allocations per step() once warm.
+// each instruction to {its op row's kernel, operands, attributes}
+// (nn/ops.h) — no autograd node allocation, no per-op code, zero heap
+// allocations per step() once warm.
 // The model's weights are read through their Vars at every step(), so a
 // cached executor follows load() and training, which replace or update them.
 //
@@ -21,8 +21,8 @@
 //
 // Trust model: construction re-runs analysis::verify_tape and returns
 // nullptr on any error — a corrupted tape is rejected statically, never
-// executed — and the verifier refuses an unfused op without a kernel, so a
-// tape it accepts is one the executor can run. A model without an executor
+// executed — and the verifier refuses an op without a kernel, so a tape it
+// accepts is one the executor can run. A model without an executor
 // cannot generate: generate() and SlotSampler refuse it (create_or_throw).
 #pragma once
 
@@ -64,7 +64,8 @@ class TapeExecutor {
   /// 1..width(): reads ctx.cond, `noise` [n, feat_noise_dim] and `state`;
   /// writes the step's records into `records` [n, sample_len *
   /// record_width] and advances `state` in place (h, c, mask, ++step)
-  /// exactly like generation_step.
+  /// exactly like generation_step. Throws std::invalid_argument, before
+  /// touching any buffer, when a matrix's shape is not the tape's.
   void step(const GenContext& ctx, const nn::Matrix& noise, GenState& state,
             nn::Matrix& records);
 

@@ -97,9 +97,9 @@ LstmCell::LstmCell(int input, int hidden, Rng& rng)
 LstmState LstmCell::step(const Var& x, const LstmState& state) const {
   // One fused, row-partitioned kernel instead of two matmul temporaries plus
   // an add and a broadcast — the batched-generation hot path.
-  // The four gate slices come first so the nine elementwise ops after them
-  // form one contiguous run: the generation tape lowered from this code
-  // fuses that run into a single group.
+  // The four gate slices come first, then the nine elementwise ops. This
+  // order is pinned: the training census and the byte hashes
+  // (tests/analysis/test_invariants.cpp) record the graph it builds.
   Var gates = lstm_gates(x, wx_, state.h, wh_, b_);
   Var si = slice_cols(gates, 0, hidden_);
   Var sf = slice_cols(gates, hidden_, 2 * hidden_);

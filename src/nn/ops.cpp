@@ -566,7 +566,8 @@ obs::KernelTimer kernel_timer(const OpDef& row,
                               std::span<const Matrix* const> in, Dims out) {
   const char* const name = row.ew ? "ew" : row.name;
   if (!obs::Profiler::enabled()) return obs::KernelTimer(name, 0, 0);
-  std::vector<Dims> dims;
+  thread_local std::vector<Dims> dims;  // reused, as run_op's operands are
+  dims.clear();
   for (const Matrix* m : in) dims.push_back({m->rows(), m->cols()});
   return obs::KernelTimer(name, row.flops(dims, out), op_bytes(dims, out));
 }

@@ -165,7 +165,7 @@ struct OpDef {
   /// for elementwise ops, broadcasts and reductions, zero for layout ops.
   std::uint64_t (*flops)(std::span<const Dims> in, Dims out);
   /// The forward's body, exactly one of the three: an elementwise op's
-  /// kernel of one output element, which the tape also runs (fused or not);
+  /// kernel of one output element, which the tape also runs;
   /// a row-local op's row kernel, which the tape replays per lane range; or
   /// the whole-batch kernel of an op that is not row-local.
   std::optional<simd::EwFn> ew;

@@ -52,8 +52,8 @@ namespace dg::nn::simd {
 
 enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
-/// Elementwise micro-op selector shared by the op table (nn/ops.h) and the
-/// tape executor's fused-region interpreter — one enum so both paths
+/// Elementwise kernel selector of the op table (nn/ops.h): the autograd
+/// forward and the tape executor both run a row's EwFn, so the two paths
 /// dispatch into the same kernels and stay bit-identical by construction.
 enum class EwFn : std::uint8_t {
   kAdd = 0,   // d = a + b

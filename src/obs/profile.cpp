@@ -1,16 +1,30 @@
 #include "obs/profile.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 namespace dg::obs {
 
 namespace {
 
+// Op rows and kernel rows, each under its bare name; snapshot() adds the
+// "kernel." prefix. A lookup takes the name as a string_view, so a row
+// allocates only on its first call.
+using Rows = std::map<std::string, OpStats, std::less<>>;
 std::mutex g_mu;
-std::map<std::string, OpStats> g_stats;
+Rows g_ops;
+Rows g_kernels;
+
+OpStats& row(Rows& rows, std::string_view name) {
+  auto it = rows.find(name);
+  if (it == rows.end()) it = rows.emplace(name, OpStats{}).first;
+  return it->second;
+}
 
 // Boundary-clock epoch: bumped on start()/clear() so every thread's stale
 // thread-local boundary timestamp is discarded lazily (a thread cannot
@@ -43,13 +57,23 @@ void Profiler::stop() {
 
 void Profiler::clear() {
   std::lock_guard<std::mutex> lock(g_mu);
-  g_stats.clear();
+  g_ops.clear();
+  g_kernels.clear();
   g_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<std::string, OpStats>> Profiler::snapshot() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return {g_stats.begin(), g_stats.end()};
+  std::vector<std::pair<std::string, OpStats>> out;
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    out.assign(g_ops.begin(), g_ops.end());
+    for (const auto& [name, s] : g_kernels) {
+      out.emplace_back("kernel." + name, s);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
 }
 
 void Profiler::note_op(const char* op, std::uint64_t flops,
@@ -65,7 +89,7 @@ void Profiler::note_op(const char* op, std::uint64_t flops,
   t_last_boundary_ns = now;
 
   std::lock_guard<std::mutex> lock(g_mu);
-  OpStats& s = g_stats[op];
+  OpStats& s = row(g_ops, op);
   ++s.calls;
   s.wall_ns += wall > 0 ? static_cast<std::uint64_t>(wall) : 0;
   s.flops += flops;
@@ -82,7 +106,7 @@ void Profiler::record_kernel(const char* name, std::uint64_t wall_ns,
                              std::uint64_t flops, std::uint64_t bytes) {
   if (!enabled()) return;  // also drops timers that straddle a stop()
   std::lock_guard<std::mutex> lock(g_mu);
-  OpStats& s = g_stats[std::string("kernel.") + name];
+  OpStats& s = row(g_kernels, name);
   ++s.calls;
   s.wall_ns += wall_ns;
   s.flops += flops;

@@ -26,15 +26,18 @@
 #include <memory>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/planner.h"
 #include "analysis/tape.h"
 #include "core/doppelganger.h"
 #include "core/package.h"
 #include "nn/parallel.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "serve/sampler.h"
 #include "synth/synth.h"
 
@@ -315,30 +318,6 @@ TEST(TapeExec, SamplerTapeAndAutogradPathsAgree) {
   }
 }
 
-/// `r` with `members` relu instructions appended as one fusion group: a
-/// chain from the records output whose values live only in the group's
-/// registers (no arena slot), otherwise a well-formed tape.
-analysis::TapeReport with_fused_chain(analysis::TapeReport r, int members) {
-  analysis::Tape& t = r.tape;
-  const int gid = t.fusion_groups++;
-  int src = t.outputs[0];
-  for (int k = 0; k < members; ++k) {
-    analysis::TapeValue v;
-    v.id = static_cast<int>(t.values.size());
-    v.shape = t.values[static_cast<size_t>(src)].shape;
-    v.def = static_cast<int>(t.instrs.size());
-    v.last_use = k + 1 < members ? v.def + 1 : -1;
-    v.fused_temp = true;
-    t.values.push_back(v);
-    r.plan.offsets.push_back(-1);
-    t.instrs.push_back(
-        {.id = v.def, .op = nn::Op::kRelu, .dst = v.id, .args = {src},
-         .attrs = {}, .group = gid});
-    src = v.id;
-  }
-  return r;
-}
-
 bool has_code(const std::vector<analysis::Diagnostic>& diags,
               const std::string& code) {
   return std::any_of(diags.begin(), diags.end(),
@@ -349,10 +328,13 @@ bool has_code(const std::vector<analysis::Diagnostic>& diags,
 
 // Verified means runnable: over the differential variants, the executor
 // accepts exactly the tapes the verifier accepts — each variant's own tape;
-// the tape with an unfused unary op swapped for mul_scalar (same arity and
-// shape rule, but no kernel the executor can run); the tape with a fusion
-// group of exactly the executor's register count, and of one more; and the
-// tape with an output dropped from the step's signature.
+// the tape with a unary op swapped for transpose (same arity, but a
+// whole-batch op the executor has no kernel for); the tape with an output
+// dropped from the step's signature; the tape whose state.h output names
+// the LSTM's gate pre-activation, four times state.h's width, which the
+// executor would copy into the caller's state.h; and the tape with one
+// more instruction, relu of a [1, k] bias, which the executor would run
+// over every lane of the bias.
 TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
   for (const Variant& v : variants()) {
     SCOPED_TRACE(describe(v));
@@ -364,26 +346,44 @@ TEST(TapeExec, ExecutorAcceptsExactlyTheVerifiedTapes) {
     analysis::TapeReport swapped = clean;
     const auto relu = std::find_if(
         swapped.tape.instrs.begin(), swapped.tape.instrs.end(),
-        [](const analysis::TapeInstr& i) {
-          return i.group < 0 && i.op == nn::Op::kRelu;
-        });
+        [](const analysis::TapeInstr& i) { return i.op == nn::Op::kRelu; });
     ASSERT_NE(relu, swapped.tape.instrs.end());
     relu->op = nn::Op::kTranspose;  // a whole-batch kernel: no tape runs one
-    const analysis::TapeReport at_cap =
-        with_fused_chain(clean, analysis::kMaxFusionMembers);
-    const analysis::TapeReport over_cap =
-        with_fused_chain(clean, analysis::kMaxFusionMembers + 1);
     analysis::TapeReport short_signature = clean;
     short_signature.tape.outputs.pop_back();
+    analysis::TapeReport wide_state = clean;
+    const auto gates = std::find_if(
+        wide_state.tape.instrs.begin(), wide_state.tape.instrs.end(),
+        [](const analysis::TapeInstr& i) {
+          return i.op == nn::Op::kLstmGates;
+        });
+    ASSERT_NE(gates, wide_state.tape.instrs.end());
+    wide_state.tape.outputs[1] = gates->dst;
+    wide_state.plan = analysis::plan_arena(wide_state.tape);
+    analysis::TapeReport fixed_rows = clean;
+    std::vector<analysis::TapeValue>& values = fixed_rows.tape.values;
+    const auto bias = std::find_if(
+        values.begin(), values.end(), [](const analysis::TapeValue& tv) {
+          return tv.kind == analysis::TapeValueKind::kParam &&
+                 tv.shape.rows == analysis::Dim::of(1);
+        });
+    ASSERT_NE(bias, values.end());
+    const int bias_id = static_cast<int>(bias - values.begin());
+    values.push_back({analysis::TapeValueKind::kLocal, -1, bias->shape});
+    fixed_rows.tape.instrs.push_back({nn::Op::kRelu,
+                                      static_cast<int>(values.size()) - 1,
+                                      {bias_id},
+                                      {}});
+    fixed_rows.plan = analysis::plan_arena(fixed_rows.tape);
     const struct {
       const char* name;
       const analysis::TapeReport* report;
       const char* refusal;  // the verifier's finding; null if it verifies
     } cases[] = {{"clean", &clean, nullptr},
                  {"swapped", &swapped, "tape-no-kernel"},
-                 {"at-cap", &at_cap, nullptr},
-                 {"over-cap", &over_cap, "tape-fusion-size"},
-                 {"short-signature", &short_signature, "tape-signature"}};
+                 {"short-signature", &short_signature, "tape-signature"},
+                 {"wide-state-output", &wide_state, "tape-signature"},
+                 {"fixed-rows-local", &fixed_rows, "tape-not-batch"}};
     for (const auto& c : cases) {
       const std::vector<analysis::Diagnostic> diags =
           analysis::verify_tape(c.report->tape, c.report->plan);
@@ -428,6 +428,96 @@ TEST(TapeExec, StepIsAllocationFreeOnceWarm) {
   }
   EXPECT_EQ(watch.calls(), 0u)
       << "tape replay allocated on the steady-state path";
+}
+
+// A traced run pays for timing, not for bookkeeping: with the profiler on,
+// a warm tape step allocates nothing, and an op outside the tape (the
+// autograd forward's own kernels) allocates only its result.
+TEST(TapeExec, TracedStepsAndOpsAllocateOnlyTheirResults) {
+  ThreadGuard guard;
+  nn::set_num_threads(1);
+  const Variant v = variants()[0];
+  const core::DoppelGanger model(schema_for(v.dataset), v.cfg);
+  const int n = 8;
+  auto tape = TapeExecutor::create(model, n);
+  ASSERT_NE(tape, nullptr);
+
+  nn::Rng rng(99);
+  const core::GenContext ctx = model.sample_context(n, rng);
+  core::GenState state = model.initial_gen_state(n);
+  nn::Matrix records(n, model.sample_len() * model.record_width());
+  const nn::Matrix noise = rng.normal_matrix(n, model.feat_noise_dim());
+  const nn::Matrix x = rng.normal_matrix(n, 24);
+  const nn::Matrix bias = rng.normal_matrix(1, 24);
+
+  obs::Profiler::start();
+  tape->step(ctx, noise, state, records);  // warm-up: creates the row
+  (void)nn::add_rowvec(x, bias);
+  std::uint64_t step_calls = 0;
+  std::uint64_t op_calls = 0;
+  {
+    AllocationWatch watch;
+    for (int i = 0; i < 16; ++i) tape->step(ctx, noise, state, records);
+    step_calls = watch.calls();
+  }
+  {
+    AllocationWatch watch;
+    const nn::Matrix y = nn::add_rowvec(x, bias);
+    op_calls = watch.calls();
+  }
+  const auto rows = obs::Profiler::snapshot();
+  obs::Profiler::stop();
+  obs::Profiler::clear();
+
+  EXPECT_EQ(step_calls, 0u) << "a traced tape step hit the heap";
+  EXPECT_EQ(op_calls, 1u) << "a traced add_rowvec allocated beyond its result";
+  const auto calls = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& [row, stats] : rows) {
+      if (row == name) return stats.calls;
+    }
+    return 0;
+  };
+  EXPECT_EQ(calls("kernel.tape_step"), 17u);
+  EXPECT_EQ(calls("kernel.add_rowvec"), 2u);
+}
+
+// step() binds only buffers of the verified widths: an operand one column
+// narrower or wider than the tape's, like generation_step's noise check,
+// throws before any kernel reads or writes it.
+TEST(TapeExec, StepRefusesOperandsOfTheWrongWidth) {
+  const Variant v = variants()[0];
+  const core::DoppelGanger model(schema_for(v.dataset), v.cfg);
+  const int n = 4;
+  auto tape = TapeExecutor::create(model, n);
+  ASSERT_NE(tape, nullptr);
+
+  nn::Rng rng(7);
+  const core::GenContext ctx = model.sample_context(n, rng);
+  const nn::Matrix noise = rng.normal_matrix(n, model.feat_noise_dim());
+  const core::GenState state = model.initial_gen_state(n);
+  const nn::Matrix records(n, model.sample_len() * model.record_width());
+  {
+    core::GenState s = state;
+    nn::Matrix r = records;
+    tape->step(ctx, noise, s, r);  // the right widths step
+  }
+  for (const int delta : {-1, 1}) {
+    const auto resized = [&](const nn::Matrix& m) {
+      return nn::Matrix(m.rows(), m.cols() + delta);
+    };
+    for (int operand = 0; operand < 6; ++operand) {
+      SCOPED_TRACE("operand " + std::to_string(operand) + " width " +
+                   (delta < 0 ? "-1" : "+1"));
+      core::GenContext c = ctx;
+      nn::Matrix z = noise;
+      core::GenState s = state;
+      nn::Matrix r = records;
+      nn::Matrix* const target[] = {&c.cond, &z, &s.h, &s.c, &s.mask, &r};
+      *target[operand] = resized(*target[operand]);
+      EXPECT_THROW(tape->step(c, z, s, r), std::invalid_argument);
+      EXPECT_EQ(s.step, state.step) << "a refused step advanced the state";
+    }
+  }
 }
 
 // The same property at the sampler level: a pump in which no lane is
@@ -569,7 +659,7 @@ TEST(TapeExec, RefusesEveryMutatedReport) {
   EXPECT_NE(TapeExecutor::from_report(model, clean, 4), nullptr);
 
   for (const char* defect :
-       {"use-before-def", "arena-overlap", "illegal-fusion", "unknown-op",
+       {"use-before-def", "arena-overlap", "double-def", "unknown-op",
         "stale-shape"}) {
     SCOPED_TRACE(defect);
     analysis::TapeReport r = analysis::build_generation_tape(schema, v.cfg);

@@ -28,7 +28,7 @@
 //   dgcli lint       --schema S.schema [--config C.cfg] [--json] [--tape]
 //                    [--train] [--assume-first-order op1,op2]
 //                    [--tape-mutate use-before-def|arena-overlap|
-//                     illegal-fusion|unknown-op|stale-shape]
+//                     double-def|unknown-op|stale-shape]
 //                    [--train-mutate wrong-adjoint-shape|dropped-accum-edge|
 //                     mislabel-det-class]
 //
@@ -71,7 +71,7 @@
 // named ops in its registry (what-if / mutation-test hook).
 // `--tape` additionally lowers the generation step to the serving replay
 // tape (analysis/tape.h), runs the static verifier, and reports the plan
-// census (instructions, fusion groups, arena peak bytes); `--tape-mutate`
+// census (instructions, arena peak bytes); `--tape-mutate`
 // seeds one named defect class first — the negative control that proves the
 // verifier rejects a corrupted tape (expected exit: FAIL).
 // `--train` adds the training step's reduction-order census to the output
@@ -1079,7 +1079,6 @@ int lint_report(std::span<const analysis::Diagnostic> diags, bool json,
     if (tape != nullptr) {
       tape_block = "\"tape\":{\"instructions\":" +
                    std::to_string(tape->instructions) +
-                   ",\"fusion_groups\":" + std::to_string(tape->fusion_groups) +
                    ",\"arena_peak_bytes\":" +
                    std::to_string(tape->arena_peak_bytes) +
                    ",\"verified\":" + (tape->verified ? "true" : "false") +
@@ -1113,10 +1112,8 @@ int lint_report(std::span<const analysis::Diagnostic> diags, bool json,
     return bad ? 1 : 0;
   }
   if (tape != nullptr) {
-    std::printf("tape: %d instructions, %d fusion groups, arena peak %lld "
-                "bytes/lane, %s\n",
-                tape->instructions, tape->fusion_groups,
-                tape->arena_peak_bytes,
+    std::printf("tape: %d instructions, arena peak %lld bytes/lane, %s\n",
+                tape->instructions, tape->arena_peak_bytes,
                 tape->verified ? "verified" : "REJECTED");
   }
   if (train != nullptr) {
