@@ -225,6 +225,130 @@ BENCHMARK(BM_TransposeMicro)
     ->Args({856, 200})
     ->Args({100, 400});
 
+// The backward rules' products with a transposed operand, each beside the
+// transpose + matmul it replaced, on the same operands (args n, k, m):
+//   BM_MatmulNTMicro        matmul_nt(g, w) for g [n,k], w [m,k]
+//   BM_MatmulNTByTranspose  matmul(g, transpose(w))
+//   BM_MatmulTNMicro        matmul_tn(x, g) for x [n,k], g [n,m]
+//   BM_MatmulTNByTranspose  matmul(transpose(x), g)
+// At the rules' own shapes: a critic's [200,200] hidden weight under a
+// 7-row DP microbatch, wwt's LSTM recurrent and input weights ([100,400],
+// [21,400]) and its critic's [856,200] input layer at batch 50. CI gates
+// the two *Micro rows at 2x scalar like BM_MatmulMicro; the *ByTranspose
+// rows are the comparison, timed in the same runs.
+
+/// One thread, normal operands a [n, k] and b [b_rows, b_cols], `product`
+/// timed; the first call's FLOPs from the profiler row `kernel_row`.
+template <typename Product>
+void run_product_micro(benchmark::State& state, int b_rows, int b_cols,
+                       const char* kernel_row, const Product& product) {
+  const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int m = static_cast<int>(state.range(2));
+  nn::set_num_threads(1);
+  nn::Rng rng(11);
+  const Matrix a = rng.normal_matrix(n, k);
+  const Matrix b = rng.normal_matrix(b_rows, b_cols);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(product(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * n * k * m);
+#ifdef DG_OBS_ENABLED
+  attach_kernel_flops(state, kernel_row,
+                      [&] { benchmark::DoNotOptimize(product(a, b)); });
+#else
+  (void)kernel_row;
+#endif
+}
+
+/// g [n, k] times the transpose of w [m, k].
+template <typename Product>
+void run_nt(benchmark::State& state, const Product& product) {
+  run_product_micro(state, static_cast<int>(state.range(2)),
+                    static_cast<int>(state.range(1)), "kernel.matmul_nt",
+                    product);
+}
+
+/// The transpose of x [n, k] times g [n, m].
+template <typename Product>
+void run_tn(benchmark::State& state, const Product& product) {
+  run_product_micro(state, static_cast<int>(state.range(0)),
+                    static_cast<int>(state.range(2)), "kernel.matmul_tn",
+                    product);
+}
+
+void BM_MatmulNTMicro(benchmark::State& state) {
+  run_nt(state, [](const Matrix& g, const Matrix& w) {
+    return nn::matmul_nt(g, w);
+  });
+}
+
+void BM_MatmulNTByTranspose(benchmark::State& state) {
+  run_nt(state, [](const Matrix& g, const Matrix& w) {
+    return nn::matmul(g, nn::transpose(w));
+  });
+}
+
+void BM_MatmulTNMicro(benchmark::State& state) {
+  run_tn(state, [](const Matrix& x, const Matrix& g) {
+    return nn::matmul_tn(x, g);
+  });
+}
+
+void BM_MatmulTNByTranspose(benchmark::State& state) {
+  run_tn(state, [](const Matrix& x, const Matrix& g) {
+    return nn::matmul(nn::transpose(x), g);
+  });
+}
+
+void nt_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({7, 200, 200})
+      ->Args({50, 400, 100})
+      ->Args({50, 400, 21})
+      ->Args({50, 200, 856});
+}
+
+void tn_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({7, 200, 200})->Args({50, 100, 400});
+}
+
+BENCHMARK(BM_MatmulNTMicro)->Apply(nt_shapes);
+BENCHMARK(BM_MatmulNTByTranspose)->Apply(nt_shapes);
+BENCHMARK(BM_MatmulTNMicro)->Apply(tn_shapes);
+BENCHMARK(BM_MatmulTNByTranspose)->Apply(tn_shapes);
+
+/// The forward kernel's zero-skip (`if (av == 0) continue` per element of a)
+/// on a [50,200] · b [200,200], one thread: no zero in a (arg 0), the first
+/// half of each row of a zero (1), or each element of a zero with
+/// probability 1/2 (2). Each iteration takes the next of 16 a matrices, so
+/// the random pattern is fresh and no branch history can learn it.
+void BM_MatmulZeroSkip(benchmark::State& state) {
+  constexpr int n = 50, k = 200, m = 200;
+  const auto mode = state.range(0);
+  nn::set_num_threads(1);
+  nn::Rng rng(12);
+  std::vector<Matrix> as;
+  for (int p = 0; p < 16; ++p) {
+    Matrix a = rng.normal_matrix(n, k);
+    for (int i = 0; i < n; ++i) {
+      for (int c = 0; c < k; ++c) {
+        if (mode == 1 ? c < k / 2 : mode == 2 && rng.bernoulli(0.5)) {
+          a.at(i, c) = 0.0f;
+        }
+      }
+    }
+    as.push_back(std::move(a));
+  }
+  const Matrix b = rng.normal_matrix(k, m);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::matmul(as[next], b));
+    next = (next + 1) % as.size();
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * n * k * m);
+}
+BENCHMARK(BM_MatmulZeroSkip)->Arg(0)->Arg(1)->Arg(2);
+
 // DP-SGD's per-parameter work at train-gcut-dp's size: each critic step
 // draws one Gaussian per critic parameter and takes one Adam update of it,
 // 296,002 parameters per iteration (173,001 in the full critic, 123,001 in

@@ -178,9 +178,9 @@ bool seed_adjoint_defect(OpRegistry& r, std::string_view defect) {
     return true;
   }
   if (defect == "mislabel-det-class") {
-    // matmul declared order-free would hide every weight-gradient reduction
-    // from the census.
-    r[Op::kMatmul].det = DetClass::kOrderFree;
+    // matmul_tn declared order-free would hide every weight-gradient
+    // reduction (aᵀ·g) from the census.
+    r[Op::kMatmulTN].det = DetClass::kOrderFree;
     return true;
   }
   return false;

@@ -37,8 +37,8 @@ std::vector<Diagnostic> audit_registry(
 ///                           gradient instead of expanding to [n,d]
 ///   "dropped-accum-edge"    affine's backward loses the bias edge, so every
 ///                           bias slot silently never trains
-///   "mislabel-det-class"    matmul declared kOrderFree, hiding its
-///                           reduction from the census
+///   "mislabel-det-class"    matmul_tn declared kOrderFree, hiding the
+///                           weight-gradient reductions from the census
 std::vector<std::string> adjoint_defect_classes();
 
 /// Installs `defect` (one of adjoint_defect_classes) into a registry copy.

@@ -29,9 +29,9 @@ class LinearRegression final : public Regressor {
 
   void fit(const Matrix& x, const Matrix& y) override {
     const Matrix xb = with_bias_column(x);
-    Matrix xtx = nn::matmul(nn::transpose(xb), xb);
+    Matrix xtx = nn::matmul_tn(xb, xb);
     for (int i = 0; i < xtx.rows(); ++i) xtx.at(i, i) += ridge_;
-    w_ = solve_spd(xtx, nn::matmul(nn::transpose(xb), y));
+    w_ = solve_spd(xtx, nn::matmul_tn(xb, y));
   }
 
   Matrix predict(const Matrix& x) const override {

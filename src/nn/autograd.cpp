@@ -405,11 +405,40 @@ Var mul_scalar(const Var& a, float s) {
                  {.scalar = s});
 }
 
+// The products' rules read the transposed operand in place: g·bᵀ is
+// matmul_nt(g, b) and aᵀ·g is matmul_tn(a, g), whose kernels give the bytes
+// of matmul(g, transpose(b)) and matmul(transpose(a), g). The rules of
+// matmul_nt and matmul_tn are those compositions' rules written out, so a
+// second-order pass (the gradient penalty) builds the same products at the
+// same points of the walk. They keep one transpose: b's gradient of a·bᵀ is
+// (aᵀ·G)ᵀ, because matmul_tn(G, a) would skip on G's zeros rather than a's
+// and multiply G·a, which differs on ±0, infinite and NaN operands.
+
 Var matmul(const Var& a, const Var& b) {
   return make_op(op_def(Op::kMatmul), dg::nn::matmul(a.value(), b.value()), {a, b},
                  [a, b](const Var& g, Needs needs) {
-                   Var da = needs[0] ? matmul(g, transpose(b)) : Var{};
-                   Var db = needs[1] ? matmul(transpose(a), g) : Var{};
+                   Var da = needs[0] ? matmul_nt(g, b) : Var{};
+                   Var db = needs[1] ? matmul_tn(a, g) : Var{};
+                   return std::vector<Var>{da, db};
+                 });
+}
+
+Var matmul_nt(const Var& a, const Var& b) {
+  return make_op(op_def(Op::kMatmulNT),
+                 dg::nn::matmul_nt(a.value(), b.value()), {a, b},
+                 [a, b](const Var& g, Needs needs) {
+                   Var da = needs[0] ? matmul(g, b) : Var{};
+                   Var db = needs[1] ? transpose(matmul_tn(a, g)) : Var{};
+                   return std::vector<Var>{da, db};
+                 });
+}
+
+Var matmul_tn(const Var& a, const Var& b) {
+  return make_op(op_def(Op::kMatmulTN),
+                 dg::nn::matmul_tn(a.value(), b.value()), {a, b},
+                 [a, b](const Var& g, Needs needs) {
+                   Var da = needs[0] ? transpose(matmul_nt(g, b)) : Var{};
+                   Var db = needs[1] ? matmul(a, g) : Var{};
                    return std::vector<Var>{da, db};
                  });
 }
@@ -427,10 +456,9 @@ Var affine(const Var& x, const Var& w, const Var& b) {
   return make_op(op_def(Op::kAffine),
                  dg::nn::affine(x.value(), w.value(), b.value()), {x, w, b},
                  [x, w](const Var& g, Needs needs) {
-                   return std::vector<Var>{
-                       needs[0] ? matmul(g, transpose(w)) : Var{},
-                       needs[1] ? matmul(transpose(x), g) : Var{},
-                       needs[2] ? col_sum(g) : Var{}};
+                   return std::vector<Var>{needs[0] ? matmul_nt(g, w) : Var{},
+                                           needs[1] ? matmul_tn(x, g) : Var{},
+                                           needs[2] ? col_sum(g) : Var{}};
                  });
 }
 
@@ -441,10 +469,10 @@ Var lstm_gates(const Var& x, const Var& wx, const Var& h, const Var& wh,
       dg::nn::lstm_gates(x.value(), wx.value(), h.value(), wh.value(),
                          b.value()),
       {x, wx, h, wh, b}, [x, wx, h, wh](const Var& g, Needs needs) {
-        return std::vector<Var>{needs[0] ? matmul(g, transpose(wx)) : Var{},
-                                needs[1] ? matmul(transpose(x), g) : Var{},
-                                needs[2] ? matmul(g, transpose(wh)) : Var{},
-                                needs[3] ? matmul(transpose(h), g) : Var{},
+        return std::vector<Var>{needs[0] ? matmul_nt(g, wx) : Var{},
+                                needs[1] ? matmul_tn(x, g) : Var{},
+                                needs[2] ? matmul_nt(g, wh) : Var{},
+                                needs[3] ? matmul_tn(h, g) : Var{},
                                 needs[4] ? col_sum(g) : Var{}};
       });
 }

@@ -224,6 +224,12 @@ Var mul_scalar(const Var& a, float s);
 
 // ---- linear algebra ----
 Var matmul(const Var& a, const Var& b);
+/// a·bᵀ for a [n,k] and b [m,k], reading b in place: the bytes of
+/// matmul(a, transpose(b)).
+Var matmul_nt(const Var& a, const Var& b);
+/// aᵀ·b for a [n,k] and b [n,m], reading a in place: the bytes of
+/// matmul(transpose(a), b).
+Var matmul_tn(const Var& a, const Var& b);
 Var transpose(const Var& a);
 /// x*w + b (bias [1,m] broadcast over rows), fused forward kernel.
 Var affine(const Var& x, const Var& w, const Var& b);

@@ -70,6 +70,16 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return run_op(Op::kMatmul, {&a, &b}, {a.rows(), b.cols()});
 }
 
+Matrix matmul_nt(const Matrix& a, const Matrix& b) {
+  if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: inner dim mismatch");
+  return run_op(Op::kMatmulNT, {&a, &b}, {a.rows(), b.rows()});
+}
+
+Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows()) throw std::invalid_argument("matmul_tn: inner dim mismatch");
+  return run_op(Op::kMatmulTN, {&a, &b}, {a.cols(), b.cols()});
+}
+
 Matrix affine(const Matrix& x, const Matrix& w, const Matrix& b) {
   if (x.cols() != w.rows()) throw std::invalid_argument("affine: inner dim mismatch");
   if (b.rows() != 1 || b.cols() != w.cols())

@@ -102,6 +102,12 @@ class Matrix {
 // ---- op forwards: a shape check, then run_op (nn/ops.h) ----
 
 Matrix matmul(const Matrix& a, const Matrix& b);
+/// a [n,k] times bᵀ for b [m,k], reading b in place: the bytes of
+/// matmul(a, transpose(b)).
+Matrix matmul_nt(const Matrix& a, const Matrix& b);
+/// aᵀ for a [n,k] times b [n,m], reading a in place: the bytes of
+/// matmul(transpose(a), b).
+Matrix matmul_tn(const Matrix& a, const Matrix& b);
 Matrix transpose(const Matrix& a);
 
 /// Fused x [n,k] * w [k,m] + b [1,m] (bias broadcast over rows): one parallel

@@ -76,6 +76,24 @@ ShapeResult matmul_shape(std::span<const Shape> in, const OpAttrs&) {
   return ShapeResult::ok({in[0].rows, in[1].cols});
 }
 
+/// a [n,k] times bᵀ for b [m,k]: [n,m].
+ShapeResult matmul_nt_shape(std::span<const Shape> in, const OpAttrs&) {
+  if (in[0].cols != in[1].cols) {
+    return ShapeResult::fail("inner dims disagree: " + in[0].str() + " x " +
+                             in[1].str() + "^T");
+  }
+  return ShapeResult::ok({in[0].rows, in[1].rows});
+}
+
+/// aᵀ for a [n,k] times b [n,m]: [k,m].
+ShapeResult matmul_tn_shape(std::span<const Shape> in, const OpAttrs&) {
+  if (in[0].rows != in[1].rows) {
+    return ShapeResult::fail("inner dims disagree: " + in[0].str() + "^T x " +
+                             in[1].str());
+  }
+  return ShapeResult::ok({in[0].cols, in[1].cols});
+}
+
 ShapeResult transpose_shape(std::span<const Shape> in, const OpAttrs&) {
   return ShapeResult::ok({in[0].cols, in[0].rows});
 }
@@ -215,7 +233,8 @@ std::uint64_t per_output(std::span<const Dims>, Dims out) {
   return elems(out);
 }
 
-/// 2*n*k*m for [n,k] x [k,m].
+/// 2*n*k*m for [n,k] x [k,m], and for matmul_nt's [n,k] x [m,k]ᵀ and
+/// matmul_tn's [n,k]ᵀ x [n,m].
 std::uint64_t matmul_flops(std::span<const Dims> in, Dims out) {
   return 2 * elems(in[0]) * static_cast<std::uint64_t>(out.second);
 }
@@ -246,9 +265,9 @@ T* row(T* data, int cols, std::int64_t i) {
 
 /// Each output row set to the bias row (the last operand) when the op has
 /// one, else to zero, then each (x, w) operand pair's product accumulated
-/// onto it in order: x*w (matmul), x*w + b (affine), x*wx + h*wh + b
-/// (lstm_gates).
-template <bool kBias>
+/// onto it in order by the kernel F: x*w (matmul), x*w + b (affine),
+/// x*wx + h*wh + b (lstm_gates), or x*wᵀ with w read whole (matmul_nt).
+template <bool kBias, auto F = &simd::KernelTable::matmul_acc_rows>
 void products(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   float* const out = a.out;
   const int m = a.out_cols;
@@ -258,7 +277,7 @@ void products(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
   }
   for (std::size_t p = 0; p + 1 < a.in.size(); p += 2) {
     const RowIn x = a.in[p], w = a.in[p + 1];
-    simd::kernels().matmul_acc_rows(x.data, x.cols, w.data, m, out, r0, r1);
+    (simd::kernels().*F)(x.data, x.cols, w.data, m, out, r0, r1);
   }
 }
 
@@ -351,6 +370,31 @@ void pad_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
 /// kGrainElemwise floats each.
 std::int64_t rows_per_part(int cols) {
   return std::max<std::int64_t>(1, kGrainElemwise / std::max(1, cols));
+}
+
+/// Rows per partition of a product's output whose rows are m wide and fold
+/// k terms each: at least kGrainMatmulFlops FLOPs.
+std::int64_t product_grain(std::int64_t k, int m) {
+  return std::max<std::int64_t>(
+      1, kGrainMatmulFlops /
+             (2 * std::max<std::int64_t>(1, k) * std::max(1, m)));
+}
+
+/// out = aᵀ·b. Row c of out folds column c of a over the batch, so it is
+/// not row-local: a partition owns a range of out's rows, zeroes it and
+/// accumulates.
+void matmul_tn_batch(std::span<const Matrix* const> in, Matrix& out,
+                     const OpAttrs&) {
+  const Matrix &a = *in[0], &b = *in[1];
+  const int m = out.cols();
+  const auto tn = simd::kernels().matmul_tn_acc_rows;
+  parallel_for(0, out.rows(), product_grain(a.rows(), m),
+               [&](std::int64_t r0, std::int64_t r1) {
+                 std::fill(row(out.data(), m, r0), row(out.data(), m, r1),
+                           0.0f);
+                 tn(a.data(), a.rows(), a.cols(), b.data(), m, out.data(), r0,
+                    r1);
+               });
 }
 
 /// out = xᵀ. A partition owns a column range of x: rows of out.
@@ -449,6 +493,7 @@ constexpr DiffClass kMask = DiffClass::kZeroCurvature;
 constexpr std::optional<simd::EwFn> kNoEw;
 using Fn = simd::EwFn;
 using KT = simd::KernelTable;
+constexpr RowKernel kMatmulNTRows = products<false, &KT::matmul_nt_acc_rows>;
 constexpr RowKernel kNoRows = nullptr;
 constexpr BatchKernel kNoBatch = nullptr;
 
@@ -476,6 +521,8 @@ constexpr OpDef kOpTable[] = {
     {kAddScalar,       "add_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        scalar_rows<&KT::add_scalar>,  kNoBatch},
     {kMulScalar,       "mul_scalar",       1, 1,  pass_through,      kFree,  kDouble, 0, per_output,   kNoEw,        scalar_rows<&KT::mul_scalar>,  kNoBatch},
     {kMatmul,          "matmul",           2, 2,  matmul_shape,      kRed,   kDouble, 0, matmul_flops, kNoEw,        products<false>,               kNoBatch},
+    {kMatmulNT,        "matmul_nt",        2, 2,  matmul_nt_shape,   kRed,   kDouble, 0, matmul_flops, kNoEw,        kMatmulNTRows,                 kNoBatch},
+    {kMatmulTN,        "matmul_tn",        2, 2,  matmul_tn_shape,   kRed,   kDouble, 0, matmul_flops, kNoEw,        kNoRows,                       matmul_tn_batch},
     {kTranspose,       "transpose",        1, 1,  transpose_shape,   kFree,  kDouble, 0, no_flops,     kNoEw,        kNoRows,                       transpose_batch},
     {kAffine,          "affine",           3, 3,  affine_shape,      kRed,   kDouble, 0, affine_flops, kNoEw,        products<true>,                kNoBatch},
     {kLstmGates,       "lstm_gates",       5, 5,  lstm_gates_shape,  kRed,   kDouble, 0, gates_flops,  kNoEw,        products<true>,                kNoBatch},
@@ -546,12 +593,11 @@ void run_ew(simd::EwFn fn, const float* a, const float* b, Matrix& out) {
 /// widest row.
 std::int64_t row_kernel_grain(const OpDef& row, std::span<const RowIn> in,
                               int out_cols) {
-  if (row.rows == products<true> || row.rows == products<false>) {
+  if (row.rows == products<true> || row.rows == products<false> ||
+      row.rows == kMatmulNTRows) {
     std::int64_t k = 0;
     for (std::size_t p = 0; p + 1 < in.size(); p += 2) k += in[p].cols;
-    return std::max<std::int64_t>(
-        1, kGrainMatmulFlops /
-               (2 * std::max<std::int64_t>(1, k) * std::max(1, out_cols)));
+    return product_grain(k, out_cols);
   }
   int widest = out_cols;
   for (const RowIn& x : in) widest = std::max(widest, x.cols);

@@ -90,9 +90,9 @@ enum class DetClass {
   /// Pure elementwise / layout op: no accumulation anywhere, output is
   /// invariant to any evaluation order.
   kOrderFree,
-  /// Folds an input extent through floating-point adds (matmul, affine,
-  /// lstm_gates, row_sum, col_sum, sum): result depends on the summation
-  /// order, which our kernels fix by construction.
+  /// Folds an input extent through floating-point adds (matmul, matmul_nt,
+  /// matmul_tn, affine, lstm_gates, row_sum, col_sum, sum): result depends
+  /// on the summation order, which our kernels fix by construction.
   kOrderedReduction,
   /// Read-modify-write into a gradient slot (the implicit "grad" op):
   /// contributions from multiple graph paths are added in engine traversal
@@ -108,7 +108,7 @@ const char* to_string(DetClass c);
 enum class Op : std::uint8_t {
   kLeaf, kConstant, kGrad,
   kAdd, kSub, kNeg, kMul, kDiv, kAddScalar, kMulScalar,
-  kMatmul, kTranspose, kAffine, kLstmGates,
+  kMatmul, kMatmulNT, kMatmulTN, kTranspose, kAffine, kLstmGates,
   kAddRowvec, kAddColvec, kMulColvec, kMulRowvec, kBroadcastScalar,
   kRowSum, kColSum, kSum, kNegRowMax,
   kRelu, kTanh, kSigmoid, kExp, kLog, kSqrt, kSquare, kAbs, kRecip,

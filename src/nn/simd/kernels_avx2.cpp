@@ -12,10 +12,11 @@ namespace dg::nn::simd {
 #if defined(__AVX2__)
 const KernelTable* avx2_table() {
   static const KernelTable table = {
-      &avx2_impl::matmul_acc_rows, &avx2_impl::apply_ew,
-      &avx2_impl::add_scalar,      &avx2_impl::mul_scalar,
-      &avx2_impl::row_sum,         &avx2_impl::neg_row_max,
-      &avx2_impl::transpose,       &avx2_impl::box_muller,
+      &avx2_impl::matmul_acc_rows,    &avx2_impl::matmul_nt_acc_rows,
+      &avx2_impl::matmul_tn_acc_rows, &avx2_impl::apply_ew,
+      &avx2_impl::add_scalar,         &avx2_impl::mul_scalar,
+      &avx2_impl::row_sum,            &avx2_impl::neg_row_max,
+      &avx2_impl::transpose,          &avx2_impl::box_muller,
       &avx2_impl::adam,
   };
   return &table;

@@ -24,10 +24,11 @@ void box_muller_ref(const double* u, double* z) {
 
 const KernelTable* scalar_table() {
   static const KernelTable table = {
-      &scalar_impl::matmul_acc_rows, &scalar_impl::apply_ew,
-      &scalar_impl::add_scalar,      &scalar_impl::mul_scalar,
-      &scalar_impl::row_sum,         &scalar_impl::neg_row_max,
-      &scalar_impl::transpose,      &scalar_impl::box_muller,
+      &scalar_impl::matmul_acc_rows,    &scalar_impl::matmul_nt_acc_rows,
+      &scalar_impl::matmul_tn_acc_rows, &scalar_impl::apply_ew,
+      &scalar_impl::add_scalar,         &scalar_impl::mul_scalar,
+      &scalar_impl::row_sum,            &scalar_impl::neg_row_max,
+      &scalar_impl::transpose,          &scalar_impl::box_muller,
       &scalar_impl::adam,
   };
   return &table;

@@ -10,7 +10,7 @@
 //
 // Determinism contract (extends src/nn/parallel.h): for every kernel in the
 // table, the avx2 tier is bit-identical to the scalar tier on all inputs.
-//   - Pure mul/add kernels (matmul_acc_rows, the arithmetic EwFns, the
+//   - Pure mul/add kernels (the three products, the arithmetic EwFns, the
 //     broadcast family) use plain _mm256_mul_ps/_mm256_add_ps — never FMA —
 //     in the exact accumulation order of the scalar loops, so equality is
 //     by construction. The scalar kernels live in a TU compiled with
@@ -100,6 +100,21 @@ struct KernelTable {
   /// 12 accumulators. Bit-identical across tiers and thread counts.
   void (*matmul_acc_rows)(const float* a, int k, const float* b, int m,
                           float* out, std::int64_t r0, std::int64_t r1);
+  /// out[r0..r1) += a[r0..r1) * bᵀ for row-major a [n,k] and b [m,k]: each
+  /// output element runs matmul_acc_rows's sequence on bᵀ (ascending k,
+  /// zero-skip on a's element, a·b then acc + p), so the bytes are those of
+  /// a * transpose(b). The scalar tier reads bᵀ in place; the avx2 tier
+  /// packs the panel of bᵀ each matmul tile reads, 64 k-rows at a time,
+  /// into a buffer on the stack and runs matmul's tile on it.
+  void (*matmul_nt_acc_rows)(const float* a, int k, const float* b, int m,
+                             float* out, std::int64_t r0, std::int64_t r1);
+  /// out[r0..r1) += aᵀ[r0..r1) * b for row-major a [n,k], b [n,m] and out
+  /// [k,m]: row c of aᵀ is column c of a, read in place, and each output
+  /// element runs matmul_acc_rows's sequence on it, so the bytes are those
+  /// of transpose(a) * b. Both tiers run matmul_acc_rows's loops and tiles.
+  void (*matmul_tn_acc_rows)(const float* a, int n, int k, const float* b,
+                             int m, float* out, std::int64_t r0,
+                             std::int64_t r1);
   /// d[i] = fn(a[i]) or fn(a[i], b[i]); b ignored for unary fns. d may alias
   /// a or b.
   void (*apply_ew)(EwFn fn, const float* a, const float* b, float* d,

@@ -275,25 +275,25 @@ inline void tile_store(float* p, __m256 v, __m256i tail) {
   else _mm256_storeu_ps(p + 8 * V, v);
 }
 
-/// Columns [j, j + 8G) of out[r0..r1) += a[.., kb..kend) * b[kb..kend, ..]:
-/// G ymm accumulators per row held across the k loop (G independent add
-/// chains), the last one covering only m % 8 columns when kTail.
-template <int G, bool kTail, int... V>
-void tile_rows(std::integer_sequence<int, V...>, const float* a, int k,
-               const float* b, int m, float* out, std::int64_t r0,
-               std::int64_t r1, int j, int kb, int kend) {
+/// Columns [j, j + 8G) of out[r0..r1) += A[r0..r1, kb..kend) * B[kb..kend,
+/// j..j + 8G): G ymm accumulators per row held across the k loop (G
+/// independent add chains), the last one covering only m % 8 columns when
+/// kTail. A is op(a) (scalar_impl::op_elem); row kk of B's columns starts
+/// at bslab + (kk - kb) * ldb.
+template <int G, bool kTail, bool kTransA, int... V>
+void tile_rows(std::integer_sequence<int, V...>, const float* a, int lda,
+               const float* bslab, int ldb, int m, float* out,
+               std::int64_t r0, std::int64_t r1, int j, int kb, int kend) {
   const __m256i tail = _mm256_cmpgt_epi32(
       _mm256_set1_epi32(m % 8), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const float* bcol = b + j;
   for (std::int64_t i = r0; i < r1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
     float* o = out + static_cast<std::size_t>(i) * m + j;
     __m256 acc[G] = {tile_load<G, kTail, V>(o, tail)...};
-    for (int kk = kb; kk < kend; ++kk) {
-      const float av = arow[kk];
+    const float* brow = bslab;
+    for (int kk = kb; kk < kend; ++kk, brow += ldb) {
+      const float av = scalar_impl::op_elem<kTransA>(a, lda, i, kk);
       if (av == 0.0f) continue;
       const __m256 bv = _mm256_set1_ps(av);
-      const float* brow = bcol + static_cast<std::size_t>(kk) * m;
       ((acc[V] = _mm256_add_ps(
             acc[V], _mm256_mul_ps(bv, tile_load<G, kTail, V>(brow, tail)))),
        ...);
@@ -302,51 +302,87 @@ void tile_rows(std::integer_sequence<int, V...>, const float* a, int k,
   }
 }
 
-template <int G, bool kTail>
-void matmul_tile(const float* a, int k, const float* b, int m, float* out,
-                 std::int64_t r0, std::int64_t r1, int j, int kb, int kend) {
-  tile_rows<G, kTail>(std::make_integer_sequence<int, G>(), a, k, b, m, out,
-                      r0, r1, j, kb, kend);
+template <int G, bool kTail, bool kTransA>
+void product_tile(const float* a, int lda, const float* bslab, int ldb, int m,
+                  float* out, std::int64_t r0, std::int64_t r1, int j, int kb,
+                  int kend) {
+  tile_rows<G, kTail, kTransA>(std::make_integer_sequence<int, G>(), a, lda,
+                               bslab, ldb, m, out, r0, r1, j, kb, kend);
 }
 
-using TileFn = decltype(&matmul_tile<1, false>);
+using TileFn = decltype(&product_tile<1, false, false>);
 
-/// matmul_tile<1..sizeof...(G), kTail>, indexed by G - 1.
-template <bool kTail, int... G>
+/// product_tile<1..sizeof...(G), kTail, kTransA>, indexed by G - 1.
+template <bool kTail, bool kTransA, int... G>
 constexpr std::array<TileFn, sizeof...(G)> tile_table(
     std::integer_sequence<int, G...>) {
-  return {&matmul_tile<G + 1, kTail>...};
+  return {&product_tile<G + 1, kTail, kTransA>...};
 }
 
-/// out[r0..r1) += a[r0..r1) * b: the scalar kernel's kKC k-slabs and
-/// ascending-k zero-skip accumulation. Each output row is ceil(m/8) ymm
-/// vectors, the last one masked when 8 does not divide m, split into
-/// balanced tiles of at most kMaxTileVecs accumulators (13 vectors run as
-/// 7+6, 50 as 5x10), so every tile of 4 or more vectors keeps 4 or more
-/// independent add chains. Per output element the operation sequence is the
-/// scalar tier's exactly (broadcast-mul then add, no FMA), so results are
-/// bit-identical.
-inline void matmul_acc_rows(const float* a, int k, const float* b, int m,
-                            float* out, std::int64_t r0, std::int64_t r1) {
-  static constexpr auto kFull =
-      tile_table<false>(std::make_integer_sequence<int, kMaxTileVecs>());
-  static constexpr auto kMasked =
-      tile_table<true>(std::make_integer_sequence<int, kMaxTileVecs>());
+/// Where a tile reads B: row kb of its first column, and the stride of B's
+/// rows there.
+struct BSlab {
+  const float* data;
+  int ld;
+};
+
+/// out[r0..r1) += op(a)[r0..r1) * B for op(a) [*, k] (scalar_impl::op_elem)
+/// and B [k, m]: k-slabs `depth` deep and ascending-k zero-skip
+/// accumulation. Each output row is ceil(m/8) ymm vectors, the last one
+/// masked when 8 does not divide m, split into balanced tiles of at most
+/// kMaxTileVecs accumulators (13 vectors run as 7+6, 50 as 5x10), so every
+/// tile of 4 or more vectors keeps 4 or more independent add chains.
+/// slab(kb, kend, j, width) gives the tile's B for k-slab [kb, kend) and
+/// columns [j, j + width). Per output element the operation sequence is the
+/// scalar tier's exactly (broadcast-mul then add, no FMA; a slab boundary
+/// only stores and reloads the accumulators), so results are bit-identical.
+template <bool kTransA, typename Slab>
+void product_tiles(const float* a, int lda, int k, int m, float* out,
+                   std::int64_t r0, std::int64_t r1, int depth,
+                   const Slab& slab) {
+  static constexpr auto kFull = tile_table<false, kTransA>(
+      std::make_integer_sequence<int, kMaxTileVecs>());
+  static constexpr auto kMasked = tile_table<true, kTransA>(
+      std::make_integer_sequence<int, kMaxTileVecs>());
   if (m <= 0) return;
   const int vecs = (m + 7) / 8;
   const int tiles = (vecs + kMaxTileVecs - 1) / kMaxTileVecs;
   const int small = vecs / tiles, big_tiles = vecs % tiles;
-  for (int kb = 0; kb < k; kb += scalar_impl::kKC) {
-    const int kend = std::min(k, kb + scalar_impl::kKC);
+  for (int kb = 0; kb < k; kb += depth) {
+    const int kend = std::min(k, kb + depth);
     int j = 0;
     for (int t = 0; t < tiles; ++t) {
       const int g = t < big_tiles ? small + 1 : small;
       const bool last = t + 1 == tiles;
       const TileFn fn = last && m % 8 != 0 ? kMasked[g - 1] : kFull[g - 1];
-      fn(a, k, b, m, out, r0, r1, j, kb, kend);
+      const BSlab b = slab(kb, kend, j, std::min(8 * g, m - j));
+      fn(a, lda, b.data, b.ld, m, out, r0, r1, j, kb, kend);
       j += 8 * g;
     }
   }
+}
+
+/// out[r0..r1) += a[r0..r1) * b, reading b [k, m] in place in the scalar
+/// tier's kKC slabs.
+inline void matmul_acc_rows(const float* a, int k, const float* b, int m,
+                            float* out, std::int64_t r0, std::int64_t r1) {
+  product_tiles<false>(a, k, k, m, out, r0, r1, scalar_impl::kKC,
+                       [=](int kb, int, int j, int) {
+                         return BSlab{b + static_cast<std::size_t>(kb) * m + j,
+                                      m};
+                       });
+}
+
+/// out[r0..r1) += aᵀ[r0..r1) * b for a [n, k] and b [n, m]: a's columns and
+/// b read in place, as matmul_acc_rows reads b.
+inline void matmul_tn_acc_rows(const float* a, int n, int k, const float* b,
+                               int m, float* out, std::int64_t r0,
+                               std::int64_t r1) {
+  product_tiles<true>(a, k, n, m, out, r0, r1, scalar_impl::kKC,
+                      [=](int kb, int, int j, int) {
+                        return BSlab{b + static_cast<std::size_t>(kb) * m + j,
+                                     m};
+                      });
 }
 
 inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,
@@ -554,37 +590,63 @@ inline void transpose_8x8(const float* p, std::size_t lda, float* q,
   _mm256_storeu_ps(q + 7 * ldo, _mm256_permute2f128_ps(s3, s7, kHighs));
 }
 
+/// dst[c][r] = src[r][c] for the rows x cols block at src (row stride lds),
+/// into dst (row stride ldd): 8x8 register blocks counted from the block's
+/// corner, then rows past the last multiple of 8 and columns past the last
+/// multiple of 8 one float at a time, so no load or store leaves the block.
+inline void transpose_block(const float* src, std::size_t lds, int rows,
+                            int cols, float* dst, std::size_t ldd) {
+  int c = 0;
+  for (; c + 8 <= cols; c += 8) {
+    int r = 0;
+    for (; r + 8 <= rows; r += 8) {
+      transpose_8x8(src + r * lds + c, lds, dst + c * ldd + r, ldd);
+    }
+    for (; r < rows; ++r) {
+      for (int t = 0; t < 8; ++t) dst[(c + t) * ldd + r] = src[r * lds + c + t];
+    }
+  }
+  for (; c < cols; ++c) {
+    for (int r = 0; r < rows; ++r) dst[c * ldd + r] = src[r * lds + c];
+  }
+}
+
 /// Rows [j0, j1) of out = aᵀ: the scalar tier's kTransposeTile cache tiles,
-/// each covered by 8x8 register blocks counted from the tile's corner. Rows
-/// of a past the tile's last multiple of 8 and columns past the partition's
-/// last multiple of 8 copy one float at a time, so no load or store leaves
-/// either buffer.
+/// each one transpose_block.
 inline void transpose(const float* a, int rows, int cols, float* out,
                       std::int64_t j0, std::int64_t j1) {
   constexpr int B = scalar_impl::kTransposeTile;
   const auto lda = static_cast<std::size_t>(cols);
   const auto ldo = static_cast<std::size_t>(rows);
   for (std::int64_t jb = j0; jb < j1; jb += B) {
-    const std::int64_t jend = std::min<std::int64_t>(j1, jb + B);
+    const int w = static_cast<int>(std::min<std::int64_t>(j1 - jb, B));
     for (int ib = 0; ib < rows; ib += B) {
-      const int iend = std::min(rows, ib + B);
-      std::int64_t j = jb;
-      for (; j + 8 <= jend; j += 8) {
-        int i = ib;
-        for (; i + 8 <= iend; i += 8) {
-          transpose_8x8(a + i * lda + j, lda, out + j * ldo + i, ldo);
-        }
-        for (; i < iend; ++i) {
-          for (int t = 0; t < 8; ++t) {
-            out[(j + t) * ldo + i] = a[i * lda + j + t];
-          }
-        }
-      }
-      for (; j < jend; ++j) {
-        for (int i = ib; i < iend; ++i) out[j * ldo + i] = a[i * lda + j];
-      }
+      transpose_block(a + ib * lda + jb, lda, std::min(B, rows - ib), w,
+                      out + jb * ldo + ib, ldo);
     }
   }
+}
+
+/// k-rows of bᵀ per matmul_nt panel: a panel of the widest tile is then
+/// 64 x 96 floats, 24 KB, and stays in L1 while the tile's rows read it.
+inline constexpr int kPanelDepth = 64;
+
+/// out[r0..r1) += a[r0..r1) * bᵀ for b [m, k]: before a tile runs on a
+/// k-slab, transpose_block packs that slab's panel of bᵀ (kPanelDepth rows,
+/// the tile's columns) into a buffer on the stack, and matmul's tile runs
+/// on the panel, so every output element gets matmul's operation sequence.
+inline void matmul_nt_acc_rows(const float* a, int k, const float* b, int m,
+                               float* out, std::int64_t r0, std::int64_t r1) {
+  alignas(32) float panel[kPanelDepth * 8 * kMaxTileVecs];
+  product_tiles<false>(
+      a, k, k, m, out, r0, r1, kPanelDepth,
+      [&](int kb, int kend, int j, int width) {
+        const int ld = (width + 7) / 8 * 8;
+        transpose_block(b + static_cast<std::size_t>(j) * k + kb,
+                        static_cast<std::size_t>(k), width, kend - kb, panel,
+                        static_cast<std::size_t>(ld));
+        return BSlab{panel, ld};
+      });
 }
 
 /// Box-Muller, 4 pairs per step. Two loads hold pairs (0, 1) and (2, 3);

@@ -226,39 +226,71 @@ inline constexpr int kKC = 256;
 /// tiling changes an output element's operation sequence.
 inline constexpr int kJTile = 16;
 
-/// out[r0..r1) += a[r0..r1) * b. Ascending-k accumulation per output element
-/// with zero-skip, for every tiling choice — bit-identical across tiers,
-/// partitions, and thread counts.
-inline void matmul_acc_rows(const float* a, int k, const float* b, int m,
-                            float* out, std::int64_t r0, std::int64_t r1) {
+/// Element (r, c) of op(x), for x row-major with rows `ld` floats apart:
+/// x[r][c], or x[c][r] when op transposes (kTrans). The products read a
+/// transposed operand in place through it.
+template <bool kTrans>
+inline float op_elem(const float* x, int ld, std::int64_t r, std::int64_t c) {
+  if constexpr (kTrans) return x[static_cast<std::size_t>(c) * ld + r];
+  else return x[static_cast<std::size_t>(r) * ld + c];
+}
+
+/// out[r0..r1) += op(a)[r0..r1) * op(b) for op(a) [*, k] and op(b) [k, m]
+/// (see op_elem). Ascending-k accumulation per output element with
+/// zero-skip on op(a)'s element, a·b then acc + p, for every tiling choice
+/// and either operand's layout — bit-identical across tiers, partitions,
+/// and thread counts.
+template <bool kTransA, bool kTransB>
+inline void product_rows(const float* a, int lda, int k, const float* b,
+                         int ldb, int m, float* out, std::int64_t r0,
+                         std::int64_t r1) {
   for (int kb = 0; kb < k; kb += kKC) {
     const int kend = std::min(k, kb + kKC);
     for (std::int64_t i = r0; i < r1; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
       float* orow = out + static_cast<std::size_t>(i) * m;
       int j = 0;
       for (; j + kJTile <= m; j += kJTile) {
         float acc[kJTile];
         for (int t = 0; t < kJTile; ++t) acc[t] = orow[j + t];
         for (int kk = kb; kk < kend; ++kk) {
-          const float av = arow[kk];
+          const float av = op_elem<kTransA>(a, lda, i, kk);
           if (av == 0.0f) continue;
-          const float* brow = b + static_cast<std::size_t>(kk) * m + j;
-          for (int t = 0; t < kJTile; ++t) acc[t] += av * brow[t];
+          for (int t = 0; t < kJTile; ++t) {
+            acc[t] += av * op_elem<kTransB>(b, ldb, kk, j + t);
+          }
         }
         for (int t = 0; t < kJTile; ++t) orow[j + t] = acc[t];
       }
       for (; j < m; ++j) {
         float acc = orow[j];
         for (int kk = kb; kk < kend; ++kk) {
-          const float av = arow[kk];
+          const float av = op_elem<kTransA>(a, lda, i, kk);
           if (av == 0.0f) continue;
-          acc += av * b[static_cast<std::size_t>(kk) * m + j];
+          acc += av * op_elem<kTransB>(b, ldb, kk, j);
         }
         orow[j] = acc;
       }
     }
   }
+}
+
+/// out[r0..r1) += a[r0..r1) * b.
+inline void matmul_acc_rows(const float* a, int k, const float* b, int m,
+                            float* out, std::int64_t r0, std::int64_t r1) {
+  product_rows<false, false>(a, k, k, b, m, m, out, r0, r1);
+}
+
+/// out[r0..r1) += a[r0..r1) * bᵀ for b [m, k].
+inline void matmul_nt_acc_rows(const float* a, int k, const float* b, int m,
+                               float* out, std::int64_t r0, std::int64_t r1) {
+  product_rows<false, true>(a, k, k, b, k, m, out, r0, r1);
+}
+
+/// out[r0..r1) += aᵀ[r0..r1) * b for a [n, k] and b [n, m].
+inline void matmul_tn_acc_rows(const float* a, int n, int k, const float* b,
+                               int m, float* out, std::int64_t r0,
+                               std::int64_t r1) {
+  product_rows<true, false>(a, k, n, b, m, m, out, r0, r1);
 }
 
 inline void apply_ew(EwFn fn, const float* a, const float* b, float* d,

@@ -70,8 +70,9 @@ TEST(AdjointRegistry, BuiltinPassesTheDeterminismAudit) {
 }
 
 TEST(AdjointRegistry, OrderedReductionSetIsExactlyTheFoldingOps) {
-  const std::set<std::string> folding = {"matmul", "affine", "lstm_gates",
-                                         "row_sum", "col_sum", "sum"};
+  const std::set<std::string> folding = {
+      "matmul", "matmul_nt", "matmul_tn", "affine",
+      "lstm_gates", "row_sum", "col_sum", "sum"};
   const OpRegistry& reg = OpRegistry::builtin();
   for (const nn::OpDef& row : nn::op_table()) {
     const OpInfo& info = reg[row.op];
@@ -108,9 +109,11 @@ TEST(SymBackward, ChainProducesShapeCheckedGradients) {
   EXPECT_EQ(w.grad().rows(), 3);
   EXPECT_EQ(w.grad().cols(), 2);
   // x is a constant: the engine does not flag it, so matmul's rule builds
-  // only w's gradient (the forward matmul plus one backward matmul).
+  // only w's gradient, xᵀg (the forward matmul plus one matmul_tn).
   EXPECT_FALSE(x.grad().defined());
-  EXPECT_EQ(g.op_counts().at("matmul"), 2);
+  EXPECT_EQ(g.op_counts().at("matmul"), 1);
+  EXPECT_EQ(g.op_counts().at("matmul_tn"), 1);
+  EXPECT_EQ(g.op_counts().count("matmul_nt"), 0u);
   EXPECT_TRUE(t.accumulations().empty());
 }
 
@@ -271,8 +274,8 @@ TEST(TrainStep, CensusIsConsistentWithPhaseMultisets) {
     }
   }
   // The WGAN-GP training path exercises every folding op class.
-  for (const char* op : {"matmul", "affine", "lstm_gates", "row_sum",
-                         "col_sum", "sum"}) {
+  for (const char* op : {"matmul", "matmul_nt", "matmul_tn", "affine",
+                         "lstm_gates", "row_sum", "col_sum", "sum"}) {
     EXPECT_GT(census_by_op[op], 0) << op;
   }
   // And the two kAccumulating entries match the counters.

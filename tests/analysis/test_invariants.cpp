@@ -42,10 +42,12 @@ struct Pinned {
 const Pinned kPinned[] = {
     {"wwt", 30, 140, 4072, 1737,
      {{"affine", 164}, {"col_sum", 110}, {"lstm_gates", 56},
-      {"matmul", 308}, {"row_sum", 1130}, {"sum", 10}}},
+      {"matmul", 8}, {"matmul_nt", 152}, {"matmul_tn", 148},
+      {"row_sum", 1130}, {"sum", 10}}},
     {"gcut", 25, 100, 3996, 487,
      {{"affine", 92}, {"col_sum", 56}, {"lstm_gates", 20},
-      {"matmul", 164}, {"row_sum", 204}, {"sum", 10}}},
+      {"matmul", 8}, {"matmul_nt", 80}, {"matmul_tn", 76},
+      {"row_sum", 204}, {"sum", 10}}},
 };
 
 std::string example_path(const char* name, const char* ext) {

@@ -10,7 +10,7 @@
 //   6. truncated package bytes                             package-parse
 //   7. wrong adjoint shape (row_sum grad unexpanded)        adjoint-shape
 //   8. dropped accumulation edge (affine loses its bias)    grad-slot-undefined
-//   9. mislabeled determinism class (matmul "order-free")   determinism-class
+//   9. mislabeled det class (matmul_tn "order-free")       determinism-class
 // A first-order-only op on the critic path (no-double-backward) is
 // TrainStep.GpPathFirstOrderOpIsRefusedAtTheBackwardPass in test_adjoint.
 // Classes 7-9 are seeded via seed_adjoint_defect and must each produce
@@ -281,7 +281,7 @@ TEST(Mutation, MislabeledDetClassIsOneAttributedFinding) {
   const auto errors = errors_with_defect("mislabel-det-class");
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].code, "determinism-class");
-  EXPECT_EQ(errors[0].op, "matmul");
+  EXPECT_EQ(errors[0].op, "matmul_tn");
   EXPECT_FALSE(errors[0].path.empty());
 }
 

@@ -6,9 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "eval/metrics.h"
+#include "nn/autograd.h"
 #include "nn/parallel.h"
 #include "nn/rng.h"
 #include "nn/simd/vec.h"
@@ -454,6 +458,57 @@ TEST(DoppelGanger, FitMoreContinuesTraining) {
   model.fit(d.data);
   const TrainStats more = model.fit_more(d.data, 7);
   EXPECT_EQ(more.d_loss.size(), 7u);
+}
+
+/// The op nodes one fit_more(d, 1) builds, by op name, and how many of its
+/// matmul_nt nodes were built in grad mode: the ones a later backward pass
+/// differentiates again.
+struct FitCensus {
+  std::map<std::string, int> ops;
+  int grad_mode_nt = 0;
+};
+
+FitCensus one_iteration_census(DoppelGanger& model, const data::Dataset& d) {
+  FitCensus c;
+  nn::OpObserverGuard observe([&c](const char* op, int, int) {
+    ++c.ops[op];
+    if (nn::grad_enabled() && std::strcmp(op, "matmul_nt") == 0) {
+      ++c.grad_mode_nt;
+    }
+  });
+  model.fit_more(d, 1);
+  return c;
+}
+
+TEST(DoppelGanger, FirstOrderTrainingBuildsNoTranspose) {
+  // Every backward rule reads its transposed operand in place (matmul_nt,
+  // matmul_tn), so training that never differentiates a gradient builds no
+  // transpose node.
+  const auto d = tiny_dataset(16, 12);
+  DoppelGangerConfig cfg = tiny_config();
+  cfg.gp_weight = 0.0f;
+  DoppelGanger model(d.schema, cfg);
+  FitCensus c = one_iteration_census(model, d.data);
+  EXPECT_EQ(c.ops.count("transpose"), 0u);
+  EXPECT_GT(c.ops["matmul_tn"], 0);  // the weight gradients ran
+  EXPECT_GT(c.ops["matmul_nt"], 0);  // and the input gradients
+}
+
+TEST(DoppelGanger, GradientPenaltyBuildsOneTransposePerSecondOrderProduct) {
+  // The gradient penalty builds the critic's input gradient with
+  // create_graph, so each of its g·Wᵀ products (a matmul_nt in grad mode)
+  // is differentiated again, and W's gradient there, (gᵀ·G)ᵀ, is the one
+  // transpose left in a training step: with and without DP-SGD.
+  const auto d = tiny_dataset(16, 12);
+  for (const bool dp : {false, true}) {
+    SCOPED_TRACE(dp ? "DP-SGD" : "WGAN-GP");
+    DoppelGangerConfig cfg = tiny_config();
+    if (dp) cfg.dp = DpOptions{.microbatches = 4};
+    DoppelGanger model(d.schema, cfg);
+    FitCensus c = one_iteration_census(model, d.data);
+    EXPECT_GT(c.grad_mode_nt, 0);
+    EXPECT_EQ(c.ops["transpose"], c.grad_mode_nt);
+  }
 }
 
 TEST(DoppelGanger, CategoricalFeaturesGenerateValidOneHots) {

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "nn/layers.h"
+#include "nn/ops.h"
 #include "nn/optim.h"
+#include "nn/parallel.h"
 #include "nn/rng.h"
+#include "nn/simd/vec.h"
 
 namespace dg::core {
 namespace {
@@ -77,6 +85,94 @@ TEST(CriticLoss, SeparatesRealFromFake) {
   const float d_real = nn::mean(critic.forward(nn::constant(real))).value().at(0, 0);
   const float d_fake = nn::mean(critic.forward(nn::constant(fake))).value().at(0, 0);
   EXPECT_GT(d_real - d_fake, 0.5f);
+}
+
+// ---- the products' rules before matmul_nt and matmul_tn ------------------
+
+/// matmul whose rule copies its transposed operand: g·bᵀ as
+/// matmul(g, transpose(b)) and aᵀ·g as matmul(transpose(a), g), each again
+/// this matmul, so every order of derivative runs transposes and matmuls.
+Var transposing_matmul(const Var& a, const Var& b) {
+  return nn::make_op(nn::op_def(nn::Op::kMatmul),
+                     nn::matmul(a.value(), b.value()), {a, b},
+                     [a, b](const Var& g, std::span<const bool> needs) {
+                       return std::vector<Var>{
+                           needs[0] ? transposing_matmul(g, nn::transpose(b))
+                                    : Var{},
+                           needs[1] ? transposing_matmul(nn::transpose(a), g)
+                                    : Var{}};
+                     });
+}
+
+/// affine with the same rule, and col_sum for the bias.
+Var transposing_affine(const Var& x, const Var& w, const Var& b) {
+  return nn::make_op(nn::op_def(nn::Op::kAffine),
+                     nn::affine(x.value(), w.value(), b.value()), {x, w, b},
+                     [x, w](const Var& g, std::span<const bool> needs) {
+                       return std::vector<Var>{
+                           needs[0] ? transposing_matmul(g, nn::transpose(w))
+                                    : Var{},
+                           needs[1] ? transposing_matmul(nn::transpose(x), g)
+                                    : Var{},
+                           needs[2] ? nn::col_sum(g) : Var{}};
+                     });
+}
+
+TEST(CriticLoss, SecondOrderBytesMatchTheTransposeFormulation) {
+  // The critic loss differentiates through the critic's input gradient, so
+  // its parameter gradients run the second-order rules of matmul_nt. A
+  // relu MLP critic of affine layers and a final matmul, built once from
+  // the engine's ops and once from the transposing forms above, must give
+  // the same loss and parameter gradient bytes on both SIMD tiers, with
+  // and without FlushDenormalsGuard. relu zeroes part of every input
+  // gradient, so the zero-skip decides bytes too.
+  nn::Rng init(41);
+  const int batch = 7, in = 12, hidden = 16;
+  const std::vector<Matrix> weights = {
+      init.normal_matrix(in, hidden, 0.0, 0.5), init.normal_matrix(1, hidden),
+      init.normal_matrix(hidden, hidden, 0.0, 0.5),
+      init.normal_matrix(1, hidden), init.normal_matrix(hidden, 1, 0.0, 0.5)};
+  const Matrix real = init.normal_matrix(batch, in);
+  const Matrix fake = init.normal_matrix(batch, in);
+  const auto loss_and_grads = [&](bool transposing) {
+    std::vector<Var> p;
+    for (const Matrix& w : weights) p.emplace_back(w, /*requires_grad=*/true);
+    const auto layer = [&](const Var& x, std::size_t l) {
+      return transposing ? transposing_affine(x, p[l], p[l + 1])
+                         : nn::affine(x, p[l], p[l + 1]);
+    };
+    const CriticFn critic = [&](const Var& x) {
+      const Var h = nn::relu(layer(nn::relu(layer(x, 0)), 2));
+      return transposing ? transposing_matmul(h, p[4]) : nn::matmul(h, p[4]);
+    };
+    nn::Rng rng(5);
+    const Var loss = critic_loss(critic, real, fake, 10.0f, rng);
+    loss.backward();
+    std::vector<Matrix> out = {loss.value()};
+    for (const Var& v : p) out.push_back(v.grad().value());
+    return out;
+  };
+  const nn::simd::Tier prev = nn::simd::active_tier();
+  for (const auto tier : {nn::simd::Tier::kScalar, nn::simd::Tier::kAvx2}) {
+    if (!nn::simd::set_simd_tier(tier)) continue;  // no avx2 on this host
+    for (const bool flush : {false, true}) {
+      SCOPED_TRACE(std::string(nn::simd::tier_name(tier)) +
+                   (flush ? " ftz" : ""));
+      std::optional<nn::FlushDenormalsGuard> ftz;
+      if (flush) ftz.emplace();
+      const std::vector<Matrix> want = loss_and_grads(true);
+      const std::vector<Matrix> got = loss_and_grads(false);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i].same_shape(want[i])) << "output " << i;
+        EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                              got[i].size() * sizeof(float)),
+                  0)
+            << "output " << i;
+      }
+    }
+  }
+  nn::simd::set_simd_tier(prev);
 }
 
 TEST(StandardGanLoss, CriticSeparatesRealFromFake) {

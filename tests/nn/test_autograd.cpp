@@ -141,6 +141,44 @@ TEST(AutogradGradcheck, MatmulTranspose) {
             5e-2f);
 }
 
+/// sum(square(d)) over the first-order gradients d of sum(square(f(v)))
+/// with respect to every input, taken with create_graph: its gradient runs
+/// the backward rules of f's first-order rule nodes, so a gradcheck of it
+/// checks f's second order.
+Var squared_gradient(const GradCheckFn& f, const std::vector<Var>& v) {
+  const std::vector<Var> d =
+      autograd::grad(sum(square(f(v))), v, /*create_graph=*/true);
+  Var total = sum(square(d[0]));
+  for (std::size_t i = 1; i < d.size(); ++i) {
+    total = add(total, sum(square(d[i])));
+  }
+  return total;
+}
+
+TEST(AutogradGradcheck, MatmulNTAndTN) {
+  const GradCheckFn nt = [](const std::vector<Var>& v) {
+    return matmul_nt(v[0], v[1]);
+  };
+  const GradCheckFn tn = [](const std::vector<Var>& v) {
+    return matmul_tn(v[0], v[1]);
+  };
+  // a [3,4] with b [2,4] (a·bᵀ), and a [3,4] with b [3,2] (aᵀ·b).
+  const std::vector<Matrix> nt_in = {rand_mat(3, 4, 8), rand_mat(2, 4, 9)};
+  const std::vector<Matrix> tn_in = {rand_mat(3, 4, 10), rand_mat(3, 2, 11)};
+  for (const auto& [f, in] : {std::pair{nt, nt_in}, std::pair{tn, tn_in}}) {
+    EXPECT_LT(max_grad_error(
+                  [&f](const std::vector<Var>& v) { return sum(square(f(v))); },
+                  in),
+              2e-2f);
+    EXPECT_LT(max_grad_error(
+                  [&f](const std::vector<Var>& v) {
+                    return squared_gradient(f, v);
+                  },
+                  in),
+              5e-2f);
+  }
+}
+
 TEST(AutogradGradcheck, Broadcasts) {
   EXPECT_LT(max_grad_error(
                 [](const std::vector<Var>& v) {
@@ -426,9 +464,12 @@ TEST(AutogradNeeds, ConstantOperandGetsNoGradient) {
   const Var x = constant(rand_mat(4, 3, 1));
   const Var w(rand_mat(3, 2, 2), true);
   const auto counts = op_census([&] { sum(matmul(x, w)).backward(); });
-  // The forward matmul and w's xᵀg; x's g·wᵀ (and wᵀ) is never built.
-  EXPECT_EQ(counts.at("matmul"), 2);
-  EXPECT_EQ(counts.at("transpose"), 1);
+  // The forward matmul and w's xᵀg, which reads x in place; x's g·wᵀ is
+  // never built.
+  EXPECT_EQ(counts.at("matmul"), 1);
+  EXPECT_EQ(counts.at("matmul_tn"), 1);
+  EXPECT_EQ(counts.count("matmul_nt"), 0u);
+  EXPECT_EQ(counts.count("transpose"), 0u);
   EXPECT_TRUE(w.grad().defined());
   EXPECT_FALSE(x.grad().defined());
 }
@@ -441,7 +482,8 @@ TEST(AutogradNeeds, FrozenMlpBuildsOnlyInputGradients) {
   const FreezeGuard freeze(mlp);
   const auto counts = op_census([&] { loss.backward(); });
   EXPECT_EQ(counts.count("col_sum"), 0u);
-  EXPECT_EQ(counts.at("matmul"), 3);  // g·Wᵀ per layer, no dW
+  EXPECT_EQ(counts.at("matmul_nt"), 3);  // g·Wᵀ per layer, no dW
+  EXPECT_EQ(counts.count("matmul_tn"), 0u);
   EXPECT_TRUE(x.grad().defined());
   for (const Var& p : mlp.parameters()) EXPECT_FALSE(p.grad().defined());
 }
@@ -452,18 +494,20 @@ TEST(AutogradNeeds, InputGradientSkipsWeightGradients) {
   const Var x(rand_mat(4, 5, 6), true);
   const Var out = sum(mlp.forward(x));
   std::vector<int> matmul_rows;
-  int col_sums = 0;
+  int col_sums = 0, weight_grads = 0;
   std::vector<Var> g;
   {
     OpObserverGuard obs([&](const char* op, int rows, int) {
-      if (std::strcmp(op, "matmul") == 0) matmul_rows.push_back(rows);
+      if (std::strcmp(op, "matmul_nt") == 0) matmul_rows.push_back(rows);
+      if (std::strcmp(op, "matmul_tn") == 0) ++weight_grads;
       if (std::strcmp(op, "col_sum") == 0) ++col_sums;
     });
     g = autograd::grad(out, std::vector<Var>{x}, /*create_graph=*/true);
   }
   ASSERT_TRUE(g[0].defined());
   EXPECT_EQ(col_sums, 0);
-  // One g·Wᵀ per layer, each [batch, fan-in]; an xᵀg is [fan-in, fan-out].
+  EXPECT_EQ(weight_grads, 0);  // no xᵀg
+  // One g·Wᵀ per layer, each [batch, fan-in].
   EXPECT_EQ(matmul_rows, (std::vector<int>{4, 4, 4}));
 }
 
@@ -482,6 +526,10 @@ std::vector<MultiParentCase> multi_parent_cases() {
       {"div", {{3, 4}, {3, 4}}, [](const auto& v) { return div(v[0], v[1]); }},
       {"matmul", {{3, 4}, {4, 5}},
        [](const auto& v) { return matmul(v[0], v[1]); }},
+      {"matmul_nt", {{3, 4}, {5, 4}},
+       [](const auto& v) { return matmul_nt(v[0], v[1]); }},
+      {"matmul_tn", {{3, 4}, {3, 5}},
+       [](const auto& v) { return matmul_tn(v[0], v[1]); }},
       {"affine", {{3, 4}, {4, 5}, {1, 5}},
        [](const auto& v) { return affine(v[0], v[1], v[2]); }},
       {"lstm_gates", {{3, 4}, {4, 8}, {3, 2}, {2, 8}, {1, 8}},

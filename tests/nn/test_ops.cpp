@@ -186,6 +186,19 @@ std::vector<Case> all_cases() {
   push(Op::kMatmul, "k = 0", {Matrix(4, 0), Matrix(0, 3)}, mm, {}, true);
   push(Op::kMatmul, "outer product", {normal(64, 1), normal(1, 48)}, mm);
   push(Op::kMatmul, "split", {normal(R, C), normal(C, 30)}, mm);
+  // The transposed-operand products: a zero-skipped small case, layout
+  // edge values (signed zeros, subnormals, infinities, NaN payloads), an
+  // empty fold, and a size that crosses the product grain.
+  const auto nt = [](const Operands& v) { return matmul_nt(v[0], v[1]); };
+  push(Op::kMatmulNT, "small, zero-skipped", {sparse, normal(3, 7)}, nt);
+  push(Op::kMatmulNT, "edge values", {layout(5, 7), layout(9, 7, 3)}, nt);
+  push(Op::kMatmulNT, "k = 0", {Matrix(4, 0), Matrix(3, 0)}, nt, {}, true);
+  push(Op::kMatmulNT, "split", {normal(R, C), normal(30, C)}, nt);
+  const auto tn = [](const Operands& v) { return matmul_tn(v[0], v[1]); };
+  push(Op::kMatmulTN, "small, zero-skipped", {sparse, normal(5, 3)}, tn);
+  push(Op::kMatmulTN, "edge values", {layout(5, 7), layout(5, 9, 3)}, tn);
+  push(Op::kMatmulTN, "n = 0", {Matrix(0, 4), Matrix(0, 3)}, tn, {}, true);
+  push(Op::kMatmulTN, "split", {normal(R, C), normal(R, 30)}, tn);
   const auto aff = [](const Operands& v) { return affine(v[0], v[1], v[2]); };
   push(Op::kAffine, "small", {normal(5, 7), normal(7, 3), normal(1, 3)}, aff);
   push(Op::kAffine, "split", {normal(R, C), normal(C, 30), normal(1, 30)}, aff);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "nn/autograd.h"
@@ -41,10 +42,11 @@ Matrix randn(Rng& rng, int r, int c) { return rng.normal_matrix(r, c); }
 /// equality. Shapes deliberately include ranges that do and do not clear the
 /// grain gates.
 template <typename Fn>
-void expect_thread_invariant(const char* what, const Fn& fn) {
+void expect_thread_invariant(const char* what, const Fn& fn,
+                             std::span<const int> sweep = kSweep) {
   set_num_threads(1);
   const Matrix reference = fn();
-  for (int t : kSweep) {
+  for (int t : sweep) {
     PoolSize pool(t);
     const Matrix got = fn();
     EXPECT_TRUE(bit_equal(reference, got))
@@ -121,6 +123,28 @@ TEST(Parallel, MatmulBitExactAcrossThreadCounts) {
     const Matrix a = randn(rng, d[0], d[1]);
     const Matrix b = randn(rng, d[1], d[2]);
     expect_thread_invariant("matmul", [&] { return matmul(a, b); });
+  }
+}
+
+TEST(Parallel, TransposedProductsBitExactAcrossThreadCounts) {
+  // matmul_nt is a row kernel over a's rows, each partition packing the
+  // whole of b; matmul_tn partitions its output's rows, a's columns. Both
+  // split at the product grain. (n, k, m) for a [n,k], b [m,k] and g [n,m]:
+  // degenerate edges, the backward rules' shapes, and sizes whose row or
+  // column counts do not divide the partitions.
+  Rng rng(15);
+  const int dims[][3] = {{1, 1, 1},    {1, 64, 257},  {257, 64, 1},
+                         {7, 200, 200}, {50, 400, 21}, {50, 100, 400},
+                         {129, 40, 90}, {3, 700, 5}};
+  const int sweep[] = {2, 4, 7};
+  for (const auto& d : dims) {
+    const Matrix a = randn(rng, d[0], d[1]);
+    const Matrix b = randn(rng, d[2], d[1]);
+    const Matrix g = randn(rng, d[0], d[2]);
+    expect_thread_invariant("matmul_nt", [&] { return matmul_nt(a, b); },
+                            sweep);
+    expect_thread_invariant("matmul_tn", [&] { return matmul_tn(a, g); },
+                            sweep);
   }
 }
 

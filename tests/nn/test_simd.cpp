@@ -7,7 +7,8 @@
 //     within the per-op bounds *declared in their op rows* (nn/ops.h) vs a
 //     double-precision libm reference, across their supported domain.
 //  3. Cross-tier bit-exactness: every dispatched kernel (matmul, affine,
-//     lstm_gates, all elementwise fns, broadcasts, reductions, transpose)
+//     lstm_gates, all elementwise fns, broadcasts, reductions, transpose;
+//     matmul_nt and matmul_tn through their transpose compositions)
 //     produces bit-identical output under scalar and avx2 tiers, for shapes
 //     that exercise the vector remainder paths, across DG_THREADS in
 //     {1,4,16}.
@@ -182,8 +183,8 @@ TEST(SimdRegistry, TranscendentalsDeclareUlpBounds) {
 }
 
 TEST(SimdRegistry, PureOpsAreBitExact) {
-  for (const char* op : {"add", "mul", "matmul", "lstm_gates", "row_sum",
-                         "relu", "sqrt"}) {
+  for (const char* op : {"add", "mul", "matmul", "matmul_nt", "matmul_tn",
+                         "lstm_gates", "row_sum", "relu", "sqrt"}) {
     const OpDef* row = find_op(op);
     ASSERT_NE(row, nullptr) << op;
     EXPECT_EQ(row->ulp_bound, 0) << op;
@@ -681,6 +682,62 @@ TEST(SimdCrossTier, Transpose) {
             ASSERT_EQ(float_bits(t.at(j, i)), float_bits(a.at(i, j)))
                 << "out[" << j << "][" << i << "]";
           }
+        }
+      }
+    }
+  }
+}
+
+/// fill() scaled by 2^-63: products of two elements fall around the
+/// smallest normal float, so sums underflow to subnormals, or under
+/// FlushDenormalsGuard flush to ±0 (a negative one to -0), between the
+/// zero-skipped terms.
+void fill_tiny(Matrix& m, std::uint32_t seed) {
+  fill(m, seed);
+  for (float& v : m.flat()) v *= 0x1p-63f;
+}
+
+TEST(SimdCrossTier, TransposedProductsAreTheTransposeCompositions) {
+  // matmul_nt(a, b) is matmul(a, transpose(b)) and matmul_tn(a, b) is
+  // matmul(transpose(a), b), bit for bit, on each tier with and without
+  // FlushDenormalsGuard (at 4 threads; Parallel.* sweeps thread counts). The operands carry +-0 (the
+  // zero-skip), subnormals, +-inf and NaNs with payloads, or tiny values
+  // whose sums underflow. The shapes cover the avx2 tile's masked tail
+  // (m % 8 != 0), one to 13 vectors per tile, a second kKC slab (k 257) and
+  // the backward rules' training shapes.
+  TierGuard guard;
+  struct Dims3 {
+    int n, k, m;
+  };
+  const Dims3 shapes[] = {{1, 1, 1},    {3, 8, 104},   {5, 21, 13},
+                          {9, 257, 30}, {7, 200, 200}, {50, 400, 21},
+                          {50, 100, 400}, {2, 13, 856}};
+  using Fill = void (*)(Matrix&, std::uint32_t);
+  const std::pair<const char*, Fill> fills[] = {{"edge", fill_edge_values},
+                                                {"tiny", fill_tiny}};
+  for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
+    if (!simd::tier_supported(tier)) continue;
+    ASSERT_TRUE(simd::set_simd_tier(tier));
+    for (const bool flush : {false, true}) {
+      std::optional<FlushDenormalsGuard> ftz;
+      if (flush) ftz.emplace();
+      set_num_threads(4);
+      for (const auto& [what, fill_fn] : fills) {
+        for (const Dims3& s : shapes) {
+          SCOPED_TRACE(::testing::Message()
+                       << simd::tier_name(tier) << (flush ? " ftz " : " ")
+                       << what << " [" << s.n << "," << s.k << "," << s.m
+                       << "]");
+          const auto seed =
+              static_cast<std::uint32_t>(s.n * 1000003 + s.k * 1009 + s.m);
+          Matrix a(s.n, s.k), w(s.m, s.k), g(s.n, s.m);
+          fill_fn(a, seed);
+          fill_fn(w, seed + 1);
+          fill_fn(g, seed + 2);
+          EXPECT_TRUE(bit_identical(matmul_nt(a, w), matmul(a, transpose(w))))
+              << "matmul_nt";
+          EXPECT_TRUE(bit_identical(matmul_tn(a, g), matmul(transpose(a), g)))
+              << "matmul_tn";
         }
       }
     }
