@@ -38,6 +38,9 @@ using nn::Var;
 // Kernel benchmarks take the intra-op thread count as their last argument
 // (overriding DG_THREADS), so one run sweeps the scaling curve:
 //   BM_Matmul/1024/8 = 1024x1024 matmul on an 8-thread pool.
+// Only the product kernels fork (nn/ops.cpp); every other kernel runs on the
+// calling thread at any count, so BM_Transpose/*/4 now times a transpose on
+// the calling thread, the same work as BM_Transpose/*/1.
 
 void BM_Matmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -52,7 +55,7 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->ArgsProduct({{64, 128, 256, 512, 1024}, {1, 2, 4, 8}});
 
-/// One parallel_for region over four kGrainElemwise-float grains on a
+/// One parallel_for region over four 16 Ki-float grains on a
 /// `threads`-wide pool (args: body, threads): the fork-join alone with an
 /// empty body (0), or with each grain's floats incremented through the
 /// SIMD tier (1). Wall time, since the partitions run on pool threads. It
@@ -60,7 +63,7 @@ BENCHMARK(BM_Matmul)->ArgsProduct({{64, 128, 256, 512, 1024}, {1, 2, 4, 8}});
 void BM_ForkJoin(benchmark::State& state) {
   const bool work = state.range(0) != 0;
   nn::set_num_threads(static_cast<int>(state.range(1)));
-  constexpr std::int64_t kGrain = nn::kGrainElemwise;
+  constexpr std::int64_t kGrain = 1 << 14;
   std::vector<float> buf(4 * kGrain, 1.0f);
   float* const p = buf.data();
   const auto add_scalar = nn::simd::kernels().add_scalar;
@@ -591,8 +594,8 @@ BENCHMARK(BM_ServeSlotSamplerTape)
 // tape at >= 2x on. Both chain steps_per_series() steps over the same fixed
 // context and noise under the same 4-thread pool, so the engine is the only
 // difference: generation_step builds an autograd graph and pays a pool
-// round-trip per op, while the tape replays the verified instruction list in
-// one fork-join. The gate sits here, not on the sampler, because a sampler
+// round-trip per product op, while the tape replays the verified instruction
+// list in one fork-join. The gate sits here, not on the sampler, because a sampler
 // also draws each series' context and decodes it: work both engines would
 // pay, and close to half of BM_ServeSlotSamplerTape's time.
 

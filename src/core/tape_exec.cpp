@@ -258,9 +258,10 @@ void TapeExecutor::step(const GenContext& ctx, const nn::Matrix& noise,
                       im.bytes * n / im.width);
 
   // One fork-join for the whole step. The autograd forward pays a pool
-  // round-trip per op (~90 per generation step); here each worker takes a
-  // static lane range up front and replays the entire instruction sequence
-  // over it, which is legal because every opcode is row-local (see run()).
+  // round-trip per product op that clears the product grain; here each
+  // worker takes a static lane range up front and replays the entire
+  // instruction sequence over it, which is legal because every opcode is
+  // row-local (see run()).
   // The output copies ride along: a worker only writes its own lanes of
   // state.h/c/mask, and the other workers' reads of those buffers (as
   // in_h/in_c/in_mask) are confined to their own lanes too.

@@ -365,94 +365,72 @@ void pad_cols_rows(const RowArgs& a, std::int64_t r0, std::int64_t r1) {
 }
 
 // ---- whole-batch kernels ----
+// Each runs on the calling thread: only the product row kernels fork (see
+// run_op).
 
-/// Rows per partition of an [n, d]-shaped range: whole rows, at least
-/// kGrainElemwise floats each.
-std::int64_t rows_per_part(int cols) {
-  return std::max<std::int64_t>(1, kGrainElemwise / std::max(1, cols));
-}
-
-/// Rows per partition of a product's output whose rows are m wide and fold
-/// k terms each: at least kGrainMatmulFlops FLOPs.
-std::int64_t product_grain(std::int64_t k, int m) {
-  return std::max<std::int64_t>(
-      1, kGrainMatmulFlops /
-             (2 * std::max<std::int64_t>(1, k) * std::max(1, m)));
-}
+/// Floats per fixed-size chunk of col_sum (kReduceChunk / d rows) and of
+/// sum. The chunks set where each partial sum starts, so this constant fixes
+/// both reductions' bytes: change it and their rounding changes.
+constexpr std::int64_t kReduceChunk = 1 << 14;
 
 /// out = aᵀ·b. Row c of out folds column c of a over the batch, so it is
-/// not row-local: a partition owns a range of out's rows, zeroes it and
-/// accumulates.
+/// not row-local: zeroes out, then accumulates every output row.
 void matmul_tn_batch(std::span<const Matrix* const> in, Matrix& out,
                      const OpAttrs&) {
   const Matrix &a = *in[0], &b = *in[1];
-  const int m = out.cols();
-  const auto tn = simd::kernels().matmul_tn_acc_rows;
-  parallel_for(0, out.rows(), product_grain(a.rows(), m),
-               [&](std::int64_t r0, std::int64_t r1) {
-                 std::fill(row(out.data(), m, r0), row(out.data(), m, r1),
-                           0.0f);
-                 tn(a.data(), a.rows(), a.cols(), b.data(), m, out.data(), r0,
-                    r1);
-               });
+  std::fill_n(out.data(), out.size(), 0.0f);
+  simd::kernels().matmul_tn_acc_rows(a.data(), a.rows(), a.cols(), b.data(),
+                                     out.cols(), out.data(), 0, out.rows());
 }
 
-/// out = xᵀ. A partition owns a column range of x: rows of out.
+/// out = xᵀ: every column of x, as rows of out.
 void transpose_batch(std::span<const Matrix* const> in, Matrix& out,
                      const OpAttrs&) {
   const Matrix& x = *in[0];
-  const auto transpose = simd::kernels().transpose;
-  parallel_for(0, x.cols(), rows_per_part(x.rows()),
-               [&](std::int64_t j0, std::int64_t j1) {
-                 transpose(x.data(), x.rows(), x.cols(), out.data(), j0, j1);
-               });
+  simd::kernels().transpose(x.data(), x.rows(), x.cols(), out.data(), 0,
+                            x.cols());
 }
 
-/// Column sums of x: fixed-size row chunks, independent of the thread
-/// count, add their rows in ascending order (a vector add per row), and the
-/// chunk partials add onto zeros in ascending order, exactly for one chunk
-/// since a sum from +0 is never -0. Bit-identical for any pool and tier.
+/// Column sums of x: fixed chunks of kReduceChunk / d rows add their rows
+/// in ascending order (a vector add per row) onto a partial row from zeros,
+/// and the partials add onto zeros in ascending chunk order. The partial is
+/// one row reused per thread, so a warm call allocates only its result.
+/// Bit-identical for any tier.
 void col_sum_batch(std::span<const Matrix* const> in, Matrix& out,
                    const OpAttrs&) {
   const Matrix& x = *in[0];
   const int d = x.cols();
   const auto apply = simd::kernels().apply_ew;
   const std::int64_t chunk =
-      std::max<std::int64_t>(1, kGrainReduce / std::max(1, d));
-  const std::int64_t chunks = num_chunks(x.rows(), chunk);
-  std::vector<float> partials(static_cast<std::size_t>(chunks) * d, 0.0f);
-  parallel_for_chunks(x.rows(), chunk,
-                      [&](std::int64_t ci, std::int64_t r0, std::int64_t r1) {
-                        float* const acc = row(partials.data(), d, ci);
-                        for (std::int64_t i = r0; i < r1; ++i) {
-                          apply(simd::EwFn::kAdd, acc, row(x.data(), d, i),
-                                acc, d);
-                        }
-                      });
+      std::max<std::int64_t>(1, kReduceChunk / std::max(1, d));
+  thread_local std::vector<float> partial;
   std::fill_n(out.data(), d, 0.0f);
-  for (std::int64_t ci = 0; ci < chunks; ++ci) {
-    apply(simd::EwFn::kAdd, out.data(), row(partials.data(), d, ci),
-          out.data(), d);
+  for (std::int64_t r0 = 0; r0 < x.rows(); r0 += chunk) {
+    const std::int64_t r1 = std::min<std::int64_t>(x.rows(), r0 + chunk);
+    partial.assign(static_cast<std::size_t>(d), 0.0f);
+    float* const acc = partial.data();
+    for (std::int64_t i = r0; i < r1; ++i) {
+      apply(simd::EwFn::kAdd, acc, row(x.data(), d, i), acc, d);
+    }
+    apply(simd::EwFn::kAdd, out.data(), acc, out.data(), d);
   }
 }
 
-/// The sum of every element of x, in double: fixed kGrainReduce-element
-/// chunks fold serially and their partials add in ascending chunk order.
+/// The sum of every element of x, in double: fixed kReduceChunk-element
+/// chunks fold serially from 0, and each chunk's sum adds onto the total in
+/// ascending chunk order.
 void sum_batch(std::span<const Matrix* const> in, Matrix& out,
                const OpAttrs&) {
   const float* const x = in[0]->data();
   const auto n = static_cast<std::int64_t>(in[0]->size());
-  std::vector<double> partials(
-      static_cast<std::size_t>(num_chunks(n, kGrainReduce)));
-  parallel_for_chunks(n, kGrainReduce,
-                      [&](std::int64_t ci, std::int64_t i0, std::int64_t i1) {
-                        double s = 0.0;
-                        for (std::int64_t i = i0; i < i1; ++i) s += x[i];
-                        partials[static_cast<std::size_t>(ci)] = s;
-                      });
-  double s = 0.0;
-  for (double p : partials) s += p;
-  out.data()[0] = static_cast<float>(s);
+  double total = 0.0;
+  for (std::int64_t i0 = 0; i0 < n; i0 += kReduceChunk) {
+    const std::int64_t i1 = std::min(n, i0 + kReduceChunk);
+    double s = 0.0;
+    for (std::int64_t i = i0; i < i1; ++i) s += x[i];
+    total += s;
+  }
+  out.data()[0] = static_cast<float>(total);
 }
 
 /// The operands' rows, one operand after another.
@@ -577,31 +555,26 @@ std::uint64_t op_bytes(std::span<const Dims> in, Dims out) {
 
 namespace {
 
-/// `fn` over flat partitions of out's elements; `b` is null for a unary fn.
+/// `fn` over all of out's elements; `b` is null for a unary fn.
 void run_ew(simd::EwFn fn, const float* a, const float* b, Matrix& out) {
-  const auto apply = simd::kernels().apply_ew;
-  float* const o = out.data();
-  parallel_for(0, static_cast<std::int64_t>(out.size()), kGrainElemwise,
-               [&](std::int64_t i0, std::int64_t i1) {
-                 apply(fn, a + i0, b != nullptr ? b + i0 : nullptr, o + i0,
-                       i1 - i0);
-               });
+  simd::kernels().apply_ew(fn, a, b, out.data(),
+                           static_cast<std::int64_t>(out.size()));
 }
 
-/// Rows per partition of a row kernel: at least kGrainMatmulFlops FLOPs of
-/// a product's (x, w) pairs, or kGrainElemwise floats of any other kernel's
-/// widest row.
-std::int64_t row_kernel_grain(const OpDef& row, std::span<const RowIn> in,
-                              int out_cols) {
-  if (row.rows == products<true> || row.rows == products<false> ||
-      row.rows == kMatmulNTRows) {
-    std::int64_t k = 0;
-    for (std::size_t p = 0; p + 1 < in.size(); p += 2) k += in[p].cols;
-    return product_grain(k, out_cols);
-  }
-  int widest = out_cols;
-  for (const RowIn& x : in) widest = std::max(widest, x.cols);
-  return rows_per_part(widest);
+/// The product row kernels, the only kernels that fork (see run_op).
+bool is_product(const OpDef& row) {
+  return row.rows == products<true> || row.rows == products<false> ||
+         row.rows == kMatmulNTRows;
+}
+
+/// Rows per partition of a product's output: at least kGrainMatmulFlops
+/// FLOPs of its (x, w) pairs.
+std::int64_t product_grain(std::span<const RowIn> in, int out_cols) {
+  std::int64_t k = 0;
+  for (std::size_t p = 0; p + 1 < in.size(); p += 2) k += in[p].cols;
+  return std::max<std::int64_t>(
+      1, kGrainMatmulFlops /
+             (2 * std::max<std::int64_t>(1, k) * std::max(1, out_cols)));
 }
 
 #ifdef DG_OBS_ENABLED
@@ -639,8 +612,16 @@ Matrix run_op(Op op, std::span<const Matrix* const> in, Dims out_dims,
     for (const Matrix* m : in) ins.push_back({m->data(), m->cols()});
     const RowKernel kernel = row.rows;
     const RowArgs args{ins, out.data(), out.cols(), attrs};
-    parallel_for(0, out.rows(), row_kernel_grain(row, ins, out.cols()),
-                 [&](std::int64_t r0, std::int64_t r1) { kernel(args, r0, r1); });
+    if (is_product(row)) {
+      // Only products fork: every other kernel's work is a few passes over
+      // memory, which one thread finishes before a fork-join returns
+      // (BM_ForkJoin, nn/parallel.h).
+      parallel_for(
+          0, out.rows(), product_grain(ins, out.cols()),
+          [&](std::int64_t r0, std::int64_t r1) { kernel(args, r0, r1); });
+    } else {
+      kernel(args, 0, out.rows());
+    }
   } else {
     row.batch(in, out, attrs);
   }

@@ -139,10 +139,9 @@ struct RowArgs {
 using RowKernel = void (*)(const RowArgs& args, std::int64_t r0,
                            std::int64_t r1);
 
-/// Writes all of `out` from the operands in op order. It owns its partition
-/// of the work across the pool, and a reduction folds fixed-size chunks
-/// whose partials combine in ascending order, so the bytes do not depend on
-/// the thread count.
+/// Writes all of `out` from the operands in op order, on the calling thread.
+/// A reduction folds fixed-size chunks and adds their partials in ascending
+/// chunk order: the order that fixes its bytes (nn/ops.cpp).
 using BatchKernel = void (*)(std::span<const Matrix* const> in, Matrix& out,
                              const OpAttrs& attrs);
 

@@ -265,31 +265,6 @@ void parallel_run(std::int64_t begin, std::int64_t end, std::int64_t grain,
   }
 }
 
-void parallel_run_chunks(std::int64_t n, std::int64_t chunk_size, ChunkFn fn,
-                         void* ctx) {
-  if (n <= 0) return;
-  const std::int64_t chunks = num_chunks(n, chunk_size);
-  // Partition the chunk-index range; each partition walks its chunks in
-  // order. Chunk boundaries are a function of chunk_size alone, so the
-  // per-chunk results are identical for every thread count.
-  struct Ctx {
-    ChunkFn fn;
-    void* inner;
-    std::int64_t n, chunk;
-  } outer{fn, ctx, n, chunk_size};
-  parallel_run(
-      0, chunks, /*grain=*/1,
-      [](void* c, std::int64_t c0, std::int64_t c1) {
-        const Ctx& o = *static_cast<const Ctx*>(c);
-        for (std::int64_t ci = c0; ci < c1; ++ci) {
-          const std::int64_t b = ci * o.chunk;
-          const std::int64_t e = std::min(o.n, b + o.chunk);
-          o.fn(o.inner, ci, b, e);
-        }
-      },
-      &outer);
-}
-
 }  // namespace detail
 
 }  // namespace dg::nn

@@ -18,6 +18,11 @@
 // (string). `where` entries compare a decoded attribute with op one of
 // eq|ne|le|ge; `value` is a number or a categorical label string. Objects
 // travel as {"attributes":{name:value-or-label}, "features":[[rec]...]}.
+//
+// `attempts` (default 16) is how many draws each series of a request with a
+// `where` may take before it is reported rejected; without a `where` it is
+// unused. A request with a `where` whose n x attempts exceeds
+// kMaxRequestDraws (4096 x 16, serve/types.h) is refused as bad_request.
 #pragma once
 
 #include <cstdint>

@@ -35,6 +35,12 @@ void resolve_request(GenRequest& req, const data::Schema& schema) {
   if (req.max_attempts < 1) {
     throw std::invalid_argument("serve: max_attempts must be >= 1");
   }
+  if (!req.where.empty() &&
+      std::int64_t{req.count} * req.max_attempts > kMaxRequestDraws) {
+    throw std::invalid_argument("serve: n x attempts exceeds " +
+                                std::to_string(kMaxRequestDraws) +
+                                " for a request with a where");
+  }
   for (FixedAttr& f : req.fixed) {
     const data::FieldSpec& spec =
         schema.attributes[static_cast<size_t>(attr_index(schema, f.attr))];

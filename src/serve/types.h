@@ -102,10 +102,19 @@ struct StatsSnapshot {
 /// whole reply up front.
 inline constexpr int kMaxRequestCount = 4096;
 
+/// Most draws one request with a `where` may cost: it retries each rejected
+/// series up to `attempts` times, so n x attempts may not exceed the draws
+/// of the largest request at the default 16 attempts. Without the bound, a
+/// predicate no series can meet, sent with a huge `attempts`, holds an
+/// engine's slots almost indefinitely.
+inline constexpr std::int64_t kMaxRequestDraws =
+    std::int64_t{kMaxRequestCount} * 16;
+
 /// Resolves label-valued predicates/fixed attrs against the schema and
 /// validates field names and ranges. Throws std::invalid_argument on
 /// unknown names, bad labels, out-of-range values (a count outside
-/// [1, kMaxRequestCount], a category index past the field's) or type
+/// [1, kMaxRequestCount], a category index past the field's, a request
+/// with a `where` whose n x attempts exceeds kMaxRequestDraws) or type
 /// mismatches (e.g. Le on a categorical field).
 void resolve_request(GenRequest& req, const data::Schema& schema);
 

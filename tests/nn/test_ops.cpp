@@ -114,7 +114,7 @@ void run_kernel(const Case& c, Matrix& out, int r0, int r1) {
 /// Every computed op at a small size with edge values (the elementwise
 /// rows over every pair of ew_values(), the layout rows over
 /// layout_values()), with empty and 0-wide operands where the op takes
-/// them, and at a size that splits across the pool's grains.
+/// them, and at a size that spans more than one reduction chunk.
 std::vector<Case> all_cases() {
   Rng rng(7);
   const auto normal = [&rng](int r, int c) { return rng.normal_matrix(r, c); };
@@ -131,7 +131,8 @@ std::vector<Case> all_cases() {
   const auto layout = [&lv](int r, int c, int offset = 0) {
     return cycling(r, c, lv, offset);
   };
-  // A split size: 18,200 floats clear kGrainElemwise and kGrainReduce.
+  // A split size: 18,200 floats span two of the reductions' 16 Ki-float
+  // chunks.
   const int R = 260, C = 70;
 
   std::vector<Case> cases;

@@ -1,13 +1,19 @@
 // The determinism contract of the intra-op parallel backend (nn/parallel):
-// every parallelized kernel must produce BIT-IDENTICAL output for any pool
-// size, including the fully-serial DG_THREADS=1 path. gradcheck, AnomalyGuard
-// reproduction and every seeded experiment figure depend on this.
+// every kernel must produce BIT-IDENTICAL output for any pool size,
+// including the fully-serial DG_THREADS=1 path. gradcheck, AnomalyGuard
+// reproduction and every seeded experiment figure depend on this. Only the
+// product row kernels fork; the sweeps over every other kernel guard against
+// a fork coming back that changes its bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "nn/autograd.h"
@@ -86,21 +92,6 @@ TEST(Parallel, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
-TEST(Parallel, ChunkDecompositionIndependentOfThreadCount) {
-  // Chunk boundaries must depend only on chunk_size, never the pool size.
-  auto boundaries = [](int threads) {
-    PoolSize pool(threads);
-    std::vector<std::pair<std::int64_t, std::int64_t>> out(20);
-    parallel_for_chunks(9973, 512,
-                        [&](std::int64_t ci, std::int64_t b, std::int64_t e) {
-                          out[static_cast<size_t>(ci)] = {b, e};
-                        });
-    return out;
-  };
-  const auto ref = boundaries(1);
-  for (int t : kSweep) EXPECT_EQ(ref, boundaries(t));
-}
-
 TEST(Parallel, PropagatesExceptionsFromWorkers) {
   PoolSize pool(4);
   // Throws from whichever partition owns index 12345 — a worker thread when
@@ -112,6 +103,65 @@ TEST(Parallel, PropagatesExceptionsFromWorkers) {
                        throw std::runtime_error("boom");
                    }),
       std::runtime_error);
+}
+
+#ifdef __linux__
+/// Threads of this process: the entries of /proc/self/task.
+std::ptrdiff_t process_threads() {
+  namespace fs = std::filesystem;
+  return std::distance(fs::directory_iterator("/proc/self/task"),
+                       fs::directory_iterator());
+}
+#endif
+
+TEST(Parallel, OnlyProductsFork) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts this process's threads in /proc/self/task";
+#else
+  // Resets the pool: no worker exists until a region forks.
+  PoolSize pool(4);
+  Rng rng(24);
+  // Each forward is past the grain at which it used to fork: 90,000 floats
+  // span six 16 Ki-float elementwise or reduction grains, and every old row
+  // grain split 300 rows (transpose's: 300 columns).
+  const Matrix a = randn(rng, 300, 300);
+  const Matrix b = randn(rng, 300, 300);
+  const Matrix rv = randn(rng, 1, 300);
+  const Matrix cv = randn(rng, 300, 1);
+  const Matrix* both[] = {&a, &b};
+  const Var one(randn(rng, 1, 1));
+  // Counted after the inputs are built, so that workers an earlier pool
+  // joined have had time to leave /proc/self/task.
+  const std::ptrdiff_t before = process_threads();
+  const std::pair<const char*, std::function<void()>> serial[] = {
+      {"add", [&] { (void)add(a, b); }},
+      {"tanh", [&] { (void)tanh_(Var(a)); }},
+      {"mul_scalar", [&] { (void)mul_scalar(a, 2.0f); }},
+      {"add_rowvec", [&] { (void)add_rowvec(a, rv); }},
+      {"mul_colvec", [&] { (void)mul_colvec(a, cv); }},
+      {"broadcast_scalar", [&] { (void)broadcast_scalar(one, 300, 300); }},
+      {"concat_cols", [&] { (void)concat_cols(both); }},
+      {"slice_cols", [&] { (void)slice_cols(a, 1, 300); }},
+      {"pad_cols", [&] { (void)pad_cols(Var(a), 2, 3); }},
+      {"row_sum", [&] { (void)row_sum(a); }},
+      {"transpose", [&] { (void)transpose(a); }},
+      {"matmul_tn", [&] { (void)matmul_tn(a, b); }},
+      {"col_sum", [&] { (void)col_sum(a); }},
+      {"sum", [&] { (void)sum(a); }},
+  };
+  for (const auto& [name, forward] : serial) {
+    forward();
+    // A fork adds at least the pool's three workers; a joined worker the
+    // kernel reaps late can only lower the count.
+    EXPECT_LE(process_threads(), before) << name << " started a worker";
+  }
+  // The positive control: a product above its grain forks, which spawns
+  // the pool's three workers. ThreadSanitizer starts a helper thread of its
+  // own at a process's first thread creation, so count at least three.
+  const std::ptrdiff_t serial_threads = process_threads();
+  (void)matmul(a, b);
+  EXPECT_GE(process_threads(), serial_threads + 3);
+#endif
 }
 
 TEST(Parallel, MatmulBitExactAcrossThreadCounts) {
@@ -323,12 +373,16 @@ TEST(Parallel, PartitionsRunUnderCallersFpMode) {
     for (float& v : m.flat()) v = std::ldexp(v, -130);
     return m;
   };
-  const Matrix tiny = subnormal(160, 256);  // 3 elementwise partitions
-  const Matrix tall = subnormal(5000, 8);   // 3 col_sum chunks
-  const Matrix b = randn(rng, 256, 64);     // 2-row matmul grain
+  // Only the products fork, so every probe is one: at k 256 and m 64 the
+  // product grain is 2 rows, so each of the 160 rows' range splits at every
+  // sweep size. A zero bias keeps affine's output subnormal too.
+  const Matrix tiny = subnormal(160, 256);
+  const Matrix b = randn(rng, 256, 64);
+  const Matrix bt = randn(rng, 64, 256);
+  const Matrix zero_bias(1, 64);
   const auto run = [&] {
-    return std::vector<Matrix>{matmul(tiny, b), mul_scalar(tiny, 0x1p20f),
-                               col_sum(tall)};
+    return std::vector<Matrix>{matmul(tiny, b), matmul_nt(tiny, bt),
+                               affine(tiny, b, zero_bias)};
   };
   const auto run_in = [&run](bool flush) {
     std::optional<FlushDenormalsGuard> guard;

@@ -644,6 +644,28 @@ TEST(Protocol, ResolveRequestValidates) {
         << bad;
   }
 
+  // A request with a `where` may cost at most kMaxRequestDraws draws;
+  // without one, `attempts` is unused and not bounded.
+  const AttrPredicate any{d.schema.attributes[0].name, AttrPredicate::Op::Eq,
+                          0.0f, ""};
+  const auto conditional = [&](int count, int attempts, bool where) {
+    GenRequest r;
+    r.count = count;
+    r.max_attempts = attempts;
+    if (where) r.where.push_back(any);
+    return r;
+  };
+  for (const auto& [count, attempts] :
+       {std::pair{kMaxRequestCount, 17}, std::pair{1, 2147483647}}) {
+    GenRequest r = conditional(count, attempts, true);
+    EXPECT_THROW(resolve_request(r, d.schema), std::invalid_argument)
+        << count << " x " << attempts;
+  }
+  GenRequest widest = conditional(kMaxRequestCount, 16, true);
+  EXPECT_NO_THROW(resolve_request(widest, d.schema));
+  GenRequest plain_many = conditional(1, 2147483647, false);
+  EXPECT_NO_THROW(resolve_request(plain_many, d.schema));
+
   // Label resolution fills in the numeric category.
   GenRequest ok;
   ok.fixed.push_back({d.schema.attributes[0].name, 0.0f,

@@ -160,6 +160,30 @@ TEST(GenerationService, ConditionalDegradesToPartial) {
   service.stop();
 }
 
+// A predicate no series can meet, sent with the largest `attempts`, would
+// keep an engine retrying for hours; submit refuses it before it queues.
+TEST(GenerationService, RefusesUnboundedConditionalRequestAtOnce) {
+  auto service = std::make_unique<GenerationService>(make_model(),
+                                                     small_service_cfg());
+  service->start();
+  GenRequest req = plain_request(9, 1, kMaxRequestCount);
+  req.max_attempts = 2147483647;
+  req.where.push_back({service->schema().attributes[0].name,
+                       AttrPredicate::Op::Eq, -5.0f, ""});
+  std::future<GenResponse> fut = service->submit(req);
+  if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    // Admitted: stop() would wait for the request to finish, so leave the
+    // service running rather than hang the test.
+    (void)service.release();
+    FAIL() << "the request was admitted";
+  }
+  const GenResponse resp = fut.get();
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.code, error_code::kBadRequest);
+  EXPECT_EQ(service->stats().series_rejected, 0u);
+  service->stop();
+}
+
 TEST(GenerationService, HotReloadSwapsThePackage) {
   const std::string path = ::testing::TempDir() + "/served.dgpkg";
   core::save_package_file(path, *make_model(3));

@@ -432,7 +432,8 @@ TEST(TapeExec, StepIsAllocationFreeOnceWarm) {
 
 // A traced run pays for timing, not for bookkeeping: with the profiler on,
 // a warm tape step allocates nothing, and an op outside the tape (the
-// autograd forward's own kernels) allocates only its result.
+// autograd forward's own kernels) allocates only its result. The reductions
+// run on shapes of three fixed chunks each, and keep no per-chunk partials.
 TEST(TapeExec, TracedStepsAndOpsAllocateOnlyTheirResults) {
   ThreadGuard guard;
   nn::set_num_threads(1);
@@ -449,12 +450,18 @@ TEST(TapeExec, TracedStepsAndOpsAllocateOnlyTheirResults) {
   const nn::Matrix noise = rng.normal_matrix(n, model.feat_noise_dim());
   const nn::Matrix x = rng.normal_matrix(n, 24);
   const nn::Matrix bias = rng.normal_matrix(1, 24);
+  const nn::Matrix tall = rng.normal_matrix(5000, 8);  // 2048-row chunks
+  const nn::Matrix wide = rng.normal_matrix(9, 5000);  // 16 Ki-float chunks
 
   obs::Profiler::start();
-  tape->step(ctx, noise, state, records);  // warm-up: creates the row
+  tape->step(ctx, noise, state, records);  // warm-up: creates the rows
   (void)nn::add_rowvec(x, bias);
+  (void)nn::col_sum(tall);
+  (void)nn::sum(wide);
   std::uint64_t step_calls = 0;
   std::uint64_t op_calls = 0;
+  std::uint64_t col_sum_calls = 0;
+  std::uint64_t sum_calls = 0;
   {
     AllocationWatch watch;
     for (int i = 0; i < 16; ++i) tape->step(ctx, noise, state, records);
@@ -465,12 +472,24 @@ TEST(TapeExec, TracedStepsAndOpsAllocateOnlyTheirResults) {
     const nn::Matrix y = nn::add_rowvec(x, bias);
     op_calls = watch.calls();
   }
+  {
+    AllocationWatch watch;
+    const nn::Matrix y = nn::col_sum(tall);
+    col_sum_calls = watch.calls();
+  }
+  {
+    AllocationWatch watch;
+    (void)nn::sum(wide);
+    sum_calls = watch.calls();
+  }
   const auto rows = obs::Profiler::snapshot();
   obs::Profiler::stop();
   obs::Profiler::clear();
 
   EXPECT_EQ(step_calls, 0u) << "a traced tape step hit the heap";
   EXPECT_EQ(op_calls, 1u) << "a traced add_rowvec allocated beyond its result";
+  EXPECT_EQ(col_sum_calls, 1u) << "a traced col_sum allocated beyond its result";
+  EXPECT_EQ(sum_calls, 1u) << "a traced sum allocated beyond its result";
   const auto calls = [&](const std::string& name) -> std::uint64_t {
     for (const auto& [row, stats] : rows) {
       if (row == name) return stats.calls;
@@ -479,6 +498,8 @@ TEST(TapeExec, TracedStepsAndOpsAllocateOnlyTheirResults) {
   };
   EXPECT_EQ(calls("kernel.tape_step"), 17u);
   EXPECT_EQ(calls("kernel.add_rowvec"), 2u);
+  EXPECT_EQ(calls("kernel.col_sum"), 2u);
+  EXPECT_EQ(calls("kernel.sum"), 2u);
 }
 
 // step() binds only buffers of the verified widths: an operand one column
